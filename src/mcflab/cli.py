@@ -288,7 +288,7 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     tol = float(cfg.get("tolerance", 1e-10))
     dt = cfg.get("dt")
     if dt is None:
-        dt = StepPolicy().step_size(compute_geometry(initial))
+        dt = StepPolicy().step_size(compute_geometry(initial).metric, grid.spacing)
     dt = float(dt)
 
     def defect(imm):

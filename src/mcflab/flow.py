@@ -4,6 +4,12 @@ The explicit scheme keeps the update an exact function of the nodal
 positions, so it commutes with grid-preserving discrete symmetries to
 rounding error; that property is load-bearing for the symmetry-persistence
 experiment and is covered by tests.
+
+Velocities come straight from `geometry_kernel`, which returns H and the
+metric without assembling a `GeometryPack`.  A step costs four kernel
+evaluations: `run_flow` evaluates the kernel once at the start of each step,
+takes the adaptive dt from that metric and hands the same H to `step_rk4`
+as its first stage.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryPack, compute_geometry
+from .geometry import geometry_kernel
 from .grid import GridSpec, Immersion
 
 
@@ -51,13 +57,12 @@ class StepPolicy:
         if self.fixed_dt is not None and self.fixed_dt <= 0:
             raise PolicyError("fixed_dt must be positive")
 
-    def step_size(self, geom: GeometryPack) -> float:
+    def step_size(self, metric: np.ndarray, spacing: float) -> float:
+        """dt for the metric g (grid + (m, m)) on a grid of the given spacing."""
         if self.fixed_dt is not None:
             return self.fixed_dt
-        g = geom.metric
-        m = geom.grid.m
-        gii_min = min(float(g[..., i, i].min()) for i in range(m))
-        l_min_sq = gii_min * geom.grid.spacing**2
+        gii_min = min(float(metric[..., i, i].min()) for i in range(metric.shape[-1]))
+        l_min_sq = gii_min * spacing**2
         return min(self.cfl_safety * l_min_sq, self.dt_max)
 
 
@@ -88,31 +93,33 @@ class FlowTrajectory:
         return float(dts[0])
 
 
-def mcf_velocity(imm: Immersion, geom: GeometryPack | None = None) -> np.ndarray:
+def _blow_up(time, positions, m):
+    node = np.argwhere(~np.isfinite(positions))[0][:m]
+    return BlowUpError(time, tuple(int(i) for i in node))
+
+
+def mcf_velocity(imm: Immersion) -> np.ndarray:
     """Mean curvature vector field H^a = g^ij h^a_ij at every node."""
-    if geom is None:
-        geom = compute_geometry(imm)
-    return geom.mean_curv
+    return geometry_kernel(imm.grid, imm.positions).mean_curv
 
 
 def _velocity_of_positions(imm: Immersion, positions: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(positions)):
-        bad = np.argwhere(~np.isfinite(positions))
-        raise BlowUpError(imm.time, tuple(bad[0][: imm.grid.m]))
-    return compute_geometry(imm.with_positions(positions)).mean_curv
+        raise _blow_up(imm.time, positions, imm.grid.m)
+    return geometry_kernel(imm.grid, positions).mean_curv
 
 
-def step_rk4(imm: Immersion, dt: float) -> Immersion:
-    """One classical RK4 step of dX/dt = H."""
+def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersion:
+    """One classical RK4 step of dX/dt = H; k1 is H at imm when already known."""
     X = imm.positions
-    k1 = _velocity_of_positions(imm, X)
+    if k1 is None:
+        k1 = _velocity_of_positions(imm, X)
     k2 = _velocity_of_positions(imm, X + 0.5 * dt * k1)
     k3 = _velocity_of_positions(imm, X + 0.5 * dt * k2)
     k4 = _velocity_of_positions(imm, X + dt * k3)
     new = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(new)):
-        bad = np.argwhere(~np.isfinite(new))
-        raise BlowUpError(imm.time + dt, tuple(bad[0][: imm.grid.m]))
+        raise _blow_up(imm.time + dt, new, imm.grid.m)
     return imm.with_positions(new, time=imm.time + dt)
 
 
@@ -143,9 +150,12 @@ def run_flow(
         if target < current.time - 1e-12:
             raise PolicyError(f"unreachable sample time {target}")
         while current.time < target - 1e-14:
-            geom = compute_geometry(current)
-            dt = min(policy.step_size(geom), target - current.time)
-            current = step_rk4(current, dt)
+            kern = geometry_kernel(current.grid, current.positions)
+            dt = min(
+                policy.step_size(kern.metric, current.grid.spacing),
+                target - current.time,
+            )
+            current = step_rk4(current, dt, kern.mean_curv)
             traj.dt_history.append(dt)
         current = current.with_positions(current.positions, time=target)
         traj.states.append(current)
@@ -177,7 +187,3 @@ def run_fixed_dt(
             )
             traj.states.append(current)
     return traj
-
-
-def total_volume(imm: Immersion) -> float:
-    return compute_geometry(imm).volume()

@@ -18,6 +18,7 @@ Index conventions for stored arrays (grid axes omitted):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,85 +59,135 @@ class GeometryPack:
         return float(np.sum(self.sqrt_det)) * self.grid.spacing**self.grid.m
 
 
-def _invert_metric(g: np.ndarray, m: int, eps: float):
-    """Closed-form 1x1 / 2x2 inversion; returns (ginv, det)."""
-    if m == 1:
-        det = g[..., 0, 0]
-        _check_nondegenerate(det, eps)
-        return (1.0 / det)[..., None, None], det
-    a = g[..., 0, 0]
-    b = g[..., 0, 1]
-    d = g[..., 1, 1]
-    det = a * d - b * b
-    _check_nondegenerate(det, eps)
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = d / det
-    ginv[..., 1, 1] = a / det
-    ginv[..., 0, 1] = -b / det
-    ginv[..., 1, 0] = -b / det
-    return ginv, det
-
-
 def _check_nondegenerate(det: np.ndarray, eps: float):
-    bad = det < eps
-    if np.any(bad):
-        node = np.unravel_index(np.argmin(det), det.shape)
+    if np.any(det < eps):
+        node = tuple(int(i) for i in np.unravel_index(np.argmin(det), det.shape))
         raise DegenerateImmersionError(node, float(det[node]))
 
 
-def induced_metric(imm: Immersion, eps: float = EPS_IMMERSION):
-    """g_ij = sum_a d_iX^a d_jX^a and its closed-form inverse."""
-    Xi = first_derivatives(imm)
-    g = np.einsum("...ai,...aj->...ij", Xi, Xi)
-    ginv, det = _invert_metric(g, imm.grid.m, eps)
-    return g, ginv, det
+class KernelResult(NamedTuple):
+    """One kernel evaluation: H, g and det g, plus the other pack fields as
+    lists of grid-first components in pack index order (``dX[i]`` = d_i X,
+    ``ginv`` over (i, j), ``gamma`` over (k, i, j), ``h`` over (i, j));
+    index-symmetric entries share one array.
+    """
+
+    mean_curv: np.ndarray  # grid + (A,)
+    metric: np.ndarray  # grid + (m, m)
+    det: np.ndarray  # grid
+    dX: list  # m x grid + (A,)
+    ginv: list  # m*m x grid
+    gamma: list  # m*m*m x grid
+    h: list  # m*m x grid + (A,)
 
 
-def first_derivatives(imm: Immersion) -> np.ndarray:
-    grid = imm.grid
-    cols = [partial(grid, imm.positions, i) for i in range(grid.m)]
-    # positions carry the ambient axis last; stack derivative index after it
-    return np.stack(cols, axis=-1)
+def geometry_kernel(
+    grid: GridSpec, X: np.ndarray, eps: float = EPS_IMMERSION
+) -> KernelResult:
+    """Mean curvature vector and metric of the positions X (grid + (A,)).
 
-
-def christoffels(grid: GridSpec, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij of the Levi-Civita connection, via discrete partials."""
+    g_ij = sum_a d_iX^a d_jX^a;  Gamma^k_ij = g^kl c_lij / 2 with
+    c_lij = d_i g_jl + d_j g_il - d_l g_ij from the discrete partials of g;
+    h^a_ij = d_i d_jX^a - Gamma^k_ij d_kX^a with the compact second
+    stencils;  H^a = g^ij h^a_ij.  The index loops are written out as
+    arithmetic on whole grid arrays.  Sums over a, l and k run in index
+    order and the four m=2 terms of H add pairwise, which are the orders
+    of the einsum contractions in tests/test_geometry.py: for m=2, and for
+    m=1 with A=2, the two agree to the last bit (numpy 2.4) except for the
+    sign of exact zeros.  Temporaries are released as soon as they are used
+    up, which keeps the peak memory below that of the einsum formulation.
+    """
     m = grid.m
-    dg = np.stack([partial(grid, g, i) for i in range(m)], axis=-3)
-    # dg[..., l, i, j] = d_l g_ij; assemble c_lij = d_i g_jl + d_j g_il - d_l g_ij
-    c = np.empty(g.shape[:-2] + (m, m, m))
-    for l in range(m):
-        for i in range(m):
-            for j in range(m):
-                c[..., l, i, j] = (
-                    dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]
-                )
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, c)
+    R = range(m)
+    pairs = [(i, j) for i in R for j in range(i, m)]
+    dX = [partial(grid, X, i) for i in R]
+    g = {}
+    for i, j in pairs:
+        p = dX[i] * dX[j]
+        s = p[..., 0] + p[..., 1]
+        for a in range(2, p.shape[-1]):
+            s += p[..., a]
+        g[i, j] = g[j, i] = s
+    del p
+
+    if m == 1:
+        det = g[0, 0]
+        _check_nondegenerate(det, eps)
+        ginv = {(0, 0): 1.0 / det}
+        metric = det[..., None, None]
+    else:
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+        _check_nondegenerate(det, eps)
+        off = -g[0, 1] / det
+        ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
+        metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
+        metric = metric.reshape(grid.shape + (2, 2))
+
+    # one stencil call per axis over the stacked distinct components of g
+    dG = [partial(grid, np.stack([g[ij] for ij in pairs], axis=-1), l) for l in R]
+    dg = {}
+    for l in R:
+        for c, (i, j) in enumerate(pairs):
+            dg[l, i, j] = dg[l, j, i] = dG[l][..., c]
+    gamma = {}
+    for i, j in pairs:
+        c = [dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for l in R]
+        for k in R:
+            s = ginv[k, 0] * c[0]
+            for l in range(1, m):
+                s += ginv[k, l] * c[l]
+            s *= 0.5
+            gamma[k, i, j] = gamma[k, j, i] = s
+    del dG, dg, c
+
+    h = {}
+    for i, j in pairs:
+        # the mixed second stencil is the first stencil applied twice
+        dd = second_partial(grid, X, i, i) if i == j else partial(grid, dX[i], j)
+        corr = gamma[0, i, j][..., None] * dX[0]
+        for k in range(1, m):
+            corr += gamma[k, i, j][..., None] * dX[k]
+        dd -= corr
+        h[i, j] = h[j, i] = dd
+    del corr
+
+    H = ginv[0, 0][..., None] * h[0, 0]
+    if m == 2:
+        t = ginv[0, 1][..., None] * h[0, 1]
+        H += t
+        t += ginv[1, 1][..., None] * h[1, 1]
+        H += t
+    ij = [(i, j) for i in R for j in R]
+    return KernelResult(
+        H,
+        metric,
+        det,
+        dX,
+        [ginv[p] for p in ij],
+        [gamma[(k,) + p] for k in R for p in ij],
+        [h[p] for p in ij],
+    )
 
 
-def second_fundamental_form(imm: Immersion, Xi, gamma):
-    """h^a_ij = d_i d_j X^a - Gamma^k_ij d_k X^a."""
-    grid = imm.grid
-    m = grid.m
-    A = imm.ambient_dim
-    h = np.empty(grid.shape + (A, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            dd = second_partial(grid, imm.positions, i, j)
-            corr = np.einsum("...k,...ak->...a", gamma[..., :, i, j], Xi)
-            h[..., :, i, j] = dd - corr
-            h[..., :, j, i] = h[..., :, i, j]
-    return h
+def _pack(parts: list, shape: tuple) -> np.ndarray:
+    """Stack components into `shape` and drop them from the list.
+
+    Dropping each field's components once copied keeps compute_geometry's
+    peak memory near one pack plus one field.
+    """
+    arr = np.stack(parts, axis=-1).reshape(shape)
+    parts.clear()
+    return arr
 
 
 def compute_geometry(imm: Immersion, eps: float = EPS_IMMERSION) -> GeometryPack:
-    Xi = first_derivatives(imm)
-    g = np.einsum("...ai,...aj->...ij", Xi, Xi)
-    ginv, det = _invert_metric(g, imm.grid.m, eps)
-    gamma = christoffels(imm.grid, g, ginv)
-    h = second_fundamental_form(imm, Xi, gamma)
-    H = np.einsum("...ij,...aij->...a", ginv, h)
-    return GeometryPack(imm, Xi, g, ginv, det, gamma, h, H)
+    grid, m, A = imm.grid, imm.grid.m, imm.ambient_dim
+    k = geometry_kernel(grid, imm.positions, eps)
+    h = _pack(k.h, grid.shape + (A, m, m))
+    first = _pack(k.dX, grid.shape + (A, m))
+    gamma = _pack(k.gamma, grid.shape + (m, m, m))
+    ginv = _pack(k.ginv, grid.shape + (m, m))
+    return GeometryPack(imm, first, k.metric, ginv, k.det, gamma, h, k.mean_curv)
 
 
 # --- covariant calculus -----------------------------------------------------

@@ -259,10 +259,13 @@ def write_immersion(imm: Immersion, path_or_stream) -> None:
         g = imm.grid
         stream.write(f"{g.m} {imm.codimension} {g.resolution} {imm.time!r}\n")
         flat = imm.positions.reshape(-1, imm.ambient_dim, order="F")
-        for row, mi in zip(flat, g.node_multi_indices()):
-            idx = " ".join(str(int(i)) for i in mi)
-            coords = " ".join(format(c, ".17g") for c in row)
-            stream.write(f"{idx} {coords}\n")
+        row = " ".join(["%d"] * g.m + ["%.17g"] * imm.ambient_dim) + "\n"
+        stream.write(
+            "".join(
+                row % (*mi, *coords)
+                for mi, coords in zip(g.node_multi_indices().tolist(), flat.tolist())
+            )
+        )
     finally:
         if own:
             stream.close()

@@ -5,17 +5,18 @@ c = s2/s1^2 is the stencil-dependent curvature factor, so the semi-discrete
 radius law sqrt(r0^2 - 2 c t) is exact up to RK4 time error.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from mcflab import GridSpec, StepPolicy, mcf_velocity, run_flow, step_rk4
-from mcflab import shapes
+from mcflab import flow, shapes
 from mcflab.flow import (
     BlowUpError,
     FlowTrajectory,
     PolicyError,
     run_fixed_dt,
-    total_volume,
 )
 from mcflab.geometry import compute_geometry
 from mcflab.grid import apply_symmetry, identity_symmetry, shift_permutation
@@ -82,6 +83,12 @@ class TestStep:
             for _ in range(200):
                 imm = step_rk4(imm, 1e-3)
 
+    def test_blow_up_error_node_is_plain_ints(self, flat_torus):
+        k1 = np.zeros_like(flat_torus.positions)
+        k1[0, 1, 2] = np.nan
+        with pytest.raises(BlowUpError, match=re.escape("at node (0, 1)")):
+            step_rk4(flat_torus, 1e-3, k1)
+
 
 class TestStepPolicy:
     def test_adaptive_dt_value(self, circle_grid):
@@ -90,15 +97,18 @@ class TestStepPolicy:
         s1, _ = stencil_symbols(circle_grid)
         pol = StepPolicy(cfl_safety=0.2, dt_max=1.0)
         expected = 0.2 * (r * s1) ** 2 * circle_grid.spacing**2
-        assert abs(pol.step_size(geom) - expected) < 1e-14
+        dt = pol.step_size(geom.metric, circle_grid.spacing)
+        assert abs(dt - expected) < 1e-14
 
     def test_dt_max_caps(self, unit_circle):
         geom = compute_geometry(unit_circle)
-        assert StepPolicy(cfl_safety=1.0, dt_max=1e-5).step_size(geom) == 1e-5
+        pol = StepPolicy(cfl_safety=1.0, dt_max=1e-5)
+        assert pol.step_size(geom.metric, unit_circle.grid.spacing) == 1e-5
 
     def test_fixed_dt_overrides(self, unit_circle):
         geom = compute_geometry(unit_circle)
-        assert StepPolicy(fixed_dt=3e-4).step_size(geom) == 3e-4
+        pol = StepPolicy(fixed_dt=3e-4)
+        assert pol.step_size(geom.metric, unit_circle.grid.spacing) == 3e-4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -153,7 +163,7 @@ class TestRunFlow:
             StepPolicy(cfl_safety=0.3),
             sample_times=np.linspace(0.0, 0.2, 9),
         )
-        vols = [total_volume(s) for s in traj.states]
+        vols = [compute_geometry(s).volume() for s in traj.states]
         assert all(b < a for a, b in zip(vols, vols[1:]))
 
     def test_torus_radii_follow_factor_law(self):
@@ -178,6 +188,30 @@ class TestRunFlow:
                 abs(measured_radius(traj.states[-1]) - np.sqrt(r0**2 - 2 * T))
             )
         assert np.log2(errs[-2] / errs[-1]) > 1.9
+
+
+class TestKernelEvaluations:
+    def test_run_flow_evaluates_kernel_four_times_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return kernel(*args, **kwargs)
+
+        kernel = flow.geometry_kernel
+        monkeypatch.setattr(flow, "geometry_kernel", counting)
+        imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        traj = run_flow(imm, 0.02, sample_times=[0.0, 0.01, 0.02])
+        assert len(traj.dt_history) > 2
+        assert len(calls) == 4 * len(traj.dt_history)
+
+    def test_fixed_dt_run_flow_matches_run_fixed_dt_bitwise(self):
+        dt = 2.0**-10  # exact binary fraction: both runs step to the same times
+        imm = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2)
+        a = run_flow(imm, 20 * dt, StepPolicy(fixed_dt=dt))
+        b = run_fixed_dt(imm, dt, 20, store_every=20)
+        assert a.dt_history == b.dt_history == [dt] * 20
+        assert np.array_equal(a.states[-1].positions, b.states[-1].positions)
 
 
 class TestFixedDtProtocol:

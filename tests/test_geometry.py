@@ -1,18 +1,27 @@
+import re
+
 import numpy as np
 import pytest
 
 from mcflab import shapes
 from mcflab.geometry import (
+    _check_nondegenerate,
     compute_geometry,
     covariant_derivative,
     curvature_gauss,
     curvature_intrinsic,
-    induced_metric,
+    geometry_kernel,
     normality_residual,
     tensor_norm_sq,
     trace_identity_residual,
 )
-from mcflab.grid import DegenerateImmersionError, GridSpec, Immersion
+from mcflab.grid import (
+    DegenerateImmersionError,
+    GridSpec,
+    Immersion,
+    partial,
+    second_partial,
+)
 
 from conftest import stencil_symbols
 
@@ -22,20 +31,20 @@ class TestInducedMetric:
         g = GridSpec(1, 8)
         imm = shapes.circle(g, 2.0)
         s1, _ = stencil_symbols(g)
-        metric, _, _ = induced_metric(imm)
+        metric = compute_geometry(imm).metric
         assert np.allclose(metric[..., 0, 0], 4 * s1**2, atol=1e-12)
         assert metric[0, 0, 0] == pytest.approx(3.242278, abs=1e-6)
 
     def test_flat_torus_metric_is_diagonal(self, flat_torus):
         s1, _ = stencil_symbols(flat_torus.grid)
-        metric, _, _ = induced_metric(flat_torus)
+        metric = compute_geometry(flat_torus).metric
         assert np.allclose(metric[..., 0, 0], s1**2, atol=1e-13)
         assert np.allclose(metric[..., 1, 1], s1**2, atol=1e-13)
         assert np.abs(metric[..., 0, 1]).max() < 1e-15
 
     def test_metric_symmetric_exactly(self, torus_grid):
         imm = shapes.perturbed_torus(torus_grid, 1.0, 0.6, 0.2)
-        metric, _, _ = induced_metric(imm)
+        metric = compute_geometry(imm).metric
         assert np.array_equal(metric, np.swapaxes(metric, -1, -2))
 
     def test_inverse_to_tolerance(self, torus_grid):
@@ -50,6 +59,12 @@ class TestInducedMetric:
         with pytest.raises(DegenerateImmersionError) as err:
             compute_geometry(Immersion(circle_grid, pos))
         assert err.value.node is not None
+
+    def test_degenerate_error_node_is_plain_ints(self):
+        det = np.ones((8, 8))
+        det[0, 1] = 0.0
+        with pytest.raises(DegenerateImmersionError, match=re.escape("at node (0, 1)")):
+            _check_nondegenerate(det, 1e-10)
 
 
 class TestChristoffels:
@@ -221,3 +236,68 @@ class TestInvariants:
         assert np.array_equal(
             geomA.christoffels, permute_field(geomB.christoffels, circle_grid, perm)
         )
+
+
+# --- the einsum formulation as reference for the unrolled kernel -----------
+
+
+def einsum_geometry(imm):
+    """g, Gamma, h and H by einsum contractions over the pack index layout."""
+    grid, X = imm.grid, imm.positions
+    m, A = grid.m, imm.ambient_dim
+    Xi = np.stack([partial(grid, X, i) for i in range(m)], axis=-1)
+    g = np.einsum("...ai,...aj->...ij", Xi, Xi)
+    ginv = np.linalg.inv(g)
+    dg = np.stack([partial(grid, g, l) for l in range(m)], axis=-3)
+    # c[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    c = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, c)
+    dd = np.empty(grid.shape + (A, m, m))
+    for i in range(m):
+        for j in range(m):
+            dd[..., :, i, j] = second_partial(grid, X, i, j)
+    h = dd - np.einsum("...kij,...ak->...aij", gamma, Xi)
+    H = np.einsum("...ij,...aij->...a", ginv, h)
+    return g, gamma, h, H
+
+
+def space_curve(grid):
+    (t,) = grid.coordinates()
+    pos = np.stack([1.5 * np.cos(t), np.sin(t), 0.3 * np.sin(3 * t)], axis=-1)
+    return Immersion(grid, pos)
+
+
+def torus_of_revolution(grid):
+    u, v = grid.coordinates()
+    ring = 1.0 + 0.4 * np.cos(v)
+    pos = np.stack([ring * np.cos(u), ring * np.sin(u), 0.4 * np.sin(v)], axis=-1)
+    return Immersion(grid, pos)
+
+
+class TestKernelAgainstEinsum:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0),
+            lambda o: space_curve(GridSpec(1, 32, o)),
+            lambda o: torus_of_revolution(GridSpec(2, 16, o)),
+            lambda o: shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2),
+        ],
+        ids=["m1-codim1", "m1-codim2", "m2-codim1", "m2-codim2"],
+    )
+    def test_fields_match_reference(self, maker, order):
+        imm = maker(order)
+        g, gamma, h, H = einsum_geometry(imm)
+        geom = compute_geometry(imm)
+        kern = geometry_kernel(imm.grid, imm.positions)
+        for got, want in [
+            (kern.metric, g),
+            (geom.metric, g),
+            (geom.christoffels, gamma),
+            (geom.second_form, h),
+            (kern.mean_curv, H),
+            (geom.mean_curv, H),
+        ]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -138,6 +138,24 @@ class TestImmersion:
         assert back.time == unit_circle.time
         assert np.array_equal(back.positions, unit_circle.positions)
 
+    def test_writer_matches_per_node_formatting(self):
+        rng = np.random.default_rng(0)
+        grid = GridSpec(2, 8)
+        pos = rng.standard_normal(grid.shape + (3,)) * 10.0 ** rng.integers(
+            -300, 300, grid.shape + (3,)
+        )
+        pos[0, 0, 0] = -0.0
+        imm = Immersion(grid, pos, time=0.1)
+        # reference: one line per node, axis 0 fastest, `.17g` coordinates
+        lines = ["2 1 8 0.1"]
+        for i1 in range(8):
+            for i0 in range(8):
+                coords = " ".join(format(c, ".17g") for c in pos[i0, i1])
+                lines.append(f"{i0} {i1} {coords}")
+        buf = io.StringIO()
+        write_immersion(imm, buf)
+        assert buf.getvalue() == "\n".join(lines) + "\n"
+
     def test_header_format(self, unit_circle):
         buf = io.StringIO()
         write_immersion(unit_circle, buf)
