@@ -28,7 +28,15 @@ from .differences import (
     forward_gronwall,
     verify_inequalities,
 )
-from .flow import BlowUpError, FlowTrajectory, StepPolicy, run_fixed_dt, run_flow
+from .flow import (
+    BlowUpError,
+    FlowTrajectory,
+    StepPolicy,
+    mcf_velocity,
+    run_fixed_dt,
+    run_flow,
+    step_rk4,
+)
 from .geometry import compute_geometry
 from .grid import (
     GridSpec,
@@ -306,10 +314,9 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     current = initial
     rows = [(0.0, d0)]
     worst = d0
-    from .flow import step_rk4
-
     for k in range(steps):
-        current = step_rk4(current, dt)
+        # degeneracy of the initial immersion is bad input, later a blow-up
+        current = step_rk4(current, dt, mcf_velocity(current) if k == 0 else None)
         if (k + 1) % record_every == 0 or k == steps - 1:
             d = defect(current)
             worst = max(worst, d)

@@ -327,7 +327,8 @@ def verify_inequalities(
         p = window.pack(c)
         lhs1 = heat_operator_Y(window, c)
         lhs2 = time_derivative_Z_sq(window, c)
-        core = p.norm_sq_Y() + p.norm_sq_grad_Y() + p.norm_sq_Z()
+        nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(), p.norm_sq_Z()
+        core = nY + ngY + nZ
         ok = core > eps_core
         if np.any(ok):
             C1 = max(C1, float((lhs1[ok] / core[ok]).max()))
@@ -338,9 +339,9 @@ def verify_inequalities(
         rows.append(
             {
                 "t": t,
-                "E_Y": float(np.sum(p.norm_sq_Y() * weight)),
-                "E_gradY": float(np.sum(p.norm_sq_grad_Y() * weight)),
-                "E_Z": float(np.sum(p.norm_sq_Z() * weight)),
+                "E_Y": float(np.sum(nY * weight)),
+                "E_gradY": float(np.sum(ngY * weight)),
+                "E_Z": float(np.sum(nZ * weight)),
                 "sup_lhs1": float(lhs1.max()),
                 "sup_lhs2": float(lhs2.max()),
             }

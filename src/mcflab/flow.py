@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import geometry_kernel
-from .grid import GridSpec, Immersion
+from .geometry import KernelResult, geometry_kernel
+from .grid import DegenerateImmersionError, GridSpec, Immersion
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite positions appeared during a step (typically near extinction)."""
+    """Non-finite positions or a degenerate metric appeared during the flow
+    (typically near extinction)."""
 
     def __init__(self, time, node=None):
         self.time = time
@@ -103,14 +104,29 @@ def mcf_velocity(imm: Immersion) -> np.ndarray:
     return geometry_kernel(imm.grid, imm.positions).mean_curv
 
 
+def _flow_kernel(imm: Immersion, positions: np.ndarray) -> KernelResult:
+    """Kernel at positions the flow produced from imm: degeneration there is a
+    blow-up of the flow, not bad input."""
+    try:
+        return geometry_kernel(imm.grid, positions)
+    except DegenerateImmersionError as exc:
+        raise BlowUpError(imm.time, exc.node) from exc
+
+
 def _velocity_of_positions(imm: Immersion, positions: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(positions)):
         raise _blow_up(imm.time, positions, imm.grid.m)
-    return geometry_kernel(imm.grid, positions).mean_curv
+    return _flow_kernel(imm, positions).mean_curv
 
 
 def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersion:
-    """One classical RK4 step of dX/dt = H; k1 is H at imm when already known."""
+    """One classical RK4 step of dX/dt = H; k1 is H at imm when already known.
+
+    A degenerate metric at imm or at a stage raises BlowUpError: callers
+    that start from input data pass that data's k1, computed with
+    `mcf_velocity`, so that degenerate input stays a
+    DegenerateImmersionError.
+    """
     X = imm.positions
     if k1 is None:
         k1 = _velocity_of_positions(imm, X)
@@ -150,7 +166,10 @@ def run_flow(
         if target < current.time - 1e-12:
             raise PolicyError(f"unreachable sample time {target}")
         while current.time < target - 1e-14:
-            kern = geometry_kernel(current.grid, current.positions)
+            if traj.dt_history:
+                kern = _flow_kernel(current, current.positions)
+            else:  # the initial immersion: degeneracy is bad input
+                kern = geometry_kernel(current.grid, current.positions)
             dt = min(
                 policy.step_size(kern.metric, current.grid.spacing),
                 target - current.time,
@@ -178,7 +197,8 @@ def run_fixed_dt(
     current = initial
     traj.states.append(current)
     for k in range(n_steps):
-        current = step_rk4(current, dt)
+        # degeneracy of the initial immersion is bad input, later a blow-up
+        current = step_rk4(current, dt, mcf_velocity(current) if k == 0 else None)
         traj.dt_history.append(dt)
         if (k + 1) % store_every == 0:
             # stamp the exact multiple to keep the stored grid of times uniform

@@ -61,7 +61,7 @@ class GeometryPack:
 
 def _check_nondegenerate(det: np.ndarray, eps: float):
     if np.any(det < eps):
-        node = tuple(int(i) for i in np.unravel_index(np.argmin(det), det.shape))
+        node = np.unravel_index(np.argmin(det), det.shape)
         raise DegenerateImmersionError(node, float(det[node]))
 
 
@@ -235,12 +235,35 @@ def covariant_derivative(
 def contract_with_metric(
     field_arr: np.ndarray, M: np.ndarray, axis: int
 ) -> np.ndarray:
-    """Contract one tensor axis of a field with a per-node matrix field."""
-    moved = np.moveaxis(field_arr, axis, -1)
-    extra = moved.ndim - M.ndim + 1
-    Mr = M.reshape(M.shape[:-2] + (1,) * extra + M.shape[-2:]) if extra > 0 else M
-    out = np.einsum("...ab,...b->...a", Mr, moved)
-    return np.moveaxis(out, -1, axis)
+    """Contract one tensor axis of a field with a per-node matrix field.
+
+    out[..., a] = sum_b M[..., a, b] f[..., b] along `axis`, with M
+    broadcast over the axes between the grid and the contracted one.  The
+    sum over b runs in index order into an output laid out like the field;
+    the einsum "...ab,...b->...a" kept as the reference in
+    tests/test_geometry.py gives the same bits except for the sign of exact
+    zeros.
+    """
+    nd = field_arr.ndim
+    axis %= nd
+    n_after = nd - axis - 1
+    # Entries sharing one index along `axis` come in contiguous runs only as
+    # long as the axes after it.  Those axes go first and the ufuncs iterate
+    # in C order, so the inner loops run over the grid and passive axes.
+    perm = list(range(axis + 1, nd)) + list(range(axis + 1))
+    f = field_arr.transpose(perm)
+    n_mid = nd - M.ndim + 1 - n_after
+    Mr = M.reshape((1,) * n_after + M.shape[:-2] + (1,) * n_mid + M.shape[-2:])
+    out = np.empty_like(field_arr, dtype=np.result_type(M, field_arr))
+    out_t = out.transpose(perm)
+    m = M.shape[-1]
+    for a in range(m):
+        o = out_t[..., a]
+        np.multiply(Mr[..., a, 0], f[..., 0], out=o, order="C")
+        for b in range(1, m):
+            term = np.multiply(Mr[..., a, b], f[..., b], order="C")
+            np.add(o, term, out=o, order="C")
+    return out
 
 
 def tensor_norm_sq(
@@ -264,7 +287,14 @@ def tensor_norm_sup(field_arr, geom, index_spec) -> float:
 
 
 def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
-    """Rough Laplacian g^pq grad_p grad_q, componentwise on passive axes."""
+    """Rough Laplacian g^pq grad_p grad_q, componentwise on passive axes.
+
+    The trace sums over (p, q) in row-major order.  That is the order of
+    the einsum "...pq,...pq->..." kept as the reference in
+    tests/test_geometry.py whenever the field carries tensor indices; for
+    an index-free field at m=2 einsum adds the terms in two SIMD lanes, so
+    the last bit can differ there.
+    """
     dd = covariant_derivative(
         covariant_derivative(field_arr, geom, index_spec), geom, "l" + index_spec
     )
@@ -274,7 +304,13 @@ def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
     ginv = geom.inverse_metric
     extra = moved.ndim - ginv.ndim
     gr = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
-    return np.einsum("...pq,...pq->...", gr, moved)
+    m = ginv.shape[-1]
+    out = gr[..., 0, 0] * moved[..., 0, 0]
+    for p in range(m):
+        for q in range(m):
+            if p or q:
+                out += gr[..., p, q] * moved[..., p, q]
+    return out
 
 
 # --- curvature --------------------------------------------------------------

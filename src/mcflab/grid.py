@@ -31,10 +31,10 @@ class DegenerateImmersionError(ValueError):
     """det(g) dropped below the immersion floor at some node."""
 
     def __init__(self, node, value):
-        self.node = node
+        self.node = tuple(int(i) for i in node)  # (3,), not (np.int64(3),)
         self.value = value
         super().__init__(
-            f"degenerate immersion: det(g) = {value:.3e} at node {node}"
+            f"degenerate immersion: det(g) = {value:.3e} at node {self.node}"
         )
 
 

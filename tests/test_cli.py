@@ -116,6 +116,28 @@ class TestSimulateVerb:
         code, _ = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_BLOWUP
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_degeneration_mid_run_is_a_blow_up(self, tmp_path, capsys):
+        # the adaptive flow reaches a degenerate metric before any NaN
+        config = {
+            "grid": {"m": 1, "resolution": 32},
+            "geometry": {"kind": "circle", "radius": 0.1},
+            "T": 0.5,
+        }
+        code, _ = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_BLOWUP
+        assert "numerical blow-up" in capsys.readouterr().err
+
+    def test_degenerate_initial_immersion_is_a_config_error(self, tmp_path, capsys):
+        config = {
+            "grid": {"m": 1, "resolution": 32},
+            "geometry": {"kind": "circle", "radius": 0.0},
+            "T": 0.5,
+        }
+        code, _ = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_CONFIG
+        assert "degenerate immersion" in capsys.readouterr().err
+
 
 class TestSymmetryVerb:
     def test_reflection_persists(self, tmp_path):
@@ -182,6 +204,24 @@ class TestDiffSystemVerb:
         assert (out1 / "inequality_report.txt").read_text() == (
             out2 / "inequality_report.txt"
         ).read_text()
+
+    def test_torus_pair_is_clean_and_deterministic(self, tmp_path):
+        config = {
+            "grid": {"m": 2, "resolution": 16},
+            "geometry": {"kind": "product_torus"},
+            "perturbation": {"amplitude": 1e-3},
+            "seed": 3,
+            "T": 0.04,
+            "delta": 0.01,
+            "store_every": 1,
+        }
+        code1, out1 = run_cli(tmp_path, "diff-system", config, "t1")
+        code2, out2 = run_cli(tmp_path, "diff-system", config, "t2")
+        assert code1 == code2 == EXIT_OK
+        report = (out1 / "inequality_report.txt").read_text()
+        assert "flagged_nodes = 0" in report.splitlines()
+        for name in ("inequality_report.txt", "gronwall_envelope.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_delta_outside_window_rejected(self, tmp_path):
         cfg = dict(DIFF_CONFIG)

@@ -16,6 +16,7 @@ from mcflab import GridSpec
 from mcflab import shapes
 from mcflab.differences import (
     LIMITATION_STATEMENT,
+    DifferencePack,
     PairedWindow,
     build_difference,
     check_N_integral,
@@ -185,6 +186,27 @@ class TestCoupledInequalities:
         assert rep.C1 == 0.0
         assert rep.C2 == 0.0
         assert rep.flagged_nodes == 0
+
+    def test_each_norm_evaluated_once_per_center(self, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            method = getattr(DifferencePack, name)
+
+            def wrapper(pack):
+                calls[name] = calls.get(name, 0) + 1
+                return method(pack)
+
+            return wrapper
+
+        for name in ("norm_sq_Y", "norm_sq_grad_Y", "norm_sq_Z"):
+            monkeypatch.setattr(DifferencePack, name, counting(name))
+        w = circle_pair()
+        rep = verify_inequalities(w, delta=3 * DT)
+        centers = [c for c in w.centers if w.times[c] >= 3 * DT - 1e-12]
+        assert len(rep.rows) == len(centers) == 4
+        assert calls == dict.fromkeys(calls, len(centers))
+        assert len(calls) == 3
 
     def test_bad_delta_rejected(self):
         w = circle_pair()

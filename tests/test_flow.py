@@ -19,7 +19,12 @@ from mcflab.flow import (
     run_fixed_dt,
 )
 from mcflab.geometry import compute_geometry
-from mcflab.grid import apply_symmetry, identity_symmetry, shift_permutation
+from mcflab.grid import (
+    DegenerateImmersionError,
+    apply_symmetry,
+    identity_symmetry,
+    shift_permutation,
+)
 from mcflab.grid import SymmetryAction
 from mcflab.shapes import exact_oracle, measured_radius, measured_torus_radii
 
@@ -88,6 +93,20 @@ class TestStep:
         k1[0, 1, 2] = np.nan
         with pytest.raises(BlowUpError, match=re.escape("at node (0, 1)")):
             step_rk4(flat_torus, 1e-3, k1)
+
+
+    def test_degenerate_stage_is_a_blow_up(self):
+        # all nodes coincide: the metric degenerates at the step's own state
+        imm = shapes.circle(GridSpec(1, 16), 0.0)
+        with pytest.raises(BlowUpError, match=re.escape("at node (0,)")) as err:
+            step_rk4(imm, 1e-3)
+        assert isinstance(err.value.__cause__, DegenerateImmersionError)
+
+    def test_degenerate_initial_immersion_stays_bad_input(self):
+        imm = shapes.circle(GridSpec(1, 16), 0.0)
+        for run in (lambda: run_fixed_dt(imm, 1e-3, 2), lambda: run_flow(imm, 0.01)):
+            with pytest.raises(DegenerateImmersionError):
+                run()
 
 
 class TestStepPolicy:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mcflab import shapes
+from mcflab import geometry, shapes
 from mcflab.geometry import (
     _check_nondegenerate,
     compute_geometry,
@@ -11,6 +11,7 @@ from mcflab.geometry import (
     curvature_gauss,
     curvature_intrinsic,
     geometry_kernel,
+    laplacian,
     normality_residual,
     tensor_norm_sq,
     trace_identity_residual,
@@ -301,3 +302,78 @@ class TestKernelAgainstEinsum:
         ]:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# --- the einsum formulation as reference for the covariant layer -----------
+
+
+def einsum_contract_with_metric(field_arr, M, axis):
+    moved = np.moveaxis(field_arr, axis, -1)
+    extra = moved.ndim - M.ndim + 1
+    Mr = M.reshape(M.shape[:-2] + (1,) * extra + M.shape[-2:]) if extra > 0 else M
+    out = np.einsum("...ab,...b->...a", Mr, moved)
+    return np.moveaxis(out, -1, axis)
+
+
+def einsum_laplacian(field_arr, geom, index_spec):
+    dd = covariant_derivative(
+        covariant_derivative(field_arr, geom, index_spec), geom, "l" + index_spec
+    )
+    n_idx = len(index_spec)
+    p_axis = dd.ndim - n_idx - 2
+    moved = np.moveaxis(dd, (p_axis, p_axis + 1), (-2, -1))
+    ginv = geom.inverse_metric
+    extra = moved.ndim - ginv.ndim
+    gr = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
+    return np.einsum("...pq,...pq->...", gr, moved)
+
+
+COVARIANT_GEOMS = {
+    1: lambda: compute_geometry(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0)),
+    2: lambda: compute_geometry(
+        shapes.perturbed_torus(GridSpec(2, 8), 1.0, 0.6, 0.2)
+    ),
+}
+
+
+class TestCovariantLayerAgainstEinsum:
+    """Component arithmetic gives the einsum's bits (np.array_equal does not
+    tell the signs of zeros apart, which are the one allowed difference)."""
+
+    @pytest.fixture(params=[1, 2], ids=["m1", "m2"])
+    def geom(self, request):
+        return COVARIANT_GEOMS[request.param]()
+
+    @pytest.mark.parametrize("A", [2, 3, 4])
+    @pytest.mark.parametrize("spec", ["", "l", "ll", "ull", "lll", "lull", "llll"])
+    def test_layer_matches_reference(self, geom, A, spec, monkeypatch):
+        m = geom.grid.m
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal(geom.grid.shape + (A,) + (m,) * len(spec))
+        gamma0 = geom.christoffels[..., :, 0, :]
+        for M in (geom.metric, geom.inverse_metric, gamma0, np.swapaxes(gamma0, -1, -2)):
+            for axis in range(f.ndim - len(spec), f.ndim):
+                got = geometry.contract_with_metric(f, M, axis)
+                assert np.array_equal(got, einsum_contract_with_metric(f, M, axis))
+        new = [
+            tensor_norm_sq(f, geom, spec),
+            covariant_derivative(f, geom, spec),
+            laplacian(f, geom, spec),
+        ]
+        monkeypatch.setattr(geometry, "contract_with_metric", einsum_contract_with_metric)
+        ref = [
+            tensor_norm_sq(f, geom, spec),
+            covariant_derivative(f, geom, spec),
+            einsum_laplacian(f, geom, spec),
+        ]
+        assert np.array_equal(new[0], ref[0])
+        assert np.array_equal(new[1], ref[1])
+        if m == 2 and spec == "":
+            # here the (p, q) axes are contiguous and einsum adds the four
+            # terms in two SIMD lanes, (00 + 10) + (01 + 11), where the
+            # component sum runs in row-major order; no caller takes the
+            # Laplacian of an index-free field
+            tol = 4 * np.finfo(float).eps * np.abs(ref[2]).max()
+            assert np.abs(new[2] - ref[2]).max() <= tol
+        else:
+            assert np.array_equal(new[2], ref[2])

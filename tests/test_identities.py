@@ -6,6 +6,8 @@ each evolution identity then shrinks at second order in the grid spacing,
 except for relations that hold exactly in the semi-discrete system.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,17 @@ class TestMetricEquivalence:
         g = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0)).metric
         bad = g.copy()
         bad[3, 0, 0] = -1.0
-        with pytest.raises(DegenerateImmersionError):
+        with pytest.raises(DegenerateImmersionError, match=re.escape("at node (3,)")):
             measure_equivalence(g, bad)
+
+    def test_degenerate_metric_node_on_torus(self):
+        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
+        bad = g.copy()
+        bad[1, 2, 0, 0] = -1.0
+        with pytest.raises(DegenerateImmersionError) as err:
+            measure_equivalence(bad, g)
+        assert err.value.node == (1, 2)
+        assert "at node (1, 2)" in str(err.value)
 
 
 class TestReportSerialization:
