@@ -122,7 +122,14 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
         path = cfg.get("path", "")
         if not os.path.isfile(path):
             raise ConfigError(f"geometry checkpoint {path!r} does not exist")
-        return read_immersion(path, grid.derivative_order)
+        imm = read_immersion(path, grid.derivative_order)
+        if imm.grid != grid:
+            raise ConfigError(
+                f"geometry checkpoint {path!r} is on a grid with "
+                f"m={imm.grid.m}, N={imm.grid.resolution}; the config grid has "
+                f"m={grid.m}, N={grid.resolution}"
+            )
+        return imm
     raise ConfigError(f"unknown geometry kind {kind!r}")
 
 

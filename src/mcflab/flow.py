@@ -94,6 +94,12 @@ class FlowTrajectory:
         return float(dts[0])
 
 
+# Near a singularity the kernel's products overflow before the finiteness
+# and degeneracy checks raise BlowUpError; numpy's RuntimeWarnings would only
+# announce that early.  Entered once per step or run, never per kernel call.
+_quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
+
+
 def _blow_up(time, positions, m):
     node = np.argwhere(~np.isfinite(positions))[0][:m]
     return BlowUpError(time, tuple(int(i) for i in node))
@@ -119,6 +125,7 @@ def _velocity_of_positions(imm: Immersion, positions: np.ndarray) -> np.ndarray:
     return _flow_kernel(imm, positions).mean_curv
 
 
+@_quiet_blow_up
 def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersion:
     """One classical RK4 step of dX/dt = H; k1 is H at imm when already known.
 
@@ -139,6 +146,7 @@ def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersi
     return imm.with_positions(new, time=imm.time + dt)
 
 
+@_quiet_blow_up
 def run_flow(
     initial: Immersion,
     T: float,

@@ -2,8 +2,11 @@
 
 The parameter domain is the flat torus [0, 2pi)^m sampled on a uniform grid
 of N nodes per axis.  Every field is a numpy array whose leading m axes are
-the grid axes; trailing axes carry tensor/ambient indices.  All derivative
-operators wrap periodically via np.roll, so there are no boundary cases.
+the grid axes; trailing axes carry tensor/ambient indices.  The derivative
+stencils wrap periodically, so there are no boundary cases: each call makes
+one halo copy of the field along the axis (its last r slices, the field,
+its first r slices; r = order / 2), reads every stencil tap as a slice view
+of that copy and writes one output array.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ TWO_PI = 2.0 * np.pi
 EPS_IMMERSION = 1e-10
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file does not hold exactly one immersion on its grid."""
+
+
 class InvalidAxisError(ValueError):
     pass
 
@@ -28,13 +35,14 @@ class ShapeError(ValueError):
 
 
 class DegenerateImmersionError(ValueError):
-    """det(g) dropped below the immersion floor at some node."""
+    """det(g), or another quantity that must stay positive, dropped below
+    its floor at some node."""
 
-    def __init__(self, node, value):
+    def __init__(self, node, value, quantity="det(g)"):
         self.node = tuple(int(i) for i in node)  # (3,), not (np.int64(3),)
         self.value = value
         super().__init__(
-            f"degenerate immersion: det(g) = {value:.3e} at node {self.node}"
+            f"degenerate immersion: {quantity} = {value:.3e} at node {self.node}"
         )
 
 
@@ -88,42 +96,77 @@ def _check_axis(grid: GridSpec, axis: int):
         raise InvalidAxisError(f"axis {axis} out of range for m={grid.m}")
 
 
+def _periodic_taps(f: np.ndarray, axis: int, r: int) -> list:
+    """Views s[k] of f shifted by k - r nodes along axis (s[k][i] = f[i+k-r]).
+
+    They are slices of one periodic halo copy: the last r slices of f, f,
+    then its first r slices, concatenated along axis.
+    """
+    lead = (slice(None),) * axis
+    padded = np.concatenate(
+        (f[lead + (slice(-r, None),)], f, f[lead + (slice(None, r),)]), axis=axis
+    )
+    n = f.shape[axis]
+    return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)]
+
+
 def partial(grid: GridSpec, field_arr: np.ndarray, axis: int) -> np.ndarray:
-    """Central-difference d/dx^axis with periodic wraparound."""
+    """Central-difference d/dx^axis with periodic wraparound.
+
+    Order 2: (f[i+1] - f[i-1]) / (2h); order 4:
+    (((-f[i+2] + 8 f[i+1]) - 8 f[i-1]) + f[i-2]) / (12h), summed in that
+    order into one fresh output (b - a is exactly -a + b in IEEE).
+    """
     _check_axis(grid, axis)
     h = grid.spacing
-    f = np.asarray(field_arr)
+    f = np.asarray(field_arr, dtype=float)
     if grid.derivative_order == 2:
-        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
-    return (
-        -np.roll(f, -2, axis=axis)
-        + 8 * np.roll(f, -1, axis=axis)
-        - 8 * np.roll(f, 1, axis=axis)
-        + np.roll(f, 2, axis=axis)
-    ) / (12 * h)
+        s_m1, _, s_p1 = _periodic_taps(f, axis, 1)
+        out = np.subtract(s_p1, s_m1)
+        out /= 2 * h
+        return out
+    s_m2, s_m1, _, s_p1, s_p2 = _periodic_taps(f, axis, 2)
+    out = np.multiply(s_p1, 8)
+    out -= s_p2
+    scratch = np.multiply(s_m1, 8)
+    out -= scratch
+    out += s_m2
+    out /= 12 * h
+    return out
 
 
 def second_partial(
     grid: GridSpec, field_arr: np.ndarray, axis_i: int, axis_j: int
 ) -> np.ndarray:
-    """Second partial derivative; compact stencil on the diagonal."""
+    """Second partial derivative; compact stencil on the diagonal.
+
+    Order 2: ((f[i+1] - 2f) + f[i-1]) / h^2; order 4:
+    ((((-f[i+2] + 16 f[i+1]) - 30f) + 16 f[i-1]) - f[i-2]) / (12h^2).
+    Off the diagonal it is `partial` applied twice.
+    """
     _check_axis(grid, axis_i)
     _check_axis(grid, axis_j)
-    f = np.asarray(field_arr)
+    f = np.asarray(field_arr, dtype=float)
     h = grid.spacing
     if axis_i != axis_j:
         return partial(grid, partial(grid, f, axis_i), axis_j)
     if grid.derivative_order == 2:
-        return (
-            np.roll(f, -1, axis=axis_i) - 2 * f + np.roll(f, 1, axis=axis_i)
-        ) / h**2
-    return (
-        -np.roll(f, -2, axis=axis_i)
-        + 16 * np.roll(f, -1, axis=axis_i)
-        - 30 * f
-        + 16 * np.roll(f, 1, axis=axis_i)
-        - np.roll(f, 2, axis=axis_i)
-    ) / (12 * h**2)
+        s_m1, _, s_p1 = _periodic_taps(f, axis_i, 1)
+        out = np.multiply(f, 2)
+        np.subtract(s_p1, out, out=out)
+        out += s_m1
+        out /= h**2
+        return out
+    s_m2, s_m1, _, s_p1, s_p2 = _periodic_taps(f, axis_i, 2)
+    out = np.multiply(s_p1, 16)
+    out -= s_p2
+    scratch = np.multiply(f, 30)
+    out -= scratch
+    np.multiply(s_m1, 16, out=scratch)
+    out += scratch
+    out -= s_m2
+    out /= 12 * h**2
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,24 +315,74 @@ def write_immersion(imm: Immersion, path_or_stream) -> None:
 
 
 def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
+    """Read the `write_immersion` format strictly; rows may come in any order.
+
+    Raises CheckpointError for an unparsable header, rows of the wrong
+    width, a row count other than N^m, and multi-indices that are out of
+    range or repeated, so every node is read from exactly one row.
+    """
     own = isinstance(path_or_stream, (str, bytes))
     stream = open(path_or_stream) if own else path_or_stream
     try:
-        header = stream.readline().split()
-        m, n, N = int(header[0]), int(header[1]), int(header[2])
-        t = float(header[3])
-        grid = GridSpec(m, N, derivative_order)
-        pos = np.empty(grid.shape + (m + n,))
-        for line in stream:
-            parts = line.split()
-            if not parts:
-                continue
-            mi = tuple(int(p) for p in parts[:m])
-            pos[mi] = [float(p) for p in parts[m:]]
-        return Immersion(grid, pos, t)
+        header_line = stream.readline()
+        body = stream.read()
     finally:
         if own:
             stream.close()
+    header = header_line.split()
+    try:
+        if len(header) != 4:
+            raise ValueError("expected 4 fields")
+        m, n, N = int(header[0]), int(header[1]), int(header[2])
+        t = float(header[3])
+        if n < 1:
+            raise ValueError(f"codimension must be >= 1, got {n}")
+        grid = GridSpec(m, N, derivative_order)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint header {header_line.strip()!r} is not `m n N t`: {exc}"
+        ) from exc
+    width = 2 * m + n
+    try:
+        # one C-level pass; %.17g text parses back to the same doubles
+        rows = (
+            np.loadtxt(io.StringIO(body), ndmin=2)
+            if body and not body.isspace()
+            else np.empty((0, width))
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint rows: {exc}") from exc
+    if rows.shape[1] != width:
+        raise CheckpointError(
+            f"checkpoint rows have {rows.shape[1]} columns, expected {width} "
+            f"({m} indices and {m + n} coordinates)"
+        )
+    if rows.shape[0] != grid.num_nodes:
+        raise CheckpointError(
+            f"checkpoint has {rows.shape[0]} rows, expected {grid.num_nodes} "
+            f"(N^m for m={m}, N={N})"
+        )
+    index = rows[:, :m]
+    bad = ((index < 0) | (index >= N) | (index != np.floor(index))).any(axis=1)
+    if bad.any():
+        raise CheckpointError(
+            f"checkpoint multi-index {_index_text(index[np.argmax(bad)])} "
+            f"out of range for N={N}"
+        )
+    index = index.astype(np.intp)
+    counts = np.bincount(np.ravel_multi_index(index.T, grid.shape))
+    if counts.max() > 1:
+        node = np.unravel_index(int(np.argmax(counts > 1)), grid.shape)
+        raise CheckpointError(
+            f"checkpoint has duplicate multi-index {_index_text(node)}"
+        )
+    pos = np.empty(grid.shape + (m + n,))
+    pos[tuple(index.T)] = rows[:, m:]
+    return Immersion(grid, pos, t)
+
+
+def _index_text(index) -> str:
+    return "(" + ", ".join(f"{float(i):g}" for i in index) + ")"
 
 
 def immersion_to_text(imm: Immersion) -> str:

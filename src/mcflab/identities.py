@@ -317,11 +317,15 @@ def _require_spd_1d(a):
 
 
 def _require_spd_2d(g):
+    """Raise at the first node (C order) where det(g) <= 0 or g_00 <= 0,
+    naming the quantity that failed there."""
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.any(det <= 0) or np.any(g[..., 0, 0] <= 0):
-        raise DegenerateImmersionError(
-            np.unravel_index(int(np.argmin(det)), det.shape), float(det.min())
-        )
+    bad = (det <= 0) | (g[..., 0, 0] <= 0)
+    if np.any(bad):
+        node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        if det[node] <= 0:
+            raise DegenerateImmersionError(node, float(det[node]))
+        raise DegenerateImmersionError(node, float(g[node][0, 0]), "g_00")
 
 
 def gauss_cross_check(geom: GeometryPack) -> ResidualReport:

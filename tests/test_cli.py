@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from mcflab import shapes
 from mcflab.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -14,6 +15,7 @@ from mcflab.cli import (
     main,
 )
 from mcflab.differences import LIMITATION_STATEMENT
+from mcflab.grid import GridSpec, write_immersion
 from mcflab.identities import ANCHORS
 
 
@@ -105,7 +107,7 @@ class TestSimulateVerb:
         )
         assert code2 == EXIT_OK
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_exit_code(self, tmp_path):
         config = {
             "grid": {"m": 1, "resolution": 32},
@@ -116,7 +118,7 @@ class TestSimulateVerb:
         code, _ = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_BLOWUP
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degeneration_mid_run_is_a_blow_up(self, tmp_path, capsys):
         # the adaptive flow reaches a degenerate metric before any NaN
         config = {
@@ -293,6 +295,30 @@ class TestConfigValidation:
         cfg["geometry"] = {"kind": "klein_bottle"}
         code, _ = run_cli(tmp_path, "identities", cfg)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "grid", [{"m": 1, "resolution": 32}, {"m": 2, "resolution": 16}]
+    )
+    def test_checkpoint_grid_must_match_config(self, tmp_path, capsys, grid):
+        ckpt = tmp_path / "torus.txt"
+        write_immersion(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5), str(ckpt))
+        cfg = dict(IDENTITIES_CONFIG)
+        cfg["grid"] = grid
+        cfg["geometry"] = {"kind": "checkpoint", "path": str(ckpt)}
+        code, _ = run_cli(tmp_path, "identities", cfg)
+        assert code == EXIT_CONFIG
+        assert "m=2, N=8" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_a_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "torus.txt"
+        write_immersion(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5), str(ckpt))
+        ckpt.write_text("".join(ckpt.read_text().splitlines(keepends=True)[:-3]))
+        cfg = dict(IDENTITIES_CONFIG)
+        cfg["grid"] = {"m": 2, "resolution": 8}
+        cfg["geometry"] = {"kind": "checkpoint", "path": str(ckpt)}
+        code, _ = run_cli(tmp_path, "identities", cfg)
+        assert code == EXIT_CONFIG
+        assert "61 rows, expected 64" in capsys.readouterr().err
 
 
 class TestTopLevel:

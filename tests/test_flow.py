@@ -80,7 +80,7 @@ class TestStep:
         b = apply_symmetry(step_rk4(imm, 1e-3), sym).positions
         assert np.abs(a - b).max() < 1e-13
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_past_extinction(self):
         grid = GridSpec(1, 32)
         imm = shapes.circle(grid, 0.05)

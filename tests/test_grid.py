@@ -118,6 +118,84 @@ class TestSecondPartial:
         assert err4 < err2 / 40
 
 
+def roll_partial(grid, f, axis):
+    """The np.roll formulation of `partial`, kept as the bitwise reference."""
+    h = grid.spacing
+    if grid.derivative_order == 2:
+        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
+    return (
+        -np.roll(f, -2, axis=axis)
+        + 8 * np.roll(f, -1, axis=axis)
+        - 8 * np.roll(f, 1, axis=axis)
+        + np.roll(f, 2, axis=axis)
+    ) / (12 * h)
+
+
+def roll_second_partial(grid, f, axis):
+    """The np.roll formulation of diagonal `second_partial` (reference)."""
+    h = grid.spacing
+    if grid.derivative_order == 2:
+        return (np.roll(f, -1, axis=axis) - 2 * f + np.roll(f, 1, axis=axis)) / h**2
+    return (
+        -np.roll(f, -2, axis=axis)
+        + 16 * np.roll(f, -1, axis=axis)
+        - 30 * f
+        + 16 * np.roll(f, 1, axis=axis)
+        - np.roll(f, 2, axis=axis)
+    ) / (12 * h**2)
+
+
+class TestStencilsAgainstRoll:
+    """The halo-copy stencils equal the np.roll formulas bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("N", [8, 32])
+    @pytest.mark.parametrize("trailing", [(), (2,), (4,), (4, 2, 2, 2)])
+    def test_bitwise_equal(self, m, order, N, trailing):
+        grid = GridSpec(m, N, order)
+        rng = np.random.default_rng(N + 10 * m + order)
+        f = rng.standard_normal(grid.shape + trailing)
+        f[(0,) * f.ndim] = -0.0
+        before = f.copy()
+        for axis in range(m):
+            assert np.array_equal(partial(grid, f, axis), roll_partial(grid, f, axis))
+            assert np.array_equal(
+                second_partial(grid, f, axis, axis),
+                roll_second_partial(grid, f, axis),
+            )
+        assert np.array_equal(f, before)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_non_contiguous_input(self, order):
+        grid = GridSpec(2, 16, order)
+        rng = np.random.default_rng(order)
+        base = rng.standard_normal((3, 32, 16, 16))
+        views = [
+            np.transpose(base[0, ::2], (1, 0, 2)),  # strided, then transposed
+            base[:, ::2, :, 5].transpose(1, 2, 0),  # grid axes not leading in memory
+        ]
+        for f in views:
+            assert not f.flags.c_contiguous
+            before = f.copy()
+            for axis in range(2):
+                assert np.array_equal(
+                    partial(grid, f, axis), roll_partial(grid, f, axis)
+                )
+                assert np.array_equal(
+                    second_partial(grid, f, axis, axis),
+                    roll_second_partial(grid, f, axis),
+                )
+            assert np.array_equal(f, before)
+
+    def test_output_does_not_alias_input(self):
+        grid = GridSpec(1, 8, 4)
+        f = np.arange(8.0)
+        out = second_partial(grid, f, 0, 0)
+        out += 1.0
+        assert np.array_equal(f, np.arange(8.0))
+
+
 class TestImmersion:
     def test_rejects_non_finite(self, circle_grid):
         pos = np.ones(circle_grid.shape + (2,))

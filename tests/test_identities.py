@@ -209,6 +209,30 @@ class TestMetricEquivalence:
         assert err.value.node == (1, 2)
         assert "at node (1, 2)" in str(err.value)
 
+    def test_negated_metric_names_its_node(self):
+        # det(g) stays positive at a negated node; g_00 is what fails there
+        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
+        bad = g.copy()
+        bad[5, 6] = -g[5, 6]
+        with pytest.raises(DegenerateImmersionError) as err:
+            measure_equivalence(g, bad)
+        assert err.value.node == (5, 6)
+        assert err.value.value == -g[5, 6, 0, 0]
+        assert f"g_00 = {-g[5, 6, 0, 0]:.3e} at node (5, 6)" in str(err.value)
+
+    def test_first_failing_node_is_reported_with_its_det(self):
+        # node (2, 3) fails first in C order; node (6, 1) has the smaller det
+        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
+        bad = g.copy()
+        bad[2, 3, 0, 1] = bad[2, 3, 1, 0] = 2.0
+        bad[6, 1, 0, 1] = bad[6, 1, 1, 0] = 9.0
+        det = bad[..., 0, 0] * bad[..., 1, 1] - bad[..., 0, 1] ** 2
+        assert det[6, 1] < det[2, 3] <= 0
+        with pytest.raises(DegenerateImmersionError) as err:
+            measure_equivalence(bad, g)
+        assert err.value.node == (2, 3)
+        assert f"det(g) = {det[2, 3]:.3e} at node (2, 3)" in str(err.value)
+
 
 class TestReportSerialization:
     def test_csv_row_roundtrips_floats(self):
