@@ -35,6 +35,7 @@ from .flow import (
     mcf_velocity,
     run_fixed_dt,
     run_flow,
+    run_paired_fixed_dt,
     step_rk4,
 )
 from .geometry import compute_geometry
@@ -378,8 +379,7 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     store_every = int(cfg.get("store_every", max(1, round(T / dt / 60))))
     n_steps = int(round(T / dt))
     n_steps -= n_steps % store_every
-    trajA = run_fixed_dt(initA, dt, n_steps, store_every)
-    trajB = run_fixed_dt(initB, dt, n_steps, store_every)
+    trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
     window = PairedWindow(trajA, trajB)
     report = verify_inequalities(window, delta)
     rep_dd = check_dd(window)

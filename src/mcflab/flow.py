@@ -9,7 +9,14 @@ Velocities come straight from `geometry_kernel`, which returns H and the
 metric without assembling a `GeometryPack`.  A step costs four kernel
 evaluations: `run_flow` evaluates the kernel once at the start of each step,
 takes the adaptive dt from that metric and hands the same H to `step_rk4`
-as its first stage.
+as its first stage.  The RK4 stage sum lives in `_rk4_positions`, which
+works on bare position arrays.
+
+`run_fixed_dt` and `run_paired_fixed_dt` share one fixed-step loop.  The
+paired run stacks the two flows' positions on a batch axis (grid + (2, A))
+so that each RK stage costs one kernel evaluation for both flows; the
+kernel works elementwise per batch member, so each trajectory is
+bit-identical to a single-flow run.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ class BlowUpError(RuntimeError):
 
 class PolicyError(ValueError):
     pass
+
+
+class ProtocolError(ValueError):
+    """Trajectories, or the initial data of paired flows, do not satisfy the
+    sampling protocol of a check."""
 
 
 @dataclass(frozen=True)
@@ -110,19 +122,37 @@ def mcf_velocity(imm: Immersion) -> np.ndarray:
     return geometry_kernel(imm.grid, imm.positions).mean_curv
 
 
-def _flow_kernel(imm: Immersion, positions: np.ndarray) -> KernelResult:
-    """Kernel at positions the flow produced from imm: degeneration there is a
-    blow-up of the flow, not bad input."""
+def _flow_kernel(grid: GridSpec, X: np.ndarray, time: float) -> KernelResult:
+    """Kernel at positions the flow produced from its state at `time`:
+    degeneration there is a blow-up of the flow, not bad input."""
     try:
-        return geometry_kernel(imm.grid, positions)
+        return geometry_kernel(grid, X)
     except DegenerateImmersionError as exc:
-        raise BlowUpError(imm.time, exc.node) from exc
+        raise BlowUpError(time, exc.node) from exc
 
 
-def _velocity_of_positions(imm: Immersion, positions: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(positions)):
-        raise _blow_up(imm.time, positions, imm.grid.m)
-    return _flow_kernel(imm, positions).mean_curv
+def _rk4_positions(
+    grid: GridSpec, X: np.ndarray, dt: float, k1: np.ndarray, time: float
+) -> np.ndarray:
+    """Positions one classical RK4 step after X (grid + batch + (A,)), the
+    state at `time` whose velocity H is k1.
+
+    Non-finite values or a degenerate metric at a stage raise BlowUpError at
+    `time`; non-finite new positions raise it at time + dt.
+    """
+
+    def velocity(Y):
+        if not np.all(np.isfinite(Y)):
+            raise _blow_up(time, Y, grid.m)
+        return _flow_kernel(grid, Y, time).mean_curv
+
+    k2 = velocity(X + 0.5 * dt * k1)
+    k3 = velocity(X + 0.5 * dt * k2)
+    k4 = velocity(X + dt * k3)
+    new = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(new)):
+        raise _blow_up(time + dt, new, grid.m)
+    return new
 
 
 @_quiet_blow_up
@@ -134,15 +164,9 @@ def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersi
     `mcf_velocity`, so that degenerate input stays a
     DegenerateImmersionError.
     """
-    X = imm.positions
     if k1 is None:
-        k1 = _velocity_of_positions(imm, X)
-    k2 = _velocity_of_positions(imm, X + 0.5 * dt * k1)
-    k3 = _velocity_of_positions(imm, X + 0.5 * dt * k2)
-    k4 = _velocity_of_positions(imm, X + dt * k3)
-    new = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise _blow_up(imm.time + dt, new, imm.grid.m)
+        k1 = _flow_kernel(imm.grid, imm.positions, imm.time).mean_curv
+    new = _rk4_positions(imm.grid, imm.positions, dt, k1, imm.time)
     return imm.with_positions(new, time=imm.time + dt)
 
 
@@ -175,7 +199,7 @@ def run_flow(
             raise PolicyError(f"unreachable sample time {target}")
         while current.time < target - 1e-14:
             if traj.dt_history:
-                kern = _flow_kernel(current, current.positions)
+                kern = _flow_kernel(current.grid, current.positions, current.time)
             else:  # the initial immersion: degeneracy is bad input
                 kern = geometry_kernel(current.grid, current.positions)
             dt = min(
@@ -199,19 +223,51 @@ def run_fixed_dt(
     This is the protocol for identity checks and paired-flow experiments,
     which require exactly uniform sampling.
     """
+    (traj,) = _fixed_dt_trajectories([initial], dt, n_steps, store_every)
+    return traj
+
+
+def run_paired_fixed_dt(
+    initA: Immersion, initB: Immersion, dt: float, n_steps: int, store_every: int = 1
+) -> tuple:
+    """`run_fixed_dt` of two flows at once: (trajectory A, trajectory B).
+
+    Both flows advance in one loop with their positions on a batch axis, so
+    every RK stage evaluates the kernel once for the pair.  The flows must
+    share their grid, ambient dimension and start time (ProtocolError).
+    """
+    for what, a, b in (
+        ("grid", initA.grid, initB.grid),
+        ("ambient dimension", initA.ambient_dim, initB.ambient_dim),
+        ("start time", initA.time, initB.time),
+    ):
+        if a != b:
+            raise ProtocolError(f"paired flows differ in {what}: {a!r} vs {b!r}")
+    return _fixed_dt_trajectories([initA, initB], dt, n_steps, store_every)
+
+
+@_quiet_blow_up
+def _fixed_dt_trajectories(
+    initials: list, dt: float, n_steps: int, store_every: int
+) -> list:
+    """One FlowTrajectory per initial immersion (same grid, ambient dimension
+    and time), all integrated in one RK4 loop on a batch axis."""
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
-    traj = FlowTrajectory()
-    current = initial
-    traj.states.append(current)
+    grid, t0 = initials[0].grid, initials[0].time
+    trajs = [FlowTrajectory([imm], [dt] * n_steps) for imm in initials]
+    X = np.stack([imm.positions for imm in initials], axis=-2)
+    t = t0
     for k in range(n_steps):
-        # degeneracy of the initial immersion is bad input, later a blow-up
-        current = step_rk4(current, dt, mcf_velocity(current) if k == 0 else None)
-        traj.dt_history.append(dt)
+        # degeneracy of the initial immersions is bad input, later a blow-up
+        k1 = (
+            geometry_kernel(grid, X) if k == 0 else _flow_kernel(grid, X, t)
+        ).mean_curv
+        X = _rk4_positions(grid, X, dt, k1, t)
+        t += dt
         if (k + 1) % store_every == 0:
             # stamp the exact multiple to keep the stored grid of times uniform
-            current = current.with_positions(
-                current.positions, time=initial.time + (k + 1) * dt
-            )
-            traj.states.append(current)
-    return traj
+            t = t0 + (k + 1) * dt
+            for b, traj in enumerate(trajs):
+                traj.states.append(Immersion(grid, X[..., b, :].copy(), float(t)))
+    return trajs

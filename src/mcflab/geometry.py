@@ -59,10 +59,12 @@ class GeometryPack:
         return float(np.sum(self.sqrt_det)) * self.grid.spacing**self.grid.m
 
 
-def _check_nondegenerate(det: np.ndarray, eps: float):
+def _check_nondegenerate(det: np.ndarray, eps: float, m: int | None = None):
+    """Raise at the smallest det over all nodes and batch members; the node
+    keeps its first m (grid) indices only."""
     if np.any(det < eps):
-        node = np.unravel_index(np.argmin(det), det.shape)
-        raise DegenerateImmersionError(node, float(det[node]))
+        idx = np.unravel_index(np.argmin(det), det.shape)
+        raise DegenerateImmersionError(idx[:m], float(det[idx]))
 
 
 class KernelResult(NamedTuple):
@@ -72,19 +74,19 @@ class KernelResult(NamedTuple):
     index-symmetric entries share one array.
     """
 
-    mean_curv: np.ndarray  # grid + (A,)
-    metric: np.ndarray  # grid + (m, m)
-    det: np.ndarray  # grid
-    dX: list  # m x grid + (A,)
-    ginv: list  # m*m x grid
-    gamma: list  # m*m*m x grid
-    h: list  # m*m x grid + (A,)
+    mean_curv: np.ndarray  # grid + batch + (A,)
+    metric: np.ndarray  # grid + batch + (m, m)
+    det: np.ndarray  # grid + batch
+    dX: list  # m x grid + batch + (A,)
+    ginv: list  # m*m x grid + batch
+    gamma: list  # m*m*m x grid + batch
+    h: list  # m*m x grid + batch + (A,)
 
 
 def geometry_kernel(
     grid: GridSpec, X: np.ndarray, eps: float = EPS_IMMERSION
 ) -> KernelResult:
-    """Mean curvature vector and metric of the positions X (grid + (A,)).
+    """Mean curvature vector and metric of the positions X (grid + batch + (A,)).
 
     g_ij = sum_a d_iX^a d_jX^a;  Gamma^k_ij = g^kl c_lij / 2 with
     c_lij = d_i g_jl + d_j g_il - d_l g_ij from the discrete partials of g;
@@ -96,6 +98,13 @@ def geometry_kernel(
     m=1 with A=2, the two agree to the last bit (numpy 2.4) except for the
     sign of exact zeros.  Temporaries are released as soon as they are used
     up, which keeps the peak memory below that of the einsum formulation.
+
+    Axes between the grid axes and the ambient axis (``batch``, possibly
+    none) hold independent immersions on the same grid, such as the two
+    flows of a pair.  Every operation is elementwise per member, so each
+    member's fields are bit-identical to a kernel call on it alone.  A
+    degenerate member raises DegenerateImmersionError at the grid node of
+    the smallest det g over all members, without the batch index.
     """
     m = grid.m
     R = range(m)
@@ -112,16 +121,16 @@ def geometry_kernel(
 
     if m == 1:
         det = g[0, 0]
-        _check_nondegenerate(det, eps)
+        _check_nondegenerate(det, eps, m)
         ginv = {(0, 0): 1.0 / det}
         metric = det[..., None, None]
     else:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        _check_nondegenerate(det, eps)
+        _check_nondegenerate(det, eps, m)
         off = -g[0, 1] / det
         ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
         metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
-        metric = metric.reshape(grid.shape + (2, 2))
+        metric = metric.reshape(det.shape + (2, 2))
 
     # one stencil call per axis over the stacked distinct components of g
     dG = [partial(grid, np.stack([g[ij] for ij in pairs], axis=-1), l) for l in R]

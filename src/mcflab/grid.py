@@ -12,6 +12,7 @@ of that copy and writes one output array.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +296,11 @@ def permute_field(field_arr: np.ndarray, grid: GridSpec, source_index) -> np.nda
 
 
 def write_immersion(imm: Immersion, path_or_stream) -> None:
-    """Columnar text: header `m n N t`, then multi-index + coordinates."""
-    own = isinstance(path_or_stream, (str, bytes))
+    """Columnar text: header `m n N t`, then multi-index + coordinates.
+
+    path_or_stream is a path (str, bytes or os.PathLike) or an open text
+    stream."""
+    own = isinstance(path_or_stream, (str, bytes, os.PathLike))
     stream = open(path_or_stream, "w") if own else path_or_stream
     try:
         g = imm.grid
@@ -321,7 +325,7 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
     width, a row count other than N^m, and multi-indices that are out of
     range or repeated, so every node is read from exactly one row.
     """
-    own = isinstance(path_or_stream, (str, bytes))
+    own = isinstance(path_or_stream, (str, bytes, os.PathLike))
     stream = open(path_or_stream) if own else path_or_stream
     try:
         header_line = stream.readline()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .flow import FlowTrajectory
+from .flow import FlowTrajectory, ProtocolError
 from .geometry import (
     GeometryPack,
     compute_geometry,
@@ -23,10 +23,6 @@ from .geometry import (
     tensor_norm_sq,
 )
 from .grid import DegenerateImmersionError
-
-
-class ProtocolError(ValueError):
-    """Trajectory does not satisfy the sampling protocol of a check."""
 
 
 ANCHORS = {

@@ -13,6 +13,7 @@ from mcflab.grid import (
     Immersion,
     immersion_to_text,
     read_immersion,
+    write_immersion,
 )
 
 
@@ -99,3 +100,13 @@ class TestAccepted:
         np.random.default_rng(2).shuffle(body)
         got = read_text(lines[0] + "\n" + "\n".join(body) + "\n").positions
         assert np.array_equal(got, want)
+
+    def test_round_trip_through_a_path_object(self, tmp_path):
+        imm = shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)
+        path = tmp_path / "torus.txt"
+        write_immersion(imm, path)
+        assert path.read_text() == immersion_to_text(imm)
+        back = read_immersion(path)
+        assert back.grid == imm.grid
+        assert back.time == imm.time
+        assert np.array_equal(back.positions, imm.positions)

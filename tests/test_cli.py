@@ -4,6 +4,7 @@ determinism of report bodies, and strict config validation."""
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mcflab import shapes
@@ -224,6 +225,40 @@ class TestDiffSystemVerb:
         assert "flagged_nodes = 0" in report.splitlines()
         for name in ("inequality_report.txt", "gronwall_envelope.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "make_b, message",
+        [
+            (
+                lambda a: a.with_positions(np.pad(a.positions, ((0, 0), (0, 1)))),
+                "paired flows differ in ambient dimension: 2 vs 3",
+            ),
+            (
+                lambda a: a.with_positions(a.positions, time=0.5),
+                "paired flows differ in start time: 0.0 vs 0.5",
+            ),
+        ],
+        ids=["ambient", "start-time"],
+    )
+    def test_mismatched_checkpoint_b_is_a_config_error(
+        self, tmp_path, capsys, make_b, message
+    ):
+        ckpt = tmp_path / "b.txt"
+        write_immersion(make_b(shapes.circle(GridSpec(1, 48), 1.0)), str(ckpt))
+        cfg = dict(DIFF_CONFIG, geometry_b={"kind": "checkpoint", "path": str(ckpt)})
+        code, _ = run_cli(tmp_path, "diff-system", cfg)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_of_b_exits_3(self, tmp_path, capsys):
+        cfg = dict(
+            DIFF_CONFIG, geometry_b={"kind": "circle", "radius": 0.05}, dt=1e-3,
+            T=0.02, delta=5e-3,
+        )
+        code, _ = run_cli(tmp_path, "diff-system", cfg)
+        assert code == EXIT_BLOWUP
+        assert "numerical blow-up" in capsys.readouterr().err
 
     def test_delta_outside_window_rejected(self, tmp_path):
         cfg = dict(DIFF_CONFIG)

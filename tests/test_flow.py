@@ -16,11 +16,14 @@ from mcflab.flow import (
     BlowUpError,
     FlowTrajectory,
     PolicyError,
+    ProtocolError,
     run_fixed_dt,
+    run_paired_fixed_dt,
 )
 from mcflab.geometry import compute_geometry
 from mcflab.grid import (
     DegenerateImmersionError,
+    Immersion,
     apply_symmetry,
     identity_symmetry,
     shift_permutation,
@@ -209,20 +212,33 @@ class TestRunFlow:
         assert np.log2(errs[-2] / errs[-1]) > 1.9
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """List that gains one entry per `geometry_kernel` call made by the flow."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    kernel = flow.geometry_kernel
+    monkeypatch.setattr(flow, "geometry_kernel", counting)
+    return calls
+
+
 class TestKernelEvaluations:
-    def test_run_flow_evaluates_kernel_four_times_per_step(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return kernel(*args, **kwargs)
-
-        kernel = flow.geometry_kernel
-        monkeypatch.setattr(flow, "geometry_kernel", counting)
+    def test_run_flow_evaluates_kernel_four_times_per_step(self, kernel_calls):
         imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
         traj = run_flow(imm, 0.02, sample_times=[0.0, 0.01, 0.02])
         assert len(traj.dt_history) > 2
-        assert len(calls) == 4 * len(traj.dt_history)
+        assert len(kernel_calls) == 4 * len(traj.dt_history)
+
+    def test_pair_evaluates_kernel_four_times_per_step(self, kernel_calls):
+        grid = GridSpec(1, 32)
+        run_paired_fixed_dt(
+            shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.5, 1.0), 1e-4, 12, 4
+        )
+        assert len(kernel_calls) == 4 * 12
 
     def test_fixed_dt_run_flow_matches_run_fixed_dt_bitwise(self):
         dt = 2.0**-10  # exact binary fraction: both runs step to the same times
@@ -255,6 +271,86 @@ class TestFixedDtProtocol:
         traj.append(unit_circle)
         with pytest.raises(PolicyError):
             traj.append(unit_circle)
+
+
+PAIRS = {
+    "circle-ellipse-o2": lambda: (
+        shapes.circle(GridSpec(1, 64), 1.0),
+        shapes.ellipse(GridSpec(1, 64), 1.5, 1.0),
+    ),
+    "circle-ellipse-o4": lambda: (
+        shapes.circle(GridSpec(1, 64, 4), 1.0),
+        shapes.ellipse(GridSpec(1, 64, 4), 1.5, 1.0),
+    ),
+    "torus-perturbed": lambda: (
+        shapes.product_torus(GridSpec(2, 16), 1.0, 1.0),
+        shapes.low_mode_perturbation(
+            shapes.product_torus(GridSpec(2, 16), 1.0, 1.0), 1e-3, seed=3
+        ),
+    ),
+}
+
+
+class TestPairedFixedDt:
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_two_single_runs_bitwise(self, pair):
+        a, b = PAIRS[pair]()
+        dt = 1e-4 if a.grid.m == 1 else 2e-4
+        pa, pb = run_paired_fixed_dt(a, b, dt, 12, store_every=3)
+        for got, init in ((pa, a), (pb, b)):
+            want = run_fixed_dt(init, dt, 12, store_every=3)
+            assert got.dt_history == want.dt_history == [dt] * 12
+            assert np.array_equal(got.times, want.times)
+            assert len(got.states) == len(want.states) == 5
+            for s, w in zip(got.states, want.states):
+                assert np.array_equal(s.positions, w.positions)
+                assert s.positions.flags.c_contiguous
+            ref = init  # the per-flow stepper as an independent reference
+            for _ in range(12):
+                ref = step_rk4(ref, dt)
+            assert np.array_equal(got.states[-1].positions, ref.positions)
+        assert pa.states[0] is a and pb.states[0] is b
+
+    @pytest.mark.parametrize(
+        "make_b, what",
+        [
+            (lambda a: shapes.circle(GridSpec(1, 48), 1.0), "grid"),
+            (
+                lambda a: a.with_positions(np.pad(a.positions, ((0, 0), (0, 1)))),
+                "ambient dimension: 2 vs 3",
+            ),
+            (lambda a: a.with_positions(a.positions, time=0.5), "start time: 0.0 vs 0.5"),
+        ],
+        ids=["grid", "ambient", "time"],
+    )
+    def test_mismatched_pair_is_rejected_before_any_step(
+        self, make_b, what, kernel_calls
+    ):
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        with pytest.raises(ProtocolError, match=re.escape(f"differ in {what}")):
+            run_paired_fixed_dt(a, make_b(a), 1e-4, 4)
+        assert kernel_calls == []
+
+    def test_degenerate_initial_b_names_its_single_run_node(self):
+        grid = GridSpec(1, 32)
+        pos = shapes.circle(grid, 1.0).positions.copy()
+        pos[6] = pos[4]  # the central difference vanishes at node 5 only
+        b = Immersion(grid, pos)
+        with pytest.raises(DegenerateImmersionError) as single:
+            run_fixed_dt(b, 1e-4, 2)
+        with pytest.raises(DegenerateImmersionError) as paired:
+            run_paired_fixed_dt(shapes.circle(grid, 1.0), b, 1e-4, 2)
+        assert single.value.node == paired.value.node == (5,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_b_blowing_up_is_a_blow_up_of_the_pair(self):
+        grid = GridSpec(1, 32)
+        b = shapes.circle(grid, 0.05)
+        with pytest.raises(BlowUpError) as single:
+            run_fixed_dt(b, 1e-3, 200)
+        with pytest.raises(BlowUpError) as paired:
+            run_paired_fixed_dt(shapes.circle(grid, 1.0), b, 1e-3, 200)
+        assert str(paired.value) == str(single.value)
 
 
 class TestOracles:

@@ -304,6 +304,42 @@ class TestKernelAgainstEinsum:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+class TestKernelBatchAxis:
+    """Two immersions stacked on a batch axis give each one's kernel fields
+    bit for bit."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0),
+            lambda o: space_curve(GridSpec(1, 32, o)),
+            lambda o: torus_of_revolution(GridSpec(2, 16, o)),
+            lambda o: shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2),
+        ],
+        ids=["m1-codim1", "m1-codim2", "m2-codim1", "m2-codim2"],
+    )
+    def test_members_match_single_kernels(self, maker, order):
+        a = maker(order)
+        b = shapes.low_mode_perturbation(a, 1e-2, seed=5)
+        grid = a.grid
+        X = np.stack([a.positions, b.positions], axis=-2)
+        batched = geometry_kernel(grid, X)
+        assert batched.metric.shape == grid.shape + (2, grid.m, grid.m)
+        for member, imm in enumerate((a, b)):
+            single = geometry_kernel(grid, imm.positions)
+            for name in single._fields:
+                got, want = getattr(batched, name), getattr(single, name)
+                if isinstance(want, list):
+                    assert len(got) == len(want)
+                else:
+                    got, want = [got], [want]
+                for g, w in zip(got, want):
+                    # the batch axis sits right after the grid axes
+                    member_part = g[(slice(None),) * grid.m + (member,)]
+                    assert np.array_equal(member_part, w), name
+
+
 # --- the einsum formulation as reference for the covariant layer -----------
 
 
