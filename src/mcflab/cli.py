@@ -52,6 +52,7 @@ from .grid import (
 from .identities import (
     ANCHORS,
     ProtocolError,
+    TrajectoryWindow,
     check_dg,
     check_dGamma,
     check_dh,
@@ -74,6 +75,35 @@ class ConfigError(ValueError):
     pass
 
 
+def _value(cfg: dict, key: str, default=None, kind=float, context="config"):
+    """kind(cfg[key]), or kind(default) when the key is absent; no default
+    means the key is required.  A missing key or a value that kind rejects
+    is a ConfigError that names the key."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"missing required key {key!r} in {context}")
+    raw = cfg.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key!r} in {context}: {raw!r} ({exc})") from exc
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _positive(kind):
+    """kind restricted to positive finite values: time steps and strides."""
+
+    def convert(value):
+        x = kind(value)
+        if not 0 < x < np.inf:
+            raise ValueError("must be positive and finite")
+        return x
+
+    return convert
+
+
 def _check_keys(d: dict, allowed, context: str):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -91,7 +121,7 @@ def _build_grid(cfg: dict) -> GridSpec:
             int(cfg["resolution"]),
             int(cfg.get("derivative_order", 2)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -103,21 +133,23 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
         "geometry",
     )
     kind = cfg.get("kind")
+
+    def num(key, default, kind=float):
+        return _value(cfg, key, default, kind, "geometry")
+
     if kind == "circle":
-        return shapes.circle(
-            grid, float(cfg.get("radius", 1.0)), tuple(cfg.get("center", (0, 0)))
-        )
+        return shapes.circle(grid, num("radius", 1.0), num("center", (0, 0), _floats))
     if kind == "ellipse":
-        return shapes.ellipse(grid, float(cfg.get("a", 1.5)), float(cfg.get("b", 1.0)))
+        return shapes.ellipse(grid, num("a", 1.5), num("b", 1.0))
     if kind == "product_torus":
-        radii = cfg.get("radii", (1.0, 1.0))
-        return shapes.product_torus(grid, float(radii[0]), float(radii[1]))
+        radii = num("radii", (1.0, 1.0), _floats)
+        return shapes.product_torus(grid, radii[0], radii[1])
     if kind == "perturbed_torus":
         return shapes.perturbed_torus(
             grid,
-            float(cfg.get("r1", 1.0)),
-            float(cfg.get("r2", 1.0)),
-            float(cfg.get("amplitude", 0.1)),
+            num("r1", 1.0),
+            num("r2", 1.0),
+            num("amplitude", 0.1),
         )
     if kind == "checkpoint":
         path = cfg.get("path", "")
@@ -136,7 +168,7 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
 
 def _build_symmetry(cfg: dict, grid: GridSpec, ambient: int) -> SymmetryAction:
     _check_keys(cfg, {"matrix", "translation", "permutation"}, "symmetry")
-    Q = np.asarray(cfg["matrix"], dtype=float)
+    Q = _value(cfg, "matrix", kind=lambda v: np.asarray(v, float), context="symmetry")
     b = np.asarray(cfg.get("translation", [0.0] * ambient), dtype=float)
     perm_cfg = cfg.get("permutation", {})
     _check_keys(perm_cfg, {"type", "offsets", "axes"}, "symmetry.permutation")
@@ -174,17 +206,13 @@ IDENTITY_CHECKS = ("evolve_position_gradient", "evolve_metric",
 
 def _identity_suite(initial: Immersion, dt: float):
     """Run all six residual checks on a short fixed-step trajectory."""
-    traj = run_fixed_dt(initial, dt, 4)
-    center = traj.states[2]
-    geom = compute_geometry(center)
-    return [
-        check_dX(traj),
-        check_dg(traj),
-        check_dGamma(traj),
-        check_dh(traj),
-        check_simons(geom),
-        gauss_cross_check(geom),
-    ]
+    window = TrajectoryWindow(run_fixed_dt(initial, dt, 4))
+    # the single-instant checks run while the window holds one state, so the
+    # suite's peak memory stays that of one evolution check
+    center = window.geometry(2)
+    single = [check_simons(center), gauss_cross_check(center)]
+    checks = (check_dX, check_dg, check_dGamma, check_dh)
+    return [check(window) for check in checks] + single
 
 
 def _default_threshold(identity: str, grid: GridSpec) -> float:
@@ -208,15 +236,14 @@ def run_identities(cfg: dict, out_dir: str) -> int:
     )
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
-    dt = float(cfg.get("dt", min(1e-4, grid.spacing**2 / 10.0)))
+    dt = _value(cfg, "dt", min(1e-4, grid.spacing**2 / 10.0), _positive(float))
     thresholds = cfg.get("thresholds", {})
     _check_keys(thresholds, IDENTITY_CHECKS, "thresholds")
     reports = _identity_suite(initial, dt)
     failures = []
     for rep in reports:
-        thr = float(
-            thresholds.get(rep.identity, _default_threshold(rep.identity, grid))
-        )
+        default = _default_threshold(rep.identity, grid)
+        thr = _value(thresholds, rep.identity, default, context="thresholds")
         status = "pass" if rep.sup_residual <= thr else "fail"
         if status == "fail":
             failures.append(rep.identity)
@@ -253,13 +280,14 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     )
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
-    T = float(cfg["T"])
+    T = _value(cfg, "T")
     pol_cfg = cfg.get("policy", {})
     _check_keys(pol_cfg, {"cfl_safety", "dt_max", "fixed_dt"}, "policy")
+    fixed_dt = pol_cfg.get("fixed_dt")
     policy = StepPolicy(
-        float(pol_cfg.get("cfl_safety", 0.1)),
-        float(pol_cfg.get("dt_max", 1e-2)),
-        pol_cfg.get("fixed_dt"),
+        _value(pol_cfg, "cfl_safety", 0.1, context="policy"),
+        _value(pol_cfg, "dt_max", 1e-2, context="policy"),
+        fixed_dt if fixed_dt is None else _value(pol_cfg, "fixed_dt", context="policy"),
     )
     sample_times = cfg.get("sample_times")
     traj = run_flow(initial, T, policy, sample_times)
@@ -299,13 +327,13 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
     action = _build_symmetry(cfg.get("symmetry", {}), grid, initial.ambient_dim)
-    steps = int(cfg.get("steps", 2000))
-    record_every = int(cfg.get("record_every", 10))
-    tol = float(cfg.get("tolerance", 1e-10))
-    dt = cfg.get("dt")
-    if dt is None:
+    steps = _value(cfg, "steps", 2000, _positive(int))
+    record_every = _value(cfg, "record_every", 10, _positive(int))
+    tol = _value(cfg, "tolerance", 1e-10)
+    if cfg.get("dt") is None:
         dt = StepPolicy().step_size(compute_geometry(initial).metric, grid.spacing)
-    dt = float(dt)
+    else:
+        dt = _value(cfg, "dt", kind=_positive(float))
 
     def defect(imm):
         mapped = apply_symmetry(imm, action)
@@ -365,18 +393,18 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
         _check_keys(pert, {"amplitude", "max_mode"}, "perturbation")
         initB = shapes.low_mode_perturbation(
             initA,
-            float(pert.get("amplitude", 1e-3)),
-            int(cfg.get("seed", 0)),
-            int(pert.get("max_mode", 3)),
+            _value(pert, "amplitude", 1e-3, context="perturbation"),
+            _value(cfg, "seed", 0, int),
+            _value(pert, "max_mode", 3, int, "perturbation"),
         )
     else:
         initB = initA
-    T = float(cfg["T"])
-    delta = float(cfg["delta"])
+    T = _value(cfg, "T")
+    delta = _value(cfg, "delta")
     if not 0.0 < delta < T:
         raise ConfigError(f"delta={delta} must lie strictly inside (0, T={T})")
-    dt = float(cfg.get("dt", grid.spacing**2 / 20.0))
-    store_every = int(cfg.get("store_every", max(1, round(T / dt / 60))))
+    dt = _value(cfg, "dt", grid.spacing**2 / 20.0, _positive(float))
+    store_every = _value(cfg, "store_every", max(1, round(T / dt / 60)), _positive(int))
     n_steps = int(round(T / dt))
     n_steps -= n_steps % store_every
     trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
@@ -384,7 +412,7 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     report = verify_inequalities(window, delta)
     rep_dd = check_dd(window)
     rep_dw = check_dw(window)
-    env = forward_gronwall(window, delta, report)
+    env = forward_gronwall(report, delta)
     _write(out_dir, "inequality_report.txt", report.serialize())
     body = rep_dd.CSV_HEADER + ",anchor\n"
     body += f"{rep_dd.csv_row()},{rep_dd.anchor}\n"
@@ -424,15 +452,15 @@ def run_convergence(cfg: dict, out_dir: str) -> int:
         {"kind", "seed", "grid", "geometry", "resolutions", "dt", "min_order"},
         "config",
     )
-    resolutions = [int(r) for r in cfg.get("resolutions", [])]
+    resolutions = _value(cfg, "resolutions", [], lambda rs: [int(r) for r in rs])
     if len(resolutions) < 3:
         raise ConfigError("need at least 3 resolutions, each double the last")
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
             raise ConfigError(f"resolutions must double: {a} -> {b}")
     base_grid_cfg = dict(cfg.get("grid", {}))
-    min_order = float(cfg.get("min_order", 1.9))
-    dt = float(cfg.get("dt", (2 * np.pi / resolutions[-1]) ** 2 / 10.0))
+    min_order = _value(cfg, "min_order", 1.9)
+    dt = _value(cfg, "dt", (2 * np.pi / resolutions[-1]) ** 2 / 10.0, _positive(float))
     results = {}
     for N in resolutions:
         grid_cfg = dict(base_grid_cfg)

@@ -8,9 +8,11 @@ together with the direct sums
     Z = (+)_a w^a (+) d (+) N (+) W.
 
 All norms, covariant derivatives, and Laplacians use the first flow's
-metric and connection.  Backwards-in-time integration is never attempted;
-the uniqueness mechanism is exercised only through these forward-in-time
-inequality measurements.
+metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
+pair; `check_dd` and `check_dw` are `identities.evolution_check` runs whose
+right-hand sides are differences of the single-flow ones.  Backwards-in-time
+integration is never attempted; the uniqueness mechanism is exercised only
+through these forward-in-time inequality measurements.
 """
 
 from __future__ import annotations
@@ -27,7 +29,15 @@ from .geometry import (
     laplacian,
     tensor_norm_sq,
 )
-from .identities import ProtocolError, ResidualReport, time_derivative_5pt
+from .identities import (
+    ProtocolError,
+    ResidualReport,
+    SampleWindow,
+    evolution_check,
+    five_point_derivative,
+    grad_H,
+    metric_rhs,
+)
 
 # Squared-norm floor below which a node is excluded from the C fit.
 EPS_CORE = 1e-24
@@ -51,10 +61,6 @@ class DifferencePack:
     w: np.ndarray  # grid + (A, m)           grad X - gradt Xt
     U: np.ndarray  # grid + (A, m, m)        h - ht
     V: np.ndarray  # grid + (A, m, m, m)     grad h - gradt ht
-
-    @property
-    def time(self) -> float:
-        return self.geomA.immersion.time
 
     def norm_sq_Y(self) -> np.ndarray:
         g = self.geomA
@@ -97,88 +103,52 @@ def build_difference(stateA, stateB) -> DifferencePack:
     return DifferencePack(geomA, geomB, d, N, W, w, U, V)
 
 
-class PairedWindow:
-    """Two trajectories sharing a uniform sample grid, with cached packs."""
+class PairedWindow(SampleWindow):
+    """Two trajectories on one uniform sample grid; item k is the
+    DifferencePack of state k, measured in the first flow's geometry."""
 
     def __init__(self, trajA: FlowTrajectory, trajB: FlowTrajectory):
         if len(trajA.states) != len(trajB.states):
             raise ProtocolError("paired trajectories have different lengths")
-        if len(trajA.states) < 5:
-            raise ProtocolError("need at least 5 shared sample times")
-        dtA = trajA.sample_dt()
-        dtB = trajB.sample_dt()
-        if abs(dtA - dtB) > 1e-12 * dtA:
+        super().__init__(trajA)
+        if abs(self.dt - trajB.sample_dt()) > 1e-12 * self.dt:
             raise ProtocolError("paired trajectories use different sample steps")
         for a, b in zip(trajA.states, trajB.states):
             if abs(a.time - b.time) > 1e-10:
                 raise ProtocolError("sample times of the two flows disagree")
-        self.trajA = trajA
         self.trajB = trajB
-        self.dt = dtA
-        self._packs = [None] * len(trajA.states)
 
-    def __len__(self):
-        return len(self.trajA.states)
+    def _build(self, k: int) -> DifferencePack:
+        return build_difference(self.traj.states[k], self.trajB.states[k])
 
-    def pack(self, k: int) -> DifferencePack:
-        if self._packs[k] is None:
-            self._packs[k] = build_difference(
-                self.trajA.states[k], self.trajB.states[k]
-            )
-        return self._packs[k]
-
-    @property
-    def centers(self):
-        return range(2, len(self) - 2)
+    def geometry(self, k: int) -> GeometryPack:
+        return self.item(k).geomA
 
     @property
     def times(self):
-        return self.trajA.times
-
-
-def _pack_report(identity, window, center, resid, index_spec) -> ResidualReport:
-    geom = window.pack(center).geomA
-    sq = tensor_norm_sq(resid, geom, index_spec)
-    weight = geom.sqrt_det * geom.grid.spacing**geom.grid.m
-    return ResidualReport(
-        identity=identity,
-        resolution=geom.grid.resolution,
-        dt=window.dt,
-        t_center=window.pack(center).time,
-        sup_residual=float(np.sqrt(max(sq.max(), 0.0))),
-        l2_residual=float(np.sqrt(np.sum(sq * weight))),
-    )
+        return self.traj.times
 
 
 def check_dd(window: PairedWindow) -> ResidualReport:
     """Exactly displayed evolution of the metric difference d = g - gt."""
-    reports = []
-    for c in window.centers:
-        fields = [window.pack(k).d for k in range(c - 2, c + 3)]
-        lhs = time_derivative_5pt(fields, window.dt)
-        p = window.pack(c)
-        rhs = -2.0 * (
-            np.einsum("...a,...aij->...ij", p.geomA.mean_curv, p.geomA.second_form)
-            - np.einsum("...a,...aij->...ij", p.geomB.mean_curv, p.geomB.second_form)
-        )
-        reports.append(_pack_report("difference_metric", window, c, lhs - rhs, "ll"))
-    return max(reports, key=lambda r: r.sup_residual)
+    return evolution_check(
+        window,
+        "difference_metric",
+        lambda p: p.d,
+        lambda p: metric_rhs(p.geomA) - metric_rhs(p.geomB),
+        "ll",
+    )
 
 
 def check_dw(window: PairedWindow) -> ResidualReport:
     """Evolution of the position-gradient difference w^a."""
-    reports = []
-    for c in window.centers:
-        fields = [window.pack(k).w for k in range(c - 2, c + 3)]
-        lhs = time_derivative_5pt(fields, window.dt)
-        p = window.pack(c)
-        rhs = covariant_derivative(
-            p.geomA.mean_curv, p.geomA, ""
-        ) - covariant_derivative(p.geomB.mean_curv, p.geomB, "")
-        reports.append(
-            _pack_report("difference_position_gradient", window, c, lhs - rhs, "l")
-        )
-    return max(reports, key=lambda r: r.sup_residual)
+    return evolution_check(
+        window,
+        "difference_position_gradient",
+        lambda p: p.w,
+        lambda p: grad_H(p.geomA) - grad_H(p.geomB),
+        "l",
+    )
 
 
 def check_N_integral(window: PairedWindow):
@@ -189,21 +159,21 @@ def check_N_integral(window: PairedWindow):
     nonnegative up to time-discretization error.
     """
     n = len(window)
-    norm_dN = np.empty((n,) + window.pack(0).geomA.grid.shape)
-    N_fields = [window.pack(k).N for k in range(n)]
+    norm_dN = np.empty((n,) + window.geometry(0).grid.shape)
+    N_fields = [window.item(k).N for k in range(n)]
     times = window.times
     dt = window.dt
     for k in range(n):
         lo = max(0, min(k - 2, n - 5))
         stencil = N_fields[lo : lo + 5]
         # derivative at offset k-lo of the 5-point stencil
-        dN = _five_point_derivative_at(stencil, k - lo, dt)
-        geom = window.pack(k).geomA
+        dN = five_point_derivative(stencil, k - lo, dt)
+        geom = window.geometry(k)
         norm_dN[k] = np.sqrt(tensor_norm_sq(dN, geom, "ull"))
     rows = []
     N_final = N_fields[-1]
     for k in range(n):
-        geom = window.pack(k).geomA
+        geom = window.geometry(k)
         lhs = np.sqrt(tensor_norm_sq(N_fields[k] - N_final, geom, "ull"))
         rhs = np.trapezoid(norm_dN[k:], dx=dt, axis=0) if k < n - 1 else 0.0 * lhs
         rows.append(
@@ -217,28 +187,12 @@ def check_N_integral(window: PairedWindow):
     return rows
 
 
-def _five_point_derivative_at(fields, j, dt):
-    """d/dt at offset j in {0..4} of five equispaced fields, 4th order."""
-    coeffs = {
-        0: (-25.0, 48.0, -36.0, 16.0, -3.0),
-        1: (-3.0, -10.0, 18.0, -6.0, 1.0),
-        2: (1.0, -8.0, 0.0, 8.0, -1.0),
-        3: (-1.0, 6.0, -18.0, 10.0, 3.0),
-        4: (3.0, -16.0, 36.0, -48.0, 25.0),
-    }[j]
-    acc = coeffs[0] * fields[0]
-    for c, f in zip(coeffs[1:], fields[1:]):
-        acc = acc + c * f
-    return acc / (12.0 * dt)
-
-
 def heat_operator_Y(window: PairedWindow, center: int) -> np.ndarray:
     """Pointwise |(d/dt - Lap_g) Y|^2 at one sample time."""
-    packs = [window.pack(k) for k in range(center - 2, center + 3)]
-    p = packs[2]
+    dtU = window.time_derivative(center, lambda q: q.U)
+    dtV = window.time_derivative(center, lambda q: q.V)
+    p = window.item(center)
     g = p.geomA
-    dtU = time_derivative_5pt([q.U for q in packs], window.dt)
-    dtV = time_derivative_5pt([q.V for q in packs], window.dt)
     resU = dtU - laplacian(p.U, g, "ll")
     resV = dtV - laplacian(p.V, g, "lll")
     return tensor_norm_sq(resU, g, "ll") + tensor_norm_sq(resV, g, "lll")
@@ -246,13 +200,11 @@ def heat_operator_Y(window: PairedWindow, center: int) -> np.ndarray:
 
 def time_derivative_Z_sq(window: PairedWindow, center: int) -> np.ndarray:
     """Pointwise |d/dt Z|^2 at one sample time."""
-    packs = [window.pack(k) for k in range(center - 2, center + 3)]
-    g = packs[2].geomA
-    dt = window.dt
-    out = tensor_norm_sq(time_derivative_5pt([q.w for q in packs], dt), g, "l")
-    out += tensor_norm_sq(time_derivative_5pt([q.d for q in packs], dt), g, "ll")
-    out += tensor_norm_sq(time_derivative_5pt([q.N for q in packs], dt), g, "ull")
-    out += tensor_norm_sq(time_derivative_5pt([q.W for q in packs], dt), g, "lull")
+    g = window.geometry(center)
+    out = tensor_norm_sq(window.time_derivative(center, lambda q: q.w), g, "l")
+    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.d), g, "ll")
+    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.N), g, "ull")
+    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.W), g, "lull")
     return out
 
 
@@ -295,14 +247,12 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-def verify_inequalities(
-    window: PairedWindow, delta: float, eps_core: float = EPS_CORE
-) -> InequalityReport:
+def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities.
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes and sample times in
-    [delta, T] where the core exceeds eps_core.
+    [delta, T] where the core exceeds EPS_CORE.
     """
     times = window.times
     T = float(times[-1])
@@ -315,7 +265,7 @@ def verify_inequalities(
     K = 0.0
     Kt = 0.0
     for k in range(len(window)):
-        p = window.pack(k)
+        p = window.item(k)
         K = max(K, float(np.sqrt(tensor_norm_sq(p.geomA.second_form, p.geomA, "ll").max())))
         Kt = max(
             Kt, float(np.sqrt(tensor_norm_sq(p.geomB.second_form, p.geomB, "ll").max()))
@@ -324,16 +274,16 @@ def verify_inequalities(
         t = float(times[c])
         if t < delta - 1e-12 or t > T + 1e-12:
             continue
-        p = window.pack(c)
+        p = window.item(c)
         lhs1 = heat_operator_Y(window, c)
         lhs2 = time_derivative_Z_sq(window, c)
         nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(), p.norm_sq_Z()
         core = nY + ngY + nZ
-        ok = core > eps_core
+        ok = core > EPS_CORE
         if np.any(ok):
             C1 = max(C1, float((lhs1[ok] / core[ok]).max()))
             C2 = max(C2, float((lhs2[ok] / core[ok]).max()))
-        flagged += int(np.sum(~ok & ((lhs1 > eps_core) | (lhs2 > eps_core))))
+        flagged += int(np.sum(~ok & ((lhs1 > EPS_CORE) | (lhs2 > EPS_CORE))))
         g = p.geomA
         weight = g.sqrt_det * g.grid.spacing**g.grid.m
         rows.append(
@@ -346,7 +296,7 @@ def verify_inequalities(
                 "sup_lhs2": float(lhs2.max()),
             }
         )
-    geom0 = window.pack(0).geomA
+    geom0 = window.geometry(0)
     return InequalityReport(
         delta=delta,
         T=T,
@@ -361,15 +311,13 @@ def verify_inequalities(
     )
 
 
-def forward_gronwall(window: PairedWindow, delta: float, report=None):
+def forward_gronwall(report: InequalityReport, delta: float):
     """Exponential-envelope table for F = E_Y + E_Z on [delta, T].
 
     Checks dF/dt <= C* G with G = E_Y + E_gradY + E_Z, C* fitted as the
-    smallest constant over the window, and emits the induced envelope
-    F(delta) * exp(lam (t - delta)) with lam = C* sup(G/F).
+    smallest constant over the energy rows of `report`, and emits the
+    induced envelope F(delta) * exp(lam (t - delta)) with lam = C* sup(G/F).
     """
-    if report is None:
-        report = verify_inequalities(window, delta)
     rows = [r for r in report.rows if r["t"] >= delta - 1e-12]
     if len(rows) < 2:
         raise ProtocolError("need at least two sample times past delta")

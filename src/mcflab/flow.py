@@ -252,6 +252,10 @@ def _fixed_dt_trajectories(
 ) -> list:
     """One FlowTrajectory per initial immersion (same grid, ambient dimension
     and time), all integrated in one RK4 loop on a batch axis."""
+    if not 0.0 < dt < np.inf:
+        raise PolicyError(f"dt must be positive and finite, got {dt!r}")
+    if store_every < 1:
+        raise PolicyError(f"store_every must be at least 1, got {store_every!r}")
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
     grid, t0 = initials[0].grid, initials[0].time

@@ -83,9 +83,7 @@ class KernelResult(NamedTuple):
     h: list  # m*m x grid + batch + (A,)
 
 
-def geometry_kernel(
-    grid: GridSpec, X: np.ndarray, eps: float = EPS_IMMERSION
-) -> KernelResult:
+def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     """Mean curvature vector and metric of the positions X (grid + batch + (A,)).
 
     g_ij = sum_a d_iX^a d_jX^a;  Gamma^k_ij = g^kl c_lij / 2 with
@@ -121,12 +119,12 @@ def geometry_kernel(
 
     if m == 1:
         det = g[0, 0]
-        _check_nondegenerate(det, eps, m)
+        _check_nondegenerate(det, EPS_IMMERSION, m)
         ginv = {(0, 0): 1.0 / det}
         metric = det[..., None, None]
     else:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        _check_nondegenerate(det, eps, m)
+        _check_nondegenerate(det, EPS_IMMERSION, m)
         off = -g[0, 1] / det
         ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
         metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
@@ -189,9 +187,9 @@ def _pack(parts: list, shape: tuple) -> np.ndarray:
     return arr
 
 
-def compute_geometry(imm: Immersion, eps: float = EPS_IMMERSION) -> GeometryPack:
+def compute_geometry(imm: Immersion) -> GeometryPack:
     grid, m, A = imm.grid, imm.grid.m, imm.ambient_dim
-    k = geometry_kernel(grid, imm.positions, eps)
+    k = geometry_kernel(grid, imm.positions)
     h = _pack(k.h, grid.shape + (A, m, m))
     first = _pack(k.dX, grid.shape + (A, m))
     gamma = _pack(k.gamma, grid.shape + (m, m, m))

@@ -1,15 +1,17 @@
 """Residual checks for the evolution equations and curvature identities.
 
-Each evolution check compares a 4th-order central time difference of a
-stored field along a uniformly sampled trajectory against the algebraic
-right-hand side evaluated from the geometry at the center time.  Residual
-tensors are measured pointwise in the evolving induced metric g(t); per
-ambient-coordinate families contribute in Frobenius over the ambient label.
+Every evolution check, of one flow (`TrajectoryWindow`) or of the difference
+of two (`differences.PairedWindow`), is one `evolution_check` loop over a
+`SampleWindow`: the 4th-order central time difference of a stored field
+against the algebraic right-hand side at each center state.  One builder,
+`residual_report`, measures every residual tensor pointwise in the evolving
+induced metric g(t); per ambient-coordinate families contribute in
+Frobenius over the ambient label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,80 +89,116 @@ class ResidualReport:
         )
 
 
-class TrajectoryWindow:
-    """Uniformly sampled trajectory with lazily cached geometry."""
+class SampleWindow:
+    """At least five uniformly spaced states with one lazily built item each;
+    subclasses say how item k is built (`_build`) and which geometry
+    measures it (`geometry`)."""
 
     def __init__(self, traj: FlowTrajectory):
         if len(traj.states) < 5:
             raise ProtocolError("need at least 5 uniformly spaced states")
         self.traj = traj
         self.dt = traj.sample_dt()
-        self._geoms = [None] * len(traj.states)
+        self._items = [None] * len(traj.states)
 
-    def geometry(self, k: int) -> GeometryPack:
-        if self._geoms[k] is None:
-            self._geoms[k] = compute_geometry(self.traj.states[k])
-        return self._geoms[k]
+    def __len__(self):
+        return len(self._items)
+
+    def item(self, k: int):
+        if self._items[k] is None:
+            self._items[k] = self._build(k)
+        return self._items[k]
 
     @property
     def centers(self):
-        return range(2, len(self.traj.states) - 2)
+        return range(2, len(self) - 2)
+
+    def time_derivative(self, c: int, field_of) -> np.ndarray:
+        """4th-order central d/dt of field_of(item) at center c."""
+        fields = [field_of(self.item(k)) for k in range(c - 2, c + 3)]
+        return five_point_derivative(fields, 2, self.dt)
 
 
-def time_derivative_5pt(fields, dt: float) -> np.ndarray:
-    """4th-order central difference at the middle of five equispaced fields."""
-    f0, f1, _, f3, f4 = fields
-    return (f0 - 8.0 * f1 + 8.0 * f3 - f4) / (12.0 * dt)
+class TrajectoryWindow(SampleWindow):
+    """One flow; item k is the GeometryPack of state k."""
+
+    def _build(self, k: int) -> GeometryPack:
+        return compute_geometry(self.traj.states[k])
+
+    def geometry(self, k: int) -> GeometryPack:
+        return self.item(k)
 
 
-def _report(identity, window, center, resid, index_spec) -> ResidualReport:
-    geom = window.geometry(center)
+# 12 dt times the d/dt weights at offset j of five equispaced samples
+# (Fornberg, Math. Comp. 1988); all of them are exact binary numbers.
+_FIVE_POINT_WEIGHTS = (
+    (-25.0, 48.0, -36.0, 16.0, -3.0),
+    (-3.0, -10.0, 18.0, -6.0, 1.0),
+    (1.0, -8.0, 0.0, 8.0, -1.0),
+    (-1.0, 6.0, -18.0, 10.0, 3.0),
+    (3.0, -16.0, 36.0, -48.0, 25.0),
+)
+
+
+def five_point_derivative(fields, j: int, dt: float) -> np.ndarray:
+    """4th-order d/dt at offset j in {0..4} of five equispaced fields; zero
+    weights are skipped, so at j = 2 this is bit-identical to
+    (f0 - 8 f1 + 8 f3 - f4) / (12 dt)."""
+    terms = [(w, f) for w, f in zip(_FIVE_POINT_WEIGHTS[j], fields) if w]
+    acc = terms[0][0] * terms[0][1]
+    for w, f in terms[1:]:
+        acc = acc + w * f
+    return acc / (12.0 * dt)
+
+
+def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport:
+    """Sup and volume-weighted L2 of the g-norm of a residual tensor field."""
     sq = tensor_norm_sq(resid, geom, index_spec)
     weight = geom.sqrt_det * geom.grid.spacing**geom.grid.m
-    l2 = float(np.sqrt(np.sum(sq * weight)))
     return ResidualReport(
         identity=identity,
         resolution=geom.grid.resolution,
-        dt=window.dt,
-        t_center=window.traj.states[center].time,
+        dt=dt,
+        t_center=geom.immersion.time,
         sup_residual=float(np.sqrt(max(sq.max(), 0.0))),
-        l2_residual=l2,
+        l2_residual=float(np.sqrt(np.sum(sq * weight))),
     )
 
 
-def _worst(reports) -> ResidualReport:
+def evolution_check(window, identity, field_of, rhs_of, index_spec) -> ResidualReport:
+    """Worst center of d/dt field_of(item) - rhs_of(item) over a SampleWindow."""
+    reports = []
+    for c in window.centers:
+        resid = window.time_derivative(c, field_of) - rhs_of(window.item(c))
+        reports.append(
+            residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
+        )
     return max(reports, key=lambda r: r.sup_residual)
 
 
-def _evolution_check(traj, identity, field_of, rhs_of, index_spec):
-    window = TrajectoryWindow(traj)
-    reports = []
-    for c in window.centers:
-        fields = [field_of(window.geometry(k)) for k in range(c - 2, c + 3)]
-        lhs = time_derivative_5pt(fields, window.dt)
-        resid = lhs - rhs_of(window.geometry(c))
-        reports.append(_report(identity, window, c, resid, index_spec))
-    return _worst(reports)
+def grad_H(geom: GeometryPack) -> np.ndarray:
+    """Covariant gradient of the mean curvature components [a, i]."""
+    return covariant_derivative(geom.mean_curv, geom, "")
 
 
-def check_dX(traj: FlowTrajectory) -> ResidualReport:
+def check_dX(window: TrajectoryWindow) -> ResidualReport:
     """d/dt of the position gradient against the gradient of H."""
-    return _evolution_check(
-        traj,
+    return evolution_check(
+        window,
         "evolve_position_gradient",
         lambda geom: geom.first_derivs,
-        lambda geom: covariant_derivative(geom.mean_curv, geom, ""),
+        grad_H,
         "l",
     )
 
 
-def _metric_rhs(geom: GeometryPack) -> np.ndarray:
+def metric_rhs(geom: GeometryPack) -> np.ndarray:
     return -2.0 * np.einsum("...a,...aij->...ij", geom.mean_curv, geom.second_form)
 
 
-def check_dg(traj: FlowTrajectory) -> ResidualReport:
-    return _evolution_check(
-        traj, "evolve_metric", lambda geom: geom.metric, _metric_rhs, "ll"
+def check_dg(window: TrajectoryWindow) -> ResidualReport:
+    return evolution_check(
+        window, "evolve_metric", lambda geom: geom.metric, metric_rhs, "ll"
     )
 
 
@@ -175,9 +213,9 @@ def _connection_rhs(geom: GeometryPack) -> np.ndarray:
     return -np.einsum("...kl,...lij->...kij", geom.inverse_metric, sym)
 
 
-def check_dGamma(traj: FlowTrajectory) -> ResidualReport:
-    return _evolution_check(
-        traj,
+def check_dGamma(window: TrajectoryWindow) -> ResidualReport:
+    return evolution_check(
+        window,
         "evolve_connection",
         lambda geom: geom.christoffels,
         _connection_rhs,
@@ -187,8 +225,7 @@ def check_dGamma(traj: FlowTrajectory) -> ResidualReport:
 
 def grad_grad_H(geom: GeometryPack) -> np.ndarray:
     """Second covariant derivative of the mean curvature components [a,i,j]."""
-    gradH = covariant_derivative(geom.mean_curv, geom, "")
-    return covariant_derivative(gradH, geom, "l")
+    return covariant_derivative(grad_H(geom), geom, "l")
 
 
 def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
@@ -198,10 +235,10 @@ def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
     )
 
 
-def check_dh(traj: FlowTrajectory) -> ResidualReport:
+def check_dh(window: TrajectoryWindow) -> ResidualReport:
     """Evolution of the second form; the connection rate enters analytically."""
-    return _evolution_check(
-        traj,
+    return evolution_check(
+        window,
         "evolve_second_form",
         lambda geom: geom.second_form,
         _second_form_rhs,
@@ -236,23 +273,10 @@ def simons_residual_field(geom: GeometryPack) -> np.ndarray:
     return grad_grad_H(geom) - rhs
 
 
-def check_simons(imm_or_geom) -> ResidualReport:
+def check_simons(geom: GeometryPack) -> ResidualReport:
     """Commutation identity at a single instant; no time derivative involved."""
-    geom = (
-        imm_or_geom
-        if isinstance(imm_or_geom, GeometryPack)
-        else compute_geometry(imm_or_geom)
-    )
-    resid = simons_residual_field(geom)
-    sq = tensor_norm_sq(resid, geom, "ll")
-    weight = geom.sqrt_det * geom.grid.spacing**geom.grid.m
-    return ResidualReport(
-        identity="second_form_commutation",
-        resolution=geom.grid.resolution,
-        dt=0.0,
-        t_center=geom.immersion.time,
-        sup_residual=float(np.sqrt(sq.max())),
-        l2_residual=float(np.sqrt(np.sum(sq * weight))),
+    return residual_report(
+        "second_form_commutation", geom, simons_residual_field(geom), "ll"
     )
 
 

@@ -55,10 +55,6 @@ def perturbed_torus(grid: GridSpec, r1=1.0, r2=1.0, amplitude=0.1) -> Immersion:
     return Immersion(grid, pos)
 
 
-def shrinking_circle_extinction(r0: float) -> float:
-    return 0.5 * r0**2
-
-
 def exact_oracle(kind: str, params: dict, t: float, grid: GridSpec) -> Immersion:
     """Analytic flow solution sampled on the grid at time t."""
     if kind == "shrinking_circle":

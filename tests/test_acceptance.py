@@ -28,6 +28,7 @@ from mcflab.flow import run_fixed_dt, step_rk4
 from mcflab.geometry import trace_identity_residual
 from mcflab.grid import SymmetryAction, apply_symmetry, reflection_permutation
 from mcflab.identities import (
+    TrajectoryWindow,
     check_dGamma,
     check_dX,
     check_dg,
@@ -86,11 +87,12 @@ def test_criterion_03_evolution_identity_orders():
         ("circle", lambda g: shapes.circle(g, 1.0)),
         ("ellipse", lambda g: shapes.ellipse(g, 1.5, 1.0)),
     ):
-        trajs = [
-            run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4) for N in (64, 128, 256)
+        windows = [
+            TrajectoryWindow(run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4))
+            for N in (64, 128, 256)
         ]
         for chk in checks:
-            sups = [chk(t).sup_residual for t in trajs]
+            sups = [chk(w).sup_residual for w in windows]
             if max(sups) < EXACT_FLOOR:
                 details.append(f"{name}/{chk.__name__}=exact")
                 continue
@@ -103,7 +105,7 @@ def test_criterion_03_evolution_identity_orders():
 def test_criterion_04_commutation_identity_order():
     sups = [
         check_simons(
-            shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1)
+            compute_geometry(shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1))
         ).sup_residual
         for N in (16, 32, 64)
     ]
@@ -145,7 +147,7 @@ def test_criterion_07_zero_difference():
     A = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
     B = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
     window = PairedWindow(A, B)
-    p = window.pack(4)
+    p = window.item(4)
     sup = max(
         p.norm_sq_Y().max(),
         p.norm_sq_Z().max(),

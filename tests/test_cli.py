@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from mcflab import shapes
+from mcflab import cli, identities, shapes
 from mcflab.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    _identity_suite,
     main,
 )
 from mcflab.differences import LIMITATION_STATEMENT
@@ -44,6 +45,94 @@ DIFF_CONFIG = {
     "store_every": 1,
 }
 
+SIMULATE_CONFIG = {
+    "grid": {"m": 1, "resolution": 32},
+    "geometry": {"kind": "circle", "radius": 1.0},
+    "T": 0.01,
+    "policy": {"fixed_dt": 1e-3},
+}
+
+REFLECTION = {"type": "reflection", "axes": [0]}
+
+SYMMETRY_CONFIG = {
+    "grid": {"m": 1, "resolution": 32},
+    "geometry": {"kind": "ellipse", "a": 1.5, "b": 1.0},
+    "symmetry": {"matrix": [[1, 0], [0, -1]], "permutation": REFLECTION},
+    "steps": 20,
+    "dt": 1e-4,
+}
+
+CONVERGENCE_CONFIG = {
+    "grid": {"m": 1},
+    "geometry": {"kind": "circle"},
+    "resolutions": [16, 32, 64],
+    "dt": 1e-5,
+}
+
+
+def changed(base, drop=(), **values):
+    cfg = {k: v for k, v in base.items() if k not in drop}
+    cfg.update(values)
+    return cfg
+
+
+# verb, config, the key the error message must name
+BAD_CONFIGS = {
+    "diff-system-without-T": ("diff-system", changed(DIFF_CONFIG, ["T"]), "'T'"),
+    "diff-system-T-null": ("diff-system", changed(DIFF_CONFIG, T=None), "'T'"),
+    "diff-system-without-delta": (
+        "diff-system", changed(DIFF_CONFIG, ["delta"]), "'delta'"
+    ),
+    "simulate-without-T": ("simulate", changed(SIMULATE_CONFIG, ["T"]), "'T'"),
+    "symmetry-without-matrix": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"permutation": REFLECTION}),
+        "'matrix'",
+    ),
+    "identities-dt-negative": (
+        "identities", changed(IDENTITIES_CONFIG, dt=-1e-5), "'dt'"
+    ),
+    "identities-dt-nan": (
+        "identities", changed(IDENTITIES_CONFIG, dt=float("nan")), "'dt'"
+    ),
+    "convergence-dt-negative": (
+        "convergence", changed(CONVERGENCE_CONFIG, dt=-1e-5), "'dt'"
+    ),
+    "diff-system-dt-zero": ("diff-system", changed(DIFF_CONFIG, dt=0.0), "'dt'"),
+    "diff-system-store-every-zero": (
+        "diff-system", changed(DIFF_CONFIG, store_every=0), "'store_every'"
+    ),
+    "symmetry-dt-negative": ("symmetry", changed(SYMMETRY_CONFIG, dt=-1e-4), "'dt'"),
+    "symmetry-steps-negative": (
+        "symmetry", changed(SYMMETRY_CONFIG, steps=-5), "'steps'"
+    ),
+    "symmetry-record-every-zero": (
+        "symmetry", changed(SYMMETRY_CONFIG, record_every=0), "'record_every'"
+    ),
+    "simulate-fixed-dt-text": (
+        "simulate", changed(SIMULATE_CONFIG, policy={"fixed_dt": "fast"}), "'fixed_dt'"
+    ),
+    "convergence-resolution-null": (
+        "convergence",
+        changed(CONVERGENCE_CONFIG, resolutions=[16, None, 64]),
+        "'resolutions'",
+    ),
+    "geometry-radii-null": (
+        "identities",
+        changed(
+            IDENTITIES_CONFIG,
+            grid={"m": 2, "resolution": 8},
+            geometry={"kind": "product_torus", "radii": [None, 1.0]},
+        ),
+        "'radii'",
+    ),
+    "geometry-center-null": (
+        "identities",
+        changed(IDENTITIES_CONFIG, geometry={"kind": "circle", "center": None}),
+        "'center'",
+    ),
+}
+
 
 class TestIdentitiesVerb:
     def test_runs_green_and_writes_reports(self, tmp_path):
@@ -62,6 +151,24 @@ class TestIdentitiesVerb:
         code, out = run_cli(tmp_path, "identities", cfg)
         assert code == EXIT_ASSERTION
         assert ",fail," in (out / "residual_evolve_metric.csv").read_text()
+
+    def test_suite_evaluates_the_geometry_of_each_state_once(self, monkeypatch):
+        times = []
+
+        def counting(compute):
+            def wrapper(imm):
+                times.append(imm.time)
+                return compute(imm)
+
+            return wrapper
+
+        for module in (cli, identities):
+            monkeypatch.setattr(
+                module, "compute_geometry", counting(module.compute_geometry)
+            )
+        reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
+        assert len(reports) == 6
+        assert len(times) == len(set(times)) == 5
 
     def test_report_bodies_are_deterministic(self, tmp_path):
         _, out1 = run_cli(tmp_path, "identities", IDENTITIES_CONFIG, "out1")
@@ -324,6 +431,15 @@ class TestConfigValidation:
         bad.write_text("{not json")
         code = main(["identities", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, capsys, case):
+        verb, cfg, key = BAD_CONFIGS[case]
+        code, out = run_cli(tmp_path, verb, cfg)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and key in err
+        assert not (out / "summary.txt").exists()
 
     def test_unknown_geometry_kind(self, tmp_path):
         cfg = dict(IDENTITIES_CONFIG)

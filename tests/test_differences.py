@@ -229,7 +229,7 @@ class TestCoupledInequalities:
 class TestEnergyEnvelope:
     def test_forward_envelope_holds(self):
         for window in (circle_pair(), circle_ellipse_pair()):
-            rows = forward_gronwall(window, delta=2 * DT)
+            rows = forward_gronwall(verify_inequalities(window, 2 * DT), 2 * DT)
             for r in rows:
                 assert r["F"] <= r["envelope"] * (1.0 + 1e-9)
 
@@ -242,7 +242,7 @@ class TestEnergyEnvelope:
             w = PairedWindow(
                 run_fixed_dt(base, DT, 8), run_fixed_dt(pert, DT, 8)
             )
-            p = w.pack(len(w) // 2)
+            p = w.item(len(w) // 2)
             wt = p.geomA.sqrt_det * grid.spacing
             energy[eps] = float(
                 np.sum((p.norm_sq_Y() + p.norm_sq_Z()) * wt)

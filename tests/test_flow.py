@@ -259,6 +259,17 @@ class TestFixedDtProtocol:
         with pytest.raises(PolicyError):
             run_fixed_dt(unit_circle, 1e-3, 7, store_every=3)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.inf, np.nan])
+    def test_non_positive_or_non_finite_dt_rejected(self, unit_circle, kernel_calls, dt):
+        with pytest.raises(PolicyError, match="dt must be positive and finite"):
+            run_fixed_dt(unit_circle, dt, 4)
+        assert not kernel_calls
+
+    def test_store_every_below_one_rejected(self, unit_circle, kernel_calls):
+        with pytest.raises(PolicyError, match="store_every must be at least 1"):
+            run_fixed_dt(unit_circle, 1e-3, 4, store_every=0)
+        assert not kernel_calls
+
     def test_nonuniform_sampling_detected(self, unit_circle):
         traj = FlowTrajectory()
         for t in (0.0, 0.1, 0.25):

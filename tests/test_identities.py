@@ -19,15 +19,16 @@ from mcflab.identities import (
     ANCHORS,
     ProtocolError,
     ResidualReport,
+    TrajectoryWindow,
     check_dGamma,
     check_dX,
     check_dg,
     check_dh,
     check_simons,
+    five_point_derivative,
     gauss_cross_check,
     measure_bernstein,
     measure_equivalence,
-    time_derivative_5pt,
 )
 
 from conftest import stencil_symbols
@@ -42,21 +43,42 @@ class TestTimeDifference:
         dt = 0.1
         t = np.arange(5) * dt
         fields = [np.full((4,), ti**4) for ti in t]
-        d = time_derivative_5pt(fields, dt)
+        d = five_point_derivative(fields, 2, dt)
         assert np.allclose(d, 4 * t[2] ** 3, atol=1e-12)
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_exact_on_quartics_at_every_offset(self, j):
+        dt = 0.5
+        t = np.arange(5) * dt - 1.0
+        coeffs = np.array([[3.0, -2.0, 1.0, 5.0, -7.0], [-1.0, 4.0, 0.0, -2.0, 2.0]])
+        fields = [coeffs @ ti ** np.arange(5) for ti in t]
+        exact = coeffs[:, 1:] @ (np.arange(1, 5) * t[j] ** np.arange(4))
+        assert np.allclose(five_point_derivative(fields, j, dt), exact, atol=1e-12)
+
+    def test_center_is_the_central_formula_to_the_bit(self):
+        rng = np.random.default_rng(7)
+        dt = 1e-5
+        f0, f1, f2, f3, f4 = (
+            rng.standard_normal((64, 3)) * 10.0 ** rng.integers(-8, 8, (64, 3))
+            for _ in range(5)
+        )
+        reference = (f0 - 8 * f1 + 8 * f3 - f4) / (12 * dt)
+        assert np.array_equal(
+            five_point_derivative([f0, f1, f2, f3, f4], 2, dt), reference
+        )
 
 
 class TestEvolutionChecks:
     def test_position_gradient_is_semi_discrete_exact(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-        assert check_dX(traj).sup_residual < 1e-9
+        assert check_dX(TrajectoryWindow(traj)).sup_residual < 1e-9
 
     def test_metric_residual_matches_stencil_prediction_on_circle(self):
         grid = GridSpec(1, 64)
         traj = short_run(shapes.circle(grid, 1.0))
         s1, s2 = stencil_symbols(grid)
         predicted = 2.0 * s2 * abs(s2 - s1**2) / s1**2
-        rep = check_dg(traj)
+        rep = check_dg(TrajectoryWindow(traj))
         assert abs(rep.sup_residual - predicted) / predicted < 0.01
 
     @pytest.mark.parametrize(
@@ -71,17 +93,17 @@ class TestEvolutionChecks:
         sups = []
         for N in resolutions:
             traj = short_run(shapes.ellipse(GridSpec(1, N), 1.5, 1.0))
-            sups.append(checker(traj).sup_residual)
+            sups.append(checker(TrajectoryWindow(traj)).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
         with pytest.raises(ProtocolError):
-            check_dg(traj)
+            check_dg(TrajectoryWindow(traj))
 
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))
-        rep = check_dg(traj)
+        rep = check_dg(TrajectoryWindow(traj))
         assert rep.anchor == ANCHORS["evolve_metric"]
         assert rep.resolution == 32
         assert rep.dt == 1e-5
@@ -98,8 +120,8 @@ class TestEvolutionChecks:
             dt_history=list(traj.dt_history),
         )
         for checker in (check_dg, check_dGamma, check_dh):
-            a = checker(traj).sup_residual
-            b = checker(moved).sup_residual
+            a = checker(TrajectoryWindow(traj)).sup_residual
+            b = checker(TrajectoryWindow(moved)).sup_residual
             # the 1/dt factor in the time difference amplifies the rounding
             # introduced by the rotation, so the match is relative, not exact
             assert abs(a - b) < 1e-7 * a
@@ -107,24 +129,24 @@ class TestEvolutionChecks:
 
 class TestCommutationIdentity:
     def test_exact_on_circle(self):
-        rep = check_simons(shapes.circle(GridSpec(1, 64), 1.0))
+        rep = check_simons(compute_geometry(shapes.circle(GridSpec(1, 64), 1.0)))
         assert rep.sup_residual < 1e-12
 
     def test_second_order_on_perturbed_torus(self):
         sups = []
         for N in (16, 32):
             imm = shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1)
-            sups.append(check_simons(imm).sup_residual)
+            sups.append(check_simons(compute_geometry(imm)).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_residual_scales_as_inverse_cube(self):
         # dilating the immersion by lam scales the g-norm of the [a,i,j]
         # residual tensor by lam^-3, exactly, in the discrete system
         base = check_simons(
-            shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.5, 0.1)
+            compute_geometry(shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.5, 0.1))
         ).sup_residual
         scaled = check_simons(
-            shapes.perturbed_torus(GridSpec(2, 16), 2.0, 1.0, 0.2)
+            compute_geometry(shapes.perturbed_torus(GridSpec(2, 16), 2.0, 1.0, 0.2))
         ).sup_residual
         assert abs(scaled * 8.0 - base) < 1e-12 * base
 
