@@ -92,6 +92,14 @@ def _floats(values) -> list:
     return [float(v) for v in values]
 
 
+def _finite_floats(values) -> list:
+    """_floats restricted to finite values: sample times."""
+    xs = _floats(values)
+    if not np.isfinite(xs).all():
+        raise ValueError("must be finite")
+    return xs
+
+
 def _positive(kind):
     """kind restricted to positive finite values: time steps and strides."""
 
@@ -289,7 +297,10 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
         _value(pol_cfg, "dt_max", 1e-2, context="policy"),
         fixed_dt if fixed_dt is None else _value(pol_cfg, "fixed_dt", context="policy"),
     )
+    # absent or null: the initial and final states
     sample_times = cfg.get("sample_times")
+    if sample_times is not None:
+        sample_times = _value(cfg, "sample_times", kind=_finite_floats)
     traj = run_flow(initial, T, policy, sample_times)
     files = []
     for k, state in enumerate(traj.states):

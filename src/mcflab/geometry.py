@@ -227,12 +227,13 @@ def covariant_derivative(
         val = partial(grid, field_arr, d)
         Gd = gamma[..., :, d, :]  # [k, p] = Gamma^k_dp
         Gd_T = np.swapaxes(Gd, -1, -2)  # [p, k] = Gamma^k_dp
+        # val is fresh from the stencil, so each term goes into it in place
         for pos, kind in enumerate(index_spec):
             axis = field_arr.ndim - n_idx + pos
             if kind == "l":
-                val = val - contract_with_metric(field_arr, Gd_T, axis)
+                val -= contract_with_metric(field_arr, Gd_T, axis)
             elif kind == "u":
-                val = val + contract_with_metric(field_arr, Gd, axis)
+                val += contract_with_metric(field_arr, Gd, axis)
             else:
                 raise ValueError(f"bad index spec character {kind!r}")
         pieces.append(val)
@@ -284,7 +285,10 @@ def tensor_norm_sq(
         axis = field_arr.ndim - n_idx + pos
         M = geom.inverse_metric if kind == "l" else geom.metric
         raised = contract_with_metric(raised, M, axis)
-    prod = field_arr * raised
+    if raised is field_arr:
+        prod = field_arr * field_arr
+    else:
+        prod = np.multiply(field_arr, raised, out=raised)
     sum_axes = tuple(range(grid.m, field_arr.ndim))
     return prod.sum(axis=sum_axes) if sum_axes else prod
 
@@ -311,78 +315,119 @@ def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
     ginv = geom.inverse_metric
     extra = moved.ndim - ginv.ndim
     gr = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
-    m = ginv.shape[-1]
-    out = gr[..., 0, 0] * moved[..., 0, 0]
-    for p in range(m):
-        for q in range(m):
-            if p or q:
-                out += gr[..., p, q] * moved[..., p, q]
+    R = range(ginv.shape[-1])
+    return sum_of_products((gr[..., p, q], moved[..., p, q]) for p in R for q in R)
+
+
+def sum_of_products(pairs) -> np.ndarray:
+    """sum_k x_k * y_k over an iterable of (x_k, y_k) array pairs.
+
+    Each pair broadcasts to the output's shape.  The products are added in
+    the order given into one fresh output, and every product after the
+    first goes through one shared scratch array, so a sum of any length
+    allocates two arrays.
+    """
+    pairs = iter(pairs)
+    x, y = next(pairs)
+    out = x * y
+    scratch = None
+    for x, y in pairs:
+        if scratch is None:
+            scratch = np.empty_like(out)
+        np.multiply(x, y, out=scratch)
+        out += scratch
     return out
 
 
+def components_first(arr: np.ndarray, n: int) -> np.ndarray:
+    """Contiguous copy of a field with its last n axes moved in front of the
+    grid axes.  Each component arr[i, j, ...] is then one contiguous grid
+    array, and a per-node scalar field broadcasts against it from the right,
+    so sums of products run as long contiguous loops."""
+    return np.ascontiguousarray(np.moveaxis(arr, range(-n, 0), range(n)))
+
+
+def components_last(arr: np.ndarray, n: int) -> np.ndarray:
+    """The grid-first view of a components-first array: the first n axes go
+    behind the grid and the memory stays as it is, so components_first of
+    the view is the original array again, with no copy."""
+    return np.moveaxis(arr, range(n), range(-n, 0))
+
+
 # --- curvature --------------------------------------------------------------
+#
+# The curvature layer is component arithmetic in index order on
+# components_first copies: each contraction loops over its summed indices in
+# index order and broadcasts over the free ones and the grid.
 
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Fully lowered Riemann tensor and Ricci tensor, with provenance tag."""
+    """Fully lowered Riemann tensor and Ricci tensor, with provenance tag;
+    both are components_last views of components-first arrays."""
 
     riemann: np.ndarray  # grid + (m, m, m, m)
     ricci: np.ndarray  # grid + (m, m)
     source: str  # "intrinsic" | "gauss"
 
 
+def _curvature_pack(R: np.ndarray, geom: GeometryPack, source: str) -> CurvaturePack:
+    """Pack a components-first Riemann tensor with its Ricci trace
+    R_ij = g^kl R_ikjl, summed over (k, l) in row-major order."""
+    ginv = components_first(geom.inverse_metric, 2)
+    M = range(len(ginv))
+    ricci = sum_of_products((ginv[k, l], R[:, k, :, l]) for k in M for l in M)
+    return CurvaturePack(components_last(R, 4), components_last(ricci, 2), source)
+
+
 def curvature_intrinsic(geom: GeometryPack) -> CurvaturePack:
     """Riemann tensor from the Christoffel symbols of the induced metric.
 
-    Sign and index order are fixed so that the quadratic-in-h formula of
-    curvature_gauss agrees in the continuum limit; the agreement is a
-    shipped audit test, not an assumption.
+    Rup^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_ip G^p_jk - G^l_jp G^p_ik,
+    added in that order, with sums over p in index order; the lowered
+    R_ijkl = g_in Rup^n_klj sums over n in index order.  Sign and index
+    order are fixed so that the quadratic-in-h formula of curvature_gauss
+    agrees in the continuum limit; the agreement is a shipped audit test,
+    not an assumption.  At m = 1 every term cancels its own swap, so the
+    tensors are exact zeros.
     """
     grid = geom.grid
-    m = grid.m
-    if m == 1:
-        z2 = np.zeros(grid.shape + (1,) * 4)
-        return CurvaturePack(z2, np.zeros(grid.shape + (1, 1)), "intrinsic")
-    gamma = geom.christoffels
-    dgamma = np.stack(
-        [partial(grid, gamma, d) for d in range(m)], axis=-4
-    )  # [..., d, l, j, k] = d_d Gamma^l_jk
-    # Rup[..., l, i, j, k] = d_i G^l_jk - d_j G^l_ik + G^l_ip G^p_jk - G^l_jp G^p_ik
-    Rup = (
-        np.einsum("...iljk->...lijk", dgamma)
-        - np.einsum("...jlik->...lijk", dgamma)
-        + np.einsum("...lip,...pjk->...lijk", gamma, gamma)
-        - np.einsum("...ljp,...pik->...lijk", gamma, gamma)
-    )
-    # Lower and reorder so antisymmetric pairs sit at (12) and (34) with the
-    # same convention as the quadratic-in-h evaluation.
-    Rlow = np.einsum("...im,...mklj->...ijkl", geom.metric, Rup)
-    ricci = np.einsum("...kl,...ikjl->...ij", geom.inverse_metric, Rlow)
-    return CurvaturePack(Rlow, ricci, "intrinsic")
+    M = range(grid.m)
+    dgamma = components_first(
+        np.stack([partial(grid, geom.christoffels, d) for d in M], axis=-3), 4
+    )  # [l, i, j, k] = d_i Gamma^l_jk
+    gamma = components_first(geom.christoffels, 3)  # [l, i, j] = Gamma^l_ij
+    quad = sum_of_products(
+        (gamma[:, :, p, None, None], gamma[None, None, p]) for p in M
+    )  # [l, i, j, k] = Gamma^l_ip Gamma^p_jk
+    Rup = dgamma - np.swapaxes(dgamma, 1, 2)
+    Rup += quad
+    Rup -= np.swapaxes(quad, 1, 2)
+    del dgamma, quad
+    # lower and reorder so antisymmetric pairs sit at (12) and (34) with the
+    # same convention as the quadratic-in-h evaluation
+    Rn = np.moveaxis(Rup, 3, 1)  # [n, j, k, l] = Rup^n_klj
+    g = components_first(geom.metric, 2)
+    Rlow = sum_of_products((g[:, n, None, None, None], Rn[None, n]) for n in M)
+    del Rup, Rn
+    return _curvature_pack(Rlow, geom, "intrinsic")
 
 
 def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
-    """Pointwise quadratic expression of Riemann in the second form."""
-    h = geom.second_form
-    R = np.einsum("...aik,...ajl->...ijkl", h, h) - np.einsum(
-        "...ail,...ajk->...ijkl", h, h
-    )
-    ricci = np.einsum("...kl,...ikjl->...ij", geom.inverse_metric, R)
-    return CurvaturePack(R, ricci, "gauss")
+    """Pointwise quadratic expression of Riemann in the second form.
 
-
-def normality_residual(geom: GeometryPack) -> float:
-    """Sup of |<h_ij, d_k X> g^kl| in g; O(h^2) for a true immersion."""
-    tang = np.einsum("...aij,...ak->...ijk", geom.second_form, geom.first_derivs)
-    tang = contract_with_metric(tang, geom.inverse_metric, -1)
-    return tensor_norm_sup(tang, geom, "llu")
+    R_ijkl = P_ijkl - P_ijlk with P_ijkl = sum_a h^a_ik h^a_jl summed over a
+    in index order, so R is antisymmetric in (k, l) to the bit and zero at
+    m = 1.
+    """
+    h = components_first(geom.second_form, 3)  # [a, i, j] = h^a_ij
+    P = sum_of_products((ha[:, None, :, None], ha[None, :, None, :]) for ha in h)
+    R = P - np.swapaxes(P, 2, 3)
+    del P
+    return _curvature_pack(R, geom, "gauss")
 
 
 def trace_identity_residual(geom: GeometryPack) -> float:
     """Max deviation of sum_a |grad X^a|^2_g from m (exact discretely)."""
-    val = np.einsum(
-        "...ij,...ai,...aj->...", geom.inverse_metric, geom.first_derivs,
-        geom.first_derivs,
-    )
+    val = tensor_norm_sq(geom.first_derivs, geom, "l")
     return float(np.abs(val - geom.grid.m).max())

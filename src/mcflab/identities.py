@@ -7,6 +7,13 @@ against the algebraic right-hand side at each center state.  One builder,
 `residual_report`, measures every residual tensor pointwise in the evolving
 induced metric g(t); per ambient-coordinate families contribute in
 Frobenius over the ambient label.
+
+The right-hand sides and the commutation residual are component arithmetic
+in index order, as in the geometry layer: each contraction loops over its
+summed indices in index order (`sum_of_products`) and broadcasts over the
+free ones.  The contractions into three or more indices run on
+`components_first` copies, where every component is one contiguous grid
+array.
 """
 
 from __future__ import annotations
@@ -18,10 +25,14 @@ import numpy as np
 from .flow import FlowTrajectory, ProtocolError
 from .geometry import (
     GeometryPack,
+    components_first,
+    components_last,
     compute_geometry,
     covariant_derivative,
     curvature_gauss,
+    curvature_intrinsic,
     laplacian,
+    sum_of_products,
     tensor_norm_sq,
 )
 from .grid import DegenerateImmersionError
@@ -192,8 +203,16 @@ def check_dX(window: TrajectoryWindow) -> ResidualReport:
     )
 
 
+def _H_dot_h(geom: GeometryPack) -> np.ndarray:
+    """sum_a H^a h^a_ij, summed over a in index order."""
+    H, h = geom.mean_curv, geom.second_form
+    return sum_of_products(
+        (H[..., a, None, None], h[..., a, :, :]) for a in range(H.shape[-1])
+    )
+
+
 def metric_rhs(geom: GeometryPack) -> np.ndarray:
-    return -2.0 * np.einsum("...a,...aij->...ij", geom.mean_curv, geom.second_form)
+    return -2.0 * _H_dot_h(geom)
 
 
 def check_dg(window: TrajectoryWindow) -> ResidualReport:
@@ -202,15 +221,27 @@ def check_dg(window: TrajectoryWindow) -> ResidualReport:
     )
 
 
-def _connection_rhs(geom: GeometryPack) -> np.ndarray:
-    S = np.einsum("...a,...aij->...ij", geom.mean_curv, geom.second_form)
-    DS = covariant_derivative(S, geom, "ll")  # [d, i, j] = grad_d S_ij
-    sym = (
-        np.einsum("...ijl->...lij", DS)
-        + np.einsum("...jil->...lij", DS)
-        - np.einsum("...lij->...lij", DS)
+def _index_combination(D: np.ndarray) -> np.ndarray:
+    """B_ijp = D_ijp + D_jip - D_pij of a components-first D [d, i, j]."""
+    B = D + np.swapaxes(D, 0, 1)
+    B -= np.moveaxis(D, 0, 2)
+    return B
+
+
+def _connection_rate(geom: GeometryPack) -> np.ndarray:
+    """d/dt Gamma^k_ij = -g^kl B_ijl, components first, where B is the
+    _index_combination of grad_d S_ij and S_ij = sum_a H^a h^a_ij."""
+    ginv = components_first(geom.inverse_metric, 2)
+    DS = covariant_derivative(_H_dot_h(geom), geom, "ll")
+    B = _index_combination(components_first(DS, 3))
+    out = sum_of_products(
+        (ginv[:, l, None, None], B[None, :, :, l]) for l in range(geom.grid.m)
     )
-    return -np.einsum("...kl,...lij->...kij", geom.inverse_metric, sym)
+    return np.negative(out, out=out)
+
+
+def _connection_rhs(geom: GeometryPack) -> np.ndarray:
+    return components_last(_connection_rate(geom), 3)
 
 
 def check_dGamma(window: TrajectoryWindow) -> ResidualReport:
@@ -229,10 +260,15 @@ def grad_grad_H(geom: GeometryPack) -> np.ndarray:
 
 
 def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
-    dtGamma = _connection_rhs(geom)
-    return grad_grad_H(geom) - np.einsum(
-        "...kij,...ak->...aij", dtGamma, geom.first_derivs
-    )
+    # grad grad H first, so its temporaries are gone before the contraction's
+    out = grad_grad_H(geom)
+    dtGamma = _connection_rate(geom)
+    X = components_first(geom.first_derivs, 2)
+    corr = sum_of_products(
+        (dtGamma[None, k], X[:, k, None, None]) for k in range(geom.grid.m)
+    )  # [a, i, j] = (d/dt Gamma^k_ij) X^a_k
+    out -= components_last(corr, 3)
+    return out
 
 
 def check_dh(window: TrajectoryWindow) -> ResidualReport:
@@ -246,31 +282,50 @@ def check_dh(window: TrajectoryWindow) -> ResidualReport:
     )
 
 
-def simons_residual_field(geom: GeometryPack) -> np.ndarray:
-    """Pointwise residual tensor [a,i,j] of the commutation identity."""
-    ginv = geom.inverse_metric
-    h = geom.second_form
+def _commutation_curvature_terms(geom: GeometryPack) -> np.ndarray:
+    """[a, i, j] = 2 g^kp g^lq R_ikjl h^a_pq - g^pq B_ijp X^a_q
+    - g^pq R_ip h^a_jq - g^pq R_jp h^a_iq, B_ijp = grad_i R_jp + grad_j R_ip
+    - grad_p R_ij, with Gauss curvature.
+
+    The inverse metrics are applied before the contractions: X, h and the
+    Ricci tensor are raised once (g^pq X^a_q, g^kp g^lq h^a_pq, g^pq R_ip),
+    so each term is one sum over an index or an index pair.
+    """
+    M = range(geom.grid.m)
+    ginv = components_first(geom.inverse_metric, 2)
+    h = components_first(geom.second_form, 3)
+    X = components_first(geom.first_derivs, 2)
     curv = curvature_gauss(geom)
-    lap_h = laplacian(h, geom, "ll")
-    DR = covariant_derivative(curv.ricci, geom, "ll")  # [p, i, j] = grad_p R_ij
-    # DR[..., d, a, b] = grad_d R_ab; build B_ijp = grad_i R_jp + grad_j R_ip
-    # - grad_p R_ij by axis renaming
-    B = (
-        np.einsum("...ijp->...ijp", DR)
-        + np.einsum("...jip->...ijp", DR)
-        - np.einsum("...pij->...ijp", DR)
+    riem = components_first(curv.riemann, 4)
+    ric = components_first(curv.ricci, 2)
+    B = _index_combination(
+        components_first(covariant_derivative(curv.ricci, geom, "ll"), 3)
     )
-    term_grad_ricci = -np.einsum(
-        "...pq,...ijp,...aq->...aij", ginv, B, geom.first_derivs
+    Xu = sum_of_products((ginv[:, q], X[:, None, q]) for q in M)  # [a, p]
+    hu = sum_of_products((ginv[:, p, None], h[:, None, p]) for p in M)
+    hu = sum_of_products((ginv[:, q], hu[:, :, None, q]) for q in M)  # [a, k, l]
+    ricu = sum_of_products((ginv[:, p], ric[:, None, p]) for p in M)  # [i, q]
+    out = sum_of_products(
+        (riem[None, :, k, :, l], hu[:, k, l, None, None]) for k in M for l in M
     )
-    term_riemann = 2.0 * np.einsum(
-        "...kp,...lq,...ikjl,...apq->...aij", ginv, ginv, curv.riemann, h
-    )
-    term_ricci = -np.einsum(
-        "...pq,...ip,...ajq->...aij", ginv, curv.ricci, h
-    ) - np.einsum("...pq,...jp,...aiq->...aij", ginv, curv.ricci, h)
-    rhs = lap_h + term_grad_ricci + term_riemann + term_ricci
-    return grad_grad_H(geom) - rhs
+    out *= 2.0
+    out -= sum_of_products((B[None, :, :, p], Xu[:, p, None, None]) for p in M)
+    out -= sum_of_products((ricu[None, :, q, None], h[:, None, :, q]) for q in M)
+    out -= sum_of_products((ricu[None, None, :, q], h[:, :, None, q]) for q in M)
+    return components_last(out, 3)
+
+
+def simons_residual_field(geom: GeometryPack) -> np.ndarray:
+    """Pointwise residual tensor [a,i,j] of the commutation identity.
+
+    The Laplacian runs first, so that no temporary of the curvature terms
+    is alive during its own peak.
+    """
+    rhs = laplacian(geom.second_form, geom, "ll")
+    rhs += _commutation_curvature_terms(geom)
+    out = grad_grad_H(geom)
+    out -= rhs
+    return out
 
 
 def check_simons(geom: GeometryPack) -> ResidualReport:
@@ -350,8 +405,6 @@ def _require_spd_2d(g):
 
 def gauss_cross_check(geom: GeometryPack) -> ResidualReport:
     """Sup difference of the two independent curvature computations."""
-    from .geometry import curvature_intrinsic
-
     cg = curvature_gauss(geom)
     ci = curvature_intrinsic(geom)
     diff = cg.riemann - ci.riemann

@@ -112,6 +112,24 @@ BAD_CONFIGS = {
     "simulate-fixed-dt-text": (
         "simulate", changed(SIMULATE_CONFIG, policy={"fixed_dt": "fast"}), "'fixed_dt'"
     ),
+    "simulate-sample-time-null": (
+        "simulate",
+        changed(SIMULATE_CONFIG, sample_times=[0.0, None]),
+        "'sample_times'",
+    ),
+    "simulate-sample-time-text": (
+        "simulate",
+        changed(SIMULATE_CONFIG, sample_times=[0.0, "soon"]),
+        "'sample_times'",
+    ),
+    "simulate-sample-time-nan": (
+        "simulate",
+        changed(SIMULATE_CONFIG, sample_times=[0.0, float("nan")]),
+        "'sample_times'",
+    ),
+    "simulate-sample-times-number": (
+        "simulate", changed(SIMULATE_CONFIG, sample_times=0.01), "'sample_times'"
+    ),
     "convergence-resolution-null": (
         "convergence",
         changed(CONVERGENCE_CONFIG, resolutions=[16, None, 64]),
@@ -192,6 +210,19 @@ class TestSimulateVerb:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,file,volume"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("samples", ["absent", None])
+    def test_no_sample_times_store_initial_and_final_states(self, tmp_path, samples):
+        config = dict(SIMULATE_CONFIG)
+        if samples != "absent":
+            config["sample_times"] = samples
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_OK
+        times = [
+            float(line.split(",")[0])
+            for line in (out / "trajectory.csv").read_text().splitlines()[1:]
+        ]
+        assert times == [0.0, pytest.approx(SIMULATE_CONFIG["T"])]
 
     def test_checkpoint_roundtrips_as_initial_data(self, tmp_path):
         config = {

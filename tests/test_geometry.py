@@ -7,13 +7,14 @@ from mcflab import geometry, shapes
 from mcflab.geometry import (
     _check_nondegenerate,
     compute_geometry,
+    contract_with_metric,
     covariant_derivative,
     curvature_gauss,
     curvature_intrinsic,
     geometry_kernel,
     laplacian,
-    normality_residual,
     tensor_norm_sq,
+    tensor_norm_sup,
     trace_identity_residual,
 )
 from mcflab.grid import (
@@ -24,7 +25,7 @@ from mcflab.grid import (
     second_partial,
 )
 
-from conftest import stencil_symbols
+from conftest import REFERENCE_MAKERS, stencil_symbols
 
 
 class TestInducedMetric:
@@ -82,6 +83,14 @@ class TestChristoffels:
         assert np.array_equal(
             geom.christoffels, np.swapaxes(geom.christoffels, -1, -2)
         )
+
+
+def normality_residual(geom):
+    """Sup of |<h_ij, d_k X> g^kl| in g; O(h^2) for a true immersion."""
+    h, X = geom.second_form, geom.first_derivs
+    tang = (h[..., None] * X[..., :, None, None, :]).sum(axis=-4)  # [i, j, k]
+    tang = contract_with_metric(tang, geom.inverse_metric, -1)
+    return tensor_norm_sup(tang, geom, "llu")
 
 
 class TestSecondFundamentalForm:
@@ -262,30 +271,12 @@ def einsum_geometry(imm):
     return g, gamma, h, H
 
 
-def space_curve(grid):
-    (t,) = grid.coordinates()
-    pos = np.stack([1.5 * np.cos(t), np.sin(t), 0.3 * np.sin(3 * t)], axis=-1)
-    return Immersion(grid, pos)
-
-
-def torus_of_revolution(grid):
-    u, v = grid.coordinates()
-    ring = 1.0 + 0.4 * np.cos(v)
-    pos = np.stack([ring * np.cos(u), ring * np.sin(u), 0.4 * np.sin(v)], axis=-1)
-    return Immersion(grid, pos)
-
-
 class TestKernelAgainstEinsum:
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize(
         "maker",
-        [
-            lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0),
-            lambda o: space_curve(GridSpec(1, 32, o)),
-            lambda o: torus_of_revolution(GridSpec(2, 16, o)),
-            lambda o: shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2),
-        ],
-        ids=["m1-codim1", "m1-codim2", "m2-codim1", "m2-codim2"],
+        list(REFERENCE_MAKERS.values()),
+        ids=list(REFERENCE_MAKERS),
     )
     def test_fields_match_reference(self, maker, order):
         imm = maker(order)
@@ -311,13 +302,8 @@ class TestKernelBatchAxis:
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize(
         "maker",
-        [
-            lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0),
-            lambda o: space_curve(GridSpec(1, 32, o)),
-            lambda o: torus_of_revolution(GridSpec(2, 16, o)),
-            lambda o: shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2),
-        ],
-        ids=["m1-codim1", "m1-codim2", "m2-codim1", "m2-codim2"],
+        list(REFERENCE_MAKERS.values()),
+        ids=list(REFERENCE_MAKERS),
     )
     def test_members_match_single_kernels(self, maker, order):
         a = maker(order)
@@ -338,6 +324,51 @@ class TestKernelBatchAxis:
                     # the batch axis sits right after the grid axes
                     member_part = g[(slice(None),) * grid.m + (member,)]
                     assert np.array_equal(member_part, w), name
+
+
+# --- the einsum formulation as reference for the curvature layer -----------
+
+
+def einsum_curvature(geom):
+    """{source: (Riemann, Ricci)} of both curvature paths by einsum."""
+    grid, gamma, h = geom.grid, geom.christoffels, geom.second_form
+
+    def ricci(R):
+        return np.einsum("...kl,...ikjl->...ij", geom.inverse_metric, R)
+
+    gauss = np.einsum("...aik,...ajl->...ijkl", h, h) - np.einsum(
+        "...ail,...ajk->...ijkl", h, h
+    )
+    dgamma = np.stack([partial(grid, gamma, d) for d in range(grid.m)], axis=-4)
+    Rup = (
+        np.einsum("...iljk->...lijk", dgamma)
+        - np.einsum("...jlik->...lijk", dgamma)
+        + np.einsum("...lip,...pjk->...lijk", gamma, gamma)
+        - np.einsum("...ljp,...pik->...lijk", gamma, gamma)
+    )
+    intrinsic = np.einsum("...im,...mklj->...ijkl", geom.metric, Rup)
+    return {
+        "gauss": (gauss, ricci(gauss)),
+        "intrinsic": (intrinsic, ricci(intrinsic)),
+    }
+
+
+class TestCurvatureAgainstEinsum:
+    """Both curvature paths sum in index order; the bound allows reordered
+    rounding (numpy 2.4 gives the einsum's bits on these immersions)."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "maker", list(REFERENCE_MAKERS.values()), ids=list(REFERENCE_MAKERS)
+    )
+    def test_tensors_match_reference(self, maker, order):
+        geom = compute_geometry(maker(order))
+        ref = einsum_curvature(geom)
+        for pack in (curvature_gauss(geom), curvature_intrinsic(geom)):
+            for got, want in zip((pack.riemann, pack.ricci), ref[pack.source]):
+                assert got.shape == want.shape
+                # m = 1 tensors are exact zeros on both sides
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # --- the einsum formulation as reference for the covariant layer -----------

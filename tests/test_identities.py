@@ -14,12 +14,20 @@ import pytest
 from mcflab import GridSpec, compute_geometry
 from mcflab import shapes
 from mcflab.flow import FlowTrajectory, run_fixed_dt
-from mcflab.grid import DegenerateImmersionError, SymmetryAction, apply_symmetry
+from mcflab.geometry import covariant_derivative, curvature_gauss, laplacian
+from mcflab.grid import (
+    DegenerateImmersionError,
+    SymmetryAction,
+    apply_symmetry,
+    partial,
+)
 from mcflab.identities import (
     ANCHORS,
     ProtocolError,
     ResidualReport,
     TrajectoryWindow,
+    _connection_rhs,
+    _second_form_rhs,
     check_dGamma,
     check_dX,
     check_dg,
@@ -27,11 +35,15 @@ from mcflab.identities import (
     check_simons,
     five_point_derivative,
     gauss_cross_check,
+    grad_grad_H,
+    grad_H,
     measure_bernstein,
     measure_equivalence,
+    metric_rhs,
+    simons_residual_field,
 )
 
-from conftest import stencil_symbols
+from conftest import REFERENCE_MAKERS, stencil_symbols
 
 
 def short_run(imm, dt=1e-5, n_steps=4):
@@ -168,6 +180,74 @@ class TestGaussCrossCheck:
     def test_exact_for_curves(self):
         geom = compute_geometry(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
         assert gauss_cross_check(geom).sup_residual == 0.0
+
+
+# --- the einsum formulation as reference for the identity layer ------------
+
+
+def einsum_identity_fields(geom):
+    """metric_rhs, grad_H, the connection and second-form right-hand sides
+    and the commutation residual by einsum contractions; the covariant
+    derivatives, the Laplacian and the Gauss curvature come from the
+    package, whose own einsum references are in test_geometry.py."""
+    ginv, h, X = geom.inverse_metric, geom.second_form, geom.first_derivs
+    S = np.einsum("...a,...aij->...ij", geom.mean_curv, h)
+    DS = covariant_derivative(S, geom, "ll")
+    sym = np.einsum("...ijl->...lij", DS) + np.einsum("...jil->...lij", DS) - DS
+    conn = -np.einsum("...kl,...lij->...kij", ginv, sym)
+    second = grad_grad_H(geom) - np.einsum("...kij,...ak->...aij", conn, X)
+
+    curv = curvature_gauss(geom)
+    R, ric = curv.riemann, curv.ricci
+    DR = covariant_derivative(ric, geom, "ll")
+    B = DR + np.einsum("...jip->...ijp", DR) - np.einsum("...pij->...ijp", DR)
+    rhs = (
+        laplacian(h, geom, "ll")
+        - np.einsum("...pq,...ijp,...aq->...aij", ginv, B, X)
+        + 2.0 * np.einsum("...kp,...lq,...ikjl,...apq->...aij", ginv, ginv, R, h)
+        - np.einsum("...pq,...ip,...ajq->...aij", ginv, ric, h)
+        - np.einsum("...pq,...jp,...aiq->...aij", ginv, ric, h)
+    )
+    grid, H = geom.grid, geom.mean_curv
+    grad = np.stack([partial(grid, H, d) for d in range(grid.m)], axis=-1)
+    return {
+        "metric_rhs": -2.0 * S,
+        "grad_H": grad,
+        "connection": conn,
+        "second_form": second,
+        "simons": grad_grad_H(geom) - rhs,
+    }
+
+
+class TestIdentityLayerAgainstEinsum:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize(
+        "maker", list(REFERENCE_MAKERS.values()), ids=list(REFERENCE_MAKERS)
+    )
+    def test_fields_match_reference(self, maker, order):
+        geom = compute_geometry(maker(order))
+        ref = einsum_identity_fields(geom)
+        # H of a flow is a family of scalars: no Christoffel term
+        assert np.array_equal(grad_H(geom), ref["grad_H"])
+        if geom.mean_curv.shape[-1] in (2, 4):
+            # the diff-system reports print these bits (circles and tori)
+            assert np.array_equal(metric_rhs(geom), ref["metric_rhs"])
+        else:
+            # einsum does not add three terms in index order
+            want = ref["metric_rhs"]
+            assert np.abs(metric_rhs(geom) - want).max() <= 1e-15 * np.abs(want).max()
+        for got, want in [
+            (_connection_rhs(geom), ref["connection"]),
+            (_second_form_rhs(geom), ref["second_form"]),
+        ]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the residual is the difference of terms of the size of grad grad H
+        # and nearly cancels, so its drift is bounded on that scale
+        got, want = simons_residual_field(geom), ref["simons"]
+        assert got.shape == want.shape
+        scale = np.abs(grad_grad_H(geom)).max()
+        assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 class TestBernsteinTable:
