@@ -38,7 +38,7 @@ from .flow import (
     run_paired_fixed_dt,
     step_rk4,
 )
-from .geometry import compute_geometry
+from .geometry import compute_geometry, curvature_gauss
 from .grid import (
     GridSpec,
     Immersion,
@@ -84,8 +84,21 @@ def _value(cfg: dict, key: str, default=None, kind=float, context="config"):
     raw = cfg.get(key, default)
     try:
         return kind(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {key!r} in {context}: {raw!r} ({exc})") from exc
+
+
+def _integer(value) -> int:
+    """int(value) of an integral number; 16.9 or "16" is an error, not 16."""
+    x = int(value)
+    if x != value:
+        raise ValueError("must be an integer")
+    return x
+
+
+def _integers(values) -> list:
+    """_integer of each entry of a list, or of a single number."""
+    return [_integer(v) for v in np.atleast_1d(values)]
 
 
 def _floats(values) -> list:
@@ -113,6 +126,8 @@ def _positive(kind):
 
 
 def _check_keys(d: dict, allowed, context: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"section {context!r} must be an object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(
@@ -123,13 +138,12 @@ def _check_keys(d: dict, allowed, context: str):
 
 def _build_grid(cfg: dict) -> GridSpec:
     _check_keys(cfg, {"m", "resolution", "derivative_order"}, "grid")
+    m = _value(cfg, "m", 1, _integer, "grid")
+    N = _value(cfg, "resolution", kind=_integer, context="grid")
+    order = _value(cfg, "derivative_order", 2, _integer, "grid")
     try:
-        return GridSpec(
-            int(cfg.get("m", 1)),
-            int(cfg["resolution"]),
-            int(cfg.get("derivative_order", 2)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return GridSpec(m, N, order)
+    except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -160,7 +174,7 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
             num("amplitude", 0.1),
         )
     if kind == "checkpoint":
-        path = cfg.get("path", "")
+        path = num("path", "", os.fspath)
         if not os.path.isfile(path):
             raise ConfigError(f"geometry checkpoint {path!r} does not exist")
         imm = read_immersion(path, grid.derivative_order)
@@ -177,14 +191,17 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
 def _build_symmetry(cfg: dict, grid: GridSpec, ambient: int) -> SymmetryAction:
     _check_keys(cfg, {"matrix", "translation", "permutation"}, "symmetry")
     Q = _value(cfg, "matrix", kind=lambda v: np.asarray(v, float), context="symmetry")
-    b = np.asarray(cfg.get("translation", [0.0] * ambient), dtype=float)
+    b = np.asarray(_value(cfg, "translation", [0.0] * ambient, _floats, "symmetry"))
     perm_cfg = cfg.get("permutation", {})
-    _check_keys(perm_cfg, {"type", "offsets", "axes"}, "symmetry.permutation")
+    context = "symmetry.permutation"
+    _check_keys(perm_cfg, {"type", "offsets", "axes"}, context)
     ptype = perm_cfg.get("type")
     if ptype == "shift":
-        perm = shift_permutation(grid, np.asarray(perm_cfg["offsets"], dtype=int))
+        offsets = _value(perm_cfg, "offsets", kind=_integers, context=context)
+        perm = shift_permutation(grid, np.asarray(offsets, dtype=int))
     elif ptype == "reflection":
-        perm = reflection_permutation(grid, perm_cfg.get("axes", [0]))
+        axes = _value(perm_cfg, "axes", [0], _integers, context)
+        perm = reflection_permutation(grid, axes)
     else:
         raise ConfigError(f"unknown permutation type {ptype!r}")
     try:
@@ -218,7 +235,9 @@ def _identity_suite(initial: Immersion, dt: float):
     # the single-instant checks run while the window holds one state, so the
     # suite's peak memory stays that of one evolution check
     center = window.geometry(2)
-    single = [check_simons(center), gauss_cross_check(center)]
+    curv = curvature_gauss(center)
+    single = [check_simons(center, curv), gauss_cross_check(center, curv)]
+    del curv
     checks = (check_dX, check_dg, check_dGamma, check_dh)
     return [check(window) for check in checks] + single
 
@@ -338,8 +357,8 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
     action = _build_symmetry(cfg.get("symmetry", {}), grid, initial.ambient_dim)
-    steps = _value(cfg, "steps", 2000, _positive(int))
-    record_every = _value(cfg, "record_every", 10, _positive(int))
+    steps = _value(cfg, "steps", 2000, _positive(_integer))
+    record_every = _value(cfg, "record_every", 10, _positive(_integer))
     tol = _value(cfg, "tolerance", 1e-10)
     if cfg.get("dt") is None:
         dt = StepPolicy().step_size(compute_geometry(initial).metric, grid.spacing)
@@ -405,8 +424,8 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
         initB = shapes.low_mode_perturbation(
             initA,
             _value(pert, "amplitude", 1e-3, context="perturbation"),
-            _value(cfg, "seed", 0, int),
-            _value(pert, "max_mode", 3, int, "perturbation"),
+            _value(cfg, "seed", 0, _integer),
+            _value(pert, "max_mode", 3, _integer, "perturbation"),
         )
     else:
         initB = initA
@@ -415,7 +434,8 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     if not 0.0 < delta < T:
         raise ConfigError(f"delta={delta} must lie strictly inside (0, T={T})")
     dt = _value(cfg, "dt", grid.spacing**2 / 20.0, _positive(float))
-    store_every = _value(cfg, "store_every", max(1, round(T / dt / 60)), _positive(int))
+    every = max(1, round(T / dt / 60))
+    store_every = _value(cfg, "store_every", every, _positive(_integer))
     n_steps = int(round(T / dt))
     n_steps -= n_steps % store_every
     trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
@@ -423,7 +443,7 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     report = verify_inequalities(window, delta)
     rep_dd = check_dd(window)
     rep_dw = check_dw(window)
-    env = forward_gronwall(report, delta)
+    env = forward_gronwall(report)
     _write(out_dir, "inequality_report.txt", report.serialize())
     body = rep_dd.CSV_HEADER + ",anchor\n"
     body += f"{rep_dd.csv_row()},{rep_dd.anchor}\n"
@@ -463,7 +483,7 @@ def run_convergence(cfg: dict, out_dir: str) -> int:
         {"kind", "seed", "grid", "geometry", "resolutions", "dt", "min_order"},
         "config",
     )
-    resolutions = _value(cfg, "resolutions", [], lambda rs: [int(r) for r in rs])
+    resolutions = _value(cfg, "resolutions", [], _integers)
     if len(resolutions) < 3:
         raise ConfigError("need at least 3 resolutions, each double the last")
     for a, b in zip(resolutions, resolutions[1:]):
@@ -564,14 +584,13 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if config.get("kind", args.verb) != args.verb:
-        print(
-            f"config kind {config.get('kind')!r} does not match verb {args.verb!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    config.setdefault("kind", args.verb)
     try:
+        if not isinstance(config, dict):
+            raise ConfigError(f"not a JSON object: {config!r}")
+        if config.setdefault("kind", args.verb) != args.verb:
+            raise ConfigError(
+                f"config kind {config['kind']!r} does not match verb {args.verb!r}"
+            )
         return run_experiment(config, args.out)
     except (ConfigError, ProtocolError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ together with the direct sums
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
 pair; `check_dd` and `check_dw` are `identities.evolution_check` runs whose
-right-hand sides are differences of the single-flow ones.  Backwards-in-time
+right-hand sides are differences of the single-flow ones, and
+`check_N_integral` takes d/dt N at every state from the window.  Backwards-in-time
 integration is never attempted; the uniqueness mechanism is exercised only
 through these forward-in-time inequality measurements.
 """
@@ -28,13 +29,13 @@ from .geometry import (
     covariant_derivative,
     laplacian,
     tensor_norm_sq,
+    tensor_norm_sup,
 )
 from .identities import (
     ProtocolError,
     ResidualReport,
     SampleWindow,
     evolution_check,
-    five_point_derivative,
     grad_H,
     metric_rhs,
 )
@@ -159,26 +160,22 @@ def check_N_integral(window: PairedWindow):
     nonnegative up to time-discretization error.
     """
     n = len(window)
-    norm_dN = np.empty((n,) + window.geometry(0).grid.shape)
-    N_fields = [window.item(k).N for k in range(n)]
-    times = window.times
-    dt = window.dt
-    for k in range(n):
-        lo = max(0, min(k - 2, n - 5))
-        stencil = N_fields[lo : lo + 5]
-        # derivative at offset k-lo of the 5-point stencil
-        dN = five_point_derivative(stencil, k - lo, dt)
-        geom = window.geometry(k)
-        norm_dN[k] = np.sqrt(tensor_norm_sq(dN, geom, "ull"))
+    geoms = [window.geometry(k) for k in range(n)]
+    N_final = window.item(n - 1).N
+    # pointwise g-norms of d/dt N and of N - N(T) at every stored state
+    norm_dN = np.sqrt([
+        tensor_norm_sq(window.time_derivative(k, lambda q: q.N), geoms[k], "ull")
+        for k in range(n)
+    ])
+    lhs_all = np.sqrt([
+        tensor_norm_sq(window.item(k).N - N_final, geoms[k], "ull") for k in range(n)
+    ])
     rows = []
-    N_final = N_fields[-1]
-    for k in range(n):
-        geom = window.geometry(k)
-        lhs = np.sqrt(tensor_norm_sq(N_fields[k] - N_final, geom, "ull"))
-        rhs = np.trapezoid(norm_dN[k:], dx=dt, axis=0) if k < n - 1 else 0.0 * lhs
+    for k, (t, lhs) in enumerate(zip(window.times, lhs_all)):
+        rhs = np.trapezoid(norm_dN[k:], dx=window.dt, axis=0) if k < n - 1 else 0 * lhs
         rows.append(
             {
-                "t": float(times[k]),
+                "t": float(t),
                 "lhs_sup": float(lhs.max()),
                 "rhs_sup": float(np.max(rhs)),
                 "min_slack": float(np.min(rhs - lhs)),
@@ -266,13 +263,11 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     Kt = 0.0
     for k in range(len(window)):
         p = window.item(k)
-        K = max(K, float(np.sqrt(tensor_norm_sq(p.geomA.second_form, p.geomA, "ll").max())))
-        Kt = max(
-            Kt, float(np.sqrt(tensor_norm_sq(p.geomB.second_form, p.geomB, "ll").max()))
-        )
+        K = max(K, tensor_norm_sup(p.geomA.second_form, p.geomA, "ll"))
+        Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
     for c in window.centers:
         t = float(times[c])
-        if t < delta - 1e-12 or t > T + 1e-12:
+        if t < delta - 1e-12:
             continue
         p = window.item(c)
         lhs1 = heat_operator_Y(window, c)
@@ -284,8 +279,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
             C1 = max(C1, float((lhs1[ok] / core[ok]).max()))
             C2 = max(C2, float((lhs2[ok] / core[ok]).max()))
         flagged += int(np.sum(~ok & ((lhs1 > EPS_CORE) | (lhs2 > EPS_CORE))))
-        g = p.geomA
-        weight = g.sqrt_det * g.grid.spacing**g.grid.m
+        weight = p.geomA.cell_weight
         rows.append(
             {
                 "t": t,
@@ -311,14 +305,15 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     )
 
 
-def forward_gronwall(report: InequalityReport, delta: float):
-    """Exponential-envelope table for F = E_Y + E_Z on [delta, T].
+def forward_gronwall(report: InequalityReport):
+    """Exponential-envelope table for F = E_Y + E_Z on [report.delta, T].
 
     Checks dF/dt <= C* G with G = E_Y + E_gradY + E_Z, C* fitted as the
-    smallest constant over the energy rows of `report`, and emits the
-    induced envelope F(delta) * exp(lam (t - delta)) with lam = C* sup(G/F).
+    smallest constant over the energy rows of `report` (its sample times
+    past delta), and emits the induced envelope F(t0) * exp(lam (t - t0))
+    from the first row's time t0, with lam = C* sup(G/F).
     """
-    rows = [r for r in report.rows if r["t"] >= delta - 1e-12]
+    rows = report.rows
     if len(rows) < 2:
         raise ProtocolError("need at least two sample times past delta")
     t = np.array([r["t"] for r in rows])

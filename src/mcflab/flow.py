@@ -33,11 +33,10 @@ class BlowUpError(RuntimeError):
     """Non-finite positions or a degenerate metric appeared during the flow
     (typically near extinction)."""
 
-    def __init__(self, time, node=None):
+    def __init__(self, time, node):
         self.time = time
         self.node = node
-        where = f" at node {node}" if node is not None else ""
-        super().__init__(f"flow blew up at t={time:.6g}{where}")
+        super().__init__(f"flow blew up at t={time:.6g} at node {node}")
 
 
 class PolicyError(ValueError):
@@ -86,23 +85,19 @@ class FlowTrajectory:
     states: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
 
-    def append(self, imm: Immersion):
-        if self.states and imm.time <= self.states[-1].time:
-            raise PolicyError("trajectory times must be strictly increasing")
-        self.states.append(imm)
-
     @property
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
 
     def sample_dt(self) -> float:
-        """Uniform spacing of the stored states; raises if nonuniform."""
+        """Uniform spacing of the stored states; raises unless their times
+        increase uniformly."""
         t = self.times
         if len(t) < 2:
             raise PolicyError("need at least two states")
         dts = np.diff(t)
-        if np.any(np.abs(dts - dts[0]) > 1e-9 * max(abs(dts[0]), 1e-30)):
-            raise PolicyError("stored states are not uniformly spaced")
+        if not dts[0] > 0 or np.any(np.abs(dts - dts[0]) > 1e-9 * dts[0]):
+            raise PolicyError("stored states are not uniformly spaced in time")
         return float(dts[0])
 
 

@@ -54,15 +54,20 @@ class GeometryPack:
     def sqrt_det(self) -> np.ndarray:
         return np.sqrt(self.det_metric)
 
+    @property
+    def cell_weight(self) -> np.ndarray:
+        """Midpoint quadrature weight sqrt(det g) h^m of each node's cell."""
+        return self.sqrt_det * self.grid.spacing**self.grid.m
+
     def volume(self) -> float:
         """Total induced length/area by midpoint quadrature."""
         return float(np.sum(self.sqrt_det)) * self.grid.spacing**self.grid.m
 
 
-def _check_nondegenerate(det: np.ndarray, eps: float, m: int | None = None):
-    """Raise at the smallest det over all nodes and batch members; the node
-    keeps its first m (grid) indices only."""
-    if np.any(det < eps):
+def _check_nondegenerate(det: np.ndarray, m: int):
+    """Raise where det < EPS_IMMERSION, at the smallest det over all nodes
+    and batch members; the node keeps its first m (grid) indices only."""
+    if np.any(det < EPS_IMMERSION):
         idx = np.unravel_index(np.argmin(det), det.shape)
         raise DegenerateImmersionError(idx[:m], float(det[idx]))
 
@@ -119,12 +124,12 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
 
     if m == 1:
         det = g[0, 0]
-        _check_nondegenerate(det, EPS_IMMERSION, m)
+        _check_nondegenerate(det, m)
         ginv = {(0, 0): 1.0 / det}
         metric = det[..., None, None]
     else:
         det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        _check_nondegenerate(det, EPS_IMMERSION, m)
+        _check_nondegenerate(det, m)
         off = -g[0, 1] / det
         ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
         metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
@@ -294,6 +299,7 @@ def tensor_norm_sq(
 
 
 def tensor_norm_sup(field_arr, geom, index_spec) -> float:
+    """sup over nodes of the pointwise g-norm of a field."""
     return float(np.sqrt(tensor_norm_sq(field_arr, geom, index_spec).max()))
 
 

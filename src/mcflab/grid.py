@@ -387,9 +387,3 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
 
 def _index_text(index) -> str:
     return "(" + ", ".join(f"{float(i):g}" for i in index) + ")"
-
-
-def immersion_to_text(imm: Immersion) -> str:
-    buf = io.StringIO()
-    write_immersion(imm, buf)
-    return buf.getvalue()

@@ -3,7 +3,8 @@
 Every evolution check, of one flow (`TrajectoryWindow`) or of the difference
 of two (`differences.PairedWindow`), is one `evolution_check` loop over a
 `SampleWindow`: the 4th-order central time difference of a stored field
-against the algebraic right-hand side at each center state.  One builder,
+against the algebraic right-hand side at each center state; the window's
+`time_derivative` also serves the end states, one-sided.  One builder,
 `residual_report`, measures every residual tensor pointwise in the evolving
 induced metric g(t); per ambient-coordinate families contribute in
 Frobenius over the ambient label.
@@ -24,16 +25,17 @@ import numpy as np
 
 from .flow import FlowTrajectory, ProtocolError
 from .geometry import (
+    CurvaturePack,
     GeometryPack,
     components_first,
     components_last,
     compute_geometry,
     covariant_derivative,
-    curvature_gauss,
     curvature_intrinsic,
     laplacian,
     sum_of_products,
     tensor_norm_sq,
+    tensor_norm_sup,
 )
 from .grid import DegenerateImmersionError
 
@@ -81,22 +83,18 @@ class ResidualReport:
     t_center: float
     sup_residual: float
     l2_residual: float
-    order_estimate: float | None = None
-    anchor: str = ""
 
-    def __post_init__(self):
-        if not self.anchor:
-            self.anchor = ANCHORS.get(self.identity, "")
+    @property
+    def anchor(self) -> str:
+        return ANCHORS.get(self.identity, "")
 
+    # orders are fitted by the convergence verb: order_estimate stays empty
     CSV_HEADER = "identity,N,dt,t,sup_residual,l2_residual,order_estimate"
 
     def csv_row(self) -> str:
-        order = "" if self.order_estimate is None else format(
-            self.order_estimate, ".6g"
-        )
         return (
             f"{self.identity},{self.resolution},{self.dt!r},{self.t_center!r},"
-            f"{self.sup_residual!r},{self.l2_residual!r},{order}"
+            f"{self.sup_residual!r},{self.l2_residual!r},"
         )
 
 
@@ -124,10 +122,14 @@ class SampleWindow:
     def centers(self):
         return range(2, len(self) - 2)
 
-    def time_derivative(self, c: int, field_of) -> np.ndarray:
-        """4th-order central d/dt of field_of(item) at center c."""
-        fields = [field_of(self.item(k)) for k in range(c - 2, c + 3)]
-        return five_point_derivative(fields, 2, self.dt)
+    def time_derivative(self, k: int, field_of) -> np.ndarray:
+        """4th-order d/dt of field_of(item) at state k: central at the
+        centers, one-sided on the five end states near either end."""
+        if not 0 <= k < len(self):
+            raise IndexError(f"state {k} outside the window of {len(self)}")
+        lo = min(max(k - 2, 0), len(self) - 5)
+        fields = [field_of(self.item(j)) for j in range(lo, lo + 5)]
+        return five_point_derivative(fields, k - lo, self.dt)
 
 
 class TrajectoryWindow(SampleWindow):
@@ -165,14 +167,13 @@ def five_point_derivative(fields, j: int, dt: float) -> np.ndarray:
 def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport:
     """Sup and volume-weighted L2 of the g-norm of a residual tensor field."""
     sq = tensor_norm_sq(resid, geom, index_spec)
-    weight = geom.sqrt_det * geom.grid.spacing**geom.grid.m
     return ResidualReport(
         identity=identity,
         resolution=geom.grid.resolution,
         dt=dt,
         t_center=geom.immersion.time,
         sup_residual=float(np.sqrt(max(sq.max(), 0.0))),
-        l2_residual=float(np.sqrt(np.sum(sq * weight))),
+        l2_residual=float(np.sqrt(np.sum(sq * geom.cell_weight))),
     )
 
 
@@ -282,10 +283,12 @@ def check_dh(window: TrajectoryWindow) -> ResidualReport:
     )
 
 
-def _commutation_curvature_terms(geom: GeometryPack) -> np.ndarray:
+def _commutation_curvature_terms(
+    geom: GeometryPack, curv: CurvaturePack
+) -> np.ndarray:
     """[a, i, j] = 2 g^kp g^lq R_ikjl h^a_pq - g^pq B_ijp X^a_q
     - g^pq R_ip h^a_jq - g^pq R_jp h^a_iq, B_ijp = grad_i R_jp + grad_j R_ip
-    - grad_p R_ij, with Gauss curvature.
+    - grad_p R_ij, with the Gauss curvature curv of geom.
 
     The inverse metrics are applied before the contractions: X, h and the
     Ricci tensor are raised once (g^pq X^a_q, g^kp g^lq h^a_pq, g^pq R_ip),
@@ -295,7 +298,6 @@ def _commutation_curvature_terms(geom: GeometryPack) -> np.ndarray:
     ginv = components_first(geom.inverse_metric, 2)
     h = components_first(geom.second_form, 3)
     X = components_first(geom.first_derivs, 2)
-    curv = curvature_gauss(geom)
     riem = components_first(curv.riemann, 4)
     ric = components_first(curv.ricci, 2)
     B = _index_combination(
@@ -315,23 +317,24 @@ def _commutation_curvature_terms(geom: GeometryPack) -> np.ndarray:
     return components_last(out, 3)
 
 
-def simons_residual_field(geom: GeometryPack) -> np.ndarray:
-    """Pointwise residual tensor [a,i,j] of the commutation identity.
+def simons_residual_field(geom: GeometryPack, curv: CurvaturePack) -> np.ndarray:
+    """Pointwise residual tensor [a,i,j] of the commutation identity, with
+    curv = curvature_gauss(geom).
 
     The Laplacian runs first, so that no temporary of the curvature terms
     is alive during its own peak.
     """
     rhs = laplacian(geom.second_form, geom, "ll")
-    rhs += _commutation_curvature_terms(geom)
+    rhs += _commutation_curvature_terms(geom, curv)
     out = grad_grad_H(geom)
     out -= rhs
     return out
 
 
-def check_simons(geom: GeometryPack) -> ResidualReport:
-    """Commutation identity at a single instant; no time derivative involved."""
+def check_simons(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:
+    """Commutation identity at one instant, with curv = curvature_gauss(geom)."""
     return residual_report(
-        "second_form_commutation", geom, simons_residual_field(geom), "ll"
+        "second_form_commutation", geom, simons_residual_field(geom, curv), "ll"
     )
 
 
@@ -343,10 +346,8 @@ def measure_bernstein(traj: FlowTrajectory, k_max: int = 2):
         field_arr = geom.second_form
         spec = "ll"
         for k in range(k_max + 1):
-            sq = tensor_norm_sq(field_arr, geom, spec)
-            rows.append(
-                {"t": state.time, "k": k, "sup": float(np.sqrt(sq.max()))}
-            )
+            sup = tensor_norm_sup(field_arr, geom, spec)
+            rows.append({"t": state.time, "k": k, "sup": sup})
             if k < k_max:
                 field_arr = covariant_derivative(field_arr, geom, spec)
                 spec = "l" + spec
@@ -357,20 +358,13 @@ def measure_equivalence(gA: np.ndarray, gB: np.ndarray) -> float:
     """Smallest gamma >= 1 with gamma^-1 gA <= gB <= gamma gA at every node."""
     if gA.shape != gB.shape:
         raise ProtocolError("metric fields must share a shape")
-    m = gA.shape[-1]
-    if m == 1:
-        a = gA[..., 0, 0]
-        b = gB[..., 0, 0]
-        _require_spd_1d(a)
-        _require_spd_1d(b)
-        lam_min = lam_max = b / a
+    det_a = _require_spd(gA)
+    det_b = _require_spd(gB)
+    if gA.shape[-1] == 1:
+        lam_min = lam_max = det_b / det_a
     else:
-        _require_spd_2d(gA)
-        _require_spd_2d(gB)
-        # eigenvalues of the SPD pencil gB v = lambda gA v via gA^-1 gB
-        det_a = gA[..., 0, 0] * gA[..., 1, 1] - gA[..., 0, 1] ** 2
-        det_b = gB[..., 0, 0] * gB[..., 1, 1] - gB[..., 0, 1] ** 2
-        # trace of gA^-1 gB
+        # eigenvalues of the SPD pencil gB v = lambda gA v from the trace
+        # and det of gA^-1 gB
         tr = (
             gA[..., 1, 1] * gB[..., 0, 0]
             - 2.0 * gA[..., 0, 1] * gB[..., 0, 1]
@@ -384,33 +378,27 @@ def measure_equivalence(gA: np.ndarray, gB: np.ndarray) -> float:
     return max(gamma, 1.0)
 
 
-def _require_spd_1d(a):
-    if np.any(a <= 0):
-        raise DegenerateImmersionError(
-            np.unravel_index(int(np.argmin(a)), a.shape), float(a.min())
-        )
-
-
-def _require_spd_2d(g):
-    """Raise at the first node (C order) where det(g) <= 0 or g_00 <= 0,
-    naming the quantity that failed there."""
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    bad = (det <= 0) | (g[..., 0, 0] <= 0)
+def _require_spd(g: np.ndarray) -> np.ndarray:
+    """det g of a metric field (grid + (m, m), m = 1 or 2).  Raises at the
+    first node (C order) where det(g) <= 0 or g_00 <= 0, naming the
+    quantity that failed there."""
+    g00 = g[..., 0, 0]
+    det = g00 if g.shape[-1] == 1 else g00 * g[..., 1, 1] - g[..., 0, 1] ** 2
+    bad = (det <= 0) | (g00 <= 0)
     if np.any(bad):
         node = np.unravel_index(int(np.argmax(bad)), bad.shape)
         if det[node] <= 0:
             raise DegenerateImmersionError(node, float(det[node]))
-        raise DegenerateImmersionError(node, float(g[node][0, 0]), "g_00")
+        raise DegenerateImmersionError(node, float(g00[node]), "g_00")
+    return det
 
 
-def gauss_cross_check(geom: GeometryPack) -> ResidualReport:
-    """Sup difference of the two independent curvature computations."""
-    cg = curvature_gauss(geom)
-    ci = curvature_intrinsic(geom)
-    diff = cg.riemann - ci.riemann
+def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:
+    """Sup difference of curv = curvature_gauss(geom) and curvature_intrinsic."""
+    diff = curv.riemann - curvature_intrinsic(geom).riemann
     sup = float(np.abs(diff).max())
-    weight = geom.sqrt_det * geom.grid.spacing**geom.grid.m
-    l2 = float(np.sqrt(np.sum((diff**2).sum(axis=tuple(range(-4, 0))) * weight)))
+    sq = (diff**2).sum(axis=tuple(range(-4, 0)))
+    l2 = float(np.sqrt(np.sum(sq * geom.cell_weight)))
     return ResidualReport(
         identity="gauss_cross_check",
         resolution=geom.grid.resolution,

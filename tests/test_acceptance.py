@@ -25,7 +25,7 @@ from mcflab.differences import (
     verify_inequalities,
 )
 from mcflab.flow import run_fixed_dt, step_rk4
-from mcflab.geometry import trace_identity_residual
+from mcflab.geometry import curvature_gauss, trace_identity_residual
 from mcflab.grid import SymmetryAction, apply_symmetry, reflection_permutation
 from mcflab.identities import (
     TrajectoryWindow,
@@ -103,27 +103,24 @@ def test_criterion_03_evolution_identity_orders():
 
 
 def test_criterion_04_commutation_identity_order():
-    sups = [
-        check_simons(
-            compute_geometry(shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1))
-        ).sup_residual
+    geoms = [
+        compute_geometry(shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1))
         for N in (16, 32, 64)
     ]
+    sups = [check_simons(g, curvature_gauss(g)).sup_residual for g in geoms]
     order = finest_pair_order(sups)
     emit(4, order >= 1.9, f"commutation-identity order {order:.2f} (target >= 1.9)")
 
 
 def test_criterion_05_curvature_cross_check():
-    sups = [
-        gauss_cross_check(
-            compute_geometry(shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1))
-        ).sup_residual
+    geoms = [
+        compute_geometry(shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1))
         for N in (16, 32, 64)
     ]
+    sups = [gauss_cross_check(g, curvature_gauss(g)).sup_residual for g in geoms]
     order = finest_pair_order(sups)
-    m1 = gauss_cross_check(
-        compute_geometry(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-    ).sup_residual
+    geom = compute_geometry(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
+    m1 = gauss_cross_check(geom, curvature_gauss(geom)).sup_residual
     emit(
         5,
         order >= 1.9 and m1 == 0.0,

@@ -11,10 +11,15 @@ from mcflab.grid import (
     CheckpointError,
     GridSpec,
     Immersion,
-    immersion_to_text,
     read_immersion,
     write_immersion,
 )
+
+
+def immersion_to_text(imm):
+    buf = io.StringIO()
+    write_immersion(imm, buf)
+    return buf.getvalue()
 
 
 def torus_lines(N=8):

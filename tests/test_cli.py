@@ -149,6 +149,97 @@ BAD_CONFIGS = {
         changed(IDENTITIES_CONFIG, geometry={"kind": "circle", "center": None}),
         "'center'",
     ),
+    # a section that is not an object
+    "grid-not-an-object": ("identities", changed(IDENTITIES_CONFIG, grid=5), "'grid'"),
+    "geometry-null": (
+        "identities", changed(IDENTITIES_CONFIG, geometry=None), "'geometry'"
+    ),
+    "policy-not-an-object": (
+        "simulate", changed(SIMULATE_CONFIG, policy=7), "'policy'"
+    ),
+    "permutation-not-an-object": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": "reflection"}),
+        "'symmetry.permutation'",
+    ),
+    "symmetry-shift-without-offsets": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, 1]],
+                                           "permutation": {"type": "shift"}}),
+        "'offsets'",
+    ),
+    "symmetry-translation-object": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry=dict(SYMMETRY_CONFIG["symmetry"],
+                                               translation={"x": 1.0})),
+        "'translation'",
+    ),
+    "geometry-path-not-text": (
+        "identities",
+        changed(IDENTITIES_CONFIG, geometry={"kind": "checkpoint", "path": [1]}),
+        "'path'",
+    ),
+    # integer keys reject non-integral numbers instead of truncating them
+    "grid-resolution-fractional": (
+        "identities",
+        changed(IDENTITIES_CONFIG, grid={"m": 1, "resolution": 16.9}),
+        "'resolution'",
+    ),
+    "grid-resolution-infinite": (
+        "identities",
+        changed(IDENTITIES_CONFIG, grid={"m": 1, "resolution": float("inf")}),
+        "'resolution'",
+    ),
+    "grid-m-fractional": (
+        "identities",
+        changed(IDENTITIES_CONFIG, grid={"m": 1.5, "resolution": 64}),
+        "'m'",
+    ),
+    "grid-derivative-order-fractional": (
+        "identities",
+        changed(IDENTITIES_CONFIG,
+                grid={"m": 1, "resolution": 64, "derivative_order": 2.5}),
+        "'derivative_order'",
+    ),
+    "symmetry-steps-fractional": (
+        "symmetry", changed(SYMMETRY_CONFIG, steps=20.5), "'steps'"
+    ),
+    "symmetry-record-every-fractional": (
+        "symmetry", changed(SYMMETRY_CONFIG, record_every=2.5), "'record_every'"
+    ),
+    "symmetry-offsets-fractional": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, 1]],
+                                           "permutation": {"type": "shift",
+                                                           "offsets": [1.5]}}),
+        "'offsets'",
+    ),
+    "symmetry-axes-fractional": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": [0.5]}}),
+        "'axes'",
+    ),
+    "diff-system-store-every-fractional": (
+        "diff-system", changed(DIFF_CONFIG, store_every=1.5), "'store_every'"
+    ),
+    "diff-system-seed-fractional": (
+        "diff-system",
+        changed(DIFF_CONFIG, ["geometry_b"], perturbation={}, seed=1.5),
+        "'seed'",
+    ),
+    "diff-system-max-mode-fractional": (
+        "diff-system",
+        changed(DIFF_CONFIG, ["geometry_b"], perturbation={"max_mode": 2.5}),
+        "'max_mode'",
+    ),
+    "convergence-resolution-fractional": (
+        "convergence",
+        changed(CONVERGENCE_CONFIG, resolutions=[16, 32.5, 64]),
+        "'resolutions'",
+    ),
 }
 
 
@@ -187,6 +278,26 @@ class TestIdentitiesVerb:
         reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
         assert len(reports) == 6
         assert len(times) == len(set(times)) == 5
+
+    def test_suite_evaluates_the_centre_curvature_once(self, monkeypatch):
+        calls = []
+
+        def counting(curvature):
+            def wrapper(geom):
+                calls.append(geom.immersion.time)
+                return curvature(geom)
+
+            return wrapper
+
+        # wherever the package holds curvature_gauss by name
+        for module in (cli, identities):
+            if hasattr(module, "curvature_gauss"):
+                monkeypatch.setattr(
+                    module, "curvature_gauss", counting(module.curvature_gauss)
+                )
+        reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
+        assert len(reports) == 6
+        assert calls == [2e-5]
 
     def test_report_bodies_are_deterministic(self, tmp_path):
         _, out1 = run_cli(tmp_path, "identities", IDENTITIES_CONFIG, "out1")
@@ -471,6 +582,12 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and key in err
         assert not (out / "summary.txt").exists()
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "identities", [IDENTITIES_CONFIG])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invalid configuration:")
+        assert not out.exists()
 
     def test_unknown_geometry_kind(self, tmp_path):
         cfg = dict(IDENTITIES_CONFIG)

@@ -229,7 +229,7 @@ class TestCoupledInequalities:
 class TestEnergyEnvelope:
     def test_forward_envelope_holds(self):
         for window in (circle_pair(), circle_ellipse_pair()):
-            rows = forward_gronwall(verify_inequalities(window, 2 * DT), 2 * DT)
+            rows = forward_gronwall(verify_inequalities(window, 2 * DT))
             for r in rows:
                 assert r["F"] <= r["envelope"] * (1.0 + 1e-9)
 

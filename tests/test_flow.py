@@ -271,17 +271,17 @@ class TestFixedDtProtocol:
         assert not kernel_calls
 
     def test_nonuniform_sampling_detected(self, unit_circle):
-        traj = FlowTrajectory()
-        for t in (0.0, 0.1, 0.25):
-            traj.append(unit_circle.with_positions(unit_circle.positions, time=t))
+        traj = FlowTrajectory(
+            [unit_circle.with_positions(unit_circle.positions, time=t)
+             for t in (0.0, 0.1, 0.25)]
+        )
         with pytest.raises(PolicyError):
             traj.sample_dt()
 
     def test_trajectory_requires_increasing_times(self, unit_circle):
-        traj = FlowTrajectory()
-        traj.append(unit_circle)
+        traj = FlowTrajectory([unit_circle, unit_circle])
         with pytest.raises(PolicyError):
-            traj.append(unit_circle)
+            traj.sample_dt()
 
 
 PAIRS = {

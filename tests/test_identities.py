@@ -58,6 +58,20 @@ class TestTimeDifference:
         d = five_point_derivative(fields, 2, dt)
         assert np.allclose(d, 4 * t[2] ** 3, atol=1e-12)
 
+    def test_window_is_one_sided_at_the_ends(self):
+        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        window = TrajectoryWindow(traj)
+        n = len(window)
+        metrics = [window.geometry(k).metric for k in range(n)]
+        ends = [(0, 0), (1, 0), (2, 0), (n - 3, n - 5), (n - 2, n - 5), (n - 1, n - 5)]
+        for k, lo in ends:
+            want = five_point_derivative(metrics[lo : lo + 5], k - lo, window.dt)
+            got = window.time_derivative(k, lambda geom: geom.metric)
+            assert np.array_equal(got, want)
+        for k in (-1, n):
+            with pytest.raises(IndexError):
+                window.time_derivative(k, lambda geom: geom.metric)
+
     @pytest.mark.parametrize("j", range(5))
     def test_exact_on_quartics_at_every_offset(self, j):
         dt = 0.5
@@ -141,30 +155,33 @@ class TestEvolutionChecks:
 
 class TestCommutationIdentity:
     def test_exact_on_circle(self):
-        rep = check_simons(compute_geometry(shapes.circle(GridSpec(1, 64), 1.0)))
+        geom = compute_geometry(shapes.circle(GridSpec(1, 64), 1.0))
+        rep = check_simons(geom, curvature_gauss(geom))
         assert rep.sup_residual < 1e-12
 
     def test_second_order_on_perturbed_torus(self):
         sups = []
         for N in (16, 32):
             imm = shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1)
-            sups.append(check_simons(compute_geometry(imm)).sup_residual)
+            geom = compute_geometry(imm)
+            sups.append(check_simons(geom, curvature_gauss(geom)).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_residual_scales_as_inverse_cube(self):
         # dilating the immersion by lam scales the g-norm of the [a,i,j]
         # residual tensor by lam^-3, exactly, in the discrete system
-        base = check_simons(
-            compute_geometry(shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.5, 0.1))
-        ).sup_residual
-        scaled = check_simons(
-            compute_geometry(shapes.perturbed_torus(GridSpec(2, 16), 2.0, 1.0, 0.2))
-        ).sup_residual
+        sups = []
+        for r1, r2, amplitude in ((1.0, 0.5, 0.1), (2.0, 1.0, 0.2)):
+            imm = shapes.perturbed_torus(GridSpec(2, 16), r1, r2, amplitude)
+            geom = compute_geometry(imm)
+            sups.append(check_simons(geom, curvature_gauss(geom)).sup_residual)
+        base, scaled = sups
         assert abs(scaled * 8.0 - base) < 1e-12 * base
 
     def test_accepts_geometry_pack(self):
         geom = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0))
-        assert check_simons(geom).identity == "second_form_commutation"
+        rep = check_simons(geom, curvature_gauss(geom))
+        assert rep.identity == "second_form_commutation"
 
 
 class TestGaussCrossCheck:
@@ -174,12 +191,12 @@ class TestGaussCrossCheck:
             geom = compute_geometry(
                 shapes.perturbed_torus(GridSpec(2, N), 1.0, 0.5, 0.1)
             )
-            sups.append(gauss_cross_check(geom).sup_residual)
+            sups.append(gauss_cross_check(geom, curvature_gauss(geom)).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_exact_for_curves(self):
         geom = compute_geometry(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-        assert gauss_cross_check(geom).sup_residual == 0.0
+        assert gauss_cross_check(geom, curvature_gauss(geom)).sup_residual == 0.0
 
 
 # --- the einsum formulation as reference for the identity layer ------------
@@ -244,7 +261,7 @@ class TestIdentityLayerAgainstEinsum:
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the residual is the difference of terms of the size of grad grad H
         # and nearly cancels, so its drift is bounded on that scale
-        got, want = simons_residual_field(geom), ref["simons"]
+        got, want = simons_residual_field(geom, curvature_gauss(geom)), ref["simons"]
         assert got.shape == want.shape
         scale = np.abs(grad_grad_H(geom)).max()
         assert np.abs(got - want).max() <= 1e-14 * scale
@@ -311,6 +328,17 @@ class TestMetricEquivalence:
         assert err.value.node == (1, 2)
         assert "at node (1, 2)" in str(err.value)
 
+    def test_first_failing_node_of_a_curve(self):
+        # node 3 fails first in C order; node 10 has the smaller g_00
+        g = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0)).metric
+        bad = g.copy()
+        bad[3, 0, 0] = -0.5
+        bad[10, 0, 0] = -2.0
+        with pytest.raises(DegenerateImmersionError) as err:
+            measure_equivalence(g, bad)
+        assert err.value.node == (3,)
+        assert err.value.value == -0.5
+
     def test_negated_metric_names_its_node(self):
         # det(g) stays positive at a negated node; g_00 is what fails there
         g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
@@ -345,7 +373,6 @@ class TestReportSerialization:
             t_center=2e-5,
             sup_residual=0.123456789012345,
             l2_residual=0.25,
-            order_estimate=1.98,
         )
         row = rep.csv_row()
         parts = row.split(",")
