@@ -51,7 +51,6 @@ from .grid import (
 )
 from .identities import (
     ANCHORS,
-    ProtocolError,
     TrajectoryWindow,
     check_dg,
     check_dGamma,
@@ -75,7 +74,15 @@ class ConfigError(ValueError):
     pass
 
 
-def _value(cfg: dict, key: str, default=None, kind=float, context="config"):
+def _real(value) -> float:
+    """float(value) of a real number; JSON's NaN and Infinity are errors."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _value(cfg: dict, key: str, default=None, kind=_real, context="config"):
     """kind(cfg[key]), or kind(default) when the key is absent; no default
     means the key is required.  A missing key or a value that kind rejects
     is a ConfigError that names the key."""
@@ -102,27 +109,23 @@ def _integers(values) -> list:
 
 
 def _floats(values) -> list:
-    return [float(v) for v in values]
-
-
-def _finite_floats(values) -> list:
-    """_floats restricted to finite values: sample times."""
-    xs = _floats(values)
-    if not np.isfinite(xs).all():
-        raise ValueError("must be finite")
-    return xs
+    return [_real(v) for v in values]
 
 
 def _positive(kind):
-    """kind restricted to positive finite values: time steps and strides."""
+    """kind restricted to positive values: time steps and strides."""
 
     def convert(value):
         x = kind(value)
-        if not 0 < x < np.inf:
-            raise ValueError("must be positive and finite")
+        if not x > 0:
+            raise ValueError("must be positive")
         return x
 
     return convert
+
+
+# The top-level keys that every verb's config may hold.
+COMMON_KEYS = {"kind", "seed", "grid", "geometry"}
 
 
 def _check_keys(d: dict, allowed, context: str):
@@ -156,7 +159,7 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
     )
     kind = cfg.get("kind")
 
-    def num(key, default, kind=float):
+    def num(key, default, kind=_real):
         return _value(cfg, key, default, kind, "geometry")
 
     if kind == "circle":
@@ -224,9 +227,17 @@ def _manifest(out_dir: str, entries: dict):
     _write(out_dir, "manifest.txt", "\n".join(lines) + "\n")
 
 
-IDENTITY_CHECKS = ("evolve_position_gradient", "evolve_metric",
-                   "evolve_connection", "evolve_second_form",
-                   "second_form_commutation", "gauss_cross_check")
+# The suite's identities, each with its default threshold coeff * h^2 + 1e-7:
+# empirical O(h^2) envelopes from the shipped refinement studies, with a floor
+# for identities that are exact discretely.
+THRESHOLD_COEFFS = {
+    "evolve_position_gradient": 1.0,
+    "evolve_metric": 20.0,
+    "evolve_connection": 30.0,
+    "evolve_second_form": 80.0,
+    "second_form_commutation": 40.0,
+    "gauss_cross_check": 40.0,
+}
 
 
 def _identity_suite(initial: Immersion, dt: float):
@@ -242,35 +253,22 @@ def _identity_suite(initial: Immersion, dt: float):
     return [check(window) for check in checks] + single
 
 
-def _default_threshold(identity: str, grid: GridSpec) -> float:
-    # Empirical O(h^2) envelopes from the shipped refinement studies,
-    # with a floor for identities that are exact discretely.
-    h2 = grid.spacing**2
-    coeff = {
-        "evolve_position_gradient": 1.0,
-        "evolve_metric": 20.0,
-        "evolve_connection": 30.0,
-        "evolve_second_form": 80.0,
-        "second_form_commutation": 40.0,
-        "gauss_cross_check": 40.0,
-    }[identity]
-    return coeff * h2 + 1e-7
-
-
 def run_identities(cfg: dict, out_dir: str) -> int:
-    _check_keys(
-        cfg, {"kind", "seed", "grid", "geometry", "dt", "thresholds"}, "config"
-    )
+    _check_keys(cfg, COMMON_KEYS | {"dt", "thresholds"}, "config")
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
-    dt = _value(cfg, "dt", min(1e-4, grid.spacing**2 / 10.0), _positive(float))
-    thresholds = cfg.get("thresholds", {})
-    _check_keys(thresholds, IDENTITY_CHECKS, "thresholds")
+    dt = _value(cfg, "dt", min(1e-4, grid.spacing**2 / 10.0), _positive(_real))
+    thr_cfg = cfg.get("thresholds", {})
+    _check_keys(thr_cfg, THRESHOLD_COEFFS, "thresholds")
+    h2 = grid.spacing**2
+    thresholds = {
+        name: _value(thr_cfg, name, coeff * h2 + 1e-7, context="thresholds")
+        for name, coeff in THRESHOLD_COEFFS.items()
+    }
     reports = _identity_suite(initial, dt)
     failures = []
     for rep in reports:
-        default = _default_threshold(rep.identity, grid)
-        thr = _value(thresholds, rep.identity, default, context="thresholds")
+        thr = thresholds[rep.identity]
         status = "pass" if rep.sup_residual <= thr else "fail"
         if status == "fail":
             failures.append(rep.identity)
@@ -300,11 +298,7 @@ def run_identities(cfg: dict, out_dir: str) -> int:
 
 
 def run_simulate(cfg: dict, out_dir: str) -> int:
-    _check_keys(
-        cfg,
-        {"kind", "seed", "grid", "geometry", "T", "policy", "sample_times"},
-        "config",
-    )
+    _check_keys(cfg, COMMON_KEYS | {"T", "policy", "sample_times"}, "config")
     grid = _build_grid(cfg.get("grid", {}))
     initial = _build_geometry(cfg.get("geometry", {}), grid)
     T = _value(cfg, "T")
@@ -319,7 +313,7 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     # absent or null: the initial and final states
     sample_times = cfg.get("sample_times")
     if sample_times is not None:
-        sample_times = _value(cfg, "sample_times", kind=_finite_floats)
+        sample_times = _value(cfg, "sample_times", kind=_floats)
     traj = run_flow(initial, T, policy, sample_times)
     files = []
     for k, state in enumerate(traj.states):
@@ -350,8 +344,7 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
 def run_symmetry(cfg: dict, out_dir: str) -> int:
     _check_keys(
         cfg,
-        {"kind", "seed", "grid", "geometry", "symmetry", "steps", "dt",
-         "tolerance", "record_every"},
+        COMMON_KEYS | {"symmetry", "steps", "dt", "tolerance", "record_every"},
         "config",
     )
     grid = _build_grid(cfg.get("grid", {}))
@@ -363,7 +356,7 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     if cfg.get("dt") is None:
         dt = StepPolicy().step_size(compute_geometry(initial).metric, grid.spacing)
     else:
-        dt = _value(cfg, "dt", kind=_positive(float))
+        dt = _value(cfg, "dt", kind=_positive(_real))
 
     def defect(imm):
         mapped = apply_symmetry(imm, action)
@@ -371,12 +364,10 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
 
     d0 = defect(initial)
     if d0 > 1e-13:
-        print(
+        raise ConfigError(
             f"initial symmetry defect {d0:.3e} exceeds 1e-13: "
-            "the action is not a symmetry of the initial immersion",
-            file=sys.stderr,
+            "the action is not a symmetry of the initial immersion"
         )
-        return EXIT_CONFIG
     current = initial
     rows = [(0.0, d0)]
     worst = d0
@@ -410,8 +401,8 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
 def run_diff_system(cfg: dict, out_dir: str) -> int:
     _check_keys(
         cfg,
-        {"kind", "seed", "grid", "geometry", "geometry_b", "perturbation",
-         "T", "delta", "dt", "store_every"},
+        COMMON_KEYS
+        | {"geometry_b", "perturbation", "T", "delta", "dt", "store_every"},
         "config",
     )
     grid = _build_grid(cfg.get("grid", {}))
@@ -433,7 +424,7 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     delta = _value(cfg, "delta")
     if not 0.0 < delta < T:
         raise ConfigError(f"delta={delta} must lie strictly inside (0, T={T})")
-    dt = _value(cfg, "dt", grid.spacing**2 / 20.0, _positive(float))
+    dt = _value(cfg, "dt", grid.spacing**2 / 20.0, _positive(_real))
     every = max(1, round(T / dt / 60))
     store_every = _value(cfg, "store_every", every, _positive(_integer))
     n_steps = int(round(T / dt))
@@ -478,11 +469,7 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
 
 
 def run_convergence(cfg: dict, out_dir: str) -> int:
-    _check_keys(
-        cfg,
-        {"kind", "seed", "grid", "geometry", "resolutions", "dt", "min_order"},
-        "config",
-    )
+    _check_keys(cfg, COMMON_KEYS | {"resolutions", "dt", "min_order"}, "config")
     resolutions = _value(cfg, "resolutions", [], _integers)
     if len(resolutions) < 3:
         raise ConfigError("need at least 3 resolutions, each double the last")
@@ -491,7 +478,7 @@ def run_convergence(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"resolutions must double: {a} -> {b}")
     base_grid_cfg = dict(cfg.get("grid", {}))
     min_order = _value(cfg, "min_order", 1.9)
-    dt = _value(cfg, "dt", (2 * np.pi / resolutions[-1]) ** 2 / 10.0, _positive(float))
+    dt = _value(cfg, "dt", (2 * np.pi / resolutions[-1]) ** 2 / 10.0, _positive(_real))
     results = {}
     for N in resolutions:
         grid_cfg = dict(base_grid_cfg)
@@ -592,7 +579,7 @@ def main(argv=None) -> int:
                 f"config kind {config['kind']!r} does not match verb {args.verb!r}"
             )
         return run_experiment(config, args.out)
-    except (ConfigError, ProtocolError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, ProtocolError, PolicyError, ...
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

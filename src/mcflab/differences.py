@@ -4,8 +4,8 @@ Given two flows on the same parameter grid, the packs collect the
 differences of metrics, connections, position gradients, and second forms,
 together with the direct sums
 
-    Y = (+)_a U^a (+) (+)_a V^a,
-    Z = (+)_a w^a (+) d (+) N (+) W.
+    Y = (+)_a U^a (+) (+)_a V^a,     (Y_SUMMANDS)
+    Z = (+)_a w^a (+) d (+) N (+) W.  (Z_SUMMANDS)
 
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
@@ -19,10 +19,12 @@ through these forward-in-time inequality measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import attrgetter
 
 import numpy as np
 
-from .flow import FlowTrajectory
+from .flow import FlowTrajectory, ProtocolError, require_pair
 from .geometry import (
     GeometryPack,
     compute_geometry,
@@ -32,7 +34,6 @@ from .geometry import (
     tensor_norm_sup,
 )
 from .identities import (
-    ProtocolError,
     ResidualReport,
     SampleWindow,
     evolution_check,
@@ -49,6 +50,16 @@ LIMITATION_STATEMENT = (
     "forward-in-time difference-tensor inequality measurements."
 )
 
+# The summands of Y and Z: a DifferencePack field and its index spec.
+# Every sum over them adds its terms in this order.
+Y_SUMMANDS = (("U", "ll"), ("V", "lll"))
+Z_SUMMANDS = (("w", "l"), ("d", "ll"), ("N", "ull"), ("W", "lull"))
+
+
+def _sum_over(summands, term) -> np.ndarray:
+    """Sum of term(field name, index spec) over the summands in list order."""
+    return reduce(np.add, (term(f, s) for f, s in summands))
+
 
 @dataclass(frozen=True)
 class DifferencePack:
@@ -63,34 +74,28 @@ class DifferencePack:
     U: np.ndarray  # grid + (A, m, m)        h - ht
     V: np.ndarray  # grid + (A, m, m, m)     grad h - gradt ht
 
+    def _norm_sq(self, f: str, spec: str) -> np.ndarray:
+        return tensor_norm_sq(getattr(self, f), self.geomA, spec)
+
     def norm_sq_Y(self) -> np.ndarray:
-        g = self.geomA
-        return tensor_norm_sq(self.U, g, "ll") + tensor_norm_sq(self.V, g, "lll")
+        return _sum_over(Y_SUMMANDS, self._norm_sq)
 
     def norm_sq_Z(self) -> np.ndarray:
-        g = self.geomA
-        return (
-            tensor_norm_sq(self.w, g, "l")
-            + tensor_norm_sq(self.d, g, "ll")
-            + tensor_norm_sq(self.N, g, "ull")
-            + tensor_norm_sq(self.W, g, "lull")
-        )
+        return _sum_over(Z_SUMMANDS, self._norm_sq)
 
     def norm_sq_grad_Y(self) -> np.ndarray:
         g = self.geomA
-        gradU = covariant_derivative(self.U, g, "ll")
-        gradV = covariant_derivative(self.V, g, "lll")
-        return tensor_norm_sq(gradU, g, "lll") + tensor_norm_sq(gradV, g, "llll")
+        return _sum_over(
+            Y_SUMMANDS,
+            lambda f, s: tensor_norm_sq(
+                covariant_derivative(getattr(self, f), g, s), g, "l" + s
+            ),
+        )
 
 
 def build_difference(stateA, stateB) -> DifferencePack:
-    """Difference tensors of two immersions on the same grid and time."""
-    if stateA.grid != stateB.grid:
-        raise ProtocolError("states live on different grids")
-    if abs(stateA.time - stateB.time) > 1e-12:
-        raise ProtocolError(
-            f"time stamps differ: {stateA.time} vs {stateB.time}"
-        )
+    """Difference tensors of two states that form a pair (`require_pair`)."""
+    require_pair(stateA, stateB)
     geomA = compute_geometry(stateA)
     geomB = compute_geometry(stateB)
     d = geomA.metric - geomB.metric
@@ -112,11 +117,8 @@ class PairedWindow(SampleWindow):
         if len(trajA.states) != len(trajB.states):
             raise ProtocolError("paired trajectories have different lengths")
         super().__init__(trajA)
-        if abs(self.dt - trajB.sample_dt()) > 1e-12 * self.dt:
-            raise ProtocolError("paired trajectories use different sample steps")
         for a, b in zip(trajA.states, trajB.states):
-            if abs(a.time - b.time) > 1e-10:
-                raise ProtocolError("sample times of the two flows disagree")
+            require_pair(a, b)
         self.trajB = trajB
 
     def _build(self, k: int) -> DifferencePack:
@@ -186,23 +188,24 @@ def check_N_integral(window: PairedWindow):
 
 def heat_operator_Y(window: PairedWindow, center: int) -> np.ndarray:
     """Pointwise |(d/dt - Lap_g) Y|^2 at one sample time."""
-    dtU = window.time_derivative(center, lambda q: q.U)
-    dtV = window.time_derivative(center, lambda q: q.V)
     p = window.item(center)
     g = p.geomA
-    resU = dtU - laplacian(p.U, g, "ll")
-    resV = dtV - laplacian(p.V, g, "lll")
-    return tensor_norm_sq(resU, g, "ll") + tensor_norm_sq(resV, g, "lll")
+
+    def term(f, s):
+        dt_f = window.time_derivative(center, attrgetter(f))
+        return tensor_norm_sq(dt_f - laplacian(getattr(p, f), g, s), g, s)
+
+    return _sum_over(Y_SUMMANDS, term)
 
 
 def time_derivative_Z_sq(window: PairedWindow, center: int) -> np.ndarray:
     """Pointwise |d/dt Z|^2 at one sample time."""
     g = window.geometry(center)
-    out = tensor_norm_sq(window.time_derivative(center, lambda q: q.w), g, "l")
-    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.d), g, "ll")
-    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.N), g, "ull")
-    out += tensor_norm_sq(window.time_derivative(center, lambda q: q.W), g, "lull")
-    return out
+
+    def term(f, s):
+        return tensor_norm_sq(window.time_derivative(center, attrgetter(f)), g, s)
+
+    return _sum_over(Z_SUMMANDS, term)
 
 
 @dataclass

@@ -48,13 +48,25 @@ class ProtocolError(ValueError):
     sampling protocol of a check."""
 
 
+def require_pair(a: Immersion, b: Immersion) -> None:
+    """Raise ProtocolError unless two states of paired flows share grid,
+    ambient dimension and time: equal times, as paired runs stamp them."""
+    for what, x, y in (
+        ("grid", a.grid, b.grid),
+        ("ambient dimension", a.ambient_dim, b.ambient_dim),
+        ("time", a.time, b.time),
+    ):
+        if x != y:
+            raise ProtocolError(f"paired flows differ in {what}: {x!r} vs {y!r}")
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """Parabolic step-size control: dt = cfl_safety * l_min^2.
 
     l_min is the minimum induced grid edge length sqrt(g_ii) * h over nodes
-    and axes.  fixed_dt overrides the adaptive rule; paired-flow experiments
-    must use it so both flows share identical sample times.
+    and axes.  fixed_dt overrides the adaptive rule.  Paired flows do not
+    use a policy: `run_paired_fixed_dt` steps both at one fixed dt.
     """
 
     cfl_safety: float = 0.1
@@ -190,8 +202,6 @@ def run_flow(
     traj = FlowTrajectory()
     current = initial
     for target in samples:
-        if target < current.time - 1e-12:
-            raise PolicyError(f"unreachable sample time {target}")
         while current.time < target - 1e-14:
             if traj.dt_history:
                 kern = _flow_kernel(current.grid, current.positions, current.time)
@@ -228,16 +238,10 @@ def run_paired_fixed_dt(
     """`run_fixed_dt` of two flows at once: (trajectory A, trajectory B).
 
     Both flows advance in one loop with their positions on a batch axis, so
-    every RK stage evaluates the kernel once for the pair.  The flows must
-    share their grid, ambient dimension and start time (ProtocolError).
+    every RK stage evaluates the kernel once for the pair.  The initial
+    states must form a pair (`require_pair`).
     """
-    for what, a, b in (
-        ("grid", initA.grid, initB.grid),
-        ("ambient dimension", initA.ambient_dim, initB.ambient_dim),
-        ("start time", initA.time, initB.time),
-    ):
-        if a != b:
-            raise ProtocolError(f"paired flows differ in {what}: {a!r} vs {b!r}")
+    require_pair(initA, initB)
     return _fixed_dt_trajectories([initA, initB], dt, n_steps, store_every)
 
 

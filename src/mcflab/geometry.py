@@ -369,21 +369,20 @@ def components_last(arr: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Fully lowered Riemann tensor and Ricci tensor, with provenance tag;
-    both are components_last views of components-first arrays."""
+    """Fully lowered Riemann tensor and Ricci tensor; both are
+    components_last views of components-first arrays."""
 
     riemann: np.ndarray  # grid + (m, m, m, m)
     ricci: np.ndarray  # grid + (m, m)
-    source: str  # "intrinsic" | "gauss"
 
 
-def _curvature_pack(R: np.ndarray, geom: GeometryPack, source: str) -> CurvaturePack:
+def _curvature_pack(R: np.ndarray, geom: GeometryPack) -> CurvaturePack:
     """Pack a components-first Riemann tensor with its Ricci trace
     R_ij = g^kl R_ikjl, summed over (k, l) in row-major order."""
     ginv = components_first(geom.inverse_metric, 2)
     M = range(len(ginv))
     ricci = sum_of_products((ginv[k, l], R[:, k, :, l]) for k in M for l in M)
-    return CurvaturePack(components_last(R, 4), components_last(ricci, 2), source)
+    return CurvaturePack(components_last(R, 4), components_last(ricci, 2))
 
 
 def curvature_intrinsic(geom: GeometryPack) -> CurvaturePack:
@@ -416,7 +415,7 @@ def curvature_intrinsic(geom: GeometryPack) -> CurvaturePack:
     g = components_first(geom.metric, 2)
     Rlow = sum_of_products((g[:, n, None, None, None], Rn[None, n]) for n in M)
     del Rup, Rn
-    return _curvature_pack(Rlow, geom, "intrinsic")
+    return _curvature_pack(Rlow, geom)
 
 
 def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
@@ -430,7 +429,7 @@ def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
     P = sum_of_products((ha[:, None, :, None], ha[None, :, None, :]) for ha in h)
     R = P - np.swapaxes(P, 2, 3)
     del P
-    return _curvature_pack(R, geom, "gauss")
+    return _curvature_pack(R, geom)
 
 
 def trace_identity_residual(geom: GeometryPack) -> float:

@@ -261,14 +261,6 @@ def reflection_permutation(grid: GridSpec, axes) -> np.ndarray:
     return flat
 
 
-def identity_symmetry(grid: GridSpec, ambient_dim: int) -> SymmetryAction:
-    return SymmetryAction(
-        np.eye(ambient_dim),
-        np.zeros(ambient_dim),
-        np.arange(grid.num_nodes).reshape(grid.shape),
-    )
-
-
 def apply_symmetry(imm: Immersion, action: SymmetryAction) -> Immersion:
     """Node-wise Q @ X(pi^-1(node)) + b with unchanged grid and time."""
     if action.matrix.shape[0] != imm.ambient_dim:
@@ -282,14 +274,6 @@ def apply_symmetry(imm: Immersion, action: SymmetryAction) -> Immersion:
     picked = flat_pos[action.source_index.ravel()].reshape(imm.positions.shape)
     new_pos = picked @ action.matrix.T + action.translation
     return imm.with_positions(new_pos)
-
-
-def permute_field(field_arr: np.ndarray, grid: GridSpec, source_index) -> np.ndarray:
-    """Pull back a grid field through the same node permutation."""
-    trailing = field_arr.shape[grid.m :]
-    flat = field_arr.reshape(grid.num_nodes, -1)
-    out = flat[np.asarray(source_index).ravel()]
-    return out.reshape(grid.shape + trailing)
 
 
 # --- columnar text serialization -------------------------------------------

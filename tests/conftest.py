@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcflab import shapes
-from mcflab.grid import GridSpec, Immersion
+from mcflab.grid import GridSpec, Immersion, SymmetryAction
 
 
 def stencil_symbols(grid: GridSpec):
@@ -15,6 +15,22 @@ def stencil_symbols(grid: GridSpec):
         s1 = (8 * np.sin(h) - np.sin(2 * h)) / (6 * h)
         s2 = (30 - 32 * np.cos(h) + 2 * np.cos(2 * h)) / (12 * h**2)
     return s1, s2
+
+
+def identity_symmetry(grid: GridSpec, ambient_dim: int) -> SymmetryAction:
+    return SymmetryAction(
+        np.eye(ambient_dim),
+        np.zeros(ambient_dim),
+        np.arange(grid.num_nodes).reshape(grid.shape),
+    )
+
+
+def permute_field(field_arr: np.ndarray, grid: GridSpec, source_index) -> np.ndarray:
+    """Pull back a grid field through the same node permutation."""
+    trailing = field_arr.shape[grid.m :]
+    flat = field_arr.reshape(grid.num_nodes, -1)
+    out = flat[np.asarray(source_index).ravel()]
+    return out.reshape(grid.shape + trailing)
 
 
 @pytest.fixture

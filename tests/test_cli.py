@@ -240,6 +240,38 @@ BAD_CONFIGS = {
         changed(CONVERGENCE_CONFIG, resolutions=[16, 32.5, 64]),
         "'resolutions'",
     ),
+    # JSON's NaN and Infinity are not numbers a config may hold
+    "simulate-T-nan": ("simulate", changed(SIMULATE_CONFIG, T=float("nan")), "'T'"),
+    "diff-system-T-infinite": (
+        "diff-system", changed(DIFF_CONFIG, T=float("inf")), "'T'"
+    ),
+    "simulate-fixed-dt-nan": (
+        "simulate",
+        changed(SIMULATE_CONFIG, policy={"fixed_dt": float("nan")}),
+        "'fixed_dt'",
+    ),
+    "simulate-dt-max-nan": (
+        "simulate",
+        changed(SIMULATE_CONFIG, policy={"dt_max": float("nan")}),
+        "'dt_max'",
+    ),
+    "convergence-min-order-nan": (
+        "convergence", changed(CONVERGENCE_CONFIG, min_order=float("nan")), "'min_order'"
+    ),
+    "symmetry-tolerance-nan": (
+        "symmetry", changed(SYMMETRY_CONFIG, tolerance=float("nan")), "'tolerance'"
+    ),
+    "identities-threshold-nan": (
+        "identities",
+        changed(IDENTITIES_CONFIG, thresholds={"evolve_metric": float("nan")}),
+        "'evolve_metric'",
+    ),
+    "geometry-radius-infinite": (
+        "identities",
+        changed(IDENTITIES_CONFIG,
+                geometry={"kind": "circle", "radius": float("inf")}),
+        "'radius'",
+    ),
 }
 
 
@@ -425,6 +457,19 @@ class TestSymmetryVerb:
         code, _ = run_cli(tmp_path, "symmetry", config)
         assert code == EXIT_CONFIG
 
+    def test_broken_symmetry_exits_through_the_config_error_path(
+        self, tmp_path, capsys
+    ):
+        quarter_turn = {"matrix": [[0, -1], [1, 0]],
+                        "permutation": {"type": "shift", "offsets": [8]}}
+        code, out = run_cli(
+            tmp_path, "symmetry", changed(SYMMETRY_CONFIG, symmetry=quarter_turn)
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: initial symmetry defect")
+        assert not (out / "summary.txt").exists()
+
 
 class TestDiffSystemVerb:
     def test_writes_all_reports(self, tmp_path):
@@ -484,7 +529,7 @@ class TestDiffSystemVerb:
             ),
             (
                 lambda a: a.with_positions(a.positions, time=0.5),
-                "paired flows differ in start time: 0.0 vs 0.5",
+                "paired flows differ in time: 0.0 vs 0.5",
             ),
         ],
         ids=["ambient", "start-time"],

@@ -27,7 +27,8 @@ from mcflab.differences import (
     time_derivative_Z_sq,
     verify_inequalities,
 )
-from mcflab.flow import FlowTrajectory, run_fixed_dt
+from mcflab.flow import FlowTrajectory, run_fixed_dt, run_paired_fixed_dt
+from mcflab.geometry import covariant_derivative, laplacian, tensor_norm_sq
 from mcflab.grid import SymmetryAction, apply_symmetry
 from mcflab.identities import ProtocolError
 
@@ -82,6 +83,50 @@ class TestDifferencePack:
         with pytest.raises(ProtocolError):
             build_difference(imm, late)
 
+    def test_sums_over_Y_and_Z_match_their_written_out_summands(self):
+        """Y = U + V and Z = w + d + N + W, each sum added in that order."""
+        a = shapes.perturbed_torus(GridSpec(2, 12), 1.0, 0.6, 0.1)
+        b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
+        window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 4))
+        p = window.item(2)
+        g = p.geomA
+
+        def sq(x, spec):
+            return tensor_norm_sq(x, g, spec)
+
+        def ddt(name):
+            return window.time_derivative(2, lambda q: getattr(q, name))
+
+        def grad(x, spec):
+            return covariant_derivative(x, g, spec)
+
+        def heat(name, spec):
+            return ddt(name) - laplacian(getattr(p, name), g, spec)
+
+        expected = {
+            "Y": sq(p.U, "ll") + sq(p.V, "lll"),
+            "Z": sq(p.w, "l") + sq(p.d, "ll") + sq(p.N, "ull") + sq(p.W, "lull"),
+            "grad_Y": sq(grad(p.U, "ll"), "lll") + sq(grad(p.V, "lll"), "llll"),
+            "heat_Y": sq(heat("U", "ll"), "ll") + sq(heat("V", "lll"), "lll"),
+            "dt_Z": sq(ddt("w"), "l") + sq(ddt("d"), "ll") + sq(ddt("N"), "ull")
+            + sq(ddt("W"), "lull"),
+        }
+        got = {
+            "Y": p.norm_sq_Y(),
+            "Z": p.norm_sq_Z(),
+            "grad_Y": p.norm_sq_grad_Y(),
+            "heat_Y": heat_operator_Y(window, 2),
+            "dt_Z": time_derivative_Z_sq(window, 2),
+        }
+        for name, want in expected.items():
+            assert np.array_equal(got[name], want), name
+
+    def test_ambient_mismatch_rejected(self):
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        b = a.with_positions(np.pad(a.positions, ((0, 0), (0, 1))))
+        with pytest.raises(ProtocolError, match="ambient dimension: 2 vs 3"):
+            build_difference(a, b)
+
     @given(lam=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)
     def test_norms_are_quadratic_in_the_tensors(self, lam):
@@ -127,6 +172,22 @@ class TestPairedWindow:
         B = run_fixed_dt(shapes.circle(grid, 1.2), 2 * DT, 8)
         with pytest.raises(ProtocolError):
             PairedWindow(A, B)
+
+    def test_time_skew_rejected_when_built(self):
+        grid = GridSpec(1, 32)
+        A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
+        B = run_fixed_dt(shapes.circle(grid, 1.2), DT, 8)
+        skewed = FlowTrajectory(
+            [s.with_positions(s.positions, time=s.time + 5e-11) for s in B.states]
+        )
+        with pytest.raises(ProtocolError, match="paired flows differ in time"):
+            PairedWindow(A, skewed)
+
+    def test_ambient_mismatch_rejected_when_built(self):
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        b = a.with_positions(np.pad(a.positions, ((0, 0), (0, 1))))
+        with pytest.raises(ProtocolError, match="ambient dimension: 2 vs 3"):
+            PairedWindow(run_fixed_dt(a, DT, 4), run_fixed_dt(b, DT, 4))
 
     def test_too_few_samples_rejected(self):
         grid = GridSpec(1, 32)

@@ -25,13 +25,12 @@ from mcflab.grid import (
     DegenerateImmersionError,
     Immersion,
     apply_symmetry,
-    identity_symmetry,
     shift_permutation,
 )
 from mcflab.grid import SymmetryAction
 from mcflab.shapes import exact_oracle, measured_radius, measured_torus_radii
 
-from conftest import stencil_symbols
+from conftest import identity_symmetry, stencil_symbols
 
 
 def discrete_radius(grid, r0, t):
@@ -330,7 +329,7 @@ class TestPairedFixedDt:
                 lambda a: a.with_positions(np.pad(a.positions, ((0, 0), (0, 1)))),
                 "ambient dimension: 2 vs 3",
             ),
-            (lambda a: a.with_positions(a.positions, time=0.5), "start time: 0.0 vs 0.5"),
+            (lambda a: a.with_positions(a.positions, time=0.5), "time: 0.0 vs 0.5"),
         ],
         ids=["grid", "ambient", "time"],
     )

@@ -25,7 +25,7 @@ from mcflab.grid import (
     second_partial,
 )
 
-from conftest import REFERENCE_MAKERS, stencil_symbols
+from conftest import REFERENCE_MAKERS, permute_field, stencil_symbols
 
 
 class TestInducedMetric:
@@ -231,7 +231,6 @@ class TestInvariants:
         from mcflab.grid import (
             SymmetryAction,
             apply_symmetry,
-            permute_field,
             shift_permutation,
         )
 
@@ -364,8 +363,9 @@ class TestCurvatureAgainstEinsum:
     def test_tensors_match_reference(self, maker, order):
         geom = compute_geometry(maker(order))
         ref = einsum_curvature(geom)
-        for pack in (curvature_gauss(geom), curvature_intrinsic(geom)):
-            for got, want in zip((pack.riemann, pack.ricci), ref[pack.source]):
+        packs = {"gauss": curvature_gauss(geom), "intrinsic": curvature_intrinsic(geom)}
+        for source, pack in packs.items():
+            for got, want in zip((pack.riemann, pack.ricci), ref[source]):
                 assert got.shape == want.shape
                 # m = 1 tensors are exact zeros on both sides
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

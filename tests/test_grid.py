@@ -13,7 +13,6 @@ from mcflab.grid import (
     ShapeError,
     SymmetryAction,
     apply_symmetry,
-    identity_symmetry,
     partial,
     read_immersion,
     reflection_permutation,
@@ -22,7 +21,7 @@ from mcflab.grid import (
     write_immersion,
 )
 
-from conftest import stencil_symbols
+from conftest import identity_symmetry, stencil_symbols
 
 
 class TestGridSpec:
