@@ -69,6 +69,12 @@ EXIT_BLOWUP = 3
 # excluded from order fitting.
 EXACT_FLOOR = 1e-8
 
+# Most fixed steps one diff-system pair may take (T / dt rounded).  The
+# circle-pair benchmark takes 3000 in about a second; a million steps of an
+# m=2, N=32 pair take about an hour, and far beyond that the list of step
+# sizes alone exhausts memory.
+MAX_STEPS = 10**6
+
 
 class ConfigError(ValueError):
     pass
@@ -428,6 +434,11 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     every = max(1, round(T / dt / 60))
     store_every = _value(cfg, "store_every", every, _positive(_integer))
     n_steps = int(round(T / dt))
+    if n_steps > MAX_STEPS:
+        raise ConfigError(
+            f"invalid 'T' in config: {T!r} at dt={dt!r} takes {T / dt:.3g} "
+            f"steps, more than {MAX_STEPS}"
+        )
     n_steps -= n_steps % store_every
     trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
     window = PairedWindow(trajA, trajB)

@@ -29,7 +29,7 @@ from .geometry import (
     GeometryPack,
     compute_geometry,
     covariant_derivative,
-    laplacian,
+    divergence,
     tensor_norm_sq,
     tensor_norm_sup,
 )
@@ -83,13 +83,15 @@ class DifferencePack:
     def norm_sq_Z(self) -> np.ndarray:
         return _sum_over(Z_SUMMANDS, self._norm_sq)
 
-    def norm_sq_grad_Y(self) -> np.ndarray:
+    def grad_Y(self) -> dict:
+        """grad U and grad V by field name, in the first flow's connection."""
         g = self.geomA
+        return {f: covariant_derivative(getattr(self, f), g, s) for f, s in Y_SUMMANDS}
+
+    def norm_sq_grad_Y(self, grad_Y: dict) -> np.ndarray:
+        """|grad Y|^2 from the pack's grad_Y()."""
         return _sum_over(
-            Y_SUMMANDS,
-            lambda f, s: tensor_norm_sq(
-                covariant_derivative(getattr(self, f), g, s), g, "l" + s
-            ),
+            Y_SUMMANDS, lambda f, s: tensor_norm_sq(grad_Y[f], self.geomA, "l" + s)
         )
 
 
@@ -186,14 +188,14 @@ def check_N_integral(window: PairedWindow):
     return rows
 
 
-def heat_operator_Y(window: PairedWindow, center: int) -> np.ndarray:
-    """Pointwise |(d/dt - Lap_g) Y|^2 at one sample time."""
-    p = window.item(center)
-    g = p.geomA
+def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarray:
+    """Pointwise |(d/dt - Lap_g) Y|^2 at one sample time, with grad_Y the
+    grad_Y() of the centre's pack; Lap_g is the divergence of the gradient."""
+    g = window.geometry(center)
 
     def term(f, s):
         dt_f = window.time_derivative(center, attrgetter(f))
-        return tensor_norm_sq(dt_f - laplacian(getattr(p, f), g, s), g, s)
+        return tensor_norm_sq(dt_f - divergence(grad_Y[f], g, "l" + s), g, s)
 
     return _sum_over(Y_SUMMANDS, term)
 
@@ -273,9 +275,11 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         if t < delta - 1e-12:
             continue
         p = window.item(c)
-        lhs1 = heat_operator_Y(window, c)
+        grad_Y = p.grad_Y()
+        lhs1 = heat_operator_Y(window, c, grad_Y)
         lhs2 = time_derivative_Z_sq(window, c)
-        nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(), p.norm_sq_Z()
+        nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(grad_Y), p.norm_sq_Z()
+        del grad_Y
         core = nY + ngY + nZ
         ok = core > EPS_CORE
         if np.any(ok):

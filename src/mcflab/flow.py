@@ -74,6 +74,10 @@ class StepPolicy:
     fixed_dt: float | None = None
 
     def __post_init__(self):
+        for name in ("cfl_safety", "dt_max", "fixed_dt"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise PolicyError(f"{name} must be finite, got {value!r}")
         if not 0 < self.cfl_safety <= 1:
             raise PolicyError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.dt_max <= 0:

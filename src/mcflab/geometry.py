@@ -13,11 +13,22 @@ Index conventions for stored arrays (grid axes omitted):
     second_form   [a, i, j]   = h^a_ij
     mean_curv     [a]         = H^a
     riemann       [i, j, k, l]
+
+Layout: a pack field is handed out grid first, as above, but its memory is
+components first (`components_first`): the tensor and ambient axes lead and
+the grid axes come last, so each component is one contiguous grid array.
+The covariant layer (`covariant_derivative`, `tensor_norm_sq`,
+`divergence`, `laplacian`) takes and returns grid-first fields and works
+components first inside; its one contraction, `contract_with_metric`,
+forms sum_b M[a, b] f[b] from whole grid arrays.  A grid-first view of a
+components-first array converts back without a copy, so chained calls copy
+nothing; any other input is copied once on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +46,9 @@ from .grid import (
 
 @dataclass(frozen=True)
 class GeometryPack:
-    """All pointwise geometric quantities of one immersion."""
+    """All pointwise geometric quantities of one immersion; each field with
+    component axes is the components_last view of a components-first
+    array."""
 
     immersion: Immersion
     first_derivs: np.ndarray  # grid + (A, m)
@@ -181,25 +194,39 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     )
 
 
-def _pack(parts: list, shape: tuple) -> np.ndarray:
-    """Stack components into `shape` and drop them from the list.
+def _pack(parts: list, grid: GridSpec, lead: tuple) -> np.ndarray:
+    """Components-first array lead + grid.shape from a list of grid-first
+    components (grid + passive axes) in row-major index order.
 
-    Dropping each field's components once copied keeps compute_geometry's
-    peak memory near one pack plus one field.
+    The list is cleared: dropping each field's components once copied keeps
+    compute_geometry's peak memory near one pack plus one field.
     """
-    arr = np.stack(parts, axis=-1).reshape(shape)
+    n_pass = parts[0].ndim - grid.m
+    to_first = _to_first(parts[0].ndim, n_pass)
+    arr = np.stack([p.transpose(to_first) for p in parts], axis=n_pass)
     parts.clear()
-    return arr
+    return arr.reshape(lead + grid.shape)
 
 
 def compute_geometry(imm: Immersion) -> GeometryPack:
+    """The GeometryPack of an immersion.  Every field with component axes is
+    stored components first, and the pack holds its components_last view."""
     grid, m, A = imm.grid, imm.grid.m, imm.ambient_dim
     k = geometry_kernel(grid, imm.positions)
-    h = _pack(k.h, grid.shape + (A, m, m))
-    first = _pack(k.dX, grid.shape + (A, m))
-    gamma = _pack(k.gamma, grid.shape + (m, m, m))
-    ginv = _pack(k.ginv, grid.shape + (m, m))
-    return GeometryPack(imm, first, k.metric, ginv, k.det, gamma, h, k.mean_curv)
+    h = _pack(k.h, grid, (A, m, m))
+    first = _pack(k.dX, grid, (A, m))
+    gamma = _pack(k.gamma, grid, (m, m, m))
+    ginv = _pack(k.ginv, grid, (m, m))
+    return GeometryPack(
+        imm,
+        components_last(first, 2),
+        components_last(components_first(k.metric, 2), 2),
+        components_last(ginv, 2),
+        k.det,
+        components_last(gamma, 3),
+        components_last(h, 3),
+        components_last(components_first(k.mean_curv, 1), 1),
+    )
 
 
 # --- covariant calculus -----------------------------------------------------
@@ -214,88 +241,95 @@ def covariant_derivative(
     upper ('u') tensor indices; any axes between the grid axes and those
     are passive labels (the per-ambient family index).  The new lower
     derivative index is inserted immediately before the declared indices,
-    so the result has spec 'l' + index_spec.
+    so the result has spec 'l' + index_spec.  The result is the
+    components_last view of a components-first array.
     """
     grid = geom.grid
     m = grid.m
-    n_idx = len(index_spec)
-    if field_arr.ndim < grid.m + n_idx:
+    n_comp = field_arr.ndim - m
+    n_pass = n_comp - len(index_spec)
+    if n_pass < 0:
         raise ShapeError(
             f"field of rank {field_arr.ndim} cannot carry spec {index_spec!r}"
         )
-    for pos in range(n_idx):
-        if field_arr.shape[field_arr.ndim - n_idx + pos] != m:
-            raise ShapeError("declared tensor axes must have length m")
-    gamma = geom.christoffels
-    pieces = []
+    if any(n != m for n in field_arr.shape[m + n_pass :]):
+        raise ShapeError("declared tensor axes must have length m")
+    for kind in index_spec:
+        if kind not in "lu":
+            raise ValueError(f"bad index spec character {kind!r}")
+    f = components_first(field_arr, n_comp)
+    gamma = components_first(geom.christoffels, 3)  # [k, i, j] = Gamma^k_ij
+    to_first = _to_first(field_arr.ndim, n_comp)
+    out = np.empty(f.shape[:n_pass] + (m,) + f.shape[n_pass:])
+    lead = (slice(None),) * n_pass
     for d in range(m):
-        val = partial(grid, field_arr, d)
-        Gd = gamma[..., :, d, :]  # [k, p] = Gamma^k_dp
-        Gd_T = np.swapaxes(Gd, -1, -2)  # [p, k] = Gamma^k_dp
-        # val is fresh from the stencil, so each term goes into it in place
+        # the stencil keeps the layout of its input, so the transpose of val
+        # is a contiguous components-first array
+        val = partial(grid, components_last(f, n_comp), d).transpose(to_first)
+        o = out[lead + (d,)]
+        Gd = gamma[:, d]  # [k, p] = Gamma^k_dp
+        acc = val  # the first term reads val, the later ones accumulate in o
         for pos, kind in enumerate(index_spec):
-            axis = field_arr.ndim - n_idx + pos
-            if kind == "l":
-                val -= contract_with_metric(field_arr, Gd_T, axis)
-            elif kind == "u":
-                val += contract_with_metric(field_arr, Gd, axis)
-            else:
-                raise ValueError(f"bad index spec character {kind!r}")
-        pieces.append(val)
-    return np.stack(pieces, axis=field_arr.ndim - n_idx)
+            # lower: - Gamma^k_dp f_..k..; upper: + Gamma^p_dk f^..k..
+            M, op = (Gd.swapaxes(0, 1), np.subtract) if kind == "l" else (Gd, np.add)
+            op(acc, contract_with_metric(f, M, n_pass + pos), out=o)
+            acc = o
+        if acc is val:
+            o[...] = val
+    return components_last(out, n_comp + 1)
 
 
 def contract_with_metric(
     field_arr: np.ndarray, M: np.ndarray, axis: int
 ) -> np.ndarray:
-    """Contract one tensor axis of a field with a per-node matrix field.
+    """Contract one component axis of a components-first field with a
+    components-first per-node matrix field (m, m) + grid.
 
-    out[..., a] = sum_b M[..., a, b] f[..., b] along `axis`, with M
-    broadcast over the axes between the grid and the contracted one.  The
-    sum over b runs in index order into an output laid out like the field;
-    the einsum "...ab,...b->...a" kept as the reference in
-    tests/test_geometry.py gives the same bits except for the sign of exact
-    zeros.
+    out[..., a, ...] = sum_b M[a, b] f[..., b, ...] along `axis`, counted
+    from the front; each M[a, b] is one grid array, broadcast over the other
+    component axes.  The sum over b runs in index order into a fresh
+    components-first output; the einsum "...ab,...b->...a" on the grid-first
+    layout, kept as the reference in tests/test_geometry.py, gives the same
+    bits except for the sign of exact zeros.
     """
-    nd = field_arr.ndim
-    axis %= nd
-    n_after = nd - axis - 1
-    # Entries sharing one index along `axis` come in contiguous runs only as
-    # long as the axes after it.  Those axes go first and the ufuncs iterate
-    # in C order, so the inner loops run over the grid and passive axes.
-    perm = list(range(axis + 1, nd)) + list(range(axis + 1))
-    f = field_arr.transpose(perm)
-    n_mid = nd - M.ndim + 1 - n_after
-    Mr = M.reshape((1,) * n_after + M.shape[:-2] + (1,) * n_mid + M.shape[-2:])
-    out = np.empty_like(field_arr, dtype=np.result_type(M, field_arr))
-    out_t = out.transpose(perm)
-    m = M.shape[-1]
+    lead = (slice(None),) * axis
+    out = np.empty(field_arr.shape, np.result_type(M, field_arr))
+    scratch = None
+    m = len(M)
     for a in range(m):
-        o = out_t[..., a]
-        np.multiply(Mr[..., a, 0], f[..., 0], out=o, order="C")
+        o = out[lead + (a,)]
+        np.multiply(M[a, 0], field_arr[lead + (0,)], out=o)
         for b in range(1, m):
-            term = np.multiply(Mr[..., a, b], f[..., b], order="C")
-            np.add(o, term, out=o, order="C")
+            if scratch is None:
+                scratch = np.empty(o.shape, o.dtype)
+            np.multiply(M[a, b], field_arr[lead + (b,)], out=scratch)
+            o += scratch
     return out
 
 
 def tensor_norm_sq(
     field_arr: np.ndarray, geom: GeometryPack, index_spec: str
 ) -> np.ndarray:
-    """Pointwise squared g-norm; passive (ambient) axes add in Frobenius."""
-    n_idx = len(index_spec)
-    grid = geom.grid
+    """Pointwise squared g-norm; passive (ambient) axes add in Frobenius.
+
+    The product of the field with its raised copy is written grid first in
+    C order before the sum over the tensor and passive axes, because
+    numpy's pairwise summation order follows the memory layout.
+    """
+    m = geom.grid.m
+    n_comp = field_arr.ndim - m
+    n_pass = n_comp - len(index_spec)
     raised = field_arr
-    for pos, kind in enumerate(index_spec):
-        axis = field_arr.ndim - n_idx + pos
-        M = geom.inverse_metric if kind == "l" else geom.metric
-        raised = contract_with_metric(raised, M, axis)
-    if raised is field_arr:
-        prod = field_arr * field_arr
-    else:
-        prod = np.multiply(field_arr, raised, out=raised)
-    sum_axes = tuple(range(grid.m, field_arr.ndim))
-    return prod.sum(axis=sum_axes) if sum_axes else prod
+    if index_spec:
+        raised = components_first(field_arr, n_comp)
+        for pos, kind in enumerate(index_spec):
+            M = geom.inverse_metric if kind == "l" else geom.metric
+            raised = contract_with_metric(
+                raised, components_first(M, 2), n_pass + pos
+            )
+        raised = components_last(raised, n_comp)
+    prod = np.multiply(field_arr, raised, out=np.empty(field_arr.shape))
+    return prod.sum(axis=tuple(range(m, field_arr.ndim))) if n_comp else prod
 
 
 def tensor_norm_sup(field_arr, geom, index_spec) -> float:
@@ -303,26 +337,31 @@ def tensor_norm_sup(field_arr, geom, index_spec) -> float:
     return float(np.sqrt(tensor_norm_sq(field_arr, geom, index_spec).max()))
 
 
-def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
-    """Rough Laplacian g^pq grad_p grad_q, componentwise on passive axes.
+def divergence(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
+    """g^pq grad_p T_q... of a field T whose spec starts with a lower index q.
 
     The trace sums over (p, q) in row-major order.  That is the order of
     the einsum "...pq,...pq->..." kept as the reference in
-    tests/test_geometry.py whenever the field carries tensor indices; for
-    an index-free field at m=2 einsum adds the terms in two SIMD lanes, so
-    the last bit can differ there.
+    tests/test_geometry.py whenever the field carries tensor indices past
+    q; for a gradient of an index-free field at m=2 einsum adds the terms
+    in two SIMD lanes, so the last bit can differ there.
     """
-    dd = covariant_derivative(
+    dd = covariant_derivative(field_arr, geom, index_spec)
+    n_comp = dd.ndim - geom.grid.m
+    d = components_first(dd, n_comp)
+    ginv = components_first(geom.inverse_metric, 2)
+    lead = (slice(None),) * (n_comp - len(index_spec) - 1)
+    R = range(geom.grid.m)
+    out = sum_of_products((ginv[p, q], d[lead + (p, q)]) for p in R for q in R)
+    return components_last(out, n_comp - 2)
+
+
+def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
+    """Rough Laplacian g^pq grad_p grad_q, componentwise on passive axes:
+    the divergence of the covariant derivative."""
+    return divergence(
         covariant_derivative(field_arr, geom, index_spec), geom, "l" + index_spec
     )
-    n_idx = len(index_spec)
-    p_axis = dd.ndim - n_idx - 2
-    moved = np.moveaxis(dd, (p_axis, p_axis + 1), (-2, -1))
-    ginv = geom.inverse_metric
-    extra = moved.ndim - ginv.ndim
-    gr = ginv.reshape(ginv.shape[:-2] + (1,) * extra + ginv.shape[-2:])
-    R = range(ginv.shape[-1])
-    return sum_of_products((gr[..., p, q], moved[..., p, q]) for p in R for q in R)
 
 
 def sum_of_products(pairs) -> np.ndarray:
@@ -345,19 +384,32 @@ def sum_of_products(pairs) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _to_first(ndim: int, n: int) -> tuple:
+    """transpose axes that move the last n of ndim axes in front."""
+    return tuple(range(ndim - n, ndim)) + tuple(range(ndim - n))
+
+
+@lru_cache(maxsize=None)
+def _to_last(ndim: int, n: int) -> tuple:
+    """transpose axes that move the first n of ndim axes behind the rest."""
+    return tuple(range(n, ndim)) + tuple(range(n))
+
+
 def components_first(arr: np.ndarray, n: int) -> np.ndarray:
     """Contiguous copy of a field with its last n axes moved in front of the
     grid axes.  Each component arr[i, j, ...] is then one contiguous grid
     array, and a per-node scalar field broadcasts against it from the right,
-    so sums of products run as long contiguous loops."""
-    return np.ascontiguousarray(np.moveaxis(arr, range(-n, 0), range(n)))
+    so sums of products run as long contiguous loops.  A components_last
+    view comes back as its base array, with no copy."""
+    return np.ascontiguousarray(arr.transpose(_to_first(arr.ndim, n)))
 
 
 def components_last(arr: np.ndarray, n: int) -> np.ndarray:
     """The grid-first view of a components-first array: the first n axes go
     behind the grid and the memory stays as it is, so components_first of
     the view is the original array again, with no copy."""
-    return np.moveaxis(arr, range(n), range(-n, 0))
+    return arr.transpose(_to_last(arr.ndim, n))
 
 
 # --- curvature --------------------------------------------------------------

@@ -12,9 +12,9 @@ Frobenius over the ambient label.
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
 summed indices in index order (`sum_of_products`) and broadcasts over the
-free ones.  The contractions into three or more indices run on
-`components_first` copies, where every component is one contiguous grid
-array.
+free ones.  They run on `components_first` arrays, where every component is
+one contiguous grid array; for pack fields and covariant-layer results that
+conversion copies nothing.
 """
 
 from __future__ import annotations
@@ -205,11 +205,11 @@ def check_dX(window: TrajectoryWindow) -> ResidualReport:
 
 
 def _H_dot_h(geom: GeometryPack) -> np.ndarray:
-    """sum_a H^a h^a_ij, summed over a in index order."""
-    H, h = geom.mean_curv, geom.second_form
-    return sum_of_products(
-        (H[..., a, None, None], h[..., a, :, :]) for a in range(H.shape[-1])
-    )
+    """sum_a H^a h^a_ij, summed over a in index order components first (H^a
+    a grid array, h^a an (m, m) block of them); the grid-first view."""
+    H = components_first(geom.mean_curv, 1)
+    h = components_first(geom.second_form, 3)
+    return components_last(sum_of_products(zip(H, h)), 2)
 
 
 def metric_rhs(geom: GeometryPack) -> np.ndarray:

@@ -148,7 +148,7 @@ def test_criterion_07_zero_difference():
     sup = max(
         p.norm_sq_Y().max(),
         p.norm_sq_Z().max(),
-        heat_operator_Y(window, 4).max(),
+        heat_operator_Y(window, 4, p.grad_Y()).max(),
         time_derivative_Z_sq(window, 4).max(),
     )
     emit(7, sup == 0.0, f"identical flows: max of Y, Z, LHS1, LHS2 = {sup} (exact)")

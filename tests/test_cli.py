@@ -245,6 +245,8 @@ BAD_CONFIGS = {
     "diff-system-T-infinite": (
         "diff-system", changed(DIFF_CONFIG, T=float("inf")), "'T'"
     ),
+    # finite, but more fixed steps than a run may take
+    "diff-system-T-huge": ("diff-system", changed(DIFF_CONFIG, T=1e300), "'T'"),
     "simulate-fixed-dt-nan": (
         "simulate",
         changed(SIMULATE_CONFIG, policy={"fixed_dt": float("nan")}),

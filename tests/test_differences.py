@@ -114,8 +114,8 @@ class TestDifferencePack:
         got = {
             "Y": p.norm_sq_Y(),
             "Z": p.norm_sq_Z(),
-            "grad_Y": p.norm_sq_grad_Y(),
-            "heat_Y": heat_operator_Y(window, 2),
+            "grad_Y": p.norm_sq_grad_Y(p.grad_Y()),
+            "heat_Y": heat_operator_Y(window, 2, p.grad_Y()),
             "dt_Z": time_derivative_Z_sq(window, 2),
         }
         for name, want in expected.items():
@@ -221,7 +221,8 @@ class TestDifferenceEvolutions:
 class TestCoupledInequalities:
     def test_heat_operator_constant_on_circle_pair(self):
         w = circle_pair()
-        h = heat_operator_Y(w, len(w) // 2)
+        c = len(w) // 2
+        h = heat_operator_Y(w, c, w.item(c).grad_Y())
         assert (h.max() - h.min()) / h.max() < 1e-6
 
     def test_fitted_constants_finite_and_stable(self):
@@ -254,9 +255,9 @@ class TestCoupledInequalities:
         def counting(name):
             method = getattr(DifferencePack, name)
 
-            def wrapper(pack):
+            def wrapper(pack, *args):
                 calls[name] = calls.get(name, 0) + 1
-                return method(pack)
+                return method(pack, *args)
 
             return wrapper
 

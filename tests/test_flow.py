@@ -138,6 +138,11 @@ class TestStepPolicy:
             {"cfl_safety": 1.5},
             {"dt_max": -1.0},
             {"fixed_dt": 0.0},
+            {"cfl_safety": float("nan")},
+            {"dt_max": float("nan")},
+            {"dt_max": float("inf")},
+            {"fixed_dt": float("nan")},
+            {"fixed_dt": float("inf")},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

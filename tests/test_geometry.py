@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mcflab import geometry, shapes
+from mcflab import shapes
 from mcflab.geometry import (
     _check_nondegenerate,
     compute_geometry,
@@ -89,7 +89,7 @@ def normality_residual(geom):
     """Sup of |<h_ij, d_k X> g^kl| in g; O(h^2) for a true immersion."""
     h, X = geom.second_form, geom.first_derivs
     tang = (h[..., None] * X[..., :, None, None, :]).sum(axis=-4)  # [i, j, k]
-    tang = contract_with_metric(tang, geom.inverse_metric, -1)
+    tang = np.einsum("...ijk,...lk->...ijl", tang, geom.inverse_metric)
     return tensor_norm_sup(tang, geom, "llu")
 
 
@@ -372,9 +372,13 @@ class TestCurvatureAgainstEinsum:
 
 
 # --- the einsum formulation as reference for the covariant layer -----------
+#
+# The references work on the grid-first layout and share no code with the
+# components-first contraction of the package.
 
 
 def einsum_contract_with_metric(field_arr, M, axis):
+    """out[..., a, ...] = sum_b M[..., a, b] f[..., b, ...] along `axis`."""
     moved = np.moveaxis(field_arr, axis, -1)
     extra = moved.ndim - M.ndim + 1
     Mr = M.reshape(M.shape[:-2] + (1,) * extra + M.shape[-2:]) if extra > 0 else M
@@ -382,9 +386,39 @@ def einsum_contract_with_metric(field_arr, M, axis):
     return np.moveaxis(out, -1, axis)
 
 
+def einsum_covariant_derivative(field_arr, geom, index_spec):
+    n_idx = len(index_spec)
+    pieces = []
+    for d in range(geom.grid.m):
+        val = partial(geom.grid, field_arr, d)
+        Gd = geom.christoffels[..., :, d, :]  # [k, p] = Gamma^k_dp
+        for pos, kind in enumerate(index_spec):
+            axis = field_arr.ndim - n_idx + pos
+            if kind == "l":
+                val = val - einsum_contract_with_metric(
+                    field_arr, np.swapaxes(Gd, -1, -2), axis
+                )
+            else:
+                val = val + einsum_contract_with_metric(field_arr, Gd, axis)
+        pieces.append(val)
+    return np.stack(pieces, axis=field_arr.ndim - n_idx)
+
+
+def einsum_tensor_norm_sq(field_arr, geom, index_spec):
+    raised = field_arr
+    for pos, kind in enumerate(index_spec):
+        M = geom.inverse_metric if kind == "l" else geom.metric
+        raised = einsum_contract_with_metric(raised, M, pos - len(index_spec))
+    # summed in grid-first C order, as the package does
+    prod = np.ascontiguousarray(field_arr * raised)
+    return prod.sum(axis=tuple(range(geom.grid.m, field_arr.ndim)))
+
+
 def einsum_laplacian(field_arr, geom, index_spec):
-    dd = covariant_derivative(
-        covariant_derivative(field_arr, geom, index_spec), geom, "l" + index_spec
+    dd = einsum_covariant_derivative(
+        einsum_covariant_derivative(field_arr, geom, index_spec),
+        geom,
+        "l" + index_spec,
     )
     n_idx = len(index_spec)
     p_axis = dd.ndim - n_idx - 2
@@ -402,6 +436,16 @@ COVARIANT_GEOMS = {
     ),
 }
 
+SPECS = ["", "l", "ll", "ull", "lll", "lull", "llll"]
+
+
+def layer(f, geom, spec):
+    return [
+        tensor_norm_sq(f, geom, spec),
+        covariant_derivative(f, geom, spec),
+        laplacian(f, geom, spec),
+    ]
+
 
 class TestCovariantLayerAgainstEinsum:
     """Component arithmetic gives the einsum's bits (np.array_equal does not
@@ -412,25 +456,24 @@ class TestCovariantLayerAgainstEinsum:
         return COVARIANT_GEOMS[request.param]()
 
     @pytest.mark.parametrize("A", [2, 3, 4])
-    @pytest.mark.parametrize("spec", ["", "l", "ll", "ull", "lll", "lull", "llll"])
-    def test_layer_matches_reference(self, geom, A, spec, monkeypatch):
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_layer_matches_reference(self, geom, A, spec):
         m = geom.grid.m
         rng = np.random.default_rng(7)
         f = rng.standard_normal(geom.grid.shape + (A,) + (m,) * len(spec))
+        n_comp = f.ndim - m
+        f_first = np.ascontiguousarray(np.moveaxis(f, range(m, f.ndim), range(n_comp)))
         gamma0 = geom.christoffels[..., :, 0, :]
         for M in (geom.metric, geom.inverse_metric, gamma0, np.swapaxes(gamma0, -1, -2)):
+            M_first = np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
             for axis in range(f.ndim - len(spec), f.ndim):
-                got = geometry.contract_with_metric(f, M, axis)
+                got = contract_with_metric(f_first, M_first, axis - m)
+                got = np.moveaxis(got, range(n_comp), range(m, f.ndim))
                 assert np.array_equal(got, einsum_contract_with_metric(f, M, axis))
-        new = [
-            tensor_norm_sq(f, geom, spec),
-            covariant_derivative(f, geom, spec),
-            laplacian(f, geom, spec),
-        ]
-        monkeypatch.setattr(geometry, "contract_with_metric", einsum_contract_with_metric)
+        new = layer(f, geom, spec)
         ref = [
-            tensor_norm_sq(f, geom, spec),
-            covariant_derivative(f, geom, spec),
+            einsum_tensor_norm_sq(f, geom, spec),
+            einsum_covariant_derivative(f, geom, spec),
             einsum_laplacian(f, geom, spec),
         ]
         assert np.array_equal(new[0], ref[0])
@@ -444,3 +487,27 @@ class TestCovariantLayerAgainstEinsum:
             assert np.abs(new[2] - ref[2]).max() <= tol
         else:
             assert np.array_equal(new[2], ref[2])
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_layout_of_the_input_does_not_change_the_bits(self, geom, spec):
+        m = geom.grid.m
+        rng = np.random.default_rng(11)
+        shape = geom.grid.shape + (4,) + (m,) * len(spec)
+        n_comp = len(shape) - m
+        views = {
+            "strided": rng.standard_normal(shape[:m] + (8,) + shape[m + 1 :])[
+                (slice(None),) * m + (slice(None, None, 2),)
+            ],
+            "fortran": np.asfortranarray(rng.standard_normal(shape)),
+            "components_last": np.moveaxis(
+                rng.standard_normal(shape[m:] + shape[:m]),
+                range(n_comp),
+                range(m, len(shape)),
+            ),
+        }
+        for name, view in views.items():
+            assert not view.flags.c_contiguous, name
+            for got, want in zip(
+                layer(view, geom, spec), layer(np.ascontiguousarray(view), geom, spec)
+            ):
+                assert np.array_equal(got, want), name
