@@ -30,7 +30,6 @@ from .differences import (
 )
 from .flow import (
     BlowUpError,
-    FlowTrajectory,
     StepPolicy,
     mcf_velocity,
     run_fixed_dt,
@@ -118,6 +117,14 @@ def _floats(values) -> list:
     return [_real(v) for v in values]
 
 
+def _pair(values) -> list:
+    """_floats of exactly two entries: a centre or a pair of radii."""
+    out = _floats(values)
+    if len(out) != 2:
+        raise ValueError(f"need 2 entries, got {len(out)}")
+    return out
+
+
 def _positive(kind):
     """kind restricted to positive values: time steps and strides."""
 
@@ -169,12 +176,11 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
         return _value(cfg, key, default, kind, "geometry")
 
     if kind == "circle":
-        return shapes.circle(grid, num("radius", 1.0), num("center", (0, 0), _floats))
+        return shapes.circle(grid, num("radius", 1.0), num("center", (0, 0), _pair))
     if kind == "ellipse":
         return shapes.ellipse(grid, num("a", 1.5), num("b", 1.0))
     if kind == "product_torus":
-        radii = num("radii", (1.0, 1.0), _floats)
-        return shapes.product_torus(grid, radii[0], radii[1])
+        return shapes.product_torus(grid, *num("radii", (1.0, 1.0), _pair))
     if kind == "perturbed_torus":
         return shapes.perturbed_torus(
             grid,
@@ -206,13 +212,15 @@ def _build_symmetry(cfg: dict, grid: GridSpec, ambient: int) -> SymmetryAction:
     _check_keys(perm_cfg, {"type", "offsets", "axes"}, context)
     ptype = perm_cfg.get("type")
     if ptype == "shift":
-        offsets = _value(perm_cfg, "offsets", kind=_integers, context=context)
-        perm = shift_permutation(grid, np.asarray(offsets, dtype=int))
+        key, default, permutation = "offsets", None, shift_permutation
     elif ptype == "reflection":
-        axes = _value(perm_cfg, "axes", [0], _integers, context)
-        perm = reflection_permutation(grid, axes)
+        key, default, permutation = "axes", [0], reflection_permutation
     else:
         raise ConfigError(f"unknown permutation type {ptype!r}")
+    # a wrong-length shift or an out-of-range axis names its key, too
+    perm = _value(
+        perm_cfg, key, default, lambda v: permutation(grid, _integers(v)), context
+    )
     try:
         return SymmetryAction(Q, b, perm)
     except ValueError as exc:
@@ -413,6 +421,10 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     )
     grid = _build_grid(cfg.get("grid", {}))
     initA = _build_geometry(cfg.get("geometry", {}), grid)
+    if {"geometry_b", "perturbation"} <= cfg.keys():
+        raise ConfigError(
+            "'geometry_b' and 'perturbation' both give the second flow; keep one"
+        )
     if "geometry_b" in cfg:
         initB = _build_geometry(cfg["geometry_b"], grid)
     elif "perturbation" in cfg:

@@ -10,8 +10,7 @@ together with the direct sums
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
 pair; `check_dd` and `check_dw` are `identities.evolution_check` runs whose
-right-hand sides are differences of the single-flow ones, and
-`check_N_integral` takes d/dt N at every state from the window.  Backwards-in-time
+right-hand sides are differences of the single-flow ones.  Backwards-in-time
 integration is never attempted; the uniqueness mechanism is exercised only
 through these forward-in-time inequality measurements.
 """
@@ -154,38 +153,6 @@ def check_dw(window: PairedWindow) -> ResidualReport:
         lambda p: grad_H(p.geomA) - grad_H(p.geomB),
         "l",
     )
-
-
-def check_N_integral(window: PairedWindow):
-    """Integral bound |N(t) - N(T)|_g <= quadrature of |d/ds N|_g over [t, T].
-
-    The bound is a consequence of the fundamental theorem of calculus plus
-    the triangle inequality, so the returned per-time slack should be
-    nonnegative up to time-discretization error.
-    """
-    n = len(window)
-    geoms = [window.geometry(k) for k in range(n)]
-    N_final = window.item(n - 1).N
-    # pointwise g-norms of d/dt N and of N - N(T) at every stored state
-    norm_dN = np.sqrt([
-        tensor_norm_sq(window.time_derivative(k, lambda q: q.N), geoms[k], "ull")
-        for k in range(n)
-    ])
-    lhs_all = np.sqrt([
-        tensor_norm_sq(window.item(k).N - N_final, geoms[k], "ull") for k in range(n)
-    ])
-    rows = []
-    for k, (t, lhs) in enumerate(zip(window.times, lhs_all)):
-        rhs = np.trapezoid(norm_dN[k:], dx=window.dt, axis=0) if k < n - 1 else 0 * lhs
-        rows.append(
-            {
-                "t": float(t),
-                "lhs_sup": float(lhs.max()),
-                "rhs_sup": float(np.max(rhs)),
-                "min_slack": float(np.min(rhs - lhs)),
-            }
-        )
-    return rows
 
 
 def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarray:

@@ -482,9 +482,3 @@ def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
     R = P - np.swapaxes(P, 2, 3)
     del P
     return _curvature_pack(R, geom)
-
-
-def trace_identity_residual(geom: GeometryPack) -> float:
-    """Max deviation of sum_a |grad X^a|^2_g from m (exact discretely)."""
-    val = tensor_norm_sq(geom.first_derivs, geom, "l")
-    return float(np.abs(val - geom.grid.m).max())

@@ -36,14 +36,13 @@ class ShapeError(ValueError):
 
 
 class DegenerateImmersionError(ValueError):
-    """det(g), or another quantity that must stay positive, dropped below
-    its floor at some node."""
+    """det(g) dropped below its floor at some node."""
 
-    def __init__(self, node, value, quantity="det(g)"):
+    def __init__(self, node, value):
         self.node = tuple(int(i) for i in node)  # (3,), not (np.int64(3),)
         self.value = value
         super().__init__(
-            f"degenerate immersion: {quantity} = {value:.3e} at node {self.node}"
+            f"degenerate immersion: det(g) = {value:.3e} at node {self.node}"
         )
 
 
@@ -205,9 +204,6 @@ class Immersion:
         return Immersion(
             self.grid, positions, self.time if time is None else float(time)
         )
-
-    def centroid(self) -> np.ndarray:
-        return self.positions.reshape(-1, self.ambient_dim).mean(axis=0)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from .geometry import (
     laplacian,
     sum_of_products,
     tensor_norm_sq,
-    tensor_norm_sup,
 )
-from .grid import DegenerateImmersionError
 
 
 ANCHORS = {
@@ -58,15 +56,11 @@ ANCHORS = {
     "gauss_cross_check": (
         "R_ijkl = sum_a (h^a_ik h^a_jl - h^a_il h^a_jk)  vs  intrinsic R"
     ),
-    "trace_identity": "sum_a |grad X^a|^2_g = g^ij g_ij = m",
     "difference_metric": (
         "d/dt d_ij = -2 sum_a (g^kl h^a_kl h^a_ij - gt^kl ht^a_kl ht^a_ij)"
     ),
     "difference_position_gradient": (
         "d/dt w^a_i = grad_i H^a - gradt_i Ht^a"
-    ),
-    "connection_integral_bound": (
-        "|N(t) - N(T)|_g <= integral_t^T |d/ds N| ds"
     ),
     "heat_inequality_Y": (
         "|(d/dt - Lap) Y|^2 <= C (|Y|^2 + |grad Y|^2 + |Z|^2)"
@@ -336,61 +330,6 @@ def check_simons(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:
     return residual_report(
         "second_form_commutation", geom, simons_residual_field(geom, curv), "ll"
     )
-
-
-def measure_bernstein(traj: FlowTrajectory, k_max: int = 2):
-    """Monitoring table of sup-node |grad^k h|_g per stored time, k <= k_max."""
-    rows = []
-    for state in traj.states:
-        geom = compute_geometry(state)
-        field_arr = geom.second_form
-        spec = "ll"
-        for k in range(k_max + 1):
-            sup = tensor_norm_sup(field_arr, geom, spec)
-            rows.append({"t": state.time, "k": k, "sup": sup})
-            if k < k_max:
-                field_arr = covariant_derivative(field_arr, geom, spec)
-                spec = "l" + spec
-    return rows
-
-
-def measure_equivalence(gA: np.ndarray, gB: np.ndarray) -> float:
-    """Smallest gamma >= 1 with gamma^-1 gA <= gB <= gamma gA at every node."""
-    if gA.shape != gB.shape:
-        raise ProtocolError("metric fields must share a shape")
-    det_a = _require_spd(gA)
-    det_b = _require_spd(gB)
-    if gA.shape[-1] == 1:
-        lam_min = lam_max = det_b / det_a
-    else:
-        # eigenvalues of the SPD pencil gB v = lambda gA v from the trace
-        # and det of gA^-1 gB
-        tr = (
-            gA[..., 1, 1] * gB[..., 0, 0]
-            - 2.0 * gA[..., 0, 1] * gB[..., 0, 1]
-            + gA[..., 0, 0] * gB[..., 1, 1]
-        ) / det_a
-        det = det_b / det_a
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        lam_max = 0.5 * (tr + disc)
-        lam_min = 0.5 * (tr - disc)
-    gamma = max(float(lam_max.max()), float((1.0 / lam_min).max()))
-    return max(gamma, 1.0)
-
-
-def _require_spd(g: np.ndarray) -> np.ndarray:
-    """det g of a metric field (grid + (m, m), m = 1 or 2).  Raises at the
-    first node (C order) where det(g) <= 0 or g_00 <= 0, naming the
-    quantity that failed there."""
-    g00 = g[..., 0, 0]
-    det = g00 if g.shape[-1] == 1 else g00 * g[..., 1, 1] - g[..., 0, 1] ** 2
-    bad = (det <= 0) | (g00 <= 0)
-    if np.any(bad):
-        node = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        if det[node] <= 0:
-            raise DegenerateImmersionError(node, float(det[node]))
-        raise DegenerateImmersionError(node, float(g00[node]), "g_00")
-    return det
 
 
 def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:

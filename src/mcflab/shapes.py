@@ -1,8 +1,8 @@
-"""Analytic initial data and exact-solution oracles.
+"""Analytic initial data and a seeded low-mode perturbation.
 
-The closed-form solutions (shrinking circle, shrinking product torus) serve
-as ground truth for the integrator: each circle factor of radius r0 obeys
-r(t) = sqrt(r0^2 - 2 t) under mean curvature flow.
+The circle and the product torus also have closed-form flows, the ground
+truth the integrator is tested against: each circle factor of radius r0
+obeys r(t) = sqrt(r0^2 - 2 t) under mean curvature flow.
 """
 
 from __future__ import annotations
@@ -55,30 +55,6 @@ def perturbed_torus(grid: GridSpec, r1=1.0, r2=1.0, amplitude=0.1) -> Immersion:
     return Immersion(grid, pos)
 
 
-def exact_oracle(kind: str, params: dict, t: float, grid: GridSpec) -> Immersion:
-    """Analytic flow solution sampled on the grid at time t."""
-    if kind == "shrinking_circle":
-        r0 = float(params.get("radius", 1.0))
-        r2 = r0**2 - 2.0 * t
-        if r2 <= 0:
-            raise ValueError(f"t={t} is past extinction time {0.5 * r0 ** 2}")
-        imm = circle(grid, np.sqrt(r2), params.get("center", (0.0, 0.0)))
-    elif kind == "product_torus":
-        radii = params.get("radii", (1.0, 1.0))
-        shrunk = []
-        for r0 in radii:
-            r2 = r0**2 - 2.0 * t
-            if r2 <= 0:
-                raise ValueError(
-                    f"t={t} is past extinction time {0.5 * r0 ** 2} of one factor"
-                )
-            shrunk.append(np.sqrt(r2))
-        imm = product_torus(grid, *shrunk)
-    else:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    return imm.with_positions(imm.positions, time=t)
-
-
 def low_mode_perturbation(
     imm: Immersion, amplitude: float, seed: int, max_mode: int = 3
 ) -> Immersion:
@@ -98,20 +74,3 @@ def low_mode_perturbation(
         disp[..., a] = bump
     scale = max(np.abs(disp).max(), 1e-30)
     return imm.with_positions(imm.positions + amplitude * disp / scale)
-
-
-def measured_radius(imm: Immersion) -> float:
-    """Mean distance of the nodes from their centroid."""
-    c = imm.centroid()
-    d = np.linalg.norm(imm.positions - c, axis=-1)
-    return float(d.mean())
-
-
-def measured_torus_radii(imm: Immersion) -> tuple:
-    """Mean factor radii of an R^4 product-torus-like immersion."""
-    if imm.ambient_dim != 4:
-        raise ValueError("torus radii need ambient dimension 4")
-    p = imm.positions
-    r1 = float(np.linalg.norm(p[..., 0:2], axis=-1).mean())
-    r2 = float(np.linalg.norm(p[..., 2:4], axis=-1).mean())
-    return r1, r2

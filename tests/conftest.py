@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcflab import shapes
+from mcflab.geometry import GeometryPack, tensor_norm_sq
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
 
 
@@ -31,6 +32,29 @@ def permute_field(field_arr: np.ndarray, grid: GridSpec, source_index) -> np.nda
     flat = field_arr.reshape(grid.num_nodes, -1)
     out = flat[np.asarray(source_index).ravel()]
     return out.reshape(grid.shape + trailing)
+
+
+def measured_radius(imm: Immersion) -> float:
+    """Mean distance of the nodes from their centroid."""
+    c = imm.positions.reshape(-1, imm.ambient_dim).mean(axis=0)
+    d = np.linalg.norm(imm.positions - c, axis=-1)
+    return float(d.mean())
+
+
+def measured_torus_radii(imm: Immersion) -> tuple:
+    """Mean factor radii of an R^4 product-torus-like immersion."""
+    if imm.ambient_dim != 4:
+        raise ValueError("torus radii need ambient dimension 4")
+    p = imm.positions
+    r1 = float(np.linalg.norm(p[..., 0:2], axis=-1).mean())
+    r2 = float(np.linalg.norm(p[..., 2:4], axis=-1).mean())
+    return r1, r2
+
+
+def trace_identity_residual(geom: GeometryPack) -> float:
+    """Max deviation of sum_a |grad X^a|^2_g from m (exact discretely)."""
+    val = tensor_norm_sq(geom.first_derivs, geom, "l")
+    return float(np.abs(val - geom.grid.m).max())
 
 
 @pytest.fixture

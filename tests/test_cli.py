@@ -149,6 +149,68 @@ BAD_CONFIGS = {
         changed(IDENTITIES_CONFIG, geometry={"kind": "circle", "center": None}),
         "'center'",
     ),
+    # fixed-length lists hold exactly two entries, neither fewer nor more
+    "geometry-center-short": (
+        "identities",
+        changed(IDENTITIES_CONFIG, geometry={"kind": "circle", "center": [0.5]}),
+        "'center'",
+    ),
+    "geometry-center-long": (
+        "identities",
+        changed(IDENTITIES_CONFIG,
+                geometry={"kind": "circle", "center": [0.5, 0.1, 9]}),
+        "'center'",
+    ),
+    "geometry-radii-short": (
+        "identities",
+        changed(
+            IDENTITIES_CONFIG,
+            grid={"m": 2, "resolution": 8},
+            geometry={"kind": "product_torus", "radii": [1.0]},
+        ),
+        "'radii'",
+    ),
+    "geometry-radii-long": (
+        "identities",
+        changed(
+            IDENTITIES_CONFIG,
+            grid={"m": 2, "resolution": 8},
+            geometry={"kind": "product_torus", "radii": [1.0, 0.5, 0.2]},
+        ),
+        "'radii'",
+    ),
+    "symmetry-offsets-wrong-length": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, 1]],
+                                           "permutation": {"type": "shift",
+                                                           "offsets": [1, 2]}}),
+        "'offsets'",
+    ),
+    "symmetry-axes-out-of-range": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": [5]}}),
+        "'axes'",
+    ),
+    "symmetry-axes-negative": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": [-1]}}),
+        "'axes'",
+    ),
+    # two sources of the second flow; the unused one would go unchecked
+    "diff-system-geometry-b-and-perturbation": (
+        "diff-system",
+        changed(DIFF_CONFIG, perturbation={"amplitudee": 5, "bogus": 1}),
+        "'geometry_b' and 'perturbation'",
+    ),
+    "diff-system-geometry-b-and-valid-perturbation": (
+        "diff-system",
+        changed(DIFF_CONFIG, perturbation={"amplitude": 1e-3, "max_mode": 2}),
+        "'geometry_b' and 'perturbation'",
+    ),
     # a section that is not an object
     "grid-not-an-object": ("identities", changed(IDENTITIES_CONFIG, grid=5), "'grid'"),
     "geometry-null": (

@@ -19,7 +19,6 @@ from mcflab.differences import (
     DifferencePack,
     PairedWindow,
     build_difference,
-    check_N_integral,
     check_dd,
     check_dw,
     forward_gronwall,
@@ -210,12 +209,6 @@ class TestDifferenceEvolutions:
         for N in (64, 128):
             sups.append(check_dd(circle_ellipse_pair(N)).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
-
-    def test_integral_bound_on_connection_difference(self):
-        for window in (circle_pair(), circle_ellipse_pair()):
-            rows = check_N_integral(window)
-            assert rows[-1]["lhs_sup"] == 0.0
-            assert min(r["min_slack"] for r in rows) > -1e-12
 
 
 class TestCoupledInequalities:

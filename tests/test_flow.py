@@ -20,7 +20,7 @@ from mcflab.flow import (
     run_fixed_dt,
     run_paired_fixed_dt,
 )
-from mcflab.geometry import compute_geometry
+from mcflab.geometry import compute_geometry, tensor_norm_sq, tensor_norm_sup
 from mcflab.grid import (
     DegenerateImmersionError,
     Immersion,
@@ -28,9 +28,13 @@ from mcflab.grid import (
     shift_permutation,
 )
 from mcflab.grid import SymmetryAction
-from mcflab.shapes import exact_oracle, measured_radius, measured_torus_radii
 
-from conftest import identity_symmetry, stencil_symbols
+from conftest import (
+    identity_symmetry,
+    measured_radius,
+    measured_torus_radii,
+    stencil_symbols,
+)
 
 
 def discrete_radius(grid, r0, t):
@@ -369,22 +373,43 @@ class TestPairedFixedDt:
 
 
 class TestOracles:
-    def test_shrinking_circle_oracle_radius(self, circle_grid):
-        imm = exact_oracle("shrinking_circle", {"radius": 1.0}, 0.3, circle_grid)
-        assert abs(measured_radius(imm) - np.sqrt(1.0 - 0.6)) < 1e-14
-        assert imm.time == 0.3
+    def test_circle_curvature_follows_radius_law(self):
+        # |h|_g = c / r(t) at every stored state of a shrinking circle
+        grid, r0 = GridSpec(1, 64), 2.0
+        s1, s2 = stencil_symbols(grid)
+        c = s2 / s1**2
+        traj = run_fixed_dt(shapes.circle(grid, r0), 1e-4, 8, store_every=2)
+        for state in traj.states:
+            geom = compute_geometry(state)
+            sup = tensor_norm_sup(geom.second_form, geom, "ll")
+            assert abs(sup - c / discrete_radius(grid, r0, state.time)) < 1e-12
 
-    def test_oracle_past_extinction_rejected(self, circle_grid):
-        with pytest.raises(ValueError):
-            exact_oracle("shrinking_circle", {"radius": 1.0}, 0.5, circle_grid)
-        with pytest.raises(ValueError):
-            exact_oracle(
-                "product_torus", {"radii": (1.0, 0.4)}, 0.1, GridSpec(2, 16)
-            )
+    def test_torus_curvature_follows_factor_law(self):
+        # |h|_g^2 = c^2 (1 / r1(t)^2 + 1 / r2(t)^2) at every node and time
+        grid = GridSpec(2, 16)
+        s1, s2 = stencil_symbols(grid)
+        c = s2 / s1**2
+        traj = run_fixed_dt(
+            shapes.product_torus(grid, 1.0, 0.7), 1e-4, 8, store_every=4
+        )
+        for state in traj.states:
+            geom = compute_geometry(state)
+            r1 = discrete_radius(grid, 1.0, state.time)
+            r2 = discrete_radius(grid, 0.7, state.time)
+            norm_sq = tensor_norm_sq(geom.second_form, geom, "ll")
+            assert np.abs(norm_sq - c**2 * (r1**-2 + r2**-2)).max() < 1e-12
 
-    def test_unknown_oracle_kind(self, circle_grid):
-        with pytest.raises(ValueError):
-            exact_oracle("soliton", {}, 0.0, circle_grid)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_torus_blows_up_when_its_small_factor_dies(self):
+        grid = GridSpec(2, 16)
+        s1, s2 = stencil_symbols(grid)
+        extinction = 0.4**2 / (2.0 * s2 / s1**2)
+        imm = shapes.product_torus(grid, 1.0, 0.4)
+        with pytest.raises(BlowUpError) as err:
+            for _ in range(200):
+                imm = step_rk4(imm, 1e-3)
+        assert err.value.time >= extinction - 1e-3
+        assert discrete_radius(grid, 1.0, err.value.time) > 0.8
 
     def test_low_mode_perturbation_amplitude_and_seed(self, unit_circle):
         a = shapes.low_mode_perturbation(unit_circle, 0.05, seed=7)

@@ -15,7 +15,6 @@ from mcflab.geometry import (
     laplacian,
     tensor_norm_sq,
     tensor_norm_sup,
-    trace_identity_residual,
 )
 from mcflab.grid import (
     DegenerateImmersionError,
@@ -25,7 +24,12 @@ from mcflab.grid import (
     second_partial,
 )
 
-from conftest import REFERENCE_MAKERS, permute_field, stencil_symbols
+from conftest import (
+    REFERENCE_MAKERS,
+    permute_field,
+    stencil_symbols,
+    trace_identity_residual,
+)
 
 
 class TestInducedMetric:
@@ -67,6 +71,26 @@ class TestInducedMetric:
         det[0, 1] = 0.0
         with pytest.raises(DegenerateImmersionError, match=re.escape("at node (0, 1)")):
             _check_nondegenerate(det, 2)
+
+    def test_degenerate_error_reports_the_smallest_det(self):
+        # node (2, 3) fails first in C order; node (6, 1) has the smaller det
+        det = np.ones((8, 8))
+        det[2, 3] = -0.5
+        det[6, 1] = -2.0
+        with pytest.raises(DegenerateImmersionError) as err:
+            _check_nondegenerate(det, 2)
+        assert err.value.node == (6, 1)
+        assert err.value.value == -2.0
+        assert f"det(g) = {-2.0:.3e} at node (6, 1)" in str(err.value)
+
+    def test_degenerate_error_drops_the_batch_index(self):
+        # a pair's det carries a batch axis after the grid axes
+        det = np.ones((8, 8, 2))
+        det[5, 6, 1] = 0.0
+        with pytest.raises(DegenerateImmersionError) as err:
+            _check_nondegenerate(det, 2)
+        assert err.value.node == (5, 6)
+        assert "at node (5, 6)" in str(err.value)
 
 
 class TestChristoffels:

@@ -6,8 +6,6 @@ each evolution identity then shrinks at second order in the grid spacing,
 except for relations that hold exactly in the semi-discrete system.
 """
 
-import re
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from mcflab import shapes
 from mcflab.flow import FlowTrajectory, run_fixed_dt
 from mcflab.geometry import covariant_derivative, curvature_gauss, laplacian
 from mcflab.grid import (
-    DegenerateImmersionError,
     SymmetryAction,
     apply_symmetry,
     partial,
@@ -37,8 +34,6 @@ from mcflab.identities import (
     gauss_cross_check,
     grad_grad_H,
     grad_H,
-    measure_bernstein,
-    measure_equivalence,
     metric_rhs,
     simons_residual_field,
 )
@@ -265,103 +260,6 @@ class TestIdentityLayerAgainstEinsum:
         assert got.shape == want.shape
         scale = np.abs(grad_grad_H(geom)).max()
         assert np.abs(got - want).max() <= 1e-14 * scale
-
-
-class TestBernsteinTable:
-    def test_circle_curvature_envelope(self):
-        grid = GridSpec(1, 64)
-        r0 = 2.0
-        traj = run_fixed_dt(shapes.circle(grid, r0), 1e-4, 8, store_every=2)
-        s1, s2 = stencil_symbols(grid)
-        c = s2 / s1**2
-        rows = measure_bernstein(traj, k_max=1)
-        for row in rows:
-            if row["k"] != 0:
-                continue
-            r_t = np.sqrt(r0**2 - 2.0 * c * row["t"])
-            assert abs(row["sup"] - c / r_t) < 1e-10
-
-    def test_rows_cover_all_orders(self):
-        traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 4)
-        rows = measure_bernstein(traj, k_max=2)
-        assert sorted({row["k"] for row in rows}) == [0, 1, 2]
-        assert len(rows) == 3 * len(traj.states)
-
-
-class TestMetricEquivalence:
-    def test_identical_metrics_give_one(self):
-        g = compute_geometry(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)).metric
-        assert measure_equivalence(g, g) == 1.0
-
-    def test_concentric_circles(self):
-        grid = GridSpec(1, 32)
-        gA = compute_geometry(shapes.circle(grid, 1.0)).metric
-        gB = compute_geometry(shapes.circle(grid, 2.0)).metric
-        assert abs(measure_equivalence(gA, gB) - 4.0) < 1e-12
-        assert abs(measure_equivalence(gB, gA) - 4.0) < 1e-12
-
-    def test_torus_pair(self):
-        grid = GridSpec(2, 16)
-        gA = compute_geometry(shapes.product_torus(grid, 1.0, 1.0)).metric
-        gB = compute_geometry(shapes.product_torus(grid, 2.0, 1.0)).metric
-        assert abs(measure_equivalence(gA, gB) - 4.0) < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        gA = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0)).metric
-        gB = compute_geometry(shapes.circle(GridSpec(1, 64), 1.0)).metric
-        with pytest.raises(ProtocolError):
-            measure_equivalence(gA, gB)
-
-    def test_degenerate_metric_rejected(self):
-        g = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0)).metric
-        bad = g.copy()
-        bad[3, 0, 0] = -1.0
-        with pytest.raises(DegenerateImmersionError, match=re.escape("at node (3,)")):
-            measure_equivalence(g, bad)
-
-    def test_degenerate_metric_node_on_torus(self):
-        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
-        bad = g.copy()
-        bad[1, 2, 0, 0] = -1.0
-        with pytest.raises(DegenerateImmersionError) as err:
-            measure_equivalence(bad, g)
-        assert err.value.node == (1, 2)
-        assert "at node (1, 2)" in str(err.value)
-
-    def test_first_failing_node_of_a_curve(self):
-        # node 3 fails first in C order; node 10 has the smaller g_00
-        g = compute_geometry(shapes.circle(GridSpec(1, 32), 1.0)).metric
-        bad = g.copy()
-        bad[3, 0, 0] = -0.5
-        bad[10, 0, 0] = -2.0
-        with pytest.raises(DegenerateImmersionError) as err:
-            measure_equivalence(g, bad)
-        assert err.value.node == (3,)
-        assert err.value.value == -0.5
-
-    def test_negated_metric_names_its_node(self):
-        # det(g) stays positive at a negated node; g_00 is what fails there
-        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
-        bad = g.copy()
-        bad[5, 6] = -g[5, 6]
-        with pytest.raises(DegenerateImmersionError) as err:
-            measure_equivalence(g, bad)
-        assert err.value.node == (5, 6)
-        assert err.value.value == -g[5, 6, 0, 0]
-        assert f"g_00 = {-g[5, 6, 0, 0]:.3e} at node (5, 6)" in str(err.value)
-
-    def test_first_failing_node_is_reported_with_its_det(self):
-        # node (2, 3) fails first in C order; node (6, 1) has the smaller det
-        g = compute_geometry(shapes.product_torus(GridSpec(2, 8), 1.0, 0.5)).metric
-        bad = g.copy()
-        bad[2, 3, 0, 1] = bad[2, 3, 1, 0] = 2.0
-        bad[6, 1, 0, 1] = bad[6, 1, 1, 0] = 9.0
-        det = bad[..., 0, 0] * bad[..., 1, 1] - bad[..., 0, 1] ** 2
-        assert det[6, 1] < det[2, 3] <= 0
-        with pytest.raises(DegenerateImmersionError) as err:
-            measure_equivalence(bad, g)
-        assert err.value.node == (2, 3)
-        assert f"det(g) = {det[2, 3]:.3e} at node (2, 3)" in str(err.value)
 
 
 class TestReportSerialization:
