@@ -79,9 +79,17 @@ class ConfigError(ValueError):
     pass
 
 
+def _not_bool(value):
+    """value itself, unless it is a JSON true or false: float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise ValueError("must be a number, not a boolean")
+    return value
+
+
 def _real(value) -> float:
-    """float(value) of a real number; JSON's NaN and Infinity are errors."""
-    x = float(value)
+    """float(value) of a real number; JSON's NaN and Infinity and booleans
+    are errors."""
+    x = float(_not_bool(value))
     if not np.isfinite(x):
         raise ValueError("must be finite")
     return x
@@ -101,8 +109,8 @@ def _value(cfg: dict, key: str, default=None, kind=_real, context="config"):
 
 
 def _integer(value) -> int:
-    """int(value) of an integral number; 16.9 or "16" is an error, not 16."""
-    x = int(value)
+    """int(value) of an integral number; 16.9, "16" or true is an error."""
+    x = int(_not_bool(value))
     if x != value:
         raise ValueError("must be an integer")
     return x
@@ -110,7 +118,7 @@ def _integer(value) -> int:
 
 def _integers(values) -> list:
     """_integer of each entry of a list, or of a single number."""
-    return [_integer(v) for v in np.atleast_1d(values)]
+    return [_integer(v) for v in (values if isinstance(values, list) else [values])]
 
 
 def _floats(values) -> list:
@@ -205,7 +213,10 @@ def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
 
 def _build_symmetry(cfg: dict, grid: GridSpec, ambient: int) -> SymmetryAction:
     _check_keys(cfg, {"matrix", "translation", "permutation"}, "symmetry")
-    Q = _value(cfg, "matrix", kind=lambda v: np.asarray(v, float), context="symmetry")
+    Q = _value(
+        cfg, "matrix", kind=lambda v: np.array([_floats(row) for row in v]),
+        context="symmetry",
+    )
     b = np.asarray(_value(cfg, "translation", [0.0] * ambient, _floats, "symmetry"))
     perm_cfg = cfg.get("permutation", {})
     context = "symmetry.permutation"

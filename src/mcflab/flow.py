@@ -10,7 +10,11 @@ metric without assembling a `GeometryPack`.  A step costs four kernel
 evaluations: `run_flow` evaluates the kernel once at the start of each step,
 takes the adaptive dt from that metric and hands the same H to `step_rk4`
 as its first stage.  The RK4 stage sum lives in `_rk4_positions`, which
-works on bare position arrays.
+works on bare position arrays.  It runs no finiteness check of its own on
+a stage: the kernel's det screen fails on any non-finite stage and then
+names its first non-finite node, which `_flow_kernel` turns into a
+BlowUpError at the step's start time.  The new positions are checked once
+per step.
 
 `run_fixed_dt` and `run_paired_fixed_dt` share one fixed-step loop.  The
 paired run stacks the two flows' positions on a batch axis (grid + (2, A))
@@ -26,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import KernelResult, geometry_kernel
-from .grid import DegenerateImmersionError, GridSpec, Immersion
+from .grid import (
+    DegenerateImmersionError,
+    GridSpec,
+    Immersion,
+    NonFiniteImmersionError,
+    first_nonfinite_node,
+)
 
 
 class BlowUpError(RuntimeError):
@@ -123,11 +133,6 @@ class FlowTrajectory:
 _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
 
 
-def _blow_up(time, positions, m):
-    node = np.argwhere(~np.isfinite(positions))[0][:m]
-    return BlowUpError(time, tuple(int(i) for i in node))
-
-
 def mcf_velocity(imm: Immersion) -> np.ndarray:
     """Mean curvature vector field H^a = g^ij h^a_ij at every node."""
     return geometry_kernel(imm.grid, imm.positions).mean_curv
@@ -135,10 +140,11 @@ def mcf_velocity(imm: Immersion) -> np.ndarray:
 
 def _flow_kernel(grid: GridSpec, X: np.ndarray, time: float) -> KernelResult:
     """Kernel at positions the flow produced from its state at `time`:
-    degeneration there is a blow-up of the flow, not bad input."""
+    non-finite positions or a degenerate metric there are a blow-up of the
+    flow, not bad input."""
     try:
         return geometry_kernel(grid, X)
-    except DegenerateImmersionError as exc:
+    except (NonFiniteImmersionError, DegenerateImmersionError) as exc:
         raise BlowUpError(time, exc.node) from exc
 
 
@@ -149,20 +155,16 @@ def _rk4_positions(
     state at `time` whose velocity H is k1.
 
     Non-finite values or a degenerate metric at a stage raise BlowUpError at
-    `time`; non-finite new positions raise it at time + dt.
+    `time`, at the first non-finite node in C order or else at the smallest
+    det g.  Both checks live in the kernel's det screen, which a non-finite
+    stage always fails; non-finite new positions raise at time + dt.
     """
-
-    def velocity(Y):
-        if not np.all(np.isfinite(Y)):
-            raise _blow_up(time, Y, grid.m)
-        return _flow_kernel(grid, Y, time).mean_curv
-
-    k2 = velocity(X + 0.5 * dt * k1)
-    k3 = velocity(X + 0.5 * dt * k2)
-    k4 = velocity(X + dt * k3)
+    k2 = _flow_kernel(grid, X + 0.5 * dt * k1, time).mean_curv
+    k3 = _flow_kernel(grid, X + 0.5 * dt * k2, time).mean_curv
+    k4 = _flow_kernel(grid, X + dt * k3, time).mean_curv
     new = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     if not np.all(np.isfinite(new)):
-        raise _blow_up(time + dt, new, grid.m)
+        raise BlowUpError(time + dt, first_nonfinite_node(new, grid.m))
     return new
 
 

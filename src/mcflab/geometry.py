@@ -38,9 +38,11 @@ from .grid import (
     DegenerateImmersionError,
     GridSpec,
     Immersion,
+    NonFiniteImmersionError,
     ShapeError,
+    first_nonfinite_node,
     partial,
-    second_partial,
+    partial_and_second,
 )
 
 
@@ -79,10 +81,36 @@ class GeometryPack:
 
 def _check_nondegenerate(det: np.ndarray, m: int):
     """Raise where det < EPS_IMMERSION, at the smallest det over all nodes
-    and batch members; the node keeps its first m (grid) indices only."""
+    and batch members; the node keeps its first m (grid) indices only.
+
+    This is the slow path of `_check_det`, run only when its screen fails.
+    NaN passes `det < EPS_IMMERSION`, so on its own this check misses
+    non-finite positions; `_check_det` looks for those first.
+    """
     if np.any(det < EPS_IMMERSION):
         idx = np.unravel_index(np.argmin(det), det.shape)
         raise DegenerateImmersionError(idx[:m], float(det[idx]))
+
+
+def _check_det(X: np.ndarray, det: np.ndarray, m: int):
+    """Raise if X is not finite or det g falls below EPS_IMMERSION.
+
+    One screen clears a healthy det in two reductions: det.min() >=
+    EPS_IMMERSION and det.max() < inf, which is false if any det is NaN.  A
+    NaN or infinite entry of X always fails it: the entry enters d_iX at
+    its neighbours along axis i with a nonzero stencil weight, and NaN or
+    inf survives the sum of squares that forms g_ii there and the products
+    that form det.  Only when the screen fails are the checks run, in
+    order: a non-finite X raises NonFiniteImmersionError at its first such
+    entry in C order, then `_check_nondegenerate`.  A finite X whose det
+    overflows passes both, and the kernel carries on.
+    """
+    if det.min() >= EPS_IMMERSION and det.max() < np.inf:
+        return
+    node = first_nonfinite_node(X, m)
+    if node is not None:
+        raise NonFiniteImmersionError(node)
+    _check_nondegenerate(det, m)
 
 
 class KernelResult(NamedTuple):
@@ -115,17 +143,48 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     sign of exact zeros.  Temporaries are released as soon as they are used
     up, which keeps the peak memory below that of the einsum formulation.
 
+    The fixed cost per call is kept low for the many small calls of a
+    paired m=1 flow: one halo copy of X per axis gives d_iX and d_iiX
+    (`partial_and_second`), and at m=1 the index loops are written out as
+    straight-line arithmetic on the one component of each field, d_0 g_00
+    taken from g_00 itself.  It runs the loops' operations in their order,
+    so the bits are those of the loops.
+
     Axes between the grid axes and the ambient axis (``batch``, possibly
     none) hold independent immersions on the same grid, such as the two
     flows of a pair.  Every operation is elementwise per member, so each
-    member's fields are bit-identical to a kernel call on it alone.  A
-    degenerate member raises DegenerateImmersionError at the grid node of
-    the smallest det g over all members, without the batch index.
+    member's fields are bit-identical to a kernel call on it alone.  One
+    screen of det g over all members (`_check_det`) guards the inverse: a
+    non-finite X raises NonFiniteImmersionError at its first such entry in
+    C order, and a degenerate member raises DegenerateImmersionError at
+    the grid node of the smallest det g over all members, without the
+    batch index.
     """
-    m = grid.m
+    if grid.m == 1:
+        # the index loops below at m=1: one component of each field
+        dX0, dd = partial_and_second(grid, X, 0)
+        p = dX0 * dX0
+        det = p[..., 0] + p[..., 1]
+        for a in range(2, p.shape[-1]):
+            det += p[..., a]
+        del p
+        _check_det(X, det, 1)
+        ginv = 1.0 / det
+        dg = partial(grid, det, 0)
+        gamma = dg + dg  # c_000 = (d_0 g_00 + d_0 g_00) - d_0 g_00
+        gamma -= dg
+        gamma *= ginv
+        gamma *= 0.5
+        dd -= gamma[..., None] * dX0
+        H = ginv[..., None] * dd
+        return KernelResult(H, det[..., None, None], det, [dX0], [ginv], [gamma], [dd])
+
+    m = 2
     R = range(m)
     pairs = [(i, j) for i in R for j in range(i, m)]
-    dX = [partial(grid, X, i) for i in R]
+    # one halo copy of X per axis serves d_iX and the compact d_iiX
+    first_second = [partial_and_second(grid, X, i) for i in R]
+    dX = [d for d, _ in first_second]
     g = {}
     for i, j in pairs:
         p = dX[i] * dX[j]
@@ -135,18 +194,12 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
         g[i, j] = g[j, i] = s
     del p
 
-    if m == 1:
-        det = g[0, 0]
-        _check_nondegenerate(det, m)
-        ginv = {(0, 0): 1.0 / det}
-        metric = det[..., None, None]
-    else:
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        _check_nondegenerate(det, m)
-        off = -g[0, 1] / det
-        ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
-        metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
-        metric = metric.reshape(det.shape + (2, 2))
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+    _check_det(X, det, m)
+    off = -g[0, 1] / det
+    ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
+    metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
+    metric = metric.reshape(det.shape + (2, 2))
 
     # one stencil call per axis over the stacked distinct components of g
     dG = [partial(grid, np.stack([g[ij] for ij in pairs], axis=-1), l) for l in R]
@@ -168,20 +221,19 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     h = {}
     for i, j in pairs:
         # the mixed second stencil is the first stencil applied twice
-        dd = second_partial(grid, X, i, i) if i == j else partial(grid, dX[i], j)
+        dd = first_second[i][1] if i == j else partial(grid, dX[i], j)
         corr = gamma[0, i, j][..., None] * dX[0]
         for k in range(1, m):
             corr += gamma[k, i, j][..., None] * dX[k]
         dd -= corr
         h[i, j] = h[j, i] = dd
-    del corr
+    del corr, first_second
 
     H = ginv[0, 0][..., None] * h[0, 0]
-    if m == 2:
-        t = ginv[0, 1][..., None] * h[0, 1]
-        H += t
-        t += ginv[1, 1][..., None] * h[1, 1]
-        H += t
+    t = ginv[0, 1][..., None] * h[0, 1]
+    H += t
+    t += ginv[1, 1][..., None] * h[1, 1]
+    H += t
     ij = [(i, j) for i in R for j in R]
     return KernelResult(
         H,

@@ -6,7 +6,10 @@ the grid axes; trailing axes carry tensor/ambient indices.  The derivative
 stencils wrap periodically, so there are no boundary cases: each call makes
 one halo copy of the field along the axis (its last r slices, the field,
 its first r slices; r = order / 2), reads every stencil tap as a slice view
-of that copy and writes one output array.
+of that copy and writes one output array per derivative.  One halo copy
+serves both stencils in `partial_and_second`, which returns d_i f and the
+compact d_ii f together, bit for bit equal to `partial` and the diagonal
+`second_partial`; the geometry kernel differentiates X with it.
 """
 
 from __future__ import annotations
@@ -44,6 +47,22 @@ class DegenerateImmersionError(ValueError):
         super().__init__(
             f"degenerate immersion: det(g) = {value:.3e} at node {self.node}"
         )
+
+
+class NonFiniteImmersionError(ValueError):
+    """A position is NaN or infinite at the grid node `first_nonfinite_node`
+    names."""
+
+    def __init__(self, node):
+        self.node = node
+        super().__init__(f"non-finite position at node {node}")
+
+
+def first_nonfinite_node(positions: np.ndarray, m: int):
+    """Grid node (the first m indices) of the first NaN or infinite entry
+    of positions in C order, as plain ints, or None if all are finite."""
+    bad = np.argwhere(~np.isfinite(positions))
+    return tuple(int(i) for i in bad[0][:m]) if len(bad) else None
 
 
 @dataclass(frozen=True)
@@ -110,6 +129,44 @@ def _periodic_taps(f: np.ndarray, axis: int, r: int) -> list:
     return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)]
 
 
+def _first_from_taps(taps: list, h: float) -> np.ndarray:
+    """`partial`'s stencil on the views of `_periodic_taps` (3 or 5 taps)."""
+    if len(taps) == 3:
+        s_m1, _, s_p1 = taps
+        out = np.subtract(s_p1, s_m1)
+        out /= 2 * h
+        return out
+    s_m2, s_m1, _, s_p1, s_p2 = taps
+    out = np.multiply(s_p1, 8)
+    out -= s_p2
+    scratch = np.multiply(s_m1, 8)
+    out -= scratch
+    out += s_m2
+    out /= 12 * h
+    return out
+
+
+def _second_from_taps(taps: list, f: np.ndarray, h: float) -> np.ndarray:
+    """`second_partial`'s diagonal stencil on the `_periodic_taps` views of f."""
+    if len(taps) == 3:
+        s_m1, _, s_p1 = taps
+        out = np.multiply(f, 2)
+        np.subtract(s_p1, out, out=out)
+        out += s_m1
+        out /= h**2
+        return out
+    s_m2, s_m1, _, s_p1, s_p2 = taps
+    out = np.multiply(s_p1, 16)
+    out -= s_p2
+    scratch = np.multiply(f, 30)
+    out -= scratch
+    np.multiply(s_m1, 16, out=scratch)
+    out += scratch
+    out -= s_m2
+    out /= 12 * h**2
+    return out
+
+
 def partial(grid: GridSpec, field_arr: np.ndarray, axis: int) -> np.ndarray:
     """Central-difference d/dx^axis with periodic wraparound.
 
@@ -118,21 +175,10 @@ def partial(grid: GridSpec, field_arr: np.ndarray, axis: int) -> np.ndarray:
     order into one fresh output (b - a is exactly -a + b in IEEE).
     """
     _check_axis(grid, axis)
-    h = grid.spacing
     f = np.asarray(field_arr, dtype=float)
-    if grid.derivative_order == 2:
-        s_m1, _, s_p1 = _periodic_taps(f, axis, 1)
-        out = np.subtract(s_p1, s_m1)
-        out /= 2 * h
-        return out
-    s_m2, s_m1, _, s_p1, s_p2 = _periodic_taps(f, axis, 2)
-    out = np.multiply(s_p1, 8)
-    out -= s_p2
-    scratch = np.multiply(s_m1, 8)
-    out -= scratch
-    out += s_m2
-    out /= 12 * h
-    return out
+    return _first_from_taps(
+        _periodic_taps(f, axis, grid.derivative_order // 2), grid.spacing
+    )
 
 
 def second_partial(
@@ -147,26 +193,24 @@ def second_partial(
     _check_axis(grid, axis_i)
     _check_axis(grid, axis_j)
     f = np.asarray(field_arr, dtype=float)
-    h = grid.spacing
     if axis_i != axis_j:
         return partial(grid, partial(grid, f, axis_i), axis_j)
-    if grid.derivative_order == 2:
-        s_m1, _, s_p1 = _periodic_taps(f, axis_i, 1)
-        out = np.multiply(f, 2)
-        np.subtract(s_p1, out, out=out)
-        out += s_m1
-        out /= h**2
-        return out
-    s_m2, s_m1, _, s_p1, s_p2 = _periodic_taps(f, axis_i, 2)
-    out = np.multiply(s_p1, 16)
-    out -= s_p2
-    scratch = np.multiply(f, 30)
-    out -= scratch
-    np.multiply(s_m1, 16, out=scratch)
-    out += scratch
-    out -= s_m2
-    out /= 12 * h**2
-    return out
+    return _second_from_taps(
+        _periodic_taps(f, axis_i, grid.derivative_order // 2), f, grid.spacing
+    )
+
+
+def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tuple:
+    """(`partial`, diagonal `second_partial`) along axis from one halo copy.
+
+    Both stencils read their taps from the same periodic halo copy of the
+    field, so each result is bit for bit the one its own function returns.
+    """
+    _check_axis(grid, axis)
+    f = np.asarray(field_arr, dtype=float)
+    taps = _periodic_taps(f, axis, grid.derivative_order // 2)
+    h = grid.spacing
+    return _first_from_taps(taps, h), _second_from_taps(taps, f, h)
 
 
 @dataclass(frozen=True)

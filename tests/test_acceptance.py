@@ -9,7 +9,6 @@ system are reported as "exact" when their residual sits at the rounding floor.
 import time
 
 import numpy as np
-import pytest
 
 from mcflab import GridSpec, StepPolicy, compute_geometry, run_flow
 from mcflab import shapes
@@ -17,7 +16,6 @@ from mcflab.cli import EXACT_FLOOR
 from mcflab.differences import (
     LIMITATION_STATEMENT,
     PairedWindow,
-    build_difference,
     check_dd,
     check_dw,
     heat_operator_Y,

@@ -2,7 +2,6 @@
 determinism of report bodies, and strict config validation."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -241,6 +240,37 @@ BAD_CONFIGS = {
         "identities",
         changed(IDENTITIES_CONFIG, geometry={"kind": "checkpoint", "path": [1]}),
         "'path'",
+    ),
+    # JSON true and false are not the numbers 1 and 0
+    "geometry-radius-true": (
+        "simulate",
+        changed(SIMULATE_CONFIG, geometry={"kind": "circle", "radius": True}),
+        "'radius'",
+    ),
+    "simulate-T-true": ("simulate", changed(SIMULATE_CONFIG, T=True), "'T'"),
+    "symmetry-dt-true": ("symmetry", changed(SYMMETRY_CONFIG, dt=True), "'dt'"),
+    "symmetry-steps-true": (
+        "symmetry", changed(SYMMETRY_CONFIG, steps=True, record_every=True), "'steps'"
+    ),
+    "symmetry-matrix-true": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[True, 0], [0, -1]],
+                                           "permutation": REFLECTION}),
+        "'matrix'",
+    ),
+    "symmetry-axes-false": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": False}}),
+        "'axes'",
+    ),
+    "symmetry-axes-list-false": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": [False]}}),
+        "'axes'",
     ),
     # integer keys reject non-integral numbers instead of truncating them
     "grid-resolution-fractional": (

@@ -115,6 +115,54 @@ class TestStep:
                 run()
 
 
+class TestNonFiniteStage:
+    """A NaN or infinite stage raises BlowUpError at the step's start time and
+    at its first non-finite node in C order (without a pair's batch index),
+    whichever RK stage it appears in."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_blow_up_time_node_and_message(self, monkeypatch, value, batch, m, stage):
+        if m == 1:
+            imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+            nodes, first = [(9,), (4,)], (4,)
+        else:
+            imm = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2)
+            nodes, first = [(6, 2), (3, 11)], (3, 11)
+        grid = imm.grid
+        X = np.stack([imm.positions] * batch, axis=-2) if batch == 2 else imm.positions
+        member = (1,) if batch == 2 else ()
+
+        def spoil(H):
+            H = H.copy()
+            for node in nodes:
+                H[node + member + (0,)] = value
+            return H
+
+        kernel = flow.geometry_kernel
+        calls = []
+
+        def spoiling(grid, Y):
+            kern = kernel(grid, Y)
+            calls.append(Y)
+            if len(calls) == stage - 2:  # the kernel of the stage before
+                kern = kern._replace(mean_curv=spoil(kern.mean_curv))
+            return kern
+
+        k1 = kernel(grid, X).mean_curv
+        if stage == 2:
+            k1 = spoil(k1)
+        monkeypatch.setattr(flow, "geometry_kernel", spoiling)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as err:
+                flow._rk4_positions(grid, X, 1e-3, k1, 0.25)
+        assert err.value.time == 0.25
+        assert err.value.node == first
+        assert str(err.value) == f"flow blew up at t=0.25 at node {first}"
+
+
 class TestStepPolicy:
     def test_adaptive_dt_value(self, circle_grid):
         r = 2.0

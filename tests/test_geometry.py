@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcflab import grid as grid_module
 from mcflab import shapes
 from mcflab.geometry import (
     _check_nondegenerate,
@@ -20,6 +23,7 @@ from mcflab.grid import (
     DegenerateImmersionError,
     GridSpec,
     Immersion,
+    NonFiniteImmersionError,
     partial,
     second_partial,
 )
@@ -347,6 +351,89 @@ class TestKernelBatchAxis:
                     # the batch axis sits right after the grid axes
                     member_part = g[(slice(None),) * grid.m + (member,)]
                     assert np.array_equal(member_part, w), name
+
+
+class TestKernelHaloCopies:
+    """One halo copy of X per axis serves d_iX and d_iiX: at m=1 one copy
+    of X and one of g; at m=2 two of X, two of the stacked g and one for
+    the mixed d_0d_1X."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize(
+        "maker, copies", [("m1-codim1", 2), ("m1-codim2", 2), ("m2-codim1", 5),
+                          ("m2-codim2", 5)]
+    )
+    def test_copies_per_call(self, monkeypatch, maker, copies, order, batch):
+        imm = REFERENCE_MAKERS[maker](order)
+        X = np.stack([imm.positions] * batch, axis=-2)
+        calls = []
+        taps = grid_module._periodic_taps
+
+        def counting(f, axis, r):
+            calls.append(axis)
+            return taps(f, axis, r)
+
+        monkeypatch.setattr(grid_module, "_periodic_taps", counting)
+        geometry_kernel(imm.grid, X)
+        assert len(calls) == copies
+
+
+class TestDetScreen:
+    """The kernel's one det screen catches non-finite positions, reports
+    them before a degenerate det, and lets an overflowing det of finite
+    positions through as the plain degeneracy check did."""
+
+    @given(
+        maker=st.sampled_from(sorted(REFERENCE_MAKERS)),
+        order=st.sampled_from([2, 4]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_position_fails_the_screen(self, maker, order, value, data):
+        imm = REFERENCE_MAKERS[maker](order)
+        grid = imm.grid
+        node = tuple(
+            data.draw(st.integers(0, grid.resolution - 1)) for _ in range(grid.m)
+        )
+        X = imm.positions.copy()
+        X[node + (data.draw(st.integers(0, imm.ambient_dim - 1)),)] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteImmersionError) as err:
+                geometry_kernel(grid, X)
+        assert err.value.node == node
+        assert f"non-finite position at node {node}" == str(err.value)
+
+    def test_first_non_finite_node_in_c_order_wins_over_degeneracy(self):
+        grid = GridSpec(1, 32)
+        pos = shapes.circle(grid, 1.0).positions.copy()
+        pos[6] = pos[4]  # det vanishes at node 5
+        pos[20, 1] = np.nan
+        pos[12, 0] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteImmersionError) as err:
+                geometry_kernel(grid, pos)
+        assert err.value.node == (12,)
+
+    @pytest.mark.parametrize("maker", sorted(REFERENCE_MAKERS))
+    def test_overflowing_det_of_finite_positions_passes(self, maker):
+        imm = REFERENCE_MAKERS[maker](2)
+        X = imm.positions * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            kern = geometry_kernel(imm.grid, X)
+        assert np.all(np.isfinite(X))
+        assert not np.all(np.isfinite(kern.det))
+
+    def test_overflow_elsewhere_keeps_the_degenerate_node(self):
+        grid = GridSpec(1, 32)
+        pos = shapes.circle(grid, 1e160).positions.copy()
+        pos[6] = pos[4]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateImmersionError) as err:
+                geometry_kernel(grid, pos)
+        assert err.value.node == (5,)
+        assert err.value.value == 0.0
 
 
 # --- the einsum formulation as reference for the curvature layer -----------

@@ -14,6 +14,7 @@ from mcflab.grid import (
     SymmetryAction,
     apply_symmetry,
     partial,
+    partial_and_second,
     read_immersion,
     reflection_permutation,
     second_partial,
@@ -193,6 +194,48 @@ class TestStencilsAgainstRoll:
         out = second_partial(grid, f, 0, 0)
         out += 1.0
         assert np.array_equal(f, np.arange(8.0))
+
+
+class TestPartialAndSecond:
+    """One halo copy gives `partial` and the diagonal `second_partial` bit
+    for bit, on the shapes and views of the roll tests."""
+
+    @staticmethod
+    def assert_matches_both(grid, f):
+        before = f.copy()
+        for axis in range(grid.m):
+            d, dd = partial_and_second(grid, f, axis)
+            assert np.array_equal(d, partial(grid, f, axis))
+            assert np.array_equal(dd, second_partial(grid, f, axis, axis))
+            assert not np.shares_memory(d, dd)
+        assert np.array_equal(f, before)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("N", [8, 32])
+    @pytest.mark.parametrize("trailing", [(), (2,), (4,), (4, 2, 2, 2)])
+    def test_bitwise_equal(self, m, order, N, trailing):
+        grid = GridSpec(m, N, order)
+        rng = np.random.default_rng(N + 10 * m + order)
+        f = rng.standard_normal(grid.shape + trailing)
+        f[(0,) * f.ndim] = -0.0
+        self.assert_matches_both(grid, f)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_non_contiguous_input(self, order):
+        grid = GridSpec(2, 16, order)
+        rng = np.random.default_rng(order)
+        base = rng.standard_normal((3, 32, 16, 16))
+        for f in (
+            np.transpose(base[0, ::2], (1, 0, 2)),
+            base[:, ::2, :, 5].transpose(1, 2, 0),
+        ):
+            assert not f.flags.c_contiguous
+            self.assert_matches_both(grid, f)
+
+    def test_invalid_axis(self):
+        with pytest.raises(InvalidAxisError):
+            partial_and_second(GridSpec(1, 8), np.ones(8), 1)
 
 
 class TestImmersion:

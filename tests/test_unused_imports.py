@@ -1,0 +1,60 @@
+"""Every name a test file imports is used in that file.
+
+An import that nothing references reads as coverage that is not there.
+The check parses each `tests/*.py` with `ast`: a name bound by `import`
+or `from ... import` (its alias if it has one, else the first part of a
+dotted module) must occur as a `Name` somewhere in the same file.
+`__future__` imports and `*` imports bind nothing to check.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def unused_imports(path: Path) -> list:
+    """[(line, name)] of the imported names that no `Name` node references."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.partition(".")[0]
+                    bound.append((node.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+def test_every_test_import_is_used():
+    unused = {
+        path.name: found for path in TESTS if (found := unused_imports(path))
+    }
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_the_scan_sees_the_tests():
+    # guards the guard: an empty scan would pass the check above vacuously
+    assert Path(__file__) in TESTS and len(TESTS) > 5
+
+
+def test_the_scan_flags_an_unused_import(tmp_path):
+    module = tmp_path / "test_sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import pytest\n"
+        "from json import dumps as to_text, loads\n"
+        "from conftest import measured_radius\n"
+        "def test_x(tmp_path):\n"
+        "    'pytest measured_radius'  # a string is not a use\n"
+        "    return np.zeros(1), loads, os.sep\n"
+    )
+    assert unused_imports(module) == [
+        (5, "pytest"), (6, "to_text"), (7, "measured_radius")
+    ]
