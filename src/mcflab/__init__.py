@@ -9,7 +9,7 @@ from .grid import (
     second_partial,
 )
 from .geometry import GeometryPack, CurvaturePack, compute_geometry
-from .flow import FlowTrajectory, StepPolicy, mcf_velocity, run_flow, step_rk4
+from .flow import FlowTrajectory, StepPolicy, run_flow, step_rk4
 
 __all__ = [
     "GridSpec",
@@ -23,7 +23,6 @@ __all__ = [
     "compute_geometry",
     "FlowTrajectory",
     "StepPolicy",
-    "mcf_velocity",
     "run_flow",
     "step_rk4",
 ]

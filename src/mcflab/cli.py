@@ -29,15 +29,15 @@ from .differences import (
     verify_inequalities,
 )
 from .flow import (
+    MAX_STEPS,
     BlowUpError,
     StepPolicy,
-    mcf_velocity,
     run_fixed_dt,
     run_flow,
     run_paired_fixed_dt,
     step_rk4,
 )
-from .geometry import compute_geometry, curvature_gauss
+from .geometry import compute_geometry, curvature_gauss, geometry_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -67,12 +67,6 @@ EXIT_BLOWUP = 3
 # Residuals below this are reported as exact discrete identities and are
 # excluded from order fitting.
 EXACT_FLOOR = 1e-8
-
-# Most fixed steps one diff-system pair may take (T / dt rounded).  The
-# circle-pair benchmark takes 3000 in about a second; a million steps of an
-# m=2, N=32 pair take about an hour, and far beyond that the list of step
-# sizes alone exhausts memory.
-MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -376,12 +370,20 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     initial = _build_geometry(cfg.get("geometry", {}), grid)
     action = _build_symmetry(cfg.get("symmetry", {}), grid, initial.ambient_dim)
     steps = _value(cfg, "steps", 2000, _positive(_integer))
+    if steps > MAX_STEPS:
+        raise ConfigError(
+            f"invalid 'steps' in config: {steps!r} is more than {MAX_STEPS}"
+        )
     record_every = _value(cfg, "record_every", 10, _positive(_integer))
     tol = _value(cfg, "tolerance", 1e-10)
-    if cfg.get("dt") is None:
-        dt = StepPolicy().step_size(compute_geometry(initial).metric, grid.spacing)
-    else:
-        dt = _value(cfg, "dt", kind=_positive(_real))
+    dt = None if cfg.get("dt") is None else _value(cfg, "dt", kind=_positive(_real))
+    # one kernel call gives the default dt and the first step's velocity;
+    # degeneracy of the initial immersion is bad input, later a blow-up
+    kern = geometry_kernel(grid, initial.positions)
+    if dt is None:
+        dt = StepPolicy().step_size(kern.metric, grid.spacing)
+    k1 = kern.mean_curv  # the first stage of the first step
+    del kern  # no other kernel field is needed
 
     def defect(imm):
         mapped = apply_symmetry(imm, action)
@@ -397,8 +399,8 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     rows = [(0.0, d0)]
     worst = d0
     for k in range(steps):
-        # degeneracy of the initial immersion is bad input, later a blow-up
-        current = step_rk4(current, dt, mcf_velocity(current) if k == 0 else None)
+        current = step_rk4(current, dt, k1)
+        k1 = None
         if (k + 1) % record_every == 0 or k == steps - 1:
             d = defect(current)
             worst = max(worst, d)

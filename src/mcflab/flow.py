@@ -127,15 +127,18 @@ class FlowTrajectory:
         return float(dts[0])
 
 
+# Most steps one run may take: `run_flow` stops beyond it, and the CLI
+# rejects a diff-system T / dt or a symmetry `steps` above it.  The
+# circle-pair benchmark takes 3000 in about a second; a million steps of an
+# m=2, N=32 pair take about an hour, and far beyond that the list of step
+# sizes alone exhausts memory.
+MAX_STEPS = 10**6
+
+
 # Near a singularity the kernel's products overflow before the finiteness
 # and degeneracy checks raise BlowUpError; numpy's RuntimeWarnings would only
 # announce that early.  Entered once per step or run, never per kernel call.
 _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
-
-
-def mcf_velocity(imm: Immersion) -> np.ndarray:
-    """Mean curvature vector field H^a = g^ij h^a_ij at every node."""
-    return geometry_kernel(imm.grid, imm.positions).mean_curv
 
 
 def _flow_kernel(grid: GridSpec, X: np.ndarray, time: float) -> KernelResult:
@@ -173,8 +176,8 @@ def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersi
     """One classical RK4 step of dX/dt = H; k1 is H at imm when already known.
 
     A degenerate metric at imm or at a stage raises BlowUpError: callers
-    that start from input data pass that data's k1, computed with
-    `mcf_velocity`, so that degenerate input stays a
+    that start from input data pass that data's k1, the mean curvature of
+    a `geometry_kernel` call, so that degenerate input stays a
     DegenerateImmersionError.
     """
     if k1 is None:
@@ -193,7 +196,9 @@ def run_flow(
     """Integrate to time T, storing states at exactly the sample times.
 
     Steps are shortened when needed to land on each sample time.  With no
-    explicit sample_times the initial and final states are stored.
+    explicit sample_times the initial and final states are stored.  A step
+    that would not advance time (dt below half an ulp of t), or one past
+    MAX_STEPS, raises PolicyError.
     """
     policy = policy or StepPolicy()
     t0 = initial.time
@@ -217,6 +222,14 @@ def run_flow(
                 policy.step_size(kern.metric, current.grid.spacing),
                 target - current.time,
             )
+            if current.time + dt == current.time:
+                raise PolicyError(
+                    f"step dt={dt!r} does not advance t={current.time!r}"
+                )
+            if len(traj.dt_history) == MAX_STEPS:
+                raise PolicyError(
+                    f"more than {MAX_STEPS} steps: t={current.time!r}, dt={dt!r}"
+                )
             current = step_rk4(current, dt, kern.mean_curv)
             traj.dt_history.append(dt)
         current = current.with_positions(current.positions, time=target)

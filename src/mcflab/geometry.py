@@ -79,19 +79,6 @@ class GeometryPack:
         return float(np.sum(self.sqrt_det)) * self.grid.spacing**self.grid.m
 
 
-def _check_nondegenerate(det: np.ndarray, m: int):
-    """Raise where det < EPS_IMMERSION, at the smallest det over all nodes
-    and batch members; the node keeps its first m (grid) indices only.
-
-    This is the slow path of `_check_det`, run only when its screen fails.
-    NaN passes `det < EPS_IMMERSION`, so on its own this check misses
-    non-finite positions; `_check_det` looks for those first.
-    """
-    if np.any(det < EPS_IMMERSION):
-        idx = np.unravel_index(np.argmin(det), det.shape)
-        raise DegenerateImmersionError(idx[:m], float(det[idx]))
-
-
 def _check_det(X: np.ndarray, det: np.ndarray, m: int):
     """Raise if X is not finite or det g falls below EPS_IMMERSION.
 
@@ -102,15 +89,19 @@ def _check_det(X: np.ndarray, det: np.ndarray, m: int):
     inf survives the sum of squares that forms g_ii there and the products
     that form det.  Only when the screen fails are the checks run, in
     order: a non-finite X raises NonFiniteImmersionError at its first such
-    entry in C order, then `_check_nondegenerate`.  A finite X whose det
-    overflows passes both, and the kernel carries on.
+    entry in C order; then det < EPS_IMMERSION anywhere raises
+    DegenerateImmersionError at the smallest det over all nodes and batch
+    members, and the node keeps its first m (grid) indices only.  A finite
+    X whose det overflows passes both, and the kernel carries on.
     """
     if det.min() >= EPS_IMMERSION and det.max() < np.inf:
         return
     node = first_nonfinite_node(X, m)
     if node is not None:
         raise NonFiniteImmersionError(node)
-    _check_nondegenerate(det, m)
+    if np.any(det < EPS_IMMERSION):
+        idx = np.unravel_index(np.argmin(det), det.shape)
+        raise DegenerateImmersionError(idx[:m], float(det[idx]))
 
 
 class KernelResult(NamedTuple):
@@ -473,24 +464,16 @@ def components_last(arr: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Fully lowered Riemann tensor and Ricci tensor; both are
-    components_last views of components-first arrays."""
+    """Fully lowered Riemann tensor and Ricci tensor of `curvature_gauss`;
+    both are components_last views of components-first arrays."""
 
     riemann: np.ndarray  # grid + (m, m, m, m)
     ricci: np.ndarray  # grid + (m, m)
 
 
-def _curvature_pack(R: np.ndarray, geom: GeometryPack) -> CurvaturePack:
-    """Pack a components-first Riemann tensor with its Ricci trace
-    R_ij = g^kl R_ikjl, summed over (k, l) in row-major order."""
-    ginv = components_first(geom.inverse_metric, 2)
-    M = range(len(ginv))
-    ricci = sum_of_products((ginv[k, l], R[:, k, :, l]) for k in M for l in M)
-    return CurvaturePack(components_last(R, 4), components_last(ricci, 2))
-
-
-def curvature_intrinsic(geom: GeometryPack) -> CurvaturePack:
-    """Riemann tensor from the Christoffel symbols of the induced metric.
+def curvature_intrinsic(geom: GeometryPack) -> np.ndarray:
+    """Fully lowered Riemann tensor from the Christoffel symbols of the
+    induced metric, as the components_last view of a components-first array.
 
     Rup^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_ip G^p_jk - G^l_jp G^p_ik,
     added in that order, with sums over p in index order; the lowered
@@ -518,19 +501,22 @@ def curvature_intrinsic(geom: GeometryPack) -> CurvaturePack:
     Rn = np.moveaxis(Rup, 3, 1)  # [n, j, k, l] = Rup^n_klj
     g = components_first(geom.metric, 2)
     Rlow = sum_of_products((g[:, n, None, None, None], Rn[None, n]) for n in M)
-    del Rup, Rn
-    return _curvature_pack(Rlow, geom)
+    return components_last(Rlow, 4)
 
 
 def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
-    """Pointwise quadratic expression of Riemann in the second form.
+    """Pointwise quadratic expression of Riemann in the second form, with
+    its Ricci trace.
 
     R_ijkl = P_ijkl - P_ijlk with P_ijkl = sum_a h^a_ik h^a_jl summed over a
     in index order, so R is antisymmetric in (k, l) to the bit and zero at
-    m = 1.
+    m = 1.  R_ij = g^kl R_ikjl sums over (k, l) in row-major order.
     """
     h = components_first(geom.second_form, 3)  # [a, i, j] = h^a_ij
     P = sum_of_products((ha[:, None, :, None], ha[None, :, None, :]) for ha in h)
     R = P - np.swapaxes(P, 2, 3)
     del P
-    return _curvature_pack(R, geom)
+    ginv = components_first(geom.inverse_metric, 2)
+    M = range(len(ginv))
+    ricci = sum_of_products((ginv[k, l], R[:, k, :, l]) for k in M for l in M)
+    return CurvaturePack(components_last(R, 4), components_last(ricci, 2))

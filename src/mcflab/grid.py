@@ -233,7 +233,7 @@ class Immersion:
                 f"ambient dimension {pos.shape[-1]} must exceed m={self.grid.m}"
             )
         if not np.all(np.isfinite(pos)):
-            raise ValueError("non-finite coordinate in immersion")
+            raise NonFiniteImmersionError(first_nonfinite_node(pos, self.grid.m))
         object.__setattr__(self, "positions", pos)
 
     @property

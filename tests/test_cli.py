@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mcflab import cli, identities, shapes
+from mcflab import cli, flow, geometry, identities, shapes
 from mcflab.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -506,6 +506,51 @@ class TestSimulateVerb:
         assert code == EXIT_BLOWUP
         assert "numerical blow-up" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_names_its_node(self, tmp_path, capsys):
+        ckpt = tmp_path / "circle.txt"
+        write_immersion(shapes.circle(GridSpec(1, 8), 1.0), str(ckpt))
+        rows = ckpt.read_text().splitlines(keepends=True)
+        assert rows[6].startswith("5 ")
+        rows[6] = "5 nan 0\n"
+        ckpt.write_text("".join(rows))
+        config = changed(
+            SIMULATE_CONFIG,
+            grid={"m": 1, "resolution": 8},
+            geometry={"kind": "checkpoint", "path": str(ckpt)},
+        )
+        code, _ = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "invalid configuration: non-finite position at node (5,)\n"
+
+    def test_stalled_adaptive_flow_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # dt ~ 1.5e-18 is below half an ulp of the checkpoint's t = 1
+        calls = []
+
+        def bounded_step(*args):
+            calls.append(None)
+            if len(calls) > 3000:
+                raise AssertionError("simulate kept stepping without advancing t")
+            return step(*args)
+
+        step = flow.step_rk4
+        monkeypatch.setattr(flow, "step_rk4", bounded_step)
+        ckpt = tmp_path / "circle.txt"
+        circle = shapes.circle(GridSpec(1, 16), 1.0)
+        write_immersion(circle.with_positions(circle.positions, time=1.0), str(ckpt))
+        config = {
+            "grid": {"m": 1, "resolution": 16},
+            "geometry": {"kind": "checkpoint", "path": str(ckpt)},
+            "T": 1.001,
+            "policy": {"cfl_safety": 1e-17},
+        }
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_CONFIG
+        assert "does not advance t=1.0" in capsys.readouterr().err
+        assert not calls and not (out / "summary.txt").exists()
+
     def test_degenerate_initial_immersion_is_a_config_error(self, tmp_path, capsys):
         config = {
             "grid": {"m": 1, "resolution": 32},
@@ -562,6 +607,67 @@ class TestSymmetryVerb:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: initial symmetry defect")
+        assert not (out / "summary.txt").exists()
+
+
+    def test_default_dt_run_evaluates_the_kernel_four_times_per_step(
+        self, tmp_path, monkeypatch
+    ):
+        kernel_calls, geometry_calls = [], []
+
+        def counting(calls, fn):
+            def wrapper(*args):
+                calls.append(None)
+                return fn(*args)
+
+            return wrapper
+
+        kernel = counting(kernel_calls, geometry.geometry_kernel)
+        for module in (geometry, flow, cli):
+            monkeypatch.setattr(module, "geometry_kernel", kernel, raising=False)
+        monkeypatch.setattr(
+            cli, "compute_geometry", counting(geometry_calls, cli.compute_geometry)
+        )
+        code, _ = run_cli(tmp_path, "symmetry", changed(SYMMETRY_CONFIG, ["dt"]))
+        assert code == EXIT_OK
+        assert len(kernel_calls) == 4 * SYMMETRY_CONFIG["steps"]
+        assert not geometry_calls
+
+    def test_degeneracy_is_reported_before_the_symmetry_defect(
+        self, tmp_path, capsys
+    ):
+        # every node at (1, 0): degenerate, and a quarter turn moves it
+        config = changed(
+            SYMMETRY_CONFIG,
+            geometry={"kind": "circle", "radius": 0.0, "center": [1.0, 0.0]},
+            symmetry={"matrix": [[0, -1], [1, 0]],
+                      "permutation": {"type": "shift", "offsets": [8]}},
+        )
+        code, out = run_cli(tmp_path, "symmetry", config)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "invalid configuration: degenerate immersion"
+        )
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_steps_are_bounded(self, tmp_path, capsys, monkeypatch, above):
+        class Stepped(Exception):
+            pass
+
+        def step(*args):
+            raise Stepped
+
+        monkeypatch.setattr(cli, "step_rk4", step)
+        config = changed(SYMMETRY_CONFIG, steps=flow.MAX_STEPS + above)
+        if not above:
+            with pytest.raises(Stepped):
+                run_cli(tmp_path, "symmetry", config)
+            return
+        code, out = run_cli(tmp_path, "symmetry", config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: invalid 'steps'")
         assert not (out / "summary.txt").exists()
 
 

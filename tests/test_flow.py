@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from mcflab import GridSpec, StepPolicy, mcf_velocity, run_flow, step_rk4
+from mcflab import GridSpec, StepPolicy, run_flow, step_rk4
 from mcflab import flow, shapes
 from mcflab.flow import (
     BlowUpError,
@@ -20,7 +20,12 @@ from mcflab.flow import (
     run_fixed_dt,
     run_paired_fixed_dt,
 )
-from mcflab.geometry import compute_geometry, tensor_norm_sq, tensor_norm_sup
+from mcflab.geometry import (
+    compute_geometry,
+    geometry_kernel,
+    tensor_norm_sq,
+    tensor_norm_sup,
+)
 from mcflab.grid import (
     DegenerateImmersionError,
     Immersion,
@@ -47,7 +52,7 @@ class TestVelocity:
     def test_circle_velocity_is_radial_inward(self, circle_grid):
         r = 2.0
         imm = shapes.circle(circle_grid, r)
-        v = mcf_velocity(imm)
+        v = geometry_kernel(imm.grid, imm.positions).mean_curv
         s1, s2 = stencil_symbols(circle_grid)
         expected = -(s2 / s1**2) / r
         radial = imm.positions / r
@@ -56,12 +61,13 @@ class TestVelocity:
     def test_velocity_translation_invariant(self, circle_grid):
         imm = shapes.circle(circle_grid, 1.3)
         shifted = imm.with_positions(imm.positions + np.array([4.0, -7.0]))
-        assert np.abs(mcf_velocity(imm) - mcf_velocity(shifted)).max() < 1e-12
+        v, w = (geometry_kernel(s.grid, s.positions).mean_curv for s in (imm, shifted))
+        assert np.abs(v - w).max() < 1e-12
 
     def test_product_torus_velocity_per_factor(self, torus_grid):
         r1, r2 = 1.0, 0.5
         imm = shapes.product_torus(torus_grid, r1, r2)
-        v = mcf_velocity(imm)
+        v = geometry_kernel(imm.grid, imm.positions).mean_curv
         s1, s2 = stencil_symbols(torus_grid)
         c = s2 / s1**2
         p = imm.positions
@@ -253,6 +259,34 @@ class TestRunFlow:
         r1, r2 = measured_torus_radii(traj.states[-1])
         assert abs(r1 - discrete_radius(grid, 1.0, T)) < 1e-9
         assert abs(r2 - discrete_radius(grid, 0.7, T)) < 1e-9
+
+    def test_stalled_adaptive_flow_stops(self, monkeypatch):
+        # dt ~ 1.5e-18 is below half an ulp of t = 1: a step would not move t
+        calls = []
+
+        def bounded_step(*args):
+            calls.append(None)
+            if len(calls) > 3000:
+                raise AssertionError("run_flow kept stepping without advancing t")
+            return step_rk4(*args)
+
+        monkeypatch.setattr(flow, "step_rk4", bounded_step)
+        imm = shapes.circle(GridSpec(1, 16), 1.0)
+        imm = imm.with_positions(imm.positions, time=1.0)
+        with pytest.raises(PolicyError, match=r"dt=1\.\d+e-18 does not advance t=1\.0"):
+            run_flow(imm, 1.001, StepPolicy(cfl_safety=1e-17))
+        assert not calls
+
+    @pytest.mark.parametrize("n_steps", [5, 6])
+    def test_step_count_is_bounded(self, unit_circle, monkeypatch, n_steps):
+        monkeypatch.setattr(flow, "MAX_STEPS", 5, raising=False)
+        dt = 2.0**-10  # exact binary steps: n_steps of them reach T exactly
+        policy = StepPolicy(fixed_dt=dt)
+        if n_steps == 5:
+            assert len(run_flow(unit_circle, n_steps * dt, policy).dt_history) == 5
+            return
+        with pytest.raises(PolicyError, match=r"more than 5 steps: t=0\.0048828125"):
+            run_flow(unit_circle, n_steps * dt, policy)
 
     def test_final_radius_converges_to_continuum(self):
         r0, T = 1.0, 0.125

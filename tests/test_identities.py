@@ -50,31 +50,36 @@ class TestTimeDifference:
         dt = 0.1
         t = np.arange(5) * dt
         fields = [np.full((4,), ti**4) for ti in t]
-        d = five_point_derivative(fields, 2, dt)
+        d = five_point_derivative(fields, dt)
         assert np.allclose(d, 4 * t[2] ** 3, atol=1e-12)
 
-    def test_window_is_one_sided_at_the_ends(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = TrajectoryWindow(traj)
-        n = len(window)
-        metrics = [window.geometry(k).metric for k in range(n)]
-        ends = [(0, 0), (1, 0), (2, 0), (n - 3, n - 5), (n - 2, n - 5), (n - 1, n - 5)]
-        for k, lo in ends:
-            want = five_point_derivative(metrics[lo : lo + 5], k - lo, window.dt)
-            got = window.time_derivative(k, lambda geom: geom.metric)
-            assert np.array_equal(got, want)
-        for k in (-1, n):
-            with pytest.raises(IndexError):
-                window.time_derivative(k, lambda geom: geom.metric)
-
-    @pytest.mark.parametrize("j", range(5))
-    def test_exact_on_quartics_at_every_offset(self, j):
+    def test_exact_on_quartics_at_the_centre(self):
         dt = 0.5
         t = np.arange(5) * dt - 1.0
         coeffs = np.array([[3.0, -2.0, 1.0, 5.0, -7.0], [-1.0, 4.0, 0.0, -2.0, 2.0]])
         fields = [coeffs @ ti ** np.arange(5) for ti in t]
-        exact = coeffs[:, 1:] @ (np.arange(1, 5) * t[j] ** np.arange(4))
-        assert np.allclose(five_point_derivative(fields, j, dt), exact, atol=1e-12)
+        exact = coeffs[:, 1:] @ (np.arange(1, 5) * t[2] ** np.arange(4))
+        assert np.allclose(five_point_derivative(fields, dt), exact, atol=1e-12)
+
+    def test_window_differences_the_five_states_around_each_centre(self):
+        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        window = TrajectoryWindow(traj)
+        n = len(window)
+        metrics = [window.geometry(k).metric for k in range(n)]
+        assert list(window.centers) == [2, 3, 4]
+        for c in window.centers:
+            want = five_point_derivative(metrics[c - 2 : c + 3], window.dt)
+            got = window.time_derivative(c, lambda geom: geom.metric)
+            assert np.array_equal(got, want)
+
+    def test_window_serves_centres_only(self):
+        window = TrajectoryWindow(
+            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        )
+        n = len(window)
+        for k in (0, 1, n - 2, n - 1, -1, n):
+            with pytest.raises(IndexError, match=f"state {k} is not a center"):
+                window.time_derivative(k, lambda geom: geom.metric)
 
     def test_center_is_the_central_formula_to_the_bit(self):
         rng = np.random.default_rng(7)
@@ -85,7 +90,7 @@ class TestTimeDifference:
         )
         reference = (f0 - 8 * f1 + 8 * f3 - f4) / (12 * dt)
         assert np.array_equal(
-            five_point_derivative([f0, f1, f2, f3, f4], 2, dt), reference
+            five_point_derivative([f0, f1, f2, f3, f4], dt), reference
         )
 
 
