@@ -23,8 +23,6 @@ from . import shapes
 from .differences import (
     LIMITATION_STATEMENT,
     PairedWindow,
-    check_dd,
-    check_dw,
     forward_gronwall,
     verify_inequalities,
 )
@@ -50,6 +48,7 @@ from .grid import (
 )
 from .identities import (
     ANCHORS,
+    ResidualReport,
     TrajectoryWindow,
     check_dg,
     check_dGamma,
@@ -425,6 +424,27 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _require_paired_window(n_steps: int, store_every: int, dt: float, delta: float):
+    """Before the pair is integrated: its stored states must fill one
+    five-point stencil, and at least two centers, the rows of the Gronwall
+    fit, must lie delta or more past the first state."""
+    states = n_steps // store_every + 1
+    if states < 5:
+        raise ConfigError(
+            f"invalid 'store_every' or 'T' in config: they store {states} "
+            "state(s); the paired checks need at least 5"
+        )
+    # the stored times since the first state, as the fixed-step run stamps them
+    rows = sum(
+        1 for c in range(2, states - 2) if c * store_every * dt >= delta - 1e-12
+    )
+    if rows < 2:
+        raise ConfigError(
+            f"invalid 'delta' in config: {delta!r} leaves {rows} center(s) of "
+            f"the {states} stored states at or past delta; need at least 2"
+        )
+
+
 def run_diff_system(cfg: dict, out_dir: str) -> int:
     _check_keys(
         cfg,
@@ -465,16 +485,14 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
             f"steps, more than {MAX_STEPS}"
         )
     n_steps -= n_steps % store_every
+    _require_paired_window(n_steps, store_every, dt, delta)
     trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
-    window = PairedWindow(trajA, trajB)
-    report = verify_inequalities(window, delta)
-    rep_dd = check_dd(window)
-    rep_dw = check_dw(window)
+    report = verify_inequalities(PairedWindow(trajA, trajB), delta)
     env = forward_gronwall(report)
     _write(out_dir, "inequality_report.txt", report.serialize())
-    body = rep_dd.CSV_HEADER + ",anchor\n"
-    body += f"{rep_dd.csv_row()},{rep_dd.anchor}\n"
-    body += f"{rep_dw.csv_row()},{rep_dw.anchor}\n"
+    body = ResidualReport.CSV_HEADER + ",anchor\n"
+    for rep in (report.dd, report.dw):
+        body += f"{rep.csv_row()},{rep.anchor}\n"
     _write(out_dir, "difference_identities.csv", body)
     env_body = "t,F,G,dFdt,envelope,c_star\n" + "\n".join(
         f"{r['t']!r},{r['F']!r},{r['G']!r},{r['dFdt']!r},{r['envelope']!r},"

@@ -9,10 +9,15 @@ together with the direct sums
 
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
-pair; `check_dd` and `check_dw` are `identities.evolution_check` runs whose
-right-hand sides are differences of the single-flow ones.  Backwards-in-time
-integration is never attempted; the uniqueness mechanism is exercised only
-through these forward-in-time inequality measurements.
+pair.  `verify_inequalities` measures the pair in one forward sweep over
+the centers: each `DifferencePack` is built once, folded into K and K~ as
+it enters the five-state stencil, and dropped once no later center reads
+it, so at most five packs are alive however many states are stored.  At
+each center the sweep also takes `check_dd` and `check_dw`, the
+`identities.evolution_residual` of the displayed difference evolutions,
+whose right-hand sides are differences of the single-flow ones.
+Backwards-in-time integration is never attempted; the uniqueness mechanism
+is exercised only through these forward-in-time inequality measurements.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .geometry import (
 from .identities import (
     ResidualReport,
     SampleWindow,
-    evolution_check,
+    evolution_residual,
     grad_H,
     metric_rhs,
 )
@@ -133,10 +138,12 @@ class PairedWindow(SampleWindow):
         return self.traj.times
 
 
-def check_dd(window: PairedWindow) -> ResidualReport:
-    """Exactly displayed evolution of the metric difference d = g - gt."""
-    return evolution_check(
+def check_dd(window: PairedWindow, center: int) -> ResidualReport:
+    """Exactly displayed evolution of the metric difference d = g - gt at one
+    center."""
+    return evolution_residual(
         window,
+        center,
         "difference_metric",
         lambda p: p.d,
         lambda p: metric_rhs(p.geomA) - metric_rhs(p.geomB),
@@ -144,10 +151,11 @@ def check_dd(window: PairedWindow) -> ResidualReport:
     )
 
 
-def check_dw(window: PairedWindow) -> ResidualReport:
-    """Evolution of the position-gradient difference w^a."""
-    return evolution_check(
+def check_dw(window: PairedWindow, center: int) -> ResidualReport:
+    """Evolution of the position-gradient difference w^a at one center."""
+    return evolution_residual(
         window,
+        center,
         "difference_position_gradient",
         lambda p: p.w,
         lambda p: grad_H(p.geomA) - grad_H(p.geomB),
@@ -191,6 +199,8 @@ class InequalityReport:
     dt: float
     flagged_nodes: int
     rows: list  # per-time dicts: t, E_Y, E_gradY, E_Z, sup LHS1, sup LHS2
+    dd: ResidualReport  # worst center of check_dd, over every center
+    dw: ResidualReport  # worst center of check_dw
 
     def serialize(self) -> str:
         lines = [
@@ -217,29 +227,43 @@ class InequalityReport:
 
 
 def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
-    """Fit the smallest constants compatible with the coupled inequalities.
+    """Fit the smallest constants compatible with the coupled inequalities,
+    and measure the difference evolutions, in one forward sweep.
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
-    |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes and sample times in
-    [delta, T] where the core exceeds EPS_CORE.
+    |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes and centers whose time since
+    the first state, t - t0, lies in [delta, T - t0] and where the core
+    exceeds EPS_CORE.  K and K~ take every state, `check_dd` and
+    `check_dw` every center.  The sweep builds each pack once and leaves
+    the window with the packs before its last four dropped, so a window
+    serves one call.
     """
     times = window.times
+    t0 = float(times[0])
     T = float(times[-1])
-    if not 0.0 < delta < T:
-        raise ValueError(f"delta must lie in (0, {T}), got {delta}")
+    if not 0.0 < delta < T - t0:
+        raise ValueError(
+            f"delta must lie in (0, {T - t0}), the time since t0 = {t0}, "
+            f"got {delta}"
+        )
     C1 = 0.0
     C2 = 0.0
     flagged = 0
     rows = []
     K = 0.0
     Kt = 0.0
-    for k in range(len(window)):
-        p = window.item(k)
-        K = max(K, tensor_norm_sup(p.geomA.second_form, p.geomA, "ll"))
-        Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
-    for c in window.centers:
+    dd, dw = [], []
+    for c in window.sweep():
+        # each state enters K and K~ as it enters the stencil: the first
+        # center's five, then state c + 2
+        for k in range(0 if c == 2 else c + 2, c + 3):
+            p = window.item(k)
+            K = max(K, tensor_norm_sup(p.geomA.second_form, p.geomA, "ll"))
+            Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
+        dd.append(check_dd(window, c))
+        dw.append(check_dw(window, c))
         t = float(times[c])
-        if t < delta - 1e-12:
+        if t - t0 < delta - 1e-12:
             continue
         p = window.item(c)
         grad_Y = p.grad_Y()
@@ -264,7 +288,6 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
                 "sup_lhs2": float(lhs2.max()),
             }
         )
-    geom0 = window.geometry(0)
     return InequalityReport(
         delta=delta,
         T=T,
@@ -272,15 +295,17 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         K_tilde=Kt,
         C1=C1,
         C2=C2,
-        resolution=geom0.grid.resolution,
+        resolution=window.traj.states[0].grid.resolution,
         dt=window.dt,
         flagged_nodes=flagged,
         rows=rows,
+        dd=max(dd, key=attrgetter("sup_residual")),
+        dw=max(dw, key=attrgetter("sup_residual")),
     )
 
 
 def forward_gronwall(report: InequalityReport):
-    """Exponential-envelope table for F = E_Y + E_Z on [report.delta, T].
+    """Exponential-envelope table for F = E_Y + E_Z over the report's rows.
 
     Checks dF/dt <= C* G with G = E_Y + E_gradY + E_Z, C* fitted as the
     smallest constant over the energy rows of `report` (its sample times

@@ -1,11 +1,15 @@
 """Residual checks for the evolution equations and curvature identities.
 
 Every evolution check, of one flow (`TrajectoryWindow`) or of the difference
-of two (`differences.PairedWindow`), is one `evolution_check` loop over a
-`SampleWindow`: the 4th-order central time difference of a stored field
-against the algebraic right-hand side at each center state.  The window
-serves center states only: the two states at either end enter the
-differences but are never checked themselves.  One builder,
+of two (`differences.PairedWindow`), measures at a center state the
+4th-order central time difference of a stored field against the algebraic
+right-hand side (`evolution_residual`).  The window serves center states
+only: the two states at either end enter the differences but are never
+checked themselves.  The identity suite runs `evolution_check`, the worst
+center over a window whose items stay cached, since four checks read the
+same packs.  The paired checks instead take one forward `SampleWindow.sweep`
+over the centers, which drops each item once no later stencil reads it, so
+at most five items are alive however many states are stored.  One builder,
 `residual_report`, measures every residual tensor pointwise in the evolving
 induced metric g(t); per ambient-coordinate families contribute in
 Frobenius over the ambient label.
@@ -96,7 +100,11 @@ class ResidualReport:
 class SampleWindow:
     """At least five uniformly spaced states with one lazily built item each;
     subclasses say how item k is built (`_build`) and which geometry
-    measures it (`geometry`)."""
+    measures it (`geometry`).
+
+    Items stay cached until a `sweep` drops them.  A dropped item is never
+    rebuilt: reading it, or an index outside the states, raises IndexError.
+    """
 
     def __init__(self, traj: FlowTrajectory):
         if len(traj.states) < 5:
@@ -104,11 +112,19 @@ class SampleWindow:
         self.traj = traj
         self.dt = traj.sample_dt()
         self._items = [None] * len(traj.states)
+        self._dropped = 0  # a sweep has dropped items 0 .. _dropped - 1
 
     def __len__(self):
         return len(self._items)
 
     def item(self, k: int):
+        if not 0 <= k < len(self):
+            raise IndexError(f"state {k} is outside 0 .. {len(self) - 1}")
+        if k < self._dropped:
+            raise IndexError(
+                f"state {k} is behind the sweep, which dropped states "
+                f"0 .. {self._dropped - 1}"
+            )
         if self._items[k] is None:
             self._items[k] = self._build(k)
         return self._items[k]
@@ -116,6 +132,14 @@ class SampleWindow:
     @property
     def centers(self):
         return range(2, len(self) - 2)
+
+    def sweep(self):
+        """The centers in order, for one forward pass: after center c, item
+        c - 2 is dropped, since no later center's stencil reads it."""
+        for c in self.centers:
+            yield c
+            self._items[c - 2] = None
+            self._dropped = c - 1
 
     def time_derivative(self, c: int, field_of) -> np.ndarray:
         """4th-order central d/dt of field_of(item) at the center state c."""
@@ -155,15 +179,23 @@ def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport
     )
 
 
+def evolution_residual(
+    window, c, identity, field_of, rhs_of, index_spec
+) -> ResidualReport:
+    """d/dt field_of(item) - rhs_of(item) at the center c of a SampleWindow."""
+    resid = window.time_derivative(c, field_of) - rhs_of(window.item(c))
+    return residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
+
+
 def evolution_check(window, identity, field_of, rhs_of, index_spec) -> ResidualReport:
-    """Worst center of d/dt field_of(item) - rhs_of(item) over a SampleWindow."""
-    reports = []
-    for c in window.centers:
-        resid = window.time_derivative(c, field_of) - rhs_of(window.item(c))
-        reports.append(
-            residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
-        )
-    return max(reports, key=lambda r: r.sup_residual)
+    """Worst center of `evolution_residual` over a SampleWindow."""
+    return max(
+        (
+            evolution_residual(window, c, identity, field_of, rhs_of, index_spec)
+            for c in window.centers
+        ),
+        key=lambda r: r.sup_residual,
+    )
 
 
 def grad_H(geom: GeometryPack) -> np.ndarray:

@@ -2,11 +2,15 @@
 determinism of report bodies, and strict config validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mcflab import cli, flow, geometry, identities, shapes
+from mcflab import cli, differences, flow, geometry, identities, shapes
 from mcflab.cli import (
     EXIT_ASSERTION,
     EXIT_BLOWUP,
@@ -760,6 +764,48 @@ class TestDiffSystemVerb:
         code, _ = run_cli(tmp_path, "diff-system", cfg)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "values, keys",
+        [
+            # T / dt = 10 steps, none of them stored: one state
+            ({"store_every": 20}, ("'store_every'", "'T'")),
+            # stored every 5 of 8 steps: two states
+            ({"T": 8e-4, "store_every": 5}, ("'store_every'", "'T'")),
+            # centers at 2e-4 .. 1.8e-3: only the last is at or past delta
+            ({"delta": 1.75e-3}, ("'delta'",)),
+            # 20 of 25 steps are stored, so delta 2.2e-3 lies past every center
+            ({"T": 2.5e-3, "store_every": 5, "delta": 2.2e-3}, ("'delta'",)),
+        ],
+        ids=["no-step-stored", "two-states", "one-center-past-delta",
+             "delta-past-the-stored-states"],
+    )
+    def test_short_window_fails_before_integrating(
+        self, tmp_path, capsys, monkeypatch, values, keys
+    ):
+        def not_called(*args):
+            raise AssertionError("the pair was integrated")
+
+        monkeypatch.setattr(cli, "run_paired_fixed_dt", not_called)
+        code, out = run_cli(tmp_path, "diff-system", changed(DIFF_CONFIG, **values))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert all(key in err for key in keys), err
+        assert not (out / "summary.txt").exists()
+
+    def test_builds_each_difference_pack_once(self, tmp_path, monkeypatch):
+        times = []
+
+        def counting(stateA, stateB):
+            times.append(stateA.time)
+            return build_difference(stateA, stateB)
+
+        build_difference = differences.build_difference
+        monkeypatch.setattr(differences, "build_difference", counting)
+        code, _ = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
+        assert code == EXIT_OK
+        assert times == sorted(set(times)) and len(times) == 21  # T / dt + 1
+
 
 class TestConvergenceVerb:
     def test_orders_reported(self, tmp_path):
@@ -783,6 +829,26 @@ class TestConvergenceVerb:
         }
         code, _ = run_cli(tmp_path, "convergence", config)
         assert code == EXIT_CONFIG
+
+    def test_suite_evaluates_five_geometries_per_resolution(
+        self, tmp_path, monkeypatch
+    ):
+        resolutions = []
+
+        def counting(compute):
+            def wrapper(imm):
+                resolutions.append(imm.grid.resolution)
+                return compute(imm)
+
+            return wrapper
+
+        for module in (cli, identities):
+            monkeypatch.setattr(
+                module, "compute_geometry", counting(module.compute_geometry)
+            )
+        code, _ = run_cli(tmp_path, "convergence", CONVERGENCE_CONFIG)
+        assert code == EXIT_OK
+        assert resolutions == [16] * 5 + [32] * 5 + [64] * 5
 
     def test_non_doubling_resolutions_rejected(self, tmp_path):
         config = {
@@ -872,6 +938,16 @@ class TestTopLevel:
         assert len(lines) == len(ANCHORS)
         for key in ANCHORS:
             assert any(line.startswith(key) for line in lines)
+
+    def test_runs_as_a_module_from_a_checkout(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "mcflab", "--list-anchors"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == cli._anchor_table() + "\n"
 
     def test_no_verb_prints_help(self, capsys):
         assert main([]) == EXIT_CONFIG

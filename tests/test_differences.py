@@ -6,6 +6,7 @@ generic second-order behaviour of the displayed difference evolutions.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import GridSpec
-from mcflab import shapes
+from mcflab import differences, shapes
 from mcflab.differences import (
     LIMITATION_STATEMENT,
     DifferencePack,
@@ -200,15 +201,27 @@ class TestDifferenceEvolutions:
     def test_circle_pair_is_near_exact(self):
         # the stencil truncation error of d/dt g is radius independent, so
         # it cancels in the difference of two concentric circles
-        w = circle_pair()
-        assert check_dd(w).sup_residual < 1e-10
-        assert check_dw(w).sup_residual < 1e-10
+        rep = verify_inequalities(circle_pair(), delta=2 * DT)
+        assert rep.dd.sup_residual < 1e-10
+        assert rep.dw.sup_residual < 1e-10
 
     def test_dd_second_order_on_circle_ellipse(self):
         sups = []
         for N in (64, 128):
-            sups.append(check_dd(circle_ellipse_pair(N)).sup_residual)
+            rep = verify_inequalities(circle_ellipse_pair(N), delta=2 * DT)
+            sups.append(rep.dd.sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
+
+    def test_sweep_keeps_the_worst_center_of_each_check(self):
+        """Over every center, those before delta included."""
+        rep = verify_inequalities(circle_ellipse_pair(), delta=5 * DT)
+        w = circle_ellipse_pair()
+        for check, got in ((check_dd, rep.dd), (check_dw, rep.dw)):
+            per_center = [check(w, c) for c in w.centers]
+            assert got == max(per_center, key=lambda r: r.sup_residual)
+            assert got.t_center < 5 * DT  # the worst lies before delta
+        assert rep.dd.identity == "difference_metric"
+        assert rep.dw.identity == "difference_position_gradient"
 
 
 class TestCoupledInequalities:
@@ -227,9 +240,8 @@ class TestCoupledInequalities:
         assert rep.K >= 1.0 and rep.K_tilde > 0.0
 
     def test_constants_nonincreasing_in_delta(self):
-        w = circle_pair()
-        early = verify_inequalities(w, delta=2 * DT)
-        late = verify_inequalities(w, delta=4 * DT)
+        early = verify_inequalities(circle_pair(), delta=2 * DT)
+        late = verify_inequalities(circle_pair(), delta=4 * DT)
         assert late.C1 <= early.C1 + 1e-12
         assert late.C2 <= early.C2 + 1e-12
 
@@ -303,3 +315,74 @@ class TestEnergyEnvelope:
                 np.sum((p.norm_sq_Y() + p.norm_sq_Z()) * wt)
             )
         assert abs(energy[2e-3] / energy[1e-3] - 4.0) < 0.05
+
+
+def torus_pair(n_steps):
+    """Trajectories of a perturbed m=2, N=16 product-torus pair at dt 1e-3."""
+    a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
+    b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+    return run_paired_fixed_dt(a, b, 1e-3, n_steps)
+
+
+class TestStreamingPass:
+    """verify_inequalities is one forward sweep over at most five packs."""
+
+    @staticmethod
+    def traced_peak(trajA, trajB) -> int:
+        tracemalloc.start()
+        try:
+            verify_inequalities(PairedWindow(trajA, trajB), delta=2e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_stored_states(self):
+        short, long = torus_pair(8), torus_pair(32)  # 9 and 33 stored states
+        peaks = {len(p[0].states): self.traced_peak(*p) for p in (short, long)}
+        assert peaks[33] <= 1.1 * peaks[9], peaks
+
+    def test_each_pack_is_built_once_and_at_most_five_are_alive(self, monkeypatch):
+        built, alive = [], []
+        window = None
+
+        def counting(stateA, stateB):
+            built.append(stateA.time)
+            if window is not None:
+                alive.append(sum(x is not None for x in window._items) + 1)
+            return build_difference(stateA, stateB)
+
+        monkeypatch.setattr(differences, "build_difference", counting)
+        trajA, trajB = torus_pair(12)
+        window = PairedWindow(trajA, trajB)
+        verify_inequalities(window, delta=2e-3)
+        assert built == [s.time for s in trajA.states]
+        assert max(alive) == 5
+
+    def test_reading_behind_the_sweep_raises(self):
+        window = PairedWindow(*torus_pair(6))
+        verify_inequalities(window, delta=2e-3)
+        last = window.centers[-1]
+        for k in range(last - 1):
+            with pytest.raises(IndexError, match=f"state {k} is behind the sweep"):
+                window.item(k)
+        assert window.item(last - 1) is not None
+        with pytest.raises(IndexError, match="behind the sweep"):
+            verify_inequalities(window, delta=2e-3)  # a window serves one pass
+
+    def test_delta_counts_from_the_first_state(self):
+        """A pair stamped from t0 = 0.2 keeps the rows of the same pair from 0."""
+        reports = {}
+        for t0 in (0.0, 0.2):
+            a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
+            a = a.with_positions(a.positions, time=t0)
+            b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+            window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 20))
+            reports[t0] = verify_inequalities(window, delta=0.012)
+        at0, late = reports[0.0], reports[0.2]
+        assert len(late.rows) == len(at0.rows) == 7
+        assert late.flagged_nodes == at0.flagged_nodes == 0
+        # stamped from 0.2 the sample dt differs from 1e-3 at rounding level
+        assert late.C1 == pytest.approx(at0.C1, rel=1e-12)
+        assert late.C2 == pytest.approx(at0.C2, rel=1e-12)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            verify_inequalities(window, delta=0.021)

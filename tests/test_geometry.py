@@ -24,7 +24,10 @@ from mcflab.grid import (
     GridSpec,
     Immersion,
     NonFiniteImmersionError,
+    SymmetryAction,
+    apply_symmetry,
     partial,
+    reflection_permutation,
     second_partial,
 )
 
@@ -272,6 +275,66 @@ class TestInvariants:
         assert np.array_equal(
             geomA.christoffels, permute_field(geomB.christoffels, circle_grid, perm)
         )
+
+
+    @given(
+        maker=st.sampled_from(sorted(REFERENCE_MAKERS)),
+        order=st.sampled_from([2, 4]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_metric_and_curvature_norms_invariant_under_rigid_motion(
+        self, maker, order, data
+    ):
+        imm = REFERENCE_MAKERS[maker](order)
+        A = imm.ambient_dim
+
+        def draw(n, bound):
+            entry = st.floats(-bound, bound, allow_nan=False)
+            return np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+
+        Q, _ = np.linalg.qr(draw(A * A, 1.0).reshape(A, A))
+        identity = np.arange(imm.grid.num_nodes).reshape(imm.grid.shape)
+        moved = apply_symmetry(imm, SymmetryAction(Q, draw(A, 10.0), identity))
+        geom, geom_moved = compute_geometry(imm), compute_geometry(moved)
+        invariants = {
+            "g": lambda g: g.metric,
+            "|h|^2_g": lambda g: tensor_norm_sq(g.second_form, g, "ll"),
+            "|H|^2": lambda g: (g.mean_curv**2).sum(axis=-1),
+        }
+        for name, of in invariants.items():
+            want, got = of(geom), of(geom_moved)
+            # relative to the field's sup: a vanishing component (g_01 of a
+            # torus) moves at rounding level
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @given(
+        maker=st.sampled_from(["m2-codim1", "m2-codim2"]),
+        order=st.sampled_from([2, 4]),
+        axes=st.sampled_from([[0], [1], [0, 1]]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_geometry_commutes_with_reflection_at_m2(self, maker, order, axes):
+        """X(u) -> X(-u) along the axes flips the sign of each lower index
+        on a reflected axis, and of each upper one."""
+        imm = REFERENCE_MAKERS[maker](order)
+        grid, A = imm.grid, imm.ambient_dim
+        perm = reflection_permutation(grid, axes)
+        reflected = apply_symmetry(imm, SymmetryAction(np.eye(A), np.zeros(A), perm))
+        geom, geom_reflected = compute_geometry(imm), compute_geometry(reflected)
+        s = np.where(np.isin(np.arange(grid.m), axes), -1.0, 1.0)
+        ss = s[:, None] * s[None, :]
+        signs = {
+            "first_derivs": s,
+            "metric": ss,
+            "christoffels": s[:, None, None] * ss,
+            "second_form": ss,
+            "mean_curv": 1.0,
+        }
+        for name, sign in signs.items():
+            want = sign * permute_field(getattr(geom, name), grid, perm)
+            got = getattr(geom_reflected, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 # --- the einsum formulation as reference for the unrolled kernel -----------

@@ -81,6 +81,31 @@ class TestTimeDifference:
             with pytest.raises(IndexError, match=f"state {k} is not a center"):
                 window.time_derivative(k, lambda geom: geom.metric)
 
+    def test_item_outside_the_states_raises_without_wrapping(self):
+        window = TrajectoryWindow(
+            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        )
+        n = len(window)
+        for k in (-1, -n, n):
+            with pytest.raises(IndexError, match=f"state {k} is outside"):
+                window.item(k)
+
+    def test_sweep_drops_each_item_behind_the_stencil(self):
+        window = TrajectoryWindow(
+            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        )
+        seen = []
+        for c in window.sweep():
+            seen.append(c)
+            window.time_derivative(c, lambda geom: geom.metric)
+            if c > 2:
+                with pytest.raises(IndexError, match=f"state {c - 3} is behind"):
+                    window.item(c - 3)
+        assert seen == list(window.centers) == [2, 3, 4]
+        with pytest.raises(IndexError, match="state 2 is behind the sweep"):
+            window.time_derivative(4, lambda geom: geom.metric)
+        assert window.geometry(3) is not None  # the last four stay
+
     def test_center_is_the_central_formula_to_the_bit(self):
         rng = np.random.default_rng(7)
         dt = 1e-5
