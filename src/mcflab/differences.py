@@ -9,11 +9,12 @@ together with the direct sums
 
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
-pair.  `verify_inequalities` measures the pair in one forward sweep over
-the centers: each `DifferencePack` is built once, folded into K and K~ as
-it enters the five-state stencil, and dropped once no later center reads
-it, so at most five packs are alive however many states are stored.  At
-each center the sweep also takes `check_dd` and `check_dw`, the
+pair, stepped by the first flow's `sample_step`.  `verify_inequalities`
+measures the pair in one forward sweep over the centers, as the identity
+suite does one flow: each `DifferencePack` is built once, folded into K and
+K~ as it enters the five-state stencil, and dropped once no later center
+reads it, so at most five packs are alive however many states are stored.
+At each center the sweep also takes `check_dd` and `check_dw`, the
 `identities.evolution_residual` of the displayed difference evolutions,
 whose right-hand sides are differences of the single-flow ones.
 Backwards-in-time integration is never attempted; the uniqueness mechanism

@@ -20,7 +20,8 @@ per step.
 paired run stacks the two flows' positions on a batch axis (grid + (2, A))
 so that each RK stage costs one kernel evaluation for both flows; the
 kernel works elementwise per batch member, so each trajectory is
-bit-identical to a single-flow run.
+bit-identical to a single-flow run.  Its trajectories record the exact
+`sample_step`, store_every * dt, which stamped times from t0 != 0 miss.
 """
 
 from __future__ import annotations
@@ -110,21 +111,11 @@ class FlowTrajectory:
 
     states: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
+    sample_step: float | None = None  # store_every * dt of a fixed-step run
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
-
-    def sample_dt(self) -> float:
-        """Uniform spacing of the stored states; raises unless their times
-        increase uniformly."""
-        t = self.times
-        if len(t) < 2:
-            raise PolicyError("need at least two states")
-        dts = np.diff(t)
-        if not dts[0] > 0 or np.any(np.abs(dts - dts[0]) > 1e-9 * dts[0]):
-            raise PolicyError("stored states are not uniformly spaced in time")
-        return float(dts[0])
 
 
 # Most steps one run may take: `run_flow` stops beyond it, and the CLI
@@ -277,7 +268,7 @@ def _fixed_dt_trajectories(
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
     grid, t0 = initials[0].grid, initials[0].time
-    trajs = [FlowTrajectory([imm], [dt] * n_steps) for imm in initials]
+    trajs = [FlowTrajectory([x], [dt] * n_steps, store_every * dt) for x in initials]
     X = np.stack([imm.positions for imm in initials], axis=-2)
     t = t0
     for k in range(n_steps):

@@ -1,18 +1,16 @@
 """Residual checks for the evolution equations and curvature identities.
 
 Every evolution check, of one flow (`TrajectoryWindow`) or of the difference
-of two (`differences.PairedWindow`), measures at a center state the
-4th-order central time difference of a stored field against the algebraic
-right-hand side (`evolution_residual`).  The window serves center states
-only: the two states at either end enter the differences but are never
-checked themselves.  The identity suite runs `evolution_check`, the worst
-center over a window whose items stay cached, since four checks read the
-same packs.  The paired checks instead take one forward `SampleWindow.sweep`
-over the centers, which drops each item once no later stencil reads it, so
-at most five items are alive however many states are stored.  One builder,
-`residual_report`, measures every residual tensor pointwise in the evolving
-induced metric g(t); per ambient-coordinate families contribute in
-Frobenius over the ambient label.
+of two (`differences.PairedWindow`), takes a window and a center state and
+measures there the 4th-order central time difference of a stored field,
+with the fixed-step run's `sample_step`, against the algebraic right-hand
+side (`evolution_residual`).  The two states at either end enter the
+differences but are never checked themselves.  Both verbs run the checks
+in one forward `SampleWindow.sweep` over the centers, which drops each item
+once no later stencil reads it, so at most five items are alive however
+many states are stored.  One builder, `residual_report`, measures every
+residual tensor pointwise in the evolving induced metric g(t); per
+ambient-coordinate families contribute in Frobenius over the ambient label.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -102,15 +100,18 @@ class SampleWindow:
     subclasses say how item k is built (`_build`) and which geometry
     measures it (`geometry`).
 
-    Items stay cached until a `sweep` drops them.  A dropped item is never
-    rebuilt: reading it, or an index outside the states, raises IndexError.
+    dt is the trajectory's sample_step.  Items stay cached until a `sweep`
+    drops them.  A dropped item is never rebuilt: reading it, or an index
+    outside the states, raises IndexError.
     """
 
     def __init__(self, traj: FlowTrajectory):
+        if traj.sample_step is None:
+            raise ProtocolError("no sample step: not a fixed-step run")
         if len(traj.states) < 5:
             raise ProtocolError("need at least 5 uniformly spaced states")
         self.traj = traj
-        self.dt = traj.sample_dt()
+        self.dt = traj.sample_step
         self._items = [None] * len(traj.states)
         self._dropped = 0  # a sweep has dropped items 0 .. _dropped - 1
 
@@ -187,26 +188,16 @@ def evolution_residual(
     return residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
 
 
-def evolution_check(window, identity, field_of, rhs_of, index_spec) -> ResidualReport:
-    """Worst center of `evolution_residual` over a SampleWindow."""
-    return max(
-        (
-            evolution_residual(window, c, identity, field_of, rhs_of, index_spec)
-            for c in window.centers
-        ),
-        key=lambda r: r.sup_residual,
-    )
-
-
 def grad_H(geom: GeometryPack) -> np.ndarray:
     """Covariant gradient of the mean curvature components [a, i]."""
     return covariant_derivative(geom.mean_curv, geom, "")
 
 
-def check_dX(window: TrajectoryWindow) -> ResidualReport:
+def check_dX(window: TrajectoryWindow, center: int) -> ResidualReport:
     """d/dt of the position gradient against the gradient of H."""
-    return evolution_check(
+    return evolution_residual(
         window,
+        center,
         "evolve_position_gradient",
         lambda geom: geom.first_derivs,
         grad_H,
@@ -226,9 +217,9 @@ def metric_rhs(geom: GeometryPack) -> np.ndarray:
     return -2.0 * _H_dot_h(geom)
 
 
-def check_dg(window: TrajectoryWindow) -> ResidualReport:
-    return evolution_check(
-        window, "evolve_metric", lambda geom: geom.metric, metric_rhs, "ll"
+def check_dg(window: TrajectoryWindow, center: int) -> ResidualReport:
+    return evolution_residual(
+        window, center, "evolve_metric", lambda geom: geom.metric, metric_rhs, "ll"
     )
 
 
@@ -255,9 +246,10 @@ def _connection_rhs(geom: GeometryPack) -> np.ndarray:
     return components_last(_connection_rate(geom), 3)
 
 
-def check_dGamma(window: TrajectoryWindow) -> ResidualReport:
-    return evolution_check(
+def check_dGamma(window: TrajectoryWindow, center: int) -> ResidualReport:
+    return evolution_residual(
         window,
+        center,
         "evolve_connection",
         lambda geom: geom.christoffels,
         _connection_rhs,
@@ -282,10 +274,11 @@ def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
     return out
 
 
-def check_dh(window: TrajectoryWindow) -> ResidualReport:
+def check_dh(window: TrajectoryWindow, center: int) -> ResidualReport:
     """Evolution of the second form; the connection rate enters analytically."""
-    return evolution_check(
+    return evolution_residual(
         window,
+        center,
         "evolve_second_form",
         lambda geom: geom.second_form,
         _second_form_rhs,

@@ -88,7 +88,7 @@ def test_criterion_03_evolution_identity_orders():
             for N in (64, 128, 256)
         ]
         for chk in checks:
-            sups = [chk(w).sup_residual for w in windows]
+            sups = [chk(w, 2).sup_residual for w in windows]
             if max(sups) < EXACT_FLOOR:
                 details.append(f"{name}/{chk.__name__}=exact")
                 continue

@@ -5,6 +5,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mcflab import shapes
 from mcflab.grid import (
@@ -97,6 +100,29 @@ class TestAccepted:
         assert back.time == imm.time
         assert np.array_equal(back.positions, pos)
         assert np.signbit(back.positions[0, 0, 0])
+
+    @pytest.mark.parametrize("time", [0.0, 0.2, 1000.0])
+    @given(
+        data=st.data(),
+        m=st.sampled_from([1, 2]),
+        codimension=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_round_trip_property(self, data, m, codimension, time):
+        grid = GridSpec(m, 8)
+        pos = data.draw(
+            arrays(
+                np.float64,
+                grid.shape + (m + codimension,),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
+        imm = Immersion(grid, pos, time)
+        back = read_immersion(io.StringIO(immersion_to_text(imm)))
+        assert back.grid == grid
+        assert back.time == time
+        assert np.array_equal(back.positions, pos)
+        assert np.array_equal(np.signbit(back.positions), np.signbit(pos))
 
     def test_row_order_and_blank_lines_do_not_matter(self):
         lines = torus_lines()

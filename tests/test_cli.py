@@ -115,6 +115,9 @@ BAD_CONFIGS = {
     "simulate-fixed-dt-text": (
         "simulate", changed(SIMULATE_CONFIG, policy={"fixed_dt": "fast"}), "'fixed_dt'"
     ),
+    "simulate-sample-times-empty": (
+        "simulate", changed(SIMULATE_CONFIG, sample_times=[]), "'sample_times'"
+    ),
     "simulate-sample-time-null": (
         "simulate",
         changed(SIMULATE_CONFIG, sample_times=[0.0, None]),
@@ -428,6 +431,35 @@ class TestIdentitiesVerb:
         reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
         assert len(reports) == 6
         assert calls == [2e-5]
+
+    def test_suite_builds_one_pack_before_the_curvature(self, monkeypatch):
+        """The single-instant checks run before the evolution checks build
+        the rest of the stencil, so their curvature is never alive beside
+        five packs."""
+        built, seen = [], []
+
+        def counting(compute):
+            def wrapper(imm):
+                built.append(imm.time)
+                return compute(imm)
+
+            return wrapper
+
+        def curvature(geom):
+            seen.append(len(built))
+            return geometry.curvature_gauss(geom)
+
+        for module in (cli, identities):
+            monkeypatch.setattr(
+                module, "compute_geometry", counting(module.compute_geometry)
+            )
+        monkeypatch.setattr(cli, "curvature_gauss", curvature)
+        for N in (16, 32):
+            built.clear()
+            seen.clear()
+            _identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
+            assert seen == [1]
+            assert len(built) == 5
 
     def test_report_bodies_are_deterministic(self, tmp_path):
         _, out1 = run_cli(tmp_path, "identities", IDENTITIES_CONFIG, "out1")
@@ -807,6 +839,55 @@ class TestDiffSystemVerb:
         assert times == sorted(set(times)) and len(times) == 21  # T / dt + 1
 
 
+class TestLateStart:
+    """A checkpoint stamped t = 1000 gives the numbers of the same state
+    stamped 0: the windows divide by the run's sample step, which the
+    stamped times miss at rounding level that late."""
+
+    @staticmethod
+    def from_checkpoint(tmp_path, verb, config, t0):
+        ckpt = tmp_path / f"ellipse_{t0}.txt"
+        imm = shapes.ellipse(GridSpec(1, 64), 1.5, 1.0)
+        write_immersion(imm.with_positions(imm.positions, time=t0), str(ckpt))
+        config = dict(
+            config,
+            grid={"m": 1, "resolution": 64},
+            geometry={"kind": "checkpoint", "path": str(ckpt)},
+        )
+        return run_cli(tmp_path, verb, config, f"{verb}_{t0}")
+
+    def test_identities(self, tmp_path):
+        columns = {}
+        for t0 in (0.0, 1000.0):
+            code, out = self.from_checkpoint(tmp_path, "identities", {}, t0)
+            assert code == EXIT_OK
+            rows = [
+                (out / f"residual_{name}.csv").read_text().splitlines()[1]
+                for name in cli.THRESHOLD_COEFFS
+            ]
+            # sup_residual and l2_residual
+            columns[t0] = [row.split(",")[4:6] for row in rows]
+        assert columns[1000.0] == columns[0.0]
+
+    def test_diff_system(self, tmp_path):
+        config = {
+            "perturbation": {"amplitude": 1e-3},
+            "T": 2e-3,
+            "delta": 5e-4,
+            "dt": 1e-4,
+            "store_every": 2,
+        }
+        reports = {}
+        for t0 in (0.0, 1000.0):
+            code, out = self.from_checkpoint(tmp_path, "diff-system", config, t0)
+            assert code == EXIT_OK
+            lines = (out / "inequality_report.txt").read_text().splitlines()
+            reports[t0] = dict(line.split(" = ") for line in lines if " = " in line)
+        assert reports[1000.0]["dt"] == reports[0.0]["dt"] == "0.0002"
+        for key in ("C1", "C2"):
+            assert reports[1000.0][key] == reports[0.0][key]
+
+
 class TestConvergenceVerb:
     def test_orders_reported(self, tmp_path):
         config = {
@@ -899,6 +980,17 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("invalid configuration:")
         assert not out.exists()
+
+    def test_out_that_is_a_file_is_a_config_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(IDENTITIES_CONFIG))
+        code = main(["identities", "--config", str(cfg_path), "--out", str(afile)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(afile) in err
+        assert afile.read_text() == "kept\n"
 
     def test_unknown_geometry_kind(self, tmp_path):
         cfg = dict(IDENTITIES_CONFIG)

@@ -381,8 +381,10 @@ class TestStreamingPass:
         at0, late = reports[0.0], reports[0.2]
         assert len(late.rows) == len(at0.rows) == 7
         assert late.flagged_nodes == at0.flagged_nodes == 0
-        # stamped from 0.2 the sample dt differs from 1e-3 at rounding level
-        assert late.C1 == pytest.approx(at0.C1, rel=1e-12)
-        assert late.C2 == pytest.approx(at0.C2, rel=1e-12)
+        # both windows divide by the run's sample step, not by the stamped
+        # differences, which from 0.2 miss 1e-3 at rounding level
+        assert late.dt == at0.dt == 1e-3
+        assert late.C1 == at0.C1
+        assert late.C2 == at0.C2
         with pytest.raises(ValueError, match="delta must lie in"):
             verify_inequalities(window, delta=0.021)

@@ -33,6 +33,7 @@ from mcflab.grid import (
     shift_permutation,
 )
 from mcflab.grid import SymmetryAction
+from mcflab.identities import TrajectoryWindow
 
 from conftest import (
     identity_symmetry,
@@ -343,7 +344,18 @@ class TestFixedDtProtocol:
     def test_times_are_exact_multiples(self, circle_grid):
         traj = run_fixed_dt(shapes.circle(circle_grid, 1.0), 1e-3, 20, store_every=5)
         assert np.array_equal(traj.times, np.array([0.0, 5e-3, 1e-2, 1.5e-2, 2e-2]))
-        assert traj.sample_dt() == 5e-3
+        assert traj.sample_step == 5 * 1e-3
+
+    def test_sample_step_is_store_every_times_dt_from_any_start(self):
+        a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        a = a.with_positions(a.positions, time=1000.0)
+        b = shapes.low_mode_perturbation(a, 1e-3, seed=1)
+        single = run_fixed_dt(a, 1e-4, 8, store_every=2)
+        trajA, trajB = run_paired_fixed_dt(a, b, 1e-4, 8, store_every=2)
+        for traj in (single, trajA, trajB):
+            assert traj.sample_step == 2 * 1e-4
+        # the stamped times of a late start miss the step at rounding level
+        assert np.diff(single.times)[0] != single.sample_step
 
     def test_store_every_must_divide(self, unit_circle):
         with pytest.raises(PolicyError):
@@ -360,18 +372,20 @@ class TestFixedDtProtocol:
             run_fixed_dt(unit_circle, 1e-3, 4, store_every=0)
         assert not kernel_calls
 
-    def test_nonuniform_sampling_detected(self, unit_circle):
+    def test_window_rejects_a_trajectory_without_a_step(self, unit_circle):
         traj = FlowTrajectory(
             [unit_circle.with_positions(unit_circle.positions, time=t)
-             for t in (0.0, 0.1, 0.25)]
+             for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
         )
-        with pytest.raises(PolicyError):
-            traj.sample_dt()
+        assert traj.sample_step is None
+        with pytest.raises(ProtocolError, match="no sample step"):
+            TrajectoryWindow(traj)
 
-    def test_trajectory_requires_increasing_times(self, unit_circle):
-        traj = FlowTrajectory([unit_circle, unit_circle])
-        with pytest.raises(PolicyError):
-            traj.sample_dt()
+    def test_window_rejects_an_adaptive_run(self, unit_circle):
+        traj = run_flow(unit_circle, 0.02, sample_times=np.linspace(0, 0.02, 5))
+        assert len(traj.states) == 5 and traj.sample_step is None
+        with pytest.raises(ProtocolError, match="no sample step"):
+            TrajectoryWindow(traj)
 
 
 PAIRS = {

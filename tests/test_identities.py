@@ -122,14 +122,14 @@ class TestTimeDifference:
 class TestEvolutionChecks:
     def test_position_gradient_is_semi_discrete_exact(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-        assert check_dX(TrajectoryWindow(traj)).sup_residual < 1e-9
+        assert check_dX(TrajectoryWindow(traj), 2).sup_residual < 1e-9
 
     def test_metric_residual_matches_stencil_prediction_on_circle(self):
         grid = GridSpec(1, 64)
         traj = short_run(shapes.circle(grid, 1.0))
         s1, s2 = stencil_symbols(grid)
         predicted = 2.0 * s2 * abs(s2 - s1**2) / s1**2
-        rep = check_dg(TrajectoryWindow(traj))
+        rep = check_dg(TrajectoryWindow(traj), 2)
         assert abs(rep.sup_residual - predicted) / predicted < 0.01
 
     @pytest.mark.parametrize(
@@ -144,17 +144,30 @@ class TestEvolutionChecks:
         sups = []
         for N in resolutions:
             traj = short_run(shapes.ellipse(GridSpec(1, N), 1.5, 1.0))
-            sups.append(checker(TrajectoryWindow(traj)).sup_residual)
+            sups.append(checker(TrajectoryWindow(traj), 2).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
+
+    def test_one_sweep_checks_every_center(self):
+        traj = short_run(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), n_steps=8)
+        window = TrajectoryWindow(traj)
+        for c in window.sweep():
+            # the same center of a five-state window around it, to the bit
+            alone = TrajectoryWindow(
+                FlowTrajectory(traj.states[c - 2 : c + 3], sample_step=1e-5)
+            )
+            for checker in (check_dX, check_dg, check_dGamma, check_dh):
+                rep = checker(window, c)
+                assert rep.t_center == traj.states[c].time
+                assert rep == checker(alone, 2)
 
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
-        with pytest.raises(ProtocolError):
-            check_dg(TrajectoryWindow(traj))
+        with pytest.raises(ProtocolError, match="at least 5"):
+            TrajectoryWindow(traj)
 
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))
-        rep = check_dg(TrajectoryWindow(traj))
+        rep = check_dg(TrajectoryWindow(traj), 2)
         assert rep.anchor == ANCHORS["evolve_metric"]
         assert rep.resolution == 32
         assert rep.dt == 1e-5
@@ -169,10 +182,11 @@ class TestEvolutionChecks:
         moved = FlowTrajectory(
             states=[apply_symmetry(s, sym) for s in traj.states],
             dt_history=list(traj.dt_history),
+            sample_step=traj.sample_step,
         )
         for checker in (check_dg, check_dGamma, check_dh):
-            a = checker(TrajectoryWindow(traj)).sup_residual
-            b = checker(TrajectoryWindow(moved)).sup_residual
+            a = checker(TrajectoryWindow(traj), 2).sup_residual
+            b = checker(TrajectoryWindow(moved), 2).sup_residual
             # the 1/dt factor in the time difference amplifies the rounding
             # introduced by the rotation, so the match is relative, not exact
             assert abs(a - b) < 1e-7 * a

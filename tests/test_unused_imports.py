@@ -1,20 +1,36 @@
-"""Every name a test file imports is used in that file.
+"""Every name a test or package module imports is used in that file.
 
-An import that nothing references reads as coverage that is not there.
-The check parses each `tests/*.py` with `ast`: a name bound by `import`
-or `from ... import` (its alias if it has one, else the first part of a
-dotted module) must occur as a `Name` somewhere in the same file.
+An import that nothing references reads as coverage that is not there in
+a test, and as a dependency that is not there in the package.  The check
+parses each `tests/*.py` and `src/mcflab/*.py` with `ast`: a name bound by
+`import` or `from ... import` (its alias if it has one, else the first part
+of a dotted module) must occur as a `Name` somewhere in the same file, or
+be listed in the module's `__all__`, as the package's re-exports are.
 `__future__` imports and `*` imports bind nothing to check.
 """
 
 import ast
 from pathlib import Path
 
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+HERE = Path(__file__).resolve().parent
+TESTS = sorted(HERE.glob("*.py"))
+SOURCES = sorted((HERE.parent / "src" / "mcflab").glob("*.py"))
+
+
+def exported(tree: ast.Module) -> set:
+    """The string entries of a module-level `__all__` list or tuple."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(path: Path) -> list:
-    """[(line, name)] of the imported names that no `Name` node references."""
+    """[(line, name)] of the imported names that no `Name` node references
+    and `__all__` does not list."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = []
     for node in ast.walk(tree):
@@ -26,6 +42,7 @@ def unused_imports(path: Path) -> list:
                     name = alias.asname or alias.name.partition(".")[0]
                     bound.append((node.lineno, name))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= exported(tree)
     return [(line, name) for line, name in bound if name not in used]
 
 
@@ -36,9 +53,20 @@ def test_every_test_import_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_every_package_import_is_used():
+    unused = {
+        path.name: found for path in SOURCES if (found := unused_imports(path))
+    }
+    assert not unused, f"imported but never used: {unused}"
+
+
 def test_the_scan_sees_the_tests():
     # guards the guard: an empty scan would pass the check above vacuously
     assert Path(__file__) in TESTS and len(TESTS) > 5
+
+
+def test_the_scan_sees_the_package():
+    assert {"__init__.py", "cli.py", "identities.py"} <= {p.name for p in SOURCES}
 
 
 def test_the_scan_flags_an_unused_import(tmp_path):
@@ -58,3 +86,13 @@ def test_the_scan_flags_an_unused_import(tmp_path):
     assert unused_imports(module) == [
         (5, "pytest"), (6, "to_text"), (7, "measured_radius")
     ]
+
+
+def test_the_scan_counts_all_as_a_use(tmp_path):
+    module = tmp_path / "package.py"
+    module.write_text(
+        "from .grid import GridSpec, partial\n"
+        "from .flow import run_flow\n"
+        "__all__ = ['GridSpec', 'run_flow']\n"
+    )
+    assert unused_imports(module) == [(1, "partial")]
