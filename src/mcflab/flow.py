@@ -16,6 +16,13 @@ names its first non-finite node, which `_flow_kernel` turns into a
 BlowUpError at the step's start time.  The new positions are checked once
 per step.
 
+The loop state of `run_flow` and of the fixed-step loop is kept in
+`kernel_layout`: at m=2 the ambient axis is first in memory, so neither the
+kernel nor an RK stage sum, which keeps its inputs' layout, copies it to
+convert; at m=1 it stays grid first.  A stored state is a C-order copy that
+shares no memory with the loop state; only the initial immersion of a
+fixed-step trajectory is stored as given.
+
 `run_fixed_dt` and `run_paired_fixed_dt` share one fixed-step loop.  The
 paired run stacks the two flows' positions on a batch axis (grid + (2, A))
 so that each RK stage costs one kernel evaluation for both flows; the
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import KernelResult, geometry_kernel
+from .geometry import KernelResult, geometry_kernel, kernel_layout
 from .grid import (
     DegenerateImmersionError,
     GridSpec,
@@ -187,9 +194,10 @@ def run_flow(
     """Integrate to time T, storing states at exactly the sample times.
 
     Steps are shortened when needed to land on each sample time.  With no
-    explicit sample_times the initial and final states are stored.  A step
-    that would not advance time (dt below half an ulp of t), or one past
-    MAX_STEPS, raises PolicyError.
+    explicit sample_times the initial and final states are stored; an empty
+    list of them raises PolicyError, as does a step that would not advance
+    time (dt below half an ulp of t) or one past MAX_STEPS.  Each stored
+    state is a C-order copy of the loop state.
     """
     policy = policy or StepPolicy()
     t0 = initial.time
@@ -198,11 +206,13 @@ def run_flow(
     if sample_times is None:
         sample_times = [t0, T]
     samples = sorted(set(float(s) for s in sample_times))
-    if samples and (samples[0] < t0 - 1e-12 or samples[-1] > T + 1e-12):
+    if not samples:
+        raise PolicyError("sample_times is empty: the run would store no state")
+    if samples[0] < t0 - 1e-12 or samples[-1] > T + 1e-12:
         raise PolicyError("sample times must lie in [t0, T]")
 
     traj = FlowTrajectory()
-    current = initial
+    current = initial.with_positions(kernel_layout(initial.positions, initial.grid.m))
     for target in samples:
         while current.time < target - 1e-14:
             if traj.dt_history:
@@ -213,6 +223,8 @@ def run_flow(
                 policy.step_size(kern.metric, current.grid.spacing),
                 target - current.time,
             )
+            k1 = kern.mean_curv
+            del kern  # the other fields would stay alive through the step
             if current.time + dt == current.time:
                 raise PolicyError(
                     f"step dt={dt!r} does not advance t={current.time!r}"
@@ -221,12 +233,10 @@ def run_flow(
                 raise PolicyError(
                     f"more than {MAX_STEPS} steps: t={current.time!r}, dt={dt!r}"
                 )
-            current = step_rk4(current, dt, kern.mean_curv)
+            current = step_rk4(current, dt, k1)
             traj.dt_history.append(dt)
         current = current.with_positions(current.positions, time=target)
-        traj.states.append(current)
-    if not traj.states:
-        traj.states.append(current)
+        traj.states.append(current.with_positions(current.positions.copy()))
     return traj
 
 
@@ -269,7 +279,7 @@ def _fixed_dt_trajectories(
         raise PolicyError("n_steps must be a multiple of store_every")
     grid, t0 = initials[0].grid, initials[0].time
     trajs = [FlowTrajectory([x], [dt] * n_steps, store_every * dt) for x in initials]
-    X = np.stack([imm.positions for imm in initials], axis=-2)
+    X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
     t = t0
     for k in range(n_steps):
         # degeneracy of the initial immersions is bad input, later a blow-up

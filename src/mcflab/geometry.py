@@ -17,12 +17,17 @@ Index conventions for stored arrays (grid axes omitted):
 Layout: a pack field is handed out grid first, as above, but its memory is
 components first (`components_first`): the tensor and ambient axes lead and
 the grid axes come last, so each component is one contiguous grid array.
-The covariant layer (`covariant_derivative`, `tensor_norm_sq`,
-`divergence`, `laplacian`) takes and returns grid-first fields and works
-components first inside; its one contraction, `contract_with_metric`,
-forms sum_b M[a, b] f[b] from whole grid arrays.  A grid-first view of a
-components-first array converts back without a copy, so chained calls copy
-nothing; any other input is copied once on entry.
+The m=2 kernel works in that order, too: it puts the ambient axis of X first
+in memory (free if X is laid out so, as the flow keeps its m=2 state), and
+the stencils, which keep their input's layout, return d_iX and d_i d_jX the
+same way, so every ambient product runs over whole contiguous grid arrays.
+Only the m=1 kernel works on X as it comes, grid first.  The covariant
+layer (`covariant_derivative`, `tensor_norm_sq`, `divergence`, `laplacian`)
+takes and returns grid-first fields and works components first inside; its
+one contraction, `contract_with_metric`, forms sum_b M[a, b] f[b] from whole
+grid arrays.  A grid-first view of a components-first array converts back
+without a copy, so chained calls copy nothing; any other input is copied
+once on entry.
 """
 
 from __future__ import annotations
@@ -109,6 +114,12 @@ class KernelResult(NamedTuple):
     lists of grid-first components in pack index order (``dX[i]`` = d_i X,
     ``ginv`` over (i, j), ``gamma`` over (k, i, j), ``h`` over (i, j));
     index-symmetric entries share one array.
+
+    At m=2 every field with component axes (``mean_curv``, ``metric`` and
+    the entries of ``dX`` and ``h``) is the components_last view of a
+    contiguous components-first array, and the per-node fields are C-order
+    grid (+ batch) arrays.  At m=1 the fields keep the layout of the
+    arithmetic on X as given, C order for a C-order X.
     """
 
     mean_curv: np.ndarray  # grid + batch + (A,)
@@ -120,6 +131,13 @@ class KernelResult(NamedTuple):
     h: list  # m*m x grid + batch + (A,)
 
 
+def kernel_layout(X: np.ndarray, m: int) -> np.ndarray:
+    """Positions X (grid + batch + (A,)) in the memory order geometry_kernel
+    works in at dimension m: at m=2 the ambient axis first (no copy if X is
+    in that order already), at m=1 X as it is."""
+    return components_last(components_first(X, 1), 1) if m == 2 else X
+
+
 def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     """Mean curvature vector and metric of the positions X (grid + batch + (A,)).
 
@@ -127,12 +145,17 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     c_lij = d_i g_jl + d_j g_il - d_l g_ij from the discrete partials of g;
     h^a_ij = d_i d_jX^a - Gamma^k_ij d_kX^a with the compact second
     stencils;  H^a = g^ij h^a_ij.  The index loops are written out as
-    arithmetic on whole grid arrays.  Sums over a, l and k run in index
-    order and the four m=2 terms of H add pairwise, which are the orders
-    of the einsum contractions in tests/test_geometry.py: for m=2, and for
-    m=1 with A=2, the two agree to the last bit (numpy 2.4) except for the
-    sign of exact zeros.  Temporaries are released as soon as they are used
-    up, which keeps the peak memory below that of the einsum formulation.
+    arithmetic on whole grid arrays.  At m=2 they run components first:
+    X is converted once to ambient-first memory (no copy if it is in that
+    order already), the three distinct g_ij are stacked on a leading axis
+    for one stencil call per axis, and the products go through two reused
+    X-sized buffers.  Every operation is elementwise, so the bits do not
+    depend on the layout of X.  Sums over a, l and k run in index order and
+    the four m=2 terms of H add pairwise, which are the orders of the einsum
+    contractions in tests/test_geometry.py: for m=2, and for m=1 with A=2,
+    the two agree to the last bit (numpy 2.4) except for the sign of exact
+    zeros.  Temporaries are released as soon as they are used up, which
+    keeps the peak memory below that of the einsum formulation.
 
     The fixed cost per call is kept low for the many small calls of a
     paired m=1 flow: one halo copy of X per axis gives d_iX and d_iiX
@@ -172,74 +195,87 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
 
     m = 2
     R = range(m)
-    pairs = [(i, j) for i in R for j in range(i, m)]
-    # one halo copy of X per axis serves d_iX and the compact d_iiX
-    first_second = [partial_and_second(grid, X, i) for i in R]
-    dX = [d for d, _ in first_second]
-    g = {}
-    for i, j in pairs:
-        p = dX[i] * dX[j]
-        s = p[..., 0] + p[..., 1]
-        for a in range(2, p.shape[-1]):
-            s += p[..., a]
-        g[i, j] = g[j, i] = s
-    del p
+    pairs = [(0, 0), (0, 1), (1, 1)]  # the distinct (i, j), in stacked order
+    ij = [(i, j) for i in R for j in R]
+    stacked = {p: c for c, (i, j) in enumerate(pairs) for p in ((i, j), (j, i))}
+    # The stencils keep the layout of kernel_layout, so each D[i][a] = d_iX^a
+    # and each dd[i, j][a] = d_i d_jX^a is one contiguous grid (+ batch)
+    # array, and a per-node field multiplies it from the right.  One halo
+    # copy of X per axis serves d_iX and the compact d_iiX; the mixed second
+    # stencil is the first stencil applied twice.
+    Xa = kernel_layout(X, m)
+    first_second = [partial_and_second(grid, Xa, i) for i in R]
+    del Xa
+    dd = {(0, 1): components_first(partial(grid, first_second[0][0], 1), 1)}
+    for i in R:
+        dd[i, i] = components_first(first_second[i][1], 1)
+    D = [components_first(d, 1) for d, _ in first_second]
 
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+    scratch = np.empty_like(D[0])  # the X-sized buffer of every product
+    sc = scratch[0]
+    G = np.empty((len(pairs),) + D[0].shape[1:])  # [c] = g_ij, (i, j) = pairs[c]
+    for c, (i, j) in enumerate(pairs):
+        np.multiply(D[i][0], D[j][0], out=G[c])
+        for a in range(1, len(D[i])):
+            np.multiply(D[i][a], D[j][a], out=sc)
+            G[c] += sc
+    g00, g01, g11 = G
+    det = g00 * g11
+    det -= np.multiply(g01, g01, out=sc)
     _check_det(X, det, m)
-    off = -g[0, 1] / det
-    ginv = {(0, 0): g[1, 1] / det, (1, 1): g[0, 0] / det, (0, 1): off, (1, 0): off}
-    metric = np.stack([g[0, 0], g[0, 1], g[0, 1], g[1, 1]], axis=-1)
-    metric = metric.reshape(det.shape + (2, 2))
+    off = np.negative(g01)
+    off /= det
+    ginv = {(0, 0): g11 / det, (1, 1): g00 / det, (0, 1): off, (1, 0): off}
+    metric = G[[stacked[p] for p in ij]].reshape((m, m) + det.shape)
 
     # one stencil call per axis over the stacked distinct components of g
-    dG = [partial(grid, np.stack([g[ij] for ij in pairs], axis=-1), l) for l in R]
-    dg = {}
-    for l in R:
-        for c, (i, j) in enumerate(pairs):
-            dg[l, i, j] = dg[l, j, i] = dG[l][..., c]
+    dG = [components_first(partial(grid, components_last(G, 1), l), 1) for l in R]
+    del G, g00, g01, g11
     gamma = {}
+    c = np.empty((m,) + det.shape)
     for i, j in pairs:
-        c = [dg[i, j, l] + dg[j, i, l] - dg[l, i, j] for l in R]
+        # c_lij = d_i g_jl + d_j g_il - d_l g_ij
+        for l in R:
+            np.add(dG[i][stacked[j, l]], dG[j][stacked[i, l]], out=c[l])
+            c[l] -= dG[l][stacked[i, j]]
         for k in R:
             s = ginv[k, 0] * c[0]
             for l in range(1, m):
-                s += ginv[k, l] * c[l]
+                s += np.multiply(ginv[k, l], c[l], out=sc)
             s *= 0.5
             gamma[k, i, j] = gamma[k, j, i] = s
-    del dG, dg, c
+    del dG, c
 
+    corr = np.empty_like(scratch)
     h = {}
     for i, j in pairs:
-        # the mixed second stencil is the first stencil applied twice
-        dd = first_second[i][1] if i == j else partial(grid, dX[i], j)
-        corr = gamma[0, i, j][..., None] * dX[0]
+        np.multiply(gamma[0, i, j], D[0], out=corr)
         for k in range(1, m):
-            corr += gamma[k, i, j][..., None] * dX[k]
-        dd -= corr
-        h[i, j] = h[j, i] = dd
-    del corr, first_second
+            corr += np.multiply(gamma[k, i, j], D[k], out=scratch)
+        dd[i, j] -= corr
+        h[i, j] = h[j, i] = dd[i, j]
 
-    H = ginv[0, 0][..., None] * h[0, 0]
-    t = ginv[0, 1][..., None] * h[0, 1]
+    H = ginv[0, 0] * h[0, 0]
+    t = np.multiply(ginv[0, 1], h[0, 1], out=corr)
     H += t
-    t += ginv[1, 1][..., None] * h[1, 1]
+    t += np.multiply(ginv[1, 1], h[1, 1], out=scratch)
     H += t
-    ij = [(i, j) for i in R for j in R]
     return KernelResult(
-        H,
-        metric,
+        components_last(H, 1),
+        components_last(metric, 2),
         det,
-        dX,
+        [components_last(d, 1) for d in D],
         [ginv[p] for p in ij],
         [gamma[(k,) + p] for k in R for p in ij],
-        [h[p] for p in ij],
+        [components_last(h[p], 1) for p in ij],
     )
 
 
 def _pack(parts: list, grid: GridSpec, lead: tuple) -> np.ndarray:
     """Components-first array lead + grid.shape from a list of grid-first
-    components (grid + passive axes) in row-major index order.
+    components (grid + passive axes) in row-major index order.  The m=2
+    kernel's components are components_last views, so each one's transpose
+    is contiguous and the stack copies without transposing.
 
     The list is cleared: dropping each field's components once copied keeps
     compute_geometry's peak memory near one pack plus one field.
@@ -260,10 +296,14 @@ def compute_geometry(imm: Immersion) -> GeometryPack:
     first = _pack(k.dX, grid, (A, m))
     gamma = _pack(k.gamma, grid, (m, m, m))
     ginv = _pack(k.ginv, grid, (m, m))
+    # the pack's metric is a copy made here: holding the kernel's own array,
+    # allocated among the kernel's temporaries, leaves holes in the heap that
+    # raised the peak RSS of torus-convergence by 1-4 MB
+    metric = np.array(components_first(k.metric, 2))
     return GeometryPack(
         imm,
         components_last(first, 2),
-        components_last(components_first(k.metric, 2), 2),
+        components_last(metric, 2),
         components_last(ginv, 2),
         k.det,
         components_last(gamma, 3),

@@ -6,6 +6,19 @@ from mcflab.geometry import GeometryPack, tensor_norm_sq
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
 
 
+def assert_same_bytes(got, want):
+    """Equal shape, dtype and bytes of the C-order copies.
+
+    Stricter than np.array_equal, which takes -0.0 for 0.0: a layout that
+    changed the order of an operation shows up here as a flipped sign of
+    zero or a last-bit difference.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def stencil_symbols(grid: GridSpec):
     """Closed-form action of the difference stencils on the lowest mode."""
     h = grid.spacing

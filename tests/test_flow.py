@@ -21,6 +21,8 @@ from mcflab.flow import (
     run_paired_fixed_dt,
 )
 from mcflab.geometry import (
+    components_first,
+    components_last,
     compute_geometry,
     geometry_kernel,
     tensor_norm_sq,
@@ -36,6 +38,7 @@ from mcflab.grid import SymmetryAction
 from mcflab.identities import TrajectoryWindow
 
 from conftest import (
+    assert_same_bytes,
     identity_symmetry,
     measured_radius,
     measured_torus_radii,
@@ -235,6 +238,11 @@ class TestRunFlow:
     def test_backward_target_rejected(self, unit_circle):
         with pytest.raises(PolicyError):
             run_flow(unit_circle, -0.1)
+
+    def test_empty_sample_times_rejected(self, unit_circle, kernel_calls):
+        with pytest.raises(PolicyError, match="sample_times is empty"):
+            run_flow(unit_circle, 0.1, sample_times=[])
+        assert not kernel_calls
 
     def test_out_of_range_samples_rejected(self, unit_circle):
         with pytest.raises(PolicyError):
@@ -466,6 +474,68 @@ class TestPairedFixedDt:
         with pytest.raises(BlowUpError) as paired:
             run_paired_fixed_dt(shapes.circle(grid, 1.0), b, 1e-3, 200)
         assert str(paired.value) == str(single.value)
+
+
+HANDOFF_INITIALS = {
+    "m1": lambda: shapes.ellipse(GridSpec(1, 32), 1.5, 1.0),
+    "m2": lambda: shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2),
+}
+
+# each flow entry point on one initial immersion: a list of trajectories
+HANDOFF_RUNS = {
+    "run_flow": lambda a: [
+        run_flow(a, 0.03, StepPolicy(cfl_safety=0.3), [0.0, 0.01, 0.03])
+    ],
+    "run_fixed_dt": lambda a: [run_fixed_dt(a, 2e-4, 6, store_every=3)],
+    "run_paired_fixed_dt": lambda a: list(
+        run_paired_fixed_dt(
+            a, shapes.low_mode_perturbation(a, 1e-3, seed=2), 2e-4, 6, store_every=3
+        )
+    ),
+}
+
+
+class TestStoredStates:
+    """The m=2 loop state keeps the ambient axis first in memory; what the
+    flow hands out is C-order copies, the same bytes from either layout."""
+
+    @pytest.mark.parametrize("shape", sorted(HANDOFF_INITIALS))
+    @pytest.mark.parametrize("runner", sorted(HANDOFF_RUNS))
+    def test_stored_states_are_c_order_copies(self, monkeypatch, shape, runner):
+        loop = []  # every kernel input and every new loop state
+
+        def recording(fn):
+            def wrapper(grid, X, *args):
+                new = fn(grid, X, *args)
+                loop.append(X)
+                if isinstance(new, np.ndarray):
+                    loop.append(new)
+                return new
+
+            return wrapper
+
+        monkeypatch.setattr(flow, "geometry_kernel", recording(geometry_kernel))
+        monkeypatch.setattr(flow, "_rk4_positions", recording(flow._rk4_positions))
+        trajs = HANDOFF_RUNS[runner](HANDOFF_INITIALS[shape]())
+        states = [s.positions for traj in trajs for s in traj.states]
+        assert len(states) == 3 * len(trajs) and loop
+        for k, s in enumerate(states):
+            assert s.flags.c_contiguous
+            assert not any(np.shares_memory(s, x) for x in loop)
+            assert not any(np.shares_memory(s, o) for o in states[k + 1 :])
+
+    @pytest.mark.parametrize("shape", sorted(HANDOFF_INITIALS))
+    @pytest.mark.parametrize("runner", ["run_flow", "run_fixed_dt"])
+    def test_the_initial_layout_does_not_change_the_run(self, shape, runner):
+        a = HANDOFF_INITIALS[shape]()
+        first = a.with_positions(components_last(components_first(a.positions, 1), 1))
+        assert not first.positions.flags.c_contiguous
+        (want,) = HANDOFF_RUNS[runner](a)
+        (got,) = HANDOFF_RUNS[runner](first)
+        assert got.dt_history == want.dt_history and len(want.dt_history) > 2
+        assert [s.time for s in got.states] == [s.time for s in want.states]
+        for g, w in zip(got.states, want.states):
+            assert_same_bytes(g.positions, w.positions)
 
 
 class TestOracles:

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from mcflab import grid as grid_module
 from mcflab import shapes
 from mcflab.geometry import (
+    GeometryPack,
     _check_det,
+    components_first,
+    components_last,
     compute_geometry,
     contract_with_metric,
     covariant_derivative,
@@ -33,7 +36,9 @@ from mcflab.grid import (
 
 from conftest import (
     REFERENCE_MAKERS,
+    assert_same_bytes,
     permute_field,
+    space_curve,
     stencil_symbols,
     trace_identity_residual,
 )
@@ -439,6 +444,108 @@ class TestKernelHaloCopies:
         monkeypatch.setattr(grid_module, "_periodic_taps", counting)
         geometry_kernel(imm.grid, X)
         assert len(calls) == copies
+
+
+def curve_in_r4(grid):
+    """space_curve with a fourth coordinate."""
+    (t,) = grid.coordinates()
+    pos = space_curve(grid).positions
+    return Immersion(grid, np.concatenate([pos, 0.2 * np.cos(2 * t)[:, None]], -1))
+
+
+# one immersion per dimension m and ambient dimension A, at derivative order o
+LAYOUT_MAKERS = {
+    (1, 3): REFERENCE_MAKERS["m1-codim2"],
+    (1, 4): lambda o: curve_in_r4(GridSpec(1, 32, o)),
+    (2, 3): REFERENCE_MAKERS["m2-codim1"],
+    (2, 4): REFERENCE_MAKERS["m2-codim2"],
+}
+
+
+def layouts(X: np.ndarray) -> dict:
+    """X (grid + batch + (A,)) in C order, with the ambient axis first in
+    memory, in Fortran order and as a strided slice of a larger array."""
+    big = np.zeros(X.shape[:-1] + (2 * X.shape[-1],))
+    big[..., ::2] = X
+    out = {
+        "C": np.ascontiguousarray(X),
+        "components-first": components_last(components_first(X, 1), 1),
+        "Fortran": np.asfortranarray(X),
+        "strided": big[..., ::2],
+    }
+    for name, x in out.items():
+        assert np.array_equal(x, X, equal_nan=True), name
+        assert x.flags.c_contiguous == (name == "C"), name
+    cf = out["components-first"]
+    assert np.shares_memory(cf, components_first(cf, 1))  # a free view
+    return out
+
+
+class TestKernelLayouts:
+    """The kernel and the pack give the same bytes whatever the memory order
+    of X: the m=2 kernel works with the ambient axis first in memory, and
+    its conversion must not change a bit, the sign of a zero included."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("batch", [None, 2], ids=["single", "batch2"])
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_fields_do_not_depend_on_the_layout(self, m, A, batch, order):
+        imm = LAYOUT_MAKERS[m, A](order)
+        grid = imm.grid
+        assert (grid.m, imm.ambient_dim) == (m, A)
+        X = imm.positions
+        if batch:
+            other = shapes.low_mode_perturbation(imm, 1e-2, seed=5)
+            X = np.stack([X, other.positions], axis=-2)
+        want = geometry_kernel(grid, X)
+        want_pack = compute_geometry(imm)
+        for name, x in layouts(X).items():
+            got = geometry_kernel(grid, x)
+            for field in want._fields:
+                g, w = getattr(got, field), getattr(want, field)
+                if isinstance(w, list):
+                    assert len(g) == len(w), (name, field)
+                else:
+                    g, w = [g], [w]
+                for gi, wi in zip(g, w):
+                    assert_same_bytes(gi, wi)
+            if batch:
+                continue
+            pack = compute_geometry(Immersion(grid, x))
+            for field in GeometryPack.__dataclass_fields__:
+                if field != "immersion":
+                    assert_same_bytes(getattr(pack, field), getattr(want_pack, field))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_nan_in_components_first_memory_names_its_first_c_order_node(
+        self, m, A, order
+    ):
+        imm = LAYOUT_MAKERS[m, A](order)
+        X = imm.positions.copy()
+        first, later = (3,) * m, (5,) * m
+        X[later + (0,)] = np.nan  # first in memory: the ambient axis leads
+        X[first + (A - 1,)] = np.nan  # first in C order
+        x = layouts(X)["components-first"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteImmersionError) as err:
+                geometry_kernel(imm.grid, x)
+        assert err.value.node == first
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_degenerate_x_names_the_same_node_in_every_layout(self, m, A, order):
+        imm = LAYOUT_MAKERS[m, A](order)
+        X = imm.positions.copy()
+        X[6], X[7] = X[4], X[3]  # d_0X vanishes at axis-0 index 5
+        with pytest.raises(DegenerateImmersionError) as want:
+            geometry_kernel(imm.grid, X)
+        assert want.value.node[0] == 5
+        for name, x in layouts(X).items():
+            with pytest.raises(DegenerateImmersionError) as got:
+                geometry_kernel(imm.grid, x)
+            assert got.value.node == want.value.node, name
+            assert str(got.value) == str(want.value), name
 
 
 class TestDetScreen:
