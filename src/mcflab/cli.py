@@ -16,7 +16,6 @@ import datetime
 import json
 import os
 import sys
-from operator import attrgetter
 
 import numpy as np
 
@@ -24,19 +23,17 @@ from . import shapes
 from .differences import (
     LIMITATION_STATEMENT,
     PairedWindow,
+    fitted_centers,
     forward_gronwall,
     verify_inequalities,
 )
-from .flow import (
-    MAX_STEPS,
-    BlowUpError,
-    StepPolicy,
-    run_fixed_dt,
-    run_flow,
-    run_paired_fixed_dt,
-    step_rk4,
+from .flow import MAX_STEPS, BlowUpError, StepPolicy, run_flow, step_rk4
+from .geometry import (
+    compute_geometry,
+    curvature_gauss,
+    geometry_kernel,
+    kernel_layout,
 )
-from .geometry import compute_geometry, curvature_gauss, geometry_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -260,21 +257,17 @@ THRESHOLD_COEFFS = {
 
 
 def _identity_suite(initial: Immersion, dt: float):
-    """The six residual checks on a short fixed-step trajectory, each at its
-    worst center of one sweep."""
-    window = TrajectoryWindow(run_fixed_dt(initial, dt, 4))
-    found = {name: [] for name in THRESHOLD_COEFFS}
-    for c in window.sweep():
-        # the single-instant checks free their curvature before the evolution
-        # checks build the stencil's other packs: one evolution check's peak
-        geom = window.geometry(c)
-        curv = curvature_gauss(geom)
-        reports = [check_simons(geom, curv), gauss_cross_check(geom, curv)]
-        del curv
-        reports += [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
-        for rep in reports:
-            found[rep.identity].append(rep)
-    return [max(reps, key=attrgetter("sup_residual")) for reps in found.values()]
+    """The six residual checks at the one center of a five-state fixed-step
+    stream, in THRESHOLD_COEFFS order.  The evolution checks run first, on
+    the five packs; then the window and the neighbours' packs go, so the
+    center's curvature is never alive beside them."""
+    window = TrajectoryWindow.fixed_dt([initial], dt, 4)
+    (c,) = window.centers
+    reports = [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
+    geom = window.geometry(c)
+    del window
+    curv = curvature_gauss(geom)
+    return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]
 
 
 def run_identities(cfg: dict, out_dir: str) -> int:
@@ -384,9 +377,12 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     record_every = _value(cfg, "record_every", 10, _positive(_integer))
     tol = _value(cfg, "tolerance", 1e-10)
     dt = None if cfg.get("dt") is None else _value(cfg, "dt", kind=_positive(_real))
-    # one kernel call gives the default dt and the first step's velocity;
-    # degeneracy of the initial immersion is bad input, later a blow-up
-    kern = geometry_kernel(grid, initial.positions)
+    # the loop state is kept in the kernel's memory order, so no kernel call
+    # copies it; one kernel call gives the default dt and the first step's
+    # velocity; degeneracy of the initial immersion is bad input, later a
+    # blow-up
+    current = initial.with_positions(kernel_layout(initial.positions, grid.m))
+    kern = geometry_kernel(grid, current.positions)
     if dt is None:
         dt = StepPolicy().step_size(kern.metric, grid.spacing)
     k1 = kern.mean_curv  # the first stage of the first step
@@ -402,7 +398,6 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
             f"initial symmetry defect {d0:.3e} exceeds 1e-13: "
             "the action is not a symmetry of the initial immersion"
         )
-    current = initial
     rows = [(0.0, d0)]
     worst = d0
     for k in range(steps):
@@ -442,10 +437,7 @@ def _require_paired_window(n_steps: int, store_every: int, dt: float, delta: flo
             f"invalid 'store_every' or 'T' in config: they store {states} "
             "state(s); the paired checks need at least 5"
         )
-    # the stored times since the first state, as the fixed-step run stamps them
-    rows = sum(
-        1 for c in range(2, states - 2) if c * store_every * dt >= delta - 1e-12
-    )
+    rows = len(fitted_centers(states, store_every, dt, delta))
     if rows < 2:
         raise ConfigError(
             f"invalid 'delta' in config: {delta!r} leaves {rows} center(s) of "
@@ -494,8 +486,8 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
         )
     n_steps -= n_steps % store_every
     _require_paired_window(n_steps, store_every, dt, delta)
-    trajA, trajB = run_paired_fixed_dt(initA, initB, dt, n_steps, store_every)
-    report = verify_inequalities(PairedWindow(trajA, trajB), delta)
+    window = PairedWindow.fixed_dt([initA, initB], dt, n_steps, store_every)
+    report = verify_inequalities(window, delta)
     env = forward_gronwall(report)
     _write(out_dir, "inequality_report.txt", report.serialize())
     body = ResidualReport.CSV_HEADER + ",anchor\n"

@@ -9,14 +9,18 @@ together with the direct sums
 
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
-pair, stepped by the first flow's `sample_step`.  `verify_inequalities`
-measures the pair in one forward sweep over the centers, as the identity
-suite does one flow: each `DifferencePack` is built once, folded into K and
-K~ as it enters the five-state stencil, and dropped once no later center
-reads it, so at most five packs are alive however many states are stored.
-At each center the sweep also takes `check_dd` and `check_dw`, the
-`identities.evolution_residual` of the displayed difference evolutions,
-whose right-hand sides are differences of the single-flow ones.
+pair; the `diff-system` verb feeds it from the pair's fixed-step stream
+(`PairedWindow.fixed_dt`), so both packs of a state come from the one
+batched kernel evaluation that the pair's step already made there, and no
+trajectory is stored.  `verify_inequalities` measures the pair in one
+forward sweep over the centers: each `DifferencePack` is built once, folded
+into K and K~ as it enters the five-state stencil, and dropped once no
+later center reads it, so at most five packs are alive however long the
+run.  Its rows are the `fitted_centers`, chosen by center index, which the
+CLI also counts before it integrates.  At each center the sweep also takes
+`check_dd` and `check_dw`, the `identities.evolution_residual` of the
+displayed difference evolutions, whose right-hand sides are differences of
+the single-flow ones.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -32,9 +36,9 @@ import numpy as np
 from .flow import FlowTrajectory, ProtocolError, require_pair
 from .geometry import (
     GeometryPack,
-    compute_geometry,
     covariant_derivative,
     divergence,
+    geometry_packs,
     tensor_norm_sq,
     tensor_norm_sup,
 )
@@ -100,11 +104,12 @@ class DifferencePack:
         )
 
 
-def build_difference(stateA, stateB) -> DifferencePack:
-    """Difference tensors of two states that form a pair (`require_pair`)."""
+def build_difference(stateA, stateB, kern=None) -> DifferencePack:
+    """Difference tensors of two states that form a pair (`require_pair`);
+    kern is their batched kernel evaluation, as a paired stream yields it,
+    or None for one call here (`geometry_packs`)."""
     require_pair(stateA, stateB)
-    geomA = compute_geometry(stateA)
-    geomB = compute_geometry(stateB)
+    geomA, geomB = geometry_packs([stateA, stateB], kern)
     d = geomA.metric - geomB.metric
     N = geomA.christoffels - geomB.christoffels
     W = covariant_derivative(N, geomA, "ull")
@@ -117,26 +122,32 @@ def build_difference(stateA, stateB) -> DifferencePack:
 
 
 class PairedWindow(SampleWindow):
-    """Two trajectories on one uniform sample grid; item k is the
-    DifferencePack of state k, measured in the first flow's geometry."""
+    """Two flows on one uniform sample grid; item k is the DifferencePack of
+    state k, built from the one batched kernel evaluation of both states and
+    measured in the first flow's geometry."""
 
     def __init__(self, trajA: FlowTrajectory, trajB: FlowTrajectory):
         if len(trajA.states) != len(trajB.states):
             raise ProtocolError("paired trajectories have different lengths")
-        super().__init__(trajA)
+        super().__init__(*self._stored(trajA, trajB))
         for a, b in zip(trajA.states, trajB.states):
             require_pair(a, b)
-        self.trajB = trajB
 
-    def _build(self, k: int) -> DifferencePack:
-        return build_difference(self.traj.states[k], self.trajB.states[k])
+    def _make(self, states: list, kern) -> DifferencePack:
+        return build_difference(*states, kern)
 
     def geometry(self, k: int) -> GeometryPack:
         return self.item(k).geomA
 
-    @property
-    def times(self):
-        return self.traj.times
+
+def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
+    """The centers of n_states fixed-step samples whose time since the first
+    state, c * store_every * dt, is delta or more (to 1e-12): the rows of
+    `verify_inequalities`.  The index fixes the time, so a late start, whose
+    stamped differences miss the step at rounding level, keeps every row."""
+    return [
+        c for c in range(2, n_states - 2) if c * store_every * dt >= delta - 1e-12
+    ]
 
 
 def check_dd(window: PairedWindow, center: int) -> ResidualReport:
@@ -227,17 +238,24 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
     and measure the difference evolutions, in one forward sweep.
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
-    |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes and centers whose time since
-    the first state, t - t0, lies in [delta, T - t0] and where the core
-    exceeds EPS_CORE.  K and K~ take every state, `check_dd` and
+    |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
+    EPS_CORE and the `fitted_centers` of the window, those at least delta
+    past the first state.  K and K~ take every state, `check_dd` and
     `check_dw` every center.  The sweep builds each pack once and leaves
     the window with the packs before its last four dropped, so a window
     serves one call.
+
+    On a window fed by a fixed-step stream the flow runs as the sweep reads
+    its states, so a flow that blows up has its last finite states measured
+    before it raises BlowUpError; numpy's overflow and invalid-value
+    warnings there would only announce that, as they would in the flow.  A
+    non-finite C1 or C2 is in the report either way.
     """
     times = window.times
     t0 = float(times[0])
@@ -247,6 +265,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
             f"delta must lie in (0, {T - t0}), the time since t0 = {t0}, "
             f"got {delta}"
         )
+    fitted = fitted_centers(len(window), window.store_every, window.step, delta)
     C1 = 0.0
     C2 = 0.0
     flagged = 0
@@ -263,8 +282,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
             Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
         dd.append(check_dd(window, c))
         dw.append(check_dw(window, c))
-        t = float(times[c])
-        if t - t0 < delta - 1e-12:
+        if c not in fitted:
             continue
         p = window.item(c)
         grad_Y = p.grad_Y()
@@ -281,7 +299,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         weight = p.geomA.cell_weight
         rows.append(
             {
-                "t": t,
+                "t": float(times[c]),
                 "E_Y": float(np.sum(nY * weight)),
                 "E_gradY": float(np.sum(ngY * weight)),
                 "E_Z": float(np.sum(nZ * weight)),
@@ -296,7 +314,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         K_tilde=Kt,
         C1=C1,
         C2=C2,
-        resolution=window.traj.states[0].grid.resolution,
+        resolution=window.geometry(len(window) - 1).grid.resolution,
         dt=window.dt,
         flagged_nodes=flagged,
         rows=rows,

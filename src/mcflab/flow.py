@@ -23,12 +23,19 @@ convert; at m=1 it stays grid first.  A stored state is a C-order copy that
 shares no memory with the loop state; only the initial immersion of a
 fixed-step trajectory is stored as given.
 
-`run_fixed_dt` and `run_paired_fixed_dt` share one fixed-step loop.  The
-paired run stacks the two flows' positions on a batch axis (grid + (2, A))
-so that each RK stage costs one kernel evaluation for both flows; the
-kernel works elementwise per batch member, so each trajectory is
-bit-identical to a single-flow run.  Its trajectories record the exact
-`sample_step`, store_every * dt, which stamped times from t0 != 0 miss.
+`fixed_dt_stream` is the one fixed-step loop.  It stacks the flows'
+positions on a batch axis (grid + (B, A), B = 1 or a pair's 2) so that each
+RK stage costs one kernel evaluation for all of them; the kernel works
+elementwise per batch member, so each flow is bit-identical to a run of its
+own.  It yields every stored state together with the kernel evaluation that
+the next step takes as its first stage, so a consumer builds the state's
+geometry without evaluating it again; only the final state, which starts
+no step, comes without one.  Nothing is stored: the identity suite and the
+paired checks read the stream as they go (`identities.SampleWindow`).
+`run_fixed_dt` and `run_paired_fixed_dt` collect its states into
+trajectories, which record the exact `sample_step`, store_every * dt, which
+stamped times from t0 != 0 miss; they make no kernel call beyond the
+steps' own.
 """
 
 from __future__ import annotations
@@ -240,57 +247,112 @@ def run_flow(
     return traj
 
 
-def run_fixed_dt(
-    initial: Immersion, dt: float, n_steps: int, store_every: int = 1
-) -> FlowTrajectory:
-    """Fixed-step run storing every store_every-th state (incl. the initial).
+def fixed_dt_stream(initials: list, dt: float, n_steps: int, store_every: int = 1):
+    """Generator of the stored states of a fixed-step run, each with the
+    kernel evaluation that its step made there: the one fixed-step loop.
 
-    This is the protocol for identity checks and paired-flow experiments,
-    which require exactly uniform sampling.
+    The initial immersions (one flow, or a pair that passes `require_pair`)
+    advance together, stacked on a batch axis, and every store_every-th
+    state, the initial one included, is yielded as (states, kern): the list
+    of the flows' states, stamped with the exact multiple t0 + k * dt
+    (`fixed_dt_times`), and the batched `KernelResult` at them (grid + (B,)
+    batch) that the step from there takes as its first stage.  The final
+    state starts no step, so its kern is None; `geometry.geometry_packs`
+    evaluates it.  The arguments are checked before the generator is
+    returned: a bad dt, store_every or pair raises at once.
     """
-    (traj,) = _fixed_dt_trajectories([initial], dt, n_steps, store_every)
-    return traj
-
-
-def run_paired_fixed_dt(
-    initA: Immersion, initB: Immersion, dt: float, n_steps: int, store_every: int = 1
-) -> tuple:
-    """`run_fixed_dt` of two flows at once: (trajectory A, trajectory B).
-
-    Both flows advance in one loop with their positions on a batch axis, so
-    every RK stage evaluates the kernel once for the pair.  The initial
-    states must form a pair (`require_pair`).
-    """
-    require_pair(initA, initB)
-    return _fixed_dt_trajectories([initA, initB], dt, n_steps, store_every)
-
-
-@_quiet_blow_up
-def _fixed_dt_trajectories(
-    initials: list, dt: float, n_steps: int, store_every: int
-) -> list:
-    """One FlowTrajectory per initial immersion (same grid, ambient dimension
-    and time), all integrated in one RK4 loop on a batch axis."""
+    for other in initials[1:]:
+        require_pair(initials[0], other)
     if not 0.0 < dt < np.inf:
         raise PolicyError(f"dt must be positive and finite, got {dt!r}")
     if store_every < 1:
         raise PolicyError(f"store_every must be at least 1, got {store_every!r}")
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
-    grid, t0 = initials[0].grid, initials[0].time
-    trajs = [FlowTrajectory([x], [dt] * n_steps, store_every * dt) for x in initials]
-    X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
-    t = t0
-    for k in range(n_steps):
-        # degeneracy of the initial immersions is bad input, later a blow-up
-        k1 = (
-            geometry_kernel(grid, X) if k == 0 else _flow_kernel(grid, X, t)
-        ).mean_curv
-        X = _rk4_positions(grid, X, dt, k1, t)
-        t += dt
-        if (k + 1) % store_every == 0:
-            # stamp the exact multiple to keep the stored grid of times uniform
-            t = t0 + (k + 1) * dt
-            for b, traj in enumerate(trajs):
-                traj.states.append(Immersion(grid, X[..., b, :].copy(), float(t)))
+    times = fixed_dt_times(initials[0].time, dt, n_steps, store_every)
+    return _fixed_dt_loop(initials, dt, times, store_every)
+
+
+def fixed_dt_times(t0: float, dt: float, n_steps: int, store_every: int) -> list:
+    """The times a fixed-step run from t0 stamps on its stored states: the
+    exact multiples t0 + k * dt of every store_every-th step k, not sums
+    accumulated step by step, so that the stored grid of times is uniform."""
+    return [float(t0 + k * dt) for k in range(0, n_steps + 1, store_every)]
+
+
+def run_fixed_dt(
+    initial: Immersion, dt: float, n_steps: int, store_every: int = 1
+) -> FlowTrajectory:
+    """Fixed-step run storing every store_every-th state (incl. the initial).
+
+    This is the protocol for identity checks and paired-flow experiments,
+    which require exactly uniform sampling.  It collects the states of
+    `fixed_dt_stream`, so it evaluates the kernel 4 times per step and no
+    more.
+    """
+    (traj,) = _collect_fixed_dt([initial], dt, n_steps, store_every)
+    return traj
+
+
+def run_paired_fixed_dt(
+    initA: Immersion, initB: Immersion, dt: float, n_steps: int, store_every: int = 1
+) -> list:
+    """`run_fixed_dt` of two flows at once: [trajectory A, trajectory B].
+
+    Both flows advance in one loop with their positions on a batch axis, so
+    every RK stage evaluates the kernel once for the pair.  The initial
+    states must form a pair (`require_pair`).
+    """
+    return _collect_fixed_dt([initA, initB], dt, n_steps, store_every)
+
+
+def _collect_fixed_dt(
+    initials: list, dt: float, n_steps: int, store_every: int
+) -> list:
+    """One FlowTrajectory per initial immersion, from `fixed_dt_stream`."""
+    trajs = [FlowTrajectory([], [dt] * n_steps, store_every * dt) for _ in initials]
+    for states, kern in fixed_dt_stream(initials, dt, n_steps, store_every):
+        del kern  # dropped before the next steps run: only states are kept
+        for traj, state in zip(trajs, states):
+            traj.states.append(state)
     return trajs
+
+
+def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
+    """The generator of `fixed_dt_stream`, stamping the states with times.
+
+    The loop keeps only the velocity H of a kernel it yields: the rest is
+    the consumer's to hold or drop.  The initial states are yielded as
+    given; every later state is a C-order copy of the loop state.
+    """
+    grid, B = initials[0].grid, len(initials)
+    X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
+    states = list(initials)
+    for j, t in enumerate(times[:-1]):
+        held = [_loop_kernel(grid, X, t, j == 0)]
+        k1 = held[0].mean_curv
+        yield states, held.pop()  # handed over, so that this frame keeps k1 only
+        X = _advance(grid, X, dt, k1, t, store_every)
+        states = [Immersion(grid, X[..., b, :].copy(), times[j + 1]) for b in range(B)]
+    yield states, None
+
+
+@_quiet_blow_up
+def _loop_kernel(grid: GridSpec, X: np.ndarray, time: float, initial: bool):
+    """Kernel at a stored state of the fixed-step loop: degeneracy of the
+    initial immersions is bad input, later a blow-up."""
+    return geometry_kernel(grid, X) if initial else _flow_kernel(grid, X, time)
+
+
+@_quiet_blow_up
+def _advance(
+    grid: GridSpec, X: np.ndarray, dt: float, k1: np.ndarray, time: float, n: int
+) -> np.ndarray:
+    """Positions n RK4 steps after X, the state at `time` whose velocity H is
+    k1; a blow-up names the start time of its step, accumulated from `time`."""
+    for s in range(n):
+        if s:
+            k1 = _flow_kernel(grid, X, time).mean_curv
+        X = _rk4_positions(grid, X, dt, k1, time)
+        time += dt
+    return X

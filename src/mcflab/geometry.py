@@ -32,6 +32,7 @@ once on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -271,45 +272,61 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     )
 
 
-def _pack(parts: list, grid: GridSpec, lead: tuple) -> np.ndarray:
-    """Components-first array lead + grid.shape from a list of grid-first
-    components (grid + passive axes) in row-major index order.  The m=2
-    kernel's components are components_last views, so each one's transpose
-    is contiguous and the stack copies without transposing.
+def geometry_packs(states: list, k: KernelResult | None = None) -> list:
+    """The GeometryPack of each immersion of states, on one grid, from one
+    kernel evaluation k of them stacked on a batch axis (grid + (B,) + (A,)),
+    as the fixed-step stream yields it, or from one call here if k is None.
 
-    The list is cleared: dropping each field's components once copied keeps
-    compute_geometry's peak memory near one pack plus one field.
+    Each pack is one fresh block that holds its fields one after another,
+    each a contiguous components-first array, handed out as its
+    components_last view.  So a pack has the bytes, shape and strides of
+    `compute_geometry` whichever batch its kernel ran in (a member's strided
+    view is copied: numpy's pairwise sums follow the memory layout, and a
+    view would change the bits of `volume()` and `cell_weight`), and it
+    holds no array that the kernel allocated among its temporaries.  One
+    allocation per pack also keeps the heap whole where the fixed-step
+    stream builds packs between steps: with a fresh array per field, the
+    identity suite's RK steps beside its live packs ran about 20 % slower at
+    N=128, at three times the page faults.
     """
-    n_pass = parts[0].ndim - grid.m
-    to_first = _to_first(parts[0].ndim, n_pass)
-    arr = np.stack([p.transpose(to_first) for p in parts], axis=n_pass)
-    parts.clear()
-    return arr.reshape(lead + grid.shape)
+    grid, m, A = states[0].grid, states[0].grid.m, states[0].ambient_dim
+    if k is None:
+        k = geometry_kernel(grid, np.stack([s.positions for s in states], axis=-2))
+    R = range(m)
+    fields = (  # each field's kernel components in row-major order, its axes
+        (k.dX, (A, m)),
+        ([k.metric[..., i, j] for i in R for j in R], (m, m)),
+        (k.ginv, (m, m)),
+        ([k.det], ()),
+        (k.gamma, (m, m, m)),
+        (k.h, (A, m, m)),
+        ([k.mean_curv], (A,)),
+    )
+    sizes = [math.prod(lead) for _, lead in fields]
+    packs = []
+    for b, imm in enumerate(states):
+        block = np.empty((sum(sizes),) + grid.shape)
+        views, start = [], 0
+        for (parts, lead), n in zip(fields, sizes):
+            n_pass = parts[0].ndim - m - 1  # the ambient axis past the batch
+            member = (..., b) + (slice(None),) * n_pass
+            to_first = _to_first(m + n_pass, n_pass)
+            f = block[start : start + n]
+            np.stack(
+                [p[member].transpose(to_first) for p in parts],
+                axis=n_pass,
+                out=f.reshape(lead[:n_pass] + (len(parts),) + grid.shape),
+            )
+            views.append(components_last(f.reshape(lead + grid.shape), len(lead)))
+            start += n
+        packs.append(GeometryPack(imm, *views))
+    return packs
 
 
 def compute_geometry(imm: Immersion) -> GeometryPack:
-    """The GeometryPack of an immersion.  Every field with component axes is
-    stored components first, and the pack holds its components_last view."""
-    grid, m, A = imm.grid, imm.grid.m, imm.ambient_dim
-    k = geometry_kernel(grid, imm.positions)
-    h = _pack(k.h, grid, (A, m, m))
-    first = _pack(k.dX, grid, (A, m))
-    gamma = _pack(k.gamma, grid, (m, m, m))
-    ginv = _pack(k.ginv, grid, (m, m))
-    # the pack's metric is a copy made here: holding the kernel's own array,
-    # allocated among the kernel's temporaries, leaves holes in the heap that
-    # raised the peak RSS of torus-convergence by 1-4 MB
-    metric = np.array(components_first(k.metric, 2))
-    return GeometryPack(
-        imm,
-        components_last(first, 2),
-        components_last(metric, 2),
-        components_last(ginv, 2),
-        k.det,
-        components_last(gamma, 3),
-        components_last(h, 3),
-        components_last(components_first(k.mean_curv, 1), 1),
-    )
+    """The GeometryPack of an immersion: `geometry_packs` of it alone."""
+    (pack,) = geometry_packs([imm])
+    return pack
 
 
 # --- covariant calculus -----------------------------------------------------

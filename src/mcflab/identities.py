@@ -2,15 +2,20 @@
 
 Every evolution check, of one flow (`TrajectoryWindow`) or of the difference
 of two (`differences.PairedWindow`), takes a window and a center state and
-measures there the 4th-order central time difference of a stored field,
-with the fixed-step run's `sample_step`, against the algebraic right-hand
-side (`evolution_residual`).  The two states at either end enter the
-differences but are never checked themselves.  Both verbs run the checks
-in one forward `SampleWindow.sweep` over the centers, which drops each item
-once no later stencil reads it, so at most five items are alive however
-many states are stored.  One builder, `residual_report`, measures every
-residual tensor pointwise in the evolving induced metric g(t); per
-ambient-coordinate families contribute in Frobenius over the ambient label.
+measures there the 4th-order central time difference of a field, with the
+fixed-step run's `sample_step`, against the algebraic right-hand side
+(`evolution_residual`).  The two states at either end enter the differences
+but are never checked themselves.  A window reads its states from a stream:
+`SampleWindow.fixed_dt` from the fixed-step run itself, which hands over
+each state with the kernel evaluation its step already made, so no state's
+geometry is evaluated twice and no trajectory is stored; a window over
+stored trajectories reads them as a stream of the same form.  The paired
+checks run in one forward `SampleWindow.sweep` over the centers, which
+drops each item once no later stencil reads it, so at most five items are
+alive however long the run; the identity suite's window has one center.
+One builder, `residual_report`, measures every residual tensor pointwise in
+the evolving induced metric g(t); per ambient-coordinate families
+contribute in Frobenius over the ambient label.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -26,15 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowTrajectory, ProtocolError
+from .flow import (
+    FlowTrajectory,
+    ProtocolError,
+    fixed_dt_stream,
+    fixed_dt_times,
+)
 from .geometry import (
     CurvaturePack,
     GeometryPack,
     components_first,
     components_last,
-    compute_geometry,
     covariant_derivative,
     curvature_intrinsic,
+    geometry_packs,
     laplacian,
     sum_of_products,
     tensor_norm_sq,
@@ -96,27 +106,59 @@ class ResidualReport:
 
 
 class SampleWindow:
-    """At least five uniformly spaced states with one lazily built item each;
-    subclasses say how item k is built (`_build`) and which geometry
-    measures it (`geometry`).
+    """At least five uniformly spaced states, taken in order from a stream as
+    the checks reach them, with one item each; subclasses say how an item is
+    made from a stream entry (`_make`) and which geometry measures it
+    (`geometry`).
 
-    dt is the trajectory's sample_step.  Items stay cached until a `sweep`
-    drops them.  A dropped item is never rebuilt: reading it, or an index
-    outside the states, raises IndexError.
+    A stream yields (states, kern) per stored state, kern the batched kernel
+    evaluation at the states or None (`flow.fixed_dt_stream`); an item is
+    built from it by `geometry.geometry_packs`, which evaluates a missing
+    kernel.  `fixed_dt` builds a window on the stream of a fixed-step run; a
+    window over stored trajectories reads them as a stream without kernels,
+    so both build their items one way.  `times` are the stamped times of the
+    states, and `dt` the run's sample step, store_every * step.  Items stay
+    cached until a `sweep` drops them.  A dropped item is never rebuilt:
+    reading it, or an index outside the states, raises IndexError.  Once the
+    last state is read, the window lets go of the stream.
     """
 
-    def __init__(self, traj: FlowTrajectory):
-        if traj.sample_step is None:
-            raise ProtocolError("no sample step: not a fixed-step run")
-        if len(traj.states) < 5:
+    def __init__(self, stream, times, step: float, store_every: int = 1):
+        if len(times) < 5:
             raise ProtocolError("need at least 5 uniformly spaced states")
-        self.traj = traj
-        self.dt = traj.sample_step
-        self._items = [None] * len(traj.states)
+        self._stream = stream
+        self.times = times
+        self.step = step
+        self.store_every = store_every
+        self.dt = store_every * step
+        self._items = []  # the items read from the stream, None once dropped
         self._dropped = 0  # a sweep has dropped items 0 .. _dropped - 1
 
+    @classmethod
+    def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
+        """The window on `flow.fixed_dt_stream` of the initial immersions."""
+        window = cls.__new__(cls)
+        SampleWindow.__init__(
+            window,
+            fixed_dt_stream(initials, dt, n_steps, store_every),
+            fixed_dt_times(initials[0].time, dt, n_steps, store_every),
+            dt,
+            store_every,
+        )
+        return window
+
+    @staticmethod
+    def _stored(*trajs) -> tuple:
+        """The stream, times and step of a window over stored trajectories
+        of equal length, sampled at the first one's sample_step."""
+        first = trajs[0]
+        if first.sample_step is None:
+            raise ProtocolError("no sample step: not a fixed-step run")
+        stream = ((list(states), None) for states in zip(*(t.states for t in trajs)))
+        return stream, first.times, first.sample_step
+
     def __len__(self):
-        return len(self._items)
+        return len(self.times)
 
     def item(self, k: int):
         if not 0 <= k < len(self):
@@ -126,8 +168,10 @@ class SampleWindow:
                 f"state {k} is behind the sweep, which dropped states "
                 f"0 .. {self._dropped - 1}"
             )
-        if self._items[k] is None:
-            self._items[k] = self._build(k)
+        while len(self._items) <= k:
+            self._items.append(self._make(*next(self._stream)))
+            if len(self._items) == len(self):
+                self._stream = None
         return self._items[k]
 
     @property
@@ -154,8 +198,12 @@ class SampleWindow:
 class TrajectoryWindow(SampleWindow):
     """One flow; item k is the GeometryPack of state k."""
 
-    def _build(self, k: int) -> GeometryPack:
-        return compute_geometry(self.traj.states[k])
+    def __init__(self, traj: FlowTrajectory):
+        super().__init__(*self._stored(traj))
+
+    def _make(self, states: list, kern) -> GeometryPack:
+        (geom,) = geometry_packs(states, kern)
+        return geom
 
     def geometry(self, k: int) -> GeometryPack:
         return self.item(k)

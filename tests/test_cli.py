@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,14 @@ from mcflab.cli import (
     main,
 )
 from mcflab.differences import LIMITATION_STATEMENT
-from mcflab.grid import GridSpec, write_immersion
+from mcflab.flow import step_rk4
+from mcflab.grid import (
+    GridSpec,
+    SymmetryAction,
+    apply_symmetry,
+    reflection_permutation,
+    write_immersion,
+)
 from mcflab.identities import ANCHORS
 
 
@@ -395,22 +403,31 @@ class TestIdentitiesVerb:
         assert ",fail," in (out / "residual_evolve_metric.csv").read_text()
 
     def test_suite_evaluates_the_geometry_of_each_state_once(self, monkeypatch):
-        times = []
+        """One pack per state, each built from the kernel evaluation that
+        its fixed-step stream already made there."""
+        times, kernels = [], []
+        packs, kernel = geometry.geometry_packs, geometry.geometry_kernel
 
-        def counting(compute):
-            def wrapper(imm):
-                times.append(imm.time)
-                return compute(imm)
+        def packing(states, kern):
+            times.extend(s.time for s in states)
+            return packs(states, kern)
 
-            return wrapper
+        def counting(grid, X):
+            kernels.append(grid.resolution)
+            return kernel(grid, X)
 
-        for module in (cli, identities):
-            monkeypatch.setattr(
-                module, "compute_geometry", counting(module.compute_geometry)
-            )
+        def not_called(imm):
+            raise AssertionError("compute_geometry evaluated a state again")
+
+        monkeypatch.setattr(identities, "geometry_packs", packing)
+        for module in (geometry, flow):
+            monkeypatch.setattr(module, "geometry_kernel", counting)
+        for module in (cli, geometry):
+            monkeypatch.setattr(module, "compute_geometry", not_called)
         reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
         assert len(reports) == 6
         assert len(times) == len(set(times)) == 5
+        assert len(kernels) == 17  # 4 per step, 1 for the final state
 
     def test_suite_evaluates_the_centre_curvature_once(self, monkeypatch):
         calls = []
@@ -432,33 +449,29 @@ class TestIdentitiesVerb:
         assert len(reports) == 6
         assert calls == [2e-5]
 
-    def test_suite_builds_one_pack_before_the_curvature(self, monkeypatch):
-        """The single-instant checks run before the evolution checks build
-        the rest of the stencil, so their curvature is never alive beside
-        five packs."""
-        built, seen = [], []
+    def test_suite_keeps_one_pack_beside_the_curvature(self, monkeypatch):
+        """The evolution checks run first, on the five packs; the neighbours'
+        packs are gone before the centre's curvature is built, so it is
+        never alive beside more than the centre's own pack."""
+        built, alive = [], []
+        packs = geometry.geometry_packs
 
-        def counting(compute):
-            def wrapper(imm):
-                built.append(imm.time)
-                return compute(imm)
-
-            return wrapper
+        def recording(states, kern):
+            new = packs(states, kern)
+            built.extend(weakref.ref(p) for p in new)
+            return new
 
         def curvature(geom):
-            seen.append(len(built))
+            alive.append(sum(ref() is not None for ref in built))
             return geometry.curvature_gauss(geom)
 
-        for module in (cli, identities):
-            monkeypatch.setattr(
-                module, "compute_geometry", counting(module.compute_geometry)
-            )
+        monkeypatch.setattr(identities, "geometry_packs", recording)
         monkeypatch.setattr(cli, "curvature_gauss", curvature)
         for N in (16, 32):
             built.clear()
-            seen.clear()
+            alive.clear()
             _identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
-            assert seen == [1]
+            assert alive == [1]
             assert len(built) == 5
 
     def test_report_bodies_are_deterministic(self, tmp_path):
@@ -646,6 +659,54 @@ class TestSymmetryVerb:
         assert not (out / "summary.txt").exists()
 
 
+    def test_m2_loop_state_is_kept_in_kernel_layout(self, tmp_path, monkeypatch):
+        """The loop state is converted once, so no kernel call copies it;
+        the defect series is the one of the C-order loop, to the byte."""
+        config = {
+            "grid": {"m": 2, "resolution": 16},
+            "geometry": {"kind": "product_torus", "radii": [1.0, 0.7]},
+            "symmetry": {
+                "matrix": np.diag([1.0, -1.0, 1.0, 1.0]).tolist(),
+                "permutation": REFLECTION,
+            },
+            "steps": 12,
+            "record_every": 5,
+            "dt": 1e-3,
+        }
+        inputs = []
+        kernel = geometry.geometry_kernel
+
+        def recording(grid, X):
+            inputs.append(X)
+            return kernel(grid, X)
+
+        for module in (flow, cli):
+            monkeypatch.setattr(module, "geometry_kernel", recording)
+        code, out = run_cli(tmp_path, "symmetry", config)
+        assert code == EXIT_OK
+        assert len(inputs) == 4 * 12
+        assert all(np.moveaxis(X, -1, 0).flags.c_contiguous for X in inputs)
+
+        monkeypatch.undo()
+        imm = shapes.product_torus(GridSpec(2, 16), 1.0, 0.7)
+        action = SymmetryAction(
+            np.diag([1.0, -1.0, 1.0, 1.0]),
+            np.zeros(4),
+            reflection_permutation(imm.grid, [0]),
+        )
+
+        def defect(x):
+            moved = apply_symmetry(x, action).positions
+            return float(np.abs(moved - x.positions).max())
+
+        rows = [(0.0, defect(imm))]
+        for k in range(12):
+            imm = step_rk4(imm, 1e-3)  # the state stays in C order
+            if (k + 1) % 5 == 0 or k == 11:
+                rows.append((imm.time, defect(imm)))
+        body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
+        assert (out / "symmetry_defect.csv").read_text() == body
+
     def test_default_dt_run_evaluates_the_kernel_four_times_per_step(
         self, tmp_path, monkeypatch
     ):
@@ -814,10 +875,10 @@ class TestDiffSystemVerb:
     def test_short_window_fails_before_integrating(
         self, tmp_path, capsys, monkeypatch, values, keys
     ):
-        def not_called(*args):
+        def not_called(*args, **kwargs):
             raise AssertionError("the pair was integrated")
 
-        monkeypatch.setattr(cli, "run_paired_fixed_dt", not_called)
+        monkeypatch.setattr(flow, "_fixed_dt_loop", not_called)
         code, out = run_cli(tmp_path, "diff-system", changed(DIFF_CONFIG, **values))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -828,15 +889,100 @@ class TestDiffSystemVerb:
     def test_builds_each_difference_pack_once(self, tmp_path, monkeypatch):
         times = []
 
-        def counting(stateA, stateB):
+        def counting(stateA, stateB, kern):
             times.append(stateA.time)
-            return build_difference(stateA, stateB)
+            given.append(kern is not None)
+            return build_difference(stateA, stateB, kern)
 
+        given = []
         build_difference = differences.build_difference
         monkeypatch.setattr(differences, "build_difference", counting)
         code, _ = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
         assert code == EXIT_OK
         assert times == sorted(set(times)) and len(times) == 21  # T / dt + 1
+        # the stream's kernel at every state but the final one, which no
+        # step starts from
+        assert given == [True] * 20 + [False]
+
+
+class TestKernelBudget:
+    """geometry_kernel calls of the benchmark's four workload configs: every
+    stored state of a fixed-step run reaches its check with the kernel
+    evaluation that its step already made."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = geometry.geometry_kernel
+
+        def counting(grid, X):
+            calls.append(None)
+            return kernel(grid, X)
+
+        for module in (geometry, flow, cli):
+            monkeypatch.setattr(module, "geometry_kernel", counting)
+        return calls
+
+    def test_torus_flow(self, tmp_path, kernel_calls):
+        # 153 adaptive steps at 4 calls each, and the volume of each of the
+        # 9 checkpoints from one compute_geometry call
+        ckpt = tmp_path / "seed_checkpoint.txt"
+        write_immersion(shapes.product_torus(GridSpec(2, 64, 4), 1.0, 1.0), str(ckpt))
+        T = 0.125
+        config = {
+            "grid": {"m": 2, "resolution": 64, "derivative_order": 4},
+            "geometry": {"kind": "checkpoint", "path": str(ckpt)},
+            "T": T,
+            "policy": {"cfl_safety": 0.1},
+            "sample_times": [T * k / 8 for k in range(9)],
+        }
+        kernel_calls.clear()  # the checkpoint writer evaluates nothing
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_OK
+        assert "simulate: 153 steps" in (out / "summary.txt").read_text()
+        assert len(kernel_calls) == 4 * 153 + 9 == 621
+
+    def test_circle_pair(self, tmp_path, kernel_calls):
+        # T / dt = 3000 steps at 4 calls each, and 1 for the final state
+        config = {
+            "grid": {"m": 1, "resolution": 256},
+            "geometry": {"kind": "circle", "radius": 1.0},
+            "geometry_b": {"kind": "ellipse", "a": 1.5, "b": 1.0},
+            "T": 0.3,
+            "delta": 0.03,
+            "dt": 1e-4,
+            "store_every": 50,
+        }
+        code, _ = run_cli(tmp_path, "diff-system", config)
+        assert code == EXIT_OK
+        assert len(kernel_calls) == 4 * 3000 + 1 == 12_001
+
+    def test_torus_pair(self, tmp_path, kernel_calls):
+        # the default dt h^2 / 20 gives round(20.75) = 21 steps, all stored
+        config = {
+            "seed": 1,
+            "grid": {"m": 2, "resolution": 32},
+            "geometry": {"kind": "product_torus", "radii": [1.0, 1.0]},
+            "perturbation": {"amplitude": 1e-3, "max_mode": 3},
+            "T": 0.04,
+            "delta": 0.01,
+            "store_every": 1,
+        }
+        code, _ = run_cli(tmp_path, "diff-system", config)
+        assert code == EXIT_OK
+        assert len(kernel_calls) == 4 * 21 + 1 == 85
+
+    def test_torus_convergence(self, tmp_path, kernel_calls):
+        # per resolution, 4 steps at 4 calls each and 1 for the final state
+        config = {
+            "grid": {"m": 2},
+            "geometry": {"kind": "perturbed_torus", "r1": 1.0, "r2": 0.5,
+                         "amplitude": 0.1},
+            "resolutions": [32, 64, 128],
+        }
+        code, _ = run_cli(tmp_path, "convergence", config)
+        assert code == EXIT_OK
+        assert len(kernel_calls) == 3 * (4 * 4 + 1) == 51
 
 
 class TestLateStart:
@@ -914,22 +1060,27 @@ class TestConvergenceVerb:
     def test_suite_evaluates_five_geometries_per_resolution(
         self, tmp_path, monkeypatch
     ):
-        resolutions = []
+        """Five packs and 17 kernel calls per resolution: 4 per step of the
+        four-step stream, whose stored states keep their step's first
+        stage, and 1 for the final state."""
+        packed, kernels = [], []
+        packs, kernel = geometry.geometry_packs, geometry.geometry_kernel
 
-        def counting(compute):
-            def wrapper(imm):
-                resolutions.append(imm.grid.resolution)
-                return compute(imm)
+        def packing(states, kern):
+            packed.append(states[0].grid.resolution)
+            return packs(states, kern)
 
-            return wrapper
+        def counting(grid, X):
+            kernels.append(grid.resolution)
+            return kernel(grid, X)
 
-        for module in (cli, identities):
-            monkeypatch.setattr(
-                module, "compute_geometry", counting(module.compute_geometry)
-            )
+        monkeypatch.setattr(identities, "geometry_packs", packing)
+        for module in (geometry, flow):
+            monkeypatch.setattr(module, "geometry_kernel", counting)
         code, _ = run_cli(tmp_path, "convergence", CONVERGENCE_CONFIG)
         assert code == EXIT_OK
-        assert resolutions == [16] * 5 + [32] * 5 + [64] * 5
+        assert packed == [16] * 5 + [32] * 5 + [64] * 5
+        assert kernels == [16] * 17 + [32] * 17 + [64] * 17
 
     def test_non_doubling_resolutions_rejected(self, tmp_path):
         config = {

@@ -22,6 +22,7 @@ from mcflab.differences import (
     build_difference,
     check_dd,
     check_dw,
+    fitted_centers,
     forward_gronwall,
     heat_operator_Y,
     time_derivative_Z_sq,
@@ -345,11 +346,11 @@ class TestStreamingPass:
         built, alive = [], []
         window = None
 
-        def counting(stateA, stateB):
+        def counting(stateA, stateB, kern):
             built.append(stateA.time)
             if window is not None:
                 alive.append(sum(x is not None for x in window._items) + 1)
-            return build_difference(stateA, stateB)
+            return build_difference(stateA, stateB, kern)
 
         monkeypatch.setattr(differences, "build_difference", counting)
         trajA, trajB = torus_pair(12)
@@ -388,3 +389,27 @@ class TestStreamingPass:
         assert late.C2 == at0.C2
         with pytest.raises(ValueError, match="delta must lie in"):
             verify_inequalities(window, delta=0.021)
+
+    def test_rows_follow_the_center_index_from_a_late_start(self):
+        """From t0 = 1e6 the stamped t - t0 of the center at delta falls more
+        than 1e-12 below it; rows are chosen by center index, so the pair
+        keeps the 7 rows of its start at 0, in a window on stored
+        trajectories and in one on the stream."""
+        rows = {}
+        for t0 in (0.0, 1e6):
+            a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+            a = a.with_positions(a.positions, time=t0)
+            b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+            for source in ("stored", "stream"):
+                if source == "stored":
+                    window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 20))
+                else:
+                    window = PairedWindow.fixed_dt([a, b], 1e-3, 20)
+                rep = verify_inequalities(window, delta=0.012)
+                rows[t0, source] = [r["t"] - t0 for r in rep.rows]
+        assert len(rows[0.0, "stored"]) == 7
+        assert rows[0.0, "stored"] == rows[0.0, "stream"]
+        for source in ("stored", "stream"):
+            assert len(rows[1e6, source]) == 7
+            assert np.allclose(rows[1e6, source], rows[0.0, source], atol=1e-9)
+        assert fitted_centers(21, 1, 1e-3, 0.012) == list(range(12, 19))

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from mcflab import GridSpec, StepPolicy, run_flow, step_rk4
-from mcflab import flow, shapes
+from mcflab import flow, geometry, shapes
 from mcflab.flow import (
     BlowUpError,
     FlowTrajectory,
     PolicyError,
     ProtocolError,
+    fixed_dt_stream,
     run_fixed_dt,
     run_paired_fixed_dt,
 )
@@ -25,6 +26,7 @@ from mcflab.geometry import (
     components_last,
     compute_geometry,
     geometry_kernel,
+    geometry_packs,
     tensor_norm_sq,
     tensor_norm_sup,
 )
@@ -474,6 +476,148 @@ class TestPairedFixedDt:
         with pytest.raises(BlowUpError) as paired:
             run_paired_fixed_dt(shapes.circle(grid, 1.0), b, 1e-3, 200)
         assert str(paired.value) == str(single.value)
+
+
+PACK_FIELDS = (
+    "first_derivs",
+    "metric",
+    "inverse_metric",
+    "det_metric",
+    "christoffels",
+    "second_form",
+    "mean_curv",
+)
+
+STREAM_INITIALS = {
+    f"m{m}-o{order}": (lambda m=m, order=order: (
+        shapes.ellipse(GridSpec(1, 32, order), 1.5, 1.0)
+        if m == 1
+        else shapes.perturbed_torus(GridSpec(2, 16, order), 1.0, 0.6, 0.2)
+    ))
+    for m in (1, 2)
+    for order in (2, 4)
+}
+
+
+def torus_blowing_up(t0):
+    """A thin product torus, its small factor dying near t0 + 0.05, and a
+    perturbed copy that dies first."""
+    a = shapes.product_torus(GridSpec(2, 16), 1.0, 0.3)
+    b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+    return [x.with_positions(x.positions, time=t0) for x in (b, a)]
+
+
+class TestFixedDtStream:
+    """`fixed_dt_stream` is the one fixed-step loop: the collectors store
+    what it yields, and a window builds its packs from the kernel each
+    stored state comes with."""
+
+    @pytest.mark.parametrize("flows", [1, 2])
+    @pytest.mark.parametrize("shape", sorted(STREAM_INITIALS))
+    def test_packs_from_the_stream_are_compute_geometry(self, shape, flows):
+        a = STREAM_INITIALS[shape]()
+        initials = [a, shapes.low_mode_perturbation(a, 1e-2, seed=5)][:flows]
+        dt = 1e-4 if a.grid.m == 1 else 2e-4
+        seen = 0
+        for states, kern in fixed_dt_stream(initials, dt, 6, store_every=3):
+            # the final state comes without a kernel: geometry_packs makes it
+            if seen < 2 * flows:
+                assert kern.det.shape == a.grid.shape + (flows,)
+            else:
+                assert kern is None
+            for state, got in zip(states, geometry_packs(states, kern)):
+                want = compute_geometry(state)
+                assert got.immersion is state
+                for name in PACK_FIELDS:
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.strides == w.strides, name
+                    assert_same_bytes(g, w)
+                assert got.volume() == want.volume()
+                assert_same_bytes(got.cell_weight, want.cell_weight)
+                seen += 1
+        assert seen == 3 * flows
+
+    def test_a_member_of_a_pair_is_copied_out_of_the_batch(self):
+        a = STREAM_INITIALS["m2-o2"]()
+        pair = [a, shapes.low_mode_perturbation(a, 1e-2, seed=5)]
+        states, kern = next(fixed_dt_stream(pair, 1e-4, 2))
+        for b, pack in enumerate(geometry_packs(states, kern)):
+            # the member's view det[..., b] is strided; its pairwise sums
+            # would differ from those of the copy
+            assert not kern.det[..., b].flags.c_contiguous
+            assert pack.det_metric.flags.c_contiguous
+            assert not np.shares_memory(pack.det_metric, kern.det)
+            assert not np.shares_memory(pack.mean_curv, kern.mean_curv)
+            assert pack.volume() == compute_geometry(states[b]).volume()
+
+    @pytest.mark.parametrize("t0", [0.0, 0.2, 1000.0])
+    def test_stamps_are_exact_multiples_of_the_step(self, t0):
+        a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        a = a.with_positions(a.positions, time=t0)
+        b = shapes.low_mode_perturbation(a, 1e-3, seed=1)
+        stream = fixed_dt_stream([a, b], 1e-4, 12, store_every=4)
+        times = [[s.time for s in states] for states, _ in stream]
+        assert times == [[t0 + k * 1e-4] * 2 for k in (0, 4, 8, 12)]
+        assert all(type(t) is float for row in times for t in row)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flows, store_every, time, node",
+        [
+            # as the fixed-step loop raised them before the stream: a blow-up
+            # inside a stored interval names the time accumulated from its
+            # stamp, which from t0 = 1000 misses the exact multiple
+            (1, 1, 1000.049, (0, 1)),
+            (1, 7, 1000.049, (0, 1)),
+            (2, 1, 1000.047, (0, 0)),
+            (2, 7, 1000.0469999999999, (0, 0)),
+        ],
+    )
+    def test_blow_up_inside_the_stream(self, flows, store_every, time, node):
+        initials = torus_blowing_up(1000.0)[2 - flows :]
+        for run in (
+            lambda: list(fixed_dt_stream(initials, 1e-3, 210, store_every)),
+            lambda: flow._collect_fixed_dt(initials, 1e-3, 210, store_every),
+        ):
+            with pytest.raises(BlowUpError) as err:
+                run()
+            assert err.value.time == time
+            assert err.value.node == node
+
+    def test_degenerate_initial_immersion_stays_bad_input(self, kernel_calls):
+        good = shapes.circle(GridSpec(1, 16), 1.0)
+        bad = shapes.circle(GridSpec(1, 16), 0.0)
+        for initials in ([bad], [good, bad]):
+            kernel_calls.clear()
+            stream = fixed_dt_stream(initials, 1e-3, 2)
+            assert not kernel_calls  # a generator: nothing runs until read
+            with pytest.raises(DegenerateImmersionError):
+                next(stream)
+
+    def test_arguments_are_checked_before_any_state_is_read(self):
+        a = shapes.circle(GridSpec(1, 16), 1.0)
+        with pytest.raises(PolicyError, match="n_steps must be a multiple"):
+            fixed_dt_stream([a], 1e-3, 7, store_every=3)
+        with pytest.raises(ProtocolError, match="differ in time"):
+            fixed_dt_stream([a, a.with_positions(a.positions, time=0.5)], 1e-3, 2)
+
+    def test_each_stored_state_reuses_its_step_kernel(self, monkeypatch):
+        calls = []
+
+        def counting(grid, X):
+            calls.append(None)
+            return geometry_kernel(grid, X)
+
+        for module in (flow, geometry):
+            monkeypatch.setattr(module, "geometry_kernel", counting)
+        a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        stored = list(fixed_dt_stream([a, a], 1e-4, 12, store_every=4))
+        # four per step; the final state starts no step and has no kernel
+        assert len(calls) == 4 * 12
+        assert [kern is None for _, kern in stored] == [False, False, False, True]
+        for states, kern in stored:
+            geometry_packs(states, kern)
+        assert len(calls) == 4 * 12 + 1
 
 
 HANDOFF_INITIALS = {
