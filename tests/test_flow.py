@@ -575,9 +575,10 @@ class TestFixedDtStream:
     )
     def test_blow_up_inside_the_stream(self, flows, store_every, time, node):
         initials = torus_blowing_up(1000.0)[2 - flows :]
+        collect = run_fixed_dt if flows == 1 else run_paired_fixed_dt
         for run in (
             lambda: list(fixed_dt_stream(initials, 1e-3, 210, store_every)),
-            lambda: flow._collect_fixed_dt(initials, 1e-3, 210, store_every),
+            lambda: collect(*initials, 1e-3, 210, store_every),
         ):
             with pytest.raises(BlowUpError) as err:
                 run()
