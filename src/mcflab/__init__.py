@@ -9,14 +9,7 @@ from .grid import (
     second_partial,
 )
 from .geometry import GeometryPack, CurvaturePack, compute_geometry
-from .flow import (
-    FlowTrajectory,
-    StepPolicy,
-    run_fixed_dt,
-    run_flow,
-    run_paired_fixed_dt,
-    step_rk4,
-)
+from .flow import FlowTrajectory, StepPolicy, run_flow, step_rk4
 
 __all__ = [
     "GridSpec",
@@ -30,9 +23,7 @@ __all__ = [
     "compute_geometry",
     "FlowTrajectory",
     "StepPolicy",
-    "run_fixed_dt",
     "run_flow",
-    "run_paired_fixed_dt",
     "step_rk4",
 ]
 

@@ -33,7 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .flow import FlowTrajectory, ProtocolError, require_pair
+from .flow import ProtocolError, require_pair
 from .geometry import (
     GeometryPack,
     covariant_derivative,
@@ -126,13 +126,6 @@ class PairedWindow(SampleWindow):
     state k, built from the one batched kernel evaluation of both states and
     measured in the first flow's geometry."""
 
-    def __init__(self, trajA: FlowTrajectory, trajB: FlowTrajectory):
-        if len(trajA.states) != len(trajB.states):
-            raise ProtocolError("paired trajectories have different lengths")
-        super().__init__(*self._stored(trajA, trajB))
-        for a, b in zip(trajA.states, trajB.states):
-            require_pair(a, b)
-
     def _make(self, states: list, kern) -> DifferencePack:
         return build_difference(*states, kern)
 
@@ -143,11 +136,14 @@ class PairedWindow(SampleWindow):
 def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     """The centers of n_states fixed-step samples whose time since the first
     state, c * store_every * dt, is delta or more (to 1e-12): the rows of
-    `verify_inequalities`.  The index fixes the time, so a late start, whose
-    stamped differences miss the step at rounding level, keeps every row."""
-    return [
-        c for c in range(2, n_states - 2) if c * store_every * dt >= delta - 1e-12
-    ]
+    `verify_inequalities`, a range, since that time grows with c.  The index
+    fixes the time, so a late start, whose stamped differences miss the step
+    at rounding level, keeps every row."""
+    end = n_states - 2
+    first = next(
+        (c for c in range(2, end) if c * store_every * dt >= delta - 1e-12), end
+    )
+    return range(first, end)
 
 
 def check_dd(window: PairedWindow, center: int) -> ResidualReport:
@@ -238,7 +234,6 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
     and measure the difference evolutions, in one forward sweep.
@@ -250,12 +245,6 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     `check_dw` every center.  The sweep builds each pack once and leaves
     the window with the packs before its last four dropped, so a window
     serves one call.
-
-    On a window fed by a fixed-step stream the flow runs as the sweep reads
-    its states, so a flow that blows up has its last finite states measured
-    before it raises BlowUpError; numpy's overflow and invalid-value
-    warnings there would only announce that, as they would in the flow.  A
-    non-finite C1 or C2 is in the report either way.
     """
     times = window.times
     t0 = float(times[0])

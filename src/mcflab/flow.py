@@ -32,10 +32,9 @@ the next step takes as its first stage, so a consumer builds the state's
 geometry without evaluating it again; only the final state, which starts
 no step, comes without one.  Nothing is stored: the identity suite and the
 paired checks read the stream as they go (`identities.SampleWindow`).
-`run_fixed_dt` and `run_paired_fixed_dt` collect its states into
-trajectories, which record the exact `sample_step`, store_every * dt, which
-stamped times from t0 != 0 miss; they make no kernel call beyond the
-steps' own.
+`run_fixed_dt` collects one flow's states into a trajectory, which records
+the exact `sample_step`, store_every * dt, which stamped times from t0 != 0
+miss; it makes no kernel call beyond the steps' own.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class StepPolicy:
 
     l_min is the minimum induced grid edge length sqrt(g_ii) * h over nodes
     and axes.  fixed_dt overrides the adaptive rule.  Paired flows do not
-    use a policy: `run_paired_fixed_dt` steps both at one fixed dt.
+    use a policy: `fixed_dt_stream` steps both at one fixed dt.
     """
 
     cfl_safety: float = 0.1
@@ -142,7 +141,9 @@ MAX_STEPS = 10**6
 
 # Near a singularity the kernel's products overflow before the finiteness
 # and degeneracy checks raise BlowUpError; numpy's RuntimeWarnings would only
-# announce that early.  Entered once per step or run, never per kernel call.
+# announce that early.  Entered once per step or run, never per kernel call;
+# the fixed-step stream enters a fresh one per stored interval, never across
+# a yield, which would quiet its consumer too.
 _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -283,76 +284,44 @@ def fixed_dt_times(t0: float, dt: float, n_steps: int, store_every: int) -> list
 def run_fixed_dt(
     initial: Immersion, dt: float, n_steps: int, store_every: int = 1
 ) -> FlowTrajectory:
-    """Fixed-step run storing every store_every-th state (incl. the initial).
+    """Fixed-step run of one flow storing every store_every-th state (incl.
+    the initial): the states of `fixed_dt_stream`, collected, so 4 kernel
+    evaluations per step and no more.
 
-    This is the protocol for identity checks and paired-flow experiments,
-    which require exactly uniform sampling.  It collects the states of
-    `fixed_dt_stream`, so it evaluates the kernel 4 times per step and no
-    more.
+    No verb stores a fixed-step run; the checks read the stream.  This is
+    the stored form that `benchmark/tracing.py` wraps by name.
     """
-    (traj,) = _collect_fixed_dt([initial], dt, n_steps, store_every)
+    traj = FlowTrajectory([], [dt] * n_steps, store_every * dt)
+    for (state,), kern in fixed_dt_stream([initial], dt, n_steps, store_every):
+        del kern  # not kept alive through the next steps
+        traj.states.append(state)
     return traj
-
-
-def run_paired_fixed_dt(
-    initA: Immersion, initB: Immersion, dt: float, n_steps: int, store_every: int = 1
-) -> list:
-    """`run_fixed_dt` of two flows at once: [trajectory A, trajectory B].
-
-    Both flows advance in one loop with their positions on a batch axis, so
-    every RK stage evaluates the kernel once for the pair.  The initial
-    states must form a pair (`require_pair`).
-    """
-    return _collect_fixed_dt([initA, initB], dt, n_steps, store_every)
-
-
-def _collect_fixed_dt(
-    initials: list, dt: float, n_steps: int, store_every: int
-) -> list:
-    """One FlowTrajectory per initial immersion, from `fixed_dt_stream`."""
-    trajs = [FlowTrajectory([], [dt] * n_steps, store_every * dt) for _ in initials]
-    for states, kern in fixed_dt_stream(initials, dt, n_steps, store_every):
-        del kern  # dropped before the next steps run: only states are kept
-        for traj, state in zip(trajs, states):
-            traj.states.append(state)
-    return trajs
 
 
 def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
     """The generator of `fixed_dt_stream`, stamping the states with times.
 
     The loop keeps only the velocity H of a kernel it yields: the rest is
-    the consumer's to hold or drop.  The initial states are yielded as
+    the consumer's to hold or drop.  Degeneracy of the initial immersions is
+    bad input, later a blow-up, which names the start time of its step,
+    accumulated from the last stamp.  The initial states are yielded as
     given; every later state is a C-order copy of the loop state.
     """
-    grid, B = initials[0].grid, len(initials)
+    grid, B, last = initials[0].grid, len(initials), len(times) - 1
     X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        held = [geometry_kernel(grid, X)] if last else []
     states = list(initials)
-    for j, t in enumerate(times[:-1]):
-        held = [_loop_kernel(grid, X, t, j == 0)]
-        k1 = held[0].mean_curv
+    for j in range(1, last + 1):
+        t, k1 = times[j - 1], held[0].mean_curv
         yield states, held.pop()  # handed over, so that this frame keeps k1 only
-        X = _advance(grid, X, dt, k1, t, store_every)
-        states = [Immersion(grid, X[..., b, :].copy(), times[j + 1]) for b in range(B)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(store_every):
+                if s:
+                    k1 = _flow_kernel(grid, X, t).mean_curv
+                X = _rk4_positions(grid, X, dt, k1, t)
+                t += dt
+            if j < last:
+                held.append(_flow_kernel(grid, X, times[j]))
+        states = [Immersion(grid, X[..., b, :].copy(), times[j]) for b in range(B)]
     yield states, None
-
-
-@_quiet_blow_up
-def _loop_kernel(grid: GridSpec, X: np.ndarray, time: float, initial: bool):
-    """Kernel at a stored state of the fixed-step loop: degeneracy of the
-    initial immersions is bad input, later a blow-up."""
-    return geometry_kernel(grid, X) if initial else _flow_kernel(grid, X, time)
-
-
-@_quiet_blow_up
-def _advance(
-    grid: GridSpec, X: np.ndarray, dt: float, k1: np.ndarray, time: float, n: int
-) -> np.ndarray:
-    """Positions n RK4 steps after X, the state at `time` whose velocity H is
-    k1; a blow-up names the start time of its step, accumulated from `time`."""
-    for s in range(n):
-        if s:
-            k1 = _flow_kernel(grid, X, time).mean_curv
-        X = _rk4_positions(grid, X, dt, k1, time)
-        time += dt
-    return X

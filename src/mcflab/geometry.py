@@ -277,17 +277,13 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     kernel evaluation k of them stacked on a batch axis (grid + (B,) + (A,)),
     as the fixed-step stream yields it, or from one call here if k is None.
 
-    Each pack is one fresh block that holds its fields one after another,
-    each a contiguous components-first array, handed out as its
-    components_last view.  So a pack has the bytes, shape and strides of
-    `compute_geometry` whichever batch its kernel ran in (a member's strided
-    view is copied: numpy's pairwise sums follow the memory layout, and a
-    view would change the bits of `volume()` and `cell_weight`), and it
-    holds no array that the kernel allocated among its temporaries.  One
-    allocation per pack also keeps the heap whole where the fixed-step
-    stream builds packs between steps: with a fresh array per field, the
-    identity suite's RK steps beside its live packs ran about 20 % slower at
-    N=128, at three times the page faults.
+    Each pack is one fresh block holding its fields one after another, each
+    a contiguous components-first array, handed out as its components_last
+    view.  So a pack has the bytes, shape and strides of a single flow's
+    whatever the batch: a member's strided view would change the pairwise
+    sums of `volume()` and `cell_weight`.  One block per pack, not one per
+    field, also kept the identity suite's RK steps beside its live packs
+    about 20 % faster at N=128.
     """
     grid, m, A = states[0].grid, states[0].grid.m, states[0].ambient_dim
     if k is None:

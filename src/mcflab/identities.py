@@ -5,11 +5,10 @@ of two (`differences.PairedWindow`), takes a window and a center state and
 measures there the 4th-order central time difference of a field, with the
 fixed-step run's `sample_step`, against the algebraic right-hand side
 (`evolution_residual`).  The two states at either end enter the differences
-but are never checked themselves.  A window reads its states from a stream:
+but are never checked themselves.  A window reads its states from a stream,
 `SampleWindow.fixed_dt` from the fixed-step run itself, which hands over
 each state with the kernel evaluation its step already made, so no state's
-geometry is evaluated twice and no trajectory is stored; a window over
-stored trajectories reads them as a stream of the same form.  The paired
+geometry is evaluated twice and no trajectory is stored.  The paired
 checks run in one forward `SampleWindow.sweep` over the centers, which
 drops each item once no later stencil reads it, so at most five items are
 alive however long the run; the identity suite's window has one center.
@@ -31,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import (
-    FlowTrajectory,
-    ProtocolError,
-    fixed_dt_stream,
-    fixed_dt_times,
-)
+from .flow import ProtocolError, fixed_dt_stream, fixed_dt_times
 from .geometry import (
     CurvaturePack,
     GeometryPack,
@@ -114,13 +108,12 @@ class SampleWindow:
     A stream yields (states, kern) per stored state, kern the batched kernel
     evaluation at the states or None (`flow.fixed_dt_stream`); an item is
     built from it by `geometry.geometry_packs`, which evaluates a missing
-    kernel.  `fixed_dt` builds a window on the stream of a fixed-step run; a
-    window over stored trajectories reads them as a stream without kernels,
-    so both build their items one way.  `times` are the stamped times of the
-    states, and `dt` the run's sample step, store_every * step.  Items stay
-    cached until a `sweep` drops them.  A dropped item is never rebuilt:
-    reading it, or an index outside the states, raises IndexError.  Once the
-    last state is read, the window lets go of the stream.
+    kernel.  `times` are the stamped times of the states, and `dt` the run's
+    sample step, store_every * step.  `fixed_dt` builds the window on the
+    stream of a fixed-step run.  Items stay cached until a `sweep` drops
+    them.  A dropped item is never rebuilt: reading it, or an index outside
+    the states, raises IndexError.  Once the last state is read, the window
+    lets go of the stream.
     """
 
     def __init__(self, stream, times, step: float, store_every: int = 1):
@@ -137,25 +130,12 @@ class SampleWindow:
     @classmethod
     def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
         """The window on `flow.fixed_dt_stream` of the initial immersions."""
-        window = cls.__new__(cls)
-        SampleWindow.__init__(
-            window,
+        return cls(
             fixed_dt_stream(initials, dt, n_steps, store_every),
             fixed_dt_times(initials[0].time, dt, n_steps, store_every),
             dt,
             store_every,
         )
-        return window
-
-    @staticmethod
-    def _stored(*trajs) -> tuple:
-        """The stream, times and step of a window over stored trajectories
-        of equal length, sampled at the first one's sample_step."""
-        first = trajs[0]
-        if first.sample_step is None:
-            raise ProtocolError("no sample step: not a fixed-step run")
-        stream = ((list(states), None) for states in zip(*(t.states for t in trajs)))
-        return stream, first.times, first.sample_step
 
     def __len__(self):
         return len(self.times)
@@ -197,9 +177,6 @@ class SampleWindow:
 
 class TrajectoryWindow(SampleWindow):
     """One flow; item k is the GeometryPack of state k."""
-
-    def __init__(self, traj: FlowTrajectory):
-        super().__init__(*self._stored(traj))
 
     def _make(self, states: list, kern) -> GeometryPack:
         (geom,) = geometry_packs(states, kern)

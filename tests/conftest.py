@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from mcflab import shapes
+from mcflab.differences import PairedWindow
+from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import GeometryPack, tensor_norm_sq
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
+from mcflab.identities import TrajectoryWindow
 
 
 def assert_same_bytes(got, want):
@@ -68,6 +71,44 @@ def trace_identity_residual(geom: GeometryPack) -> float:
     """Max deviation of sum_a |grad X^a|^2_g from m (exact discretely)."""
     val = tensor_norm_sq(geom.first_derivs, geom, "l")
     return float(np.abs(val - geom.grid.m).max())
+
+
+def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:
+    """[trajectory A, trajectory B] of a pair, collected from one
+    `fixed_dt_stream`: the stored form of what `diff-system` reads as it
+    goes, with 4 kernel calls per step."""
+    trajs = [FlowTrajectory([], [dt] * n_steps, store_every * dt) for _ in "AB"]
+    for states, kern in fixed_dt_stream([initA, initB], dt, n_steps, store_every):
+        del kern  # not kept alive through the next steps
+        for traj, state in zip(trajs, states):
+            traj.states.append(state)
+    return trajs
+
+
+def _stored_stream(*trajs) -> tuple:
+    """The window stream, times and step of stored fixed-step trajectories
+    of equal length whose states pair up, at the first one's sample_step."""
+    first = trajs[0]
+    if first.sample_step is None:
+        raise ProtocolError("no sample step: not a fixed-step run")
+    if len({len(t.states) for t in trajs}) > 1:
+        raise ProtocolError("paired trajectories have different lengths")
+    for states in zip(*(t.states for t in trajs)):
+        for other in states[1:]:
+            require_pair(states[0], other)
+    stream = ((list(states), None) for states in zip(*(t.states for t in trajs)))
+    return stream, first.times, first.sample_step
+
+
+def trajectory_window(traj: FlowTrajectory) -> TrajectoryWindow:
+    """A window over a stored fixed-step trajectory, each pack from a kernel
+    call of its own."""
+    return TrajectoryWindow(*_stored_stream(traj))
+
+
+def paired_window(trajA: FlowTrajectory, trajB: FlowTrajectory) -> PairedWindow:
+    """A window over the stored fixed-step trajectories of a pair."""
+    return PairedWindow(*_stored_stream(trajA, trajB))
 
 
 @pytest.fixture

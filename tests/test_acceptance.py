@@ -15,7 +15,6 @@ from mcflab import shapes
 from mcflab.cli import EXACT_FLOOR
 from mcflab.differences import (
     LIMITATION_STATEMENT,
-    PairedWindow,
     heat_operator_Y,
     time_derivative_Z_sq,
     verify_inequalities,
@@ -24,7 +23,6 @@ from mcflab.flow import run_fixed_dt, step_rk4
 from mcflab.geometry import curvature_gauss
 from mcflab.grid import SymmetryAction, apply_symmetry, reflection_permutation
 from mcflab.identities import (
-    TrajectoryWindow,
     check_dGamma,
     check_dX,
     check_dg,
@@ -33,7 +31,13 @@ from mcflab.identities import (
     gauss_cross_check,
 )
 
-from conftest import measured_radius, measured_torus_radii, trace_identity_residual
+from conftest import (
+    measured_radius,
+    measured_torus_radii,
+    paired_window,
+    trace_identity_residual,
+    trajectory_window,
+)
 
 
 def emit(number, ok, detail):
@@ -84,7 +88,7 @@ def test_criterion_03_evolution_identity_orders():
         ("ellipse", lambda g: shapes.ellipse(g, 1.5, 1.0)),
     ):
         windows = [
-            TrajectoryWindow(run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4))
+            trajectory_window(run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4))
             for N in (64, 128, 256)
         ]
         for chk in checks:
@@ -139,7 +143,7 @@ def test_criterion_07_zero_difference():
     grid = GridSpec(1, 64)
     A = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
     B = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
-    window = PairedWindow(A, B)
+    window = paired_window(A, B)
     p = window.item(4)
     sup = max(
         p.norm_sq_Y().max(),
@@ -159,7 +163,7 @@ def test_criterion_08_coupled_inequality_constants():
         g = GridSpec(1, N)
         A = run_fixed_dt(shapes.circle(g, 1.0), dt, 3000, store_every=store)
         B = run_fixed_dt(other(g), dt, 3000, store_every=store)
-        return PairedWindow(A, B)
+        return paired_window(A, B)
 
     for name, other in (
         ("circle-pair", lambda g: shapes.circle(g, 1.2)),
@@ -182,7 +186,7 @@ def test_criterion_08_coupled_inequality_constants():
     sups_dd, sups_dw = [], []
     for N in (128, 256):
         g = GridSpec(1, N)
-        w = PairedWindow(
+        w = paired_window(
             run_fixed_dt(shapes.circle(g, 1.0), 1e-5, 8),
             run_fixed_dt(shapes.ellipse(g, 1.5, 1.0), 1e-5, 8),
         )

@@ -28,12 +28,12 @@ from mcflab.differences import (
     time_derivative_Z_sq,
     verify_inequalities,
 )
-from mcflab.flow import FlowTrajectory, run_fixed_dt, run_paired_fixed_dt
+from mcflab.flow import FlowTrajectory, run_fixed_dt
 from mcflab.geometry import covariant_derivative, laplacian, tensor_norm_sq
 from mcflab.grid import SymmetryAction, apply_symmetry
 from mcflab.identities import ProtocolError
 
-from conftest import stencil_symbols
+from conftest import paired_window, run_paired_fixed_dt, stencil_symbols
 
 DT = 1e-4
 
@@ -42,14 +42,14 @@ def circle_pair(N=64, r1=1.0, r2=1.2, n_steps=8):
     grid = GridSpec(1, N)
     A = run_fixed_dt(shapes.circle(grid, r1), DT, n_steps)
     B = run_fixed_dt(shapes.circle(grid, r2), DT, n_steps)
-    return PairedWindow(A, B)
+    return paired_window(A, B)
 
 
 def circle_ellipse_pair(N=64, n_steps=8):
     grid = GridSpec(1, N)
     A = run_fixed_dt(shapes.circle(grid, 1.0), DT, n_steps)
     B = run_fixed_dt(shapes.ellipse(grid, 1.2, 0.9), DT, n_steps)
-    return PairedWindow(A, B)
+    return paired_window(A, B)
 
 
 class TestDifferencePack:
@@ -88,7 +88,7 @@ class TestDifferencePack:
         """Y = U + V and Z = w + d + N + W, each sum added in that order."""
         a = shapes.perturbed_torus(GridSpec(2, 12), 1.0, 0.6, 0.1)
         b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
-        window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 4))
+        window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 4))
         p = window.item(2)
         g = p.geomA
 
@@ -160,19 +160,28 @@ class TestDifferencePack:
 
 
 class TestPairedWindow:
+    """A pair's stream is one loop, so its window pairs up by construction;
+    the stored-trajectory windows the tests build (`paired_window`) reject
+    what does not."""
+
+    def test_stream_window_needs_five_states(self):
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        with pytest.raises(ProtocolError, match="at least 5"):
+            PairedWindow.fixed_dt([a, a], DT, 3)
+
     def test_length_mismatch_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.2), DT, 6)
         with pytest.raises(ProtocolError):
-            PairedWindow(A, B)
+            paired_window(A, B)
 
     def test_step_mismatch_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.2), 2 * DT, 8)
         with pytest.raises(ProtocolError):
-            PairedWindow(A, B)
+            paired_window(A, B)
 
     def test_time_skew_rejected_when_built(self):
         grid = GridSpec(1, 32)
@@ -182,20 +191,20 @@ class TestPairedWindow:
             [s.with_positions(s.positions, time=s.time + 5e-11) for s in B.states]
         )
         with pytest.raises(ProtocolError, match="paired flows differ in time"):
-            PairedWindow(A, skewed)
+            paired_window(A, skewed)
 
     def test_ambient_mismatch_rejected_when_built(self):
         a = shapes.circle(GridSpec(1, 32), 1.0)
         b = a.with_positions(np.pad(a.positions, ((0, 0), (0, 1))))
         with pytest.raises(ProtocolError, match="ambient dimension: 2 vs 3"):
-            PairedWindow(run_fixed_dt(a, DT, 4), run_fixed_dt(b, DT, 4))
+            paired_window(run_fixed_dt(a, DT, 4), run_fixed_dt(b, DT, 4))
 
     def test_too_few_samples_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 3)
         B = run_fixed_dt(shapes.circle(grid, 1.2), DT, 3)
         with pytest.raises(ProtocolError):
-            PairedWindow(A, B)
+            paired_window(A, B)
 
 
 class TestDifferenceEvolutions:
@@ -250,7 +259,7 @@ class TestCoupledInequalities:
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
-        rep = verify_inequalities(PairedWindow(A, B), delta=2 * DT)
+        rep = verify_inequalities(paired_window(A, B), delta=2 * DT)
         assert rep.C1 == 0.0
         assert rep.C2 == 0.0
         assert rep.flagged_nodes == 0
@@ -307,7 +316,7 @@ class TestEnergyEnvelope:
         energy = {}
         for eps in (1e-3, 2e-3):
             pert = shapes.low_mode_perturbation(base, eps, seed=3)
-            w = PairedWindow(
+            w = paired_window(
                 run_fixed_dt(base, DT, 8), run_fixed_dt(pert, DT, 8)
             )
             p = w.item(len(w) // 2)
@@ -332,7 +341,7 @@ class TestStreamingPass:
     def traced_peak(trajA, trajB) -> int:
         tracemalloc.start()
         try:
-            verify_inequalities(PairedWindow(trajA, trajB), delta=2e-3)
+            verify_inequalities(paired_window(trajA, trajB), delta=2e-3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,13 +363,13 @@ class TestStreamingPass:
 
         monkeypatch.setattr(differences, "build_difference", counting)
         trajA, trajB = torus_pair(12)
-        window = PairedWindow(trajA, trajB)
+        window = paired_window(trajA, trajB)
         verify_inequalities(window, delta=2e-3)
         assert built == [s.time for s in trajA.states]
         assert max(alive) == 5
 
     def test_reading_behind_the_sweep_raises(self):
-        window = PairedWindow(*torus_pair(6))
+        window = paired_window(*torus_pair(6))
         verify_inequalities(window, delta=2e-3)
         last = window.centers[-1]
         for k in range(last - 1):
@@ -377,7 +386,7 @@ class TestStreamingPass:
             a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
             a = a.with_positions(a.positions, time=t0)
             b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
-            window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 20))
+            window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 20))
             reports[t0] = verify_inequalities(window, delta=0.012)
         at0, late = reports[0.0], reports[0.2]
         assert len(late.rows) == len(at0.rows) == 7
@@ -402,7 +411,7 @@ class TestStreamingPass:
             b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
             for source in ("stored", "stream"):
                 if source == "stored":
-                    window = PairedWindow(*run_paired_fixed_dt(a, b, 1e-3, 20))
+                    window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 20))
                 else:
                     window = PairedWindow.fixed_dt([a, b], 1e-3, 20)
                 rep = verify_inequalities(window, delta=0.012)
@@ -412,4 +421,4 @@ class TestStreamingPass:
         for source in ("stored", "stream"):
             assert len(rows[1e6, source]) == 7
             assert np.allclose(rows[1e6, source], rows[0.0, source], atol=1e-9)
-        assert fitted_centers(21, 1, 1e-3, 0.012) == list(range(12, 19))
+        assert fitted_centers(21, 1, 1e-3, 0.012) == range(12, 19)

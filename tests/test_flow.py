@@ -19,7 +19,6 @@ from mcflab.flow import (
     ProtocolError,
     fixed_dt_stream,
     run_fixed_dt,
-    run_paired_fixed_dt,
 )
 from mcflab.geometry import (
     components_first,
@@ -37,14 +36,14 @@ from mcflab.grid import (
     shift_permutation,
 )
 from mcflab.grid import SymmetryAction
-from mcflab.identities import TrajectoryWindow
-
 from conftest import (
     assert_same_bytes,
     identity_symmetry,
     measured_radius,
     measured_torus_radii,
+    run_paired_fixed_dt,
     stencil_symbols,
+    trajectory_window,
 )
 
 
@@ -389,13 +388,13 @@ class TestFixedDtProtocol:
         )
         assert traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            TrajectoryWindow(traj)
+            trajectory_window(traj)
 
     def test_window_rejects_an_adaptive_run(self, unit_circle):
         traj = run_flow(unit_circle, 0.02, sample_times=np.linspace(0, 0.02, 5))
         assert len(traj.states) == 5 and traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            TrajectoryWindow(traj)
+            trajectory_window(traj)
 
 
 PAIRS = {

@@ -22,7 +22,6 @@ from mcflab.identities import (
     ANCHORS,
     ProtocolError,
     ResidualReport,
-    TrajectoryWindow,
     _connection_rhs,
     _second_form_rhs,
     check_dGamma,
@@ -38,7 +37,7 @@ from mcflab.identities import (
     simons_residual_field,
 )
 
-from conftest import REFERENCE_MAKERS, stencil_symbols
+from conftest import REFERENCE_MAKERS, stencil_symbols, trajectory_window
 
 
 def short_run(imm, dt=1e-5, n_steps=4):
@@ -63,7 +62,7 @@ class TestTimeDifference:
 
     def test_window_differences_the_five_states_around_each_centre(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = TrajectoryWindow(traj)
+        window = trajectory_window(traj)
         n = len(window)
         metrics = [window.geometry(k).metric for k in range(n)]
         assert list(window.centers) == [2, 3, 4]
@@ -73,7 +72,7 @@ class TestTimeDifference:
             assert np.array_equal(got, want)
 
     def test_window_serves_centres_only(self):
-        window = TrajectoryWindow(
+        window = trajectory_window(
             short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
         )
         n = len(window)
@@ -82,7 +81,7 @@ class TestTimeDifference:
                 window.time_derivative(k, lambda geom: geom.metric)
 
     def test_item_outside_the_states_raises_without_wrapping(self):
-        window = TrajectoryWindow(
+        window = trajectory_window(
             short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
         )
         n = len(window)
@@ -91,7 +90,7 @@ class TestTimeDifference:
                 window.item(k)
 
     def test_sweep_drops_each_item_behind_the_stencil(self):
-        window = TrajectoryWindow(
+        window = trajectory_window(
             short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
         )
         seen = []
@@ -122,14 +121,14 @@ class TestTimeDifference:
 class TestEvolutionChecks:
     def test_position_gradient_is_semi_discrete_exact(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-        assert check_dX(TrajectoryWindow(traj), 2).sup_residual < 1e-9
+        assert check_dX(trajectory_window(traj), 2).sup_residual < 1e-9
 
     def test_metric_residual_matches_stencil_prediction_on_circle(self):
         grid = GridSpec(1, 64)
         traj = short_run(shapes.circle(grid, 1.0))
         s1, s2 = stencil_symbols(grid)
         predicted = 2.0 * s2 * abs(s2 - s1**2) / s1**2
-        rep = check_dg(TrajectoryWindow(traj), 2)
+        rep = check_dg(trajectory_window(traj), 2)
         assert abs(rep.sup_residual - predicted) / predicted < 0.01
 
     @pytest.mark.parametrize(
@@ -144,15 +143,15 @@ class TestEvolutionChecks:
         sups = []
         for N in resolutions:
             traj = short_run(shapes.ellipse(GridSpec(1, N), 1.5, 1.0))
-            sups.append(checker(TrajectoryWindow(traj), 2).sup_residual)
+            sups.append(checker(trajectory_window(traj), 2).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_one_sweep_checks_every_center(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), n_steps=8)
-        window = TrajectoryWindow(traj)
+        window = trajectory_window(traj)
         for c in window.sweep():
             # the same center of a five-state window around it, to the bit
-            alone = TrajectoryWindow(
+            alone = trajectory_window(
                 FlowTrajectory(traj.states[c - 2 : c + 3], sample_step=1e-5)
             )
             for checker in (check_dX, check_dg, check_dGamma, check_dh):
@@ -163,11 +162,11 @@ class TestEvolutionChecks:
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
         with pytest.raises(ProtocolError, match="at least 5"):
-            TrajectoryWindow(traj)
+            trajectory_window(traj)
 
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))
-        rep = check_dg(TrajectoryWindow(traj), 2)
+        rep = check_dg(trajectory_window(traj), 2)
         assert rep.anchor == ANCHORS["evolve_metric"]
         assert rep.resolution == 32
         assert rep.dt == 1e-5
@@ -185,8 +184,8 @@ class TestEvolutionChecks:
             sample_step=traj.sample_step,
         )
         for checker in (check_dg, check_dGamma, check_dh):
-            a = checker(TrajectoryWindow(traj), 2).sup_residual
-            b = checker(TrajectoryWindow(moved), 2).sup_residual
+            a = checker(trajectory_window(traj), 2).sup_residual
+            b = checker(trajectory_window(moved), 2).sup_residual
             # the 1/dt factor in the time difference amplifies the rounding
             # introduced by the rotation, so the match is relative, not exact
             assert abs(a - b) < 1e-7 * a

@@ -5,7 +5,9 @@ Public names are top-level functions and classes and the methods of
 top-level classes whose names do not start with an underscore.  A caller
 is any `Name`, `Attribute` or import-alias reference in a package module
 or a `benchmark/*.py` script; strings, docstrings and the test files do
-not count.  The check is by name only: a method whose name another object
+not count, except the function names of the `TRACED` table in
+`benchmark/tracing.py`, which the tracer looks up with `getattr` and fails
+to install without.  The check is by name only: a method whose name another object
 shares (or a function named like an unrelated attribute) counts as used,
 so it can miss a dead name but never flags a live one.  A helper that only
 tests need belongs in `tests/conftest.py`.
@@ -17,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "mcflab").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "benchmark").glob("*.py"))
+TRACER = ROOT / "benchmark" / "tracing.py"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -55,10 +58,35 @@ def referenced_names(paths=CALLERS):
     return used
 
 
+def traced_names(path=TRACER):
+    """The function names in the string keys of the tracer's TRACED table,
+    {module: {"qualname": extra}}."""
+    for node in _parse(path).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return {
+                key.value.rpartition(".")[2]
+                for table in node.value.values
+                for key in table.keys
+            }
+    raise AssertionError(f"no TRACED table in {path}")
+
+
 def test_every_public_name_has_a_caller_outside_tests():
-    used = referenced_names()
+    used = referenced_names() | traced_names()
     uncalled = sorted(q for name, q in public_names().items() if name not in used)
     assert not uncalled, f"public names that only tests reach: {uncalled}"
+
+
+def test_only_run_fixed_dt_is_kept_alive_by_the_tracer_alone():
+    # no verb stores a fixed-step run; the tracer wraps run_fixed_dt by name,
+    # so it stays until the tracer goes.  Any other name the TRACED table
+    # alone would keep alive is flagged here.
+    used = referenced_names()
+    tracer_only = sorted(
+        q for name, q in public_names().items()
+        if name not in used and name in traced_names()
+    )
+    assert tracer_only == ["flow.run_fixed_dt"]
 
 
 def test_the_scan_sees_the_package():
