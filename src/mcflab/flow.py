@@ -258,8 +258,8 @@ def fixed_dt_stream(initials: list, dt: float, n_steps: int, store_every: int = 
     of the flows' states, stamped with the exact multiple t0 + k * dt
     (`fixed_dt_times`), and the batched `KernelResult` at them (grid + (B,)
     batch) that the step from there takes as its first stage.  The final
-    state starts no step, so its kern is None; `geometry.geometry_packs`
-    evaluates it.  The arguments are checked before the generator is
+    state starts no step, so its kern is None, and its consumer evaluates
+    it.  The arguments are checked before the generator is
     returned: a bad dt, store_every or pair raises at once.
     """
     for other in initials[1:]:
@@ -303,9 +303,10 @@ def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
 
     The loop keeps only the velocity H of a kernel it yields: the rest is
     the consumer's to hold or drop.  Degeneracy of the initial immersions is
-    bad input, later a blow-up, which names the start time of its step,
-    accumulated from the last stamp.  The initial states are yielded as
-    given; every later state is a C-order copy of the loop state.
+    bad input, later a blow-up: inside a stored interval it names the start
+    time of its step, accumulated from the last stamp.  The initial states
+    are yielded as given; every later state is a C-order copy of the loop
+    state.
     """
     grid, B, last = initials[0].grid, len(initials), len(times) - 1
     X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
@@ -321,7 +322,7 @@ def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
                     k1 = _flow_kernel(grid, X, t).mean_curv
                 X = _rk4_positions(grid, X, dt, k1, t)
                 t += dt
+            states = [Immersion(grid, X[..., b, :].copy(), times[j]) for b in range(B)]
             if j < last:
                 held.append(_flow_kernel(grid, X, times[j]))
-        states = [Immersion(grid, X[..., b, :].copy(), times[j]) for b in range(B)]
     yield states, None

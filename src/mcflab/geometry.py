@@ -272,22 +272,34 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     )
 
 
+def stacked_kernel(states: list) -> KernelResult:
+    """One kernel evaluation of immersions on one grid, stacked on a batch
+    axis (grid + (B,) + (A,)) as the fixed-step stream stacks them."""
+    return geometry_kernel(states[0].grid, np.stack([s.positions for s in states], -2))
+
+
 def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     """The GeometryPack of each immersion of states, on one grid, from one
     kernel evaluation k of them stacked on a batch axis (grid + (B,) + (A,)),
     as the fixed-step stream yields it, or from one call here if k is None.
 
-    Each pack is one fresh block holding its fields one after another, each
-    a contiguous components-first array, handed out as its components_last
-    view.  So a pack has the bytes, shape and strides of a single flow's
-    whatever the batch: a member's strided view would change the pairwise
-    sums of `volume()` and `cell_weight`.  One block per pack, not one per
-    field, also kept the identity suite's RK steps beside its live packs
-    about 20 % faster at N=128.
+    Every field is a contiguous components-first array, handed out as its
+    components_last view, so a pack has the bytes, shape and strides of a
+    single flow's whatever the batch: a member's strided view would change
+    the pairwise sums of `volume()` and `cell_weight`.  A pack from a
+    kernel the caller passes, as the checks' windows do, is one fresh block
+    holding its fields one after another: with a fresh array per field the
+    identity suite's RK steps beside its live packs ran about 20 % slower
+    at N=128.  A pack from a kernel call of its own (`compute_geometry`)
+    takes one array per field and drops each field's kernel components once
+    copied, so its peak stays near one kernel: a block beside the whole
+    kernel raised the peak RSS of the `simulate` verb at N=64 by 1 MB,
+    about 3 %.
     """
     grid, m, A = states[0].grid, states[0].grid.m, states[0].ambient_dim
-    if k is None:
-        k = geometry_kernel(grid, np.stack([s.positions for s in states], axis=-2))
+    own = k is None
+    if own:
+        k = stacked_kernel(states)
     R = range(m)
     fields = (  # each field's kernel components in row-major order, its axes
         (k.dX, (A, m)),
@@ -299,24 +311,22 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
         ([k.mean_curv], (A,)),
     )
     sizes = [math.prod(lead) for _, lead in fields]
-    packs = []
-    for b, imm in enumerate(states):
-        block = np.empty((sum(sizes),) + grid.shape)
-        views, start = [], 0
-        for (parts, lead), n in zip(fields, sizes):
-            n_pass = parts[0].ndim - m - 1  # the ambient axis past the batch
+    blocks = [None if own else np.empty((sum(sizes),) + grid.shape) for _ in states]
+    views = [[] for _ in states]
+    start = 0
+    for (parts, lead), n in zip(fields, sizes):
+        n_pass = parts[0].ndim - m - 1  # the ambient axis past the batch
+        to_first = _to_first(m + n_pass, n_pass)
+        shape = lead[:n_pass] + (len(parts),) + grid.shape
+        for b, block in enumerate(blocks):
             member = (..., b) + (slice(None),) * n_pass
-            to_first = _to_first(m + n_pass, n_pass)
-            f = block[start : start + n]
-            np.stack(
-                [p[member].transpose(to_first) for p in parts],
-                axis=n_pass,
-                out=f.reshape(lead[:n_pass] + (len(parts),) + grid.shape),
-            )
-            views.append(components_last(f.reshape(lead + grid.shape), len(lead)))
-            start += n
-        packs.append(GeometryPack(imm, *views))
-    return packs
+            f = np.empty(shape) if own else block[start : start + n].reshape(shape)
+            np.stack([p[member].transpose(to_first) for p in parts], axis=n_pass, out=f)
+            views[b].append(components_last(f.reshape(lead + grid.shape), len(lead)))
+        if own:
+            parts.clear()
+        start += n
+    return [GeometryPack(imm, *v) for imm, v in zip(states, views)]
 
 
 def compute_geometry(imm: Immersion) -> GeometryPack:

@@ -40,6 +40,7 @@ from .geometry import (
     curvature_intrinsic,
     geometry_packs,
     laplacian,
+    stacked_kernel,
     sum_of_products,
     tensor_norm_sq,
 )
@@ -106,9 +107,9 @@ class SampleWindow:
     (`geometry`).
 
     A stream yields (states, kern) per stored state, kern the batched kernel
-    evaluation at the states or None (`flow.fixed_dt_stream`); an item is
-    built from it by `geometry.geometry_packs`, which evaluates a missing
-    kernel.  `times` are the stamped times of the states, and `dt` the run's
+    evaluation at the states or None (`flow.fixed_dt_stream`); the window
+    evaluates a missing one (`geometry.stacked_kernel`) and builds the item
+    from it through `geometry.geometry_packs`.  `times` are the stamped times of the states, and `dt` the run's
     sample step, store_every * step.  `fixed_dt` builds the window on the
     stream of a fixed-step run.  Items stay cached until a `sweep` drops
     them.  A dropped item is never rebuilt: reading it, or an index outside
@@ -149,7 +150,10 @@ class SampleWindow:
                 f"0 .. {self._dropped - 1}"
             )
         while len(self._items) <= k:
-            self._items.append(self._make(*next(self._stream)))
+            states, kern = next(self._stream)
+            if kern is None:  # the final state of a run starts no step
+                kern = stacked_kernel(states)
+            self._items.append(self._make(states, kern))
             if len(self._items) == len(self):
                 self._stream = None
         return self._items[k]

@@ -900,9 +900,10 @@ class TestDiffSystemVerb:
         code, _ = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
         assert code == EXIT_OK
         assert times == sorted(set(times)) and len(times) == 21  # T / dt + 1
-        # the stream's kernel at every state but the final one, which no
-        # step starts from
-        assert given == [True] * 20 + [False]
+        # every pack from a kernel it is given: the stream's at every state
+        # but the final one, which no step starts from and the window
+        # evaluates (TestKernelBudget counts that no state is evaluated twice)
+        assert given == [True] * 21
 
 
 class TestKernelBudget:
