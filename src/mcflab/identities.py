@@ -216,7 +216,7 @@ def evolution_residual(
 
     The right-hand side comes first: on a stream, the first check's
     temporaries then come and go before the stencil's last two states are
-    read, which lowered the convergence verb's peak RSS at N=128 by 2 MB.
+    read, which lowered the convergence verb's peak RSS by 1-2 MB.
     """
     rhs = rhs_of(window.item(c))
     resid = window.time_derivative(c, field_of) - rhs

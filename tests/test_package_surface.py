@@ -7,9 +7,9 @@ is any `Name`, `Attribute` or import-alias reference in a package module
 or a `benchmark/*.py` script; strings, docstrings and the test files do
 not count, except the function names of the `TRACED` table in
 `benchmark/tracing.py`, which the tracer looks up with `getattr` and fails
-to install without.  The check is by name only: a method whose name another object
-shares (or a function named like an unrelated attribute) counts as used,
-so it can miss a dead name but never flags a live one.  A helper that only
+to install without.  The check is by name only: a method whose name
+another object shares (or a function named like an unrelated attribute)
+counts as used, so it can miss a dead name but never flags a live one.  A helper that only
 tests need belongs in `tests/conftest.py`.
 """
 
@@ -62,7 +62,8 @@ def traced_names(path=TRACER):
     """The function names in the string keys of the tracer's TRACED table,
     {module: {"qualname": extra}}."""
     for node in _parse(path).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["TRACED"]:
             return {
                 key.value.rpartition(".")[2]
                 for table in node.value.values
