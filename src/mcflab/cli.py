@@ -1,9 +1,11 @@
 """Configuration-driven experiment runner.
 
 Verbs: simulate, identities, diff-system, symmetry, convergence; each takes
---config <json> and --out <dir>.  Configs are strict: unknown keys are
-errors, not warnings.  Given the same config and seed, report bodies are
-byte-identical; wall-clock timestamps appear only in the manifest.
+--config <json> and --out <dir>.  Configs are read through one table per
+verb, SCHEMA, and are strict: unknown keys, and keys of another geometry
+kind or permutation type, are errors, not warnings.  Given the same config
+and seed, report bodies are byte-identical; wall-clock timestamps appear
+only in the manifest.
 
 Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
 precondition, 3 numerical blow-up.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -86,19 +89,6 @@ def _real(value) -> float:
     return x
 
 
-def _value(cfg: dict, key: str, default=None, kind=_real, context="config"):
-    """kind(cfg[key]), or kind(default) when the key is absent; no default
-    means the key is required.  A missing key or a value that kind rejects
-    is a ConfigError that names the key."""
-    if key not in cfg and default is None:
-        raise ConfigError(f"missing required key {key!r} in {context}")
-    raw = cfg.get(key, default)
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {key!r} in {context}: {raw!r} ({exc})") from exc
-
-
 def _integer(value) -> int:
     """int(value) of an integral number; 16.9, "16" or true is an error."""
     x = int(_not_bool(value))
@@ -116,117 +106,118 @@ def _floats(values) -> list:
     return [_real(v) for v in values]
 
 
-def _pair(values) -> list:
-    """_floats of exactly two entries: a centre or a pair of radii."""
-    out = _floats(values)
-    if len(out) != 2:
-        raise ValueError(f"need 2 entries, got {len(out)}")
-    return out
-
-
-def _positive(kind):
-    """kind restricted to positive values: time steps and strides."""
+def _bounded(kind, holds, message):
+    """kind restricted to the values for which holds is true."""
 
     def convert(value):
         x = kind(value)
-        if not x > 0:
-            raise ValueError("must be positive")
+        if not holds(x):
+            raise ValueError(message)
         return x
 
     return convert
 
 
-# The top-level keys that every verb's config may hold.
-COMMON_KEYS = {"kind", "seed", "grid", "geometry"}
+def _positive(kind):
+    """kind restricted to positive values: time steps and strides."""
+    return _bounded(kind, lambda x: x > 0, "must be positive")
 
 
-def _check_keys(d: dict, allowed, context: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"section {context!r} must be an object, got {d!r}")
-    unknown = set(d) - set(allowed)
+_pair = _bounded(_floats, lambda v: len(v) == 2, "need 2 entries")  # centre, radii
+_resolution = _bounded(_integer, lambda n: n >= 8, "must be at least 8")  # as GridSpec
+
+# Each table maps a key to (kind, default): kind converts the JSON value, or is
+# the table of a section.  An absent key reads as its default, converted, unless
+# that is REQUIRED (an error), OPTIONAL (None, for the runner to derive from
+# other values) or None (None, as is a null: a nullable key).  The keys are the
+# parameter names of the runners and of what they build.  A section whose key
+# `by` picks one of its {kind: (maker, table)} is the pair (by, kinds); it reads
+# as the maker with the kind's values bound.
+REQUIRED = object()
+OPTIONAL = object()
+
+
+def _checkpoint(grid: GridSpec, path: str) -> Immersion:
+    if not os.path.isfile(path):
+        raise ConfigError(f"invalid 'path' of a checkpoint: {path!r} does not exist")
+    imm = read_immersion(path, grid.derivative_order)
+    if imm.grid != grid:
+        raise ConfigError(
+            f"geometry checkpoint {path!r} is on a grid with "
+            f"m={imm.grid.m}, N={imm.grid.resolution}; the config grid has "
+            f"m={grid.m}, N={grid.resolution}"
+        )
+    return imm
+
+
+# makers look shapes up when called, so the benchmark tracer's rebinding reaches them
+GEOMETRY = ("kind", {
+    "circle": (lambda grid, **k: shapes.circle(grid, **k),
+               {"radius": (_real, 1.0), "center": (_pair, (0, 0))}),
+    "ellipse": (lambda grid, **k: shapes.ellipse(grid, **k),
+                {"a": (_real, 1.5), "b": (_real, 1.0)}),
+    "product_torus": (lambda grid, radii: shapes.product_torus(grid, *radii),
+                      {"radii": (_pair, (1.0, 1.0))}),
+    "perturbed_torus": (lambda grid, **k: shapes.perturbed_torus(grid, **k),
+                        {"r1": (_real, 1.0), "r2": (_real, 1.0),
+                         "amplitude": (_real, 0.1)}),
+    "checkpoint": (_checkpoint, {"path": (os.fspath, REQUIRED)}),
+})
+
+# the grid of a convergence run: its resolutions are a top-level key
+CONVERGENCE_GRID = {
+    "m": (_bounded(_integer, (1, 2).__contains__, "must be 1 or 2"), 1),
+    "derivative_order": (_bounded(_integer, (2, 4).__contains__, "must be 2 or 4"), 2),
+}
+
+
+def _read(cfg, table, context: str):
+    """{key: value} of every key of table, from cfg or its default.  A
+    section that is not an object, an unknown or missing key and a value
+    that its kind rejects are ConfigErrors naming the key and section."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"section {context!r} must be an object, got {cfg!r}")
+    if isinstance(table, tuple):  # (by, kinds)
+        by, kinds = table
+        cfg = dict(cfg)
+        kind = cfg.pop(by, None)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(
+                f"invalid {by!r} in {context}: {kind!r}; allowed: {sorted(kinds)}"
+            )
+        make, keys = kinds[kind]
+        return functools.partial(make, **_read(cfg, keys, context))
+    unknown = cfg.keys() - table.keys()
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in {context}; "
-            f"allowed: {sorted(allowed)}"
+            f"unknown key(s) {sorted(unknown)} in {context}; allowed: {sorted(table)}"
         )
+    out = {}
+    for key, (kind, default) in table.items():
+        value = cfg.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {context}")
+        if value is OPTIONAL or value is None and default is None:
+            out[key] = None
+        elif isinstance(kind, (dict, tuple)):  # a section, named by its path
+            out[key] = _read(value, kind, f"{context}.{key}".removeprefix("config."))
+        else:
+            try:
+                out[key] = kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"invalid {key!r} in {context}: {value!r} ({exc})"
+                ) from exc
+    return out
 
 
-def _build_grid(cfg: dict) -> GridSpec:
-    _check_keys(cfg, {"m", "resolution", "derivative_order"}, "grid")
-    m = _value(cfg, "m", 1, _integer, "grid")
-    N = _value(cfg, "resolution", kind=_integer, context="grid")
-    order = _value(cfg, "derivative_order", 2, _integer, "grid")
+def _build_symmetry(grid, ambient, matrix, translation, permutation):
+    b = np.zeros(ambient) if translation is None else np.asarray(translation)
     try:
-        return GridSpec(m, N, order)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _build_geometry(cfg: dict, grid: GridSpec) -> Immersion:
-    _check_keys(
-        cfg,
-        {"kind", "radius", "center", "a", "b", "radii", "r1", "r2", "amplitude",
-         "path"},
-        "geometry",
-    )
-    kind = cfg.get("kind")
-
-    def num(key, default, kind=_real):
-        return _value(cfg, key, default, kind, "geometry")
-
-    if kind == "circle":
-        return shapes.circle(grid, num("radius", 1.0), num("center", (0, 0), _pair))
-    if kind == "ellipse":
-        return shapes.ellipse(grid, num("a", 1.5), num("b", 1.0))
-    if kind == "product_torus":
-        return shapes.product_torus(grid, *num("radii", (1.0, 1.0), _pair))
-    if kind == "perturbed_torus":
-        return shapes.perturbed_torus(
-            grid,
-            num("r1", 1.0),
-            num("r2", 1.0),
-            num("amplitude", 0.1),
-        )
-    if kind == "checkpoint":
-        path = num("path", "", os.fspath)
-        if not os.path.isfile(path):
-            raise ConfigError(f"geometry checkpoint {path!r} does not exist")
-        imm = read_immersion(path, grid.derivative_order)
-        if imm.grid != grid:
-            raise ConfigError(
-                f"geometry checkpoint {path!r} is on a grid with "
-                f"m={imm.grid.m}, N={imm.grid.resolution}; the config grid has "
-                f"m={grid.m}, N={grid.resolution}"
-            )
-        return imm
-    raise ConfigError(f"unknown geometry kind {kind!r}")
-
-
-def _build_symmetry(cfg: dict, grid: GridSpec, ambient: int) -> SymmetryAction:
-    _check_keys(cfg, {"matrix", "translation", "permutation"}, "symmetry")
-    Q = _value(
-        cfg, "matrix", kind=lambda v: np.array([_floats(row) for row in v]),
-        context="symmetry",
-    )
-    b = np.asarray(_value(cfg, "translation", [0.0] * ambient, _floats, "symmetry"))
-    perm_cfg = cfg.get("permutation", {})
-    context = "symmetry.permutation"
-    _check_keys(perm_cfg, {"type", "offsets", "axes"}, context)
-    ptype = perm_cfg.get("type")
-    if ptype == "shift":
-        key, default, permutation = "offsets", None, shift_permutation
-    elif ptype == "reflection":
-        key, default, permutation = "axes", [0], reflection_permutation
-    else:
-        raise ConfigError(f"unknown permutation type {ptype!r}")
-    # a wrong-length shift or an out-of-range axis names its key, too
-    perm = _value(
-        perm_cfg, key, default, lambda v: permutation(grid, _integers(v)), context
-    )
-    try:
-        return SymmetryAction(Q, b, perm)
-    except ValueError as exc:
-        raise ConfigError(f"symmetry: {exc}") from exc
+        return SymmetryAction(matrix, b, permutation(grid))
+    except ValueError as exc:  # a shift or axis off the grid, or a bad (matrix, b)
+        keys = ", ".join(map(repr, ["matrix", "translation", *permutation.keywords]))
+        raise ConfigError(f"invalid symmetry ({keys}): {exc}") from exc
 
 
 def _write(out_dir: str, name: str, body: str):
@@ -270,16 +261,13 @@ def _identity_suite(initial: Immersion, dt: float):
     return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]
 
 
-def run_identities(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, COMMON_KEYS | {"dt", "thresholds"}, "config")
-    grid = _build_grid(cfg.get("grid", {}))
-    initial = _build_geometry(cfg.get("geometry", {}), grid)
-    dt = _value(cfg, "dt", min(1e-4, grid.spacing**2 / 10.0), _positive(_real))
-    thr_cfg = cfg.get("thresholds", {})
-    _check_keys(thr_cfg, THRESHOLD_COEFFS, "thresholds")
+def run_identities(out_dir, grid, geometry, dt, thresholds, **_) -> int:
+    grid = GridSpec(**grid)
+    initial = geometry(grid)
     h2 = grid.spacing**2
+    dt = min(1e-4, h2 / 10.0) if dt is None else dt
     thresholds = {
-        name: _value(thr_cfg, name, coeff * h2 + 1e-7, context="thresholds")
+        name: coeff * h2 + 1e-7 if thresholds[name] is None else thresholds[name]
         for name, coeff in THRESHOLD_COEFFS.items()
     }
     reports = _identity_suite(initial, dt)
@@ -314,26 +302,11 @@ def run_identities(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def run_simulate(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, COMMON_KEYS | {"T", "policy", "sample_times"}, "config")
-    grid = _build_grid(cfg.get("grid", {}))
-    initial = _build_geometry(cfg.get("geometry", {}), grid)
-    T = _value(cfg, "T")
-    pol_cfg = cfg.get("policy", {})
-    _check_keys(pol_cfg, {"cfl_safety", "dt_max", "fixed_dt"}, "policy")
-    fixed_dt = pol_cfg.get("fixed_dt")
-    policy = StepPolicy(
-        _value(pol_cfg, "cfl_safety", 0.1, context="policy"),
-        _value(pol_cfg, "dt_max", 1e-2, context="policy"),
-        fixed_dt if fixed_dt is None else _value(pol_cfg, "fixed_dt", context="policy"),
-    )
-    # absent or null: the initial and final states
-    sample_times = cfg.get("sample_times")
-    if sample_times is not None:
-        sample_times = _value(cfg, "sample_times", kind=_floats)
-        if not sample_times:
-            raise ConfigError("invalid 'sample_times' in config: [] stores no state")
-    traj = run_flow(initial, T, policy, sample_times)
+def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
+    grid = GridSpec(**grid)
+    initial = geometry(grid)
+    # sample_times None: the initial and final states
+    traj = run_flow(initial, T, StepPolicy(**policy), sample_times)
     files = []
     for k, state in enumerate(traj.states):
         name = f"checkpoint_{k:04d}.txt"
@@ -360,23 +333,16 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if monotone else EXIT_ASSERTION
 
 
-def run_symmetry(cfg: dict, out_dir: str) -> int:
-    _check_keys(
-        cfg,
-        COMMON_KEYS | {"symmetry", "steps", "dt", "tolerance", "record_every"},
-        "config",
-    )
-    grid = _build_grid(cfg.get("grid", {}))
-    initial = _build_geometry(cfg.get("geometry", {}), grid)
-    action = _build_symmetry(cfg.get("symmetry", {}), grid, initial.ambient_dim)
-    steps = _value(cfg, "steps", 2000, _positive(_integer))
+def run_symmetry(
+    out_dir, grid, geometry, symmetry, steps, record_every, tolerance, dt, **_
+) -> int:
+    grid = GridSpec(**grid)
+    initial = geometry(grid)
+    action = _build_symmetry(grid, initial.ambient_dim, **symmetry)
     if steps > MAX_STEPS:
         raise ConfigError(
             f"invalid 'steps' in config: {steps!r} is more than {MAX_STEPS}"
         )
-    record_every = _value(cfg, "record_every", 10, _positive(_integer))
-    tol = _value(cfg, "tolerance", 1e-10)
-    dt = None if cfg.get("dt") is None else _value(cfg, "dt", kind=_positive(_real))
     # the loop state is kept in the kernel's memory order, so no kernel call
     # copies it; one kernel call gives the default dt and the first step's
     # velocity; degeneracy of the initial immersion is bad input, later a
@@ -412,17 +378,17 @@ def run_symmetry(cfg: dict, out_dir: str) -> int:
     _manifest(
         out_dir,
         {"experiment": "symmetry", "N": grid.resolution, "steps": steps,
-         "dt": repr(dt), "max_defect": repr(worst), "tolerance": repr(tol)},
+         "dt": repr(dt), "max_defect": repr(worst), "tolerance": repr(tolerance)},
     )
-    ok = worst <= tol
+    ok = worst <= tolerance
     _write(
         out_dir,
         "summary.txt",
         f"symmetry persistence over {steps} steps: max defect {worst:.3e} "
-        f"(tolerance {tol:.1e}) -> {'PASS' if ok else 'FAIL'}\n",
+        f"(tolerance {tolerance:.1e}) -> {'PASS' if ok else 'FAIL'}\n",
     )
     if not ok:
-        print(f"symmetry defect {worst:.3e} exceeds {tol:.1e}", file=sys.stderr)
+        print(f"symmetry defect {worst:.3e} exceeds {tolerance:.1e}", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK
 
@@ -445,39 +411,18 @@ def _require_paired_window(n_steps: int, store_every: int, dt: float, delta: flo
         )
 
 
-def run_diff_system(cfg: dict, out_dir: str) -> int:
-    _check_keys(
-        cfg,
-        COMMON_KEYS
-        | {"geometry_b", "perturbation", "T", "delta", "dt", "store_every"},
-        "config",
-    )
-    grid = _build_grid(cfg.get("grid", {}))
-    initA = _build_geometry(cfg.get("geometry", {}), grid)
-    if {"geometry_b", "perturbation"} <= cfg.keys():
-        raise ConfigError(
-            "'geometry_b' and 'perturbation' both give the second flow; keep one"
-        )
-    if "geometry_b" in cfg:
-        initB = _build_geometry(cfg["geometry_b"], grid)
-    elif "perturbation" in cfg:
-        pert = cfg["perturbation"]
-        _check_keys(pert, {"amplitude", "max_mode"}, "perturbation")
-        initB = shapes.low_mode_perturbation(
-            initA,
-            _value(pert, "amplitude", 1e-3, context="perturbation"),
-            _value(cfg, "seed", 0, _integer),
-            _value(pert, "max_mode", 3, _integer, "perturbation"),
-        )
-    else:
-        initB = initA
-    T = _value(cfg, "T")
-    delta = _value(cfg, "delta")
+def run_diff_system(
+    out_dir, grid, geometry, geometry_b, perturbation, seed, T, delta, dt, store_every
+) -> int:
+    grid = GridSpec(**grid)
+    initA = geometry(grid)
+    initB = initA if geometry_b is None else geometry_b(grid)
+    if perturbation is not None:  # then geometry_b is None
+        initB = shapes.low_mode_perturbation(initA, seed=seed, **perturbation)
     if not 0.0 < delta < T:
-        raise ConfigError(f"delta={delta} must lie strictly inside (0, T={T})")
-    dt = _value(cfg, "dt", grid.spacing**2 / 20.0, _positive(_real))
-    every = max(1, round(T / dt / 60))
-    store_every = _value(cfg, "store_every", every, _positive(_integer))
+        raise ConfigError(f"invalid 'delta' in config: {delta} is outside (0, T={T})")
+    dt = grid.spacing**2 / 20.0 if dt is None else dt
+    store_every = max(1, round(T / dt / 60)) if store_every is None else store_every
     n_steps = int(round(T / dt))
     if n_steps > MAX_STEPS:
         raise ConfigError(
@@ -526,23 +471,14 @@ def run_diff_system(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if ok and envelope_ok else EXIT_ASSERTION
 
 
-def run_convergence(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, COMMON_KEYS | {"resolutions", "dt", "min_order"}, "config")
-    resolutions = _value(cfg, "resolutions", [], _integers)
-    if len(resolutions) < 3:
-        raise ConfigError("need at least 3 resolutions, each double the last")
+def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order, **_) -> int:
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
-            raise ConfigError(f"resolutions must double: {a} -> {b}")
-    base_grid_cfg = dict(cfg.get("grid", {}))
-    min_order = _value(cfg, "min_order", 1.9)
-    dt = _value(cfg, "dt", (2 * np.pi / resolutions[-1]) ** 2 / 10.0, _positive(_real))
+            raise ConfigError(f"invalid 'resolutions' in config: {b} is not 2 * {a}")
+    dt = (2 * np.pi / resolutions[-1]) ** 2 / 10.0 if dt is None else dt
     results = {}
     for N in resolutions:
-        grid_cfg = dict(base_grid_cfg)
-        grid_cfg["resolution"] = N
-        grid = _build_grid(grid_cfg)
-        initial = _build_geometry(cfg.get("geometry", {}), grid)
+        initial = geometry(GridSpec(resolution=N, **grid))
         for rep in _identity_suite(initial, dt):
             results.setdefault(rep.identity, []).append(rep.sup_residual)
     lines = ["identity,residuals,order,flag"]
@@ -580,24 +516,81 @@ def run_convergence(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-RUNNERS = {
-    "simulate": run_simulate,
-    "identities": run_identities,
-    "diff-system": run_diff_system,
-    "symmetry": run_symmetry,
-    "convergence": run_convergence,
+# every verb's keys besides its kind; runners that read no seed take it in **_
+COMMON = {
+    "seed": (_bounded(_integer, lambda n: n >= 0, "must not be negative"), 0),
+    "grid": ({**CONVERGENCE_GRID, "resolution": (_resolution, REQUIRED)}, {}),
+    "geometry": (GEOMETRY, REQUIRED),
 }
+
+SCHEMA = ("kind", {
+    "simulate": (run_simulate, {
+        **COMMON,
+        "T": (_real, REQUIRED),
+        "policy": ({
+            "cfl_safety": (_positive(_real), 0.1),
+            "dt_max": (_positive(_real), 1e-2),
+            "fixed_dt": (_positive(_real), None),
+        }, {}),
+        "sample_times": (_bounded(_floats, len, "stores no state"), None),
+    }),
+    "identities": (run_identities, {
+        **COMMON,
+        "dt": (_positive(_real), OPTIONAL),
+        "thresholds": ({name: (_real, OPTIONAL) for name in THRESHOLD_COEFFS}, {}),
+    }),
+    "diff-system": (run_diff_system, {
+        **COMMON,
+        "geometry_b": (GEOMETRY, OPTIONAL),
+        "perturbation": ({
+            "amplitude": (_real, 1e-3),
+            "max_mode": (_positive(_integer), 3),
+        }, OPTIONAL),
+        "T": (_real, REQUIRED),
+        "delta": (_real, REQUIRED),
+        "dt": (_positive(_real), OPTIONAL),
+        "store_every": (_positive(_integer), OPTIONAL),
+    }),
+    "symmetry": (run_symmetry, {
+        **COMMON,
+        "symmetry": ({
+            "matrix": (lambda rows: np.array([_floats(r) for r in rows]), REQUIRED),
+            "translation": (_floats, OPTIONAL),
+            "permutation": (("type", {
+                "shift": (shift_permutation, {"offsets": (_integers, REQUIRED)}),
+                "reflection": (reflection_permutation, {"axes": (_integers, [0])}),
+            }), {}),
+        }, {}),
+        "steps": (_positive(_integer), 2000),
+        "record_every": (_positive(_integer), 10),
+        "tolerance": (_real, 1e-10),
+        "dt": (_positive(_real), None),
+    }),
+    "convergence": (run_convergence, {
+        **COMMON,
+        "grid": (CONVERGENCE_GRID, {}),
+        "resolutions": (_bounded(
+            lambda v: [_resolution(n) for n in v], lambda v: len(v) >= 3,
+            "need at least 3, each double the last",
+        ), REQUIRED),
+        "dt": (_positive(_real), OPTIONAL),
+        "min_order": (_real, 1.9),
+    }),
+})
 
 
 def run_experiment(config: dict, out_dir: str) -> int:
-    kind = config.get("kind")
-    if kind not in RUNNERS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    # before the read, as either source of the second flow may be malformed
+    if {"geometry_b", "perturbation"} <= config.keys():
+        raise ConfigError(
+            "'geometry_b' and 'perturbation' both give the second flow; keep one"
+        )
+    run = _read(config, SCHEMA, "config")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
-    return RUNNERS[kind](config, out_dir)
+    return run(out_dir)
 
 
 def _anchor_table() -> str:
@@ -615,7 +608,7 @@ def main(argv=None) -> int:
         help="print the identity-to-formula table and exit",
     )
     sub = parser.add_subparsers(dest="verb")
-    for verb in RUNNERS:
+    for verb in SCHEMA[1]:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
@@ -637,7 +630,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"not a JSON object: {config!r}")
         if config.setdefault("kind", args.verb) != args.verb:
             raise ConfigError(
-                f"config kind {config['kind']!r} does not match verb {args.verb!r}"
+                f"invalid 'kind' in config: {config['kind']!r} is not {args.verb!r}"
             )
         return run_experiment(config, args.out)
     except ValueError as exc:  # ConfigError, ProtocolError, PolicyError, ...

@@ -1,15 +1,20 @@
 """End-to-end tests of the experiment runner: exit codes, report files,
 determinism of report bodies, and strict config validation."""
 
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcflab import cli, differences, flow, geometry, identities, shapes
 from mcflab.cli import (
@@ -380,6 +385,54 @@ BAD_CONFIGS = {
         changed(IDENTITIES_CONFIG,
                 geometry={"kind": "circle", "radius": float("inf")}),
         "'radius'",
+    ),
+    # resolutions are checked before the default dt divides by the finest
+    "convergence-resolutions-zero": (
+        "convergence", changed(CONVERGENCE_CONFIG, resolutions=[0, 0, 0]),
+        "'resolutions'",
+    ),
+    "convergence-resolutions-negative": (
+        "convergence", changed(CONVERGENCE_CONFIG, resolutions=[-16, -32, -64]),
+        "'resolutions'",
+    ),
+    # a key of another geometry kind or permutation type is unknown
+    "geometry-circle-with-r1": (
+        "identities",
+        changed(IDENTITIES_CONFIG, geometry={"kind": "circle", "r1": 5.0}),
+        "'r1'",
+    ),
+    "geometry-ellipse-with-path": (
+        "identities",
+        changed(IDENTITIES_CONFIG, geometry={"kind": "ellipse", "path": "x"}),
+        "'path'",
+    ),
+    "symmetry-reflection-with-offsets": (
+        "symmetry",
+        changed(SYMMETRY_CONFIG, symmetry={"matrix": [[1, 0], [0, -1]],
+                                           "permutation": {"type": "reflection",
+                                                           "axes": [0],
+                                                           "offsets": [1]}}),
+        "'offsets'",
+    ),
+    # a convergence run takes its resolutions from 'resolutions' only
+    "convergence-grid-resolution": (
+        "convergence",
+        changed(CONVERGENCE_CONFIG, grid={"m": 1, "resolution": 32}),
+        "'resolution'",
+    ),
+    # max_mode 0 adds no mode, so the second flow would be the first
+    "diff-system-max-mode-zero": (
+        "diff-system",
+        changed(DIFF_CONFIG, ["geometry_b"], perturbation={"max_mode": 0}),
+        "'max_mode'",
+    ),
+    "diff-system-seed-negative": (
+        "diff-system",
+        changed(DIFF_CONFIG, ["geometry_b"], perturbation={}, seed=-1),
+        "'seed'",
+    ),
+    "identities-seed-fractional": (
+        "identities", changed(IDENTITIES_CONFIG, seed=3.5), "'seed'"
     ),
 }
 
@@ -1173,6 +1226,173 @@ class TestConfigValidation:
         code, _ = run_cli(tmp_path, "identities", cfg)
         assert code == EXIT_CONFIG
         assert "61 rows, expected 64" in capsys.readouterr().err
+
+
+BASE_CONFIGS = {
+    "simulate": SIMULATE_CONFIG,
+    "identities": IDENTITIES_CONFIG,
+    "diff-system": DIFF_CONFIG,
+    "symmetry": SYMMETRY_CONFIG,
+    "convergence": CONVERGENCE_CONFIG,
+}
+
+
+def schema_keys():
+    """(verb, path, kind, default) of each key of cli.SCHEMA, a table shared
+    by several verbs or sections under the first only.  A path runs from the
+    top level through the sections; its step (by, kind) picks a kind of a
+    (by, kinds) section, and the path that ends in `by` is that key itself,
+    of kind str."""
+    found, seen = [], set()
+
+    def walk(verb, path, table):
+        for key, entry in table.items():
+            if id(entry) in seen:
+                continue
+            seen.add(id(entry))
+            kind, default = entry
+            found.append((verb, path + (key,), kind, default))
+            if isinstance(kind, dict):
+                walk(verb, path + (key,), kind)
+            elif isinstance(kind, tuple) and id(kind) not in seen:
+                seen.add(id(kind))
+                by, kinds = kind
+                found.append((verb, path + (key, by), str, cli.REQUIRED))
+                for name, (_, sub) in kinds.items():
+                    walk(verb, path + (key, (by, name)), sub)
+
+    by, verbs = cli.SCHEMA
+    found.append(("simulate", (by,), str, cli.REQUIRED))
+    for verb, (_, table) in verbs.items():
+        walk(verb, (), table)
+    return found
+
+
+SCHEMA_KEYS = schema_keys()
+
+# bad for every key: booleans, NaN, infinities, a string, and an object
+# where the key is not a section
+ANY_KEY_BAD = [True, False, float("nan"), float("inf"), -float("inf"), "x"]
+# a wrong length or an out-of-range value, for the keys that have them
+KEY_BAD = {
+    "kind": ["klein_bottle"],
+    "type": ["rotation"],
+    "path": ["no/such/checkpoint.txt"],
+    "m": [0, 3],
+    "resolution": [0, 4, -8],
+    "derivative_order": [3, 6],
+    "seed": [-1],
+    "center": [[0.5], [0.5, 0.1, 9]],
+    "radii": [[1.0], [1.0, 0.5, 0.2]],
+    "cfl_safety": [0.0, -0.1],
+    "dt_max": [0.0],
+    "fixed_dt": [0.0],
+    "sample_times": [[]],
+    "dt": [0.0, -1e-5],
+    "delta": [0.0, -1.0, 1.0],
+    "store_every": [0],
+    "max_mode": [0, -2],
+    "matrix": [[], [[1, 0]], [[1, 0], [0]]],
+    "translation": [[0.0], [0.0, 0.0, 0.0]],
+    "offsets": [[], [1, 2]],
+    "axes": [[5], [-1]],
+    "steps": [0, flow.MAX_STEPS + 1],
+    "record_every": [0],
+    "resolutions": [[], [16, 32], [0, 0, 0], [-16, -32, -64], [16, 33, 64]],
+}
+
+
+def with_value(verb, path, value):
+    """The verb's base config with the key at path set to value."""
+    cfg = copy.deepcopy(BASE_CONFIGS[verb])
+    if path[0] == "perturbation":
+        del cfg["geometry_b"]  # the two sources of the second flow exclude
+    *sections, key = path
+    node = cfg
+    for step in sections:
+        if isinstance(step, tuple):  # pick a kind: its keys alone
+            node.clear()
+            node.update([step])
+        else:
+            node = node.setdefault(step, {})
+    node[key] = value
+    return cfg
+
+
+class TestSchema:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("schema")
+
+    @pytest.mark.parametrize(
+        "verb, path, kind, default", SCHEMA_KEYS,
+        ids=[f"{v}:{'.'.join(s if isinstance(s, str) else s[1] for s in p)}"
+             for v, p, _, _ in SCHEMA_KEYS],
+    )
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(data=st.data())
+    def test_every_key_rejects_bad_values(
+        self, workdir, verb, path, kind, default, data
+    ):
+        """A bad value at any key of the schema is a ValueError, which `main`
+        turns into exit 2, naming the key or the section where it is one.
+        The verb runs in-process: `main` would add an argument parser per
+        example and nothing that BAD_CONFIGS does not check."""
+        key = path[-1]
+        bad = ANY_KEY_BAD + KEY_BAD.get(key, [])
+        bad += [None] * (default is not None)
+        bad += [{"x": 1}] * (not isinstance(kind, (dict, tuple)))
+        value = data.draw(st.sampled_from(bad), label="value")
+        config = {"kind": verb, **with_value(verb, path, value)}
+        out = tempfile.mkdtemp(dir=workdir)
+        with pytest.raises(ValueError) as raised:
+            cli.run_experiment(config, out)
+        section = ".".join(s for s in path if isinstance(s, str))
+        assert repr(key) in str(raised.value) or repr(section) in str(raised.value)
+        assert not os.listdir(out)
+
+    @pytest.mark.parametrize(
+        "verb, path",
+        [(verb, ()) for verb in BASE_CONFIGS]
+        + [(v, p) for v, p, k, _ in SCHEMA_KEYS if isinstance(k, (dict, tuple))],
+    )
+    def test_every_section_rejects_an_unknown_key(self, tmp_path, capsys, verb, path):
+        code, _ = run_cli(tmp_path, verb, with_value(verb, path + ("bogus",), 1))
+        assert code == EXIT_CONFIG
+        assert "unknown key(s) ['bogus']" in capsys.readouterr().err
+
+    def test_every_verb_has_a_base_config(self):
+        assert cli.SCHEMA[1].keys() == BASE_CONFIGS.keys()
+
+    def test_out_of_range_values_name_schema_keys(self):
+        keys = {p[-1] for _, p, _, _ in SCHEMA_KEYS}
+        assert KEY_BAD.keys() <= keys
+
+    def test_readme_lists_the_integer_keys(self):
+        """The README's integer keys are the schema's: the keys that take an
+        integral value and reject the same value plus a half."""
+
+        def integral(kind):
+            for value, nudged in ((2, 2.5), (8, 8.5), ([16, 32, 64], [16.5, 32, 64])):
+                try:
+                    kind(value)
+                except (TypeError, ValueError):
+                    continue
+                try:
+                    kind(nudged)
+                except (TypeError, ValueError):
+                    return True
+            return False
+
+        schema = {
+            path[-1]
+            for _, path, kind, _ in SCHEMA_KEYS
+            if not isinstance(kind, (dict, tuple)) and integral(kind)
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"integer keys \(([^)]*)\)", " ".join(readme.split()))
+        assert listed, "README names no integer keys"
+        assert set(re.findall(r"`(\w+)`", listed.group(1))) == schema
 
 
 class TestTopLevel:
