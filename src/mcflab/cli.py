@@ -30,13 +30,8 @@ from .differences import (
     forward_gronwall,
     verify_inequalities,
 )
-from .flow import MAX_STEPS, BlowUpError, StepPolicy, run_flow, step_rk4
-from .geometry import (
-    compute_geometry,
-    curvature_gauss,
-    geometry_kernel,
-    kernel_layout,
-)
+from .flow import MAX_STEPS, BlowUpError, StepPolicy, fixed_dt_stream, run_flow
+from .geometry import compute_geometry, curvature_gauss, stacked_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -343,16 +338,11 @@ def run_symmetry(
         raise ConfigError(
             f"invalid 'steps' in config: {steps!r} is more than {MAX_STEPS}"
         )
-    # the loop state is kept in the kernel's memory order, so no kernel call
-    # copies it; one kernel call gives the default dt and the first step's
-    # velocity; degeneracy of the initial immersion is bad input, later a
-    # blow-up
-    current = initial.with_positions(kernel_layout(initial.positions, grid.m))
-    kern = geometry_kernel(grid, current.positions)
+    # one kernel call gives the default dt and the first step's velocity;
+    # degeneracy of the initial immersion is bad input, later a blow-up
+    kern = stacked_kernel([initial])
     if dt is None:
         dt = StepPolicy().step_size(kern.metric, grid.spacing)
-    k1 = kern.mean_curv  # the first stage of the first step
-    del kern  # no other kernel field is needed
 
     def defect(imm):
         mapped = apply_symmetry(imm, action)
@@ -364,15 +354,13 @@ def run_symmetry(
             f"initial symmetry defect {d0:.3e} exceeds 1e-13: "
             "the action is not a symmetry of the initial immersion"
         )
-    rows = [(0.0, d0)]
-    worst = d0
-    for k in range(steps):
-        current = step_rk4(current, dt, k1)
-        k1 = None
-        if (k + 1) % record_every == 0 or k == steps - 1:
-            d = defect(current)
-            worst = max(worst, d)
-            rows.append((current.time, d))
+    rows = []
+    stream = fixed_dt_stream([initial], dt, steps, kern=kern)
+    for k, ((state,), kern) in enumerate(stream):
+        del kern  # the initial one too: no kernel lives through the next step
+        if k % record_every == 0 or k == steps:
+            rows.append((state.time, defect(state)))
+    worst = max(d for _, d in rows)
     body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
     _write(out_dir, "symmetry_defect.csv", body)
     _manifest(

@@ -31,7 +31,8 @@ own.  It yields every stored state together with the kernel evaluation that
 the next step takes as its first stage, so a consumer builds the state's
 geometry without evaluating it again; only the final state, which starts
 no step, comes without one.  Nothing is stored: the identity suite and the
-paired checks read the stream as they go (`identities.SampleWindow`).
+paired checks read the stream as they go (`identities.SampleWindow`), and
+the `symmetry` verb measures the defect of the states it records.
 `run_fixed_dt` collects one flow's states into a trajectory, which records
 the exact `sample_step`, store_every * dt, which stamped times from t0 != 0
 miss; it makes no kernel call beyond the steps' own.
@@ -103,7 +104,10 @@ class StepPolicy:
             if value is not None and not np.isfinite(value):
                 raise PolicyError(f"{name} must be finite, got {value!r}")
         if not 0 < self.cfl_safety <= 1:
-            raise PolicyError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
+            raise PolicyError(
+                "invalid 'cfl_safety': cfl_safety must be in (0, 1], "
+                f"got {self.cfl_safety}"
+            )
         if self.dt_max <= 0:
             raise PolicyError("dt_max must be positive")
         if self.fixed_dt is not None and self.fixed_dt <= 0:
@@ -210,14 +214,14 @@ def run_flow(
     policy = policy or StepPolicy()
     t0 = initial.time
     if T < t0:
-        raise PolicyError(f"target time {T} precedes initial time {t0}")
+        raise PolicyError(f"invalid 'T': target time {T} precedes initial time {t0}")
     if sample_times is None:
         sample_times = [t0, T]
     samples = sorted(set(float(s) for s in sample_times))
     if not samples:
         raise PolicyError("sample_times is empty: the run would store no state")
     if samples[0] < t0 - 1e-12 or samples[-1] > T + 1e-12:
-        raise PolicyError("sample times must lie in [t0, T]")
+        raise PolicyError("invalid 'sample_times': sample times must lie in [t0, T]")
 
     traj = FlowTrajectory()
     current = initial.with_positions(kernel_layout(initial.positions, initial.grid.m))
@@ -248,7 +252,9 @@ def run_flow(
     return traj
 
 
-def fixed_dt_stream(initials: list, dt: float, n_steps: int, store_every: int = 1):
+def fixed_dt_stream(
+    initials: list, dt: float, n_steps: int, store_every: int = 1, kern=None
+):
     """Generator of the stored states of a fixed-step run, each with the
     kernel evaluation that its step made there: the one fixed-step loop.
 
@@ -259,7 +265,9 @@ def fixed_dt_stream(initials: list, dt: float, n_steps: int, store_every: int = 
     (`fixed_dt_times`), and the batched `KernelResult` at them (grid + (B,)
     batch) that the step from there takes as its first stage.  The final
     state starts no step, so its kern is None, and its consumer evaluates
-    it.  The arguments are checked before the generator is
+    it.  A caller that has evaluated the initial states already passes that
+    `geometry.stacked_kernel` result as kern, and the stream makes no call
+    of its own there.  The arguments are checked before the generator is
     returned: a bad dt, store_every or pair raises at once.
     """
     for other in initials[1:]:
@@ -271,7 +279,7 @@ def fixed_dt_stream(initials: list, dt: float, n_steps: int, store_every: int = 
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
     times = fixed_dt_times(initials[0].time, dt, n_steps, store_every)
-    return _fixed_dt_loop(initials, dt, times, store_every)
+    return _fixed_dt_loop(initials, dt, times, store_every, kern)
 
 
 def fixed_dt_times(t0: float, dt: float, n_steps: int, store_every: int) -> list:
@@ -298,7 +306,7 @@ def run_fixed_dt(
     return traj
 
 
-def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
+def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int, kern):
     """The generator of `fixed_dt_stream`, stamping the states with times.
 
     The loop keeps only the velocity H of a kernel it yields: the rest is
@@ -311,7 +319,8 @@ def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int):
     grid, B, last = initials[0].grid, len(initials), len(times) - 1
     X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        held = [geometry_kernel(grid, X)] if last else []
+        held = [geometry_kernel(grid, X) if kern is None else kern] if last else []
+    del kern  # held alone keeps it, so that it goes once handed over
     states = list(initials)
     for j in range(1, last + 1):
         t, k1 = times[j - 1], held[0].mean_curv

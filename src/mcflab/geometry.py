@@ -274,8 +274,10 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
 
 def stacked_kernel(states: list) -> KernelResult:
     """One kernel evaluation of immersions on one grid, stacked on a batch
-    axis (grid + (B,) + (A,)) as the fixed-step stream stacks them."""
-    return geometry_kernel(states[0].grid, np.stack([s.positions for s in states], -2))
+    axis (grid + (B,) + (A,)) in `kernel_layout`, as the fixed-step stream
+    stacks them, so that the m=2 kernel copies nothing."""
+    X = kernel_layout(np.stack([s.positions for s in states], -2), states[0].grid.m)
+    return geometry_kernel(states[0].grid, X)
 
 
 def geometry_packs(states: list, k: KernelResult | None = None) -> list:

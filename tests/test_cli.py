@@ -149,6 +149,14 @@ BAD_CONFIGS = {
     "simulate-sample-times-number": (
         "simulate", changed(SIMULATE_CONFIG, sample_times=0.01), "'sample_times'"
     ),
+    # values that the flow, not the schema, rejects
+    "simulate-T-before-t0": ("simulate", changed(SIMULATE_CONFIG, T=-1), "'T'"),
+    "simulate-cfl-safety-above-one": (
+        "simulate", changed(SIMULATE_CONFIG, policy={"cfl_safety": 2.0}), "'cfl_safety'"
+    ),
+    "simulate-sample-time-past-T": (
+        "simulate", changed(SIMULATE_CONFIG, sample_times=[0.0, 0.02]), "'sample_times'"
+    ),
     "convergence-resolution-null": (
         "convergence",
         changed(CONVERGENCE_CONFIG, resolutions=[16, None, 64]),
@@ -714,7 +722,8 @@ class TestSymmetryVerb:
 
     def test_m2_loop_state_is_kept_in_kernel_layout(self, tmp_path, monkeypatch):
         """The loop state is converted once, so no kernel call copies it;
-        the defect series is the one of the C-order loop, to the byte."""
+        the defect series is the one of the C-order loop, to the byte, and
+        the times are the stream's exact multiples of dt."""
         config = {
             "grid": {"m": 2, "resolution": 16},
             "geometry": {"kind": "product_torus", "radii": [1.0, 0.7]},
@@ -733,7 +742,7 @@ class TestSymmetryVerb:
             inputs.append(X)
             return kernel(grid, X)
 
-        for module in (flow, cli):
+        for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", recording)
         code, out = run_cli(tmp_path, "symmetry", config)
         assert code == EXIT_OK
@@ -752,11 +761,12 @@ class TestSymmetryVerb:
             moved = apply_symmetry(x, action).positions
             return float(np.abs(moved - x.positions).max())
 
-        rows = [(0.0, defect(imm))]
-        for k in range(12):
+        times = flow.fixed_dt_times(0.0, 1e-3, 12, 1)
+        rows = [(times[0], defect(imm))]
+        for k in range(1, 13):
             imm = step_rk4(imm, 1e-3)  # the state stays in C order
-            if (k + 1) % 5 == 0 or k == 11:
-                rows.append((imm.time, defect(imm)))
+            if k % 5 == 0 or k == 12:
+                rows.append((times[k], defect(imm)))
         body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
         assert (out / "symmetry_defect.csv").read_text() == body
 
@@ -773,8 +783,8 @@ class TestSymmetryVerb:
             return wrapper
 
         kernel = counting(kernel_calls, geometry.geometry_kernel)
-        for module in (geometry, flow, cli):
-            monkeypatch.setattr(module, "geometry_kernel", kernel, raising=False)
+        for module in (geometry, flow):
+            monkeypatch.setattr(module, "geometry_kernel", kernel)
         monkeypatch.setattr(
             cli, "compute_geometry", counting(geometry_calls, cli.compute_geometry)
         )
@@ -800,15 +810,27 @@ class TestSymmetryVerb:
         )
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_exits_3(self, tmp_path, capsys):
+        # a small circle shrinks to a point within a few steps of dt 1e-3
+        config = changed(
+            SYMMETRY_CONFIG, geometry={"kind": "circle", "radius": 0.1}, dt=1e-3
+        )
+        code, out = run_cli(tmp_path, "symmetry", config)
+        assert code == EXIT_BLOWUP
+        err = capsys.readouterr().err
+        assert err == "numerical blow-up: flow blew up at t=0.006 at node (1,)\n"
+        assert not (out / "summary.txt").exists()
+
     @pytest.mark.parametrize("above", [False, True])
     def test_steps_are_bounded(self, tmp_path, capsys, monkeypatch, above):
         class Stepped(Exception):
             pass
 
-        def step(*args):
+        def stream(*args, **kwargs):
             raise Stepped
 
-        monkeypatch.setattr(cli, "step_rk4", step)
+        monkeypatch.setattr(cli, "fixed_dt_stream", stream)
         config = changed(SYMMETRY_CONFIG, steps=flow.MAX_STEPS + above)
         if not above:
             with pytest.raises(Stepped):
@@ -973,7 +995,7 @@ class TestKernelBudget:
             calls.append(None)
             return kernel(grid, X)
 
-        for module in (geometry, flow, cli):
+        for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         return calls
 
@@ -1086,6 +1108,22 @@ class TestLateStart:
         assert reports[1000.0]["dt"] == reports[0.0]["dt"] == "0.0002"
         for key in ("C1", "C2"):
             assert reports[1000.0][key] == reports[0.0][key]
+
+    def test_symmetry(self, tmp_path):
+        """The rows are stamped with the stream's times t0 + k * dt, the
+        first with t0 itself."""
+        config = changed(SYMMETRY_CONFIG, steps=25, record_every=10)
+        defects = {}
+        for t0 in (0.0, 0.2, 1000.0):
+            code, out = self.from_checkpoint(tmp_path, "symmetry", config, t0)
+            assert code == EXIT_OK
+            lines = (out / "symmetry_defect.csv").read_text().splitlines()[1:]
+            rows = [line.split(",") for line in lines]
+            times = flow.fixed_dt_times(t0, 1e-4, 25, 1)
+            assert rows[0][0] == repr(t0)
+            assert [t for t, _ in rows] == [repr(times[k]) for k in (0, 10, 20, 25)]
+            defects[t0] = [d for _, d in rows]
+        assert defects[0.2] == defects[1000.0] == defects[0.0]
 
 
 class TestConvergenceVerb:

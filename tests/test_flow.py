@@ -26,6 +26,7 @@ from mcflab.geometry import (
     compute_geometry,
     geometry_kernel,
     geometry_packs,
+    stacked_kernel,
     tensor_norm_sq,
     tensor_norm_sup,
 )
@@ -593,6 +594,22 @@ class TestFixedDtStream:
             assert not kernel_calls  # a generator: nothing runs until read
             with pytest.raises(DegenerateImmersionError):
                 next(stream)
+
+    def test_a_given_initial_kernel_is_not_evaluated_again(self, kernel_calls):
+        """A caller that evaluated the initial states passes that kernel on:
+        the stream yields it, makes one call fewer and the same states."""
+        a = STREAM_INITIALS["m2-o2"]()
+        pair = [a, shapes.low_mode_perturbation(a, 1e-2, seed=5)]
+        kern = stacked_kernel(pair)
+        given = list(fixed_dt_stream(pair, 1e-4, 3, kern=kern))
+        assert given[0][1] is kern
+        assert len(kernel_calls) == 4 * 3 - 1
+        own = list(fixed_dt_stream(pair, 1e-4, 3))
+        assert len(kernel_calls) == 2 * 4 * 3 - 1
+        for (states, _), (want, _) in zip(given, own):
+            for state, w in zip(states, want):
+                assert state.time == w.time
+                assert_same_bytes(state.positions, w.positions)
 
     def test_arguments_are_checked_before_any_state_is_read(self):
         a = shapes.circle(GridSpec(1, 16), 1.0)
