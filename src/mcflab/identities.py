@@ -7,8 +7,10 @@ fixed-step run's `sample_step`, against the algebraic right-hand side
 (`evolution_residual`).  The two states at either end enter the differences
 but are never checked themselves.  A window reads its states from a stream,
 `SampleWindow.fixed_dt` from the fixed-step run itself, which hands over
-each state with the kernel evaluation its step already made, so no state's
-geometry is evaluated twice and no trajectory is stored.  The paired
+every stored state with its exact stamp and the kernel evaluation at it:
+the one its step already made, or for the final state one call of its
+own.  So a window keeps no times and evaluates no geometry kernel, no
+state's geometry is evaluated twice and no trajectory is stored.  The paired
 checks run in one forward `SampleWindow.sweep` over the centers, which
 drops each item once no later stencil reads it, so at most five items are
 alive however long the run; the identity suite's window has one center.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import ProtocolError, fixed_dt_stream, fixed_dt_times
+from .flow import ProtocolError, fixed_dt_stream
 from .geometry import (
     CurvaturePack,
     GeometryPack,
@@ -40,7 +42,6 @@ from .geometry import (
     curvature_intrinsic,
     geometry_packs,
     laplacian,
-    stacked_kernel,
     sum_of_products,
     tensor_norm_sq,
 )
@@ -106,22 +107,22 @@ class SampleWindow:
     made from a stream entry (`_make`) and which geometry measures it
     (`geometry`).
 
-    A stream yields (states, kern) per stored state, kern the batched kernel
-    evaluation at the states or None (`flow.fixed_dt_stream`); the window
-    evaluates a missing one (`geometry.stacked_kernel`) and builds the item
-    from it through `geometry.geometry_packs`.  `times` are the stamped times of the states, and `dt` the run's
-    sample step, store_every * step.  `fixed_dt` builds the window on the
-    stream of a fixed-step run.  Items stay cached until a `sweep` drops
-    them.  A dropped item is never rebuilt: reading it, or an index outside
-    the states, raises IndexError.  Once the last state is read, the window
-    lets go of the stream.
+    A stream yields (states, kern) per stored state: the states, stamped
+    with their times, and the batched kernel evaluation at them
+    (`flow.fixed_dt_stream`), from which the window builds the item
+    through `geometry.geometry_packs`.  n_states is the number of states
+    the stream yields, and `dt` the run's sample step, store_every * step.
+    `fixed_dt` builds the window on the stream of a fixed-step run.  Items
+    stay cached until a `sweep` drops them.  A dropped item is never
+    rebuilt: reading it, or an index outside the states, raises IndexError.
+    Once the last state is read, the window lets go of the stream.
     """
 
-    def __init__(self, stream, times, step: float, store_every: int = 1):
-        if len(times) < 5:
+    def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
+        if n_states < 5:
             raise ProtocolError("need at least 5 uniformly spaced states")
         self._stream = stream
-        self.times = times
+        self._n_states = n_states
         self.step = step
         self.store_every = store_every
         self.dt = store_every * step
@@ -131,15 +132,11 @@ class SampleWindow:
     @classmethod
     def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
         """The window on `flow.fixed_dt_stream` of the initial immersions."""
-        return cls(
-            fixed_dt_stream(initials, dt, n_steps, store_every),
-            fixed_dt_times(initials[0].time, dt, n_steps, store_every),
-            dt,
-            store_every,
-        )
+        stream = fixed_dt_stream(initials, dt, n_steps, store_every)
+        return cls(stream, n_steps // store_every + 1, dt, store_every)
 
     def __len__(self):
-        return len(self.times)
+        return self._n_states
 
     def item(self, k: int):
         if not 0 <= k < len(self):
@@ -150,10 +147,7 @@ class SampleWindow:
                 f"0 .. {self._dropped - 1}"
             )
         while len(self._items) <= k:
-            states, kern = next(self._stream)
-            if kern is None:  # the final state of a run starts no step
-                kern = stacked_kernel(states)
-            self._items.append(self._make(states, kern))
+            self._items.append(self._make(*next(self._stream)))
             if len(self._items) == len(self):
                 self._stream = None
         return self._items[k]

@@ -4,7 +4,7 @@ import pytest
 from mcflab import shapes
 from mcflab.differences import PairedWindow
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
-from mcflab.geometry import GeometryPack, tensor_norm_sq
+from mcflab.geometry import GeometryPack, stacked_kernel, tensor_norm_sq
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
 from mcflab.identities import TrajectoryWindow
 
@@ -86,8 +86,9 @@ def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:
 
 
 def _stored_stream(*trajs) -> tuple:
-    """The window stream, times and step of stored fixed-step trajectories
-    of equal length whose states pair up, at the first one's sample_step."""
+    """The window stream, number of states and step of stored fixed-step
+    trajectories of equal length whose states pair up, at the first one's
+    sample_step; the stream evaluates each state's kernel as it is read."""
     first = trajs[0]
     if first.sample_step is None:
         raise ProtocolError("no sample step: not a fixed-step run")
@@ -96,8 +97,11 @@ def _stored_stream(*trajs) -> tuple:
     for states in zip(*(t.states for t in trajs)):
         for other in states[1:]:
             require_pair(states[0], other)
-    stream = ((list(states), None) for states in zip(*(t.states for t in trajs)))
-    return stream, first.times, first.sample_step
+    stream = (
+        (list(states), stacked_kernel(list(states)))
+        for states in zip(*(t.states for t in trajs))
+    )
+    return stream, len(first.states), first.sample_step
 
 
 def trajectory_window(traj: FlowTrajectory) -> TrajectoryWindow:

@@ -746,7 +746,7 @@ class TestSymmetryVerb:
             monkeypatch.setattr(module, "geometry_kernel", recording)
         code, out = run_cli(tmp_path, "symmetry", config)
         assert code == EXIT_OK
-        assert len(inputs) == 4 * 12
+        assert len(inputs) == 4 * 12 + 1  # and one for the final state
         assert all(np.moveaxis(X, -1, 0).flags.c_contiguous for X in inputs)
 
         monkeypatch.undo()
@@ -761,12 +761,11 @@ class TestSymmetryVerb:
             moved = apply_symmetry(x, action).positions
             return float(np.abs(moved - x.positions).max())
 
-        times = flow.fixed_dt_times(0.0, 1e-3, 12, 1)
-        rows = [(times[0], defect(imm))]
+        rows = [(0.0, defect(imm))]
         for k in range(1, 13):
             imm = step_rk4(imm, 1e-3)  # the state stays in C order
             if k % 5 == 0 or k == 12:
-                rows.append((times[k], defect(imm)))
+                rows.append((float(0.0 + k * 1e-3), defect(imm)))
         body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
         assert (out / "symmetry_defect.csv").read_text() == body
 
@@ -790,7 +789,7 @@ class TestSymmetryVerb:
         )
         code, _ = run_cli(tmp_path, "symmetry", changed(SYMMETRY_CONFIG, ["dt"]))
         assert code == EXIT_OK
-        assert len(kernel_calls) == 4 * SYMMETRY_CONFIG["steps"]
+        assert len(kernel_calls) == 4 * SYMMETRY_CONFIG["steps"] + 1
         assert not geometry_calls
 
     def test_degeneracy_is_reported_before_the_symmetry_defect(
@@ -975,16 +974,60 @@ class TestDiffSystemVerb:
         code, _ = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
         assert code == EXIT_OK
         assert times == sorted(set(times)) and len(times) == 21  # T / dt + 1
-        # every pack from a kernel it is given: the stream's at every state
-        # but the final one, which no step starts from and the window
-        # evaluates (TestKernelBudget counts that no state is evaluated twice)
+        # every pack from the kernel the stream hands over with its state,
+        # the final one's too (TestKernelBudget counts that no state is
+        # evaluated twice)
         assert given == [True] * 21
+
+
+# circles of N=8 whose last stored state, and no earlier one, is degenerate
+TINY_CIRCLE = {"kind": "circle", "radius": 0.003049246231155779}  # after 4 steps
+DEGENERATE_FINAL_STATE = {
+    "identities": (
+        {"grid": {"m": 1, "resolution": 8}, "geometry": TINY_CIRCLE, "dt": 1e-6},
+        "flow blew up at t=4e-06 at node (1,)",
+    ),
+    "simulate": (
+        {"grid": {"m": 1, "resolution": 8}, "geometry": TINY_CIRCLE, "T": 4e-6,
+         "policy": {"fixed_dt": 1e-6}},
+        "flow blew up at t=4e-06 at node (7,)",
+    ),
+    "symmetry": (
+        {"grid": {"m": 1, "resolution": 8}, "geometry": TINY_CIRCLE,
+         "symmetry": {"matrix": [[1, 0], [0, -1]], "permutation": REFLECTION},
+         "steps": 4, "record_every": 1, "dt": 1e-6},
+        "flow blew up at t=4e-06 at node (1,)",
+    ),
+    "diff-system": (
+        {"grid": {"m": 1, "resolution": 8},
+         "geometry": {"kind": "circle", "radius": 0.0015265},  # after 5 steps
+         "T": 5e-6, "delta": 1e-6, "dt": 1e-6, "store_every": 1},
+        "flow blew up at t=5e-06 at node (2,)",
+    ),
+}
+
+
+class TestDegenerateFinalState:
+    """A flow whose last stored state is degenerate has blown up: the final
+    state is evaluated under the flow's rule, not as input data."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb", sorted(DEGENERATE_FINAL_STATE))
+    def test_exits_3(self, tmp_path, capsys, verb):
+        config, message = DEGENERATE_FINAL_STATE[verb]
+        code, out = run_cli(tmp_path, verb, config)
+        assert code == EXIT_BLOWUP
+        assert capsys.readouterr().err == f"numerical blow-up: {message}\n"
+        assert not (out / "summary.txt").exists()
+        # no checkpoint of a flow that blew up
+        assert not list(out.glob("checkpoint_*"))
 
 
 class TestKernelBudget:
     """geometry_kernel calls of the benchmark's four workload configs: every
     stored state of a fixed-step run reaches its check with the kernel
-    evaluation that its step already made."""
+    evaluation that its step already made, and the final state, which
+    starts no step, costs one call."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -1000,8 +1043,8 @@ class TestKernelBudget:
         return calls
 
     def test_torus_flow(self, tmp_path, kernel_calls):
-        # 153 adaptive steps at 4 calls each, and the volume of each of the
-        # 9 checkpoints from one compute_geometry call
+        # 153 adaptive steps at 4 calls each, 1 for the final state, and the
+        # volume of each of the 9 checkpoints from one compute_geometry call
         ckpt = tmp_path / "seed_checkpoint.txt"
         write_immersion(shapes.product_torus(GridSpec(2, 64, 4), 1.0, 1.0), str(ckpt))
         T = 0.125
@@ -1016,7 +1059,7 @@ class TestKernelBudget:
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_OK
         assert "simulate: 153 steps" in (out / "summary.txt").read_text()
-        assert len(kernel_calls) == 4 * 153 + 9 == 621
+        assert len(kernel_calls) == 4 * 153 + 1 + 9 == 622
 
     def test_circle_pair(self, tmp_path, kernel_calls):
         # T / dt = 3000 steps at 4 calls each, and 1 for the final state
@@ -1119,9 +1162,9 @@ class TestLateStart:
             assert code == EXIT_OK
             lines = (out / "symmetry_defect.csv").read_text().splitlines()[1:]
             rows = [line.split(",") for line in lines]
-            times = flow.fixed_dt_times(t0, 1e-4, 25, 1)
+            times = [float(t0 + k * 1e-4) for k in (0, 10, 20, 25)]
             assert rows[0][0] == repr(t0)
-            assert [t for t, _ in rows] == [repr(times[k]) for k in (0, 10, 20, 25)]
+            assert [t for t, _ in rows] == [repr(t) for t in times]
             defects[t0] = [d for _, d in rows]
         assert defects[0.2] == defects[1000.0] == defects[0.0]
 

@@ -169,6 +169,20 @@ class TestPairedWindow:
         with pytest.raises(ProtocolError, match="at least 5"):
             PairedWindow.fixed_dt([a, a], DT, 3)
 
+    def test_stream_window_holds_nothing_per_state_before_reading(self):
+        """A window knows its states by number: one for a million steps
+        holds no list of their times."""
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        b = shapes.circle(GridSpec(1, 32), 1.2)
+        tracemalloc.start()
+        try:
+            window = PairedWindow.fixed_dt([a, b], 1e-7, 10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(window) == 10**6 + 1
+        assert peak < 2**20
+
     def test_length_mismatch_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
@@ -280,7 +294,7 @@ class TestCoupledInequalities:
             monkeypatch.setattr(DifferencePack, name, counting(name))
         w = circle_pair()
         rep = verify_inequalities(w, delta=3 * DT)
-        centers = [c for c in w.centers if w.times[c] >= 3 * DT - 1e-12]
+        centers = [c for c in w.centers if c * DT >= 3 * DT - 1e-12]
         assert len(rep.rows) == len(centers) == 4
         assert calls == dict.fromkeys(calls, len(centers))
         assert len(calls) == 3

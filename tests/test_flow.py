@@ -230,7 +230,7 @@ class TestRunFlow:
             StepPolicy(cfl_safety=0.3),
             sample_times=samples,
         )
-        assert list(traj.times) == samples
+        assert [s.time for s in traj.states] == samples
 
     def test_zero_duration_gives_single_state(self, unit_circle):
         traj = run_flow(unit_circle, 0.0)
@@ -332,14 +332,15 @@ class TestKernelEvaluations:
         imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
         traj = run_flow(imm, 0.02, sample_times=[0.0, 0.01, 0.02])
         assert len(traj.dt_history) > 2
-        assert len(kernel_calls) == 4 * len(traj.dt_history)
+        # and one for the final state, which starts no step
+        assert len(kernel_calls) == 4 * len(traj.dt_history) + 1
 
     def test_pair_evaluates_kernel_four_times_per_step(self, kernel_calls):
         grid = GridSpec(1, 32)
         run_paired_fixed_dt(
             shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.5, 1.0), 1e-4, 12, 4
         )
-        assert len(kernel_calls) == 4 * 12
+        assert len(kernel_calls) == 4 * 12 + 1
 
     def test_fixed_dt_run_flow_matches_run_fixed_dt_bitwise(self):
         dt = 2.0**-10  # exact binary fraction: both runs step to the same times
@@ -353,7 +354,8 @@ class TestKernelEvaluations:
 class TestFixedDtProtocol:
     def test_times_are_exact_multiples(self, circle_grid):
         traj = run_fixed_dt(shapes.circle(circle_grid, 1.0), 1e-3, 20, store_every=5)
-        assert np.array_equal(traj.times, np.array([0.0, 5e-3, 1e-2, 1.5e-2, 2e-2]))
+        times = np.array([s.time for s in traj.states])
+        assert np.array_equal(times, np.array([0.0, 5e-3, 1e-2, 1.5e-2, 2e-2]))
         assert traj.sample_step == 5 * 1e-3
 
     def test_sample_step_is_store_every_times_dt_from_any_start(self):
@@ -365,7 +367,7 @@ class TestFixedDtProtocol:
         for traj in (single, trajA, trajB):
             assert traj.sample_step == 2 * 1e-4
         # the stamped times of a late start miss the step at rounding level
-        assert np.diff(single.times)[0] != single.sample_step
+        assert single.states[1].time - single.states[0].time != single.sample_step
 
     def test_store_every_must_divide(self, unit_circle):
         with pytest.raises(PolicyError):
@@ -376,6 +378,22 @@ class TestFixedDtProtocol:
         with pytest.raises(PolicyError, match="dt must be positive and finite"):
             run_fixed_dt(unit_circle, dt, 4)
         assert not kernel_calls
+
+    def test_negative_n_steps_rejected(self, unit_circle, kernel_calls):
+        for run in (
+            lambda: fixed_dt_stream([unit_circle], 1e-3, -4),
+            lambda: run_fixed_dt(unit_circle, 1e-3, -4),
+        ):
+            with pytest.raises(PolicyError, match="n_steps must not be negative"):
+                run()
+        assert not kernel_calls
+
+    def test_zero_steps_yield_the_initial_state_with_its_kernel(self, unit_circle):
+        ((states, kern),) = fixed_dt_stream([unit_circle], 1e-3, 0)
+        assert states == [unit_circle]
+        assert kern.det.shape == unit_circle.grid.shape + (1,)
+        (pack,) = geometry_packs(states, kern)
+        assert_same_bytes(pack.mean_curv, compute_geometry(unit_circle).mean_curv)
 
     def test_store_every_below_one_rejected(self, unit_circle, kernel_calls):
         with pytest.raises(PolicyError, match="store_every must be at least 1"):
@@ -425,7 +443,7 @@ class TestPairedFixedDt:
         for got, init in ((pa, a), (pb, b)):
             want = run_fixed_dt(init, dt, 12, store_every=3)
             assert got.dt_history == want.dt_history == [dt] * 12
-            assert np.array_equal(got.times, want.times)
+            assert [s.time for s in got.states] == [s.time for s in want.states]
             assert len(got.states) == len(want.states) == 5
             for s, w in zip(got.states, want.states):
                 assert np.array_equal(s.positions, w.positions)
@@ -520,11 +538,8 @@ class TestFixedDtStream:
         dt = 1e-4 if a.grid.m == 1 else 2e-4
         seen = 0
         for states, kern in fixed_dt_stream(initials, dt, 6, store_every=3):
-            # the final state comes without a kernel: geometry_packs makes it
-            if seen < 2 * flows:
-                assert kern.det.shape == a.grid.shape + (flows,)
-            else:
-                assert kern is None
+            # the final state too comes with its kernel
+            assert kern.det.shape == a.grid.shape + (flows,)
             for state, got in zip(states, geometry_packs(states, kern)):
                 want = compute_geometry(state)
                 assert got.immersion is state
@@ -603,9 +618,9 @@ class TestFixedDtStream:
         kern = stacked_kernel(pair)
         given = list(fixed_dt_stream(pair, 1e-4, 3, kern=kern))
         assert given[0][1] is kern
-        assert len(kernel_calls) == 4 * 3 - 1
+        assert len(kernel_calls) == 4 * 3 + 1 - 1
         own = list(fixed_dt_stream(pair, 1e-4, 3))
-        assert len(kernel_calls) == 2 * 4 * 3 - 1
+        assert len(kernel_calls) == 2 * (4 * 3 + 1) - 1
         for (states, _), (want, _) in zip(given, own):
             for state, w in zip(states, want):
                 assert state.time == w.time
@@ -615,6 +630,8 @@ class TestFixedDtStream:
         a = shapes.circle(GridSpec(1, 16), 1.0)
         with pytest.raises(PolicyError, match="n_steps must be a multiple"):
             fixed_dt_stream([a], 1e-3, 7, store_every=3)
+        with pytest.raises(TypeError):
+            fixed_dt_stream([a], 1e-3, 4.0)
         with pytest.raises(ProtocolError, match="differ in time"):
             fixed_dt_stream([a, a.with_positions(a.positions, time=0.5)], 1e-3, 2)
 
@@ -629,12 +646,15 @@ class TestFixedDtStream:
             monkeypatch.setattr(module, "geometry_kernel", counting)
         a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
         stored = list(fixed_dt_stream([a, a], 1e-4, 12, store_every=4))
-        # four per step; the final state starts no step and has no kernel
-        assert len(calls) == 4 * 12
-        assert [kern is None for _, kern in stored] == [False, False, False, True]
-        for states, kern in stored:
-            geometry_packs(states, kern)
+        # four per step, and one for the final state, which starts no step
         assert len(calls) == 4 * 12 + 1
+        for states, kern in stored:
+            packs = geometry_packs(states, kern)
+        assert len(calls) == 4 * 12 + 1
+        for state, got in zip(states, packs):  # the final state's
+            want = compute_geometry(state)
+            for name in PACK_FIELDS:
+                assert_same_bytes(getattr(got, name), getattr(want, name))
 
 
 HANDOFF_INITIALS = {
