@@ -31,7 +31,7 @@ from .differences import (
     verify_inequalities,
 )
 from .flow import MAX_STEPS, BlowUpError, StepPolicy, fixed_dt_stream, run_flow
-from .geometry import compute_geometry, curvature_gauss, stacked_kernel
+from .geometry import curvature_gauss, stacked_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -45,7 +45,7 @@ from .grid import (
 from .identities import (
     ANCHORS,
     ResidualReport,
-    TrajectoryWindow,
+    FoldingWindow,
     check_dg,
     check_dGamma,
     check_dh,
@@ -245,9 +245,11 @@ THRESHOLD_COEFFS = {
 def _identity_suite(initial: Immersion, dt: float):
     """The six residual checks at the one center of a five-state fixed-step
     stream, in THRESHOLD_COEFFS order.  The evolution checks run first, on
-    the five packs; then the window and the neighbours' packs go, so the
-    center's curvature is never alive beside them."""
-    window = TrajectoryWindow.fixed_dt([initial], dt, 4)
+    the center's pack and the time derivatives that the window folds from
+    the other four states as they arrive, with no pack of theirs; then the
+    window and its derivatives go, so the center's curvature is never alive
+    beside them."""
+    window = FoldingWindow.fixed_dt([initial], dt, 4)
     (c,) = window.centers
     reports = [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
     geom = window.geometry(c)
@@ -308,7 +310,7 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
         with open(os.path.join(out_dir, name), "w") as fh:
             write_immersion(state, fh)
         files.append((state.time, name))
-    vol = [compute_geometry(s).volume() for s in traj.states]
+    vol = traj.volumes
     body = "t,file,volume\n" + "\n".join(
         f"{t!r},{name},{v!r}" for (t, name), v in zip(files, vol)
     ) + "\n"

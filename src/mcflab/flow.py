@@ -38,7 +38,8 @@ stream as they go (`identities.SampleWindow`), and the `symmetry` verb
 measures the defect of the states it records.  `run_fixed_dt` collects one
 flow's states into a trajectory, which records the exact `sample_step`,
 store_every * dt, which stamped times from t0 != 0 miss.  `run_flow`
-screens its final state with the same one call.
+hands over each stored state's volume from the kernel evaluation at it in
+the same way, the final state's from one call of its own.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import KernelResult, geometry_kernel, kernel_layout
+from .geometry import KernelResult, geometry_kernel, induced_volume, kernel_layout
 from .grid import (
     DegenerateImmersionError,
     GridSpec,
@@ -132,6 +133,7 @@ class FlowTrajectory:
     states: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
     sample_step: float | None = None  # store_every * dt of a fixed-step run
+    volumes: list = field(default_factory=list)  # of each state, by `run_flow`
 
 
 # Most steps one run may take: `run_flow` stops beyond it, and the CLI
@@ -208,9 +210,12 @@ def run_flow(
     explicit sample_times the initial and final states are stored; an empty
     list of them raises PolicyError, as does a step that would not advance
     time (dt below half an ulp of t) or one past MAX_STEPS.  Each stored
-    state is a C-order copy of the loop state.  A run that took steps
-    makes one kernel call at its final state, which starts no step, so that
-    a degenerate one is a BlowUpError like any other state the flow made.
+    state is a C-order copy of the loop state, and its `induced_volume`
+    comes from the kernel evaluation at it: the one the next step starts
+    from, or for the final state one call of its own.  Each state is
+    evaluated under the flow's rule, so that a degenerate one is a
+    BlowUpError, but for states before the first step, which are input
+    data: a run that takes no step still evaluates its one state.
     """
     policy = policy or StepPolicy()
     t0 = initial.time
@@ -225,19 +230,24 @@ def run_flow(
         raise PolicyError("invalid 'sample_times': sample times must lie in [t0, T]")
 
     traj = FlowTrajectory()
+
+    def evaluate(state):
+        if traj.dt_history:
+            return _flow_kernel(state.grid, state.positions, state.time)
+        return geometry_kernel(state.grid, state.positions)  # input data
+
     current = initial.with_positions(kernel_layout(initial.positions, initial.grid.m))
+    kern = None  # the kernel evaluation at current, once made
     for target in samples:
         while current.time < target - 1e-14:
-            if traj.dt_history:
-                kern = _flow_kernel(current.grid, current.positions, current.time)
-            else:  # the initial immersion: degeneracy is bad input
-                kern = geometry_kernel(current.grid, current.positions)
+            if kern is None:
+                kern = evaluate(current)
             dt = min(
                 policy.step_size(kern.metric, current.grid.spacing),
                 target - current.time,
             )
             k1 = kern.mean_curv
-            del kern  # the other fields would stay alive through the step
+            kern = None  # the other fields would stay alive through the step
             if current.time + dt == current.time:
                 raise PolicyError(
                     f"step dt={dt!r} does not advance t={current.time!r}"
@@ -249,11 +259,9 @@ def run_flow(
             current = step_rk4(current, dt, k1)
             traj.dt_history.append(dt)
         current = current.with_positions(current.positions, time=target)
-        if target == samples[-1] and traj.dt_history:
-            # the final state starts no step; screened before its copy is
-            # made, which kept the `torus-flow` benchmark's peak RSS 0.2 MB
-            # lower (2-vCPU Xeon VM)
-            _flow_kernel(current.grid, current.positions, target)
+        if kern is None:  # kept for the step that starts here
+            kern = evaluate(current)
+        traj.volumes.append(induced_volume(kern.det, current.grid))
         traj.states.append(current.with_positions(current.positions.copy()))
     return traj
 

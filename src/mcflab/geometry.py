@@ -80,9 +80,11 @@ class GeometryPack:
         """Midpoint quadrature weight sqrt(det g) h^m of each node's cell."""
         return self.sqrt_det * self.grid.spacing**self.grid.m
 
-    def volume(self) -> float:
-        """Total induced length/area by midpoint quadrature."""
-        return float(np.sum(self.sqrt_det)) * self.grid.spacing**self.grid.m
+
+def induced_volume(det: np.ndarray, grid: GridSpec) -> float:
+    """Total induced length/area by midpoint quadrature, from det g (a
+    C-order grid array: the pairwise sum follows the memory layout)."""
+    return float(np.sum(np.sqrt(det))) * grid.spacing**grid.m
 
 
 def _check_det(X: np.ndarray, det: np.ndarray, m: int):
@@ -288,7 +290,7 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     Every field is a contiguous components-first array, handed out as its
     components_last view, so a pack has the bytes, shape and strides of a
     single flow's whatever the batch: a member's strided view would change
-    the pairwise sums of `volume()` and `cell_weight`.  A pack from a
+    the pairwise sums of `induced_volume` and `cell_weight`.  A pack from a
     kernel the caller passes, as the checks' windows do, is one fresh block
     holding its fields one after another: with a fresh array per field the
     identity suite's RK steps beside its live packs ran about 20 % slower
@@ -465,11 +467,23 @@ def divergence(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
 
 
 def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
-    """Rough Laplacian g^pq grad_p grad_q, componentwise on passive axes:
-    the divergence of the covariant derivative."""
-    return divergence(
-        covariant_derivative(field_arr, geom, index_spec), geom, "l" + index_spec
-    )
+    """Rough Laplacian g^pq grad_p grad_q: the divergence of the covariant
+    derivative, one passive (ambient) component at a time into one
+    components-first output, returned as its components_last view.  Every
+    operation is elementwise per component, so the bits are those of the
+    whole family at once, and only one component's second derivative is
+    alive at a time."""
+    m = geom.grid.m
+    n_pass = max(field_arr.ndim - m - len(index_spec), 0)
+    passive = field_arr.shape[m : m + n_pass]
+    out = np.empty(passive + field_arr.shape[m + n_pass :] + geom.grid.shape)
+    for idx in np.ndindex(passive):
+        f = field_arr[(slice(None),) * m + idx]
+        lap = divergence(
+            covariant_derivative(f, geom, index_spec), geom, "l" + index_spec
+        )
+        out[idx] = components_first(lap, len(index_spec))
+    return components_last(out, out.ndim - m)
 
 
 def sum_of_products(pairs) -> np.ndarray:

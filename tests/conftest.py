@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mcflab import shapes
 from mcflab.differences import PairedWindow
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
-from mcflab.geometry import GeometryPack, stacked_kernel, tensor_norm_sq
+from mcflab.geometry import (
+    GeometryPack,
+    geometry_packs,
+    stacked_kernel,
+    tensor_norm_sq,
+)
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
-from mcflab.identities import TrajectoryWindow
+from mcflab.identities import SampleWindow
 
 
 def assert_same_bytes(got, want):
@@ -20,6 +27,24 @@ def assert_same_bytes(got, want):
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), its tracemalloc peak in bytes above what was
+    traced when it was called).  A caller that traces already keeps tracing
+    (its peak is reset); otherwise tracing stops again."""
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def stencil_symbols(grid: GridSpec):
@@ -102,6 +127,18 @@ def _stored_stream(*trajs) -> tuple:
         for states in zip(*(t.states for t in trajs))
     )
     return stream, len(first.states), first.sample_step
+
+
+class TrajectoryWindow(SampleWindow):
+    """One flow with any number of centers; item k is the GeometryPack of
+    state k."""
+
+    def _make(self, states: list, kern) -> GeometryPack:
+        (geom,) = geometry_packs(states, kern)
+        return geom
+
+    def geometry(self, k: int) -> GeometryPack:
+        return self.item(k)
 
 
 def trajectory_window(traj: FlowTrajectory) -> TrajectoryWindow:

@@ -36,6 +36,8 @@ from mcflab.grid import (
 )
 from mcflab.identities import ANCHORS
 
+from conftest import traced_peak
+
 
 def run_cli(tmp_path, verb, config, subdir="out"):
     cfg_path = tmp_path / f"{verb}_config.json"
@@ -464,14 +466,20 @@ class TestIdentitiesVerb:
         assert ",fail," in (out / "residual_evolve_metric.csv").read_text()
 
     def test_suite_evaluates_the_geometry_of_each_state_once(self, monkeypatch):
-        """One pack per state, each built from the kernel evaluation that
-        its fixed-step stream already made there."""
-        times, kernels = [], []
-        packs, kernel = geometry.geometry_packs, geometry.geometry_kernel
+        """One pack, the centre's, and one fold of each other state, each
+        from the kernel evaluation that its fixed-step stream already made
+        there."""
+        times, folded, kernels = [], [], []
+        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
+        kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             times.extend(s.time for s in states)
             return packs(states, kern)
+
+        def folding(window, k, kern):
+            folded.append(k)
+            fold(window, k, kern)
 
         def counting(grid, X):
             kernels.append(grid.resolution)
@@ -481,13 +489,15 @@ class TestIdentitiesVerb:
             raise AssertionError("compute_geometry evaluated a state again")
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
+        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
-        for module in (cli, geometry):
-            monkeypatch.setattr(module, "compute_geometry", not_called)
+        assert not hasattr(cli, "compute_geometry")  # the CLI evaluates nothing
+        monkeypatch.setattr(geometry, "compute_geometry", not_called)
         reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
         assert len(reports) == 6
-        assert len(times) == len(set(times)) == 5
+        assert times == [2e-5]  # the centre's
+        assert folded == [0, 1, 3, 4]
         assert len(kernels) == 17  # 4 per step, 1 for the final state
 
     def test_suite_evaluates_the_centre_curvature_once(self, monkeypatch):
@@ -511,29 +521,84 @@ class TestIdentitiesVerb:
         assert calls == [2e-5]
 
     def test_suite_keeps_one_pack_beside_the_curvature(self, monkeypatch):
-        """The evolution checks run first, on the five packs; the neighbours'
-        packs are gone before the centre's curvature is built, so it is
-        never alive beside more than the centre's own pack."""
-        built, alive = [], []
-        packs = geometry.geometry_packs
+        """The evolution checks run first, on the centre's pack and the
+        folded time derivatives; no other pack is built, and the folded
+        derivatives are gone before the centre's curvature is built, so it
+        is never alive beside more than the centre's own pack."""
+        built, folded, alive = [], [], []
+        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
 
         def recording(states, kern):
             new = packs(states, kern)
             built.extend(weakref.ref(p) for p in new)
             return new
 
+        def folding(window, k, kern):
+            fold(window, k, kern)
+            folded.extend(weakref.ref(rate) for rate in window._rates)
+
         def curvature(geom):
-            alive.append(sum(ref() is not None for ref in built))
+            alive.append(sum(ref() is not None for ref in built + folded))
             return geometry.curvature_gauss(geom)
 
         monkeypatch.setattr(identities, "geometry_packs", recording)
+        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
         monkeypatch.setattr(cli, "curvature_gauss", curvature)
         for N in (16, 32):
             built.clear()
+            folded.clear()
             alive.clear()
             _identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
             assert alive == [1]
-            assert len(built) == 5
+            assert len(built) == 1
+            assert len(folded) == 4 * 4  # four fields, four states
+
+    # the suite's initial immersion and dt, and the (sup, l2) of its six
+    # reports as float.hex in THRESHOLD_COEFFS order, recorded while the
+    # suite built all five packs of its window
+    SUITE_PINS = {
+        "m2-N32": (
+            lambda: shapes.perturbed_torus(GridSpec(2, 32), 1.0, 0.5, 0.1),
+            1e-4,
+            [
+                ("0x1.3ae77cb002d59p-38", "0x1.7408f6498f3afp-37"),
+                ("0x1.e2add937d3e50p-4", "0x1.818139d7f3283p-2"),
+                ("0x1.a00ab75ba247bp-6", "0x1.24347f4266d24p-4"),
+                ("0x1.30f88e817de71p-3", "0x1.a6d18aedd56a5p-2"),
+                ("0x1.13bc2852517c8p-4", "0x1.6bbd11ec386d3p-3"),
+                ("0x1.91bfaed2c04e0p-10", "0x1.ad520d79248edp-8"),
+            ],
+        ),
+        "m1-order4": (
+            lambda: shapes.ellipse(GridSpec(1, 64, 4), 1.5, 1.0),
+            1e-5,
+            [
+                ("0x1.c2711ab04fa2fp-34", "0x1.cd91e565a5691p-34"),
+                ("0x1.2cd0cefe15f1ap-7", "0x1.c8e7b5e9f8030p-8"),
+                ("0x1.85cc3ddf2a65cp-6", "0x1.6887b3b0931b0p-6"),
+                ("0x1.31eb5c484ef72p-4", "0x1.4e4a52199b6d0p-4"),
+                ("0x1.709001fbcda37p-5", "0x1.700299dfdea4cp-5"),
+                ("0x0.0p+0", "0x0.0p+0"),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SUITE_PINS))
+    def test_suite_reports_are_pinned_to_the_bit(self, case):
+        make, dt, pins = self.SUITE_PINS[case]
+        reports = _identity_suite(make(), dt)
+        assert [r.identity for r in reports] == list(cli.THRESHOLD_COEFFS)
+        assert [(r.sup_residual.hex(), r.l2_residual.hex()) for r in reports] == pins
+
+    def test_suite_peak_memory_at_N128(self):
+        """The `torus-convergence` config's finest resolution: the suite
+        never holds a neighbour's pack, so its tracemalloc peak stays within
+        25 MiB (39.65 MiB with five packs alive)."""
+        initial = shapes.perturbed_torus(GridSpec(2, 128), 1.0, 0.5, 0.1)
+        dt = (2 * np.pi / 128) ** 2 / 10.0
+        reports, peak = traced_peak(_identity_suite, initial, dt)
+        assert len(reports) == 6
+        assert peak <= 25 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_report_bodies_are_deterministic(self, tmp_path):
         _, out1 = run_cli(tmp_path, "identities", IDENTITIES_CONFIG, "out1")
@@ -661,15 +726,20 @@ class TestSimulateVerb:
         assert "does not advance t=1.0" in capsys.readouterr().err
         assert not calls and not (out / "summary.txt").exists()
 
-    def test_degenerate_initial_immersion_is_a_config_error(self, tmp_path, capsys):
+    # at T = 0 no step is taken: the one state is evaluated for its volume
+    @pytest.mark.parametrize("T", [0.5, 0.0])
+    def test_degenerate_initial_immersion_is_a_config_error(
+        self, tmp_path, capsys, T
+    ):
         config = {
             "grid": {"m": 1, "resolution": 32},
             "geometry": {"kind": "circle", "radius": 0.0},
-            "T": 0.5,
+            "T": T,
         }
-        code, _ = run_cli(tmp_path, "simulate", config)
+        code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_CONFIG
         assert "degenerate immersion" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestSymmetryVerb:
@@ -784,8 +854,11 @@ class TestSymmetryVerb:
         kernel = counting(kernel_calls, geometry.geometry_kernel)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", kernel)
+        assert not hasattr(cli, "compute_geometry")  # the CLI evaluates nothing
         monkeypatch.setattr(
-            cli, "compute_geometry", counting(geometry_calls, cli.compute_geometry)
+            geometry,
+            "compute_geometry",
+            counting(geometry_calls, geometry.compute_geometry),
         )
         code, _ = run_cli(tmp_path, "symmetry", changed(SYMMETRY_CONFIG, ["dt"]))
         assert code == EXIT_OK
@@ -1043,8 +1116,9 @@ class TestKernelBudget:
         return calls
 
     def test_torus_flow(self, tmp_path, kernel_calls):
-        # 153 adaptive steps at 4 calls each, 1 for the final state, and the
-        # volume of each of the 9 checkpoints from one compute_geometry call
+        # 153 adaptive steps at 4 calls each and 1 for the final state; each
+        # of the other 8 checkpoints' volumes comes from the call that starts
+        # the step from it
         ckpt = tmp_path / "seed_checkpoint.txt"
         write_immersion(shapes.product_torus(GridSpec(2, 64, 4), 1.0, 1.0), str(ckpt))
         T = 0.125
@@ -1059,7 +1133,7 @@ class TestKernelBudget:
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_OK
         assert "simulate: 153 steps" in (out / "summary.txt").read_text()
-        assert len(kernel_calls) == 4 * 153 + 1 + 9 == 622
+        assert len(kernel_calls) == 4 * 153 + 1 == 613
 
     def test_circle_pair(self, tmp_path, kernel_calls):
         # T / dt = 3000 steps at 4 calls each, and 1 for the final state
@@ -1195,26 +1269,33 @@ class TestConvergenceVerb:
     def test_suite_evaluates_five_geometries_per_resolution(
         self, tmp_path, monkeypatch
     ):
-        """Five packs and 17 kernel calls per resolution: 4 per step of the
-        four-step stream, whose stored states keep their step's first
-        stage, and 1 for the final state."""
-        packed, kernels = [], []
-        packs, kernel = geometry.geometry_packs, geometry.geometry_kernel
+        """One pack, four folds and 17 kernel calls per resolution: 4 per
+        step of the four-step stream, whose stored states keep their step's
+        first stage, and 1 for the final state."""
+        packed, folded, kernels = [], [], []
+        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
+        kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             packed.append(states[0].grid.resolution)
             return packs(states, kern)
+
+        def folding(window, k, kern):
+            folded.append(kern.det.shape[0])
+            fold(window, k, kern)
 
         def counting(grid, X):
             kernels.append(grid.resolution)
             return kernel(grid, X)
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
+        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         code, _ = run_cli(tmp_path, "convergence", CONVERGENCE_CONFIG)
         assert code == EXIT_OK
-        assert packed == [16] * 5 + [32] * 5 + [64] * 5
+        assert packed == [16, 32, 64]
+        assert folded == [16] * 4 + [32] * 4 + [64] * 4
         assert kernels == [16] * 17 + [32] * 17 + [64] * 17
 
     def test_non_doubling_resolutions_rejected(self, tmp_path):

@@ -6,7 +6,6 @@ generic second-order behaviour of the displayed difference evolutions.
 """
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,12 @@ from mcflab.geometry import covariant_derivative, laplacian, tensor_norm_sq
 from mcflab.grid import SymmetryAction, apply_symmetry
 from mcflab.identities import ProtocolError
 
-from conftest import paired_window, run_paired_fixed_dt, stencil_symbols
+from conftest import (
+    paired_window,
+    run_paired_fixed_dt,
+    stencil_symbols,
+    traced_peak,
+)
 
 DT = 1e-4
 
@@ -174,12 +178,7 @@ class TestPairedWindow:
         holds no list of their times."""
         a = shapes.circle(GridSpec(1, 32), 1.0)
         b = shapes.circle(GridSpec(1, 32), 1.2)
-        tracemalloc.start()
-        try:
-            window = PairedWindow.fixed_dt([a, b], 1e-7, 10**6, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        window, peak = traced_peak(PairedWindow.fixed_dt, [a, b], 1e-7, 10**6, 1)
         assert len(window) == 10**6 + 1
         assert peak < 2**20
 
@@ -352,17 +351,14 @@ class TestStreamingPass:
     """verify_inequalities is one forward sweep over at most five packs."""
 
     @staticmethod
-    def traced_peak(trajA, trajB) -> int:
-        tracemalloc.start()
-        try:
-            verify_inequalities(paired_window(trajA, trajB), delta=2e-3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def sweep_peak(trajA, trajB) -> int:
+        return traced_peak(
+            lambda: verify_inequalities(paired_window(trajA, trajB), delta=2e-3)
+        )[1]
 
     def test_peak_memory_does_not_grow_with_the_stored_states(self):
         short, long = torus_pair(8), torus_pair(32)  # 9 and 33 stored states
-        peaks = {len(p[0].states): self.traced_peak(*p) for p in (short, long)}
+        peaks = {len(p[0].states): self.sweep_peak(*p) for p in (short, long)}
         assert peaks[33] <= 1.1 * peaks[9], peaks
 
     def test_each_pack_is_built_once_and_at_most_five_are_alive(self, monkeypatch):

@@ -26,6 +26,7 @@ from mcflab.geometry import (
     compute_geometry,
     geometry_kernel,
     geometry_packs,
+    induced_volume,
     stacked_kernel,
     tensor_norm_sq,
     tensor_norm_sup,
@@ -232,10 +233,13 @@ class TestRunFlow:
         )
         assert [s.time for s in traj.states] == samples
 
-    def test_zero_duration_gives_single_state(self, unit_circle):
+    def test_zero_duration_gives_single_state(self, unit_circle, kernel_calls):
         traj = run_flow(unit_circle, 0.0)
-        assert len(traj.states) == 1
+        assert len(traj.states) == len(traj.volumes) == 1
         assert traj.states[0].time == 0.0
+        assert len(kernel_calls) == 1  # the state is still evaluated, as input
+        with pytest.raises(DegenerateImmersionError):
+            run_flow(shapes.circle(unit_circle.grid, 0.0), 0.0)
 
     def test_backward_target_rejected(self, unit_circle):
         with pytest.raises(PolicyError):
@@ -258,8 +262,26 @@ class TestRunFlow:
             StepPolicy(cfl_safety=0.3),
             sample_times=np.linspace(0.0, 0.2, 9),
         )
-        vols = [compute_geometry(s).volume() for s in traj.states]
+        vols = traj.volumes
+        assert len(vols) == 9
         assert all(b < a for a, b in zip(vols, vols[1:]))
+
+    @pytest.mark.parametrize(
+        "imm",
+        [
+            shapes.ellipse(GridSpec(1, 32), 1.5, 1.0),
+            shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2),
+            shapes.perturbed_torus(GridSpec(2, 16, 4), 1.0, 0.6, 0.2),
+        ],
+        ids=["m1", "m2-o2", "m2-o4"],
+    )
+    def test_volumes_are_those_of_the_stored_states(self, imm, kernel_calls):
+        """Each volume comes from the kernel evaluation the run already made
+        at its state, with the bits of the state's own pack."""
+        traj = run_flow(imm, 0.01, sample_times=[0.0, 0.004, 0.004, 0.01])
+        assert len(kernel_calls) == 4 * len(traj.dt_history) + 1
+        packs = [compute_geometry(s) for s in traj.states]
+        assert traj.volumes == [induced_volume(p.det_metric, p.grid) for p in packs]
 
     def test_torus_radii_follow_factor_law(self):
         grid = GridSpec(2, 24)
@@ -547,7 +569,9 @@ class TestFixedDtStream:
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.strides == w.strides, name
                     assert_same_bytes(g, w)
-                assert got.volume() == want.volume()
+                assert induced_volume(got.det_metric, a.grid) == induced_volume(
+                    want.det_metric, a.grid
+                )
                 assert_same_bytes(got.cell_weight, want.cell_weight)
                 seen += 1
         assert seen == 3 * flows
@@ -563,7 +587,10 @@ class TestFixedDtStream:
             assert pack.det_metric.flags.c_contiguous
             assert not np.shares_memory(pack.det_metric, kern.det)
             assert not np.shares_memory(pack.mean_curv, kern.mean_curv)
-            assert pack.volume() == compute_geometry(states[b]).volume()
+            want = compute_geometry(states[b]).det_metric
+            assert induced_volume(pack.det_metric, a.grid) == induced_volume(
+                want, a.grid
+            )
 
     @pytest.mark.parametrize("t0", [0.0, 0.2, 1000.0])
     def test_stamps_are_exact_multiples_of_the_step(self, t0):

@@ -17,6 +17,7 @@ from mcflab.geometry import (
     covariant_derivative,
     curvature_gauss,
     curvature_intrinsic,
+    divergence,
     geometry_kernel,
     laplacian,
     tensor_norm_sq,
@@ -766,6 +767,19 @@ class TestCovariantLayerAgainstEinsum:
             assert np.abs(new[2] - ref[2]).max() <= tol
         else:
             assert np.array_equal(new[2], ref[2])
+
+    @pytest.mark.parametrize("A", [1, 4])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_laplacian_of_a_family_is_that_of_the_whole_family(self, geom, A, spec):
+        """One passive component at a time gives the bytes and the layout of
+        the divergence of the covariant derivative of the whole family."""
+        m = geom.grid.m
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(geom.grid.shape + (A,) + (m,) * len(spec))
+        got = laplacian(f, geom, spec)
+        whole = divergence(covariant_derivative(f, geom, spec), geom, "l" + spec)
+        assert got.strides == whole.strides
+        assert_same_bytes(got, whole)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_layout_of_the_input_does_not_change_the_bits(self, geom, spec):

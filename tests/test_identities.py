@@ -6,6 +6,8 @@ each evolution identity then shrinks at second order in the grid spacing,
 except for relations that hold exactly in the semi-discrete system.
 """
 
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from mcflab.grid import (
 )
 from mcflab.identities import (
     ANCHORS,
+    FieldRates,
+    FoldingWindow,
     ProtocolError,
     ResidualReport,
     _connection_rhs,
@@ -30,6 +34,7 @@ from mcflab.identities import (
     check_dh,
     check_simons,
     five_point_derivative,
+    five_point_fold,
     gauss_cross_check,
     grad_grad_H,
     grad_H,
@@ -37,7 +42,12 @@ from mcflab.identities import (
     simons_residual_field,
 )
 
-from conftest import REFERENCE_MAKERS, stencil_symbols, trajectory_window
+from conftest import (
+    REFERENCE_MAKERS,
+    assert_same_bytes,
+    stencil_symbols,
+    trajectory_window,
+)
 
 
 def short_run(imm, dt=1e-5, n_steps=4):
@@ -116,6 +126,53 @@ class TestTimeDifference:
         assert np.array_equal(
             five_point_derivative([f0, f1, f2, f3, f4], dt), reference
         )
+
+
+class TestFoldingWindow:
+    """The identity suite's window folds each non-centre state into the time
+    derivatives as it arrives; the bits are those of five packs."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("maker", sorted(REFERENCE_MAKERS))
+    def test_folded_derivatives_are_those_of_five_packs(self, maker, order):
+        initial, dt = REFERENCE_MAKERS[maker](order), 1e-5
+        window = FoldingWindow.fixed_dt([initial], dt, 4)
+        packs = [compute_geometry(s) for s in run_fixed_dt(initial, dt, 4).states]
+        assert [window.item(k) is None for k in range(5)] == [1, 1, 0, 1, 1]
+        for name in FieldRates._fields:
+            got = window.time_derivative(2, attrgetter(name))
+            want = five_point_derivative([getattr(p, name) for p in packs], dt)
+            assert_same_bytes(got, want)
+            centre = getattr(window.geometry(2), name)
+            assert_same_bytes(centre, getattr(packs[2], name))
+
+    def test_fold_of_strided_components_is_five_point_derivative(self):
+        rng = np.random.default_rng(3)
+        dt = 1e-5
+        fields = [
+            rng.standard_normal((16, 3, 2)) * 10.0 ** rng.integers(-8, 8, (16, 3, 2))
+            for _ in range(5)
+        ]
+        out = np.empty((2, 3, 16))  # components first, as the window folds
+        acc = [None, None]
+        for k, f in enumerate(fields):
+            for c in range(2):
+                acc[c] = five_point_fold(k, acc[c], f[..., c].T, dt, out[c])
+        assert all(np.shares_memory(a, out) for a in acc)
+        want = five_point_derivative(fields, dt)
+        assert np.array_equal(np.moveaxis(out, (0, 1), (2, 1)), want)
+
+    @pytest.mark.parametrize("n_steps", [3, 6])
+    def test_window_has_five_states(self, n_steps):
+        imm = shapes.circle(GridSpec(1, 16), 1.0)
+        with pytest.raises(ProtocolError, match="5 states"):
+            FoldingWindow.fixed_dt([imm], 1e-5, n_steps)
+
+    def test_window_serves_its_centre_only(self):
+        window = FoldingWindow.fixed_dt([shapes.circle(GridSpec(1, 16), 1.0)], 1e-5, 4)
+        for k in (0, 1, 3, 4):
+            with pytest.raises(IndexError, match=f"state {k} is not a center"):
+                window.time_derivative(k, attrgetter("metric"))
 
 
 class TestEvolutionChecks:
