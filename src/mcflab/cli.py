@@ -30,8 +30,8 @@ from .differences import (
     forward_gronwall,
     verify_inequalities,
 )
-from .flow import MAX_STEPS, BlowUpError, StepPolicy, fixed_dt_stream, run_flow
-from .geometry import curvature_gauss, stacked_kernel
+from .flow import MAX_STEPS, BlowUpError, StepPolicy, adaptive_stream, fixed_dt_stream
+from .geometry import curvature_gauss, induced_volume, stacked_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -303,28 +303,27 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
     grid = GridSpec(**grid)
     initial = geometry(grid)
     # sample_times None: the initial and final states
-    traj = run_flow(initial, T, StepPolicy(**policy), sample_times)
-    files = []
-    for k, state in enumerate(traj.states):
-        name = f"checkpoint_{k:04d}.txt"
+    stream = adaptive_stream(initial, T, StepPolicy(**policy), sample_times)
+    rows, vol, steps = [], [], 0  # each stored state's trajectory.csv row, volume
+    for state, kern, dts in stream:
+        vol.append(induced_volume(kern.det, grid))
+        del kern  # neither beside the checkpoint text nor through the next steps
+        steps += len(dts)
+        name = f"checkpoint_{len(rows):04d}.txt"
         with open(os.path.join(out_dir, name), "w") as fh:
             write_immersion(state, fh)
-        files.append((state.time, name))
-    vol = traj.volumes
-    body = "t,file,volume\n" + "\n".join(
-        f"{t!r},{name},{v!r}" for (t, name), v in zip(files, vol)
-    ) + "\n"
-    _write(out_dir, "trajectory.csv", body)
+        rows.append(f"{state.time!r},{name},{vol[-1]!r}\n")
+    _write(out_dir, "trajectory.csv", "t,file,volume\n" + "".join(rows))
     _manifest(
         out_dir,
         {"experiment": "simulate", "N": grid.resolution, "T": repr(T),
-         "steps": len(traj.dt_history), "states": len(traj.states)},
+         "steps": steps, "states": len(rows)},
     )
     monotone = all(b <= a + 1e-10 for a, b in zip(vol, vol[1:]))
     _write(
         out_dir,
         "summary.txt",
-        f"simulate: {len(traj.dt_history)} steps to T={T}\n"
+        f"simulate: {steps} steps to T={T}\n"
         f"volume monotone: {monotone}\n",
     )
     return EXIT_OK if monotone else EXIT_ASSERTION
@@ -356,12 +355,12 @@ def run_symmetry(
             f"initial symmetry defect {d0:.3e} exceeds 1e-13: "
             "the action is not a symmetry of the initial immersion"
         )
-    rows = []
-    stream = fixed_dt_stream([initial], dt, steps, kern=kern)
-    for k, ((state,), kern) in enumerate(stream):
+    rows, k = [], 0  # no enumerate: its reused result tuple keeps the last kernel
+    for (state,), kern in fixed_dt_stream([initial], dt, steps, kern=kern):
         del kern  # the initial one too: no kernel lives through the next step
         if k % record_every == 0 or k == steps:
             rows.append((state.time, defect(state)))
+        k += 1
     worst = max(d for _, d in rows)
     body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
     _write(out_dir, "symmetry_defect.csv", body)

@@ -7,16 +7,16 @@ experiment and is covered by tests.
 
 Velocities come straight from `geometry_kernel`, which returns H and the
 metric without assembling a `GeometryPack`.  A step costs four kernel
-evaluations: `run_flow` evaluates the kernel once at the start of each step,
-takes the adaptive dt from that metric and hands the same H to `step_rk4`
-as its first stage.  The RK4 stage sum lives in `_rk4_positions`, which
-works on bare position arrays.  It runs no finiteness check of its own on
-a stage: the kernel's det screen fails on any non-finite stage and then
-names its first non-finite node, which `_flow_kernel` turns into a
-BlowUpError at the step's start time.  The new positions are checked once
-per step.
+evaluations: `adaptive_stream` evaluates the kernel once at the start of
+each step, takes the adaptive dt from that metric and hands the same H to
+`step_rk4` as its first stage.  The RK4 stage sum lives in
+`_rk4_positions`, which works on bare position arrays.  It runs no
+finiteness check of its own on a stage: the kernel's det screen fails on
+any non-finite stage and then names its first non-finite node, which
+`_flow_kernel` turns into a BlowUpError at the step's start time.  The new
+positions are checked once per step.
 
-The loop state of `run_flow` and of the fixed-step loop is kept in
+The loop state of the adaptive and of the fixed-step loop is kept in
 `kernel_layout`: at m=2 the ambient axis is first in memory, so neither the
 kernel nor an RK stage sum, which keeps its inputs' layout, copies it to
 convert; at m=1 it stays grid first.  A stored state is a C-order copy that
@@ -37,9 +37,12 @@ Nothing is stored: the identity suite and the paired checks read the
 stream as they go (`identities.SampleWindow`), and the `symmetry` verb
 measures the defect of the states it records.  `run_fixed_dt` collects one
 flow's states into a trajectory, which records the exact `sample_step`,
-store_every * dt, which stamped times from t0 != 0 miss.  `run_flow`
-hands over each stored state's volume from the kernel evaluation at it in
-the same way, the final state's from one call of its own.
+store_every * dt, which stamped times from t0 != 0 miss.
+
+`adaptive_stream`, the adaptive loop, hands over the state at each sample
+time under the same rule, with the step sizes taken since the last one; it
+stays apart from the fixed-step loop, which shortens no step to land on a
+sample time.  The `simulate` verb reads it; `run_flow` collects it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import KernelResult, geometry_kernel, induced_volume, kernel_layout
+from .geometry import KernelResult, geometry_kernel, kernel_layout
 from .grid import (
     DegenerateImmersionError,
     GridSpec,
@@ -133,10 +136,9 @@ class FlowTrajectory:
     states: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
     sample_step: float | None = None  # store_every * dt of a fixed-step run
-    volumes: list = field(default_factory=list)  # of each state, by `run_flow`
 
 
-# Most steps one run may take: `run_flow` stops beyond it, and the CLI
+# Most steps one run may take: `adaptive_stream` stops beyond it, and the CLI
 # rejects a diff-system T / dt or a symmetry `steps` above it.  The
 # circle-pair benchmark takes 3000 in about a second; a million steps of an
 # m=2, N=32 pair take about an hour, and far beyond that the list of step
@@ -146,9 +148,9 @@ MAX_STEPS = 10**6
 
 # Near a singularity the kernel's products overflow before the finiteness
 # and degeneracy checks raise BlowUpError; numpy's RuntimeWarnings would only
-# announce that early.  Entered once per step or run, never per kernel call;
-# the fixed-step stream enters a fresh one per stored interval, never across
-# a yield, which would quiet its consumer too.
+# announce that early.  Entered once per step, never per kernel call; the
+# streams enter a fresh one per stored interval, never across a yield, which
+# would quiet their consumer too.
 _quiet_blow_up = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -197,25 +199,18 @@ def step_rk4(imm: Immersion, dt: float, k1: np.ndarray | None = None) -> Immersi
     return imm.with_positions(new, time=imm.time + dt)
 
 
-@_quiet_blow_up
-def run_flow(
-    initial: Immersion,
-    T: float,
-    policy: StepPolicy | None = None,
-    sample_times=None,
-) -> FlowTrajectory:
-    """Integrate to time T, storing states at exactly the sample times.
-
-    Steps are shortened when needed to land on each sample time.  With no
-    explicit sample_times the initial and final states are stored; an empty
-    list of them raises PolicyError, as does a step that would not advance
-    time (dt below half an ulp of t) or one past MAX_STEPS.  Each stored
-    state is a C-order copy of the loop state, and its `induced_volume`
-    comes from the kernel evaluation at it: the one the next step starts
-    from, or for the final state one call of its own.  Each state is
-    evaluated under the flow's rule, so that a degenerate one is a
-    BlowUpError, but for states before the first step, which are input
-    data: a run that takes no step still evaluates its one state.
+def adaptive_stream(
+    initial: Immersion, T: float, policy: StepPolicy | None = None, sample_times=None
+):
+    """Generator of the states of a run to time T at exactly the sample
+    times (by default t0 and T), landed on by shortened steps: the one
+    adaptive loop, under the fixed-step stream's hand-over rule.  Each is
+    yielded as (state, kern, dts): a C-order copy of the loop state, the
+    kernel evaluation at it (the next step's first, or the final state's
+    own call), and the step sizes taken since the last state.  States
+    before the first step are input data; later ones are evaluated under
+    the flow's rule.  Empty sample_times, a step that does not advance t
+    (dt below half an ulp) or one past MAX_STEPS raise PolicyError.
     """
     policy = policy or StepPolicy()
     t0 = initial.time
@@ -229,40 +224,51 @@ def run_flow(
     if samples[0] < t0 - 1e-12 or samples[-1] > T + 1e-12:
         raise PolicyError("invalid 'sample_times': sample times must lie in [t0, T]")
 
-    traj = FlowTrajectory()
+    grid, steps, k1 = initial.grid, 0, None  # k1, dt: H and dt at current, once known
 
     def evaluate(state):
-        if traj.dt_history:
-            return _flow_kernel(state.grid, state.positions, state.time)
-        return geometry_kernel(state.grid, state.positions)  # input data
+        if steps:
+            return _flow_kernel(grid, state.positions, state.time)
+        return geometry_kernel(grid, state.positions)  # input data
 
-    current = initial.with_positions(kernel_layout(initial.positions, initial.grid.m))
-    kern = None  # the kernel evaluation at current, once made
+    current = initial.with_positions(kernel_layout(initial.positions, grid.m))
     for target in samples:
-        while current.time < target - 1e-14:
-            if kern is None:
-                kern = evaluate(current)
-            dt = min(
-                policy.step_size(kern.metric, current.grid.spacing),
-                target - current.time,
-            )
-            k1 = kern.mean_curv
-            kern = None  # the other fields would stay alive through the step
-            if current.time + dt == current.time:
-                raise PolicyError(
-                    f"step dt={dt!r} does not advance t={current.time!r}"
-                )
-            if len(traj.dt_history) == MAX_STEPS:
-                raise PolicyError(
-                    f"more than {MAX_STEPS} steps: t={current.time!r}, dt={dt!r}"
-                )
-            current = step_rk4(current, dt, k1)
-            traj.dt_history.append(dt)
-        current = current.with_positions(current.positions, time=target)
-        if kern is None:  # kept for the step that starts here
-            kern = evaluate(current)
-        traj.volumes.append(induced_volume(kern.det, current.grid))
-        traj.states.append(current.with_positions(current.positions.copy()))
+        dts = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            while current.time < target - 1e-14:
+                if k1 is None:
+                    kern = evaluate(current)
+                    k1, dt = kern.mean_curv, policy.step_size(kern.metric, grid.spacing)
+                    del kern  # the other fields would stay alive through the step
+                dt = min(dt, target - current.time)
+                if current.time + dt == current.time:
+                    raise PolicyError(
+                        f"step dt={dt!r} does not advance t={current.time!r}"
+                    )
+                if steps == MAX_STEPS:
+                    raise PolicyError(
+                        f"more than {MAX_STEPS} steps: t={current.time!r}, dt={dt!r}"
+                    )
+                current = step_rk4(current, dt, k1)
+                k1 = None
+                dts.append(dt)
+                steps += 1
+            current = current.with_positions(current.positions, time=target)
+            held = [evaluate(current)]  # handed over: this frame keeps k1, dt
+        k1, dt = held[0].mean_curv, policy.step_size(held[0].metric, grid.spacing)
+        yield current.with_positions(current.positions.copy()), held.pop(), dts
+
+
+def run_flow(
+    initial: Immersion, T: float, policy: StepPolicy | None = None, sample_times=None
+) -> FlowTrajectory:
+    """The states and step sizes of `adaptive_stream`, collected: the stored
+    form that no verb keeps, which `benchmark/tracing.py` wraps by name."""
+    traj = FlowTrajectory()
+    for state, kern, dts in adaptive_stream(initial, T, policy, sample_times):
+        del kern  # not kept alive through the next steps
+        traj.states.append(state)
+        traj.dt_history += dts
     return traj
 
 

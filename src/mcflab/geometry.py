@@ -290,19 +290,13 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     Every field is a contiguous components-first array, handed out as its
     components_last view, so a pack has the bytes, shape and strides of a
     single flow's whatever the batch: a member's strided view would change
-    the pairwise sums of `induced_volume` and `cell_weight`.  A pack from a
-    kernel the caller passes, as the checks' windows do, is one fresh block
-    holding its fields one after another: with a fresh array per field the
-    identity suite's RK steps beside its live packs ran about 20 % slower
-    at N=128.  A pack from a kernel call of its own (`compute_geometry`)
-    takes one array per field and drops each field's kernel components once
-    copied, so its peak stays near one kernel: a block beside the whole
-    kernel raised the peak RSS of the `simulate` verb at N=64 by 1 MB,
-    about 3 %.
+    the pairwise sums of `induced_volume` and `cell_weight`.  A pack is one
+    fresh block holding its fields one after another: with a fresh array
+    per field the identity suite's RK steps beside its live packs ran about
+    20 % slower at N=128.
     """
     grid, m, A = states[0].grid, states[0].grid.m, states[0].ambient_dim
-    own = k is None
-    if own:
+    if k is None:
         k = stacked_kernel(states)
     R = range(m)
     fields = (  # each field's kernel components in row-major order, its axes
@@ -315,7 +309,7 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
         ([k.mean_curv], (A,)),
     )
     sizes = [math.prod(lead) for _, lead in fields]
-    blocks = [None if own else np.empty((sum(sizes),) + grid.shape) for _ in states]
+    blocks = [np.empty((sum(sizes),) + grid.shape) for _ in states]
     views = [[] for _ in states]
     start = 0
     for (parts, lead), n in zip(fields, sizes):
@@ -324,11 +318,9 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
         shape = lead[:n_pass] + (len(parts),) + grid.shape
         for b, block in enumerate(blocks):
             member = (..., b) + (slice(None),) * n_pass
-            f = np.empty(shape) if own else block[start : start + n].reshape(shape)
+            f = block[start : start + n].reshape(shape)
             np.stack([p[member].transpose(to_first) for p in parts], axis=n_pass, out=f)
             views[b].append(components_last(f.reshape(lead + grid.shape), len(lead)))
-        if own:
-            parts.clear()
         start += n
     return [GeometryPack(imm, *v) for imm, v in zip(states, views)]
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -71,6 +72,21 @@ SIMULATE_CONFIG = {
 }
 
 REFLECTION = {"type": "reflection", "axes": [0]}
+
+
+def torus_flow_config(tmp_path):
+    """The benchmark's `torus-flow` simulate config: an m=2, N=64, order 4
+    product torus read from a seed checkpoint, 9 samples to T=0.125."""
+    ckpt = tmp_path / "seed_checkpoint.txt"
+    write_immersion(shapes.product_torus(GridSpec(2, 64, 4), 1.0, 1.0), str(ckpt))
+    T = 0.125
+    return {
+        "grid": {"m": 2, "resolution": 64, "derivative_order": 4},
+        "geometry": {"kind": "checkpoint", "path": str(ckpt)},
+        "T": T,
+        "policy": {"cfl_safety": 0.1},
+        "sample_times": [T * k / 8 for k in range(9)],
+    }
 
 SYMMETRY_CONFIG = {
     "grid": {"m": 1, "resolution": 32},
@@ -726,6 +742,48 @@ class TestSimulateVerb:
         assert "does not advance t=1.0" in capsys.readouterr().err
         assert not calls and not (out / "summary.txt").exists()
 
+    def test_peak_memory_does_not_grow_with_the_samples(self, tmp_path):
+        """Each state is written as the flow reaches it: 201 samples of an
+        m=2, N=32 torus peak within 0.5 MiB of 2 samples (6.93 against 0.67
+        MiB when the run was stored before anything was written)."""
+        peaks = []
+        for n in (2, 201):
+            config = {
+                "grid": {"m": 2, "resolution": 32},
+                "geometry": {"kind": "product_torus"},
+                "T": 0.01,
+                "policy": {"fixed_dt": 5e-5},
+                "sample_times": np.linspace(0.0, 0.01, n).tolist(),
+            }
+            (code, _), peak = traced_peak(
+                run_cli, tmp_path, "simulate", config, f"out{n}"
+            )
+            assert code == EXIT_OK
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 2**19, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
+    def test_no_kernel_is_alive_beside_a_checkpoint(self, tmp_path, monkeypatch):
+        """At each checkpoint write of the `torus-flow` config, the memory
+        traced above the start of the run is below the 1.19 MiB of one
+        kernel evaluation: the loop state, its stored copy, its velocity
+        and the initial state (0.54 MiB); with a kernel alive 1.61 MiB."""
+        config = torus_flow_config(tmp_path)
+        write, above = cli.write_immersion, []
+
+        def recording(imm, fh):
+            above.append(tracemalloc.get_traced_memory()[0] - base)
+            write(imm, fh)
+
+        monkeypatch.setattr(cli, "write_immersion", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code, _ = run_cli(tmp_path, "simulate", config)
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and len(above) == 9
+        assert max(above) < 1.19 * 2**20, [f"{a / 2**20:.2f} MiB" for a in above]
+
     # at T = 0 no step is taken: the one state is evaluated for its volume
     @pytest.mark.parametrize("T", [0.5, 0.0])
     def test_degenerate_initial_immersion_is_a_config_error(
@@ -743,6 +801,24 @@ class TestSimulateVerb:
 
 
 class TestSymmetryVerb:
+    def test_no_kernel_lives_through_the_next_step(self, tmp_path):
+        """An m=2, N=64 torus under the identity action, each of 20 steps
+        recorded: each kernel goes once its state is measured, so the peak
+        stays within 3 MiB (3.53 MiB with each kernel alive through the
+        next step, 2.46 MiB without)."""
+        config = {
+            "grid": {"m": 2, "resolution": 64},
+            "geometry": {"kind": "product_torus"},
+            "symmetry": {"matrix": np.eye(4).tolist(),
+                         "permutation": {"type": "shift", "offsets": [0, 0]}},
+            "steps": 20,
+            "record_every": 1,
+        }
+        (code, out), peak = traced_peak(run_cli, tmp_path, "symmetry", config)
+        assert code == EXIT_OK
+        assert len((out / "symmetry_defect.csv").read_text().splitlines()) == 22
+        assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+
     def test_reflection_persists(self, tmp_path):
         config = {
             "grid": {"m": 1, "resolution": 32},
@@ -1092,8 +1168,16 @@ class TestDegenerateFinalState:
         assert code == EXIT_BLOWUP
         assert capsys.readouterr().err == f"numerical blow-up: {message}\n"
         assert not (out / "summary.txt").exists()
-        # no checkpoint of a flow that blew up
-        assert not list(out.glob("checkpoint_*"))
+        if verb != "simulate":
+            assert not list(out.glob("checkpoint_*"))
+            return
+        # the states stored before the blow-up are on disk: the initial one
+        assert [p.name for p in out.glob("checkpoint_*")] == ["checkpoint_0000.txt"]
+        initial = tmp_path / "initial.txt"
+        radius = TINY_CIRCLE["radius"]
+        write_immersion(shapes.circle(GridSpec(1, 8), radius), str(initial))
+        assert (out / "checkpoint_0000.txt").read_bytes() == initial.read_bytes()
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestKernelBudget:
@@ -1119,16 +1203,7 @@ class TestKernelBudget:
         # 153 adaptive steps at 4 calls each and 1 for the final state; each
         # of the other 8 checkpoints' volumes comes from the call that starts
         # the step from it
-        ckpt = tmp_path / "seed_checkpoint.txt"
-        write_immersion(shapes.product_torus(GridSpec(2, 64, 4), 1.0, 1.0), str(ckpt))
-        T = 0.125
-        config = {
-            "grid": {"m": 2, "resolution": 64, "derivative_order": 4},
-            "geometry": {"kind": "checkpoint", "path": str(ckpt)},
-            "T": T,
-            "policy": {"cfl_safety": 0.1},
-            "sample_times": [T * k / 8 for k in range(9)],
-        }
+        config = torus_flow_config(tmp_path)
         kernel_calls.clear()  # the checkpoint writer evaluates nothing
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_OK

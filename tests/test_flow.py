@@ -17,6 +17,7 @@ from mcflab.flow import (
     FlowTrajectory,
     PolicyError,
     ProtocolError,
+    adaptive_stream,
     fixed_dt_stream,
     run_fixed_dt,
 )
@@ -215,6 +216,18 @@ class TestStepPolicy:
             StepPolicy(**kwargs)
 
 
+def streamed(*args):
+    """(states, volumes, steps) of `adaptive_stream(*args)`: each volume from
+    the kernel evaluation handed over with its state, and the number of
+    steps taken."""
+    states, volumes, steps = [], [], 0
+    for state, kern, dts in adaptive_stream(*args):
+        states.append(state)
+        volumes.append(induced_volume(kern.det, state.grid))
+        steps += len(dts)
+    return states, volumes, steps
+
+
 class TestRunFlow:
     def test_final_radius_matches_discrete_law(self, circle_grid):
         r0, T = 1.0, 0.2
@@ -234,9 +247,9 @@ class TestRunFlow:
         assert [s.time for s in traj.states] == samples
 
     def test_zero_duration_gives_single_state(self, unit_circle, kernel_calls):
-        traj = run_flow(unit_circle, 0.0)
-        assert len(traj.states) == len(traj.volumes) == 1
-        assert traj.states[0].time == 0.0
+        states, volumes, _ = streamed(unit_circle, 0.0)
+        assert len(states) == len(volumes) == 1
+        assert states[0].time == 0.0
         assert len(kernel_calls) == 1  # the state is still evaluated, as input
         with pytest.raises(DegenerateImmersionError):
             run_flow(shapes.circle(unit_circle.grid, 0.0), 0.0)
@@ -256,13 +269,9 @@ class TestRunFlow:
 
     def test_volume_decreases_along_flow(self, circle_grid):
         imm = shapes.ellipse(circle_grid, 1.5, 1.0)
-        traj = run_flow(
-            imm,
-            0.2,
-            StepPolicy(cfl_safety=0.3),
-            sample_times=np.linspace(0.0, 0.2, 9),
+        _, vols, _ = streamed(
+            imm, 0.2, StepPolicy(cfl_safety=0.3), np.linspace(0.0, 0.2, 9)
         )
-        vols = traj.volumes
         assert len(vols) == 9
         assert all(b < a for a, b in zip(vols, vols[1:]))
 
@@ -276,12 +285,12 @@ class TestRunFlow:
         ids=["m1", "m2-o2", "m2-o4"],
     )
     def test_volumes_are_those_of_the_stored_states(self, imm, kernel_calls):
-        """Each volume comes from the kernel evaluation the run already made
-        at its state, with the bits of the state's own pack."""
-        traj = run_flow(imm, 0.01, sample_times=[0.0, 0.004, 0.004, 0.01])
-        assert len(kernel_calls) == 4 * len(traj.dt_history) + 1
-        packs = [compute_geometry(s) for s in traj.states]
-        assert traj.volumes == [induced_volume(p.det_metric, p.grid) for p in packs]
+        """Each handed volume comes from the kernel evaluation the run
+        already made at its state, with the bits of the state's own pack."""
+        states, volumes, steps = streamed(imm, 0.01, None, [0.0, 0.004, 0.004, 0.01])
+        assert len(kernel_calls) == 4 * steps + 1
+        packs = [compute_geometry(s) for s in states]
+        assert volumes == [induced_volume(p.det_metric, p.grid) for p in packs]
 
     def test_torus_radii_follow_factor_law(self):
         grid = GridSpec(2, 24)
