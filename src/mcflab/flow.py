@@ -10,11 +10,17 @@ metric without assembling a `GeometryPack`.  A step costs four kernel
 evaluations: `adaptive_stream` evaluates the kernel once at the start of
 each step, takes the adaptive dt from that metric and hands the same H to
 `step_rk4` as its first stage.  The RK4 stage sum lives in
-`_rk4_positions`, which works on bare position arrays.  It runs no
-finiteness check of its own on a stage: the kernel's det screen fails on
-any non-finite stage and then names its first non-finite node, which
-`_flow_kernel` turns into a BlowUpError at the step's start time.  The new
-positions are checked once per step.
+`_rk4_positions`, which works on bare position arrays.  Each step owns two
+X-sized buffers, fresh per step, and builds its stage positions and the
+weighted sum of its velocities in them in place, one operation at a time
+in the order of the classical formula.  So the bits are those of the
+expression form, kept in tests/conftest.py as the reference; a swapped
+operand order keeps them, as IEEE + and * are commutative.  A step never
+writes X, k1 or any kernel it hands over.  It runs no finiteness check of
+its own on a stage: the kernel's det screen fails on any non-finite stage
+and then names its first non-finite node, which `_flow_kernel` turns into
+a BlowUpError at the step's start time.  The new positions are checked
+once per step.
 
 The loop state of the adaptive and of the fixed-step loop is kept in
 `kernel_layout`: at m=2 the ambient axis is first in memory, so neither the
@@ -170,16 +176,36 @@ def _rk4_positions(
     """Positions one classical RK4 step after X (grid + batch + (A,)), the
     state at `time` whose velocity H is k1.
 
+    The step owns two buffers, fresh per call, in the velocities' layout.
+    `stage` holds each stage position in turn, (c dt) k + X for c = 1/2,
+    1/2, 1.  `new` collects 2 k2 + k1, adds 2 k3 and then k4, is scaled by
+    dt / 6, gets X added and is returned.  These are the operations of the
+    expression form, in its order, with commuted operands; 2 k is formed as
+    k + k, which is exact.  So the bits are the same.  X, k1 and the kernels
+    handed to the caller are only read.
+
     Non-finite values or a degenerate metric at a stage raise BlowUpError at
     `time`, at the first non-finite node in C order or else at the smallest
     det g.  Both checks live in the kernel's det screen, which a non-finite
     stage always fails; non-finite new positions raise at time + dt.
     """
-    k2 = _flow_kernel(grid, X + 0.5 * dt * k1, time).mean_curv
-    k3 = _flow_kernel(grid, X + 0.5 * dt * k2, time).mean_curv
-    k4 = _flow_kernel(grid, X + dt * k3, time).mean_curv
-    new = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(new)):
+    stage = np.multiply(k1, 0.5 * dt)
+    stage += X
+    k2 = _flow_kernel(grid, stage, time).mean_curv
+    new = np.add(k2, k2)
+    new += k1
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += X
+    k3 = _flow_kernel(grid, stage, time).mean_curv
+    np.multiply(k3, dt, out=stage)
+    stage += X
+    k4 = _flow_kernel(grid, stage, time).mean_curv
+    np.add(k3, k3, out=stage)
+    new += stage
+    new += k4
+    new *= dt / 6.0
+    new += X
+    if not np.logical_and.reduce(np.isfinite(new), axis=None):
         raise BlowUpError(time + dt, first_nonfinite_node(new, grid.m))
     return new
 

@@ -90,8 +90,10 @@ def induced_volume(det: np.ndarray, grid: GridSpec) -> float:
 def _check_det(X: np.ndarray, det: np.ndarray, m: int):
     """Raise if X is not finite or det g falls below EPS_IMMERSION.
 
-    One screen clears a healthy det in two reductions: det.min() >=
-    EPS_IMMERSION and det.max() < inf, which is false if any det is NaN.  A
+    One screen clears a healthy det in two ufunc reductions over all
+    entries, np.minimum.reduce(det) >= EPS_IMMERSION and
+    np.maximum.reduce(det) < inf (the ndarray methods add a Python layer per
+    call), which is false if any det is NaN.  A
     NaN or infinite entry of X always fails it: the entry enters d_iX at
     its neighbours along axis i with a nonzero stencil weight, and NaN or
     inf survives the sum of squares that forms g_ii there and the products
@@ -102,7 +104,10 @@ def _check_det(X: np.ndarray, det: np.ndarray, m: int):
     members, and the node keeps its first m (grid) indices only.  A finite
     X whose det overflows passes both, and the kernel carries on.
     """
-    if det.min() >= EPS_IMMERSION and det.max() < np.inf:
+    if (
+        np.minimum.reduce(det, axis=None) >= EPS_IMMERSION
+        and np.maximum.reduce(det, axis=None) < np.inf
+    ):
         return
     node = first_nonfinite_node(X, m)
     if node is not None:

@@ -6,10 +6,14 @@ the grid axes; trailing axes carry tensor/ambient indices.  The derivative
 stencils wrap periodically, so there are no boundary cases: each call makes
 one halo copy of the field along the axis (its last r slices, the field,
 its first r slices; r = order / 2), reads every stencil tap as a slice view
-of that copy and writes one output array per derivative.  One halo copy
-serves both stencils in `partial_and_second`, which returns d_i f and the
-compact d_ii f together, bit for bit equal to `partial` and the diagonal
-`second_partial`; the geometry kernel differentiates X with it.
+of that copy and writes one fresh output array per derivative; no buffer
+outlives a call.  The slices that cut the halo and its taps are made once
+per (axis, r, N) and cached: plain slices on axis 0, where the m=1 fields
+are differentiated, so a small call costs little beyond its arithmetic.
+One halo copy serves both stencils in `partial_and_second`, which returns
+d_i f and the compact d_ii f together, bit for bit equal to `partial` and
+the diagonal `second_partial`; the geometry kernel differentiates X with
+it.  These three are the one stencil implementation.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,54 +120,70 @@ def _check_axis(grid: GridSpec, axis: int):
         raise InvalidAxisError(f"axis {axis} out of range for m={grid.m}")
 
 
-def _periodic_taps(f: np.ndarray, axis: int, r: int) -> list:
-    """Views s[k] of f shifted by k - r nodes along axis (s[k][i] = f[i+k-r]).
-
-    They are slices of one periodic halo copy: the last r slices of f, f,
-    then its first r slices, concatenated along axis.
-    """
+@lru_cache(maxsize=None)
+def _halo_slices(axis: int, r: int, n: int) -> tuple:
+    """(tail, head, taps) for a stencil of radius r along an axis of n nodes:
+    the indices of the last r and the first r slices of a field, and those
+    of the 2r + 1 tap windows of its halo copy, window k holding f[i + k - r]
+    at node i.  Plain slices on axis 0; on a later axis, tuples that take
+    the leading axes whole."""
     lead = (slice(None),) * axis
-    padded = np.concatenate(
-        (f[lead + (slice(-r, None),)], f, f[lead + (slice(None, r),)]), axis=axis
-    )
-    n = f.shape[axis]
-    return [padded[lead + (slice(k, k + n),)] for k in range(2 * r + 1)]
+
+    def at(s):
+        return lead + (s,) if axis else s
+
+    taps = tuple(at(slice(k, k + n)) for k in range(2 * r + 1))
+    return at(slice(-r, None)), at(slice(None, r)), taps
 
 
-def _first_from_taps(taps: list, h: float) -> np.ndarray:
-    """`partial`'s stencil on the views of `_periodic_taps` (3 or 5 taps)."""
+def _periodic_taps(f: np.ndarray, axis: int, r: int) -> tuple:
+    """(pad, taps): the periodic halo copy of f along axis (its last r
+    slices, f, its first r slices) and the `_halo_slices` indices of its tap
+    windows, so that pad[taps[k]][i] = f[i + k - r]."""
+    tail, head, taps = _halo_slices(axis, r, f.shape[axis])
+    return np.concatenate((f[tail], f, f[head]), axis=axis), taps
+
+
+def _first_from_taps(pad: np.ndarray, taps: tuple, h: float) -> np.ndarray:
+    """`partial`'s stencil on the halo copy of `_periodic_taps` (3 or 5 taps).
+
+    Its weights are float literals: an int costs a conversion per call and
+    gives the same bits."""
     if len(taps) == 3:
-        s_m1, _, s_p1 = taps
-        out = np.subtract(s_p1, s_m1)
+        m1, _, p1 = taps
+        out = np.subtract(pad[p1], pad[m1])
         out /= 2 * h
         return out
-    s_m2, s_m1, _, s_p1, s_p2 = taps
-    out = np.multiply(s_p1, 8)
-    out -= s_p2
-    scratch = np.multiply(s_m1, 8)
+    m2, m1, _, p1, p2 = taps
+    out = np.multiply(pad[p1], 8.0)
+    out -= pad[p2]
+    scratch = np.multiply(pad[m1], 8.0)
     out -= scratch
-    out += s_m2
+    out += pad[m2]
     out /= 12 * h
     return out
 
 
-def _second_from_taps(taps: list, f: np.ndarray, h: float) -> np.ndarray:
-    """`second_partial`'s diagonal stencil on the `_periodic_taps` views of f."""
+def _second_from_taps(
+    pad: np.ndarray, taps: tuple, f: np.ndarray, h: float
+) -> np.ndarray:
+    """`second_partial`'s diagonal stencil on the halo copy of f; 2f is
+    formed as f + f, which is exact."""
     if len(taps) == 3:
-        s_m1, _, s_p1 = taps
-        out = np.multiply(f, 2)
-        np.subtract(s_p1, out, out=out)
-        out += s_m1
+        m1, _, p1 = taps
+        out = np.add(f, f)
+        np.subtract(pad[p1], out, out=out)
+        out += pad[m1]
         out /= h**2
         return out
-    s_m2, s_m1, _, s_p1, s_p2 = taps
-    out = np.multiply(s_p1, 16)
-    out -= s_p2
-    scratch = np.multiply(f, 30)
+    m2, m1, _, p1, p2 = taps
+    out = np.multiply(pad[p1], 16.0)
+    out -= pad[p2]
+    scratch = np.multiply(f, 30.0)
     out -= scratch
-    np.multiply(s_m1, 16, out=scratch)
+    np.multiply(pad[m1], 16.0, out=scratch)
     out += scratch
-    out -= s_m2
+    out -= pad[m2]
     out /= 12 * h**2
     return out
 
@@ -176,9 +197,8 @@ def partial(grid: GridSpec, field_arr: np.ndarray, axis: int) -> np.ndarray:
     """
     _check_axis(grid, axis)
     f = np.asarray(field_arr, dtype=float)
-    return _first_from_taps(
-        _periodic_taps(f, axis, grid.derivative_order // 2), grid.spacing
-    )
+    pad, taps = _periodic_taps(f, axis, grid.derivative_order // 2)
+    return _first_from_taps(pad, taps, grid.spacing)
 
 
 def second_partial(
@@ -195,9 +215,8 @@ def second_partial(
     f = np.asarray(field_arr, dtype=float)
     if axis_i != axis_j:
         return partial(grid, partial(grid, f, axis_i), axis_j)
-    return _second_from_taps(
-        _periodic_taps(f, axis_i, grid.derivative_order // 2), f, grid.spacing
-    )
+    pad, taps = _periodic_taps(f, axis_i, grid.derivative_order // 2)
+    return _second_from_taps(pad, taps, f, grid.spacing)
 
 
 def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tuple:
@@ -208,9 +227,9 @@ def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tupl
     """
     _check_axis(grid, axis)
     f = np.asarray(field_arr, dtype=float)
-    taps = _periodic_taps(f, axis, grid.derivative_order // 2)
+    pad, taps = _periodic_taps(f, axis, grid.derivative_order // 2)
     h = grid.spacing
-    return _first_from_taps(taps, h), _second_from_taps(taps, f, h)
+    return _first_from_taps(pad, taps, h), _second_from_taps(pad, taps, f, h)
 
 
 @dataclass(frozen=True)

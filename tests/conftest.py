@@ -8,6 +8,7 @@ from mcflab.differences import PairedWindow
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
     GeometryPack,
+    geometry_kernel,
     geometry_packs,
     stacked_kernel,
     tensor_norm_sq,
@@ -96,6 +97,15 @@ def trace_identity_residual(geom: GeometryPack) -> float:
     """Max deviation of sum_a |grad X^a|^2_g from m (exact discretely)."""
     val = tensor_norm_sq(geom.first_derivs, geom, "l")
     return float(np.abs(val - geom.grid.m).max())
+
+
+def expression_rk4_positions(grid: GridSpec, X, dt: float, k1) -> np.ndarray:
+    """The expression form of `flow._rk4_positions`, kept as the bitwise
+    reference: one fresh array per operation, in the classical order."""
+    k2 = geometry_kernel(grid, X + 0.5 * dt * k1).mean_curv
+    k3 = geometry_kernel(grid, X + 0.5 * dt * k2).mean_curv
+    k4 = geometry_kernel(grid, X + dt * k3).mean_curv
+    return X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:

@@ -28,6 +28,7 @@ from mcflab.geometry import (
     geometry_kernel,
     geometry_packs,
     induced_volume,
+    kernel_layout,
     stacked_kernel,
     tensor_norm_sq,
     tensor_norm_sup,
@@ -41,6 +42,7 @@ from mcflab.grid import (
 from mcflab.grid import SymmetryAction
 from conftest import (
     assert_same_bytes,
+    expression_rk4_positions,
     identity_symmetry,
     measured_radius,
     measured_torus_radii,
@@ -175,6 +177,109 @@ class TestNonFiniteStage:
         assert err.value.time == 0.25
         assert err.value.node == first
         assert str(err.value) == f"flow blew up at t=0.25 at node {first}"
+
+
+# one flow (grid + (A,), as `step_rk4` steps it) or a pair stacked on a
+# batch axis (grid + (2, A), as `fixed_dt_stream` steps it), in kernel_layout
+RK4_CASES = {
+    "m1-single": lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0).positions,
+    "m1-pair": lambda o: np.stack(
+        [
+            shapes.circle(GridSpec(1, 32, o), 1.0).positions,
+            shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0).positions,
+        ],
+        axis=-2,
+    ),
+    "m2-single": lambda o: shapes.perturbed_torus(
+        GridSpec(2, 16, o), 1.0, 0.6, 0.2
+    ).positions,
+    "m2-pair": lambda o: np.stack(
+        [
+            shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2).positions,
+            shapes.product_torus(GridSpec(2, 16, o), 1.0, 0.7).positions,
+        ],
+        axis=-2,
+    ),
+}
+
+
+def rk4_case(name: str, order: int):
+    """(grid, X in kernel_layout, k1) of an RK4_CASES entry."""
+    X = RK4_CASES[name](order)
+    m = int(name[1])
+    grid = GridSpec(m, X.shape[0], order)
+    X = kernel_layout(X, m)
+    return grid, X, geometry_kernel(grid, X).mean_curv
+
+
+def kernel_arrays(kern) -> list:
+    """Every array of a KernelResult, the entries of its list fields included."""
+    return [a for f in kern for a in (f if isinstance(f, list) else [f])]
+
+
+def snapshot(arrays: list) -> tuple:
+    """(arrays, copies of them), for `assert_unchanged` after later work."""
+    return arrays, [a.copy() for a in arrays]
+
+
+def assert_unchanged(*snapshots):
+    for arrays, copies in snapshots:
+        for got, want in zip(arrays, copies):
+            assert_same_bytes(got, want)
+
+
+class TestRk4InPlace:
+    """`_rk4_positions` builds its stages and its sum in buffers it owns, bit
+    for bit the expression form that conftest keeps as the reference, and
+    writes neither X nor k1."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("case", sorted(RK4_CASES))
+    def test_bitwise_equal_to_the_expression_form(self, case, order):
+        grid, X, k1 = rk4_case(case, order)
+        dt = 1e-3 if grid.m == 1 else 2e-4
+        for _ in range(3):  # each step from the last one's positions and layout
+            held = snapshot([X, k1])
+            want = expression_rk4_positions(grid, X, dt, k1)
+            got = flow._rk4_positions(grid, X, dt, k1, 0.0)
+            assert_same_bytes(got, want)
+            assert got.strides == want.strides
+            assert_unchanged(held)
+            assert not np.shares_memory(got, X) and not np.shares_memory(got, k1)
+            X, k1 = got, geometry_kernel(grid, got).mean_curv
+
+
+class TestCallerArraysUnchanged:
+    """No step or stream writes an array its caller holds: the positions it
+    was given, a k1 passed in, or any field of a kernel it handed over."""
+
+    def test_step_rk4(self):
+        imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        k1 = geometry_kernel(imm.grid, imm.positions).mean_curv
+        held = snapshot([imm.positions, k1])
+        step_rk4(imm, 1e-3, k1)
+        step_rk4(imm, 1e-3)
+        assert_unchanged(held)
+
+    def test_adaptive_stream_at_m1(self):
+        imm = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        # at m=1 the loop starts from the caller's own array
+        assert kernel_layout(imm.positions, 1) is imm.positions
+        held = [snapshot([imm.positions])]
+        policy = StepPolicy(cfl_safety=0.3)
+        for state, kern, _ in adaptive_stream(imm, 0.02, policy, [0.0, 0.01, 0.02]):
+            held.append(snapshot([state.positions] + kernel_arrays(kern)))
+        assert len(held) == 4
+        assert_unchanged(*held)
+
+    def test_fixed_dt_stream_pair(self):
+        a = shapes.circle(GridSpec(1, 32), 1.0)
+        b = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        held = [snapshot([a.positions, b.positions])]
+        for states, kern in fixed_dt_stream([a, b], 2e-4, 6, store_every=2):
+            held.append(snapshot([s.positions for s in states] + kernel_arrays(kern)))
+        assert len(held) == 5
+        assert_unchanged(*held)
 
 
 class TestStepPolicy:

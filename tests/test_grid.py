@@ -238,6 +238,28 @@ class TestPartialAndSecond:
             partial_and_second(GridSpec(1, 8), np.ones(8), 1)
 
 
+class TestStencilOutputsAreFresh:
+    """Each stencil call returns arrays of its own: two consecutive calls
+    share no memory with each other or with the input, so no buffer is kept
+    between calls."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_consecutive_calls_share_no_memory(self, m, order):
+        grid = GridSpec(m, 16, order)
+        f = np.random.default_rng(m + order).standard_normal(grid.shape + (2, 3))
+        for axis in range(m):
+            outs = [
+                partial(grid, f, axis),
+                partial(grid, f, axis),
+                *partial_and_second(grid, f, axis),
+                *partial_and_second(grid, f, axis),
+            ]
+            for k, a in enumerate(outs):
+                assert not np.shares_memory(a, f)
+                assert not any(np.shares_memory(a, b) for b in outs[k + 1 :])
+
+
 class TestImmersion:
     def test_rejects_non_finite(self, circle_grid):
         pos = np.ones(circle_grid.shape + (2,))
