@@ -421,7 +421,7 @@ def run_diff_system(
     n_steps -= n_steps % store_every
     _require_paired_window(n_steps, store_every, dt, delta)
     window = PairedWindow.fixed_dt([initA, initB], dt, n_steps, store_every)
-    # the pair is integrated as the sweep reads its states, so a flow that
+    # the pair is integrated as the pass reads its states, so a flow that
     # blows up has its last finite states measured before BlowUpError;
     # numpy's overflow warnings there only announce that, as in the flow
     with np.errstate(over="ignore", invalid="ignore"):

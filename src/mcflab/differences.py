@@ -13,14 +13,14 @@ pair; the `diff-system` verb feeds it from the pair's fixed-step stream
 (`PairedWindow.fixed_dt`), so both packs of a state come from the one
 batched kernel evaluation that the pair's step already made there, and no
 trajectory is stored.  `verify_inequalities` measures the pair in one
-forward sweep over the centers: each `DifferencePack` is built once, folded
-into K and K~ as it enters the five-state stencil, and dropped once no
-later center reads it, so at most five packs are alive however long the
+forward pass over the centers: each `DifferencePack` is built once and
+folded into K and K~ as it enters the five-state stencil, and the window
+holds the five latest packs only, so nothing the pass keeps grows with the
 run.  Its rows are the `fitted_centers`, chosen by center index, which the
-CLI also counts before it integrates.  At each center the sweep also takes
+CLI also counts before it integrates.  At each center the pass also takes
 `check_dd` and `check_dw`, the `identities.evolution_residual` of the
 displayed difference evolutions, whose right-hand sides are differences of
-the single-flow ones.
+the single-flow ones, and keeps the worst center of each.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -236,16 +236,16 @@ class InequalityReport:
 
 def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
-    and measure the difference evolutions, in one forward sweep.
+    and measure the difference evolutions, in one forward pass.
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
     EPS_CORE and the `fitted_centers` of the window, those at least delta
     past the first state in the index form c * store_every * step.  Each
     row's t and the report's T are the stamps of the states.  K and K~ take
-    every state, `check_dd` and `check_dw` every center.  The sweep builds
-    each pack once and leaves the window with the packs before its last
-    four dropped, so a window serves one call.
+    every state, `check_dd` and `check_dw` every center, of which the
+    report keeps the worst.  The pass builds each pack once and leaves the
+    window holding its last five, so a window serves one call.
     """
     span = (len(window) - 1) * window.store_every * window.step
     if not 0.0 < delta < span:
@@ -260,16 +260,18 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     rows = []
     K = 0.0
     Kt = 0.0
-    dd, dw = [], []
-    for c in window.sweep():
+    worst = [None, None]  # of check_dd and check_dw: the earliest, as max
+    for c in window.centers:
         # each state enters K and K~ as it enters the stencil: the first
         # center's five, then state c + 2
         for k in range(0 if c == 2 else c + 2, c + 3):
             p = window.item(k)
             K = max(K, tensor_norm_sup(p.geomA.second_form, p.geomA, "ll"))
             Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
-        dd.append(check_dd(window, c))
-        dw.append(check_dw(window, c))
+        for i, check in enumerate((check_dd, check_dw)):
+            r = check(window, c)
+            if worst[i] is None or r.sup_residual > worst[i].sup_residual:
+                worst[i] = r
         if c not in fitted:
             continue
         p = window.item(c)
@@ -307,8 +309,8 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
         dt=window.dt,
         flagged_nodes=flagged,
         rows=rows,
-        dd=max(dd, key=attrgetter("sup_residual")),
-        dw=max(dw, key=attrgetter("sup_residual")),
+        dd=worst[0],
+        dw=worst[1],
     )
 
 

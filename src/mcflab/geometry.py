@@ -170,7 +170,9 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     (`partial_and_second`), and at m=1 the index loops are written out as
     straight-line arithmetic on the one component of each field, d_0 g_00
     taken from g_00 itself.  It runs the loops' operations in their order,
-    so the bits are those of the loops.
+    so the bits are those of the loops, but for c_000 = d_0 g_00, which the
+    loops form as (d_0 g_00 + d_0 g_00) - d_0 g_00: that overflows to inf
+    where |d_0 g_00| > DBL_MAX / 2, and is d_0 g_00 to the bit elsewhere.
 
     Axes between the grid axes and the ambient axis (``batch``, possibly
     none) hold independent immersions on the same grid, such as the two
@@ -192,9 +194,7 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
         del p
         _check_det(X, det, 1)
         ginv = 1.0 / det
-        dg = partial(grid, det, 0)
-        gamma = dg + dg  # c_000 = (d_0 g_00 + d_0 g_00) - d_0 g_00
-        gamma -= dg
+        gamma = partial(grid, det, 0)  # c_000 = d_0 g_00
         gamma *= ginv
         gamma *= 0.5
         dd -= gamma[..., None] * dX0

@@ -10,16 +10,16 @@ but are never checked themselves.  A window reads its states from a stream,
 every stored state with its exact stamp and the kernel evaluation at it:
 the one its step already made, or for the final state one call of its
 own.  So a window keeps no times and evaluates no geometry kernel, no
-state's geometry is evaluated twice and no trajectory is stored.  The paired
-checks run in one forward `SampleWindow.sweep` over the centers, which
-drops each item once no later stencil reads it, so at most five items are
-alive however long the run.  The identity suite's `FoldingWindow` has one
-center: it builds the center's pack alone and folds every other state's
-differenced fields into their time derivatives as the state arrives
-(`five_point_fold`, the one arithmetic of every time difference here), so
-no neighbour's pack is built.  One builder, `residual_report`, measures
-every residual tensor pointwise in the evolving induced metric g(t); per
-ambient-coordinate families contribute in Frobenius over the ambient label.
+state's geometry is evaluated twice and no trajectory is stored.  A window
+holds its five latest items, one center's stencil, so the paired checks
+run in one forward pass with at most five items alive however long the
+run.  The identity suite's `FoldingWindow` has one center: it builds the
+center's pack alone and folds every other state's differenced fields into
+their time derivatives as the state arrives (`five_point_fold`, the one
+arithmetic of every time difference here), so no neighbour's pack is
+built.  One builder, `residual_report`, measures every residual tensor
+pointwise in the evolving induced metric g(t); per ambient-coordinate
+families contribute in Frobenius over the ambient label.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -117,10 +117,12 @@ class SampleWindow:
     (`flow.fixed_dt_stream`), from which the window builds the item
     through `geometry.geometry_packs`.  n_states is the number of states
     the stream yields, and `dt` the run's sample step, store_every * step.
-    `fixed_dt` builds the window on the stream of a fixed-step run.  Items
-    stay cached until a `sweep` drops them.  A dropped item is never
-    rebuilt: reading it, or an index outside the states, raises IndexError.
-    Once the last state is read, the window lets go of the stream.
+    `fixed_dt` builds the window on the stream of a fixed-step run.
+    `item(k)` reads the stream up to state k.  The window holds the five
+    latest items, one center's stencil: it drops item j - 5 before it
+    builds item j.  Reading a state no longer held, or outside the states,
+    raises IndexError, so a window serves one forward pass over its
+    centers.  Once the last state is read, the window lets go of the stream.
     """
 
     def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
@@ -131,8 +133,8 @@ class SampleWindow:
         self.step = step
         self.store_every = store_every
         self.dt = store_every * step
-        self._items = []  # the items read from the stream, None once dropped
-        self._dropped = 0  # a sweep has dropped items 0 .. _dropped - 1
+        self._held = {}  # state index -> item, of the five latest states read
+        self._read = 0  # the number of states read from the stream
 
     @classmethod
     def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
@@ -146,28 +148,22 @@ class SampleWindow:
     def item(self, k: int):
         if not 0 <= k < len(self):
             raise IndexError(f"state {k} is outside 0 .. {len(self) - 1}")
-        if k < self._dropped:
-            raise IndexError(
-                f"state {k} is behind the sweep, which dropped states "
-                f"0 .. {self._dropped - 1}"
-            )
-        while len(self._items) <= k:
-            self._items.append(self._make(*next(self._stream)))
-            if len(self._items) == len(self):
+        while self._read <= k:
+            self._held.pop(self._read - 5, None)
+            self._held[self._read] = self._make(*next(self._stream))
+            self._read += 1
+            if self._read == len(self):
                 self._stream = None
-        return self._items[k]
+        if k not in self._held:
+            raise IndexError(
+                f"state {k} is no longer held: the window holds states "
+                f"{self._read - 5} .. {self._read - 1}"
+            )
+        return self._held[k]
 
     @property
     def centers(self):
         return range(2, len(self) - 2)
-
-    def sweep(self):
-        """The centers in order, for one forward pass: after center c, item
-        c - 2 is dropped, since no later center's stencil reads it."""
-        for c in self.centers:
-            yield c
-            self._items[c - 2] = None
-            self._dropped = c - 1
 
     def time_derivative(self, c: int, field_of) -> np.ndarray:
         """4th-order central d/dt of field_of(item) at the center state c."""
@@ -192,11 +188,12 @@ class FieldRates(NamedTuple):
 class FoldingWindow(SampleWindow):
     """The five states around the one center of one flow: the identity
     suite's window.  Item 2, the center, is its GeometryPack.  Every other
-    state is folded as it arrives (`_fold`): the FieldRates components are
-    read from its kernel, no pack of it is built, and the kernel is
-    dropped, so its item is None.  `time_derivative(2, field_of)` reads the
-    last states and is field_of of the FieldRates, with the bits of
-    `five_point_derivative` of the five packs' fields.
+    state, numbered by the count of states read, is folded as it arrives
+    (`_fold`): the FieldRates components are read from its kernel, no pack
+    of it is built, and the kernel is dropped, so its item is None.
+    `time_derivative(2, field_of)` reads the last states and is field_of of
+    the FieldRates, with the bits of `five_point_derivative` of the five
+    packs' fields.
     """
 
     def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
@@ -207,7 +204,7 @@ class FoldingWindow(SampleWindow):
         self._acc = []  # each component's five_point_fold, in FieldRates order
 
     def _make(self, states: list, kern) -> GeometryPack | None:
-        k = len(self._items)
+        k = self._read
         if k == 2:
             (geom,) = geometry_packs(states, kern)
             return geom

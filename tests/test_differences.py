@@ -235,11 +235,11 @@ class TestDifferenceEvolutions:
             sups.append(rep.dd.sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
-    def test_sweep_keeps_the_worst_center_of_each_check(self):
+    def test_pass_keeps_the_worst_center_of_each_check(self):
         """Over every center, those before delta included."""
         rep = verify_inequalities(circle_ellipse_pair(), delta=5 * DT)
-        w = circle_ellipse_pair()
         for check, got in ((check_dd, rep.dd), (check_dw, rep.dw)):
+            w = circle_ellipse_pair()  # a window serves one pass
             per_center = [check(w, c) for c in w.centers]
             assert got == max(per_center, key=lambda r: r.sup_residual)
             assert got.t_center < 5 * DT  # the worst lies before delta
@@ -348,18 +348,30 @@ def torus_pair(n_steps):
 
 
 class TestStreamingPass:
-    """verify_inequalities is one forward sweep over at most five packs."""
+    """verify_inequalities is one forward pass over at most five packs."""
 
     @staticmethod
-    def sweep_peak(trajA, trajB) -> int:
+    def pass_peak(trajA, trajB) -> int:
         return traced_peak(
             lambda: verify_inequalities(paired_window(trajA, trajB), delta=2e-3)
         )[1]
 
     def test_peak_memory_does_not_grow_with_the_stored_states(self):
         short, long = torus_pair(8), torus_pair(32)  # 9 and 33 stored states
-        peaks = {len(p[0].states): self.sweep_peak(*p) for p in (short, long)}
+        peaks = {len(p[0].states): self.pass_peak(*p) for p in (short, long)}
         assert peaks[33] <= 1.1 * peaks[9], peaks
+
+    def test_paired_pass_peak_does_not_grow_with_the_stream(self):
+        """An m=1 pair read from its stream: 3x the stored states, with the
+        same 7 fitted rows at the end, peaks no higher."""
+        a = shapes.circle(GridSpec(1, 16), 1.0)
+        b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+        dt, peaks = 1e-5, {}
+        for n in (120, 360):
+            window = PairedWindow.fixed_dt([a, b], dt, n)
+            rep, peaks[n] = traced_peak(verify_inequalities, window, (n - 8) * dt)
+            assert len(rep.rows) == 7
+        assert peaks[360] <= 1.1 * peaks[120], peaks
 
     def test_each_pack_is_built_once_and_at_most_five_are_alive(self, monkeypatch):
         built, alive = [], []
@@ -368,7 +380,7 @@ class TestStreamingPass:
         def counting(stateA, stateB, kern):
             built.append(stateA.time)
             if window is not None:
-                alive.append(sum(x is not None for x in window._items) + 1)
+                alive.append(len(window._held) + 1)
             return build_difference(stateA, stateB, kern)
 
         monkeypatch.setattr(differences, "build_difference", counting)
@@ -378,15 +390,16 @@ class TestStreamingPass:
         assert built == [s.time for s in trajA.states]
         assert max(alive) == 5
 
-    def test_reading_behind_the_sweep_raises(self):
+    def test_reading_a_state_no_longer_held_raises(self):
         window = paired_window(*torus_pair(6))
         verify_inequalities(window, delta=2e-3)
-        last = window.centers[-1]
-        for k in range(last - 1):
-            with pytest.raises(IndexError, match=f"state {k} is behind the sweep"):
+        last = len(window) - 1
+        held = f"the window holds states {last - 4} .. {last}"
+        for k in range(last - 4):
+            with pytest.raises(IndexError, match=f"state {k} is no longer held: {held}"):
                 window.item(k)
-        assert window.item(last - 1) is not None
-        with pytest.raises(IndexError, match="behind the sweep"):
+        assert all(window.item(k) is not None for k in range(last - 4, last + 1))
+        with pytest.raises(IndexError, match="no longer held"):
             verify_inequalities(window, delta=2e-3)  # a window serves one pass
 
     def test_delta_counts_from_the_first_state(self):

@@ -26,6 +26,7 @@ from mcflab.identities import (
     FoldingWindow,
     ProtocolError,
     ResidualReport,
+    SampleWindow,
     _connection_rhs,
     _second_form_rhs,
     check_dGamma,
@@ -46,6 +47,7 @@ from conftest import (
     REFERENCE_MAKERS,
     assert_same_bytes,
     stencil_symbols,
+    traced_peak,
     trajectory_window,
 )
 
@@ -73,8 +75,7 @@ class TestTimeDifference:
     def test_window_differences_the_five_states_around_each_centre(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
         window = trajectory_window(traj)
-        n = len(window)
-        metrics = [window.geometry(k).metric for k in range(n)]
+        metrics = [compute_geometry(s).metric for s in traj.states]
         assert list(window.centers) == [2, 3, 4]
         for c in window.centers:
             want = five_point_derivative(metrics[c - 2 : c + 3], window.dt)
@@ -99,21 +100,38 @@ class TestTimeDifference:
             with pytest.raises(IndexError, match=f"state {k} is outside"):
                 window.item(k)
 
-    def test_sweep_drops_each_item_behind_the_stencil(self):
+    def test_window_drops_each_item_behind_the_stencil(self):
         window = trajectory_window(
             short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
         )
-        seen = []
-        for c in window.sweep():
-            seen.append(c)
+        assert list(window.centers) == [2, 3, 4]
+        for c in window.centers:
             window.time_derivative(c, lambda geom: geom.metric)
             if c > 2:
-                with pytest.raises(IndexError, match=f"state {c - 3} is behind"):
+                held = f"the window holds states {c - 2} .. {c + 2}"
+                with pytest.raises(
+                    IndexError, match=f"state {c - 3} is no longer held: {held}"
+                ):
                     window.item(c - 3)
-        assert seen == list(window.centers) == [2, 3, 4]
-        with pytest.raises(IndexError, match="state 2 is behind the sweep"):
-            window.time_derivative(4, lambda geom: geom.metric)
-        assert window.geometry(3) is not None  # the last four stay
+        with pytest.raises(IndexError, match="state 1 is no longer held"):
+            window.time_derivative(3, lambda geom: geom.metric)
+        assert window.geometry(2) is not None  # the last five stay
+
+    def test_window_memory_is_flat_over_a_long_stream(self):
+        """However many states a window reads, it holds five items: reading
+        10^5 trivial ones peaks as reading 10^3 does."""
+
+        class Plain(SampleWindow):
+            def _make(self, states, kern):
+                return states
+
+        def read(n):
+            window = Plain((((k,), None) for k in range(n)), n, 1.0)
+            for k in range(n):
+                assert window.item(k) == (k,)
+
+        peaks = {n: traced_peak(read, n)[1] for n in (10**3, 10**5)}
+        assert peaks[10**5] <= 1.1 * peaks[10**3], peaks
 
     def test_center_is_the_central_formula_to_the_bit(self):
         rng = np.random.default_rng(7)
@@ -203,10 +221,10 @@ class TestEvolutionChecks:
             sups.append(checker(trajectory_window(traj), 2).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
-    def test_one_sweep_checks_every_center(self):
+    def test_one_pass_checks_every_center(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), n_steps=8)
         window = trajectory_window(traj)
-        for c in window.sweep():
+        for c in window.centers:
             # the same center of a five-state window around it, to the bit
             alone = trajectory_window(
                 FlowTrajectory(traj.states[c - 2 : c + 3], sample_step=1e-5)
