@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import KernelResult, geometry_kernel, kernel_layout
+from .geometry import KernelResult, batch_positions, geometry_kernel, kernel_layout
 from .grid import (
     DegenerateImmersionError,
     GridSpec,
@@ -361,7 +361,7 @@ def _fixed_dt_loop(initials: list, dt: float, stored: range, kern):
     state.
     """
     grid, B, t0 = initials[0].grid, len(initials), initials[0].time
-    X = kernel_layout(np.stack([imm.positions for imm in initials], axis=-2), grid.m)
+    X = batch_positions(initials)
     with np.errstate(over="ignore", invalid="ignore"):
         held = [geometry_kernel(grid, X) if kern is None else kern]
     del kern  # held alone keeps it, so that it goes once handed over

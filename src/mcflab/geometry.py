@@ -121,7 +121,7 @@ class KernelResult(NamedTuple):
     """One kernel evaluation: H, g and det g, plus the other pack fields as
     lists of grid-first components in pack index order (``dX[i]`` = d_i X,
     ``ginv`` over (i, j), ``gamma`` over (k, i, j), ``h`` over (i, j));
-    index-symmetric entries share one array.
+    index-symmetric entries share one array; `pack_components` alone reads them.
 
     At m=2 every field with component axes (``mean_curv``, ``metric`` and
     the entries of ``dX`` and ``h``) is the components_last view of a
@@ -279,12 +279,56 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     )
 
 
+def batch_positions(states: list) -> np.ndarray:
+    """The positions of immersions on one grid stacked on a batch axis (grid
+    + (B,) + (A,)) in `kernel_layout`, as `stacked_kernel` and the
+    fixed-step stream's loop state hold them."""
+    return kernel_layout(np.stack([s.positions for s in states], -2), states[0].grid.m)
+
+
 def stacked_kernel(states: list) -> KernelResult:
     """One kernel evaluation of immersions on one grid, stacked on a batch
-    axis (grid + (B,) + (A,)) in `kernel_layout`, as the fixed-step stream
-    stacks them, so that the m=2 kernel copies nothing."""
-    X = kernel_layout(np.stack([s.positions for s in states], -2), states[0].grid.m)
-    return geometry_kernel(states[0].grid, X)
+    axis (`batch_positions`), as the fixed-step stream stacks them, so
+    that the m=2 kernel copies nothing."""
+    return geometry_kernel(states[0].grid, batch_positions(states))
+
+
+def pack_components(k: KernelResult, b: int, names=None) -> list:
+    """(name, lead, components) of the named pack fields (all, in pack order,
+    if names is None) of batch member b of k: lead is the field's component
+    axes, components its grid arrays, views into k, in the row-major order
+    of a components-first copy, ambient axis first.  The one reader of
+    `KernelResult`; it builds the lists of the named fields only."""
+    m, A = len(k.dX), k.mean_curv.shape[-1]
+    R, RA = range(m), range(A)
+    fields = {  # each pack field's axes and the builder of its components
+        "first_derivs": ((A, m), lambda: [d[..., b, a] for a in RA for d in k.dX]),
+        "metric": ((m, m), lambda: [k.metric[..., b, i, j] for i in R for j in R]),
+        "inverse_metric": ((m, m), lambda: [g[..., b] for g in k.ginv]),
+        "det_metric": ((), lambda: [k.det[..., b]]),
+        "christoffels": ((m, m, m), lambda: [g[..., b] for g in k.gamma]),
+        "second_form": ((A, m, m), lambda: [h[..., b, a] for a in RA for h in k.h]),
+        "mean_curv": ((A,), lambda: [k.mean_curv[..., b, a] for a in RA]),
+    }
+    return [(name, fields[name][0], fields[name][1]()) for name in names or fields]
+
+
+def field_block(grid_shape: tuple, leads: list) -> tuple:
+    """One fresh block ((n,) + grid) holding fields with component axes
+    leads one after another, components first, and each field's
+    components_last view: the layout of a pack and of a FoldingWindow's
+    FieldRates.  With a fresh array per field, the identity suite's RK
+    steps beside its live packs ran about 20 % slower at N=128, and the
+    check_simons that follows its window at N=128 in a convergence run
+    took 7.0k minor faults instead of 4.1k."""
+    sizes = [math.prod(lead) for lead in leads]
+    block = np.empty((sum(sizes),) + grid_shape)
+    views, start = [], 0
+    for n, lead in zip(sizes, leads):
+        f = block[start : start + n].reshape(lead + grid_shape)
+        views.append(components_last(f, len(lead)))
+        start += n
+    return block, views
 
 
 def geometry_packs(states: list, k: KernelResult | None = None) -> list:
@@ -292,42 +336,20 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     kernel evaluation k of them stacked on a batch axis (grid + (B,) + (A,)),
     as the fixed-step stream yields it, or from one call here if k is None.
 
-    Every field is a contiguous components-first array, handed out as its
-    components_last view, so a pack has the bytes, shape and strides of a
-    single flow's whatever the batch: a member's strided view would change
-    the pairwise sums of `induced_volume` and `cell_weight`.  A pack is one
-    fresh block holding its fields one after another: with a fresh array
-    per field the identity suite's RK steps beside its live packs ran about
-    20 % slower at N=128.
+    Each pack is one `field_block` that its `pack_components` are copied
+    into, so it has the bytes, shape and strides of a single flow's whatever
+    the batch: a member's strided view would change the pairwise sums of
+    `induced_volume` and `cell_weight`.
     """
-    grid, m, A = states[0].grid, states[0].grid.m, states[0].ambient_dim
     if k is None:
         k = stacked_kernel(states)
-    R = range(m)
-    fields = (  # each field's kernel components in row-major order, its axes
-        (k.dX, (A, m)),
-        ([k.metric[..., i, j] for i in R for j in R], (m, m)),
-        (k.ginv, (m, m)),
-        ([k.det], ()),
-        (k.gamma, (m, m, m)),
-        (k.h, (A, m, m)),
-        ([k.mean_curv], (A,)),
-    )
-    sizes = [math.prod(lead) for _, lead in fields]
-    blocks = [np.empty((sum(sizes),) + grid.shape) for _ in states]
-    views = [[] for _ in states]
-    start = 0
-    for (parts, lead), n in zip(fields, sizes):
-        n_pass = parts[0].ndim - m - 1  # the ambient axis past the batch
-        to_first = _to_first(m + n_pass, n_pass)
-        shape = lead[:n_pass] + (len(parts),) + grid.shape
-        for b, block in enumerate(blocks):
-            member = (..., b) + (slice(None),) * n_pass
-            f = block[start : start + n].reshape(shape)
-            np.stack([p[member].transpose(to_first) for p in parts], axis=n_pass, out=f)
-            views[b].append(components_last(f.reshape(lead + grid.shape), len(lead)))
-        start += n
-    return [GeometryPack(imm, *v) for imm, v in zip(states, views)]
+    packs = []
+    for b, imm in enumerate(states):
+        fields = pack_components(k, b)
+        block, views = field_block(imm.grid.shape, [lead for _, lead, _ in fields])
+        np.stack([c for _, _, parts in fields for c in parts], out=block)
+        packs.append(GeometryPack(imm, *views))
+    return packs
 
 
 def compute_geometry(imm: Immersion) -> GeometryPack:

@@ -17,9 +17,11 @@ run.  The identity suite's `FoldingWindow` has one center: it builds the
 center's pack alone and folds every other state's differenced fields into
 their time derivatives as the state arrives (`five_point_fold`, the one
 arithmetic of every time difference here), so no neighbour's pack is
-built.  One builder, `residual_report`, measures every residual tensor
-pointwise in the evolving induced metric g(t); per ambient-coordinate
-families contribute in Frobenius over the ambient label.
+built; `geometry.pack_components` and `geometry.field_block` alone know
+the kernel's and the pack's layout.  One builder, `residual_report`,
+measures every residual tensor pointwise in the evolving induced metric
+g(t); per ambient-coordinate families contribute in Frobenius over the
+ambient label.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -31,7 +33,6 @@ conversion copies nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,8 +46,10 @@ from .geometry import (
     components_last,
     covariant_derivative,
     curvature_intrinsic,
+    field_block,
     geometry_packs,
     laplacian,
+    pack_components,
     sum_of_products,
     tensor_norm_sq,
 )
@@ -189,8 +192,8 @@ class FoldingWindow(SampleWindow):
     """The five states around the one center of one flow: the identity
     suite's window.  Item 2, the center, is its GeometryPack.  Every other
     state, numbered by the count of states read, is folded as it arrives
-    (`_fold`): the FieldRates components are read from its kernel, no pack
-    of it is built, and the kernel is dropped, so its item is None.
+    (`_fold`) from its kernel's `pack_components` into one `field_block`;
+    no pack of it is built, and the kernel is dropped, so its item is None.
     `time_derivative(2, field_of)` reads the last states and is field_of of
     the FieldRates, with the bits of `five_point_derivative` of the five
     packs' fields.
@@ -200,7 +203,7 @@ class FoldingWindow(SampleWindow):
         if n_states != 5:
             raise ProtocolError(f"a folding window has 5 states, not {n_states}")
         super().__init__(stream, n_states, step, store_every)
-        self._rates = None  # the FieldRates, from state 0 on
+        self._rates = self._block = None  # FieldRates, their field_block
         self._acc = []  # each component's five_point_fold, in FieldRates order
 
     def _make(self, states: list, kern) -> GeometryPack | None:
@@ -213,44 +216,18 @@ class FoldingWindow(SampleWindow):
 
     def _fold(self, k: int, kern):
         """Fold state k in from its kernel evaluation kern, a batch of one,
-        one component at a time, read from the kernel as
-        `geometry.geometry_packs` reads it: in row-major order, with the
-        ambient axis, if any, in front of the grid.  State 0's components
-        are held as they are until state 1 writes f0 - 8 f1 into the
-        components-first FieldRates arrays."""
-        m, A = len(kern.dX), kern.mean_curv.shape[-1]
-        grid_shape = kern.det.shape[:-1]
-        R = range(m)
-        fields = (  # each FieldRates field's kernel components, its axes
-            (kern.dX, (A, m)),
-            ([kern.metric[..., i, j] for i in R for j in R], (m, m)),
-            (kern.gamma, (m, m, m)),
-            (kern.h, (A, m, m)),
-        )
+        one `pack_components` grid array at a time into its row of the
+        FieldRates' block.  State 0's components are held as they are until
+        state 1 writes f0 - 8 f1 into the rows."""
+        fields = pack_components(kern, 0, FieldRates._fields)
+        parts = [c for _, _, components in fields for c in components]
         if self._rates is None:
-            # one block holding the fields one after another, as a window's
-            # pack is: with an array per field, the check_simons that follows
-            # the window at N=128 in a convergence run over N = 32, 64, 128
-            # took 7.0k minor faults instead of 4.1k
-            sizes = [math.prod(lead) for _, lead in fields]
-            blocks = np.split(
-                np.empty((sum(sizes),) + grid_shape), np.cumsum(sizes)[:-1]
-            )
-            self._rates = FieldRates(
-                *(components_last(b.reshape(lead + grid_shape), len(lead))
-                  for b, (_, lead) in zip(blocks, fields))
-            )
-        terms = []  # (component, its slice of the FieldRates arrays)
-        for rate, (parts, lead) in zip(self._rates, fields):
-            n_pass = parts[0].ndim - len(grid_shape) - 1  # ambient axis past batch
-            out = components_first(rate, len(lead))
-            out = out.reshape(lead[:n_pass] + (len(parts),) + grid_shape)
-            for p, part in enumerate(parts):
-                f = np.moveaxis(part[..., 0, :], -1, 0) if n_pass else part[..., 0]
-                terms.append((f, out[(slice(None),) * n_pass + (p,)]))
+            leads = [lead for _, lead, _ in fields]
+            self._block, views = field_block(parts[0].shape, leads)
+            self._rates = FieldRates(*views)
         self._acc = [
             five_point_fold(k, acc, f, self.dt, out)
-            for acc, (f, out) in zip(self._acc or [None] * len(terms), terms)
+            for acc, f, out in zip(self._acc or [None] * len(parts), parts, self._block)
         ]
 
     def geometry(self, k: int) -> GeometryPack:

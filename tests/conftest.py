@@ -17,6 +17,18 @@ from mcflab.grid import GridSpec, Immersion, SymmetryAction
 from mcflab.identities import SampleWindow
 
 
+# every GeometryPack field but the immersion, in pack order
+PACK_FIELDS = (
+    "first_derivs",
+    "metric",
+    "inverse_metric",
+    "det_metric",
+    "christoffels",
+    "second_form",
+    "mean_curv",
+)
+
+
 def assert_same_bytes(got, want):
     """Equal shape, dtype and bytes of the C-order copies.
 

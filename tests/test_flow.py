@@ -41,6 +41,8 @@ from mcflab.grid import (
 )
 from mcflab.grid import SymmetryAction
 from conftest import (
+    PACK_FIELDS,
+    REFERENCE_MAKERS,
     assert_same_bytes,
     expression_rk4_positions,
     identity_symmetry,
@@ -632,23 +634,15 @@ class TestPairedFixedDt:
         assert str(paired.value) == str(single.value)
 
 
-PACK_FIELDS = (
-    "first_derivs",
-    "metric",
-    "inverse_metric",
-    "det_metric",
-    "christoffels",
-    "second_form",
-    "mean_curv",
-)
+STREAM_SHAPES = {
+    "m1": lambda o: shapes.ellipse(GridSpec(1, 32, o), 1.5, 1.0),
+    "m1-codim2": REFERENCE_MAKERS["m1-codim2"],  # a space curve, A = 3
+    "m2": lambda o: shapes.perturbed_torus(GridSpec(2, 16, o), 1.0, 0.6, 0.2),
+}
 
 STREAM_INITIALS = {
-    f"m{m}-o{order}": (lambda m=m, order=order: (
-        shapes.ellipse(GridSpec(1, 32, order), 1.5, 1.0)
-        if m == 1
-        else shapes.perturbed_torus(GridSpec(2, 16, order), 1.0, 0.6, 0.2)
-    ))
-    for m in (1, 2)
+    f"{name}-o{order}": (lambda make=make, order=order: make(order))
+    for name, make in STREAM_SHAPES.items()
     for order in (2, 4)
 }
 

@@ -1,4 +1,5 @@
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from mcflab.geometry import (
     curvature_intrinsic,
     divergence,
     geometry_kernel,
+    geometry_packs,
     laplacian,
+    pack_components,
+    stacked_kernel,
     tensor_norm_sq,
     tensor_norm_sup,
 )
@@ -34,8 +38,10 @@ from mcflab.grid import (
     reflection_permutation,
     second_partial,
 )
+from mcflab.identities import FoldingWindow
 
 from conftest import (
+    PACK_FIELDS,
     REFERENCE_MAKERS,
     assert_same_bytes,
     permute_field,
@@ -547,6 +553,69 @@ class TestKernelLayouts:
                 geometry_kernel(imm.grid, x)
             assert got.value.node == want.value.node, name
             assert str(got.value) == str(want.value), name
+
+
+def assert_one_block(fields):
+    """fields are views, one after another in this order, of one fresh
+    C-order base array of their total size."""
+    base = fields[0].base
+    assert base is not None and base.base is None
+    assert base.flags.c_contiguous
+    assert all(f.base is base for f in fields)
+    assert base.size == sum(f.size for f in fields)
+    start = base.__array_interface__["data"][0]
+    offsets = [f.__array_interface__["data"][0] - start for f in fields]
+    ends = np.cumsum([f.nbytes for f in fields])
+    assert offsets == [0] + ends[:-1].tolist()
+
+
+class TestFieldBlock:
+    """Every field of a pack, and every FieldRates field of a folding
+    window, lies in one block per pack or window, in field order: the
+    layout `geometry.field_block` makes, which keeps the minor faults and
+    the RK steps beside live packs down."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_a_pack_is_one_block(self, m, A, batch):
+        imm = LAYOUT_MAKERS[m, A](4)
+        states = [imm, shapes.low_mode_perturbation(imm, 1e-2, seed=5)][:batch]
+        packs = geometry_packs(states)
+        for pack in packs:
+            assert_one_block([getattr(pack, name) for name in PACK_FIELDS])
+        if batch == 2:
+            assert not np.shares_memory(packs[0].metric, packs[1].metric)
+
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_folded_rates_are_one_block(self, m, A):
+        window = FoldingWindow.fixed_dt([LAYOUT_MAKERS[m, A](4)], 1e-5, 4)
+        window.time_derivative(2, attrgetter("metric"))
+        assert_one_block(list(window._rates))
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
+    def test_components_are_the_pack_fields_components_first(self, m, A, batch):
+        imm = LAYOUT_MAKERS[m, A](2)
+        states = [imm, shapes.low_mode_perturbation(imm, 1e-2, seed=5)][:batch]
+        k = stacked_kernel(states)
+        kernel_arrays = [a for f in k for a in (f if isinstance(f, list) else [f])]
+        for b, pack in enumerate(geometry_packs(states, k)):
+            fields = pack_components(k, b)
+            assert [name for name, _, _ in fields] == list(PACK_FIELDS)
+            for name, lead, components in fields:
+                want = components_first(getattr(pack, name), len(lead))
+                assert want.shape == lead + imm.grid.shape
+                got = np.stack(components).reshape(want.shape)
+                assert_same_bytes(got, want)
+                for c in components:  # a view into k, not a copy
+                    assert any(np.shares_memory(c, a) for a in kernel_arrays), name
+            some = ("second_form", "metric")
+            by_name = {name: (lead, np.stack(c)) for name, lead, c in fields}
+            named = pack_components(k, b, some)
+            assert [name for name, _, _ in named] == list(some)
+            for name, lead, components in named:
+                assert lead == by_name[name][0]
+                assert_same_bytes(np.stack(components), by_name[name][1])
 
 
 class TestDetScreen:
