@@ -14,20 +14,25 @@ pair; the `diff-system` verb feeds it from the pair's fixed-step stream
 batched kernel evaluation that the pair's step already made there, and no
 trajectory is stored.  `verify_inequalities` measures the pair in one
 forward pass over the centers: each `DifferencePack` is built once and
-folded into K and K~ as it enters the five-state stencil, and the window
-holds the five latest packs only, so nothing the pass keeps grows with the
-run.  Its rows are the `fitted_centers`, chosen by center index, which the
-CLI also counts before it integrates.  At each center the pass also takes
-`check_dd` and `check_dw`, the `identities.evolution_residual` of the
-displayed difference evolutions, whose right-hand sides are differences of
-the single-flow ones, and keeps the worst center of each.
+folded into K and K~ as it enters the five-state stencil.  The pass holds
+the six difference fields of the five latest states, at most three
+first-flow packs, each released once its state's center is measured
+(`PairedWindow.release_geometry`), and never a second-flow pack:
+`build_difference` takes from it what the checks read and drops it.  So
+nothing the pass keeps grows with the run.  Its rows are the
+`fitted_centers`, chosen by center index, which the CLI also counts before
+it integrates.  At each center the pass also takes `check_dd` and
+`check_dw`, the `identities.evolution_residual` of the displayed
+difference evolutions, whose right-hand sides are differences of the
+single-flow ones, and keeps the worst center of each; the time derivatives
+of d and w they take serve |d/dt Z|^2 too.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import attrgetter
 
@@ -72,16 +77,22 @@ def _sum_over(summands, term) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DifferencePack:
-    """All difference tensors of two states at one shared time."""
+    """All difference tensors of two states at one shared time, and what the
+    checks read of the second flow: the right-hand sides of the displayed
+    difference evolutions and sup |ht|_gt.  The second flow's pack itself is
+    not kept."""
 
-    geomA: GeometryPack
-    geomB: GeometryPack
+    geomA: GeometryPack | None  # None once a PairedWindow has released it
     d: np.ndarray  # grid + (m, m)           g - gt
     N: np.ndarray  # grid + (m, m, m)        Gamma - Gammat, [k, i, j]
     W: np.ndarray  # grid + (m, m, m, m)     grad N (g-connection), [l, k, i, j]
     w: np.ndarray  # grid + (A, m)           grad X - gradt Xt
     U: np.ndarray  # grid + (A, m, m)        h - ht
     V: np.ndarray  # grid + (A, m, m, m)     grad h - gradt ht
+    d_rhs: np.ndarray  # grid + (m, m)       metric_rhs(A) - metric_rhs(B)
+    w_rhs: np.ndarray  # grid + (A, m)       grad_H(A) - grad_H(B)
+    sup_h: float  # sup |h|_g
+    sup_h_tilde: float  # sup |ht|_gt
 
     def _norm_sq(self, f: str, spec: str) -> np.ndarray:
         return tensor_norm_sq(getattr(self, f), self.geomA, spec)
@@ -107,7 +118,8 @@ class DifferencePack:
 def build_difference(stateA, stateB, kern=None) -> DifferencePack:
     """Difference tensors of two states that form a pair (`require_pair`);
     kern is their batched kernel evaluation, as a paired stream yields it,
-    or None for one call here (`geometry_packs`)."""
+    or None for one call here (`geometry_packs`).  The second flow's pack
+    is read here and dropped on return."""
     require_pair(stateA, stateB)
     geomA, geomB = geometry_packs([stateA, stateB], kern)
     d = geomA.metric - geomB.metric
@@ -115,22 +127,36 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
     W = covariant_derivative(N, geomA, "ull")
     w = geomA.first_derivs - geomB.first_derivs
     U = geomA.second_form - geomB.second_form
-    V = covariant_derivative(geomA.second_form, geomA, "ll") - covariant_derivative(
-        geomB.second_form, geomB, "ll"
+    V = covariant_derivative(geomA.second_form, geomA, "ll")
+    np.subtract(V, covariant_derivative(geomB.second_form, geomB, "ll"), out=V)
+    return DifferencePack(
+        geomA, d, N, W, w, U, V,
+        d_rhs=metric_rhs(geomA) - metric_rhs(geomB),
+        w_rhs=grad_H(geomA) - grad_H(geomB),
+        sup_h=tensor_norm_sup(geomA.second_form, geomA, "ll"),
+        sup_h_tilde=tensor_norm_sup(geomB.second_form, geomB, "ll"),
     )
-    return DifferencePack(geomA, geomB, d, N, W, w, U, V)
 
 
 class PairedWindow(SampleWindow):
     """Two flows on one uniform sample grid; item k is the DifferencePack of
     state k, built from the one batched kernel evaluation of both states and
-    measured in the first flow's geometry."""
+    measured in the first flow's geometry.  `release_geometry(k)` lets that
+    geometry go once nothing reads it; the differences stay held."""
 
     def _make(self, states: list, kern) -> DifferencePack:
         return build_difference(*states, kern)
 
     def geometry(self, k: int) -> GeometryPack:
-        return self.item(k).geomA
+        geom = self.item(k).geomA
+        if geom is None:
+            raise IndexError(f"state {k}'s first-flow geometry has been released")
+        return geom
+
+    def release_geometry(self, k: int) -> None:
+        """Drop state k's first-flow pack; its item keeps the differences
+        the time derivatives read, and `geometry(k)` raises from now on."""
+        self._held[k] = replace(self.item(k), geomA=None)
 
 
 def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
@@ -146,28 +172,21 @@ def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     return range(first, end)
 
 
-def check_dd(window: PairedWindow, center: int) -> ResidualReport:
+def check_dd(window: PairedWindow, center: int, rate=None) -> ResidualReport:
     """Exactly displayed evolution of the metric difference d = g - gt at one
-    center."""
+    center; rate, if given, is d/dt d there, already taken."""
     return evolution_residual(
-        window,
-        center,
-        "difference_metric",
-        lambda p: p.d,
-        lambda p: metric_rhs(p.geomA) - metric_rhs(p.geomB),
-        "ll",
+        window, center, "difference_metric", attrgetter("d"), attrgetter("d_rhs"),
+        "ll", rate,
     )
 
 
-def check_dw(window: PairedWindow, center: int) -> ResidualReport:
-    """Evolution of the position-gradient difference w^a at one center."""
+def check_dw(window: PairedWindow, center: int, rate=None) -> ResidualReport:
+    """Evolution of the position-gradient difference w^a at one center; rate,
+    if given, is d/dt w there, already taken."""
     return evolution_residual(
-        window,
-        center,
-        "difference_position_gradient",
-        lambda p: p.w,
-        lambda p: grad_H(p.geomA) - grad_H(p.geomB),
-        "l",
+        window, center, "difference_position_gradient", attrgetter("w"),
+        attrgetter("w_rhs"), "l", rate,
     )
 
 
@@ -177,18 +196,21 @@ def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarr
     g = window.geometry(center)
 
     def term(f, s):
-        dt_f = window.time_derivative(center, attrgetter(f))
-        return tensor_norm_sq(dt_f - divergence(grad_Y[f], g, "l" + s), g, s)
+        lap = divergence(grad_Y[f], g, "l" + s)
+        return tensor_norm_sq(window.time_derivative(center, attrgetter(f)) - lap, g, s)
 
     return _sum_over(Y_SUMMANDS, term)
 
 
-def time_derivative_Z_sq(window: PairedWindow, center: int) -> np.ndarray:
-    """Pointwise |d/dt Z|^2 at one sample time."""
+def time_derivative_Z_sq(window: PairedWindow, center: int, rates=None) -> np.ndarray:
+    """Pointwise |d/dt Z|^2 at one sample time; rates maps the name of a Z
+    summand to its d/dt at the center where that is already taken."""
     g = window.geometry(center)
+    rates = rates or {}
 
     def term(f, s):
-        return tensor_norm_sq(window.time_derivative(center, attrgetter(f)), g, s)
+        rate = rates[f] if f in rates else window.time_derivative(center, attrgetter(f))
+        return tensor_norm_sq(rate, g, s)
 
     return _sum_over(Z_SUMMANDS, term)
 
@@ -234,6 +256,35 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
+def _fitted_row(window: PairedWindow, c: int, rates: dict):
+    """The energy row of the center c, and its C1, C2 and flagged count;
+    rates holds d/dt d and d/dt w there, and is emptied once read."""
+    lhs2 = time_derivative_Z_sq(window, c, rates)
+    rates.clear()
+    p = window.item(c)
+    grad_Y = p.grad_Y()
+    lhs1 = heat_operator_Y(window, c, grad_Y)
+    nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(grad_Y), p.norm_sq_Z()
+    del grad_Y
+    core = nY + ngY + nZ
+    ok = core > EPS_CORE
+    c1 = c2 = 0.0
+    if np.any(ok):
+        c1 = float((lhs1[ok] / core[ok]).max())
+        c2 = float((lhs2[ok] / core[ok]).max())
+    flagged = int(np.sum(~ok & ((lhs1 > EPS_CORE) | (lhs2 > EPS_CORE))))
+    weight = p.geomA.cell_weight
+    row = {
+        "t": float(p.geomA.immersion.time),
+        "E_Y": float(np.sum(nY * weight)),
+        "E_gradY": float(np.sum(ngY * weight)),
+        "E_Z": float(np.sum(nZ * weight)),
+        "sup_lhs1": float(lhs1.max()),
+        "sup_lhs2": float(lhs2.max()),
+    }
+    return row, c1, c2, flagged
+
+
 def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
     and measure the difference evolutions, in one forward pass.
@@ -242,10 +293,14 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
     EPS_CORE and the `fitted_centers` of the window, those at least delta
     past the first state in the index form c * store_every * step.  Each
-    row's t and the report's T are the stamps of the states.  K and K~ take
+    row's t and the report's T are the stamps of the states; delta must lie
+    in (0, (n_states - 1) * store_every * step).  K and K~ take
     every state, `check_dd` and `check_dw` every center, of which the
     report keeps the worst.  The pass builds each pack once and leaves the
-    window holding its last five, so a window serves one call.
+    window holding its last five, so a window serves one call.  It holds
+    the six difference fields of those five states, at most three
+    first-flow packs and no second-flow pack: states 0 and 1 release theirs
+    once they enter K, every center once it is measured.
     """
     span = (len(window) - 1) * window.store_every * window.step
     if not 0.0 < delta < span:
@@ -263,40 +318,24 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     worst = [None, None]  # of check_dd and check_dw: the earliest, as max
     for c in window.centers:
         # each state enters K and K~ as it enters the stencil: the first
-        # center's five, then state c + 2
+        # center's five, then state c + 2; states 0 and 1 are no center
         for k in range(0 if c == 2 else c + 2, c + 3):
             p = window.item(k)
-            K = max(K, tensor_norm_sup(p.geomA.second_form, p.geomA, "ll"))
-            Kt = max(Kt, tensor_norm_sup(p.geomB.second_form, p.geomB, "ll"))
-        for i, check in enumerate((check_dd, check_dw)):
-            r = check(window, c)
+            K = max(K, p.sup_h)
+            Kt = max(Kt, p.sup_h_tilde)
+            if k < 2:
+                window.release_geometry(k)
+        # d/dt d and d/dt w, taken once for the checks and |d/dt Z|^2
+        rates = {f: window.time_derivative(c, attrgetter(f)) for f in "dw"}
+        for i, (check, f) in enumerate(((check_dd, "d"), (check_dw, "w"))):
+            r = check(window, c, rates[f])
             if worst[i] is None or r.sup_residual > worst[i].sup_residual:
                 worst[i] = r
-        if c not in fitted:
-            continue
-        p = window.item(c)
-        grad_Y = p.grad_Y()
-        lhs1 = heat_operator_Y(window, c, grad_Y)
-        lhs2 = time_derivative_Z_sq(window, c)
-        nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(grad_Y), p.norm_sq_Z()
-        del grad_Y
-        core = nY + ngY + nZ
-        ok = core > EPS_CORE
-        if np.any(ok):
-            C1 = max(C1, float((lhs1[ok] / core[ok]).max()))
-            C2 = max(C2, float((lhs2[ok] / core[ok]).max()))
-        flagged += int(np.sum(~ok & ((lhs1 > EPS_CORE) | (lhs2 > EPS_CORE))))
-        weight = p.geomA.cell_weight
-        rows.append(
-            {
-                "t": float(p.geomA.immersion.time),
-                "E_Y": float(np.sum(nY * weight)),
-                "E_gradY": float(np.sum(ngY * weight)),
-                "E_Z": float(np.sum(nZ * weight)),
-                "sup_lhs1": float(lhs1.max()),
-                "sup_lhs2": float(lhs2.max()),
-            }
-        )
+        if c in fitted:
+            row, c1, c2, n_flagged = _fitted_row(window, c, rates)
+            rows.append(row)
+            C1, C2, flagged = max(C1, c1), max(C2, c2), flagged + n_flagged
+        window.release_geometry(c)
     last = window.geometry(len(window) - 1)
     return InequalityReport(
         delta=delta,

@@ -281,11 +281,14 @@ def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport
 
 
 def evolution_residual(
-    window, c, identity, field_of, rhs_of, index_spec
+    window, c, identity, field_of, rhs_of, index_spec, rate=None
 ) -> ResidualReport:
-    """d/dt field_of(item) - rhs_of(item) at the center c of a SampleWindow."""
+    """d/dt field_of(item) - rhs_of(item) at the center c of a SampleWindow;
+    rate, if given, is that d/dt, already taken."""
     rhs = rhs_of(window.item(c))
-    resid = window.time_derivative(c, field_of) - rhs
+    if rate is None:
+        rate = window.time_derivative(c, field_of)
+    resid = rate - rhs
     return residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
 
 

@@ -6,6 +6,7 @@ generic second-order behaviour of the displayed difference evolutions.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import GridSpec
-from mcflab import differences, shapes
+from mcflab import differences, identities, shapes
 from mcflab.differences import (
     LIMITATION_STATEMENT,
     DifferencePack,
@@ -28,9 +29,15 @@ from mcflab.differences import (
     verify_inequalities,
 )
 from mcflab.flow import FlowTrajectory, run_fixed_dt
-from mcflab.geometry import covariant_derivative, laplacian, tensor_norm_sq
+from mcflab.geometry import (
+    compute_geometry,
+    covariant_derivative,
+    laplacian,
+    tensor_norm_sq,
+    tensor_norm_sup,
+)
 from mcflab.grid import SymmetryAction, apply_symmetry
-from mcflab.identities import ProtocolError
+from mcflab.identities import ProtocolError, grad_H, metric_rhs
 
 from conftest import (
     paired_window,
@@ -131,6 +138,23 @@ class TestDifferencePack:
         b = a.with_positions(np.pad(a.positions, ((0, 0), (0, 1))))
         with pytest.raises(ProtocolError, match="ambient dimension: 2 vs 3"):
             build_difference(a, b)
+
+    def test_what_the_pack_keeps_of_the_second_flow(self):
+        """The right-hand sides of check_dd and check_dw and sup |ht|_gt are
+        taken from the second flow's pack when the pair is built, with the
+        bits of reading them from the two flows' own packs."""
+        a = shapes.perturbed_torus(GridSpec(2, 12), 1.0, 0.6, 0.1)
+        b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
+        p = build_difference(a, b)
+        gA, gB = compute_geometry(a), compute_geometry(b)
+        assert np.array_equal(p.d_rhs, metric_rhs(gA) - metric_rhs(gB))
+        assert np.array_equal(p.w_rhs, grad_H(gA) - grad_H(gB))
+        assert p.sup_h == tensor_norm_sup(gA.second_form, gA, "ll")
+        assert p.sup_h_tilde == tensor_norm_sup(gB.second_form, gB, "ll")
+        assert not any(
+            isinstance(getattr(p, f.name), type(gB)) for f in dataclasses.fields(p)
+            if f.name != "geomA"
+        )
 
     @given(lam=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)
@@ -445,3 +469,88 @@ class TestStreamingPass:
             assert len(rows[1e6, source]) == 7
             assert np.allclose(rows[1e6, source], rows[0.0, source], atol=1e-9)
         assert fitted_centers(21, 1, 1e-3, 0.012) == range(12, 19)
+
+
+def small_torus_pair(n_steps):
+    """The stream window of a perturbed m=2, N=16 torus pair at dt 1e-3."""
+    a = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.1)
+    b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
+    return PairedWindow.fixed_dt([a, b], 1e-3, n_steps)
+
+
+class TestPassReleasesGeometry:
+    """The pass keeps no second-flow pack and lets each first-flow pack go
+    once its state's center is measured."""
+
+    def test_pass_peak_is_bounded(self):
+        """9 states, 3 fitted rows: the traced peak read 2.87 MiB while every
+        DifferencePack held both flows' packs, and 2.25 MiB since."""
+        rep, peak = traced_peak(verify_inequalities, small_torus_pair(8), 4e-3)
+        assert len(rep.rows) == 3
+        assert peak < 2.5 * 2**20, peak
+
+    def test_no_second_flow_pack_outlives_its_difference(self, monkeypatch):
+        first, second, alive = [], [], []
+        packs, build = differences.geometry_packs, differences.build_difference
+
+        def recording(states, kern):
+            geomA, geomB = packs(states, kern)
+            first.append(weakref.ref(geomA))
+            second.append(weakref.ref(geomB))
+            alive.append(sum(ref() is not None for ref in first))
+            return geomA, geomB
+
+        def building(stateA, stateB, kern):
+            p = build(stateA, stateB, kern)
+            assert second[-1]() is None
+            return p
+
+        monkeypatch.setattr(differences, "geometry_packs", recording)
+        monkeypatch.setattr(differences, "build_difference", building)
+        window = small_torus_pair(12)
+        verify_inequalities(window, delta=4e-3)
+        assert len(first) == len(second) == len(window) == 13
+        assert max(alive) == 3
+        # the last two states are no center, so theirs stay
+        assert [ref() is not None for ref in first] == [False] * 11 + [True] * 2
+
+    def test_geometry_of_a_released_state_raises(self):
+        window = small_torus_pair(6)
+        verify_inequalities(window, delta=3e-3)
+        last = len(window) - 1
+        for k in range(last - 4, last - 1):  # held centers: released
+            with pytest.raises(IndexError, match=f"state {k}'s first-flow geometry"):
+                window.geometry(k)
+            assert window.item(k).d is not None  # the differences stay
+        for k in (last - 1, last):
+            assert window.geometry(k) is window.item(k).geomA
+
+    def test_checks_at_a_released_center_raise(self):
+        window = small_torus_pair(6)
+        window.item(4)
+        assert check_dd(window, 2) == check_dd(small_torus_pair(6), 2)
+        window.release_geometry(2)
+        for check in (check_dd, check_dw):
+            with pytest.raises(IndexError, match="state 2's first-flow geometry"):
+                check(window, 2)
+
+    def test_each_centers_d_and_w_rates_are_taken_once(self, monkeypatch):
+        """An m=1 N=16 pair, 5 centers, 1 fitted row: check_dd and check_dw
+        take d/dt d and d/dt w at each center (10), the row d/dt of U and V
+        for |(d/dt - Lap) Y|^2 and of N and W for |d/dt Z|^2 (4); d/dt d and
+        d/dt w are not taken again for |d/dt Z|^2."""
+        calls = []
+        derivative = identities.five_point_derivative
+
+        def counting(fields, dt):
+            calls.append(dt)
+            return derivative(fields, dt)
+
+        monkeypatch.setattr(identities, "five_point_derivative", counting)
+        a = shapes.circle(GridSpec(1, 16), 1.0)
+        b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+        window = PairedWindow.fixed_dt([a, b], 1e-4, 8)
+        rep = verify_inequalities(window, delta=6e-4)
+        assert len(window.centers) == 5
+        assert len(rep.rows) == 1
+        assert len(calls) == 14
