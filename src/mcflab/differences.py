@@ -12,20 +12,19 @@ metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
 pair; the `diff-system` verb feeds it from the pair's fixed-step stream
 (`PairedWindow.fixed_dt`), so both packs of a state come from the one
 batched kernel evaluation that the pair's step already made there, and no
-trajectory is stored.  `verify_inequalities` measures the pair in one
-forward pass over the centers: each `DifferencePack` is built once and
-folded into K and K~ as it enters the five-state stencil.  The pass holds
-the six difference fields of the five latest states, at most three
-first-flow packs, each released once its state's center is measured
-(`PairedWindow.release_geometry`), and never a second-flow pack:
-`build_difference` takes from it what the checks read and drops it.  So
-nothing the pass keeps grows with the run.  Its rows are the
-`fitted_centers`, chosen by center index, which the CLI also counts before
-it integrates.  At each center the pass also takes `check_dd` and
-`check_dw`, the `identities.evolution_residual` of the displayed
-difference evolutions, whose right-hand sides are differences of the
-single-flow ones, and keeps the worst center of each; the time derivatives
-of d and w they take serve |d/dt Z|^2 too.
+trajectory is stored.  The window builds each `DifferencePack` once; as
+it builds a state, it folds the state into K and K~ and releases the
+first-flow pack of the state three back, which no later center reads.  So
+it holds the six difference fields of the five latest states, at most three
+first-flow packs and never a second-flow pack: `build_difference` takes
+from it what the checks read and drops it.  Nothing the window keeps grows
+with the run.  `verify_inequalities` is one forward pass over the centers:
+at each it takes `check_dd` and `check_dw`, the
+`identities.evolution_residual` of the displayed difference evolutions,
+whose right-hand sides are differences of the single-flow ones, and keeps
+the worst center of each; at the `fitted_centers`, chosen by center index,
+which the CLI also counts before it integrates, it adds a row.  Every
+check takes the time derivatives it reads from the window afresh.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -141,22 +140,30 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
 class PairedWindow(SampleWindow):
     """Two flows on one uniform sample grid; item k is the DifferencePack of
     state k, built from the one batched kernel evaluation of both states and
-    measured in the first flow's geometry.  `release_geometry(k)` lets that
-    geometry go once nothing reads it; the differences stay held."""
+    measured in the first flow's geometry.
+
+    As it builds state j, the window releases the first-flow pack of state
+    j - 3, which no center from j - 2 on reads, and keeps that item's
+    differences; so it holds at most three first-flow packs, and
+    `geometry(k)` of a released state raises.  K and K_tilde are
+    sup |h|_g and sup |ht|_gt over every state read."""
+
+    K = K_tilde = 0.0
 
     def _make(self, states: list, kern) -> DifferencePack:
-        return build_difference(*states, kern)
+        j = self._read
+        if j >= 3:  # index the item: a local would keep its pack through the build
+            self._held[j - 3] = replace(self._held[j - 3], geomA=None)
+        p = build_difference(*states, kern)
+        self.K = max(self.K, p.sup_h)
+        self.K_tilde = max(self.K_tilde, p.sup_h_tilde)
+        return p
 
     def geometry(self, k: int) -> GeometryPack:
         geom = self.item(k).geomA
         if geom is None:
             raise IndexError(f"state {k}'s first-flow geometry has been released")
         return geom
-
-    def release_geometry(self, k: int) -> None:
-        """Drop state k's first-flow pack; its item keeps the differences
-        the time derivatives read, and `geometry(k)` raises from now on."""
-        self._held[k] = replace(self.item(k), geomA=None)
 
 
 def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
@@ -172,21 +179,18 @@ def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     return range(first, end)
 
 
-def check_dd(window: PairedWindow, center: int, rate=None) -> ResidualReport:
+def check_dd(window: PairedWindow, center: int) -> ResidualReport:
     """Exactly displayed evolution of the metric difference d = g - gt at one
-    center; rate, if given, is d/dt d there, already taken."""
+    center."""
     return evolution_residual(
-        window, center, "difference_metric", attrgetter("d"), attrgetter("d_rhs"),
-        "ll", rate,
+        window, center, "difference_metric", "d", attrgetter("d_rhs"), "ll"
     )
 
 
-def check_dw(window: PairedWindow, center: int, rate=None) -> ResidualReport:
-    """Evolution of the position-gradient difference w^a at one center; rate,
-    if given, is d/dt w there, already taken."""
+def check_dw(window: PairedWindow, center: int) -> ResidualReport:
+    """Evolution of the position-gradient difference w^a at one center."""
     return evolution_residual(
-        window, center, "difference_position_gradient", attrgetter("w"),
-        attrgetter("w_rhs"), "l", rate,
+        window, center, "difference_position_gradient", "w", attrgetter("w_rhs"), "l"
     )
 
 
@@ -197,22 +201,17 @@ def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarr
 
     def term(f, s):
         lap = divergence(grad_Y[f], g, "l" + s)
-        return tensor_norm_sq(window.time_derivative(center, attrgetter(f)) - lap, g, s)
+        return tensor_norm_sq(window.time_derivative(center, f) - lap, g, s)
 
     return _sum_over(Y_SUMMANDS, term)
 
 
-def time_derivative_Z_sq(window: PairedWindow, center: int, rates=None) -> np.ndarray:
-    """Pointwise |d/dt Z|^2 at one sample time; rates maps the name of a Z
-    summand to its d/dt at the center where that is already taken."""
+def time_derivative_Z_sq(window: PairedWindow, center: int) -> np.ndarray:
+    """Pointwise |d/dt Z|^2 at one sample time."""
     g = window.geometry(center)
-    rates = rates or {}
-
-    def term(f, s):
-        rate = rates[f] if f in rates else window.time_derivative(center, attrgetter(f))
-        return tensor_norm_sq(rate, g, s)
-
-    return _sum_over(Z_SUMMANDS, term)
+    return _sum_over(
+        Z_SUMMANDS, lambda f, s: tensor_norm_sq(window.time_derivative(center, f), g, s)
+    )
 
 
 @dataclass
@@ -256,11 +255,9 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-def _fitted_row(window: PairedWindow, c: int, rates: dict):
-    """The energy row of the center c, and its C1, C2 and flagged count;
-    rates holds d/dt d and d/dt w there, and is emptied once read."""
-    lhs2 = time_derivative_Z_sq(window, c, rates)
-    rates.clear()
+def _fitted_row(window: PairedWindow, c: int):
+    """The energy row of the center c, and its C1, C2 and flagged count."""
+    lhs2 = time_derivative_Z_sq(window, c)
     p = window.item(c)
     grad_Y = p.grad_Y()
     lhs1 = heat_operator_Y(window, c, grad_Y)
@@ -294,13 +291,11 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     EPS_CORE and the `fitted_centers` of the window, those at least delta
     past the first state in the index form c * store_every * step.  Each
     row's t and the report's T are the stamps of the states; delta must lie
-    in (0, (n_states - 1) * store_every * step).  K and K~ take
-    every state, `check_dd` and `check_dw` every center, of which the
-    report keeps the worst.  The pass builds each pack once and leaves the
-    window holding its last five, so a window serves one call.  It holds
-    the six difference fields of those five states, at most three
-    first-flow packs and no second-flow pack: states 0 and 1 release theirs
-    once they enter K, every center once it is measured.
+    in (0, (n_states - 1) * store_every * step).  K and K~ are the
+    window's, over every state; `check_dd` and `check_dw` take every
+    center, of which the report keeps the worst.  The pass leaves the
+    window holding its last five states, and the first-flow packs of the
+    last three, so a window serves one call.
     """
     span = (len(window) - 1) * window.store_every * window.step
     if not 0.0 < delta < span:
@@ -313,35 +308,22 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     C2 = 0.0
     flagged = 0
     rows = []
-    K = 0.0
-    Kt = 0.0
     worst = [None, None]  # of check_dd and check_dw: the earliest, as max
     for c in window.centers:
-        # each state enters K and K~ as it enters the stencil: the first
-        # center's five, then state c + 2; states 0 and 1 are no center
-        for k in range(0 if c == 2 else c + 2, c + 3):
-            p = window.item(k)
-            K = max(K, p.sup_h)
-            Kt = max(Kt, p.sup_h_tilde)
-            if k < 2:
-                window.release_geometry(k)
-        # d/dt d and d/dt w, taken once for the checks and |d/dt Z|^2
-        rates = {f: window.time_derivative(c, attrgetter(f)) for f in "dw"}
-        for i, (check, f) in enumerate(((check_dd, "d"), (check_dw, "w"))):
-            r = check(window, c, rates[f])
+        for i, check in enumerate((check_dd, check_dw)):
+            r = check(window, c)
             if worst[i] is None or r.sup_residual > worst[i].sup_residual:
                 worst[i] = r
         if c in fitted:
-            row, c1, c2, n_flagged = _fitted_row(window, c, rates)
+            row, c1, c2, n_flagged = _fitted_row(window, c)
             rows.append(row)
             C1, C2, flagged = max(C1, c1), max(C2, c2), flagged + n_flagged
-        window.release_geometry(c)
     last = window.geometry(len(window) - 1)
     return InequalityReport(
         delta=delta,
         T=float(last.immersion.time),
-        K=K,
-        K_tilde=Kt,
+        K=window.K,
+        K_tilde=window.K_tilde,
         C1=C1,
         C2=C2,
         resolution=last.grid.resolution,

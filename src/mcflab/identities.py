@@ -124,8 +124,9 @@ class SampleWindow:
     `item(k)` reads the stream up to state k.  The window holds the five
     latest items, one center's stencil: it drops item j - 5 before it
     builds item j.  Reading a state no longer held, or outside the states,
-    raises IndexError, so a window serves one forward pass over its
-    centers.  Once the last state is read, the window lets go of the stream.
+    raises an IndexError that names the states held, so a window serves one
+    forward pass over its centers.  Once the last state is read, the window
+    lets go of the stream.
     """
 
     def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
@@ -168,12 +169,13 @@ class SampleWindow:
     def centers(self):
         return range(2, len(self) - 2)
 
-    def time_derivative(self, c: int, field_of) -> np.ndarray:
-        """4th-order central d/dt of field_of(item) at the center state c."""
+    def time_derivative(self, c: int, name: str) -> np.ndarray:
+        """4th-order central d/dt of the items' field called name at the
+        center state c, taken afresh at each call."""
         if c not in self.centers:
             raise IndexError(f"state {c} is not a center of {self.centers}")
         return five_point_derivative(
-            [field_of(self.item(j)) for j in range(c - 2, c + 3)], self.dt
+            [getattr(self.item(j), name) for j in range(c - 2, c + 3)], self.dt
         )
 
 
@@ -194,8 +196,8 @@ class FoldingWindow(SampleWindow):
     state, numbered by the count of states read, is folded as it arrives
     (`_fold`) from its kernel's `pack_components` into one `field_block`;
     no pack of it is built, and the kernel is dropped, so its item is None.
-    `time_derivative(2, field_of)` reads the last states and is field_of of
-    the FieldRates, with the bits of `five_point_derivative` of the five
+    `time_derivative(2, name)` reads the last states and is the FieldRates'
+    field called name, with the bits of `five_point_derivative` of the five
     packs' fields.
     """
 
@@ -233,11 +235,11 @@ class FoldingWindow(SampleWindow):
     def geometry(self, k: int) -> GeometryPack:
         return self.item(k)
 
-    def time_derivative(self, c: int, field_of) -> np.ndarray:
+    def time_derivative(self, c: int, name: str) -> np.ndarray:
         if c not in self.centers:
             raise IndexError(f"state {c} is not a center of {self.centers}")
         self.item(len(self) - 1)
-        return field_of(self._rates)
+        return getattr(self._rates, name)
 
 
 def five_point_fold(k: int, acc, f, dt: float, out=None):
@@ -281,15 +283,15 @@ def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport
 
 
 def evolution_residual(
-    window, c, identity, field_of, rhs_of, index_spec, rate=None
+    window, c, identity, field, rhs_of, index_spec
 ) -> ResidualReport:
-    """d/dt field_of(item) - rhs_of(item) at the center c of a SampleWindow;
-    rate, if given, is that d/dt, already taken."""
+    """d/dt of the items' field called field, minus rhs_of(item), at the
+    center c of a SampleWindow.  The center's geometry is read first, so a
+    center whose geometry is gone raises before its stencil is read."""
+    geom = window.geometry(c)
     rhs = rhs_of(window.item(c))
-    if rate is None:
-        rate = window.time_derivative(c, field_of)
-    resid = rate - rhs
-    return residual_report(identity, window.geometry(c), resid, index_spec, window.dt)
+    resid = window.time_derivative(c, field) - rhs
+    return residual_report(identity, geom, resid, index_spec, window.dt)
 
 
 def grad_H(geom: GeometryPack) -> np.ndarray:
@@ -300,12 +302,7 @@ def grad_H(geom: GeometryPack) -> np.ndarray:
 def check_dX(window: SampleWindow, center: int) -> ResidualReport:
     """d/dt of the position gradient against the gradient of H."""
     return evolution_residual(
-        window,
-        center,
-        "evolve_position_gradient",
-        lambda geom: geom.first_derivs,
-        grad_H,
-        "l",
+        window, center, "evolve_position_gradient", "first_derivs", grad_H, "l"
     )
 
 
@@ -323,7 +320,7 @@ def metric_rhs(geom: GeometryPack) -> np.ndarray:
 
 def check_dg(window: SampleWindow, center: int) -> ResidualReport:
     return evolution_residual(
-        window, center, "evolve_metric", lambda geom: geom.metric, metric_rhs, "ll"
+        window, center, "evolve_metric", "metric", metric_rhs, "ll"
     )
 
 
@@ -352,12 +349,7 @@ def _connection_rhs(geom: GeometryPack) -> np.ndarray:
 
 def check_dGamma(window: SampleWindow, center: int) -> ResidualReport:
     return evolution_residual(
-        window,
-        center,
-        "evolve_connection",
-        lambda geom: geom.christoffels,
-        _connection_rhs,
-        "ull",
+        window, center, "evolve_connection", "christoffels", _connection_rhs, "ull"
     )
 
 
@@ -381,12 +373,7 @@ def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
 def check_dh(window: SampleWindow, center: int) -> ResidualReport:
     """Evolution of the second form; the connection rate enters analytically."""
     return evolution_residual(
-        window,
-        center,
-        "evolve_second_form",
-        lambda geom: geom.second_form,
-        _second_form_rhs,
-        "ll",
+        window, center, "evolve_second_form", "second_form", _second_form_rhs, "ll"
     )
 
 

@@ -1,5 +1,4 @@
 import re
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -589,7 +588,7 @@ class TestFieldBlock:
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
     def test_folded_rates_are_one_block(self, m, A):
         window = FoldingWindow.fixed_dt([LAYOUT_MAKERS[m, A](4)], 1e-5, 4)
-        window.time_derivative(2, attrgetter("metric"))
+        window.time_derivative(2, "metric")
         assert_one_block(list(window._rates))
 
     @pytest.mark.parametrize("batch", [1, 2])

@@ -6,7 +6,6 @@ each evolution identity then shrinks at second order in the grid spacing,
 except for relations that hold exactly in the semi-discrete system.
 """
 
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -79,7 +78,7 @@ class TestTimeDifference:
         assert list(window.centers) == [2, 3, 4]
         for c in window.centers:
             want = five_point_derivative(metrics[c - 2 : c + 3], window.dt)
-            got = window.time_derivative(c, lambda geom: geom.metric)
+            got = window.time_derivative(c, "metric")
             assert np.array_equal(got, want)
 
     def test_window_serves_centres_only(self):
@@ -89,7 +88,7 @@ class TestTimeDifference:
         n = len(window)
         for k in (0, 1, n - 2, n - 1, -1, n):
             with pytest.raises(IndexError, match=f"state {k} is not a center"):
-                window.time_derivative(k, lambda geom: geom.metric)
+                window.time_derivative(k, "metric")
 
     def test_item_outside_the_states_raises_without_wrapping(self):
         window = trajectory_window(
@@ -106,7 +105,7 @@ class TestTimeDifference:
         )
         assert list(window.centers) == [2, 3, 4]
         for c in window.centers:
-            window.time_derivative(c, lambda geom: geom.metric)
+            window.time_derivative(c, "metric")
             if c > 2:
                 held = f"the window holds states {c - 2} .. {c + 2}"
                 with pytest.raises(
@@ -114,7 +113,7 @@ class TestTimeDifference:
                 ):
                     window.item(c - 3)
         with pytest.raises(IndexError, match="state 1 is no longer held"):
-            window.time_derivative(3, lambda geom: geom.metric)
+            window.time_derivative(3, "metric")
         assert window.geometry(2) is not None  # the last five stay
 
     def test_window_memory_is_flat_over_a_long_stream(self):
@@ -158,7 +157,7 @@ class TestFoldingWindow:
         packs = [compute_geometry(s) for s in run_fixed_dt(initial, dt, 4).states]
         assert [window.item(k) is None for k in range(5)] == [1, 1, 0, 1, 1]
         for name in FieldRates._fields:
-            got = window.time_derivative(2, attrgetter(name))
+            got = window.time_derivative(2, name)
             want = five_point_derivative([getattr(p, name) for p in packs], dt)
             assert_same_bytes(got, want)
             centre = getattr(window.geometry(2), name)
@@ -190,7 +189,7 @@ class TestFoldingWindow:
         window = FoldingWindow.fixed_dt([shapes.circle(GridSpec(1, 16), 1.0)], 1e-5, 4)
         for k in (0, 1, 3, 4):
             with pytest.raises(IndexError, match=f"state {k} is not a center"):
-                window.time_derivative(k, attrgetter("metric"))
+                window.time_derivative(k, "metric")
 
 
 class TestEvolutionChecks:
