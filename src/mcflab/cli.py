@@ -133,6 +133,9 @@ OPTIONAL = object()
 
 
 def _checkpoint(grid: GridSpec, path: str) -> Immersion:
+    """The immersion of a `checkpoint` geometry: a missing file, or a
+    checkpoint on a grid other than the config's `grid`, is a ConfigError
+    (a malformed file is read_immersion's CheckpointError); both exit 2."""
     if not os.path.isfile(path):
         raise ConfigError(f"invalid 'path' of a checkpoint: {path!r} does not exist")
     imm = read_immersion(path, grid.derivative_order)
@@ -307,7 +310,7 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
     rows, vol, steps = [], [], 0  # each stored state's trajectory.csv row, volume
     for state, kern, dts in stream:
         vol.append(induced_volume(kern.det, grid))
-        del kern  # neither beside the checkpoint text nor through the next steps
+        del kern  # neither beside the checkpoint writer nor through the next steps
         steps += len(dts)
         name = f"checkpoint_{len(rows):04d}.txt"
         with open(os.path.join(out_dir, name), "w") as fh:

@@ -27,7 +27,8 @@ takes and returns grid-first fields and works components first inside; its
 one contraction, `contract_with_metric`, forms sum_b M[a, b] f[b] from whole
 grid arrays.  A grid-first view of a components-first array converts back
 without a copy, so chained calls copy nothing; any other input is copied
-once on entry.
+once on entry.  No function of the package calls einsum: the einsum
+formulations are the bitwise references in tests/test_geometry.py.
 """
 
 from __future__ import annotations
@@ -373,8 +374,18 @@ def covariant_derivative(
     so the result has spec 'l' + index_spec.  The result is the
     components_last view of a components-first array.
     """
-    grid = geom.grid
-    m = grid.m
+    f, n_pass = _tensor_components(field_arr, geom, index_spec)
+    out = np.empty(f.shape[:n_pass] + (geom.grid.m,) + f.shape[n_pass:])
+    lead = (slice(None),) * n_pass
+    for d in range(geom.grid.m):
+        _covariant_slab(f, geom, index_spec, d, out[lead + (d,)])
+    return components_last(out, out.ndim - geom.grid.m)
+
+
+def _tensor_components(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
+    """(components_first copy of the field, its number of passive axes),
+    after checking that the field can carry index_spec."""
+    m = geom.grid.m
     n_comp = field_arr.ndim - m
     n_pass = n_comp - len(index_spec)
     if n_pass < 0:
@@ -386,26 +397,23 @@ def covariant_derivative(
     for kind in index_spec:
         if kind not in "lu":
             raise ValueError(f"bad index spec character {kind!r}")
-    f = components_first(field_arr, n_comp)
-    gamma = components_first(geom.christoffels, 3)  # [k, i, j] = Gamma^k_ij
-    to_first = _to_first(field_arr.ndim, n_comp)
-    out = np.empty(f.shape[:n_pass] + (m,) + f.shape[n_pass:])
-    lead = (slice(None),) * n_pass
-    for d in range(m):
-        # the stencil keeps the layout of its input, so the transpose of val
-        # is a contiguous components-first array
-        val = partial(grid, components_last(f, n_comp), d).transpose(to_first)
-        o = out[lead + (d,)]
-        Gd = gamma[:, d]  # [k, p] = Gamma^k_dp
-        acc = val  # the first term reads val, the later ones accumulate in o
-        for pos, kind in enumerate(index_spec):
-            # lower: - Gamma^k_dp f_..k..; upper: + Gamma^p_dk f^..k..
-            M, op = (Gd.swapaxes(0, 1), np.subtract) if kind == "l" else (Gd, np.add)
-            op(acc, contract_with_metric(f, M, n_pass + pos), out=o)
-            acc = o
-        if acc is val:
-            o[...] = val
-    return components_last(out, n_comp + 1)
+    return components_first(field_arr, n_comp), n_pass
+
+
+def _covariant_slab(
+    f: np.ndarray, geom: GeometryPack, index_spec: str, d: int, o: np.ndarray
+) -> None:
+    """grad_d of the components-first field f, written into o, an array of
+    f's shape: the stencil goes straight into o, then each Christoffel term
+    of index_spec, in index order."""
+    n_comp = f.ndim - geom.grid.m
+    n_pass = n_comp - len(index_spec)
+    partial(geom.grid, components_last(f, n_comp), d, out=components_last(o, n_comp))
+    Gd = components_first(geom.christoffels, 3)[:, d]  # [k, p] = Gamma^k_dp
+    for pos, kind in enumerate(index_spec):
+        # lower: - Gamma^k_dp f_..k..; upper: + Gamma^p_dk f^..k..
+        M, op = (Gd.swapaxes(0, 1), np.subtract) if kind == "l" else (Gd, np.add)
+        op(o, contract_with_metric(f, M, n_pass + pos), out=o)
 
 
 def contract_with_metric(
@@ -462,7 +470,8 @@ def tensor_norm_sq(
 
 
 def tensor_norm_sup(field_arr, geom, index_spec) -> float:
-    """sup over nodes of the pointwise g-norm of a field."""
+    """sup over nodes of the pointwise g-norm of a field; the package's one
+    sup of a g-norm."""
     return float(np.sqrt(tensor_norm_sq(field_arr, geom, index_spec).max()))
 
 
@@ -473,16 +482,26 @@ def divergence(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
     the einsum "...pq,...pq->..." kept as the reference in
     tests/test_geometry.py whenever the field carries tensor indices past
     q; for a gradient of an index-free field at m=2 einsum adds the terms
-    in two SIMD lanes, so the last bit can differ there.
+    in two SIMD lanes, so the last bit can differ there.  The full grad T
+    is never built: slab grad_p T is made into one reused T-sized buffer
+    when the terms of p are due, so besides the output the trace holds one
+    slab and the scratch of one slab's build at a time.
     """
-    dd = covariant_derivative(field_arr, geom, index_spec)
-    n_comp = dd.ndim - geom.grid.m
-    d = components_first(dd, n_comp)
+    f, n_pass = _tensor_components(field_arr, geom, index_spec)
     ginv = components_first(geom.inverse_metric, 2)
-    lead = (slice(None),) * (n_comp - len(index_spec) - 1)
+    lead = (slice(None),) * n_pass
+    slab = np.empty(f.shape)
     R = range(geom.grid.m)
-    out = sum_of_products((ginv[p, q], d[lead + (p, q)]) for p in R for q in R)
-    return components_last(out, n_comp - 2)
+
+    def terms():
+        # sum_of_products takes each term before it asks for the next one
+        for p in R:
+            _covariant_slab(f, geom, index_spec, p, slab)
+            for q in R:
+                yield ginv[p, q], slab[lead + (q,)]
+
+    out = sum_of_products(terms())
+    return components_last(out, out.ndim - geom.grid.m)
 
 
 def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
@@ -509,9 +528,9 @@ def sum_of_products(pairs) -> np.ndarray:
     """sum_k x_k * y_k over an iterable of (x_k, y_k) array pairs.
 
     Each pair broadcasts to the output's shape.  The products are added in
-    the order given into one fresh output, and every product after the
-    first goes through one shared scratch array, so a sum of any length
-    allocates two arrays.
+    the order given into one fresh output, each before the next pair is
+    drawn, and every product after the first goes through one shared
+    scratch array, so a sum of any length allocates two arrays.
     """
     pairs = iter(pairs)
     x, y = next(pairs)

@@ -6,14 +6,16 @@ the grid axes; trailing axes carry tensor/ambient indices.  The derivative
 stencils wrap periodically, so there are no boundary cases: each call makes
 one halo copy of the field along the axis (its last r slices, the field,
 its first r slices; r = order / 2), reads every stencil tap as a slice view
-of that copy and writes one fresh output array per derivative; no buffer
-outlives a call.  The slices that cut the halo and its taps are made once
-per (axis, r, N) and cached: plain slices on axis 0, where the m=1 fields
-are differentiated, so a small call costs little beyond its arithmetic.
+of that copy and writes one output array per derivative (a fresh one, or
+in `partial` the caller's `out`); no other buffer outlives a call.  The
+slices that cut the halo and its taps are made once per (axis, r, N) and
+cached: plain slices on axis 0, where the m=1 fields are differentiated,
+so a small call costs little beyond its arithmetic.
 One halo copy serves both stencils in `partial_and_second`, which returns
 d_i f and the compact d_ii f together, bit for bit equal to `partial` and
 the diagonal `second_partial`; the geometry kernel differentiates X with
-it.  These three are the one stencil implementation.
+it.  These three are the one stencil implementation; none rolls the
+field with np.roll, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -106,14 +108,6 @@ class GridSpec:
         grids = np.meshgrid(*([theta] * self.m), indexing="ij")
         return grids
 
-    def node_multi_indices(self):
-        """Iterate multi-indices with axis 0 varying fastest."""
-        rev = [range(self.resolution)] * self.m
-        out = np.stack(
-            np.meshgrid(*rev, indexing="ij"), axis=-1
-        ).reshape(-1, self.m, order="F")
-        return out
-
 
 def _check_axis(grid: GridSpec, axis: int):
     if not 0 <= axis < grid.m:
@@ -144,18 +138,19 @@ def _periodic_taps(f: np.ndarray, axis: int, r: int) -> tuple:
     return np.concatenate((f[tail], f, f[head]), axis=axis), taps
 
 
-def _first_from_taps(pad: np.ndarray, taps: tuple, h: float) -> np.ndarray:
-    """`partial`'s stencil on the halo copy of `_periodic_taps` (3 or 5 taps).
+def _first_from_taps(pad: np.ndarray, taps: tuple, h: float, out=None) -> np.ndarray:
+    """`partial`'s stencil on the halo copy of `_periodic_taps` (3 or 5 taps),
+    into out if given, else into a fresh array.
 
     Its weights are float literals: an int costs a conversion per call and
     gives the same bits."""
     if len(taps) == 3:
         m1, _, p1 = taps
-        out = np.subtract(pad[p1], pad[m1])
+        out = np.subtract(pad[p1], pad[m1], out=out)
         out /= 2 * h
         return out
     m2, m1, _, p1, p2 = taps
-    out = np.multiply(pad[p1], 8.0)
+    out = np.multiply(pad[p1], 8.0, out=out)
     out -= pad[p2]
     scratch = np.multiply(pad[m1], 8.0)
     out -= scratch
@@ -188,17 +183,20 @@ def _second_from_taps(
     return out
 
 
-def partial(grid: GridSpec, field_arr: np.ndarray, axis: int) -> np.ndarray:
+def partial(
+    grid: GridSpec, field_arr: np.ndarray, axis: int, out=None
+) -> np.ndarray:
     """Central-difference d/dx^axis with periodic wraparound.
 
     Order 2: (f[i+1] - f[i-1]) / (2h); order 4:
     (((-f[i+2] + 8 f[i+1]) - 8 f[i-1]) + f[i-2]) / (12h), summed in that
-    order into one fresh output (b - a is exactly -a + b in IEEE).
+    order into out, an array of the field's shape, or into one fresh output
+    (b - a is exactly -a + b in IEEE).
     """
     _check_axis(grid, axis)
     f = np.asarray(field_arr, dtype=float)
     pad, taps = _periodic_taps(f, axis, grid.derivative_order // 2)
-    return _first_from_taps(pad, taps, grid.spacing)
+    return _first_from_taps(pad, taps, grid.spacing, out)
 
 
 def second_partial(
@@ -339,23 +337,31 @@ def apply_symmetry(imm: Immersion, action: SymmetryAction) -> Immersion:
 
 
 def write_immersion(imm: Immersion, path_or_stream) -> None:
-    """Columnar text: header `m n N t`, then multi-index + coordinates.
+    """Columnar text: header `m n N t`, then one row per node, axis 0
+    fastest: its multi-index (`%d`) and its coordinates (`%.17g`).
 
     path_or_stream is a path (str, bytes or os.PathLike) or an open text
-    stream."""
+    stream.  The rows go out one grid slab at a time, each with one `%`
+    call and one write: at m=2 the N rows that share their axis-1 index,
+    at m=1 the whole curve.  The format of a slab, with its axis-0 indices
+    written out, is built once per call, so besides it the writer holds
+    one slab's numbers and text at a time, never the file's."""
     own = isinstance(path_or_stream, (str, bytes, os.PathLike))
     stream = open(path_or_stream, "w") if own else path_or_stream
     try:
-        g = imm.grid
+        g, X = imm.grid, imm.positions
         stream.write(f"{g.m} {imm.codimension} {g.resolution} {imm.time!r}\n")
-        flat = imm.positions.reshape(-1, imm.ambient_dim, order="F")
-        row = " ".join(["%d"] * g.m + ["%.17g"] * imm.ambient_dim) + "\n"
-        stream.write(
-            "".join(
-                row % (*mi, *coords)
-                for mi, coords in zip(g.node_multi_indices().tolist(), flat.tolist())
-            )
-        )
+        row = " %d" * (g.m - 1) + " %.17g" * imm.ambient_dim
+        fmt = "\n".join(f"{i}{row}" for i in range(g.resolution)) + "\n"
+        if g.m == 1:
+            stream.write(fmt % tuple(X.ravel().tolist()))
+            return
+        # column 0 holds the axis-1 index, exact as a float for `%d`
+        slab = np.empty((g.resolution, 1 + imm.ambient_dim))
+        for j in range(g.resolution):
+            slab[:, 0] = j
+            slab[:, 1:] = X[:, j]
+            stream.write(fmt % tuple(slab.ravel().tolist()))
     finally:
         if own:
             stream.close()

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,13 @@ from mcflab.differences import PairedWindow
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
     GeometryPack,
+    components_first,
+    components_last,
+    covariant_derivative,
     geometry_kernel,
     geometry_packs,
     stacked_kernel,
+    sum_of_products,
     tensor_norm_sq,
 )
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
@@ -118,6 +123,33 @@ def expression_rk4_positions(grid: GridSpec, X, dt: float, k1) -> np.ndarray:
     k3 = geometry_kernel(grid, X + 0.5 * dt * k2).mean_curv
     k4 = geometry_kernel(grid, X + dt * k3).mean_curv
     return X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rowwise_checkpoint_text(imm: Immersion) -> str:
+    """The text of `grid.write_immersion` formatted one row per node, axis 0
+    fastest, kept as the bytewise reference of the slab writer."""
+    g = imm.grid
+    row = " ".join(["%d"] * g.m + ["%.17g"] * imm.ambient_dim) + "\n"
+    flat = imm.positions.reshape(-1, imm.ambient_dim, order="F")
+    nodes = (mi[::-1] for mi in itertools.product(range(g.resolution), repeat=g.m))
+    header = f"{g.m} {imm.codimension} {g.resolution} {imm.time!r}\n"
+    return header + "".join(
+        row % (*mi, *coords) for mi, coords in zip(nodes, flat.tolist())
+    )
+
+
+def full_trace_divergence(field_arr, geom: GeometryPack, index_spec: str):
+    """`geometry.divergence` as the trace of the whole covariant derivative,
+    (p, q) in row-major order, kept as the bitwise reference of the one-slab
+    trace."""
+    dd = covariant_derivative(field_arr, geom, index_spec)
+    n_comp = dd.ndim - geom.grid.m
+    d = components_first(dd, n_comp)
+    ginv = components_first(geom.inverse_metric, 2)
+    lead = (slice(None),) * (n_comp - len(index_spec) - 1)
+    R = range(geom.grid.m)
+    out = sum_of_products((ginv[p, q], d[lead + (p, q)]) for p in R for q in R)
+    return components_last(out, n_comp - 2)
 
 
 def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:

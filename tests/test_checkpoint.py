@@ -1,5 +1,6 @@
 """Strict checkpoint reading: a malformed file is a CheckpointError that
-names the problem; a well-formed one round-trips bit for bit."""
+names the problem; a well-formed one round-trips bit for bit.  The writer
+gives the bytes of one row per node and holds one grid slab at a time."""
 
 import io
 
@@ -17,6 +18,8 @@ from mcflab.grid import (
     read_immersion,
     write_immersion,
 )
+
+from conftest import rowwise_checkpoint_text, traced_peak
 
 
 def immersion_to_text(imm):
@@ -141,3 +144,45 @@ class TestAccepted:
         assert back.grid == imm.grid
         assert back.time == imm.time
         assert np.array_equal(back.positions, imm.positions)
+
+
+def extreme_positions(grid, A, seed):
+    """Positions over the whole double range, with -0.0, subnormals and
+    +-1e308 among them."""
+    rng = np.random.default_rng(seed)
+    pos = rng.standard_normal(grid.shape + (A,)) * 10.0 ** rng.integers(
+        -300, 300, grid.shape + (A,)
+    )
+    flat = pos.reshape(-1)
+    flat[:6] = [-0.0, 5e-324, -2.2250738585072e-309, 1e308, -1e308, 0.0]
+    return pos
+
+
+class TestWriter:
+    @pytest.mark.parametrize("m, A", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("N", [9, 16])
+    def test_bytes_equal_the_rowwise_text(self, m, A, N):
+        grid = GridSpec(m, N)
+        imm = Immersion(grid, extreme_positions(grid, A, 10 * m + A + N), 0.1 + 0.2)
+        text = immersion_to_text(imm)
+        assert text == rowwise_checkpoint_text(imm)
+        assert text.startswith(f"{m} {A - m} {N} 0.30000000000000004\n")
+        back = read_text(text)
+        assert np.array_equal(back.positions, imm.positions)
+        assert np.array_equal(np.signbit(back.positions), np.signbit(imm.positions))
+
+    def test_layout_of_the_positions_does_not_change_the_bytes(self):
+        grid = GridSpec(2, 9)
+        pos = extreme_positions(grid, 4, 3)
+        want = immersion_to_text(Immersion(grid, pos))
+        # ambient axis first in memory, as the flow keeps its m=2 state
+        ambient_first = np.moveaxis(np.ascontiguousarray(np.moveaxis(pos, -1, 0)), 0, -1)
+        assert immersion_to_text(Immersion(grid, ambient_first)) == want
+
+    def test_traced_peak_is_one_slab(self, tmp_path):
+        # the whole-file writer peaked at 7.0 MiB here; the file is 1.4 MB
+        imm = shapes.product_torus(GridSpec(2, 128), 1.0, 1.0)
+        path = tmp_path / "torus.txt"
+        _, peak = traced_peak(write_immersion, imm, path)
+        assert peak < 0.25 * 2**20
+        assert path.read_text() == rowwise_checkpoint_text(imm)

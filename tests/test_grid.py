@@ -238,6 +238,26 @@ class TestPartialAndSecond:
             partial_and_second(GridSpec(1, 8), np.ones(8), 1)
 
 
+class TestPartialIntoOut:
+    """`partial` with out writes the bytes of a fresh call into out, in any
+    layout of out, and returns out."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_bitwise_equal_to_a_fresh_output(self, m, order):
+        grid = GridSpec(m, 16, order)
+        rng = np.random.default_rng(m + order)
+        f = rng.standard_normal(grid.shape + (3, 2))
+        f[(0,) * f.ndim] = -0.0
+        for axis in range(m):
+            want = partial(grid, f, axis)
+            # components first in memory, as the covariant layer writes
+            out = np.moveaxis(np.empty((3, 2) + grid.shape), (0, 1), (-2, -1))
+            assert partial(grid, f, axis, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
+
+
 class TestStencilOutputsAreFresh:
     """Each stencil call returns arrays of its own: two consecutive calls
     share no memory with each other or with the input, so no buffer is kept
