@@ -1,10 +1,13 @@
 """Configuration-driven experiment runner.
 
 Verbs: simulate, identities, diff-system, symmetry, convergence; each takes
---config <json> and --out <dir>.  Configs are read through one table per
-verb, SCHEMA, and are strict: unknown keys, and keys of another geometry
-kind or permutation type, are errors, not warnings.  Given the same config
-and seed, report bodies are byte-identical; wall-clock timestamps appear
+--config <json> and --out <dir>.  A verb reads its config, runs one layer's
+pass (the identity suite, the paired pass or a flow stream) and writes the
+reports; it runs no check of its own.  Configs are read through one table
+per verb, SCHEMA, and are strict: unknown keys, keys of another geometry
+kind or permutation type, and keys the verb would ignore are errors, not
+warnings; each runner takes exactly its table's keys.  Given the same
+config, report bodies are byte-identical; wall-clock timestamps appear
 only in the manifest.
 
 Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
@@ -31,7 +34,7 @@ from .differences import (
     verify_inequalities,
 )
 from .flow import MAX_STEPS, BlowUpError, StepPolicy, adaptive_stream, fixed_dt_stream
-from .geometry import curvature_gauss, induced_volume, stacked_kernel
+from .geometry import induced_volume, stacked_kernel
 from .grid import (
     GridSpec,
     Immersion,
@@ -42,17 +45,7 @@ from .grid import (
     shift_permutation,
     write_immersion,
 )
-from .identities import (
-    ANCHORS,
-    ResidualReport,
-    FoldingWindow,
-    check_dg,
-    check_dGamma,
-    check_dh,
-    check_dX,
-    check_simons,
-    gauss_cross_check,
-)
+from .identities import ANCHORS, ResidualReport, identity_suite
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -245,23 +238,7 @@ THRESHOLD_COEFFS = {
 }
 
 
-def _identity_suite(initial: Immersion, dt: float):
-    """The six residual checks at the one center of a five-state fixed-step
-    stream, in THRESHOLD_COEFFS order.  The evolution checks run first, on
-    the center's pack and the time derivatives that the window folds from
-    the other four states as they arrive, with no pack of theirs; then the
-    window and its derivatives go, so the center's curvature is never alive
-    beside them."""
-    window = FoldingWindow.fixed_dt([initial], dt, 4)
-    (c,) = window.centers
-    reports = [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
-    geom = window.geometry(c)
-    del window
-    curv = curvature_gauss(geom)
-    return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]
-
-
-def run_identities(out_dir, grid, geometry, dt, thresholds, **_) -> int:
+def run_identities(out_dir, grid, geometry, dt, thresholds) -> int:
     grid = GridSpec(**grid)
     initial = geometry(grid)
     h2 = grid.spacing**2
@@ -270,7 +247,7 @@ def run_identities(out_dir, grid, geometry, dt, thresholds, **_) -> int:
         name: coeff * h2 + 1e-7 if thresholds[name] is None else thresholds[name]
         for name, coeff in THRESHOLD_COEFFS.items()
     }
-    reports = _identity_suite(initial, dt)
+    reports = identity_suite(initial, dt)
     failures = []
     for rep in reports:
         thr = thresholds[rep.identity]
@@ -302,10 +279,15 @@ def run_identities(out_dir, grid, geometry, dt, thresholds, **_) -> int:
     return EXIT_OK
 
 
-def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
+def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> int:
+    """The adaptive flow to T, with a checkpoint and a volume row per
+    sample time (by default the initial and final states; an empty list
+    exits 2).  Each state's volume comes from the kernel handed over with
+    it, which is dropped before the checkpoint is written, so memory does
+    not grow with the samples.  After a blow-up (exit 3) the checkpoints of
+    the states reached stay on disk, with no trajectory.csv or summary."""
     grid = GridSpec(**grid)
     initial = geometry(grid)
-    # sample_times None: the initial and final states
     stream = adaptive_stream(initial, T, StepPolicy(**policy), sample_times)
     rows, vol, steps = [], [], 0  # each stored state's trajectory.csv row, volume
     for state, kern, dts in stream:
@@ -333,8 +315,12 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times, **_) -> int:
 
 
 def run_symmetry(
-    out_dir, grid, geometry, symmetry, steps, record_every, tolerance, dt, **_
+    out_dir, grid, geometry, symmetry, steps, record_every, tolerance, dt
 ) -> int:
+    """The defect of the symmetry action along a fixed-step flow of at most
+    MAX_STEPS steps.  The action must fix the initial immersion to 1e-13
+    (else exit 2).  The defect times are the stream's exact stamps
+    t0 + k dt from the start time t0 (a checkpoint's time), not sums."""
     grid = GridSpec(**grid)
     initial = geometry(grid)
     action = _build_symmetry(grid, initial.ambient_dim, **symmetry)
@@ -406,6 +392,10 @@ def _require_paired_window(n_steps: int, store_every: int, dt: float, delta: flo
 def run_diff_system(
     out_dir, grid, geometry, geometry_b, perturbation, seed, T, delta, dt, store_every
 ) -> int:
+    """The paired pass on [delta, T] of the flows from geometry and from
+    geometry_b or its seeded perturbation.  delta must lie in (0, T), T / dt
+    within MAX_STEPS, and the stored states must pass
+    _require_paired_window, all before the pair is integrated (else exit 2)."""
     grid = GridSpec(**grid)
     initA = geometry(grid)
     initB = initA if geometry_b is None else geometry_b(grid)
@@ -463,7 +453,9 @@ def run_diff_system(
     return EXIT_OK if ok and envelope_ok else EXIT_ASSERTION
 
 
-def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order, **_) -> int:
+def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> int:
+    """The identity suite at each resolution, each double the last (else
+    exit 2), and each identity's refinement order."""
     for a, b in zip(resolutions, resolutions[1:]):
         if b != 2 * a:
             raise ConfigError(f"invalid 'resolutions' in config: {b} is not 2 * {a}")
@@ -471,7 +463,7 @@ def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order, **_) ->
     results = {}
     for N in resolutions:
         initial = geometry(GridSpec(resolution=N, **grid))
-        for rep in _identity_suite(initial, dt):
+        for rep in identity_suite(initial, dt):
             results.setdefault(rep.identity, []).append(rep.sup_residual)
     lines = ["identity,residuals,order,flag"]
     failures = []
@@ -508,9 +500,8 @@ def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order, **_) ->
     return EXIT_OK
 
 
-# every verb's keys besides its kind; runners that read no seed take it in **_
+# every verb's keys besides its kind
 COMMON = {
-    "seed": (_bounded(_integer, lambda n: n >= 0, "must not be negative"), 0),
     "grid": ({**CONVERGENCE_GRID, "resolution": (_resolution, REQUIRED)}, {}),
     "geometry": (GEOMETRY, REQUIRED),
 }
@@ -533,6 +524,7 @@ SCHEMA = ("kind", {
     }),
     "diff-system": (run_diff_system, {
         **COMMON,
+        "seed": (_bounded(_integer, lambda n: n >= 0, "must not be negative"), 0),
         "geometry_b": (GEOMETRY, OPTIONAL),
         "perturbation": ({
             "amplitude": (_real, 1e-3),
@@ -572,6 +564,9 @@ SCHEMA = ("kind", {
 
 
 def run_experiment(config: dict, out_dir: str) -> int:
+    """Read config through SCHEMA and run its verb into out_dir.  A bad
+    config, or an out_dir that cannot be made a directory (such as an
+    existing file), is a ConfigError naming the key or the path."""
     # before the read, as either source of the second flow may be malformed
     if {"geometry_b", "perturbation"} <= config.keys():
         raise ConfigError(

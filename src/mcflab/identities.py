@@ -13,9 +13,10 @@ own.  So a window keeps no times and evaluates no geometry kernel, no
 state's geometry is evaluated twice and no trajectory is stored.  A window
 holds its five latest items, one center's stencil, so the paired checks
 run in one forward pass with at most five items alive however long the
-run.  The identity suite's `FoldingWindow` has one center: it builds the
-center's pack alone and folds every other state's differenced fields into
-their time derivatives as the state arrives (`five_point_fold`, the one
+run.  The identity suite, `identity_suite`, runs the six single-flow
+checks on a `FoldingWindow`, which has one center: it builds the center's
+pack alone and folds every other state's differenced fields into their
+time derivatives as the state arrives (`five_point_fold`, the one
 arithmetic of every time difference here), so no neighbour's pack is
 built; `geometry.pack_components` and `geometry.field_block` alone know
 the kernel's and the pack's layout.  One builder, `residual_report`,
@@ -45,6 +46,7 @@ from .geometry import (
     components_first,
     components_last,
     covariant_derivative,
+    curvature_gauss,
     curvature_intrinsic,
     field_block,
     geometry_packs,
@@ -53,6 +55,7 @@ from .geometry import (
     sum_of_products,
     tensor_norm_sq,
 )
+from .grid import Immersion
 
 
 ANCHORS = {
@@ -446,3 +449,20 @@ def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport
         sup_residual=sup,
         l2_residual=l2,
     )
+
+
+def identity_suite(initial: Immersion, dt: float) -> list:
+    """The six residual checks at the one center of a five-state fixed-step
+    stream from initial at step dt, in the order check_dX, check_dg,
+    check_dGamma, check_dh, check_simons, gauss_cross_check.  The evolution
+    checks run first, on the center's pack and the time derivatives that
+    the window folds from the other four states as they arrive, with no
+    pack of theirs; then the window and its derivatives go, so the center's
+    curvature is never alive beside them."""
+    window = FoldingWindow.fixed_dt([initial], dt, 4)
+    (c,) = window.centers
+    reports = [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
+    geom = window.geometry(c)
+    del window
+    curv = curvature_gauss(geom)
+    return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]

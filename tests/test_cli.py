@@ -2,6 +2,8 @@
 determinism of report bodies, and strict config validation."""
 
 import copy
+import importlib
+import inspect
 import json
 import os
 import re
@@ -23,7 +25,6 @@ from mcflab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
-    _identity_suite,
     main,
 )
 from mcflab.differences import LIMITATION_STATEMENT
@@ -38,6 +39,15 @@ from mcflab.grid import (
 from mcflab.identities import ANCHORS
 
 from conftest import traced_peak
+
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = [
+    importlib.import_module(f"mcflab.{p.stem}")
+    for p in sorted((ROOT / "src" / "mcflab").glob("*.py"))
+    if not p.stem.startswith("__")
+]
 
 
 def run_cli(tmp_path, verb, config, subdir="out"):
@@ -510,7 +520,8 @@ class TestIdentitiesVerb:
             monkeypatch.setattr(module, "geometry_kernel", counting)
         assert not hasattr(cli, "compute_geometry")  # the CLI evaluates nothing
         monkeypatch.setattr(geometry, "compute_geometry", not_called)
-        reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
+        initial = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        reports = identities.identity_suite(initial, 1e-5)
         assert len(reports) == 6
         assert times == [2e-5]  # the centre's
         assert folded == [0, 1, 3, 4]
@@ -526,13 +537,11 @@ class TestIdentitiesVerb:
 
             return wrapper
 
-        # wherever the package holds curvature_gauss by name
-        for module in (cli, identities):
-            if hasattr(module, "curvature_gauss"):
-                monkeypatch.setattr(
-                    module, "curvature_gauss", counting(module.curvature_gauss)
-                )
-        reports = _identity_suite(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5)
+        monkeypatch.setattr(
+            identities, "curvature_gauss", counting(identities.curvature_gauss)
+        )
+        initial = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        reports = identities.identity_suite(initial, 1e-5)
         assert len(reports) == 6
         assert calls == [2e-5]
 
@@ -559,12 +568,12 @@ class TestIdentitiesVerb:
 
         monkeypatch.setattr(identities, "geometry_packs", recording)
         monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
-        monkeypatch.setattr(cli, "curvature_gauss", curvature)
+        monkeypatch.setattr(identities, "curvature_gauss", curvature)
         for N in (16, 32):
             built.clear()
             folded.clear()
             alive.clear()
-            _identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
+            identities.identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
             assert alive == [1]
             assert len(built) == 1
             assert len(folded) == 4 * 4  # four fields, four states
@@ -602,7 +611,7 @@ class TestIdentitiesVerb:
     @pytest.mark.parametrize("case", sorted(SUITE_PINS))
     def test_suite_reports_are_pinned_to_the_bit(self, case):
         make, dt, pins = self.SUITE_PINS[case]
-        reports = _identity_suite(make(), dt)
+        reports = identities.identity_suite(make(), dt)
         assert [r.identity for r in reports] == list(cli.THRESHOLD_COEFFS)
         assert [(r.sup_residual.hex(), r.l2_residual.hex()) for r in reports] == pins
 
@@ -612,7 +621,7 @@ class TestIdentitiesVerb:
         25 MiB (39.65 MiB with five packs alive)."""
         initial = shapes.perturbed_torus(GridSpec(2, 128), 1.0, 0.5, 0.1)
         dt = (2 * np.pi / 128) ** 2 / 10.0
-        reports, peak = traced_peak(_identity_suite, initial, dt)
+        reports, peak = traced_peak(identities.identity_suite, initial, dt)
         assert len(reports) == 6
         assert peak <= 25 * 2**20, f"{peak / 2**20:.2f} MiB"
 
@@ -1601,6 +1610,21 @@ class TestSchema:
     def test_every_verb_has_a_base_config(self):
         assert cli.SCHEMA[1].keys() == BASE_CONFIGS.keys()
 
+    @pytest.mark.parametrize("verb", sorted(BASE_CONFIGS))
+    def test_each_runner_takes_exactly_its_table_keys(self, verb):
+        """No runner takes a key it would ignore: a config key is a runner
+        parameter, and every parameter but out_dir a config key."""
+        run, table = cli.SCHEMA[1][verb]
+        assert set(inspect.signature(run).parameters) == {"out_dir", *table}
+
+    @pytest.mark.parametrize(
+        "verb", ["simulate", "identities", "symmetry", "convergence"]
+    )
+    def test_seed_is_a_key_of_diff_system_alone(self, tmp_path, capsys, verb):
+        code, _ = run_cli(tmp_path, verb, {**BASE_CONFIGS[verb], "seed": 0})
+        assert code == EXIT_CONFIG
+        assert "'seed'" in capsys.readouterr().err
+
     def test_out_of_range_values_name_schema_keys(self):
         keys = {p[-1] for _, p, _, _ in SCHEMA_KEYS}
         assert KEY_BAD.keys() <= keys
@@ -1626,10 +1650,82 @@ class TestSchema:
             for _, path, kind, _ in SCHEMA_KEYS
             if not isinstance(kind, (dict, tuple)) and integral(kind)
         }
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = README.read_text()
         listed = re.search(r"integer keys \(([^)]*)\)", " ".join(readme.split()))
         assert listed, "README names no integer keys"
         assert set(re.findall(r"`(\w+)`", listed.group(1))) == schema
+
+
+# backticked README tokens that name no package object, config key or report
+# file: the CLI's options
+README_ALLOWED = {"--config", "--out", "--list-anchors"}
+
+
+def readme_tokens() -> set:
+    """The inline code spans of README.md, fenced blocks left out."""
+    text = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    return set(re.findall(r"`([^`\n]+)`", text))
+
+
+def package_object(token: str) -> bool:
+    """Whether token names a package object: a dotted path from `mcflab`,
+    or a name (or name.attribute) in one of the package's modules."""
+    parts = token.split(".")
+    if parts[0] == "mcflab":
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            return _has_path(obj, parts[cut:])
+        return False
+    return any(_has_path(module, parts) for module in MODULES)
+
+
+def _has_path(obj, names) -> bool:
+    for name in names:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+class TestReadme:
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The names of the files that the verbs write on their base
+        configs."""
+        names = set()
+        for verb, config in BASE_CONFIGS.items():
+            out = tmp_path_factory.mktemp(verb)
+            cli.run_experiment({"kind": verb, **copy.deepcopy(config)}, str(out))
+            names.update(p.name for p in out.iterdir())
+        return names
+
+    def test_backticked_names_exist(self, written):
+        """Each inline code span of the README names a package object, a
+        config key, a file some verb writes, or one of README_ALLOWED; so a
+        name renamed or removed in the package fails here."""
+        keys = {step[-1] if isinstance(step, tuple) else step
+                for _, path, _, _ in SCHEMA_KEYS for step in path}
+        keys |= cli.SCHEMA[1].keys()
+        unknown = sorted(
+            t for t in readme_tokens()
+            if t not in README_ALLOWED | keys | written and not package_object(t)
+        )
+        assert not unknown, f"README names that resolve to nothing: {unknown}"
+
+    def test_the_scan_resolves_what_it_should(self, written):
+        # guards the guard: the categories are not empty, each allowed token
+        # is still used, and a renamed name does not resolve
+        tokens = readme_tokens()
+        assert README_ALLOWED <= tokens
+        assert {"mcflab.identities", "identity_suite", "SCHEMA"} <= tokens
+        assert "manifest.txt" in written & tokens
+        assert package_object("mcflab.cli.SCHEMA")
+        assert package_object("SampleWindow.item")
+        assert not package_object("identities_suite")
+        assert not package_object("mcflab.nowhere")
 
 
 class TestTopLevel:

@@ -557,13 +557,32 @@ class TestPassReleasesGeometry:
 
 class TestParabolicScaling:
     """Mean curvature flow is invariant under X -> lam X, t -> lam^2 t, and
-    so is the semi-discrete scheme; for lam = 2 floating point keeps it bit
-    for bit.  So every quantity of the pass scales by the power of 2 its
-    weight predicts: a g-norm squared of a summand with u upper and l lower
-    indices and length dimension e scales as lam^(2e + 2u - 2l)."""
+    so is the semi-discrete scheme; for lam a power of 2 floating point
+    keeps it bit for bit.  So every quantity of the pass scales by the power
+    of lam its weight predicts: a g-norm squared of a summand with u upper
+    and l lower indices and length dimension e scales as lam^(2e + 2u - 2l)."""
 
-    # the power of 2 that each summand's squared g-norm falls by at lam = 2
+    # the power of lam that each summand's squared g-norm falls by
     SUMMAND_FALL = {"U": 2, "V": 4, "w": 0, "d": 0, "N": 2, "W": 4}
+
+    # (C1, C2) as float.hex at each lam.  They weigh summands of different
+    # dimension in one core, so they depend on the unit of length and have
+    # no power of lam to check: at lam = 2, C1 falls 8.87x (m = 1) and 7.27x
+    # (m = 2), C2 3.93x and 3.19x
+    CONSTANTS = {
+        1: {
+            1.0: ("0x1.96dfb56af2563p+2", "0x1.63bc715135928p+2"),
+            0.5: ("0x1.ef70810f8383ap+4", "0x1.729df4230449cp+4"),
+            2.0: ("0x1.6f259ccef7a31p-1", "0x1.6a4ebcfe0877ap+0"),
+            4.0: ("0x1.44553a84e4205p-5", "0x1.edd7e6dc89f71p-3"),
+        },
+        2: {
+            1.0: ("0x1.1e97356e6ea46p+3", "0x1.4b5b0f8f363fcp+1"),
+            0.5: ("0x1.01f63ddaebe85p+6", "0x1.89041c0fcc49ep+3"),
+            2.0: ("0x1.3b91f4f3ff13bp+0", "0x1.9f3b24f815d3cp-1"),
+            4.0: ("0x1.a801677bbc452p-4", "0x1.05c98f5c84670p-2"),
+        },
+    }
 
     @staticmethod
     def run(a, b, dt, n_steps, delta, lam):
@@ -588,15 +607,16 @@ class TestParabolicScaling:
             dt, n_steps = 2.0**-9, 12
         delta = (n_steps - 8) * dt
         one, norms = self.run(a, b, dt, n_steps, delta, 1.0)
-        two, norms2 = self.run(a, b, dt, n_steps, delta, 2.0)
-        assert len(two.rows) == len(one.rows) == 7
-        assert (two.K, two.K_tilde) == (one.K / 2, one.K_tilde / 2)
-        assert two.dd.sup_residual == one.dd.sup_residual / 4
-        assert two.dw.sup_residual == one.dw.sup_residual / 4
-        assert two.T == 4 * one.T
-        assert set(norms) == set(self.SUMMAND_FALL)
-        for f, fall in self.SUMMAND_FALL.items():
-            assert np.array_equal(norms2[f] * 2.0**fall, norms[f]), f
-        # C1 and C2 weigh summands of different dimension in one core, so
-        # they depend on the unit of length and have no power of 2 to check:
-        # at lam = 2, C1 falls 8.87x (m = 1) and 7.27x (m = 2), C2 3.93x and 3.19x
+        pins = self.CONSTANTS[m]
+        assert (one.C1.hex(), one.C2.hex()) == pins[1.0]
+        for lam in (0.5, 2.0, 4.0):
+            two, norms2 = self.run(a, b, dt, n_steps, delta, lam)
+            assert len(two.rows) == len(one.rows) == 7
+            assert (two.K, two.K_tilde) == (one.K / lam, one.K_tilde / lam)
+            assert two.dd.sup_residual == one.dd.sup_residual / lam**2
+            assert two.dw.sup_residual == one.dw.sup_residual / lam**2
+            assert two.T == lam**2 * one.T
+            assert set(norms) == set(self.SUMMAND_FALL)
+            for f, fall in self.SUMMAND_FALL.items():
+                assert np.array_equal(norms2[f] * lam**fall, norms[f]), (f, lam)
+            assert (two.C1.hex(), two.C2.hex()) == pins[lam], lam

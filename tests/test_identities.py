@@ -7,6 +7,8 @@ except for relations that hold exactly in the semi-discrete system.
 """
 
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from mcflab.identities import (
     gauss_cross_check,
     grad_grad_H,
     grad_H,
+    identity_suite,
     metric_rhs,
     simons_residual_field,
 )
@@ -309,6 +312,56 @@ class TestGaussCrossCheck:
     def test_exact_for_curves(self):
         geom = compute_geometry(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
         assert gauss_cross_check(geom, curvature_gauss(geom)).sup_residual == 0.0
+
+
+class TestParabolicScaling:
+    """The suite of a flow run at X -> lam X, dt -> lam^2 dt, lam a power of
+    2, against the unscaled run.  Each g-norm residual of a k-th order
+    quantity (k = 2 for the position gradient and metric rates, 3 for the
+    connection and second-form rates and the commutation identity) has its
+    sup times lam^-k, bit for bit, and its volume-weighted L2 times
+    lam^(m/2 - k): bit for bit at m = 2 and at m = 1 for lam = 4, and to 1
+    ulp at m = 1 for lam = 1/2 and 2, where the factor carries sqrt 2."""
+
+    ORDER = {
+        "evolve_position_gradient": 2,
+        "evolve_metric": 2,
+        "evolve_connection": 3,
+        "evolve_second_form": 3,
+        "second_form_commutation": 3,
+    }
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_suite_scales_by_exact_powers_of_lam(self, m):
+        if m == 1:
+            initial = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
+        else:
+            initial = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.5, 0.1)
+        dt = 2.0**-14
+        one = identity_suite(initial, dt)
+        for lam in (0.5, 2.0, 4.0):
+            scaled = identity_suite(
+                initial.with_positions(lam * initial.positions), lam**2 * dt
+            )
+            assert [r.identity for r in scaled] == [r.identity for r in one]
+            for r1, r2 in zip(one, scaled):
+                what = (r1.identity, lam)
+                if r1.identity == "gauss_cross_check":
+                    # a coordinate max of |R_ijkl|, not a g-norm: it is
+                    # scale-dependent, exactly zero for curves and x lam^2
+                    # for surfaces
+                    if m == 1:
+                        assert r2.sup_residual == r1.sup_residual == 0.0
+                    else:
+                        assert r2.sup_residual == r1.sup_residual * lam**2
+                    continue
+                k = self.ORDER[r1.identity]
+                assert r2.sup_residual == r1.sup_residual * lam**-k, what
+                l2 = r1.l2_residual * lam ** (m / 2 - k)
+                if m == 2 or lam == 4.0:
+                    assert r2.l2_residual == l2, what
+                else:
+                    assert abs(r2.l2_residual - l2) <= math.ulp(l2), what
 
 
 # --- the einsum formulation as reference for the identity layer ------------
