@@ -3,12 +3,14 @@
 Verbs: simulate, identities, diff-system, symmetry, convergence; each takes
 --config <json> and --out <dir>.  A verb reads its config, runs one layer's
 pass (the identity suite, the paired pass or a flow stream) and writes the
-reports; it runs no check of its own.  Configs are read through one table
-per verb, SCHEMA, and are strict: unknown keys, keys of another geometry
-kind or permutation type, and keys the verb would ignore are errors, not
-warnings; each runner takes exactly its table's keys.  Given the same
-config, report bodies are byte-identical; wall-clock timestamps appear
-only in the manifest.
+reports; its own checks are verdicts (exit 1) on the pass's numbers: the
+identity thresholds, monotone volume, the symmetry tolerance, the refinement
+order, and the paired pass's flagged nodes and envelope.  Configs are read
+through one table per verb, SCHEMA, and are strict: unknown keys, keys of
+another geometry kind or permutation type, and keys the verb would ignore
+are errors, not warnings; each runner takes exactly its table's keys.
+Given the same config, report bodies are byte-identical; wall-clock
+timestamps appear only in the manifest.
 
 Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
 precondition, 3 numerical blow-up.
@@ -26,13 +28,7 @@ import sys
 import numpy as np
 
 from . import shapes
-from .differences import (
-    LIMITATION_STATEMENT,
-    PairedWindow,
-    fitted_centers,
-    forward_gronwall,
-    verify_inequalities,
-)
+from .differences import LIMITATION_STATEMENT, forward_gronwall, paired_pass
 from .flow import MAX_STEPS, BlowUpError, StepPolicy, adaptive_stream, fixed_dt_stream
 from .geometry import induced_volume, stacked_kernel
 from .grid import (
@@ -371,54 +367,21 @@ def run_symmetry(
     return EXIT_OK
 
 
-def _require_paired_window(n_steps: int, store_every: int, dt: float, delta: float):
-    """Before the pair is integrated: its stored states must fill one
-    five-point stencil, and at least two centers, the rows of the Gronwall
-    fit, must lie delta or more past the first state."""
-    states = n_steps // store_every + 1
-    if states < 5:
-        raise ConfigError(
-            f"invalid 'store_every' or 'T' in config: they store {states} "
-            "state(s); the paired checks need at least 5"
-        )
-    rows = len(fitted_centers(states, store_every, dt, delta))
-    if rows < 2:
-        raise ConfigError(
-            f"invalid 'delta' in config: {delta!r} leaves {rows} center(s) of "
-            f"the {states} stored states at or past delta; need at least 2"
-        )
-
-
 def run_diff_system(
     out_dir, grid, geometry, geometry_b, perturbation, seed, T, delta, dt, store_every
 ) -> int:
-    """The paired pass on [delta, T] of the flows from geometry and from
-    geometry_b or its seeded perturbation.  delta must lie in (0, T), T / dt
-    within MAX_STEPS, and the stored states must pass
-    _require_paired_window, all before the pair is integrated (else exit 2)."""
+    """`differences.paired_pass` on [delta, T] of the flows from geometry
+    and from geometry_b or its seeded perturbation, which checks its plan
+    before it integrates (else exit 2).  The verdict: no flagged node,
+    finite C1 and C2, and the Gronwall envelope holds (else exit 1)."""
     grid = GridSpec(**grid)
     initA = geometry(grid)
     initB = initA if geometry_b is None else geometry_b(grid)
     if perturbation is not None:  # then geometry_b is None
         initB = shapes.low_mode_perturbation(initA, seed=seed, **perturbation)
-    if not 0.0 < delta < T:
-        raise ConfigError(f"invalid 'delta' in config: {delta} is outside (0, T={T})")
     dt = grid.spacing**2 / 20.0 if dt is None else dt
     store_every = max(1, round(T / dt / 60)) if store_every is None else store_every
-    n_steps = int(round(T / dt))
-    if n_steps > MAX_STEPS:
-        raise ConfigError(
-            f"invalid 'T' in config: {T!r} at dt={dt!r} takes {T / dt:.3g} "
-            f"steps, more than {MAX_STEPS}"
-        )
-    n_steps -= n_steps % store_every
-    _require_paired_window(n_steps, store_every, dt, delta)
-    window = PairedWindow.fixed_dt([initA, initB], dt, n_steps, store_every)
-    # the pair is integrated as the pass reads its states, so a flow that
-    # blows up has its last finite states measured before BlowUpError;
-    # numpy's overflow warnings there only announce that, as in the flow
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_inequalities(window, delta)
+    report = paired_pass(initA, initB, T, delta, dt, store_every)
     env = forward_gronwall(report)
     _write(out_dir, "inequality_report.txt", report.serialize())
     body = ResidualReport.CSV_HEADER + ",anchor\n"

@@ -8,22 +8,24 @@ together with the direct sums
     Z = (+)_a w^a (+) d (+) N (+) W.  (Z_SUMMANDS)
 
 All norms, covariant derivatives, and Laplacians use the first flow's
-metric and connection.  `PairedWindow` is the `identities.SampleWindow` of a
-pair; the `diff-system` verb feeds it from the pair's fixed-step stream
-(`PairedWindow.fixed_dt`), so both packs of a state come from the one
-batched kernel evaluation that the pair's step already made there, and no
-trajectory is stored.  The window builds each `DifferencePack` once; as
-it builds a state, it folds the state into K and K~ and releases the
-first-flow pack of the state three back, which no later center reads.  So
-it holds the six difference fields of the five latest states, at most three
-first-flow packs and never a second-flow pack: `build_difference` takes
-from it what the checks read and drops it.  Nothing the window keeps grows
-with the run.  `verify_inequalities` is one forward pass over the centers:
-at each it takes `check_dd` and `check_dw`, the
-`identities.evolution_residual` of the displayed difference evolutions,
-whose right-hand sides are differences of the single-flow ones, and keeps
-the worst center of each; at the `fitted_centers`, chosen by center index,
-which the CLI also counts before it integrates, it adds a row.  Every
+metric and connection.  `paired_pass` owns the paired pass, as
+`identities.identity_suite` owns the single-flow one: before the pair is
+integrated it plans the steps and checks them and delta (`fitted_centers`,
+the one delta rule); then it runs `verify_inequalities` on a `PairedWindow`,
+the `identities.SampleWindow` of the pair's fixed-step stream, so both
+packs of a state come from the one batched kernel evaluation that the
+pair's step already made there, and no trajectory is stored.  The window
+builds each `DifferencePack` once; as it builds a state, it folds the
+state into K and K~ and releases the first-flow pack of the state three
+back, which no later center reads.  So it holds the six difference fields
+of the five latest states, at most three first-flow packs and never a
+second-flow pack: `build_difference` takes from it what the checks read
+and drops it.  Nothing the window keeps grows with the run.
+`verify_inequalities` is one forward pass over the centers: at each it
+takes `check_dd` and `check_dw`, the `identities.evolution_residual` of
+the displayed difference evolutions, whose right-hand sides are
+differences of the single-flow ones, and keeps the worst center of each;
+at the `fitted_centers`, chosen by center index, it adds a row.  Every
 check takes the time derivatives it reads from the window afresh.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
@@ -37,7 +39,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .flow import ProtocolError, require_pair
+from .flow import MAX_STEPS, ProtocolError, require_pair
 from .geometry import (
     GeometryPack,
     covariant_derivative,
@@ -171,11 +173,19 @@ def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     state, c * store_every * dt, is delta or more (to 1e-12): the rows of
     `verify_inequalities`, a range, since that time grows with c.  The index
     fixes the time, so a late start, whose stamped differences miss the step
-    at rounding level, keeps every row."""
+    at rounding level, keeps every row.  The delta rule: delta must be
+    positive and leave at least two centers, the rows of the Gronwall fit,
+    else a ProtocolError names 'delta'."""
     end = n_states - 2
     first = next(
         (c for c in range(2, end) if c * store_every * dt >= delta - 1e-12), end
     )
+    if not delta > 0 or end - first < 2:
+        raise ProtocolError(
+            f"invalid 'delta': {delta!r}; delta must lie in (0, "
+            f"{(n_states - 4) * store_every * dt!r}] to leave two centers of "
+            f"{n_states} stored states at or past it"
+        )
     return range(first, end)
 
 
@@ -290,19 +300,13 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
     EPS_CORE and the `fitted_centers` of the window, those at least delta
     past the first state in the index form c * store_every * step.  Each
-    row's t and the report's T are the stamps of the states; delta must lie
-    in (0, (n_states - 1) * store_every * step).  K and K~ are the
+    row's t and the report's T are the stamps of the states; delta must pass
+    `fitted_centers`, before any center is read.  K and K~ are the
     window's, over every state; `check_dd` and `check_dw` take every
     center, of which the report keeps the worst.  The pass leaves the
     window holding its last five states, and the first-flow packs of the
     last three, so a window serves one call.
     """
-    span = (len(window) - 1) * window.store_every * window.step
-    if not 0.0 < delta < span:
-        raise ValueError(
-            f"delta must lie in (0, {span}), the time from the first to the "
-            f"last state, got {delta}"
-        )
     fitted = fitted_centers(len(window), window.store_every, window.step, delta)
     C1 = 0.0
     C2 = 0.0
@@ -335,6 +339,37 @@ def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
     )
 
 
+def paired_pass(
+    initA, initB, T: float, delta: float, dt: float, store_every: int
+) -> InequalityReport:
+    """`verify_inequalities` on the fixed-step pair from initA and initB at
+    step dt, storing every store_every-th state.  Before it integrates:
+    round(T / dt) steps, at most MAX_STEPS (else a ProtocolError naming
+    'T'), trimmed to a multiple of store_every, must store at least 5
+    states, one stencil (else naming 'store_every' and 'T'), and delta must
+    pass `fitted_centers`."""
+    n_steps = int(round(T / dt))
+    if n_steps > MAX_STEPS:
+        raise ProtocolError(
+            f"invalid 'T': {T!r} at dt={dt!r} takes {T / dt:.3g} steps, "
+            f"more than {MAX_STEPS}"
+        )
+    n_steps -= n_steps % store_every
+    n_states = n_steps // store_every + 1
+    if n_states < 5:
+        raise ProtocolError(
+            f"invalid 'store_every' or 'T': they store {n_states} state(s); "
+            "the paired checks need at least 5"
+        )
+    fitted_centers(n_states, store_every, dt, delta)
+    window = PairedWindow.fixed_dt([initA, initB], dt, n_steps, store_every)
+    # the pair is integrated as the pass reads its states, so a flow that
+    # blows up has its last finite states measured before BlowUpError;
+    # numpy's overflow warnings there only announce that, as in the flow
+    with np.errstate(over="ignore", invalid="ignore"):
+        return verify_inequalities(window, delta)
+
+
 def forward_gronwall(report: InequalityReport):
     """Exponential-envelope table for F = E_Y + E_Z over the report's rows.
 
@@ -344,8 +379,6 @@ def forward_gronwall(report: InequalityReport):
     from the first row's time t0, with lam = C* sup(G/F).
     """
     rows = report.rows
-    if len(rows) < 2:
-        raise ProtocolError("need at least two sample times past delta")
     t = np.array([r["t"] for r in rows])
     F = np.array([r["E_Y"] + r["E_Z"] for r in rows])
     G = np.array([r["E_Y"] + r["E_gradY"] + r["E_Z"] for r in rows])

@@ -470,8 +470,8 @@ def tensor_norm_sq(
 
 
 def tensor_norm_sup(field_arr, geom, index_spec) -> float:
-    """sup over nodes of the pointwise g-norm of a field; the package's one
-    sup of a g-norm."""
+    """sup over nodes of the pointwise g-norm of a field
+    (`identities.residual_report` takes its own, beside the L2 norm)."""
     return float(np.sqrt(tensor_norm_sq(field_arr, geom, index_spec).max()))
 
 

@@ -33,6 +33,7 @@ from mcflab.grid import (
     GridSpec,
     SymmetryAction,
     apply_symmetry,
+    read_immersion,
     reflection_permutation,
     write_immersion,
 )
@@ -1118,6 +1119,21 @@ class TestDiffSystemVerb:
         assert all(key in err for key in keys), err
         assert not (out / "summary.txt").exists()
 
+    def test_too_many_steps_fail_before_any_kernel_call(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("a kernel was evaluated")
+
+        for module in (geometry, flow):
+            monkeypatch.setattr(module, "geometry_kernel", not_called)
+        config = changed(DIFF_CONFIG, T=(flow.MAX_STEPS + 1) * DIFF_CONFIG["dt"])
+        code, out = run_cli(tmp_path, "diff-system", config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: invalid 'T'"), err
+        assert not (out / "summary.txt").exists()
+
     def test_builds_each_difference_pack_once(self, tmp_path, monkeypatch):
         times = []
 
@@ -1325,6 +1341,103 @@ class TestLateStart:
             assert [t for t, _ in rows] == [repr(t) for t in times]
             defects[t0] = [d for _, d in rows]
         assert defects[0.2] == defects[1000.0] == defects[0.0]
+
+
+class TestParabolicScaling:
+    """X -> lam X, t -> lam^2 t maps mean curvature flow to itself, and the
+    semi-discrete scheme too: its stencils act in parameter space, and RK4
+    and the step rule cfl_safety * min g_ii * h^2 are homogeneous.  For lam
+    a power of 2 floating point keeps this bit for bit.  So `simulate` and
+    `symmetry`, run through `cli.run_experiment` on a config with positions
+    and translations times lam and every time times lam^2, take as many
+    steps and write the unscaled run's numbers times the power of lam that
+    each one's weight predicts.  The configs are dyadic: 1e-4 is not
+    4 * 2.5e-5 in binary.
+
+    Three absolute constants do not scale, so the verdicts they give depend
+    on the unit of length: `volume monotone` forgives a rise of 1e-10, the
+    symmetry `tolerance` bounds a defect that scales as lam, and the
+    `symmetry` default dt is capped at StepPolicy's dt_max of 1e-2 (these
+    runs give their dt)."""
+
+    LAMS = (0.5, 2.0, 4.0)
+
+    @staticmethod
+    def shape(m, lam):
+        if m == 1:
+            return {"kind": "circle", "radius": lam, "center": [0.0, lam / 2]}
+        return {"kind": "product_torus", "radii": [lam, lam / 2]}
+
+    @classmethod
+    def simulate(cls, tmp_path, m, lam):
+        """(trajectory rows, checkpoints, steps) of the adaptive flow, whose
+        step rule, not dt_max, sets every step but those landing on a
+        sample time."""
+        T = lam**2 * 2.0**-4
+        config = {
+            "kind": "simulate",
+            "grid": {"m": m, "resolution": 32 if m == 1 else 16},
+            "geometry": cls.shape(m, lam),
+            "T": T,
+            "policy": {"dt_max": lam**2 / 4},
+            "sample_times": [0.0, T / 4, T / 2, T],
+        }
+        out = tmp_path / f"simulate_{m}_{lam}"
+        assert cli.run_experiment(config, str(out)) == EXIT_OK
+        rows = [r.split(",") for r in (out / "trajectory.csv").read_text().split()[1:]]
+        checkpoints = [
+            ((out / name).read_text().split("\n", 1)[0], read_immersion(out / name))
+            for _, name, _ in rows
+        ]
+        manifest = (out / "manifest.txt").read_text()
+        steps = int(re.search(r"^steps = (\d+)$", manifest, re.M).group(1))
+        return [(float(t), float(v)) for t, _, v in rows], checkpoints, steps
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_simulate(self, tmp_path, m):
+        rows, checkpoints, steps = self.simulate(tmp_path, m, 1.0)
+        assert len(rows) == 4 and steps > 10
+        for lam in self.LAMS:
+            rows2, checkpoints2, steps2 = self.simulate(tmp_path, m, lam)
+            assert steps2 == steps, lam
+            assert rows2 == [(lam**2 * t, lam**m * v) for t, v in rows], lam
+            for (head, imm), (head2, imm2) in zip(checkpoints, checkpoints2):
+                *grid, t = head.split()
+                assert head2.split() == [*grid, repr(lam**2 * float(t))]
+                assert np.array_equal(imm2.positions, lam * imm.positions), lam
+                assert imm2.time == lam**2 * imm.time
+
+    @classmethod
+    def symmetry(cls, tmp_path, m, lam):
+        """The (t, defect) rows of a reflection that fixes the initial
+        immersion, off its centre at m = 1, where the translation moves."""
+        if m == 1:
+            matrix, translation = [[1, 0], [0, -1]], [0.0, lam]
+        else:
+            matrix, translation = np.diag([1.0, -1.0, 1.0, 1.0]).tolist(), [0.0] * 4
+        config = {
+            "kind": "symmetry",
+            "grid": {"m": m, "resolution": 32 if m == 1 else 16},
+            "geometry": cls.shape(m, lam),
+            "symmetry": {"matrix": matrix, "translation": translation,
+                         "permutation": REFLECTION},
+            "steps": 40,
+            "record_every": 10,
+            "dt": lam**2 * 2.0**-10,
+        }
+        out = tmp_path / f"symmetry_{m}_{lam}"
+        assert cli.run_experiment(config, str(out)) == EXIT_OK
+        lines = (out / "symmetry_defect.csv").read_text().split()[1:]
+        return [tuple(map(float, line.split(","))) for line in lines]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_symmetry(self, tmp_path, m):
+        rows = self.symmetry(tmp_path, m, 1.0)
+        assert len(rows) == 5 and max(d for _, d in rows) > 0.0
+        for lam in self.LAMS:
+            assert self.symmetry(tmp_path, m, lam) == [
+                (lam**2 * t, lam * d) for t, d in rows
+            ], lam
 
 
 class TestConvergenceVerb:
@@ -1688,6 +1801,43 @@ def _has_path(obj, names) -> bool:
             return False
         obj = getattr(obj, name)
     return True
+
+
+# the files each verb writes into --out on its base config: a new or renamed
+# report file changes the report digests, so it fails here first
+REPORT_FILES = {
+    "simulate": ["checkpoint_0000.txt", "checkpoint_0001.txt", "manifest.txt",
+                 "summary.txt", "trajectory.csv"],
+    "identities": ["manifest.txt", "residual_evolve_connection.csv",
+                   "residual_evolve_metric.csv",
+                   "residual_evolve_position_gradient.csv",
+                   "residual_evolve_second_form.csv",
+                   "residual_gauss_cross_check.csv",
+                   "residual_second_form_commutation.csv", "summary.txt"],
+    "diff-system": ["difference_identities.csv", "gronwall_envelope.csv",
+                    "inequality_report.txt", "manifest.txt", "summary.txt"],
+    "symmetry": ["manifest.txt", "summary.txt", "symmetry_defect.csv"],
+    "convergence": ["convergence.csv", "manifest.txt", "summary.txt"],
+}
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize("verb", sorted(BASE_CONFIGS))
+    def test_base_config_writes_exactly_its_files(self, tmp_path, verb):
+        code, out = run_cli(tmp_path, verb, BASE_CONFIGS[verb])
+        assert code == EXIT_OK
+        assert sorted(os.listdir(out)) == REPORT_FILES[verb]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate_blow_up_leaves_only_the_checkpoints_reached(self, tmp_path):
+        # a circle of radius 0.1 shrinks to a point near t = 0.005
+        config = changed(
+            SIMULATE_CONFIG, geometry={"kind": "circle", "radius": 0.1}, T=0.5,
+            sample_times=[0.0, 0.002, 0.5],
+        )
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_BLOWUP
+        assert sorted(os.listdir(out)) == ["checkpoint_0000.txt", "checkpoint_0001.txt"]
 
 
 class TestReadme:

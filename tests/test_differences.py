@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import GridSpec
-from mcflab import differences, shapes
+from mcflab import differences, flow, shapes
 from mcflab.differences import (
     LIMITATION_STATEMENT,
     Y_SUMMANDS,
@@ -27,6 +27,7 @@ from mcflab.differences import (
     fitted_centers,
     forward_gronwall,
     heat_operator_Y,
+    paired_pass,
     time_derivative_Z_sq,
     verify_inequalities,
 )
@@ -346,6 +347,14 @@ class TestCoupledInequalities:
         with pytest.raises(ValueError):
             verify_inequalities(w, delta=1.0)
 
+    def test_one_center_past_delta_rejected(self):
+        """The Gronwall fit differences its rows, so delta must leave two
+        centers: of the 9 states' centers 2 .. 6, delta = 5 dt leaves the
+        last two and 6 dt the last alone."""
+        assert len(verify_inequalities(circle_pair(), delta=5 * DT).rows) == 2
+        with pytest.raises(ProtocolError, match="'delta'"):
+            verify_inequalities(circle_pair(), delta=6 * DT)
+
     def test_ode_operator_positive_for_distinct_pair(self):
         w = circle_ellipse_pair()
         assert time_derivative_Z_sq(w, len(w) // 2).max() > 0.0
@@ -488,6 +497,78 @@ class TestStreamingPass:
             assert len(rows[1e6, source]) == 7
             assert np.allclose(rows[1e6, source], rows[0.0, source], atol=1e-9)
         assert fitted_centers(21, 1, 1e-3, 0.012) == range(12, 19)
+
+
+@pytest.mark.parametrize(
+    "delta", [0.0, -1e-3, float("nan"), 0.0175, 0.021], ids=str
+)
+def test_fitted_centers_holds_the_delta_rule(delta):
+    """delta must be positive and leave two of the centers 2 .. 18 of 21
+    states at step 1e-3: 0.017 leaves 17 and 18."""
+    assert fitted_centers(21, 1, 1e-3, 0.017) == range(17, 19)
+    with pytest.raises(ProtocolError, match=r"'delta'.*delta must lie in \(0, "):
+        fitted_centers(21, 1, 1e-3, delta)
+
+
+def circle_pair_workload():
+    """The benchmark's `circle-pair` config: (initA, initB, T, delta, dt,
+    store_every)."""
+    grid = GridSpec(1, 256)
+    return shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.5, 1.0), 0.3, 0.03, 1e-4, 50
+
+
+def torus_pair_workload():
+    """The benchmark's `torus-pair` config, at the default dt h^2 / 20."""
+    grid = GridSpec(2, 32)
+    a = shapes.product_torus(grid, 1.0, 1.0)
+    b = shapes.low_mode_perturbation(a, 1e-3, seed=1, max_mode=3)
+    return a, b, 0.04, 0.01, grid.spacing**2 / 20.0, 1
+
+
+class TestPairedPass:
+    """`paired_pass` plans the pair's steps and checks the plan and delta
+    before it integrates; then it is the pass over the window it builds."""
+
+    @pytest.mark.parametrize(
+        "workload", [circle_pair_workload, torus_pair_workload],
+        ids=["circle-pair", "torus-pair"],
+    )
+    def test_the_report_of_the_window_it_plans(self, workload):
+        a, b, T, delta, dt, store_every = workload()
+        n_steps = int(round(T / dt))
+        n_steps -= n_steps % store_every
+        window = PairedWindow.fixed_dt([a, b], dt, n_steps, store_every)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = verify_inequalities(window, delta)
+        got = paired_pass(a, b, T, delta, dt, store_every)
+        assert got == want
+        assert got.serialize() == want.serialize()
+        assert [r.csv_row() for r in (got.dd, got.dw)] == [
+            r.csv_row() for r in (want.dd, want.dw)
+        ]
+
+    @pytest.mark.parametrize(
+        "T, store_every, delta, keys",
+        [
+            ((flow.MAX_STEPS + 1) * DT, 1, 5e-4, ("'T'",)),
+            # 10 steps stored every 3rd: 9 steps, 4 states
+            (10 * DT, 3, 5e-4, ("'store_every'", "'T'")),
+            (20 * DT, 1, 0.0, ("'delta'",)),
+        ],
+        ids=["too-many-steps", "four-states", "zero-delta"],
+    )
+    def test_bad_plan_raises_before_integrating(
+        self, monkeypatch, T, store_every, delta, keys
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("the pair was integrated")
+
+        monkeypatch.setattr(flow, "_fixed_dt_loop", not_called)
+        grid = GridSpec(1, 32)
+        a, b = shapes.circle(grid, 1.0), shapes.circle(grid, 1.2)
+        with pytest.raises(ProtocolError) as raised:
+            paired_pass(a, b, T, delta, DT, store_every)
+        assert all(key in str(raised.value) for key in keys), raised.value
 
 
 def small_torus_pair(n_steps):

@@ -4,10 +4,10 @@ a caller in `src/mcflab` or in `benchmark/`.
 Public names are top-level functions and classes and the methods of
 top-level classes whose names do not start with an underscore.  A caller
 is any `Name`, `Attribute` or import-alias reference in a package module
-or a `benchmark/*.py` script; strings, docstrings and the test files do
-not count, except the function names of the `TRACED` table in
-`benchmark/tracing.py`, which the tracer looks up with `getattr` and fails
-to install without.  The check is by name only: a method whose name
+or a `benchmark/*.py` script; an `__init__.py`'s re-exports, strings,
+docstrings and the test files do not count, except the function names of
+the `TRACED` table in `benchmark/tracing.py`, which the tracer looks up
+with `getattr` and fails to install without.  The check is by name only: a method whose name
 another object shares (or a function named like an unrelated attribute)
 counts as used, so it can miss a dead name but never flags a live one.  A helper that only
 tests need belongs in `tests/conftest.py`.
@@ -48,6 +48,8 @@ def public_names(paths=PACKAGE):
 def referenced_names(paths=CALLERS):
     used = set()
     for path in paths:
+        if path.name == "__init__.py":  # re-exports: an alias there calls nothing
+            continue
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -78,24 +80,30 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert not uncalled, f"public names that only tests reach: {uncalled}"
 
 
-def test_only_run_fixed_dt_is_kept_alive_by_the_tracer_alone():
-    # no verb stores a fixed-step run; the tracer wraps run_fixed_dt by name,
-    # so it stays until the tracer goes.  Any other name the TRACED table
+def test_the_names_the_tracer_alone_keeps_alive():
+    # no verb collects a run or builds a lone pack, and no stencil call
+    # takes the second derivatives alone; the tracer wraps these by name,
+    # so they stay until the tracer goes.  Any other name the TRACED table
     # alone would keep alive is flagged here.
     used = referenced_names()
     tracer_only = sorted(
         q for name, q in public_names().items()
         if name not in used and name in traced_names()
     )
-    assert tracer_only == ["flow.run_fixed_dt"]
+    assert tracer_only == [
+        "flow.run_fixed_dt",
+        "flow.run_flow",
+        "geometry.compute_geometry",
+        "grid.second_partial",
+    ]
 
 
 def test_the_scan_sees_the_package():
-    # guards the guard: an empty scan would pass the check above vacuously
+    # guards the guard: an empty scan would pass the checks above vacuously
     names = public_names()
-    assert {"compute_geometry", "run_flow", "main"} <= names.keys()
+    assert {"paired_pass", "identity_suite", "main"} <= names.keys()
     assert names["csv_row"] == "identities.ResidualReport.csv_row"
-    assert {"compute_geometry", "run_flow", "main"} <= referenced_names()
+    assert {"paired_pass", "identity_suite", "main"} <= referenced_names()
 
 
 def test_the_scan_flags_a_helper_only_tests_call(tmp_path):
@@ -121,3 +129,19 @@ def test_the_scan_flags_a_helper_only_tests_call(tmp_path):
     used = referenced_names([module, caller])
     uncalled = sorted(q for name, q in names.items() if name not in used)
     assert uncalled == ["shapes.Immersion.centroid", "shapes.oracle"]
+
+
+def test_a_re_export_alone_is_flagged(tmp_path):
+    module = tmp_path / "shapes.py"
+    module.write_text("def circle(): pass\ndef oracle(): pass\n")
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        "from .shapes import circle, oracle\n"
+        "__all__ = ['circle', 'oracle']\n"
+    )
+    caller = tmp_path / "cli.py"
+    caller.write_text("from shapes import circle\ncircle()\n")
+    names = public_names([module])
+    used = referenced_names([module, init, caller])
+    uncalled = sorted(q for name, q in names.items() if name not in used)
+    assert uncalled == ["shapes.oracle"]
