@@ -11,22 +11,22 @@ All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `paired_pass` owns the paired pass, as
 `identities.identity_suite` owns the single-flow one: before the pair is
 integrated it plans the steps and checks them and delta (`fitted_centers`,
-the one delta rule); then it runs `verify_inequalities` on a `PairedWindow`,
-the `identities.SampleWindow` of the pair's fixed-step stream, so both
-packs of a state come from the one batched kernel evaluation that the
-pair's step already made there, and no trajectory is stored.  The window
-builds each `DifferencePack` once; as it builds a state, it folds the
-state into K and K~ and releases the first-flow pack of the state three
-back, which no later center reads.  So it holds the six difference fields
-of the five latest states, at most three first-flow packs and never a
-second-flow pack: `build_difference` takes from it what the checks read
-and drops it.  Nothing the window keeps grows with the run.
-`verify_inequalities` is one forward pass over the centers: at each it
-takes `check_dd` and `check_dw`, the `identities.evolution_residual` of
-the displayed difference evolutions, whose right-hand sides are
-differences of the single-flow ones, and keeps the worst center of each;
-at the `fitted_centers`, chosen by center index, it adds a row.  Every
-check takes the time derivatives it reads from the window afresh.
+the one delta rule); then it runs `verify_inequalities` on a `PairedWindow`
+over the pair's fixed-step stream, so both packs of a state come from the
+one batched kernel evaluation that the pair's step already made there, and
+no trajectory is stored.  The window builds each `DifferencePack` once; as
+it builds a state, it folds the state into K and K~ and releases the
+first-flow pack of the state three back, which no later center reads.  So
+it holds the six difference fields of the five latest states, at most
+three first-flow packs and never a second-flow pack: `build_difference`
+takes from it what the checks read and drops it.  Nothing the window keeps
+grows with the run.  `verify_inequalities` is one forward pass over the
+centers: at each it takes `check_dd` and `check_dw`, the
+`identities.residual_report` of the displayed difference evolutions, whose
+right-hand sides are differences of the single-flow ones, and keeps the
+worst center of each; at the `fitted_centers`, chosen by center index, it
+adds a row.  Every check takes the time derivatives it reads from the
+window afresh.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import attrgetter
 
 import numpy as np
 
-from .flow import MAX_STEPS, ProtocolError, require_pair
+from .flow import MAX_STEPS, ProtocolError, fixed_dt_stream, require_pair
 from .geometry import (
     GeometryPack,
     covariant_derivative,
@@ -50,10 +49,10 @@ from .geometry import (
 )
 from .identities import (
     ResidualReport,
-    SampleWindow,
-    evolution_residual,
+    five_point_derivative,
     grad_H,
     metric_rhs,
+    residual_report,
 )
 
 # Squared-norm floor below which a node is excluded from the C fit.
@@ -139,33 +138,91 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
     )
 
 
-class PairedWindow(SampleWindow):
-    """Two flows on one uniform sample grid; item k is the DifferencePack of
-    state k, built from the one batched kernel evaluation of both states and
-    measured in the first flow's geometry.
+class PairedWindow:
+    """Two flows on one uniform sample grid, read in order from a stream as
+    the checks reach them: item k is the DifferencePack of state k, built
+    from the one batched kernel evaluation of both states and measured in
+    the first flow's geometry.
 
-    As it builds state j, the window releases the first-flow pack of state
-    j - 3, which no center from j - 2 on reads, and keeps that item's
-    differences; so it holds at most three first-flow packs, and
-    `geometry(k)` of a released state raises.  K and K_tilde are
-    sup |h|_g and sup |ht|_gt over every state read."""
+    A stream yields (states, kern) per stored state, the pair's states
+    stamped with their times and the batched kernel evaluation at them
+    (`flow.fixed_dt_stream`).  n_states is the number of states the stream
+    yields, and `dt` the run's sample step, store_every * step; `fixed_dt`
+    builds the window on the stream of a fixed-step run.  `item(k)` reads
+    the stream up to state k.  The window holds the five latest items, one
+    center's stencil: it drops item j - 5 before it builds item j, and
+    releases the first-flow pack of state j - 3, which no center from
+    j - 2 on reads, keeping that item's differences; so it holds at most
+    three first-flow packs, and `geometry(k)` of a released state raises.
+    Reading a state no longer held, or outside the states, raises an
+    IndexError that names the states held, so a window serves one forward
+    pass over its centers.  Once the last state is read, the window lets go
+    of the stream.  K and K_tilde are sup |h|_g and sup |ht|_gt over every
+    state read."""
 
     K = K_tilde = 0.0
 
-    def _make(self, states: list, kern) -> DifferencePack:
-        j = self._read
-        if j >= 3:  # index the item: a local would keep its pack through the build
-            self._held[j - 3] = replace(self._held[j - 3], geomA=None)
-        p = build_difference(*states, kern)
-        self.K = max(self.K, p.sup_h)
-        self.K_tilde = max(self.K_tilde, p.sup_h_tilde)
-        return p
+    def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
+        if n_states < 5:
+            raise ProtocolError("need at least 5 uniformly spaced states")
+        self._stream = stream
+        self._n_states = n_states
+        self.step = step
+        self.store_every = store_every
+        self.dt = store_every * step
+        self._held = {}  # state index -> item, of the five latest states read
+        self._read = 0  # the number of states read from the stream
+
+    @classmethod
+    def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
+        """The window on `flow.fixed_dt_stream` of the initial immersions."""
+        stream = fixed_dt_stream(initials, dt, n_steps, store_every)
+        return cls(stream, n_steps // store_every + 1, dt, store_every)
+
+    def __len__(self):
+        return self._n_states
+
+    def item(self, k: int) -> DifferencePack:
+        if not 0 <= k < len(self):
+            raise IndexError(f"state {k} is outside 0 .. {len(self) - 1}")
+        while self._read <= k:
+            j = self._read
+            self._held.pop(j - 5, None)
+            if j >= 3:  # index the item: a local would keep its pack through the build
+                self._held[j - 3] = replace(self._held[j - 3], geomA=None)
+            states, kern = next(self._stream)
+            p = self._held[j] = build_difference(*states, kern)
+            del states, kern  # neither lives through the next step
+            self.K = max(self.K, p.sup_h)
+            self.K_tilde = max(self.K_tilde, p.sup_h_tilde)
+            self._read += 1
+            if self._read == len(self):
+                self._stream = None
+        if k not in self._held:
+            raise IndexError(
+                f"state {k} is no longer held: the window holds states "
+                f"{self._read - 5} .. {self._read - 1}"
+            )
+        return self._held[k]
 
     def geometry(self, k: int) -> GeometryPack:
         geom = self.item(k).geomA
         if geom is None:
             raise IndexError(f"state {k}'s first-flow geometry has been released")
         return geom
+
+    @property
+    def centers(self):
+        return range(2, len(self) - 2)
+
+    def time_derivative(self, c: int, name: str) -> np.ndarray:
+        """4th-order central d/dt of the items' field called name at the
+        center state c, taken afresh at each call."""
+        if c not in self.centers:
+            raise IndexError(f"state {c} is not a center of {self.centers}")
+        return five_point_derivative(
+            [getattr(self.item(j), name) for j in range(c - 2, c + 3)], self.dt
+        )
 
 
 def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
@@ -191,17 +248,19 @@ def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
 
 def check_dd(window: PairedWindow, center: int) -> ResidualReport:
     """Exactly displayed evolution of the metric difference d = g - gt at one
-    center."""
-    return evolution_residual(
-        window, center, "difference_metric", "d", attrgetter("d_rhs"), "ll"
-    )
+    center.  The center's geometry is read first, so a center whose
+    geometry is gone raises before its stencil is read."""
+    geom = window.geometry(center)
+    resid = window.time_derivative(center, "d") - window.item(center).d_rhs
+    return residual_report("difference_metric", geom, resid, "ll", window.dt)
 
 
 def check_dw(window: PairedWindow, center: int) -> ResidualReport:
-    """Evolution of the position-gradient difference w^a at one center."""
-    return evolution_residual(
-        window, center, "difference_position_gradient", "w", attrgetter("w_rhs"), "l"
-    )
+    """Evolution of the position-gradient difference w^a at one center, read
+    as `check_dd` reads it."""
+    geom = window.geometry(center)
+    resid = window.time_derivative(center, "w") - window.item(center).w_rhs
+    return residual_report("difference_position_gradient", geom, resid, "l", window.dt)
 
 
 def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarray:

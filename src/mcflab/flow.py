@@ -39,11 +39,12 @@ state's geometry without evaluating it again and reads its time from the
 state.  A stored state that starts a step shares that evaluation with the
 step; the final one starts none and costs one call of its own, under the
 flow's rule, so a degenerate final state is a blow-up, not bad input.
-Nothing is stored: the identity suite and the paired checks read the
-stream as they go (`identities.SampleWindow`), and the `symmetry` verb
-measures the defect of the states it records.  `run_fixed_dt` collects one
-flow's states into a trajectory, which records the exact `sample_step`,
-store_every * dt, which stamped times from t0 != 0 miss.
+Nothing is stored: the identity suite (`identities.identity_suite`) and
+the paired checks (`differences.PairedWindow`) read the stream as they go,
+and the `symmetry` verb measures the defect of the states it records.
+`run_fixed_dt` collects one flow's states into a trajectory, which records
+the exact `sample_step`, store_every * dt, which stamped times from
+t0 != 0 miss.
 
 `adaptive_stream`, the adaptive loop, hands over the state at each sample
 time under the same rule, with the step sizes taken since the last one; it

@@ -317,11 +317,11 @@ def pack_components(k: KernelResult, b: int, names=None) -> list:
 def field_block(grid_shape: tuple, leads: list) -> tuple:
     """One fresh block ((n,) + grid) holding fields with component axes
     leads one after another, components first, and each field's
-    components_last view: the layout of a pack and of a FoldingWindow's
-    FieldRates.  With a fresh array per field, the identity suite's RK
-    steps beside its live packs ran about 20 % slower at N=128, and the
-    check_simons that follows its window at N=128 in a convergence run
-    took 7.0k minor faults instead of 4.1k."""
+    components_last view: the layout of a pack and of the identity suite's
+    folded rates.  With a fresh array per field, the suite's RK steps
+    beside its live packs ran about 20 % slower at N=128, and the
+    check_simons that follows its folds at N=128 in a convergence run took
+    7.0k minor faults instead of 4.1k."""
     sizes = [math.prod(lead) for lead in leads]
     block = np.empty((sum(sizes),) + grid_shape)
     views, start = [], 0

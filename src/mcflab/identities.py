@@ -1,28 +1,22 @@
 """Residual checks for the evolution equations and curvature identities.
 
-Every evolution check, of one flow or of the difference of two
-(`differences.PairedWindow`), takes a window and a center state and
-measures there the 4th-order central time difference of a field, with the
-fixed-step run's `sample_step`, against the algebraic right-hand side
-(`evolution_residual`).  The two states at either end enter the differences
-but are never checked themselves.  A window reads its states from a stream,
-`SampleWindow.fixed_dt` from the fixed-step run itself, which hands over
-every stored state with its exact stamp and the kernel evaluation at it:
-the one its step already made, or for the final state one call of its
-own.  So a window keeps no times and evaluates no geometry kernel, no
-state's geometry is evaluated twice and no trajectory is stored.  A window
-holds its five latest items, one center's stencil, so the paired checks
-run in one forward pass with at most five items alive however long the
-run.  The identity suite, `identity_suite`, runs the six single-flow
-checks on a `FoldingWindow`, which has one center: it builds the center's
-pack alone and folds every other state's differenced fields into their
-time derivatives as the state arrives (`five_point_fold`, the one
-arithmetic of every time difference here), so no neighbour's pack is
-built; `geometry.pack_components` and `geometry.field_block` alone know
-the kernel's and the pack's layout.  One builder, `residual_report`,
-measures every residual tensor pointwise in the evolving induced metric
-g(t); per ambient-coordinate families contribute in Frobenius over the
-ambient label.
+Every evolution check measures, at one center state, the 4th-order
+central time difference of a field against the algebraic right-hand side.
+A single-flow check, `check_dX`, `check_dg`, `check_dGamma` or `check_dh`,
+takes the center's pack, the field's rate there and the run's sample step;
+the paired checks read `differences.PairedWindow`.  The time differences
+are taken over the fixed-step run itself (`flow.fixed_dt_stream`), which
+hands over every stored state with its exact stamp and the kernel
+evaluation at it, so no state's geometry is evaluated twice and no
+trajectory is stored.  `identity_suite` owns the single-flow suite: it
+builds the pack of its one center alone and folds every other state's
+differenced fields into their rates as the state arrives
+(`five_point_fold`, the one arithmetic of every time difference here), so
+no neighbour's pack is built; `geometry.pack_components` and
+`geometry.field_block` alone know the kernel's and the pack's layout.  One
+builder, `residual_report`, measures every residual tensor pointwise in the
+evolving induced metric g(t); per ambient-coordinate families contribute
+in Frobenius over the ambient label.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -35,11 +29,10 @@ conversion copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .flow import ProtocolError, fixed_dt_stream
+from .flow import fixed_dt_stream
 from .geometry import (
     CurvaturePack,
     GeometryPack,
@@ -112,139 +105,6 @@ class ResidualReport:
         )
 
 
-class SampleWindow:
-    """At least five uniformly spaced states, taken in order from a stream as
-    the checks reach them, with one item each; subclasses say how an item is
-    made from a stream entry (`_make`) and which geometry measures it
-    (`geometry`).
-
-    A stream yields (states, kern) per stored state: the states, stamped
-    with their times, and the batched kernel evaluation at them
-    (`flow.fixed_dt_stream`), from which the window builds the item
-    through `geometry.geometry_packs`.  n_states is the number of states
-    the stream yields, and `dt` the run's sample step, store_every * step.
-    `fixed_dt` builds the window on the stream of a fixed-step run.
-    `item(k)` reads the stream up to state k.  The window holds the five
-    latest items, one center's stencil: it drops item j - 5 before it
-    builds item j.  Reading a state no longer held, or outside the states,
-    raises an IndexError that names the states held, so a window serves one
-    forward pass over its centers.  Once the last state is read, the window
-    lets go of the stream.
-    """
-
-    def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
-        if n_states < 5:
-            raise ProtocolError("need at least 5 uniformly spaced states")
-        self._stream = stream
-        self._n_states = n_states
-        self.step = step
-        self.store_every = store_every
-        self.dt = store_every * step
-        self._held = {}  # state index -> item, of the five latest states read
-        self._read = 0  # the number of states read from the stream
-
-    @classmethod
-    def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
-        """The window on `flow.fixed_dt_stream` of the initial immersions."""
-        stream = fixed_dt_stream(initials, dt, n_steps, store_every)
-        return cls(stream, n_steps // store_every + 1, dt, store_every)
-
-    def __len__(self):
-        return self._n_states
-
-    def item(self, k: int):
-        if not 0 <= k < len(self):
-            raise IndexError(f"state {k} is outside 0 .. {len(self) - 1}")
-        while self._read <= k:
-            self._held.pop(self._read - 5, None)
-            self._held[self._read] = self._make(*next(self._stream))
-            self._read += 1
-            if self._read == len(self):
-                self._stream = None
-        if k not in self._held:
-            raise IndexError(
-                f"state {k} is no longer held: the window holds states "
-                f"{self._read - 5} .. {self._read - 1}"
-            )
-        return self._held[k]
-
-    @property
-    def centers(self):
-        return range(2, len(self) - 2)
-
-    def time_derivative(self, c: int, name: str) -> np.ndarray:
-        """4th-order central d/dt of the items' field called name at the
-        center state c, taken afresh at each call."""
-        if c not in self.centers:
-            raise IndexError(f"state {c} is not a center of {self.centers}")
-        return five_point_derivative(
-            [getattr(self.item(j), name) for j in range(c - 2, c + 3)], self.dt
-        )
-
-
-class FieldRates(NamedTuple):
-    """d/dt of the four pack fields that the evolution checks difference, at
-    the center of a `FoldingWindow`; each is the components_last view of a
-    components-first array, as the pack's field is."""
-
-    first_derivs: np.ndarray  # grid + (A, m)
-    metric: np.ndarray  # grid + (m, m)
-    christoffels: np.ndarray  # grid + (m, m, m)
-    second_form: np.ndarray  # grid + (A, m, m)
-
-
-class FoldingWindow(SampleWindow):
-    """The five states around the one center of one flow: the identity
-    suite's window.  Item 2, the center, is its GeometryPack.  Every other
-    state, numbered by the count of states read, is folded as it arrives
-    (`_fold`) from its kernel's `pack_components` into one `field_block`;
-    no pack of it is built, and the kernel is dropped, so its item is None.
-    `time_derivative(2, name)` reads the last states and is the FieldRates'
-    field called name, with the bits of `five_point_derivative` of the five
-    packs' fields.
-    """
-
-    def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
-        if n_states != 5:
-            raise ProtocolError(f"a folding window has 5 states, not {n_states}")
-        super().__init__(stream, n_states, step, store_every)
-        self._rates = self._block = None  # FieldRates, their field_block
-        self._acc = []  # each component's five_point_fold, in FieldRates order
-
-    def _make(self, states: list, kern) -> GeometryPack | None:
-        k = self._read
-        if k == 2:
-            (geom,) = geometry_packs(states, kern)
-            return geom
-        self._fold(k, kern)
-        return None
-
-    def _fold(self, k: int, kern):
-        """Fold state k in from its kernel evaluation kern, a batch of one,
-        one `pack_components` grid array at a time into its row of the
-        FieldRates' block.  State 0's components are held as they are until
-        state 1 writes f0 - 8 f1 into the rows."""
-        fields = pack_components(kern, 0, FieldRates._fields)
-        parts = [c for _, _, components in fields for c in components]
-        if self._rates is None:
-            leads = [lead for _, lead, _ in fields]
-            self._block, views = field_block(parts[0].shape, leads)
-            self._rates = FieldRates(*views)
-        self._acc = [
-            five_point_fold(k, acc, f, self.dt, out)
-            for acc, f, out in zip(self._acc or [None] * len(parts), parts, self._block)
-        ]
-
-    def geometry(self, k: int) -> GeometryPack:
-        return self.item(k)
-
-    def time_derivative(self, c: int, name: str) -> np.ndarray:
-        if c not in self.centers:
-            raise IndexError(f"state {c} is not a center of {self.centers}")
-        self.item(len(self) - 1)
-        return getattr(self._rates, name)
-
-
 def five_point_fold(k: int, acc, f, dt: float, out=None):
     """acc once the field f of state k of five equispaced states is folded
     in, in the order k = 0 .. 4: f0 itself after state 0, f0 - 8 f1 (into
@@ -285,27 +145,15 @@ def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport
     )
 
 
-def evolution_residual(
-    window, c, identity, field, rhs_of, index_spec
-) -> ResidualReport:
-    """d/dt of the items' field called field, minus rhs_of(item), at the
-    center c of a SampleWindow.  The center's geometry is read first, so a
-    center whose geometry is gone raises before its stencil is read."""
-    geom = window.geometry(c)
-    rhs = rhs_of(window.item(c))
-    resid = window.time_derivative(c, field) - rhs
-    return residual_report(identity, geom, resid, index_spec, window.dt)
-
-
 def grad_H(geom: GeometryPack) -> np.ndarray:
     """Covariant gradient of the mean curvature components [a, i]."""
     return covariant_derivative(geom.mean_curv, geom, "")
 
 
-def check_dX(window: SampleWindow, center: int) -> ResidualReport:
-    """d/dt of the position gradient against the gradient of H."""
-    return evolution_residual(
-        window, center, "evolve_position_gradient", "first_derivs", grad_H, "l"
+def check_dX(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
+    """d/dt of the position gradient, rate, against the gradient of H."""
+    return residual_report(
+        "evolve_position_gradient", geom, rate - grad_H(geom), "l", dt
     )
 
 
@@ -321,10 +169,8 @@ def metric_rhs(geom: GeometryPack) -> np.ndarray:
     return -2.0 * _H_dot_h(geom)
 
 
-def check_dg(window: SampleWindow, center: int) -> ResidualReport:
-    return evolution_residual(
-        window, center, "evolve_metric", "metric", metric_rhs, "ll"
-    )
+def check_dg(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
+    return residual_report("evolve_metric", geom, rate - metric_rhs(geom), "ll", dt)
 
 
 def _index_combination(D: np.ndarray) -> np.ndarray:
@@ -350,9 +196,9 @@ def _connection_rhs(geom: GeometryPack) -> np.ndarray:
     return components_last(_connection_rate(geom), 3)
 
 
-def check_dGamma(window: SampleWindow, center: int) -> ResidualReport:
-    return evolution_residual(
-        window, center, "evolve_connection", "christoffels", _connection_rhs, "ull"
+def check_dGamma(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
+    return residual_report(
+        "evolve_connection", geom, rate - _connection_rhs(geom), "ull", dt
     )
 
 
@@ -373,10 +219,10 @@ def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
     return out
 
 
-def check_dh(window: SampleWindow, center: int) -> ResidualReport:
+def check_dh(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
     """Evolution of the second form; the connection rate enters analytically."""
-    return evolution_residual(
-        window, center, "evolve_second_form", "second_form", _second_form_rhs, "ll"
+    return residual_report(
+        "evolve_second_form", geom, rate - _second_form_rhs(geom), "ll", dt
     )
 
 
@@ -452,17 +298,41 @@ def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport
 
 
 def identity_suite(initial: Immersion, dt: float) -> list:
-    """The six residual checks at the one center of a five-state fixed-step
+    """The six residual checks at the center of a five-state fixed-step
     stream from initial at step dt, in the order check_dX, check_dg,
-    check_dGamma, check_dh, check_simons, gauss_cross_check.  The evolution
-    checks run first, on the center's pack and the time derivatives that
-    the window folds from the other four states as they arrive, with no
-    pack of theirs; then the window and its derivatives go, so the center's
-    curvature is never alive beside them."""
-    window = FoldingWindow.fixed_dt([initial], dt, 4)
-    (c,) = window.centers
-    reports = [f(window, c) for f in (check_dX, check_dg, check_dGamma, check_dh)]
-    geom = window.geometry(c)
-    del window
+    check_dGamma, check_dh, check_simons, gauss_cross_check.
+
+    The center, state 2, gets its pack; every other state is folded as it
+    arrives, from its kernel's `pack_components` into one `field_block` of
+    the four rates (`five_point_fold`), and no pack of it is built.  The
+    evolution checks run first, on the center's pack and the rates; then
+    the rates go, so the center's curvature is never alive beside them."""
+    # the fields whose rates check_dX, check_dg, check_dGamma, check_dh read
+    names = ("first_derivs", "metric", "christoffels", "second_form")
+    block = None
+    k = 0  # no enumerate: its reused result tuple keeps the last kernel
+    for states, kern in fixed_dt_stream([initial], dt, 4):
+        if k == 2:
+            (geom,) = geometry_packs(states, kern)
+        else:
+            fields = pack_components(kern, 0, names)
+            parts = [c for _, _, components in fields for c in components]
+            if block is None:
+                leads = [lead for _, lead, _ in fields]
+                block, rates = field_block(parts[0].shape, leads)
+                acc = [None] * len(parts)
+            # state 0's components are held as they are until state 1
+            # writes f0 - 8 f1 into the block's rows
+            acc = [
+                five_point_fold(k, a, f, dt, out)
+                for a, f, out in zip(acc, parts, block)
+            ]
+            del fields, parts
+        del states, kern  # neither lives through the next step
+        k += 1
+    # looked up at the call, so that a rebound module attribute sees it
+    checks = (check_dX, check_dg, check_dGamma, check_dh)
+    reports = [check(geom, rate, dt) for check, rate in zip(checks, rates)]
+    del block, rates, acc
     curv = curvature_gauss(geom)
     return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]

@@ -11,15 +11,15 @@ from mcflab.geometry import (
     GeometryPack,
     components_first,
     components_last,
+    compute_geometry,
     covariant_derivative,
     geometry_kernel,
-    geometry_packs,
     stacked_kernel,
     sum_of_products,
     tensor_norm_sq,
 )
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
-from mcflab.identities import SampleWindow
+from mcflab.identities import five_point_derivative
 
 
 # every GeometryPack field but the immersion, in pack order
@@ -183,22 +183,23 @@ def _stored_stream(*trajs) -> tuple:
     return stream, len(first.states), first.sample_step
 
 
-class TrajectoryWindow(SampleWindow):
-    """One flow with any number of centers; item k is the GeometryPack of
-    state k."""
-
-    def _make(self, states: list, kern) -> GeometryPack:
-        (geom,) = geometry_packs(states, kern)
-        return geom
-
-    def geometry(self, k: int) -> GeometryPack:
-        return self.item(k)
+# the pack field whose d/dt each single-flow evolution check reads
+CHECKED_FIELDS = {
+    "check_dX": "first_derivs",
+    "check_dg": "metric",
+    "check_dGamma": "christoffels",
+    "check_dh": "second_form",
+}
 
 
-def trajectory_window(traj: FlowTrajectory) -> TrajectoryWindow:
-    """A window over a stored fixed-step trajectory, each pack from a kernel
-    call of its own."""
-    return TrajectoryWindow(*_stored_stream(traj))
+def check_at(check, traj: FlowTrajectory, c: int = 2):
+    """A single-flow evolution check at the stored state c of a fixed-step
+    trajectory: the pack of state c, and the five-point d/dt of the packs
+    of states c - 2 .. c + 2, each from a kernel call of its own."""
+    packs = [compute_geometry(s) for s in traj.states[c - 2 : c + 3]]
+    field = CHECKED_FIELDS[check.__name__]
+    rate = five_point_derivative([getattr(p, field) for p in packs], traj.sample_step)
+    return check(packs[2], rate, traj.sample_step)
 
 
 def paired_window(trajA: FlowTrajectory, trajB: FlowTrajectory) -> PairedWindow:

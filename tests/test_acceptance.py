@@ -34,9 +34,9 @@ from mcflab.identities import (
 from conftest import (
     measured_radius,
     measured_torus_radii,
+    check_at,
     paired_window,
     trace_identity_residual,
-    trajectory_window,
 )
 
 
@@ -87,12 +87,11 @@ def test_criterion_03_evolution_identity_orders():
         ("circle", lambda g: shapes.circle(g, 1.0)),
         ("ellipse", lambda g: shapes.ellipse(g, 1.5, 1.0)),
     ):
-        windows = [
-            trajectory_window(run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4))
-            for N in (64, 128, 256)
+        trajs = [
+            run_fixed_dt(maker(GridSpec(1, N)), 1e-5, 4) for N in (64, 128, 256)
         ]
         for chk in checks:
-            sups = [chk(w, 2).sup_residual for w in windows]
+            sups = [check_at(chk, traj).sup_residual for traj in trajs]
             if max(sups) < EXACT_FLOOR:
                 details.append(f"{name}/{chk.__name__}=exact")
                 continue

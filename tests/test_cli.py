@@ -2,6 +2,7 @@
 determinism of report bodies, and strict config validation."""
 
 import copy
+import functools
 import importlib
 import inspect
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from mcflab.cli import (
 )
 from mcflab.differences import LIMITATION_STATEMENT
 from mcflab.flow import step_rk4
+from mcflab.geometry import divergence, tensor_norm_sq
 from mcflab.grid import (
     GridSpec,
     SymmetryAction,
@@ -497,16 +500,17 @@ class TestIdentitiesVerb:
         from the kernel evaluation that its fixed-step stream already made
         there."""
         times, folded, kernels = [], [], []
-        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
+        packs, components = geometry.geometry_packs, geometry.pack_components
         kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             times.extend(s.time for s in states)
             return packs(states, kern)
 
-        def folding(window, k, kern):
-            folded.append(k)
-            fold(window, k, kern)
+        def folding(kern, b, names):
+            # state k's kernel is call 4 k + 1: its step's first stage
+            folded.append((len(kernels) - 1) // 4)
+            return components(kern, b, names)
 
         def counting(grid, X):
             kernels.append(grid.resolution)
@@ -516,7 +520,7 @@ class TestIdentitiesVerb:
             raise AssertionError("compute_geometry evaluated a state again")
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
-        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
+        monkeypatch.setattr(identities, "pack_components", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         assert not hasattr(cli, "compute_geometry")  # the CLI evaluates nothing
@@ -551,33 +555,45 @@ class TestIdentitiesVerb:
         folded time derivatives; no other pack is built, and the folded
         derivatives are gone before the centre's curvature is built, so it
         is never alive beside more than the centre's own pack."""
-        built, folded, alive = [], [], []
-        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
+        built, folded, rates, alive = [], [], [], []
+        packs, components = geometry.geometry_packs, geometry.pack_components
+        block = geometry.field_block
 
         def recording(states, kern):
             new = packs(states, kern)
             built.extend(weakref.ref(p) for p in new)
             return new
 
-        def folding(window, k, kern):
-            fold(window, k, kern)
-            folded.extend(weakref.ref(rate) for rate in window._rates)
+        def folding(kern, b, names):
+            fields = components(kern, b, names)
+            # a field's first component, a view into its state's kernel
+            folded.extend(weakref.ref(c[0]) for _, _, c in fields)
+            return fields
+
+        def blocking(grid_shape, leads):
+            new, views = block(grid_shape, leads)
+            rates.extend(weakref.ref(a) for a in [new] + views)
+            return new, views
 
         def curvature(geom):
-            alive.append(sum(ref() is not None for ref in built + folded))
+            refs = built + folded + rates
+            alive.append(sum(ref() is not None for ref in refs))
             return geometry.curvature_gauss(geom)
 
         monkeypatch.setattr(identities, "geometry_packs", recording)
-        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
+        monkeypatch.setattr(identities, "pack_components", folding)
+        monkeypatch.setattr(identities, "field_block", blocking)
         monkeypatch.setattr(identities, "curvature_gauss", curvature)
         for N in (16, 32):
             built.clear()
             folded.clear()
+            rates.clear()
             alive.clear()
             identities.identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
             assert alive == [1]
             assert len(built) == 1
             assert len(folded) == 4 * 4  # four fields, four states
+            assert len(rates) == 1 + 4  # the block and its four fields
 
     # the suite's initial immersion and dt, and the (sup, l2) of its six
     # reports as float.hex in THRESHOLD_COEFFS order, recorded while the
@@ -1347,18 +1363,19 @@ class TestParabolicScaling:
     """X -> lam X, t -> lam^2 t maps mean curvature flow to itself, and the
     semi-discrete scheme too: its stencils act in parameter space, and RK4
     and the step rule cfl_safety * min g_ii * h^2 are homogeneous.  For lam
-    a power of 2 floating point keeps this bit for bit.  So `simulate` and
-    `symmetry`, run through `cli.run_experiment` on a config with positions
-    and translations times lam and every time times lam^2, take as many
-    steps and write the unscaled run's numbers times the power of lam that
-    each one's weight predicts.  The configs are dyadic: 1e-4 is not
-    4 * 2.5e-5 in binary.
+    a power of 2 floating point keeps this bit for bit.  So `simulate`,
+    `symmetry` and `diff-system`, run through `cli.run_experiment` on a
+    config with positions and translations times lam and every time times
+    lam^2, take as many steps and write the unscaled run's numbers times the
+    power of lam that each one's weight predicts.  The configs are dyadic:
+    1e-4 is not 4 * 2.5e-5 in binary.
 
     Three absolute constants do not scale, so the verdicts they give depend
     on the unit of length: `volume monotone` forgives a rise of 1e-10, the
     symmetry `tolerance` bounds a defect that scales as lam, and the
     `symmetry` default dt is capped at StepPolicy's dt_max of 1e-2 (these
-    runs give their dt)."""
+    runs give their dt).  Nor do `diff-system`'s C1 and C2, which weigh
+    summands of different dimension in one core."""
 
     LAMS = (0.5, 2.0, 4.0)
 
@@ -1440,6 +1457,141 @@ class TestParabolicScaling:
             ], lam
 
 
+    # the power of lam that each summand's squared g-norm falls by; a
+    # covariant derivative adds 2 and a time derivative 4
+    SUMMAND_FALL = {"U": 2, "V": 4, "w": 0, "d": 0, "N": 2, "W": 4}
+
+    @classmethod
+    def diff_system(cls, tmp_path, m, lam, monkeypatch=None):
+        """The inequality report and the envelope lines of `diff-system`,
+        and the pass's arguments when monkeypatch is given; C1 and C2 are
+        dropped from the report, as they weigh summands of different
+        dimension in one core and so depend on the unit of length."""
+        if m == 1:
+            dt, n_steps, store_every = 2.0**-13, 40, 4
+            geometry = {
+                "geometry": cls.shape(m, lam),
+                "geometry_b": {"kind": "ellipse", "a": 1.2 * lam, "b": 0.9 * lam},
+            }
+        else:
+            dt, n_steps, store_every = 2.0**-11, 24, 2
+            geometry = {
+                "geometry": cls.shape(m, lam),
+                "perturbation": {"amplitude": 1e-2 * lam},
+                "seed": 1,
+            }
+        config = {
+            "kind": "diff-system",
+            "grid": {"m": m, "resolution": 64 if m == 1 else 16},
+            **geometry,
+            "T": lam**2 * n_steps * dt,
+            "delta": lam**2 * 8 * dt,
+            "dt": lam**2 * dt,
+            "store_every": store_every,
+        }
+        args = []
+        if monkeypatch is not None:
+            pass_ = cli.paired_pass
+
+            def recording(*a):
+                args.extend(a)
+                return pass_(*a)
+
+            monkeypatch.setattr(cli, "paired_pass", recording)
+        out = tmp_path / f"diff_{m}_{lam}"
+        assert cli.run_experiment(config, str(out)) == EXIT_OK
+        report = [
+            line for line in (out / "inequality_report.txt").read_text().splitlines()
+            if not line.startswith(("C1 = ", "C2 = "))
+        ]
+        envelope = (out / "gronwall_envelope.csv").read_text().splitlines()
+        return report, envelope, args
+
+    @classmethod
+    def summands(cls, initA, initB, T, delta, dt, store_every):
+        """Per fitted center of the pass: its time, the cell weights, and
+        each summand's pointwise term of |Y|^2 and |Z|^2 ("norm"), of
+        |grad Y|^2 ("grad"), of |(d/dt - Lap) Y|^2 ("heat") and of
+        |d/dt Z|^2 ("rate"), in the order the pass adds them."""
+        n_steps = int(round(T / dt))
+        window = differences.PairedWindow.fixed_dt(
+            [initA, initB], dt, n_steps - n_steps % store_every, store_every
+        )
+        fitted = differences.fitted_centers(len(window), store_every, dt, delta)
+        centers = []
+        for c in fitted:
+            p, g = window.item(c), window.geometry(c)
+            grad = p.grad_Y()
+            terms = {"norm": {}, "grad": {}, "heat": {}, "rate": {}}
+            for f, spec in differences.Y_SUMMANDS + differences.Z_SUMMANDS:
+                rate = window.time_derivative(c, f)
+                terms["norm"][f] = tensor_norm_sq(getattr(p, f), g, spec)
+                terms["rate"][f] = tensor_norm_sq(rate, g, spec)
+                if (f, spec) in differences.Y_SUMMANDS:
+                    terms["grad"][f] = tensor_norm_sq(grad[f], g, "l" + spec)
+                    lap = divergence(grad[f], g, "l" + spec)
+                    terms["heat"][f] = tensor_norm_sq(rate - lap, g, spec)
+            centers.append((g.immersion.time, g.cell_weight, terms))
+        return centers
+
+    @classmethod
+    def predicted(cls, centers, m, lam):
+        """The report's rows at lam from the summands at 1, each scaled by
+        its power of lam and summed in the pass's order."""
+        Y = [f for f, _ in differences.Y_SUMMANDS]
+        Z = [f for f, _ in differences.Z_SUMMANDS]
+
+        def total(terms, names, extra):
+            scaled = (lam ** -(cls.SUMMAND_FALL[f] + extra) * terms[f] for f in names)
+            return functools.reduce(np.add, scaled)
+
+        rows = []
+        for t, weight, terms in centers:
+            weight = lam**m * weight
+            rows.append({
+                "t": lam**2 * t,
+                "E_Y": float(np.sum(total(terms["norm"], Y, 0) * weight)),
+                "E_gradY": float(np.sum(total(terms["grad"], Y, 2) * weight)),
+                "E_Z": float(np.sum(total(terms["norm"], Z, 0) * weight)),
+                "sup_lhs1": float(total(terms["heat"], Y, 4).max()),
+                "sup_lhs2": float(total(terms["rate"], Z, 4).max()),
+            })
+        return rows
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_diff_system(self, tmp_path, m, monkeypatch):
+        """K and K~ scale as 1 / lam, T and every row's t as lam^2, and each
+        row's energies and sups are the sums of the summands at lam = 1,
+        each times its power of lam; the envelope is that of those rows."""
+        report, envelope, args = self.diff_system(tmp_path, m, 1.0, monkeypatch)
+        centers = self.summands(*args)
+        assert len(centers) == 7
+        values = dict(line.split(" = ") for line in report if " = " in line)
+        for lam in (1.0,) + self.LAMS:
+            report2, envelope2, _ = self.diff_system(tmp_path, m, lam)
+            rows = self.predicted(centers, m, lam)
+            want = dict(values)
+            for key, power in (("T", 2), ("K", -1), ("K_tilde", -1)):
+                want[key] = repr(lam**power * float(values[key]))
+            want["dt"] = repr(lam**2 * float(values["dt"]))
+            want["delta"] = repr(lam**2 * float(values["delta"]))
+            got = dict(line.split(" = ") for line in report2 if " = " in line)
+            assert got == want, lam
+            header = report2.index("t,E_Y,E_gradY,E_Z,sup_lhs1,sup_lhs2")
+            assert report2[header + 1 :] == [
+                ",".join(repr(r[k]) for k in ("t", "E_Y", "E_gradY", "E_Z",
+                                              "sup_lhs1", "sup_lhs2"))
+                for r in rows
+            ], lam
+            env = differences.forward_gronwall(types.SimpleNamespace(rows=rows))
+            assert envelope2[1:] == [
+                ",".join(repr(r[k]) for k in ("t", "F", "G", "dFdt", "envelope",
+                                              "c_star"))
+                for r in env
+            ], lam
+            assert envelope2[0] == envelope[0]
+
+
 class TestConvergenceVerb:
     def test_orders_reported(self, tmp_path):
         config = {
@@ -1470,23 +1622,23 @@ class TestConvergenceVerb:
         step of the four-step stream, whose stored states keep their step's
         first stage, and 1 for the final state."""
         packed, folded, kernels = [], [], []
-        packs, fold = geometry.geometry_packs, identities.FoldingWindow._fold
+        packs, components = geometry.geometry_packs, geometry.pack_components
         kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             packed.append(states[0].grid.resolution)
             return packs(states, kern)
 
-        def folding(window, k, kern):
+        def folding(kern, b, names):
             folded.append(kern.det.shape[0])
-            fold(window, k, kern)
+            return components(kern, b, names)
 
         def counting(grid, X):
             kernels.append(grid.resolution)
             return kernel(grid, X)
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
-        monkeypatch.setattr(identities.FoldingWindow, "_fold", folding)
+        monkeypatch.setattr(identities, "pack_components", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         code, _ = run_cli(tmp_path, "convergence", CONVERGENCE_CONFIG)
@@ -1873,7 +2025,7 @@ class TestReadme:
         assert {"mcflab.identities", "identity_suite", "SCHEMA"} <= tokens
         assert "manifest.txt" in written & tokens
         assert package_object("mcflab.cli.SCHEMA")
-        assert package_object("SampleWindow.item")
+        assert package_object("PairedWindow.item")
         assert not package_object("identities_suite")
         assert not package_object("mcflab.nowhere")
 

@@ -31,7 +31,7 @@ from mcflab.differences import (
     time_derivative_Z_sq,
     verify_inequalities,
 )
-from mcflab.flow import FlowTrajectory, run_fixed_dt
+from mcflab.flow import FlowTrajectory, ProtocolError, run_fixed_dt
 from mcflab.geometry import (
     compute_geometry,
     covariant_derivative,
@@ -40,7 +40,7 @@ from mcflab.geometry import (
     tensor_norm_sup,
 )
 from mcflab.grid import SymmetryAction, apply_symmetry
-from mcflab.identities import ProtocolError, grad_H, metric_rhs
+from mcflab.identities import grad_H, metric_rhs
 
 from conftest import (
     paired_window,
@@ -701,3 +701,125 @@ class TestParabolicScaling:
             for f, fall in self.SUMMAND_FALL.items():
                 assert np.array_equal(norms2[f] * lam**fall, norms[f]), (f, lam)
             assert (two.C1.hex(), two.C2.hex()) == pins[lam], lam
+
+
+class TestClosedFormPair:
+    """Every number of the paired report of two concentric circles (m = 1)
+    and of two coaxial product tori (m = 2, one circle factor per grid
+    axis) against its closed form in the semi-discrete system.
+
+    A circle factor of radius r has X_u = r s1 tau and X_uu = -r s2 n, with
+    the stencil symbols s1, s2 (`stencil_symbols`).  So g = r^2 s1^2,
+    Gamma = 0, h = -r s2 n, H = -(kappa / r) n with kappa = s2 / s1^2, and
+    r' = -kappa / r: r^2 = r0^2 - 2 kappa t.  With first-flow radii a and
+    second-flow radii b, and e = (a - b)^2 s2^2 / s1^4, each factor adds
+
+        |U|^2 = e / a^4,  |V|^2 = |grad U|^2 = e / a^6,  |grad V|^2 = e / a^8,
+        |w|^2 = (a - b)^2 / a^2,  |d|^2 = (a^2 - b^2)^2 / a^4,  N = W = 0,
+
+    and the cell weights sum to the product of 2 pi a s1.  The heat
+    operator: d/dt U = -(a' - b') s2 n, and Lap, the divergence of the
+    central-difference gradient, has the symbol -s1^2 / g, so Lap U =
+    (a - b) s2 n / a^2.  With Q = (a' - b') + (a - b) / a^2, which is
+    (a - b) (kappa / (a b) + 1 / a^2) as a' = -kappa / a,
+    |(d/dt - Lap) U|^2 = s2^2 Q^2 / (a^4 s1^4), and V, one central
+    difference more, gives s2^2 Q^2 / (a^6 s1^4): their sum is sup_lhs1.
+    Of Z only w moves, as (a^2 - b^2)' = 0: sup_lhs2 = (a' - b')^2 / a^2.
+    Every field is constant in space, so C1 and C2 are the largest ratio
+    over the rows of sup_lhs1 and sup_lhs2 to |Y|^2 + |grad Y|^2 + |Z|^2.
+    K = kappa (sum 1 / a^2)^(1/2) at the last state, K~ the same in b.
+    The displayed difference evolutions hold exactly here: d_rhs = 0 =
+    (d/dt) d and grad H - gradt Ht = (a' - b') s1 tau = (d/dt) w, so dd
+    and dw are 0.
+
+    Tolerances.  A number read without a time derivative (E_Y, E_gradY,
+    E_Z, K, K~) is off by rounding only: RTOL.  A rate is a five-point
+    difference at the sample step s, off by s^4 |f^(5)| / 30, and
+    r^(5) = -105 kappa^5 / r^9; plus the rounding of the second
+    differences, up to 4 eps / h^2 for the weights (1, -2, 1) / h^2, times
+    18 / (12 s), the weights of the five-point difference.  `rate_error` bounds
+    the error of a' - b' so; a squared rate doubles its relative error,
+    and every bound is doubled again for the variation of r over the
+    stencil.
+    """
+
+    RTOL = 1e-12
+    CASES = {
+        "circles": (GridSpec(1, 64), (1.0,), (1.2,), 2.0**-13, 40, 4),
+        "tori": (GridSpec(2, 16), (1.0, 0.8), (1.2, 1.0), 2.0**-10, 24, 2),
+    }
+
+    @staticmethod
+    def shape(grid, radii):
+        if grid.m == 1:
+            return shapes.circle(grid, *radii)
+        return shapes.product_torus(grid, *radii)
+
+    @staticmethod
+    def closed_forms(grid, a0, b0, t):
+        """The closed form of every row number, K and K~ at time t, and the
+        core |Y|^2 + |grad Y|^2 + |Z|^2."""
+        s1, s2 = stencil_symbols(grid)
+        kappa = s2 / s1**2
+        a = np.sqrt(np.square(a0) - 2 * kappa * t)
+        b = np.sqrt(np.square(b0) - 2 * kappa * t)
+        rate = -kappa / a + kappa / b  # a' - b'
+        e = (a - b) ** 2 * s2**2 / s1**4
+        Q = rate + (a - b) / a**2
+        Y = np.sum(e / a**4 + e / a**6)
+        grad_Y = np.sum(e / a**6 + e / a**8)
+        Z = np.sum((a - b) ** 2 / a**2 + (a**2 - b**2) ** 2 / a**4)
+        volume = np.prod(2 * np.pi * a * s1)
+        return {
+            "E_Y": Y * volume,
+            "E_gradY": grad_Y * volume,
+            "E_Z": Z * volume,
+            "sup_lhs1": np.sum(s2**2 * Q**2 * (1 / a**4 + 1 / a**6) / s1**4),
+            "sup_lhs2": np.sum(rate**2 / a**2),
+            "K": kappa * np.sqrt(np.sum(1 / a**2)),
+            "K_tilde": kappa * np.sqrt(np.sum(1 / b**2)),
+            "core": Y + grad_Y + Z,
+        }
+
+    @staticmethod
+    def rate_error(grid, a0, b0, t, s):
+        """(relative, absolute) bound of the five-point error of a' - b' at
+        time t, the largest over the factors; the absolute one in the
+        g-norm of w, |.| / a."""
+        s1, s2 = stencil_symbols(grid)
+        kappa = s2 / s1**2
+        a = np.sqrt(np.square(a0) - 2 * kappa * t)
+        b = np.sqrt(np.square(b0) - 2 * kappa * t)
+        err = s**4 / 30 * 105 * kappa**5 * (a**-9.0 + b**-9.0)
+        err += 18 / (12 * s) * 4 * np.finfo(float).eps / grid.spacing**2
+        rel = err / np.abs(kappa / b - kappa / a)
+        return float(np.max(rel)), float(np.max(err / a))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_number_of_the_report(self, case):
+        grid, a0, b0, dt, n_steps, store_every = self.CASES[case]
+        s = store_every * dt
+        a, b = self.shape(grid, a0), self.shape(grid, b0)
+        rep = paired_pass(a, b, n_steps * dt, 2 * s, dt, store_every)
+        assert len(rep.rows) == n_steps // store_every - 3
+        assert rep.flagged_nodes == 0
+        C1 = C2 = 0.0
+        for row in rep.rows:
+            want = self.closed_forms(grid, a0, b0, row["t"])
+            rel, _ = self.rate_error(grid, a0, b0, row["t"], s)
+            for key in ("E_Y", "E_gradY", "E_Z"):
+                assert row[key] == pytest.approx(want[key], rel=self.RTOL), key
+            for key in ("sup_lhs1", "sup_lhs2"):
+                assert row[key] == pytest.approx(want[key], rel=4 * rel), key
+            C1 = max(C1, want["sup_lhs1"] / want["core"])
+            C2 = max(C2, want["sup_lhs2"] / want["core"])
+        rel, abs_err = self.rate_error(grid, a0, b0, rep.T, s)
+        assert rep.C1 == pytest.approx(C1, rel=4 * rel)
+        assert rep.C2 == pytest.approx(C2, rel=4 * rel)
+        last = self.closed_forms(grid, a0, b0, rep.T)
+        assert rep.T == n_steps * dt
+        assert rep.K == pytest.approx(last["K"], rel=self.RTOL)
+        assert rep.K_tilde == pytest.approx(last["K_tilde"], rel=self.RTOL)
+        for r in (rep.dd, rep.dw):
+            assert r.dt == s
+            assert r.sup_residual < 2 * abs_err, r.identity

@@ -48,9 +48,9 @@ from conftest import (
     identity_symmetry,
     measured_radius,
     measured_torus_radii,
+    paired_window,
     run_paired_fixed_dt,
     stencil_symbols,
-    trajectory_window,
 )
 
 
@@ -545,13 +545,13 @@ class TestFixedDtProtocol:
         )
         assert traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            trajectory_window(traj)
+            paired_window(traj, traj)
 
     def test_window_rejects_an_adaptive_run(self, unit_circle):
         traj = run_flow(unit_circle, 0.02, sample_times=np.linspace(0, 0.02, 5))
         assert len(traj.states) == 5 and traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            trajectory_window(traj)
+            paired_window(traj, traj)
 
 
 PAIRS = {

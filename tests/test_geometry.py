@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import grid as grid_module
-from mcflab import shapes
+from mcflab import identities, shapes
 from mcflab.geometry import (
     GeometryPack,
     _check_det,
@@ -18,6 +18,7 @@ from mcflab.geometry import (
     curvature_gauss,
     curvature_intrinsic,
     divergence,
+    field_block,
     geometry_kernel,
     geometry_packs,
     laplacian,
@@ -37,7 +38,6 @@ from mcflab.grid import (
     reflection_permutation,
     second_partial,
 )
-from mcflab.identities import FoldingWindow
 
 from conftest import (
     PACK_FIELDS,
@@ -571,10 +571,10 @@ def assert_one_block(fields):
 
 
 class TestFieldBlock:
-    """Every field of a pack, and every FieldRates field of a folding
-    window, lies in one block per pack or window, in field order: the
-    layout `geometry.field_block` makes, which keeps the minor faults and
-    the RK steps beside live packs down."""
+    """Every field of a pack, and every rate that the identity suite folds,
+    lies in one block per pack or suite, in field order: the layout
+    `geometry.field_block` makes, which keeps the minor faults and the RK
+    steps beside live packs down."""
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
@@ -588,10 +588,18 @@ class TestFieldBlock:
             assert not np.shares_memory(packs[0].metric, packs[1].metric)
 
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
-    def test_folded_rates_are_one_block(self, m, A):
-        window = FoldingWindow.fixed_dt([LAYOUT_MAKERS[m, A](4)], 1e-5, 4)
-        window.time_derivative(2, "metric")
-        assert_one_block(list(window._rates))
+    def test_folded_rates_are_one_block(self, m, A, monkeypatch):
+        blocks = []
+
+        def recording(grid_shape, leads):
+            blocks.append(field_block(grid_shape, leads))
+            return blocks[-1]
+
+        monkeypatch.setattr(identities, "field_block", recording)
+        identities.identity_suite(LAYOUT_MAKERS[m, A](4), 1e-5)
+        ((_, rates),) = blocks
+        assert len(rates) == 4
+        assert_one_block(rates)
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))

@@ -7,14 +7,16 @@ except for relations that hold exactly in the semi-discrete system.
 """
 
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mcflab import GridSpec, compute_geometry
-from mcflab import shapes
-from mcflab.flow import FlowTrajectory, run_fixed_dt
+from mcflab import differences, identities, shapes
+from mcflab.differences import PairedWindow, build_difference
+from mcflab.flow import FlowTrajectory, ProtocolError, run_fixed_dt
 from mcflab.geometry import covariant_derivative, curvature_gauss, laplacian
 from mcflab.grid import (
     SymmetryAction,
@@ -23,11 +25,7 @@ from mcflab.grid import (
 )
 from mcflab.identities import (
     ANCHORS,
-    FieldRates,
-    FoldingWindow,
-    ProtocolError,
     ResidualReport,
-    SampleWindow,
     _connection_rhs,
     _second_form_rhs,
     check_dGamma,
@@ -46,11 +44,14 @@ from mcflab.identities import (
 )
 
 from conftest import (
+    CHECKED_FIELDS,
     REFERENCE_MAKERS,
     assert_same_bytes,
+    check_at,
+    paired_window,
+    run_paired_fixed_dt,
     stencil_symbols,
     traced_peak,
-    trajectory_window,
 )
 
 
@@ -75,40 +76,40 @@ class TestTimeDifference:
         assert np.allclose(five_point_derivative(fields, dt), exact, atol=1e-12)
 
     def test_window_differences_the_five_states_around_each_centre(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = trajectory_window(traj)
-        metrics = [compute_geometry(s).metric for s in traj.states]
+        grid = GridSpec(1, 16)
+        trajs = run_paired_fixed_dt(
+            shapes.ellipse(grid, 1.5, 1.0), shapes.circle(grid, 1.0), 1e-5, 6
+        )
+        window = paired_window(*trajs)
+        diffs = [build_difference(a, b).d for a, b in zip(*(t.states for t in trajs))]
         assert list(window.centers) == [2, 3, 4]
         for c in window.centers:
-            want = five_point_derivative(metrics[c - 2 : c + 3], window.dt)
-            got = window.time_derivative(c, "metric")
+            want = five_point_derivative(diffs[c - 2 : c + 3], window.dt)
+            got = window.time_derivative(c, "d")
             assert np.array_equal(got, want)
 
     def test_window_serves_centres_only(self):
-        window = trajectory_window(
-            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        )
+        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        window = paired_window(traj, traj)
         n = len(window)
         for k in (0, 1, n - 2, n - 1, -1, n):
             with pytest.raises(IndexError, match=f"state {k} is not a center"):
-                window.time_derivative(k, "metric")
+                window.time_derivative(k, "d")
 
     def test_item_outside_the_states_raises_without_wrapping(self):
-        window = trajectory_window(
-            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        )
+        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        window = paired_window(traj, traj)
         n = len(window)
         for k in (-1, -n, n):
             with pytest.raises(IndexError, match=f"state {k} is outside"):
                 window.item(k)
 
     def test_window_drops_each_item_behind_the_stencil(self):
-        window = trajectory_window(
-            short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        )
+        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
+        window = paired_window(traj, traj)
         assert list(window.centers) == [2, 3, 4]
         for c in window.centers:
-            window.time_derivative(c, "metric")
+            window.time_derivative(c, "d")
             if c > 2:
                 held = f"the window holds states {c - 2} .. {c + 2}"
                 with pytest.raises(
@@ -116,21 +117,28 @@ class TestTimeDifference:
                 ):
                     window.item(c - 3)
         with pytest.raises(IndexError, match="state 1 is no longer held"):
-            window.time_derivative(3, "metric")
-        assert window.geometry(2) is not None  # the last five stay
+            window.time_derivative(3, "d")
+        assert window.item(2) is not None  # the last five stay
 
-    def test_window_memory_is_flat_over_a_long_stream(self):
+    def test_window_memory_is_flat_over_a_long_stream(self, monkeypatch):
         """However many states a window reads, it holds five items: reading
         10^5 trivial ones peaks as reading 10^3 does."""
 
-        class Plain(SampleWindow):
-            def _make(self, states, kern):
-                return states
+        @dataclasses.dataclass
+        class Item:  # what the window reads of a DifferencePack
+            geomA: object
+            sup_h: int
+            sup_h_tilde: int
+
+        monkeypatch.setattr(
+            differences, "build_difference", lambda a, b, kern: Item(a, a, b)
+        )
 
         def read(n):
-            window = Plain((((k,), None) for k in range(n)), n, 1.0)
+            window = PairedWindow((((k, -k), None) for k in range(n)), n, 1.0)
             for k in range(n):
-                assert window.item(k) == (k,)
+                assert window.item(k).sup_h == k
+            assert (window.K, window.K_tilde) == (n - 1, 0)
 
         peaks = {n: traced_peak(read, n)[1] for n in (10**3, 10**5)}
         assert peaks[10**5] <= 1.1 * peaks[10**3], peaks
@@ -148,23 +156,36 @@ class TestTimeDifference:
         )
 
 
-class TestFoldingWindow:
-    """The identity suite's window folds each non-centre state into the time
+class TestSuiteFolds:
+    """The identity suite folds each non-centre state into the time
     derivatives as it arrives; the bits are those of five packs."""
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("maker", sorted(REFERENCE_MAKERS))
-    def test_folded_derivatives_are_those_of_five_packs(self, maker, order):
+    def test_folded_derivatives_are_those_of_five_packs(
+        self, maker, order, monkeypatch
+    ):
         initial, dt = REFERENCE_MAKERS[maker](order), 1e-5
-        window = FoldingWindow.fixed_dt([initial], dt, 4)
+        seen = {}
+
+        def seeing(check):
+            def wrapper(geom, rate, step):
+                seen[check.__name__] = geom, rate.copy(), step
+                return check(geom, rate, step)
+
+            return wrapper
+
+        for name in CHECKED_FIELDS:
+            monkeypatch.setattr(identities, name, seeing(getattr(identities, name)))
+        identity_suite(initial, dt)
         packs = [compute_geometry(s) for s in run_fixed_dt(initial, dt, 4).states]
-        assert [window.item(k) is None for k in range(5)] == [1, 1, 0, 1, 1]
-        for name in FieldRates._fields:
-            got = window.time_derivative(2, name)
-            want = five_point_derivative([getattr(p, name) for p in packs], dt)
+        assert list(seen) == list(CHECKED_FIELDS)
+        for check, field in CHECKED_FIELDS.items():
+            geom, got, step = seen[check]
+            assert step == dt
+            want = five_point_derivative([getattr(p, field) for p in packs], dt)
             assert_same_bytes(got, want)
-            centre = getattr(window.geometry(2), name)
-            assert_same_bytes(centre, getattr(packs[2], name))
+            assert_same_bytes(getattr(geom, field), getattr(packs[2], field))
 
     def test_fold_of_strided_components_is_five_point_derivative(self):
         rng = np.random.default_rng(3)
@@ -182,30 +203,18 @@ class TestFoldingWindow:
         want = five_point_derivative(fields, dt)
         assert np.array_equal(np.moveaxis(out, (0, 1), (2, 1)), want)
 
-    @pytest.mark.parametrize("n_steps", [3, 6])
-    def test_window_has_five_states(self, n_steps):
-        imm = shapes.circle(GridSpec(1, 16), 1.0)
-        with pytest.raises(ProtocolError, match="5 states"):
-            FoldingWindow.fixed_dt([imm], 1e-5, n_steps)
-
-    def test_window_serves_its_centre_only(self):
-        window = FoldingWindow.fixed_dt([shapes.circle(GridSpec(1, 16), 1.0)], 1e-5, 4)
-        for k in (0, 1, 3, 4):
-            with pytest.raises(IndexError, match=f"state {k} is not a center"):
-                window.time_derivative(k, "metric")
-
 
 class TestEvolutionChecks:
     def test_position_gradient_is_semi_discrete_exact(self):
         traj = short_run(shapes.ellipse(GridSpec(1, 64), 1.5, 1.0))
-        assert check_dX(trajectory_window(traj), 2).sup_residual < 1e-9
+        assert check_at(check_dX, traj).sup_residual < 1e-9
 
     def test_metric_residual_matches_stencil_prediction_on_circle(self):
         grid = GridSpec(1, 64)
         traj = short_run(shapes.circle(grid, 1.0))
         s1, s2 = stencil_symbols(grid)
         predicted = 2.0 * s2 * abs(s2 - s1**2) / s1**2
-        rep = check_dg(trajectory_window(traj), 2)
+        rep = check_at(check_dg, traj)
         assert abs(rep.sup_residual - predicted) / predicted < 0.01
 
     @pytest.mark.parametrize(
@@ -220,30 +229,32 @@ class TestEvolutionChecks:
         sups = []
         for N in resolutions:
             traj = short_run(shapes.ellipse(GridSpec(1, N), 1.5, 1.0))
-            sups.append(checker(trajectory_window(traj), 2).sup_residual)
+            sups.append(check_at(checker, traj).sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
-    def test_one_pass_checks_every_center(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), n_steps=8)
-        window = trajectory_window(traj)
-        for c in window.centers:
-            # the same center of a five-state window around it, to the bit
-            alone = trajectory_window(
-                FlowTrajectory(traj.states[c - 2 : c + 3], sample_step=1e-5)
-            )
-            for checker in (check_dX, check_dg, check_dGamma, check_dh):
-                rep = checker(window, c)
+    def test_each_center_is_the_suite_from_two_states_before(self):
+        """At every center of a longer run, the checks on five packs give the
+        suite's reports from the state two before, to the bit: its folded
+        rates are the five-point derivatives of the packs (dyadic dt keeps
+        the stamps)."""
+        dt = 2.0**-17
+        traj = short_run(shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), dt, n_steps=8)
+        for c in range(2, len(traj.states) - 2):
+            suite = identity_suite(traj.states[c - 2], dt)
+            checks = (check_dX, check_dg, check_dGamma, check_dh)
+            for checker, want in zip(checks, suite):
+                rep = check_at(checker, traj, c)
                 assert rep.t_center == traj.states[c].time
-                assert rep == checker(alone, 2)
+                assert rep == want
 
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
         with pytest.raises(ProtocolError, match="at least 5"):
-            trajectory_window(traj)
+            paired_window(traj, traj)
 
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))
-        rep = check_dg(trajectory_window(traj), 2)
+        rep = check_at(check_dg, traj)
         assert rep.anchor == ANCHORS["evolve_metric"]
         assert rep.resolution == 32
         assert rep.dt == 1e-5
@@ -261,8 +272,8 @@ class TestEvolutionChecks:
             sample_step=traj.sample_step,
         )
         for checker in (check_dg, check_dGamma, check_dh):
-            a = checker(trajectory_window(traj), 2).sup_residual
-            b = checker(trajectory_window(moved), 2).sup_residual
+            a = check_at(checker, traj).sup_residual
+            b = check_at(checker, moved).sup_residual
             # the 1/dt factor in the time difference amplifies the rounding
             # introduced by the rotation, so the match is relative, not exact
             assert abs(a - b) < 1e-7 * a

@@ -14,7 +14,12 @@ tests need belongs in `tests/conftest.py`.
 """
 
 import ast
+import sys
+from collections import Counter
 from pathlib import Path
+
+from mcflab import differences, identities, shapes
+from mcflab.grid import GridSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "mcflab").glob("*.py"))
@@ -145,3 +150,53 @@ def test_a_re_export_alone_is_flagged(tmp_path):
     used = referenced_names([module, init, caller])
     uncalled = sorted(q for name, q in names.items() if name not in used)
     assert uncalled == ["shapes.oracle"]
+
+
+# the module attributes `benchmark/tracing.py` rebinds inside the two passes
+REBOUND = {
+    identities: ("check_dX", "check_dg", "check_dGamma", "check_dh",
+                 "check_simons", "gauss_cross_check"),
+    differences: ("build_difference", "check_dd", "check_dw", "heat_operator_Y",
+                  "time_derivative_Z_sq"),
+}
+
+
+def test_a_rebound_name_sees_every_call(monkeypatch):
+    """The tracer rebinds a traced function's module attribute, so its spans
+    cover only the calls that look the name up there.  A patch of each
+    attribute sees every call that `identity_suite` and `paired_pass` make
+    of the function: as many as a profile hook counts on its code."""
+    through, made, codes = Counter(), Counter(), {}
+    for module, names in REBOUND.items():
+        for name in names:
+            fn = getattr(module, name)
+            codes[fn.__code__] = name
+
+            def patched(*args, _fn=fn, _name=name):
+                through[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, patched)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            made[codes[frame.f_code]] += 1
+
+    grid = GridSpec(1, 16)
+    a, b = shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.2, 0.9)
+    sys.setprofile(profile)
+    try:
+        identities.identity_suite(a, 1e-5)
+        # 9 states, centres 2 .. 6, rows at 4 .. 6
+        differences.paired_pass(a, b, 8e-4, 4e-4, 1e-4, 1)
+    finally:
+        sys.setprofile(None)
+    assert made == through
+    assert through == {
+        **dict.fromkeys(REBOUND[identities], 1),
+        "build_difference": 9,
+        "check_dd": 5,
+        "check_dw": 5,
+        "heat_operator_Y": 3,
+        "time_derivative_Z_sq": 3,
+    }
