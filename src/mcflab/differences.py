@@ -11,22 +11,17 @@ All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `paired_pass` owns the paired pass, as
 `identities.identity_suite` owns the single-flow one: before the pair is
 integrated it plans the steps and checks them and delta (`fitted_centers`,
-the one delta rule); then it runs `verify_inequalities` on a `PairedWindow`
-over the pair's fixed-step stream, so both packs of a state come from the
-one batched kernel evaluation that the pair's step already made there, and
-no trajectory is stored.  The window builds each `DifferencePack` once; as
-it builds a state, it folds the state into K and K~ and releases the
-first-flow pack of the state three back, which no later center reads.  So
-it holds the six difference fields of the five latest states, at most
-three first-flow packs and never a second-flow pack: `build_difference`
-takes from it what the checks read and drops it.  Nothing the window keeps
-grows with the run.  `verify_inequalities` is one forward pass over the
-centers: at each it takes `check_dd` and `check_dw`, the
-`identities.residual_report` of the displayed difference evolutions, whose
-right-hand sides are differences of the single-flow ones, and keeps the
-worst center of each; at the `fitted_centers`, chosen by center index, it
-adds a row.  Every check takes the time derivatives it reads from the
-window afresh.
+the one delta rule); then it runs `verify_inequalities`, a plain forward
+loop over the pair's fixed-step stream in the shape of `identity_suite`,
+so both packs of a state come from the one batched kernel evaluation that
+the pair's step already made there, and no trajectory is stored.  The loop
+holds the five latest `DifferencePack`s and at most three first-flow
+packs, never a second-flow one: `build_difference` takes from it what the
+checks read and drops it.  At each center the paired checks take the
+center's pack and rate(name), the five-point d/dt of the held packs, as
+the single-flow checks take a pack and a rate: `check_dd` and `check_dw`
+are the `identities.residual_report` of the displayed difference
+evolutions, whose right-hand sides are differences of the single-flow ones.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -82,7 +77,7 @@ class DifferencePack:
     difference evolutions and sup |ht|_gt.  The second flow's pack itself is
     not kept."""
 
-    geomA: GeometryPack | None  # None once a PairedWindow has released it
+    geomA: GeometryPack | None  # None once the paired pass has released it
     d: np.ndarray  # grid + (m, m)           g - gt
     N: np.ndarray  # grid + (m, m, m)        Gamma - Gammat, [k, i, j]
     W: np.ndarray  # grid + (m, m, m, m)     grad N (g-connection), [l, k, i, j]
@@ -138,93 +133,6 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
     )
 
 
-class PairedWindow:
-    """Two flows on one uniform sample grid, read in order from a stream as
-    the checks reach them: item k is the DifferencePack of state k, built
-    from the one batched kernel evaluation of both states and measured in
-    the first flow's geometry.
-
-    A stream yields (states, kern) per stored state, the pair's states
-    stamped with their times and the batched kernel evaluation at them
-    (`flow.fixed_dt_stream`).  n_states is the number of states the stream
-    yields, and `dt` the run's sample step, store_every * step; `fixed_dt`
-    builds the window on the stream of a fixed-step run.  `item(k)` reads
-    the stream up to state k.  The window holds the five latest items, one
-    center's stencil: it drops item j - 5 before it builds item j, and
-    releases the first-flow pack of state j - 3, which no center from
-    j - 2 on reads, keeping that item's differences; so it holds at most
-    three first-flow packs, and `geometry(k)` of a released state raises.
-    Reading a state no longer held, or outside the states, raises an
-    IndexError that names the states held, so a window serves one forward
-    pass over its centers.  Once the last state is read, the window lets go
-    of the stream.  K and K_tilde are sup |h|_g and sup |ht|_gt over every
-    state read."""
-
-    K = K_tilde = 0.0
-
-    def __init__(self, stream, n_states: int, step: float, store_every: int = 1):
-        if n_states < 5:
-            raise ProtocolError("need at least 5 uniformly spaced states")
-        self._stream = stream
-        self._n_states = n_states
-        self.step = step
-        self.store_every = store_every
-        self.dt = store_every * step
-        self._held = {}  # state index -> item, of the five latest states read
-        self._read = 0  # the number of states read from the stream
-
-    @classmethod
-    def fixed_dt(cls, initials: list, dt: float, n_steps: int, store_every: int = 1):
-        """The window on `flow.fixed_dt_stream` of the initial immersions."""
-        stream = fixed_dt_stream(initials, dt, n_steps, store_every)
-        return cls(stream, n_steps // store_every + 1, dt, store_every)
-
-    def __len__(self):
-        return self._n_states
-
-    def item(self, k: int) -> DifferencePack:
-        if not 0 <= k < len(self):
-            raise IndexError(f"state {k} is outside 0 .. {len(self) - 1}")
-        while self._read <= k:
-            j = self._read
-            self._held.pop(j - 5, None)
-            if j >= 3:  # index the item: a local would keep its pack through the build
-                self._held[j - 3] = replace(self._held[j - 3], geomA=None)
-            states, kern = next(self._stream)
-            p = self._held[j] = build_difference(*states, kern)
-            del states, kern  # neither lives through the next step
-            self.K = max(self.K, p.sup_h)
-            self.K_tilde = max(self.K_tilde, p.sup_h_tilde)
-            self._read += 1
-            if self._read == len(self):
-                self._stream = None
-        if k not in self._held:
-            raise IndexError(
-                f"state {k} is no longer held: the window holds states "
-                f"{self._read - 5} .. {self._read - 1}"
-            )
-        return self._held[k]
-
-    def geometry(self, k: int) -> GeometryPack:
-        geom = self.item(k).geomA
-        if geom is None:
-            raise IndexError(f"state {k}'s first-flow geometry has been released")
-        return geom
-
-    @property
-    def centers(self):
-        return range(2, len(self) - 2)
-
-    def time_derivative(self, c: int, name: str) -> np.ndarray:
-        """4th-order central d/dt of the items' field called name at the
-        center state c, taken afresh at each call."""
-        if c not in self.centers:
-            raise IndexError(f"state {c} is not a center of {self.centers}")
-        return five_point_derivative(
-            [getattr(self.item(j), name) for j in range(c - 2, c + 3)], self.dt
-        )
-
-
 def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     """The centers of n_states fixed-step samples whose time since the first
     state, c * store_every * dt, is delta or more (to 1e-12): the rows of
@@ -246,41 +154,38 @@ def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
     return range(first, end)
 
 
-def check_dd(window: PairedWindow, center: int) -> ResidualReport:
-    """Exactly displayed evolution of the metric difference d = g - gt at one
-    center.  The center's geometry is read first, so a center whose
-    geometry is gone raises before its stencil is read."""
-    geom = window.geometry(center)
-    resid = window.time_derivative(center, "d") - window.item(center).d_rhs
-    return residual_report("difference_metric", geom, resid, "ll", window.dt)
+def check_dd(p: DifferencePack, rate, dt: float) -> ResidualReport:
+    """Exactly displayed evolution of the metric difference d = g - gt at the
+    center pack p, with rate(name) the d/dt of p's field name there and dt
+    the run's sample step."""
+    return residual_report("difference_metric", p.geomA, rate("d") - p.d_rhs, "ll", dt)
 
 
-def check_dw(window: PairedWindow, center: int) -> ResidualReport:
-    """Evolution of the position-gradient difference w^a at one center, read
-    as `check_dd` reads it."""
-    geom = window.geometry(center)
-    resid = window.time_derivative(center, "w") - window.item(center).w_rhs
-    return residual_report("difference_position_gradient", geom, resid, "l", window.dt)
+def check_dw(p: DifferencePack, rate, dt: float) -> ResidualReport:
+    """Evolution of the position-gradient difference w^a, taken as
+    `check_dd` takes it."""
+    return residual_report(
+        "difference_position_gradient", p.geomA, rate("w") - p.w_rhs, "l", dt
+    )
 
 
-def heat_operator_Y(window: PairedWindow, center: int, grad_Y: dict) -> np.ndarray:
-    """Pointwise |(d/dt - Lap_g) Y|^2 at one sample time, with grad_Y the
-    grad_Y() of the centre's pack; Lap_g is the divergence of the gradient."""
-    g = window.geometry(center)
+def heat_operator_Y(p: DifferencePack, rate, grad_Y: dict) -> np.ndarray:
+    """Pointwise |(d/dt - Lap_g) Y|^2 at the center pack p, with rate as
+    `check_dd` takes it and grad_Y p's grad_Y(); Lap_g is the divergence of
+    the gradient."""
+    g = p.geomA
 
     def term(f, s):
         lap = divergence(grad_Y[f], g, "l" + s)
-        return tensor_norm_sq(window.time_derivative(center, f) - lap, g, s)
+        return tensor_norm_sq(rate(f) - lap, g, s)
 
     return _sum_over(Y_SUMMANDS, term)
 
 
-def time_derivative_Z_sq(window: PairedWindow, center: int) -> np.ndarray:
-    """Pointwise |d/dt Z|^2 at one sample time."""
-    g = window.geometry(center)
-    return _sum_over(
-        Z_SUMMANDS, lambda f, s: tensor_norm_sq(window.time_derivative(center, f), g, s)
-    )
+def time_derivative_Z_sq(p: DifferencePack, rate) -> np.ndarray:
+    """Pointwise |d/dt Z|^2 at the center pack p, with rate as `check_dd`
+    takes it."""
+    return _sum_over(Z_SUMMANDS, lambda f, s: tensor_norm_sq(rate(f), p.geomA, s))
 
 
 @dataclass
@@ -289,7 +194,7 @@ class InequalityReport:
 
     delta: float
     T: float
-    K: float  # sup |h|_g of the first flow over the window
+    K: float  # sup |h|_g of the first flow over every state
     K_tilde: float  # sup |ht|_gt of the second flow
     C1: float
     C2: float
@@ -324,12 +229,12 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-def _fitted_row(window: PairedWindow, c: int):
-    """The energy row of the center c, and its C1, C2 and flagged count."""
-    lhs2 = time_derivative_Z_sq(window, c)
-    p = window.item(c)
+def _fitted_row(p: DifferencePack, rate):
+    """The energy row of the center pack p, and its C1, C2 and flagged count,
+    with rate as `check_dd` takes it."""
+    lhs2 = time_derivative_Z_sq(p, rate)
     grad_Y = p.grad_Y()
-    lhs1 = heat_operator_Y(window, c, grad_Y)
+    lhs1 = heat_operator_Y(p, rate, grad_Y)
     nY, ngY, nZ = p.norm_sq_Y(), p.norm_sq_grad_Y(grad_Y), p.norm_sq_Z()
     del grad_Y
     core = nY + ngY + nZ
@@ -351,46 +256,75 @@ def _fitted_row(window: PairedWindow, c: int):
     return row, c1, c2, flagged
 
 
-def verify_inequalities(window: PairedWindow, delta: float) -> InequalityReport:
+def verify_inequalities(
+    stream, n_states: int, step: float, store_every: int, delta: float
+) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
-    and measure the difference evolutions, in one forward pass.
+    and measure the difference evolutions, in one forward pass over a
+    paired stream.
+
+    The stream yields (states, kern) for each of its n_states stored
+    states: the pair's states, stamped with their times, and the batched
+    kernel evaluation at them (`flow.fixed_dt_stream` of a run at step
+    `step` that stores every store_every-th state).  Once it holds five
+    `DifferencePack`s, one center's stencil, the pass measures their
+    center, where rate(name) is the five-point d/dt of the held packs'
+    field name, taken afresh at each call.  Before it asks the stream for
+    state j, it drops the pack of state j - 5 and releases the first-flow
+    pack of state j - 3, which no center from j - 2 on reads, keeping that
+    state's differences: so the steps to state j run beside four packs and
+    two first-flow packs, and its build beside at most three.
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
-    EPS_CORE and the `fitted_centers` of the window, those at least delta
-    past the first state in the index form c * store_every * step.  Each
-    row's t and the report's T are the stamps of the states; delta must pass
-    `fitted_centers`, before any center is read.  K and K~ are the
-    window's, over every state; `check_dd` and `check_dw` take every
-    center, of which the report keeps the worst.  The pass leaves the
-    window holding its last five states, and the first-flow packs of the
-    last three, so a window serves one call.
+    EPS_CORE and the `fitted_centers`, those at least delta past the first
+    state in the index form c * store_every * step.  Each row's t and the
+    report's T are the stamps of the states; delta must pass
+    `fitted_centers` before any state is read.  K and K~ are the sups of
+    |h|_g and |ht|_gt over every state; `check_dd` and `check_dw` take
+    every center, of which the report keeps the worst.
     """
-    fitted = fitted_centers(len(window), window.store_every, window.step, delta)
-    C1 = 0.0
-    C2 = 0.0
+    dt = store_every * step
+    fitted = fitted_centers(n_states, store_every, step, delta)
+    K = K_tilde = C1 = C2 = 0.0
     flagged = 0
     rows = []
     worst = [None, None]  # of check_dd and check_dw: the earliest, as max
-    for c in window.centers:
-        for i, check in enumerate((check_dd, check_dw)):
-            r = check(window, c)
-            if worst[i] is None or r.sup_residual > worst[i].sup_residual:
-                worst[i] = r
-        if c in fitted:
-            row, c1, c2, n_flagged = _fitted_row(window, c)
-            rows.append(row)
-            C1, C2, flagged = max(C1, c1), max(C2, c2), flagged + n_flagged
-    last = window.geometry(len(window) - 1)
+    packs = []  # the DifferencePacks of the five latest states
+
+    def rate(name):
+        return five_point_derivative([getattr(q, name) for q in packs], dt)
+
+    j = 0  # no enumerate: its reused result tuple keeps the last kernel
+    for states, kern in stream:
+        packs.append(build_difference(*states, kern))
+        del states, kern  # neither lives through the next step
+        K = max(K, packs[-1].sup_h)
+        K_tilde = max(K_tilde, packs[-1].sup_h_tilde)
+        if j >= 4:
+            # looked up here, so that a rebound module attribute sees it
+            for i, check in enumerate((check_dd, check_dw)):
+                r = check(packs[2], rate, dt)
+                if worst[i] is None or r.sup_residual > worst[i].sup_residual:
+                    worst[i] = r
+            if j - 2 in fitted:
+                row, c1, c2, n_flagged = _fitted_row(packs[2], rate)
+                rows.append(row)
+                C1, C2, flagged = max(C1, c1), max(C2, c2), flagged + n_flagged
+            del packs[0]  # state j - 4, which no later center reads
+        if j >= 2:  # index the pack: a local would keep its geometry through the steps
+            packs[-3] = replace(packs[-3], geomA=None)  # state j - 2's
+        j += 1
+    last = packs[-1].geomA
     return InequalityReport(
         delta=delta,
         T=float(last.immersion.time),
-        K=window.K,
-        K_tilde=window.K_tilde,
+        K=K,
+        K_tilde=K_tilde,
         C1=C1,
         C2=C2,
         resolution=last.grid.resolution,
-        dt=window.dt,
+        dt=dt,
         flagged_nodes=flagged,
         rows=rows,
         dd=worst[0],
@@ -421,12 +355,12 @@ def paired_pass(
             "the paired checks need at least 5"
         )
     fitted_centers(n_states, store_every, dt, delta)
-    window = PairedWindow.fixed_dt([initA, initB], dt, n_steps, store_every)
+    stream = fixed_dt_stream([initA, initB], dt, n_steps, store_every)
     # the pair is integrated as the pass reads its states, so a flow that
     # blows up has its last finite states measured before BlowUpError;
     # numpy's overflow warnings there only announce that, as in the flow
     with np.errstate(over="ignore", invalid="ignore"):
-        return verify_inequalities(window, delta)
+        return verify_inequalities(stream, n_states, dt, store_every, delta)
 
 
 def forward_gronwall(report: InequalityReport):

@@ -40,8 +40,11 @@ state.  A stored state that starts a step shares that evaluation with the
 step; the final one starts none and costs one call of its own, under the
 flow's rule, so a degenerate final state is a blow-up, not bad input.
 Nothing is stored: the identity suite (`identities.identity_suite`) and
-the paired checks (`differences.PairedWindow`) read the stream as they go,
-and the `symmetry` verb measures the defect of the states it records.
+the paired pass (`differences.verify_inequalities`) read the stream as they
+go, and the `symmetry` verb measures the defect of the states it records.
+Each consumer drops a yielded kernel before it asks for the next state,
+and a yielded states list before the next one is yielded, so no step runs
+beside a kernel it has handed over.
 `run_fixed_dt` collects one flow's states into a trajectory, which records
 the exact `sample_step`, store_every * dt, which stamped times from
 t0 != 0 miss.

@@ -4,7 +4,7 @@ Every evolution check measures, at one center state, the 4th-order
 central time difference of a field against the algebraic right-hand side.
 A single-flow check, `check_dX`, `check_dg`, `check_dGamma` or `check_dh`,
 takes the center's pack, the field's rate there and the run's sample step;
-the paired checks read `differences.PairedWindow`.  The time differences
+and `differences.check_dd` and `check_dw` a pair's alike.  The time differences
 are taken over the fixed-step run itself (`flow.fixed_dt_stream`), which
 hands over every stored state with its exact stamp and the kernel
 evaluation at it, so no state's geometry is evaluated twice and no

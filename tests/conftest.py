@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcflab import shapes
-from mcflab.differences import PairedWindow
+from mcflab.differences import build_difference
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
     GeometryPack,
@@ -164,23 +164,36 @@ def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:
     return trajs
 
 
-def _stored_stream(*trajs) -> tuple:
-    """The window stream, number of states and step of stored fixed-step
-    trajectories of equal length whose states pair up, at the first one's
+def paired_stream(trajA: FlowTrajectory, trajB: FlowTrajectory) -> tuple:
+    """The leading arguments of `differences.verify_inequalities`, (stream,
+    n_states, step, store_every), on the stored fixed-step trajectories of
+    a pair, of equal length, whose states pair up, at the first one's
     sample_step; the stream evaluates each state's kernel as it is read."""
-    first = trajs[0]
-    if first.sample_step is None:
+    if trajA.sample_step is None:
         raise ProtocolError("no sample step: not a fixed-step run")
-    if len({len(t.states) for t in trajs}) > 1:
+    if len(trajA.states) != len(trajB.states):
         raise ProtocolError("paired trajectories have different lengths")
-    for states in zip(*(t.states for t in trajs)):
-        for other in states[1:]:
-            require_pair(states[0], other)
+    for states in zip(trajA.states, trajB.states):
+        require_pair(*states)
     stream = (
         (list(states), stacked_kernel(list(states)))
-        for states in zip(*(t.states for t in trajs))
+        for states in zip(trajA.states, trajB.states)
     )
-    return stream, len(first.states), first.sample_step
+    return stream, len(trajA.states), trajA.sample_step, 1
+
+
+def paired_center(trajA: FlowTrajectory, trajB: FlowTrajectory, c: int = 2):
+    """What the paired pass hands its checks at the stored state c of a
+    pair's fixed-step trajectories: the DifferencePack of state c, and
+    rate(name), the five-point d/dt of the field name over the packs of
+    states c - 2 .. c + 2, each from a kernel call of its own."""
+    pairs = zip(*(t.states[c - 2 : c + 3] for t in (trajA, trajB)))
+    packs = [build_difference(a, b) for a, b in pairs]
+
+    def rate(name):
+        return five_point_derivative([getattr(p, name) for p in packs], trajA.sample_step)
+
+    return packs[2], rate
 
 
 # the pack field whose d/dt each single-flow evolution check reads
@@ -200,11 +213,6 @@ def check_at(check, traj: FlowTrajectory, c: int = 2):
     field = CHECKED_FIELDS[check.__name__]
     rate = five_point_derivative([getattr(p, field) for p in packs], traj.sample_step)
     return check(packs[2], rate, traj.sample_step)
-
-
-def paired_window(trajA: FlowTrajectory, trajB: FlowTrajectory) -> PairedWindow:
-    """A window over the stored fixed-step trajectories of a pair."""
-    return PairedWindow(*_stored_stream(trajA, trajB))
 
 
 @pytest.fixture

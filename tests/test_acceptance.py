@@ -35,7 +35,8 @@ from conftest import (
     measured_radius,
     measured_torus_radii,
     check_at,
-    paired_window,
+    paired_center,
+    paired_stream,
     trace_identity_residual,
 )
 
@@ -142,13 +143,12 @@ def test_criterion_07_zero_difference():
     grid = GridSpec(1, 64)
     A = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
     B = run_fixed_dt(shapes.circle(grid, 1.0), 1e-4, 8)
-    window = paired_window(A, B)
-    p = window.item(4)
+    p, rate = paired_center(A, B, 4)
     sup = max(
         p.norm_sq_Y().max(),
         p.norm_sq_Z().max(),
-        heat_operator_Y(window, 4, p.grad_Y()).max(),
-        time_derivative_Z_sq(window, 4).max(),
+        heat_operator_Y(p, rate, p.grad_Y()).max(),
+        time_derivative_Z_sq(p, rate).max(),
     )
     emit(7, sup == 0.0, f"identical flows: max of Y, Z, LHS1, LHS2 = {sup} (exact)")
 
@@ -162,7 +162,7 @@ def test_criterion_08_coupled_inequality_constants():
         g = GridSpec(1, N)
         A = run_fixed_dt(shapes.circle(g, 1.0), dt, 3000, store_every=store)
         B = run_fixed_dt(other(g), dt, 3000, store_every=store)
-        return paired_window(A, B)
+        return paired_stream(A, B)
 
     for name, other in (
         ("circle-pair", lambda g: shapes.circle(g, 1.2)),
@@ -170,7 +170,7 @@ def test_criterion_08_coupled_inequality_constants():
     ):
         Cs = {}
         for N in (128, 256):
-            rep = verify_inequalities(pair(N, other), delta)
+            rep = verify_inequalities(*pair(N, other), delta)
             ok = ok and np.isfinite(rep.C1) and np.isfinite(rep.C2)
             ok = ok and rep.flagged_nodes == 0
             Cs[N] = (rep.C1, rep.C2)
@@ -185,11 +185,11 @@ def test_criterion_08_coupled_inequality_constants():
     sups_dd, sups_dw = [], []
     for N in (128, 256):
         g = GridSpec(1, N)
-        w = paired_window(
+        args = paired_stream(
             run_fixed_dt(shapes.circle(g, 1.0), 1e-5, 8),
             run_fixed_dt(shapes.ellipse(g, 1.5, 1.0), 1e-5, 8),
         )
-        rep = verify_inequalities(w, delta=2e-5)  # over every center
+        rep = verify_inequalities(*args, delta=2e-5)  # over every center
         sups_dd.append(rep.dd.sup_residual)
         sups_dw.append(rep.dw.sup_residual)
     order_dd = finest_pair_order(sups_dd)

@@ -42,7 +42,7 @@ from mcflab.grid import (
 )
 from mcflab.identities import ANCHORS
 
-from conftest import traced_peak
+from conftest import paired_center, run_paired_fixed_dt, traced_peak
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1514,17 +1514,18 @@ class TestParabolicScaling:
         |grad Y|^2 ("grad"), of |(d/dt - Lap) Y|^2 ("heat") and of
         |d/dt Z|^2 ("rate"), in the order the pass adds them."""
         n_steps = int(round(T / dt))
-        window = differences.PairedWindow.fixed_dt(
-            [initA, initB], dt, n_steps - n_steps % store_every, store_every
+        trajs = run_paired_fixed_dt(
+            initA, initB, dt, n_steps - n_steps % store_every, store_every
         )
-        fitted = differences.fitted_centers(len(window), store_every, dt, delta)
+        fitted = differences.fitted_centers(len(trajs[0].states), store_every, dt, delta)
         centers = []
         for c in fitted:
-            p, g = window.item(c), window.geometry(c)
+            p, rate_of = paired_center(*trajs, c)
+            g = p.geomA
             grad = p.grad_Y()
             terms = {"norm": {}, "grad": {}, "heat": {}, "rate": {}}
             for f, spec in differences.Y_SUMMANDS + differences.Z_SUMMANDS:
-                rate = window.time_derivative(c, f)
+                rate = rate_of(f)
                 terms["norm"][f] = tensor_norm_sq(getattr(p, f), g, spec)
                 terms["rate"][f] = tensor_norm_sq(rate, g, spec)
                 if (f, spec) in differences.Y_SUMMANDS:
@@ -2025,7 +2026,7 @@ class TestReadme:
         assert {"mcflab.identities", "identity_suite", "SCHEMA"} <= tokens
         assert "manifest.txt" in written & tokens
         assert package_object("mcflab.cli.SCHEMA")
-        assert package_object("PairedWindow.item")
+        assert package_object("DifferencePack.grad_Y")
         assert not package_object("identities_suite")
         assert not package_object("mcflab.nowhere")
 

@@ -6,7 +6,9 @@ generic second-order behaviour of the displayed difference evolutions.
 """
 
 import dataclasses
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,13 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import GridSpec
-from mcflab import differences, flow, shapes
+from mcflab import differences, flow, geometry, shapes
 from mcflab.differences import (
     LIMITATION_STATEMENT,
     Y_SUMMANDS,
     Z_SUMMANDS,
     DifferencePack,
-    PairedWindow,
     build_difference,
     check_dd,
     check_dw,
@@ -31,7 +32,7 @@ from mcflab.differences import (
     time_derivative_Z_sq,
     verify_inequalities,
 )
-from mcflab.flow import FlowTrajectory, ProtocolError, run_fixed_dt
+from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, run_fixed_dt
 from mcflab.geometry import (
     compute_geometry,
     covariant_derivative,
@@ -43,7 +44,8 @@ from mcflab.grid import SymmetryAction, apply_symmetry
 from mcflab.identities import grad_H, metric_rhs
 
 from conftest import (
-    paired_window,
+    paired_center,
+    paired_stream,
     run_paired_fixed_dt,
     stencil_symbols,
     traced_peak,
@@ -53,17 +55,18 @@ DT = 1e-4
 
 
 def circle_pair(N=64, r1=1.0, r2=1.2, n_steps=8):
+    """The stored trajectories of two concentric circles at step DT."""
     grid = GridSpec(1, N)
     A = run_fixed_dt(shapes.circle(grid, r1), DT, n_steps)
     B = run_fixed_dt(shapes.circle(grid, r2), DT, n_steps)
-    return paired_window(A, B)
+    return A, B
 
 
 def circle_ellipse_pair(N=64, n_steps=8):
     grid = GridSpec(1, N)
     A = run_fixed_dt(shapes.circle(grid, 1.0), DT, n_steps)
     B = run_fixed_dt(shapes.ellipse(grid, 1.2, 0.9), DT, n_steps)
-    return paired_window(A, B)
+    return A, B
 
 
 class TestDifferencePack:
@@ -102,36 +105,32 @@ class TestDifferencePack:
         """Y = U + V and Z = w + d + N + W, each sum added in that order."""
         a = shapes.perturbed_torus(GridSpec(2, 12), 1.0, 0.6, 0.1)
         b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
-        window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 4))
-        p = window.item(2)
+        p, rate = paired_center(*run_paired_fixed_dt(a, b, 1e-3, 4))
         g = p.geomA
 
         def sq(x, spec):
             return tensor_norm_sq(x, g, spec)
 
-        def ddt(name):
-            return window.time_derivative(2, name)
-
         def grad(x, spec):
             return covariant_derivative(x, g, spec)
 
         def heat(name, spec):
-            return ddt(name) - laplacian(getattr(p, name), g, spec)
+            return rate(name) - laplacian(getattr(p, name), g, spec)
 
         expected = {
             "Y": sq(p.U, "ll") + sq(p.V, "lll"),
             "Z": sq(p.w, "l") + sq(p.d, "ll") + sq(p.N, "ull") + sq(p.W, "lull"),
             "grad_Y": sq(grad(p.U, "ll"), "lll") + sq(grad(p.V, "lll"), "llll"),
             "heat_Y": sq(heat("U", "ll"), "ll") + sq(heat("V", "lll"), "lll"),
-            "dt_Z": sq(ddt("w"), "l") + sq(ddt("d"), "ll") + sq(ddt("N"), "ull")
-            + sq(ddt("W"), "lull"),
+            "dt_Z": sq(rate("w"), "l") + sq(rate("d"), "ll") + sq(rate("N"), "ull")
+            + sq(rate("W"), "lull"),
         }
         got = {
             "Y": p.norm_sq_Y(),
             "Z": p.norm_sq_Z(),
             "grad_Y": p.norm_sq_grad_Y(p.grad_Y()),
-            "heat_Y": heat_operator_Y(window, 2, p.grad_Y()),
-            "dt_Z": time_derivative_Z_sq(window, 2),
+            "heat_Y": heat_operator_Y(p, rate, p.grad_Y()),
+            "dt_Z": time_derivative_Z_sq(p, rate),
         }
         for name, want in expected.items():
             assert np.array_equal(got[name], want), name
@@ -190,38 +189,46 @@ class TestDifferencePack:
         assert np.allclose(q.norm_sq_Z(), p.norm_sq_Z(), atol=1e-12)
 
 
-class TestPairedWindow:
-    """A pair's stream is one loop, so its window pairs up by construction;
-    the stored-trajectory windows the tests build (`paired_window`) reject
-    what does not."""
+class TestPairedStream:
+    """A pair's stream is one loop, so its states pair up by construction;
+    the streams of stored trajectories the tests build (`paired_stream`)
+    reject what does not."""
 
-    def test_stream_window_needs_five_states(self):
+    def test_a_stream_of_four_states_is_rejected_before_it_is_read(self):
         a = shapes.circle(GridSpec(1, 32), 1.0)
-        with pytest.raises(ProtocolError, match="at least 5"):
-            PairedWindow.fixed_dt([a, a], DT, 3)
+        with pytest.raises(ProtocolError, match="'delta'.* of 4 stored states"):
+            verify_inequalities(fixed_dt_stream([a, a], DT, 3), 4, DT, 1, 2 * DT)
 
-    def test_stream_window_holds_nothing_per_state_before_reading(self):
-        """A window knows its states by number: one for a million steps
-        holds no list of their times."""
-        a = shapes.circle(GridSpec(1, 32), 1.0)
-        b = shapes.circle(GridSpec(1, 32), 1.2)
-        window, peak = traced_peak(PairedWindow.fixed_dt, [a, b], 1e-7, 10**6, 1)
-        assert len(window) == 10**6 + 1
-        assert peak < 2**20
+    def test_the_pass_holds_nothing_per_state_before_reading(self):
+        """The pass knows its states by number: one over a million steps
+        holds no list of their times when it reads its first state."""
+
+        class FirstRead(Exception):
+            pass
+
+        def stream():
+            raise FirstRead
+            yield
+
+        def until_read():
+            with pytest.raises(FirstRead):
+                verify_inequalities(stream(), 10**6 + 1, 1e-7, 1, 0.05)
+
+        assert traced_peak(until_read)[1] < 2**20
 
     def test_length_mismatch_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.2), DT, 6)
         with pytest.raises(ProtocolError):
-            paired_window(A, B)
+            paired_stream(A, B)
 
     def test_step_mismatch_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.2), 2 * DT, 8)
         with pytest.raises(ProtocolError):
-            paired_window(A, B)
+            paired_stream(A, B)
 
     def test_time_skew_rejected_when_built(self):
         grid = GridSpec(1, 32)
@@ -231,43 +238,44 @@ class TestPairedWindow:
             [s.with_positions(s.positions, time=s.time + 5e-11) for s in B.states]
         )
         with pytest.raises(ProtocolError, match="paired flows differ in time"):
-            paired_window(A, skewed)
+            paired_stream(A, skewed)
 
     def test_ambient_mismatch_rejected_when_built(self):
         a = shapes.circle(GridSpec(1, 32), 1.0)
         b = a.with_positions(np.pad(a.positions, ((0, 0), (0, 1))))
         with pytest.raises(ProtocolError, match="ambient dimension: 2 vs 3"):
-            paired_window(run_fixed_dt(a, DT, 4), run_fixed_dt(b, DT, 4))
+            paired_stream(run_fixed_dt(a, DT, 4), run_fixed_dt(b, DT, 4))
 
     def test_too_few_samples_rejected(self):
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 3)
         B = run_fixed_dt(shapes.circle(grid, 1.2), DT, 3)
         with pytest.raises(ProtocolError):
-            paired_window(A, B)
+            verify_inequalities(*paired_stream(A, B), 2 * DT)
 
 
 class TestDifferenceEvolutions:
     def test_circle_pair_is_near_exact(self):
         # the stencil truncation error of d/dt g is radius independent, so
         # it cancels in the difference of two concentric circles
-        rep = verify_inequalities(circle_pair(), delta=2 * DT)
+        rep = verify_inequalities(*paired_stream(*circle_pair()), delta=2 * DT)
         assert rep.dd.sup_residual < 1e-10
         assert rep.dw.sup_residual < 1e-10
 
     def test_dd_second_order_on_circle_ellipse(self):
         sups = []
         for N in (64, 128):
-            rep = verify_inequalities(circle_ellipse_pair(N), delta=2 * DT)
+            rep = verify_inequalities(*paired_stream(*circle_ellipse_pair(N)), delta=2 * DT)
             sups.append(rep.dd.sup_residual)
         assert np.log2(sups[0] / sups[1]) > 1.9
 
     def test_pass_keeps_the_worst_center_of_each_check(self):
         """Over every center, those before delta included."""
-        rep = verify_inequalities(circle_ellipse_pair(), delta=5 * DT)
+        trajs = circle_ellipse_pair()
+        rep = verify_inequalities(*paired_stream(*trajs), delta=5 * DT)
+        centers = [paired_center(*trajs, c) for c in range(2, 7)]
         for check, got in ((check_dd, rep.dd), (check_dw, rep.dw)):
-            w = circle_ellipse_pair()  # a window serves one pass
-            per_center = [check(w, c) for c in w.centers]
+            per_center = [check(p, rate, DT) for p, rate in centers]
             assert got == max(per_center, key=lambda r: r.sup_residual)
             assert got.t_center < 5 * DT  # the worst lies before delta
         assert rep.dd.identity == "difference_metric"
@@ -276,14 +284,12 @@ class TestDifferenceEvolutions:
 
 class TestCoupledInequalities:
     def test_heat_operator_constant_on_circle_pair(self):
-        w = circle_pair()
-        c = len(w) // 2
-        h = heat_operator_Y(w, c, w.item(c).grad_Y())
+        p, rate = paired_center(*circle_pair(), 4)
+        h = heat_operator_Y(p, rate, p.grad_Y())
         assert (h.max() - h.min()) / h.max() < 1e-6
 
     def test_fitted_constants_finite_and_stable(self):
-        w = circle_pair()
-        rep = verify_inequalities(w, delta=2 * DT)
+        rep = verify_inequalities(*paired_stream(*circle_pair()), delta=2 * DT)
         assert 0.0 < rep.C1 < 100.0
         assert 0.0 < rep.C2 < 100.0
         assert rep.flagged_nodes == 0
@@ -298,15 +304,15 @@ class TestCoupledInequalities:
         trajs = run_paired_fixed_dt(
             shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.2, 0.9), DT, 8
         )
-        rep = verify_inequalities(paired_window(*trajs), delta=2 * DT)
+        rep = verify_inequalities(*paired_stream(*trajs), delta=2 * DT)
         packs = [[compute_geometry(s) for s in t.states] for t in trajs]
         sups = [[tensor_norm_sup(g.second_form, g, "ll") for g in gs] for gs in packs]
         assert rep.K == max(sups[0]) == sups[0][-1]
         assert rep.K_tilde == max(sups[1]) == sups[1][0]
 
     def test_constants_nonincreasing_in_delta(self):
-        early = verify_inequalities(circle_pair(), delta=2 * DT)
-        late = verify_inequalities(circle_pair(), delta=4 * DT)
+        early = verify_inequalities(*paired_stream(*circle_pair()), delta=2 * DT)
+        late = verify_inequalities(*paired_stream(*circle_pair()), delta=4 * DT)
         assert late.C1 <= early.C1 + 1e-12
         assert late.C2 <= early.C2 + 1e-12
 
@@ -314,7 +320,7 @@ class TestCoupledInequalities:
         grid = GridSpec(1, 32)
         A = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
         B = run_fixed_dt(shapes.circle(grid, 1.0), DT, 8)
-        rep = verify_inequalities(paired_window(A, B), delta=2 * DT)
+        rep = verify_inequalities(*paired_stream(A, B), delta=2 * DT)
         assert rep.C1 == 0.0
         assert rep.C2 == 0.0
         assert rep.flagged_nodes == 0
@@ -333,34 +339,33 @@ class TestCoupledInequalities:
 
         for name in ("norm_sq_Y", "norm_sq_grad_Y", "norm_sq_Z"):
             monkeypatch.setattr(DifferencePack, name, counting(name))
-        w = circle_pair()
-        rep = verify_inequalities(w, delta=3 * DT)
-        centers = [c for c in w.centers if c * DT >= 3 * DT - 1e-12]
+        rep = verify_inequalities(*paired_stream(*circle_pair()), delta=3 * DT)
+        centers = [c for c in range(2, 7) if c * DT >= 3 * DT - 1e-12]
         assert len(rep.rows) == len(centers) == 4
         assert calls == dict.fromkeys(calls, len(centers))
         assert len(calls) == 3
 
     def test_bad_delta_rejected(self):
-        w = circle_pair()
+        args = paired_stream(*circle_pair())  # rejected before it is read
         with pytest.raises(ValueError):
-            verify_inequalities(w, delta=0.0)
+            verify_inequalities(*args, delta=0.0)
         with pytest.raises(ValueError):
-            verify_inequalities(w, delta=1.0)
+            verify_inequalities(*args, delta=1.0)
 
     def test_one_center_past_delta_rejected(self):
         """The Gronwall fit differences its rows, so delta must leave two
         centers: of the 9 states' centers 2 .. 6, delta = 5 dt leaves the
         last two and 6 dt the last alone."""
-        assert len(verify_inequalities(circle_pair(), delta=5 * DT).rows) == 2
+        assert len(verify_inequalities(*paired_stream(*circle_pair()), delta=5 * DT).rows) == 2
         with pytest.raises(ProtocolError, match="'delta'"):
-            verify_inequalities(circle_pair(), delta=6 * DT)
+            verify_inequalities(*paired_stream(*circle_pair()), delta=6 * DT)
 
     def test_ode_operator_positive_for_distinct_pair(self):
-        w = circle_ellipse_pair()
-        assert time_derivative_Z_sq(w, len(w) // 2).max() > 0.0
+        p, rate = paired_center(*circle_ellipse_pair(), 4)
+        assert time_derivative_Z_sq(p, rate).max() > 0.0
 
     def test_report_serialization_mentions_forward_only_protocol(self):
-        rep = verify_inequalities(circle_pair(), delta=2 * DT)
+        rep = verify_inequalities(*paired_stream(*circle_pair()), delta=2 * DT)
         text = rep.serialize()
         assert LIMITATION_STATEMENT in text
         assert "t,E_Y,E_gradY,E_Z,sup_lhs1,sup_lhs2" in text
@@ -368,8 +373,8 @@ class TestCoupledInequalities:
 
 class TestEnergyEnvelope:
     def test_forward_envelope_holds(self):
-        for window in (circle_pair(), circle_ellipse_pair()):
-            rows = forward_gronwall(verify_inequalities(window, 2 * DT))
+        for trajs in (circle_pair(), circle_ellipse_pair()):
+            rows = forward_gronwall(verify_inequalities(*paired_stream(*trajs), 2 * DT))
             for r in rows:
                 assert r["F"] <= r["envelope"] * (1.0 + 1e-9)
 
@@ -379,10 +384,8 @@ class TestEnergyEnvelope:
         energy = {}
         for eps in (1e-3, 2e-3):
             pert = shapes.low_mode_perturbation(base, eps, seed=3)
-            w = paired_window(
-                run_fixed_dt(base, DT, 8), run_fixed_dt(pert, DT, 8)
-            )
-            p = w.item(len(w) // 2)
+            A, B = run_fixed_dt(base, DT, 8), run_fixed_dt(pert, DT, 8)
+            p = build_difference(A.states[4], B.states[4])
             wt = p.geomA.sqrt_det * grid.spacing
             energy[eps] = float(
                 np.sum((p.norm_sq_Y() + p.norm_sq_Z()) * wt)
@@ -403,7 +406,7 @@ class TestStreamingPass:
     @staticmethod
     def pass_peak(trajA, trajB) -> int:
         return traced_peak(
-            lambda: verify_inequalities(paired_window(trajA, trajB), delta=2e-3)
+            lambda: verify_inequalities(*paired_stream(trajA, trajB), delta=2e-3)
         )[1]
 
     def test_peak_memory_does_not_grow_with_the_stored_states(self):
@@ -418,41 +421,42 @@ class TestStreamingPass:
         b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
         dt, peaks = 1e-5, {}
         for n in (120, 360):
-            window = PairedWindow.fixed_dt([a, b], dt, n)
-            rep, peaks[n] = traced_peak(verify_inequalities, window, (n - 8) * dt)
+            stream = fixed_dt_stream([a, b], dt, n)
+            rep, peaks[n] = traced_peak(
+                verify_inequalities, stream, n + 1, dt, 1, (n - 8) * dt
+            )
             assert len(rep.rows) == 7
         assert peaks[360] <= 1.1 * peaks[120], peaks
 
     def test_each_pack_is_built_once_and_at_most_five_are_alive(self, monkeypatch):
-        built, alive = [], []
-        window = None
+        """A pack is alive while its differences are: a released pack is a
+        new DifferencePack on the same arrays.  Five are alive as a pack is
+        built, and four while the pair steps to the next state."""
+        built, alive, stepping, differences_of = [], [], [], []
+
+        def held():
+            return sum(ref() is not None for ref in differences_of)
 
         def counting(stateA, stateB, kern):
             built.append(stateA.time)
-            if window is not None:
-                alive.append(len(window._held) + 1)
-            return build_difference(stateA, stateB, kern)
+            alive.append(held() + 1)
+            p = build_difference(stateA, stateB, kern)
+            differences_of.append(weakref.ref(p.d))
+            return p
 
+        def step(*args):
+            stepping.append(held())
+            return rk4(*args)
+
+        rk4 = flow._rk4_positions
         monkeypatch.setattr(differences, "build_difference", counting)
-        trajA, trajB = torus_pair(12)
-        window = paired_window(trajA, trajB)
-        verify_inequalities(window, delta=2e-3)
-        assert built == [s.time for s in trajA.states]
+        monkeypatch.setattr(flow, "_rk4_positions", step)
+        a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
+        b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
+        verify_inequalities(fixed_dt_stream([a, b], 1e-3, 12), 13, 1e-3, 1, 2e-3)
+        assert built == [k * 1e-3 for k in range(13)]
         assert max(alive) == 5
-
-    def test_reading_a_state_no_longer_held_raises(self):
-        window = paired_window(*torus_pair(6))
-        verify_inequalities(window, delta=2e-3)
-        last = len(window) - 1
-        held = f"the window holds states {last - 4} .. {last}"
-        for k in range(last - 4):
-            with pytest.raises(IndexError, match=f"state {k} is no longer held: {held}"):
-                window.item(k)
-        assert all(window.item(k) is not None for k in range(last - 4, last + 1))
-        # a window serves one pass: a second stops at its first center,
-        # whose geometry went as the first pass built state 5
-        with pytest.raises(IndexError, match="state 2's first-flow geometry"):
-            verify_inequalities(window, delta=2e-3)
+        assert len(stepping) == 12 and max(stepping) == 4
 
     def test_delta_counts_from_the_first_state(self):
         """A pair stamped from t0 = 0.2 keeps the rows of the same pair from 0."""
@@ -461,24 +465,24 @@ class TestStreamingPass:
             a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
             a = a.with_positions(a.positions, time=t0)
             b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
-            window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 20))
-            reports[t0] = verify_inequalities(window, delta=0.012)
+            trajs = run_paired_fixed_dt(a, b, 1e-3, 20)
+            reports[t0] = verify_inequalities(*paired_stream(*trajs), delta=0.012)
         at0, late = reports[0.0], reports[0.2]
         assert len(late.rows) == len(at0.rows) == 7
         assert late.flagged_nodes == at0.flagged_nodes == 0
-        # both windows divide by the run's sample step, not by the stamped
+        # both passes divide by the run's sample step, not by the stamped
         # differences, which from 0.2 miss 1e-3 at rounding level
         assert late.dt == at0.dt == 1e-3
         assert late.C1 == at0.C1
         assert late.C2 == at0.C2
         with pytest.raises(ValueError, match="delta must lie in"):
-            verify_inequalities(window, delta=0.021)
+            verify_inequalities(*paired_stream(*trajs), delta=0.021)
 
     def test_rows_follow_the_center_index_from_a_late_start(self):
         """From t0 = 1e6 the stamped t - t0 of the center at delta falls more
         than 1e-12 below it; rows are chosen by center index, so the pair
-        keeps the 7 rows of its start at 0, in a window on stored
-        trajectories and in one on the stream."""
+        keeps the 7 rows of its start at 0, in a pass over stored
+        trajectories and in one over the stream."""
         rows = {}
         for t0 in (0.0, 1e6):
             a = shapes.ellipse(GridSpec(1, 32), 1.5, 1.0)
@@ -486,10 +490,10 @@ class TestStreamingPass:
             b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
             for source in ("stored", "stream"):
                 if source == "stored":
-                    window = paired_window(*run_paired_fixed_dt(a, b, 1e-3, 20))
+                    args = paired_stream(*run_paired_fixed_dt(a, b, 1e-3, 20))
                 else:
-                    window = PairedWindow.fixed_dt([a, b], 1e-3, 20)
-                rep = verify_inequalities(window, delta=0.012)
+                    args = fixed_dt_stream([a, b], 1e-3, 20), 21, 1e-3, 1
+                rep = verify_inequalities(*args, delta=0.012)
                 rows[t0, source] = [r["t"] - t0 for r in rep.rows]
         assert len(rows[0.0, "stored"]) == 7
         assert rows[0.0, "stored"] == rows[0.0, "stream"]
@@ -527,25 +531,60 @@ def torus_pair_workload():
 
 class TestPairedPass:
     """`paired_pass` plans the pair's steps and checks the plan and delta
-    before it integrates; then it is the pass over the window it builds."""
+    before it integrates; then it is the pass over the stream it builds."""
 
     @pytest.mark.parametrize(
         "workload", [circle_pair_workload, torus_pair_workload],
         ids=["circle-pair", "torus-pair"],
     )
-    def test_the_report_of_the_window_it_plans(self, workload):
+    def test_the_report_of_the_stream_it_plans(self, workload):
         a, b, T, delta, dt, store_every = workload()
         n_steps = int(round(T / dt))
         n_steps -= n_steps % store_every
-        window = PairedWindow.fixed_dt([a, b], dt, n_steps, store_every)
+        stream = fixed_dt_stream([a, b], dt, n_steps, store_every)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = verify_inequalities(window, delta)
+            want = verify_inequalities(
+                stream, n_steps // store_every + 1, dt, store_every, delta
+            )
         got = paired_pass(a, b, T, delta, dt, store_every)
         assert got == want
         assert got.serialize() == want.serialize()
         assert [r.csv_row() for r in (got.dd, got.dw)] == [
             r.csv_row() for r in (want.dd, want.dw)
         ]
+
+    def test_no_paired_check_integrates_the_pair(self):
+        """The pair's steps and kernel calls all run between the checks, so a
+        check's span times the check alone: no `geometry_kernel` and no
+        `flow._rk4_positions` call starts inside one of the four."""
+        checks = {
+            getattr(differences, name).__code__
+            for name in ("check_dd", "check_dw", "heat_operator_Y", "time_derivative_Z_sq")
+        }
+        work = {
+            geometry.geometry_kernel.__code__: "geometry_kernel",
+            flow._rk4_positions.__code__: "_rk4_positions",
+        }
+        inside, outside, depth = Counter(), Counter(), [0]
+
+        def profile(frame, event, arg):
+            if frame.f_code in checks:
+                depth[0] += {"call": 1, "return": -1}.get(event, 0)
+                inside["checks"] += event == "call"
+            elif event == "call" and frame.f_code in work:
+                (inside if depth[0] else outside)[work[frame.f_code]] += 1
+
+        grid = GridSpec(1, 16)
+        a, b = shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.2, 0.9)
+        sys.setprofile(profile)
+        try:
+            # 9 states, centres 2 .. 6, rows at 4 .. 6
+            paired_pass(a, b, 8e-4, 4e-4, 1e-4, 1)
+        finally:
+            sys.setprofile(None)
+        assert inside == {"checks": 2 * 5 + 2 * 3}
+        # four kernel calls per step, and one for the final state
+        assert outside == {"_rk4_positions": 8, "geometry_kernel": 4 * 8 + 1}
 
     @pytest.mark.parametrize(
         "T, store_every, delta, keys",
@@ -572,20 +611,21 @@ class TestPairedPass:
 
 
 def small_torus_pair(n_steps):
-    """The stream window of a perturbed m=2, N=16 torus pair at dt 1e-3."""
+    """The leading arguments of the pass over the stream of a perturbed m=2,
+    N=16 torus pair at dt 1e-3."""
     a = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.1)
     b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
-    return PairedWindow.fixed_dt([a, b], 1e-3, n_steps)
+    return fixed_dt_stream([a, b], 1e-3, n_steps), n_steps + 1, 1e-3, 1
 
 
 class TestPassReleasesGeometry:
-    """The pass keeps no second-flow pack, and the window lets each
-    first-flow pack go as it builds the state three later."""
+    """The pass keeps no second-flow pack, and lets each first-flow pack go
+    as it builds the state three later."""
 
     def test_pass_peak_is_bounded(self):
         """9 states, 3 fitted rows: the traced peak read 2.87 MiB while every
         DifferencePack held both flows' packs, and 2.25 MiB since."""
-        rep, peak = traced_peak(verify_inequalities, small_torus_pair(8), 4e-3)
+        rep, peak = traced_peak(verify_inequalities, *small_torus_pair(8), 4e-3)
         assert len(rep.rows) == 3
         assert peak < 2.5 * 2**20, peak
 
@@ -597,7 +637,7 @@ class TestPassReleasesGeometry:
             geomA, geomB = packs(states, kern)
             first.append(weakref.ref(geomA))
             second.append(weakref.ref(geomB))
-            alive.append(sum(ref() is not None for ref in first))
+            alive.append([k for k, ref in enumerate(first) if ref() is not None])
             return geomA, geomB
 
         def building(stateA, stateB, kern):
@@ -607,33 +647,11 @@ class TestPassReleasesGeometry:
 
         monkeypatch.setattr(differences, "geometry_packs", recording)
         monkeypatch.setattr(differences, "build_difference", building)
-        window = small_torus_pair(12)
-        verify_inequalities(window, delta=4e-3)
-        assert len(first) == len(second) == len(window) == 13
-        assert max(alive) == 3
-        # state k's pack goes as state k + 3 is built, so the last three keep theirs
-        assert [ref() is not None for ref in first] == [False] * 10 + [True] * 3
-
-    def test_geometry_of_a_released_state_raises(self):
-        window = small_torus_pair(6)
-        verify_inequalities(window, delta=3e-3)
-        last = len(window) - 1
-        # the pass read state last, so states up to last - 3 are released
-        for k in range(last - 4, last - 2):
-            with pytest.raises(IndexError, match=f"state {k}'s first-flow geometry"):
-                window.geometry(k)
-            assert window.item(k).d is not None  # the differences stay
-        for k in (last - 2, last - 1, last):
-            assert window.geometry(k) is window.item(k).geomA
-
-    def test_checks_at_a_released_center_raise(self):
-        window = small_torus_pair(6)
-        window.item(4)
-        assert check_dd(window, 2) == check_dd(small_torus_pair(6), 2)
-        window.item(5)  # releases state 2
-        for check in (check_dd, check_dw):
-            with pytest.raises(IndexError, match="state 2's first-flow geometry"):
-                check(window, 2)
+        verify_inequalities(*small_torus_pair(12), delta=4e-3)
+        assert len(first) == len(second) == 13
+        # state k's pack goes as state k + 3 is built, so three are alive
+        assert alive == [list(range(max(0, j - 2), j + 1)) for j in range(13)]
+        assert max(map(len, alive)) == 3
 
 
 class TestParabolicScaling:
@@ -667,14 +685,13 @@ class TestParabolicScaling:
 
     @staticmethod
     def run(a, b, dt, n_steps, delta, lam):
-        window = PairedWindow.fixed_dt(
-            [s.with_positions(lam * s.positions) for s in (a, b)], lam**2 * dt, n_steps
-
-        )
-        p = window.item(2)
+        a, b = (s.with_positions(lam * s.positions) for s in (a, b))
+        trajs = run_paired_fixed_dt(a, b, lam**2 * dt, 2)
+        p = build_difference(*(t.states[2] for t in trajs))
         norms = {f: tensor_norm_sq(getattr(p, f), p.geomA, s)
                  for f, s in Y_SUMMANDS + Z_SUMMANDS}
-        return verify_inequalities(window, lam**2 * delta), norms
+        stream = fixed_dt_stream([a, b], lam**2 * dt, n_steps)
+        return verify_inequalities(stream, n_steps + 1, lam**2 * dt, 1, lam**2 * delta), norms
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_the_pass_scales_by_exact_powers_of_two(self, m):

@@ -6,12 +6,13 @@ radius law sqrt(r0^2 - 2 c t) is exact up to RK4 time error.
 """
 
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from mcflab import GridSpec, StepPolicy, run_flow, step_rk4
-from mcflab import flow, geometry, shapes
+from mcflab import cli, differences, flow, geometry, identities, shapes
 from mcflab.flow import (
     BlowUpError,
     FlowTrajectory,
@@ -22,6 +23,7 @@ from mcflab.flow import (
     run_fixed_dt,
 )
 from mcflab.geometry import (
+    KernelResult,
     components_first,
     components_last,
     compute_geometry,
@@ -48,7 +50,7 @@ from conftest import (
     identity_symmetry,
     measured_radius,
     measured_torus_radii,
-    paired_window,
+    paired_stream,
     run_paired_fixed_dt,
     stencil_symbols,
 )
@@ -538,20 +540,20 @@ class TestFixedDtProtocol:
             run_fixed_dt(unit_circle, 1e-3, 4, store_every=0)
         assert not kernel_calls
 
-    def test_window_rejects_a_trajectory_without_a_step(self, unit_circle):
+    def test_paired_stream_rejects_a_trajectory_without_a_step(self, unit_circle):
         traj = FlowTrajectory(
             [unit_circle.with_positions(unit_circle.positions, time=t)
              for t in (0.0, 0.1, 0.2, 0.3, 0.4)]
         )
         assert traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            paired_window(traj, traj)
+            paired_stream(traj, traj)
 
-    def test_window_rejects_an_adaptive_run(self, unit_circle):
+    def test_paired_stream_rejects_an_adaptive_run(self, unit_circle):
         traj = run_flow(unit_circle, 0.02, sample_times=np.linspace(0, 0.02, 5))
         assert len(traj.states) == 5 and traj.sample_step is None
         with pytest.raises(ProtocolError, match="no sample step"):
-            paired_window(traj, traj)
+            paired_stream(traj, traj)
 
 
 PAIRS = {
@@ -790,6 +792,105 @@ class TestFixedDtStream:
             want = compute_geometry(state)
             for name in PACK_FIELDS:
                 assert_same_bytes(getattr(got, name), getattr(want, name))
+
+
+class Token:
+    """An object that a weak reference can watch."""
+
+
+class WatchedKernel(KernelResult):
+    """A KernelResult on the same arrays, with a token that lives as long
+    as it does: a tuple takes no weak reference itself."""
+
+
+class WatchedStates(list):
+    """A stream's states list that a weak reference can watch."""
+
+
+def watched(real, log):
+    """`fixed_dt_stream` as real gives it, each yielded (states, kern) in
+    watchable copies, and log told at each hand-over after the first
+    whether the last kern was gone when the consumer asked for the next
+    state ("kern"), and whether the last states list was gone once the next
+    one was yielded ("states").  The stream itself holds neither: each goes
+    out through a one-item box, as the loop hands over its kernels."""
+
+    def stream(*args, **kwargs):
+        inner = real(*args, **kwargs)
+
+        def handing_over():
+            refs = None
+            while True:
+                if refs:
+                    log.append(("kern", refs[1]() is None))
+                box = [next(inner, None)]
+                if box[0] is None:
+                    return
+                if refs:
+                    log.append(("states", refs[0]() is None))
+                box = [(WatchedStates(box[0][0]), WatchedKernel(*box[0][1]))]
+                box[0][1].token = Token()
+                refs = [weakref.ref(box[0][0]), weakref.ref(box[0][1].token)]
+                yield box.pop()
+
+        return handing_over()
+
+    return stream
+
+
+def _symmetry_run(tmp_path):
+    config = {
+        "kind": "symmetry",
+        "grid": {"m": 1, "resolution": 32},
+        "geometry": {"kind": "ellipse", "a": 1.5, "b": 1.0},
+        "symmetry": {"matrix": [[1, 0], [0, -1]],
+                     "permutation": {"type": "reflection", "axes": [0]}},
+        "steps": 6,
+        "dt": 1e-4,
+    }
+    assert cli.run_experiment(config, str(tmp_path)) == 0
+
+
+# each consumer of fixed_dt_stream: the module it looks the stream up in,
+# a run of it on 7 stored states, and the hand-overs that run logs
+STREAM_CONSUMERS = {
+    "run_fixed_dt": (
+        flow, lambda tmp: run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 6)
+    ),
+    "cli.run_symmetry": (cli, _symmetry_run),
+    "identities.identity_suite": (
+        identities,
+        lambda tmp: identities.identity_suite(
+            shapes.ellipse(GridSpec(1, 32), 1.5, 1.0), 1e-5
+        ),
+    ),
+    "differences.verify_inequalities": (
+        differences,
+        lambda tmp: differences.paired_pass(
+            shapes.circle(GridSpec(1, 32), 1.0),
+            shapes.ellipse(GridSpec(1, 32), 1.2, 0.9),
+            6e-4, 2e-4, 1e-4, 1,
+        ),
+    ),
+}
+
+
+class TestStreamHandOver:
+    """The stream's hand-over rule, kept by every consumer: a yielded
+    kernel is unreachable when the consumer asks for the next state, and a
+    yielded states list once the next state is yielded, so no step runs
+    beside a kernel handed over and no state beside the list of the last."""
+
+    @pytest.mark.parametrize("consumer", sorted(STREAM_CONSUMERS))
+    def test_consumer_drops_each_hand_over(self, consumer, monkeypatch, tmp_path):
+        module, run = STREAM_CONSUMERS[consumer]
+        log = []
+        monkeypatch.setattr(module, "fixed_dt_stream", watched(fixed_dt_stream, log))
+        run(tmp_path)
+        states = 5 if consumer == "identities.identity_suite" else 7
+        assert [kind for kind, _ in log].count("kern") == states
+        assert [kind for kind, _ in log].count("states") == states - 1
+        assert all(gone for _, gone in log), log
 
 
 HANDOFF_INITIALS = {

@@ -9,13 +9,14 @@ except for relations that hold exactly in the semi-discrete system.
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
 from mcflab import GridSpec, compute_geometry
 from mcflab import differences, identities, shapes
-from mcflab.differences import PairedWindow, build_difference
+from mcflab.differences import build_difference, verify_inequalities
 from mcflab.flow import FlowTrajectory, ProtocolError, run_fixed_dt
 from mcflab.geometry import covariant_derivative, curvature_gauss, laplacian
 from mcflab.grid import (
@@ -48,7 +49,7 @@ from conftest import (
     REFERENCE_MAKERS,
     assert_same_bytes,
     check_at,
-    paired_window,
+    paired_stream,
     run_paired_fixed_dt,
     stencil_symbols,
     traced_peak,
@@ -75,70 +76,60 @@ class TestTimeDifference:
         exact = coeffs[:, 1:] @ (np.arange(1, 5) * t[2] ** np.arange(4))
         assert np.allclose(five_point_derivative(fields, dt), exact, atol=1e-12)
 
-    def test_window_differences_the_five_states_around_each_centre(self):
+    def test_pass_differences_the_five_states_around_each_centre(self, monkeypatch):
         grid = GridSpec(1, 16)
         trajs = run_paired_fixed_dt(
             shapes.ellipse(grid, 1.5, 1.0), shapes.circle(grid, 1.0), 1e-5, 6
         )
-        window = paired_window(*trajs)
         diffs = [build_difference(a, b).d for a, b in zip(*(t.states for t in trajs))]
-        assert list(window.centers) == [2, 3, 4]
-        for c in window.centers:
-            want = five_point_derivative(diffs[c - 2 : c + 3], window.dt)
-            got = window.time_derivative(c, "d")
+        check, seen = differences.check_dd, []
+
+        def recording(p, rate, dt):
+            seen.append((p.geomA.immersion.time, rate("d")))
+            return check(p, rate, dt)
+
+        monkeypatch.setattr(differences, "check_dd", recording)
+        verify_inequalities(*paired_stream(*trajs), 2e-5)
+        assert [t for t, _ in seen] == [trajs[0].states[c].time for c in (2, 3, 4)]
+        for c, (_, got) in zip((2, 3, 4), seen):
+            want = five_point_derivative(diffs[c - 2 : c + 3], 1e-5)
             assert np.array_equal(got, want)
 
-    def test_window_serves_centres_only(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = paired_window(traj, traj)
-        n = len(window)
-        for k in (0, 1, n - 2, n - 1, -1, n):
-            with pytest.raises(IndexError, match=f"state {k} is not a center"):
-                window.time_derivative(k, "d")
-
-    def test_item_outside_the_states_raises_without_wrapping(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = paired_window(traj, traj)
-        n = len(window)
-        for k in (-1, -n, n):
-            with pytest.raises(IndexError, match=f"state {k} is outside"):
-                window.item(k)
-
-    def test_window_drops_each_item_behind_the_stencil(self):
-        traj = short_run(shapes.ellipse(GridSpec(1, 16), 1.5, 1.0), n_steps=6)
-        window = paired_window(traj, traj)
-        assert list(window.centers) == [2, 3, 4]
-        for c in window.centers:
-            window.time_derivative(c, "d")
-            if c > 2:
-                held = f"the window holds states {c - 2} .. {c + 2}"
-                with pytest.raises(
-                    IndexError, match=f"state {c - 3} is no longer held: {held}"
-                ):
-                    window.item(c - 3)
-        with pytest.raises(IndexError, match="state 1 is no longer held"):
-            window.time_derivative(3, "d")
-        assert window.item(2) is not None  # the last five stay
-
-    def test_window_memory_is_flat_over_a_long_stream(self, monkeypatch):
-        """However many states a window reads, it holds five items: reading
+    def test_pass_memory_is_flat_over_a_long_stream(self, monkeypatch):
+        """However many states the pass reads, it holds five packs: reading
         10^5 trivial ones peaks as reading 10^3 does."""
 
         @dataclasses.dataclass
-        class Item:  # what the window reads of a DifferencePack
+        class Item:  # what the pass reads of a DifferencePack
             geomA: object
             sup_h: int
             sup_h_tilde: int
 
-        monkeypatch.setattr(
-            differences, "build_difference", lambda a, b, kern: Item(a, a, b)
-        )
+        grid = types.SimpleNamespace(resolution=1)
+        report = ResidualReport("difference_metric", 1, 1.0, 0.0, 0.0, 0.0)
+        centre = [2]
+
+        def check_dd(p, rate, dt):
+            assert p.sup_h == centre[0]
+            centre[0] += 1
+            return report
+
+        def build(a, b, kern):
+            geom = types.SimpleNamespace(immersion=types.SimpleNamespace(time=a), grid=grid)
+            return Item(geom, a, b)
+
+        monkeypatch.setattr(differences, "build_difference", build)
+        monkeypatch.setattr(differences, "check_dd", check_dd)
+        monkeypatch.setattr(differences, "check_dw", lambda p, rate, dt: report)
+        monkeypatch.setattr(differences, "_fitted_row", lambda p, rate: ({}, 0, 0, 0))
 
         def read(n):
-            window = PairedWindow((((k, -k), None) for k in range(n)), n, 1.0)
-            for k in range(n):
-                assert window.item(k).sup_h == k
-            assert (window.K, window.K_tilde) == (n - 1, 0)
+            centre[0] = 2
+            stream = (((k, -k), None) for k in range(n))
+            rep = verify_inequalities(stream, n, 1.0, 1, n - 4)
+            assert centre[0] == n - 2  # every centre 2 .. n - 3
+            assert (rep.K, rep.K_tilde, rep.T) == (n - 1, 0, n - 1)
+            assert len(rep.rows) == 2
 
         peaks = {n: traced_peak(read, n)[1] for n in (10**3, 10**5)}
         assert peaks[10**5] <= 1.1 * peaks[10**3], peaks
@@ -249,8 +240,8 @@ class TestEvolutionChecks:
 
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
-        with pytest.raises(ProtocolError, match="at least 5"):
-            paired_window(traj, traj)
+        with pytest.raises(ProtocolError, match="'delta'.* of 4 stored states"):
+            verify_inequalities(*paired_stream(traj, traj), 2e-4)
 
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))

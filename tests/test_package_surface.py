@@ -14,6 +14,7 @@ tests need belongs in `tests/conftest.py`.
 """
 
 import ast
+import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
@@ -83,6 +84,25 @@ def test_every_public_name_has_a_caller_outside_tests():
     used = referenced_names() | traced_names()
     uncalled = sorted(q for name, q in public_names().items() if name not in used)
     assert not uncalled, f"public names that only tests reach: {uncalled}"
+
+
+def test_every_traced_name_resolves_in_the_package():
+    """The tracer looks each key of its TRACED table up with getattr on the
+    package, and fails to install without it: each one resolves here, as
+    the tracer would find it, without installing the tracer."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    resolved, missing = [], []
+    for mod_name, funcs in tracing.TRACED.items():
+        module = importlib.import_module(f"mcflab.{mod_name}")
+        for qual in funcs:
+            owner_name, _, attr = qual.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            found = callable(getattr(owner, attr, None))
+            (resolved if found else missing).append(f"{mod_name}.{qual}")
+    assert not missing, f"traced names the package lacks: {missing}"
+    assert {"differences.check_dd", "differences.DifferencePack.norm_sq_Y"} <= set(resolved)
 
 
 def test_the_names_the_tracer_alone_keeps_alive():

@@ -126,6 +126,12 @@ GUARDS = [
         ["src/mcflab/*.py"],
         "class FoldingWindow(SampleWindow):",
     ),
+    Guard(
+        "The paired pass is a plain loop",
+        r"PairedWindow|class \w*Window\b|def time_derivative\(",
+        ["src/mcflab/*.py"],
+        "class PairedWindow:",
+    ),
 ]
 
 
