@@ -8,9 +8,10 @@ identity thresholds, monotone volume, the symmetry tolerance, the refinement
 order, and the paired pass's flagged nodes and envelope.  Configs are read
 through one table per verb, SCHEMA, and are strict: unknown keys, keys of
 another geometry kind or permutation type, and keys the verb would ignore
-are errors, not warnings; each runner takes exactly its table's keys.
-Given the same config, report bodies are byte-identical; wall-clock
-timestamps appear only in the manifest.
+(a `seed` without a `perturbation`, a `cfl_safety` or `dt_max` beside a
+`fixed_dt`) are errors, not warnings; each runner takes exactly its
+table's keys.  Given the same config, report bodies are byte-identical;
+wall-clock timestamps appear only in the manifest.
 
 Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
 precondition, 3 numerical blow-up.
@@ -282,6 +283,10 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> int:
     it, which is dropped before the checkpoint is written, so memory does
     not grow with the samples.  After a blow-up (exit 3) the checkpoints of
     the states reached stay on disk, with no trajectory.csv or summary."""
+    policy = {key: value for key, value in policy.items() if value is not None}
+    for key in ("cfl_safety", "dt_max"):
+        if key in policy and "fixed_dt" in policy:
+            raise ConfigError(f"invalid {key!r} in policy: 'fixed_dt' overrides it")
     grid = GridSpec(**grid)
     initial = geometry(grid)
     stream = adaptive_stream(initial, T, StepPolicy(**policy), sample_times)
@@ -371,14 +376,17 @@ def run_diff_system(
     out_dir, grid, geometry, geometry_b, perturbation, seed, T, delta, dt, store_every
 ) -> int:
     """`differences.paired_pass` on [delta, T] of the flows from geometry
-    and from geometry_b or its seeded perturbation, which checks its plan
-    before it integrates (else exit 2).  The verdict: no flagged node,
-    finite C1 and C2, and the Gronwall envelope holds (else exit 1)."""
+    and from geometry_b or its perturbation (seed 0 if absent), which
+    checks its plan before it integrates (else exit 2).  The verdict: no
+    flagged node, finite C1 and C2, and the Gronwall envelope holds (else
+    exit 1)."""
+    if seed is not None and perturbation is None:
+        raise ConfigError("invalid 'seed' in config: only a 'perturbation' reads it")
     grid = GridSpec(**grid)
     initA = geometry(grid)
     initB = initA if geometry_b is None else geometry_b(grid)
     if perturbation is not None:  # then geometry_b is None
-        initB = shapes.low_mode_perturbation(initA, seed=seed, **perturbation)
+        initB = shapes.low_mode_perturbation(initA, seed=seed or 0, **perturbation)
     dt = grid.spacing**2 / 20.0 if dt is None else dt
     store_every = max(1, round(T / dt / 60)) if store_every is None else store_every
     report = paired_pass(initA, initB, T, delta, dt, store_every)
@@ -474,8 +482,8 @@ SCHEMA = ("kind", {
         **COMMON,
         "T": (_real, REQUIRED),
         "policy": ({
-            "cfl_safety": (_positive(_real), 0.1),
-            "dt_max": (_positive(_real), 1e-2),
+            "cfl_safety": (_positive(_real), OPTIONAL),
+            "dt_max": (_positive(_real), OPTIONAL),
             "fixed_dt": (_positive(_real), None),
         }, {}),
         "sample_times": (_bounded(_floats, len, "stores no state"), None),
@@ -487,7 +495,7 @@ SCHEMA = ("kind", {
     }),
     "diff-system": (run_diff_system, {
         **COMMON,
-        "seed": (_bounded(_integer, lambda n: n >= 0, "must not be negative"), 0),
+        "seed": (_bounded(_integer, (0).__le__, "must not be negative"), OPTIONAL),
         "geometry_b": (GEOMETRY, OPTIONAL),
         "perturbation": ({
             "amplitude": (_real, 1e-3),

@@ -9,19 +9,21 @@ together with the direct sums
 
 All norms, covariant derivatives, and Laplacians use the first flow's
 metric and connection.  `paired_pass` owns the paired pass, as
-`identities.identity_suite` owns the single-flow one: before the pair is
-integrated it plans the steps and checks them and delta (`fitted_centers`,
-the one delta rule); then it runs `verify_inequalities`, a plain forward
-loop over the pair's fixed-step stream in the shape of `identity_suite`,
-so both packs of a state come from the one batched kernel evaluation that
-the pair's step already made there, and no trajectory is stored.  The loop
-holds the five latest `DifferencePack`s and at most three first-flow
-packs, never a second-flow one: `build_difference` takes from it what the
-checks read and drops it.  At each center the paired checks take the
-center's pack and rate(name), the five-point d/dt of the held packs, as
-the single-flow checks take a pack and a rate: `check_dd` and `check_dw`
-are the `identities.residual_report` of the displayed difference
-evolutions, whose right-hand sides are differences of the single-flow ones.
+`identities.identity_suite` owns the single-flow one: it plans and bounds
+the steps and runs `verify_inequalities`, a plain forward loop over the
+pair's lazy fixed-step stream in the shape of `identity_suite`.  So both
+packs of a state come from the one batched kernel evaluation that the
+pair's step already made there, and no trajectory is stored.  Before its
+first read the loop checks the plan once, in `fitted_centers`, the one
+plan rule (six stored states, and delta), so a bad plan takes no step.
+The loop holds the five latest `DifferencePack`s and at most three
+first-flow packs, never a second-flow one: `build_difference` takes from
+it what the checks read and drops it.  At each center the paired checks
+take the center's pack and rate(name), the five-point d/dt of the held
+packs, as the single-flow checks take a pack and a rate: `check_dd` and
+`check_dw` are the `identities.residual_report` of the displayed
+difference evolutions, whose right-hand sides are differences of the
+single-flow ones.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 """
@@ -133,22 +135,24 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
     )
 
 
-def fitted_centers(n_states: int, store_every: int, dt: float, delta: float):
-    """The centers of n_states fixed-step samples whose time since the first
-    state, c * store_every * dt, is delta or more (to 1e-12): the rows of
-    `verify_inequalities`, a range, since that time grows with c.  The index
-    fixes the time, so a late start, whose stamped differences miss the step
-    at rounding level, keeps every row.  The delta rule: delta must be
-    positive and leave at least two centers, the rows of the Gronwall fit,
-    else a ProtocolError names 'delta'."""
+def fitted_centers(n_states: int, dt: float, delta: float):
+    """The plan rule of the paired pass: the centers c of n_states samples
+    at sample step dt with c * dt at least delta (to 1e-12), the rows of
+    `verify_inequalities`.  The index fixes the time, so a late start keeps
+    every row.  The Gronwall fit differences two rows: fewer than 6 states
+    is a ProtocolError naming 'store_every' and 'T', and a delta that is
+    not positive or leaves fewer than two centers is one naming 'delta'."""
+    if n_states < 6:
+        raise ProtocolError(
+            f"invalid 'store_every' or 'T': they store {n_states} state(s); "
+            "the paired checks need at least 6"
+        )
     end = n_states - 2
-    first = next(
-        (c for c in range(2, end) if c * store_every * dt >= delta - 1e-12), end
-    )
+    first = next((c for c in range(2, end) if c * dt >= delta - 1e-12), end)
     if not delta > 0 or end - first < 2:
         raise ProtocolError(
             f"invalid 'delta': {delta!r}; delta must lie in (0, "
-            f"{(n_states - 4) * store_every * dt!r}] to leave two centers of "
+            f"{(n_states - 4) * dt!r}] to leave two centers of "
             f"{n_states} stored states at or past it"
         )
     return range(first, end)
@@ -257,16 +261,17 @@ def _fitted_row(p: DifferencePack, rate):
 
 
 def verify_inequalities(
-    stream, n_states: int, step: float, store_every: int, delta: float
+    stream, n_states: int, dt: float, delta: float
 ) -> InequalityReport:
     """Fit the smallest constants compatible with the coupled inequalities,
     and measure the difference evolutions, in one forward pass over a
     paired stream.
 
     The stream yields (states, kern) for each of its n_states stored
-    states: the pair's states, stamped with their times, and the batched
-    kernel evaluation at them (`flow.fixed_dt_stream` of a run at step
-    `step` that stores every store_every-th state).  Once it holds five
+    states, at sample step dt: the pair's states, stamped with their times,
+    and the batched kernel evaluation at them (`flow.fixed_dt_stream`).
+    Before its first read the pass checks its plan in its one call of
+    `fitted_centers`, which gives the fitted centers.  Once it holds five
     `DifferencePack`s, one center's stencil, the pass measures their
     center, where rate(name) is the five-point d/dt of the held packs'
     field name, taken afresh at each call.  Before it asks the stream for
@@ -277,15 +282,12 @@ def verify_inequalities(
 
     C1 bounds |(d/dt - Lap) Y|^2 and C2 bounds |d/dt Z|^2, both against
     |Y|^2 + |grad Y|^2 + |Z|^2, over all nodes where the core exceeds
-    EPS_CORE and the `fitted_centers`, those at least delta past the first
-    state in the index form c * store_every * step.  Each row's t and the
-    report's T are the stamps of the states; delta must pass
-    `fitted_centers` before any state is read.  K and K~ are the sups of
-    |h|_g and |ht|_gt over every state; `check_dd` and `check_dw` take
-    every center, of which the report keeps the worst.
+    EPS_CORE and the fitted centers.  Each row's t and the report's T are
+    the stamps of the states; every d/dt divides by dt.  K and K~ are the
+    sups of |h|_g and |ht|_gt over every state; `check_dd` and `check_dw`
+    take every center, of which the report keeps the worst.
     """
-    dt = store_every * step
-    fitted = fitted_centers(n_states, store_every, step, delta)
+    fitted = fitted_centers(n_states, dt, delta)
     K = K_tilde = C1 = C2 = 0.0
     flagged = 0
     rows = []
@@ -336,31 +338,26 @@ def paired_pass(
     initA, initB, T: float, delta: float, dt: float, store_every: int
 ) -> InequalityReport:
     """`verify_inequalities` on the fixed-step pair from initA and initB at
-    step dt, storing every store_every-th state.  Before it integrates:
-    round(T / dt) steps, at most MAX_STEPS (else a ProtocolError naming
-    'T'), trimmed to a multiple of store_every, must store at least 5
-    states, one stencil (else naming 'store_every' and 'T'), and delta must
-    pass `fitted_centers`."""
+    step dt, storing every store_every-th state: round(T / dt) steps, from
+    0 to MAX_STEPS (else a ProtocolError naming 'T'), trimmed to a multiple
+    of store_every.  The stream is lazy and the pass checks its plan
+    (`fitted_centers`) before its first read, so a bad plan raises before
+    the pair takes a step."""
     n_steps = int(round(T / dt))
-    if n_steps > MAX_STEPS:
+    if not 0 <= n_steps <= MAX_STEPS:
         raise ProtocolError(
             f"invalid 'T': {T!r} at dt={dt!r} takes {T / dt:.3g} steps, "
-            f"more than {MAX_STEPS}"
+            f"not in [0, {MAX_STEPS}]"
         )
     n_steps -= n_steps % store_every
-    n_states = n_steps // store_every + 1
-    if n_states < 5:
-        raise ProtocolError(
-            f"invalid 'store_every' or 'T': they store {n_states} state(s); "
-            "the paired checks need at least 5"
-        )
-    fitted_centers(n_states, store_every, dt, delta)
     stream = fixed_dt_stream([initA, initB], dt, n_steps, store_every)
     # the pair is integrated as the pass reads its states, so a flow that
     # blows up has its last finite states measured before BlowUpError;
     # numpy's overflow warnings there only announce that, as in the flow
     with np.errstate(over="ignore", invalid="ignore"):
-        return verify_inequalities(stream, n_states, dt, store_every, delta)
+        return verify_inequalities(
+            stream, n_steps // store_every + 1, store_every * dt, delta
+        )
 
 
 def forward_gronwall(report: InequalityReport):

@@ -132,17 +132,19 @@ def five_point_derivative(fields, dt: float) -> np.ndarray:
     return acc
 
 
+def _report(identity, geom, sq, sup, dt) -> ResidualReport:
+    """The report of identity at geom with the sup given and the volume-
+    weighted L2 of the pointwise squared residual sq: the one builder."""
+    l2 = float(np.sqrt(np.sum(sq * geom.cell_weight)))
+    return ResidualReport(
+        identity, geom.grid.resolution, dt, geom.immersion.time, sup, l2
+    )
+
+
 def residual_report(identity, geom, resid, index_spec, dt=0.0) -> ResidualReport:
     """Sup and volume-weighted L2 of the g-norm of a residual tensor field."""
     sq = tensor_norm_sq(resid, geom, index_spec)
-    return ResidualReport(
-        identity=identity,
-        resolution=geom.grid.resolution,
-        dt=dt,
-        t_center=geom.immersion.time,
-        sup_residual=float(np.sqrt(max(sq.max(), 0.0))),
-        l2_residual=float(np.sqrt(np.sum(sq * geom.cell_weight))),
-    )
+    return _report(identity, geom, sq, float(np.sqrt(max(sq.max(), 0.0))), dt)
 
 
 def grad_H(geom: GeometryPack) -> np.ndarray:
@@ -284,17 +286,9 @@ def check_simons(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:
 def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport:
     """Sup difference of curv = curvature_gauss(geom) and curvature_intrinsic."""
     diff = curv.riemann - curvature_intrinsic(geom)
-    sup = float(np.abs(diff).max())
+    sup = float(np.abs(diff).max())  # of the components, not a g-norm
     sq = (diff**2).sum(axis=tuple(range(-4, 0)))
-    l2 = float(np.sqrt(np.sum(sq * geom.cell_weight)))
-    return ResidualReport(
-        identity="gauss_cross_check",
-        resolution=geom.grid.resolution,
-        dt=0.0,
-        t_center=geom.immersion.time,
-        sup_residual=sup,
-        l2_residual=l2,
-    )
+    return _report("gauss_cross_check", geom, sq, sup, 0.0)
 
 
 def identity_suite(initial: Immersion, dt: float) -> list:

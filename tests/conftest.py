@@ -166,8 +166,8 @@ def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:
 
 def paired_stream(trajA: FlowTrajectory, trajB: FlowTrajectory) -> tuple:
     """The leading arguments of `differences.verify_inequalities`, (stream,
-    n_states, step, store_every), on the stored fixed-step trajectories of
-    a pair, of equal length, whose states pair up, at the first one's
+    n_states, sample_step), on the stored fixed-step trajectories of a
+    pair, of equal length, whose states pair up, at the first one's
     sample_step; the stream evaluates each state's kernel as it is read."""
     if trajA.sample_step is None:
         raise ProtocolError("no sample step: not a fixed-step run")
@@ -179,7 +179,7 @@ def paired_stream(trajA: FlowTrajectory, trajB: FlowTrajectory) -> tuple:
         (list(states), stacked_kernel(list(states)))
         for states in zip(trajA.states, trajB.states)
     )
-    return stream, len(trajA.states), trajA.sample_step, 1
+    return stream, len(trajA.states), trajA.sample_step
 
 
 def paired_center(trajA: FlowTrajectory, trajB: FlowTrajectory, c: int = 2):

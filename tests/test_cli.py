@@ -183,6 +183,23 @@ BAD_CONFIGS = {
     ),
     # values that the flow, not the schema, rejects
     "simulate-T-before-t0": ("simulate", changed(SIMULATE_CONFIG, T=-1), "'T'"),
+    # keys that nothing would read
+    "diff-system-seed-beside-geometry-b": (
+        "diff-system", changed(DIFF_CONFIG, seed=1), "'seed'"
+    ),
+    "diff-system-seed-without-second-flow": (
+        "diff-system", changed(DIFF_CONFIG, ["geometry_b"], seed=1), "'seed'"
+    ),
+    "simulate-cfl-safety-beside-fixed-dt": (
+        "simulate",
+        changed(SIMULATE_CONFIG, policy={"fixed_dt": 1e-4, "cfl_safety": 0.5}),
+        "'cfl_safety'",
+    ),
+    "simulate-dt-max-beside-fixed-dt": (
+        "simulate",
+        changed(SIMULATE_CONFIG, policy={"fixed_dt": 1e-4, "dt_max": 1e-3}),
+        "'dt_max'",
+    ),
     "simulate-cfl-safety-above-one": (
         "simulate", changed(SIMULATE_CONFIG, policy={"cfl_safety": 2.0}), "'cfl_safety'"
     ),
@@ -1113,21 +1130,24 @@ class TestDiffSystemVerb:
             ({"store_every": 20}, ("'store_every'", "'T'")),
             # stored every 5 of 8 steps: two states
             ({"T": 8e-4, "store_every": 5}, ("'store_every'", "'T'")),
+            # 4 steps: five states, one centre, so never two past delta
+            ({"T": 4e-4, "delta": 1e-4}, ("'store_every'", "'T'")),
             # centers at 2e-4 .. 1.8e-3: only the last is at or past delta
             ({"delta": 1.75e-3}, ("'delta'",)),
             # 20 of 25 steps are stored, so delta 2.2e-3 lies past every center
             ({"T": 2.5e-3, "store_every": 5, "delta": 2.2e-3}, ("'delta'",)),
         ],
-        ids=["no-step-stored", "two-states", "one-center-past-delta",
-             "delta-past-the-stored-states"],
+        ids=["no-step-stored", "two-states", "five-states",
+             "one-center-past-delta", "delta-past-the-stored-states"],
     )
     def test_short_window_fails_before_integrating(
         self, tmp_path, capsys, monkeypatch, values, keys
     ):
-        def not_called(*args, **kwargs):
+        def not_read(*args, **kwargs):  # the stream is built, never read
             raise AssertionError("the pair was integrated")
+            yield
 
-        monkeypatch.setattr(flow, "_fixed_dt_loop", not_called)
+        monkeypatch.setattr(flow, "_fixed_dt_loop", not_read)
         code, out = run_cli(tmp_path, "diff-system", changed(DIFF_CONFIG, **values))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1517,7 +1537,9 @@ class TestParabolicScaling:
         trajs = run_paired_fixed_dt(
             initA, initB, dt, n_steps - n_steps % store_every, store_every
         )
-        fitted = differences.fitted_centers(len(trajs[0].states), store_every, dt, delta)
+        fitted = differences.fitted_centers(
+            len(trajs[0].states), store_every * dt, delta
+        )
         centers = []
         for c in fitted:
             p, rate_of = paired_center(*trajs, c)

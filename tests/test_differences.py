@@ -196,8 +196,8 @@ class TestPairedStream:
 
     def test_a_stream_of_four_states_is_rejected_before_it_is_read(self):
         a = shapes.circle(GridSpec(1, 32), 1.0)
-        with pytest.raises(ProtocolError, match="'delta'.* of 4 stored states"):
-            verify_inequalities(fixed_dt_stream([a, a], DT, 3), 4, DT, 1, 2 * DT)
+        with pytest.raises(ProtocolError, match="'store_every' or 'T'.* store 4 state"):
+            verify_inequalities(fixed_dt_stream([a, a], DT, 3), 4, DT, 2 * DT)
 
     def test_the_pass_holds_nothing_per_state_before_reading(self):
         """The pass knows its states by number: one over a million steps
@@ -212,7 +212,7 @@ class TestPairedStream:
 
         def until_read():
             with pytest.raises(FirstRead):
-                verify_inequalities(stream(), 10**6 + 1, 1e-7, 1, 0.05)
+                verify_inequalities(stream(), 10**6 + 1, 1e-7, 0.05)
 
         assert traced_peak(until_read)[1] < 2**20
 
@@ -423,7 +423,7 @@ class TestStreamingPass:
         for n in (120, 360):
             stream = fixed_dt_stream([a, b], dt, n)
             rep, peaks[n] = traced_peak(
-                verify_inequalities, stream, n + 1, dt, 1, (n - 8) * dt
+                verify_inequalities, stream, n + 1, dt, (n - 8) * dt
             )
             assert len(rep.rows) == 7
         assert peaks[360] <= 1.1 * peaks[120], peaks
@@ -453,7 +453,7 @@ class TestStreamingPass:
         monkeypatch.setattr(flow, "_rk4_positions", step)
         a = shapes.product_torus(GridSpec(2, 16), 1.0, 1.0)
         b = shapes.low_mode_perturbation(a, 1e-3, seed=3)
-        verify_inequalities(fixed_dt_stream([a, b], 1e-3, 12), 13, 1e-3, 1, 2e-3)
+        verify_inequalities(fixed_dt_stream([a, b], 1e-3, 12), 13, 1e-3, 2e-3)
         assert built == [k * 1e-3 for k in range(13)]
         assert max(alive) == 5
         assert len(stepping) == 12 and max(stepping) == 4
@@ -492,7 +492,7 @@ class TestStreamingPass:
                 if source == "stored":
                     args = paired_stream(*run_paired_fixed_dt(a, b, 1e-3, 20))
                 else:
-                    args = fixed_dt_stream([a, b], 1e-3, 20), 21, 1e-3, 1
+                    args = fixed_dt_stream([a, b], 1e-3, 20), 21, 1e-3
                 rep = verify_inequalities(*args, delta=0.012)
                 rows[t0, source] = [r["t"] - t0 for r in rep.rows]
         assert len(rows[0.0, "stored"]) == 7
@@ -500,7 +500,7 @@ class TestStreamingPass:
         for source in ("stored", "stream"):
             assert len(rows[1e6, source]) == 7
             assert np.allclose(rows[1e6, source], rows[0.0, source], atol=1e-9)
-        assert fitted_centers(21, 1, 1e-3, 0.012) == range(12, 19)
+        assert fitted_centers(21, 1e-3, 0.012) == range(12, 19)
 
 
 @pytest.mark.parametrize(
@@ -509,9 +509,9 @@ class TestStreamingPass:
 def test_fitted_centers_holds_the_delta_rule(delta):
     """delta must be positive and leave two of the centers 2 .. 18 of 21
     states at step 1e-3: 0.017 leaves 17 and 18."""
-    assert fitted_centers(21, 1, 1e-3, 0.017) == range(17, 19)
+    assert fitted_centers(21, 1e-3, 0.017) == range(17, 19)
     with pytest.raises(ProtocolError, match=r"'delta'.*delta must lie in \(0, "):
-        fitted_centers(21, 1, 1e-3, delta)
+        fitted_centers(21, 1e-3, delta)
 
 
 def circle_pair_workload():
@@ -544,7 +544,7 @@ class TestPairedPass:
         stream = fixed_dt_stream([a, b], dt, n_steps, store_every)
         with np.errstate(over="ignore", invalid="ignore"):
             want = verify_inequalities(
-                stream, n_steps // store_every + 1, dt, store_every, delta
+                stream, n_steps // store_every + 1, store_every * dt, delta
             )
         got = paired_pass(a, b, T, delta, dt, store_every)
         assert got == want
@@ -590,24 +590,52 @@ class TestPairedPass:
         "T, store_every, delta, keys",
         [
             ((flow.MAX_STEPS + 1) * DT, 1, 5e-4, ("'T'",)),
+            (-4 * DT, 1, DT, ("'T'",)),
             # 10 steps stored every 3rd: 9 steps, 4 states
             (10 * DT, 3, 5e-4, ("'store_every'", "'T'")),
+            # 5 states hold centres 2 .. 2: one row, however small delta is
+            (4 * DT, 1, DT, ("'store_every'", "'T'")),
             (20 * DT, 1, 0.0, ("'delta'",)),
         ],
-        ids=["too-many-steps", "four-states", "zero-delta"],
+        ids=[
+            "too-many-steps", "negative-T", "four-states", "five-states", "zero-delta"
+        ],
     )
     def test_bad_plan_raises_before_integrating(
         self, monkeypatch, T, store_every, delta, keys
     ):
-        def not_called(*args, **kwargs):
+        def not_read(*args, **kwargs):  # the stream is built, never read
             raise AssertionError("the pair was integrated")
+            yield
 
-        monkeypatch.setattr(flow, "_fixed_dt_loop", not_called)
+        monkeypatch.setattr(flow, "_fixed_dt_loop", not_read)
         grid = GridSpec(1, 32)
         a, b = shapes.circle(grid, 1.0), shapes.circle(grid, 1.2)
         with pytest.raises(ProtocolError) as raised:
             paired_pass(a, b, T, delta, DT, store_every)
         assert all(key in str(raised.value) for key in keys), raised.value
+
+    def test_the_plan_is_checked_once_before_the_first_state(self, monkeypatch):
+        """The plan rule has one home and one call per pass: `fitted_centers`
+        runs once, before the stream yields its first state."""
+        events = []
+        plan, loop = differences.fitted_centers, flow._fixed_dt_loop
+
+        def planning(*args):
+            events.append("plan")
+            return plan(*args)
+
+        def reading(*args):
+            for item in loop(*args):
+                events.append("state")
+                yield item
+
+        monkeypatch.setattr(differences, "fitted_centers", planning)
+        monkeypatch.setattr(flow, "_fixed_dt_loop", reading)
+        grid = GridSpec(1, 16)
+        a, b = shapes.circle(grid, 1.0), shapes.ellipse(grid, 1.2, 0.9)
+        paired_pass(a, b, 8e-4, 4e-4, 1e-4, 1)
+        assert events == ["plan"] + ["state"] * 9
 
 
 def small_torus_pair(n_steps):
@@ -615,7 +643,7 @@ def small_torus_pair(n_steps):
     N=16 torus pair at dt 1e-3."""
     a = shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.1)
     b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
-    return fixed_dt_stream([a, b], 1e-3, n_steps), n_steps + 1, 1e-3, 1
+    return fixed_dt_stream([a, b], 1e-3, n_steps), n_steps + 1, 1e-3
 
 
 class TestPassReleasesGeometry:
@@ -691,7 +719,7 @@ class TestParabolicScaling:
         norms = {f: tensor_norm_sq(getattr(p, f), p.geomA, s)
                  for f, s in Y_SUMMANDS + Z_SUMMANDS}
         stream = fixed_dt_stream([a, b], lam**2 * dt, n_steps)
-        return verify_inequalities(stream, n_steps + 1, lam**2 * dt, 1, lam**2 * delta), norms
+        return verify_inequalities(stream, n_steps + 1, lam**2 * dt, lam**2 * delta), norms
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_the_pass_scales_by_exact_powers_of_two(self, m):

@@ -126,7 +126,7 @@ class TestTimeDifference:
         def read(n):
             centre[0] = 2
             stream = (((k, -k), None) for k in range(n))
-            rep = verify_inequalities(stream, n, 1.0, 1, n - 4)
+            rep = verify_inequalities(stream, n, 1.0, n - 4)
             assert centre[0] == n - 2  # every centre 2 .. n - 3
             assert (rep.K, rep.K_tilde, rep.T) == (n - 1, 0, n - 1)
             assert len(rep.rows) == 2
@@ -240,7 +240,7 @@ class TestEvolutionChecks:
 
     def test_short_trajectory_rejected(self):
         traj = run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 3)
-        with pytest.raises(ProtocolError, match="'delta'.* of 4 stored states"):
+        with pytest.raises(ProtocolError, match="'store_every' or 'T'.* store 4 state"):
             verify_inequalities(*paired_stream(traj, traj), 2e-4)
 
     def test_report_carries_anchor_and_metadata(self):
