@@ -53,6 +53,11 @@ EXIT_BLOWUP = 3
 # excluded from order fitting.
 EXACT_FLOOR = 1e-8
 
+# The version of the report files' layout and numbers, written in every
+# manifest.  Format 2: the identity suite takes its evolution rates exactly
+# (`geometry.kernel_rate`), not by a five-point time difference.
+REPORT_FORMAT = 2
+
 
 class ConfigError(ValueError):
     pass
@@ -215,7 +220,10 @@ def _write(out_dir: str, name: str, body: str):
 
 
 def _manifest(out_dir: str, entries: dict):
-    lines = [f"generated = {datetime.datetime.now().isoformat()}"]
+    lines = [
+        f"generated = {datetime.datetime.now().isoformat()}",
+        f"report_format = {REPORT_FORMAT}",
+    ]
     for k, v in entries.items():
         lines.append(f"{k} = {v}")
     lines.append(LIMITATION_STATEMENT)

@@ -44,13 +44,7 @@ from .geometry import (
     tensor_norm_sq,
     tensor_norm_sup,
 )
-from .identities import (
-    ResidualReport,
-    five_point_derivative,
-    grad_H,
-    metric_rhs,
-    residual_report,
-)
+from .identities import ResidualReport, grad_H, metric_rhs, residual_report
 
 # Squared-norm floor below which a node is excluded from the C fit.
 EPS_CORE = 1e-24
@@ -133,6 +127,18 @@ def build_difference(stateA, stateB, kern=None) -> DifferencePack:
         sup_h=tensor_norm_sup(geomA.second_form, geomA, "ll"),
         sup_h_tilde=tensor_norm_sup(geomB.second_form, geomB, "ll"),
     )
+
+
+def five_point_derivative(fields, dt: float) -> np.ndarray:
+    """4th-order central d/dt at the middle of five equispaced fields,
+    ((f0 - 8 f1) + 8 f3) - f4 over 12 dt, in one fresh array; the middle
+    field does not enter."""
+    f0, f1, _, f3, f4 = fields
+    out = np.subtract(f0, 8 * f1)
+    out += 8 * f3
+    out -= f4
+    out /= 12.0 * dt
+    return out
 
 
 def fitted_centers(n_states: int, dt: float, delta: float):

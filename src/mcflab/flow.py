@@ -39,9 +39,10 @@ state's geometry without evaluating it again and reads its time from the
 state.  A stored state that starts a step shares that evaluation with the
 step; the final one starts none and costs one call of its own, under the
 flow's rule, so a degenerate final state is a blow-up, not bad input.
-Nothing is stored: the identity suite (`identities.identity_suite`) and
-the paired pass (`differences.verify_inequalities`) read the stream as they
-go, and the `symmetry` verb measures the defect of the states it records.
+Nothing is stored: the identity suite (`identities.identity_suite`) reads
+the stream to its center and builds that state's pack alone, the paired
+pass (`differences.verify_inequalities`) reads it as it goes, and the
+`symmetry` verb measures the defect of the states it records.
 Each consumer drops a yielded kernel before it asks for the next state,
 and a yielded states list before the next one is yielded, so no step runs
 beside a kernel it has handed over.

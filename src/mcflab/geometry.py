@@ -317,11 +317,11 @@ def pack_components(k: KernelResult, b: int, names=None) -> list:
 def field_block(grid_shape: tuple, leads: list) -> tuple:
     """One fresh block ((n,) + grid) holding fields with component axes
     leads one after another, components first, and each field's
-    components_last view: the layout of a pack and of the identity suite's
-    folded rates.  With a fresh array per field, the suite's RK steps
-    beside its live packs ran about 20 % slower at N=128, and the
-    check_simons that follows its folds at N=128 in a convergence run took
-    7.0k minor faults instead of 4.1k."""
+    components_last view: the layout of a pack and of its `kernel_rate`.
+    With a fresh array per field, the identity suite's RK steps beside its
+    live packs ran about 20 % slower at N=128, and the check_simons that
+    follows its rates at N=128 in a convergence run took 7.0k minor faults
+    instead of 4.1k."""
     sizes = [math.prod(lead) for lead in leads]
     block = np.empty((sum(sizes),) + grid_shape)
     views, start = [], 0
@@ -637,3 +637,91 @@ def curvature_gauss(geom: GeometryPack) -> CurvaturePack:
     M = range(len(ginv))
     ricci = sum_of_products((ginv[k, l], R[:, k, :, l]) for k in M for l in M)
     return CurvaturePack(components_last(R, 4), components_last(ricci, 2))
+
+
+# --- rates along the flow ---------------------------------------------------
+
+
+def kernel_rate(geom: GeometryPack) -> list:
+    """The exact d/dt of the pack's first_derivs, metric, christoffels and
+    second_form under the semi-discrete flow dX/dt = H, H the pack's own
+    mean_curv: the directional derivative of `geometry_kernel` along H
+    (its tangent-linear map), as one `field_block` in pack layout, returned
+    as the four grid-first views in that order.
+
+    d/dt d_iX^a = d_iH^a;  d/dt g_ij = sum_a (d_iH^a d_jX^a + d_iX^a d_jH^a);
+    d/dt Gamma^k_ij = g^kl (c'_lij / 2 - g'_lp Gamma^p_ij), with c'_lij =
+    d_i g'_jl + d_j g'_il - d_l g'_ij from the kernel's first stencil on g'
+    = d/dt g;  d/dt h^a_ij = d_i d_jH^a - (d/dt Gamma^k_ij) d_kX^a -
+    Gamma^k_ij d_kH^a, with the kernel's second stencils: compact on the
+    diagonal, the first one twice off it.  The Christoffel rate is the
+    derivative of g^kl c_lij / 2, whose g^-1 term (g^-1)' c / 2 = -g^-1 g'
+    g^-1 c / 2 is -g^-1 g' Gamma.  The loops run over whole grid arrays,
+    components first, as the m=2 kernel's do; d_iH comes from the stencil
+    that `covariant_derivative` applies to H, so it is its gradient to the
+    bit.
+    """
+    grid, m = geom.grid, geom.grid.m
+    R = range(m)
+    pairs = [(i, j) for i in R for j in R if i <= j]  # the distinct (i, j)
+    stacked = {p: c for c, (i, j) in enumerate(pairs) for p in ((i, j), (j, i))}
+    X = components_first(geom.first_derivs, 2)  # [a, i] = d_iX^a
+    ginv = components_first(geom.inverse_metric, 2)
+    gamma = components_first(geom.christoffels, 3)  # [k, i, j] = Gamma^k_ij
+    A = len(X)
+    leads = [(A, m), (m, m), (m, m, m), (A, m, m)]
+    _, rates = field_block(grid.shape, leads)
+    dX, dg, dgamma, dh = (components_first(r, len(n)) for r, n in zip(rates, leads))
+
+    # d_iH^a into dX[:, i] and the kernel's d_i d_jH^a into dh[:, i, j]
+    for i in R:
+        first, second = partial_and_second(grid, geom.mean_curv, i)
+        dX[:, i] = components_first(first, 1)
+        dh[:, i, i] = components_first(second, 1)
+    for i, j in pairs:
+        if i != j:
+            partial(grid, rates[0][..., i], j, out=rates[3][..., i, j])
+
+    sc, other = np.empty((2,) + grid.shape)
+    G = np.empty((len(pairs),) + grid.shape)  # [c] = g'_ij, (i, j) = pairs[c]
+    for c, (i, j) in enumerate(pairs):
+        np.multiply(dX[0, i], X[0, j], out=G[c])
+        np.multiply(X[0, i], dX[0, j], out=other)
+        for a in range(1, A):
+            G[c] += np.multiply(dX[a, i], X[a, j], out=sc)
+            other += np.multiply(X[a, i], dX[a, j], out=sc)
+        G[c] += other
+        dg[i, j] = dg[j, i] = G[c]
+
+    # one stencil call per axis over the stacked distinct components of g'
+    dG = [components_first(partial(grid, components_last(G, 1), l), 1) for l in R]
+    del G
+    q = np.empty((m,) + grid.shape)  # [l] = c'_lij / 2 - g'_lp Gamma^p_ij
+    for i, j in pairs:
+        for l in R:
+            np.add(dG[i][stacked[j, l]], dG[j][stacked[i, l]], out=q[l])
+            q[l] -= dG[l][stacked[i, j]]
+            q[l] *= 0.5
+            for p in R:
+                q[l] -= np.multiply(dg[l, p], gamma[p, i, j], out=sc)
+        for k in R:
+            np.multiply(ginv[k, 0], q[0], out=dgamma[k, i, j])
+            for l in range(1, m):
+                dgamma[k, i, j] += np.multiply(ginv[k, l], q[l], out=sc)
+            if i != j:
+                dgamma[k, j, i] = dgamma[k, i, j]
+    del dG, q
+
+    corr, tmp = np.empty((2, A) + grid.shape)
+    for i, j in pairs:
+        # sum_k (d/dt Gamma^k_ij) d_kX^a + Gamma^k_ij d_kH^a
+        terms = [
+            (c[k, i, j], F[:, k]) for c, F in ((dgamma, X), (gamma, dX)) for k in R
+        ]
+        np.multiply(*terms[0], out=corr)
+        for c, F in terms[1:]:
+            corr += np.multiply(c, F, out=tmp)
+        dh[:, i, j] -= corr
+        if i != j:
+            dh[:, j, i] = dh[:, i, j]
+    return rates

@@ -1,20 +1,19 @@
 """Residual checks for the evolution equations and curvature identities.
 
-Every evolution check measures, at one center state, the 4th-order
-central time difference of a field against the algebraic right-hand side.
-A single-flow check, `check_dX`, `check_dg`, `check_dGamma` or `check_dh`,
-takes the center's pack, the field's rate there and the run's sample step;
-and `differences.check_dd` and `check_dw` a pair's alike.  The time differences
-are taken over the fixed-step run itself (`flow.fixed_dt_stream`), which
-hands over every stored state with its exact stamp and the kernel
-evaluation at it, so no state's geometry is evaluated twice and no
-trajectory is stored.  `identity_suite` owns the single-flow suite: it
-builds the pack of its one center alone and folds every other state's
-differenced fields into their rates as the state arrives
-(`five_point_fold`, the one arithmetic of every time difference here), so
-no neighbour's pack is built; `geometry.pack_components` and
-`geometry.field_block` alone know the kernel's and the pack's layout.  One
-builder, `residual_report`, measures every residual tensor pointwise in the
+Every evolution check measures, at one center state, the time derivative
+of a field against the algebraic right-hand side.  A single-flow check,
+`check_dX`, `check_dg`, `check_dGamma` or `check_dh`, takes the center's
+pack, the field's rate there and the run's sample step; and
+`differences.check_dd` and `check_dw` a pair's alike.  The semi-discrete
+flow dX/dt = H is an ODE, so each single-flow rate is exact: the
+directional derivative of the kernel along H (`geometry.kernel_rate`).
+`identity_suite` owns the single-flow suite: it reads the fixed-step run
+(`flow.fixed_dt_stream`) to its center, which the stream hands over with
+its exact stamp and the kernel evaluation at it, builds that one pack and
+takes its rates, so no state's geometry is evaluated twice and no
+trajectory is stored; `geometry.pack_components` and `geometry.field_block`
+alone know the kernel's and the pack's layout.  One builder,
+`residual_report`, measures every residual tensor pointwise in the
 evolving induced metric g(t); per ambient-coordinate families contribute
 in Frobenius over the ambient label.
 
@@ -41,10 +40,9 @@ from .geometry import (
     covariant_derivative,
     curvature_gauss,
     curvature_intrinsic,
-    field_block,
     geometry_packs,
+    kernel_rate,
     laplacian,
-    pack_components,
     sum_of_products,
     tensor_norm_sq,
 )
@@ -103,33 +101,6 @@ class ResidualReport:
             f"{self.identity},{self.resolution},{self.dt!r},{self.t_center!r},"
             f"{self.sup_residual!r},{self.l2_residual!r},"
         )
-
-
-def five_point_fold(k: int, acc, f, dt: float, out=None):
-    """acc once the field f of state k of five equispaced states is folded
-    in, in the order k = 0 .. 4: f0 itself after state 0, f0 - 8 f1 (into
-    out, or a fresh array) after state 1, and from there on in place, so
-    that after state 4 acc is the 4th-order central d/dt at state 2,
-    ((f0 - 8 f1) + 8 f3) - f4 over 12 dt.  State 2 does not enter."""
-    if k == 0:
-        return f
-    if k == 1:
-        return np.subtract(acc, 8 * f, out=out)
-    if k == 3:
-        acc += 8 * f
-    elif k == 4:
-        acc -= f
-        acc /= 12.0 * dt
-    return acc
-
-
-def five_point_derivative(fields, dt: float) -> np.ndarray:
-    """4th-order central d/dt at the middle of five equispaced fields: their
-    `five_point_fold`, one fresh array."""
-    acc = None
-    for k, f in enumerate(fields):
-        acc = five_point_fold(k, acc, f, dt)
-    return acc
 
 
 def _report(identity, geom, sq, sup, dt) -> ResidualReport:
@@ -292,41 +263,28 @@ def gauss_cross_check(geom: GeometryPack, curv: CurvaturePack) -> ResidualReport
 
 
 def identity_suite(initial: Immersion, dt: float) -> list:
-    """The six residual checks at the center of a five-state fixed-step
-    stream from initial at step dt, in the order check_dX, check_dg,
-    check_dGamma, check_dh, check_simons, gauss_cross_check.
+    """The six residual checks at the center of a three-state fixed-step
+    stream from initial at step dt, state 2, in the order check_dX,
+    check_dg, check_dGamma, check_dh, check_simons, gauss_cross_check.
 
-    The center, state 2, gets its pack; every other state is folded as it
-    arrives, from its kernel's `pack_components` into one `field_block` of
-    the four rates (`five_point_fold`), and no pack of it is built.  The
-    evolution checks run first, on the center's pack and the rates; then
-    the rates go, so the center's curvature is never alive beside them."""
-    # the fields whose rates check_dX, check_dg, check_dGamma, check_dh read
-    names = ("first_derivs", "metric", "christoffels", "second_form")
-    block = None
+    The center gets its pack, from the kernel evaluation that the stream
+    hands over with it; states 0 and 1 are dropped as they arrive.  The
+    evolution checks run first, on the center's pack and its exact rates
+    (`geometry.kernel_rate`); then the rates go, so the center's curvature
+    is never alive beside them."""
+    # The center stays at t0 + 2 dt, where the five-point suite had it: at t0
+    # the evolution sups of the benchmark's torus move by 0.6-1 %, past the
+    # tolerance of its recorded reference, so that move waits for a re-record.
     k = 0  # no enumerate: its reused result tuple keeps the last kernel
-    for states, kern in fixed_dt_stream([initial], dt, 4):
+    for states, kern in fixed_dt_stream([initial], dt, 2):
         if k == 2:
             (geom,) = geometry_packs(states, kern)
-        else:
-            fields = pack_components(kern, 0, names)
-            parts = [c for _, _, components in fields for c in components]
-            if block is None:
-                leads = [lead for _, lead, _ in fields]
-                block, rates = field_block(parts[0].shape, leads)
-                acc = [None] * len(parts)
-            # state 0's components are held as they are until state 1
-            # writes f0 - 8 f1 into the block's rows
-            acc = [
-                five_point_fold(k, a, f, dt, out)
-                for a, f, out in zip(acc, parts, block)
-            ]
-            del fields, parts
         del states, kern  # neither lives through the next step
         k += 1
+    rates = kernel_rate(geom)
     # looked up at the call, so that a rebound module attribute sees it
     checks = (check_dX, check_dg, check_dGamma, check_dh)
     reports = [check(geom, rate, dt) for check, rate in zip(checks, rates)]
-    del block, rates, acc
+    del rates
     curv = curvature_gauss(geom)
     return reports + [check_simons(geom, curv), gauss_cross_check(geom, curv)]

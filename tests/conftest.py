@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcflab import shapes
-from mcflab.differences import build_difference
+from mcflab.differences import build_difference, five_point_derivative
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
     GeometryPack,
@@ -19,7 +19,6 @@ from mcflab.geometry import (
     tensor_norm_sq,
 )
 from mcflab.grid import GridSpec, Immersion, SymmetryAction
-from mcflab.identities import five_point_derivative
 
 
 # every GeometryPack field but the immersion, in pack order

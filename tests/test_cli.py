@@ -117,6 +117,14 @@ CONVERGENCE_CONFIG = {
     "dt": 1e-5,
 }
 
+# the perturbed torus of the benchmark's convergence workload, one
+# resolution coarser, at the default dt
+TORUS_CONVERGENCE_CONFIG = {
+    "grid": {"m": 2},
+    "geometry": {"kind": "perturbed_torus", "r1": 1.0, "r2": 0.5, "amplitude": 0.1},
+    "resolutions": [16, 32, 64],
+}
+
 
 def changed(base, drop=(), **values):
     cfg = {k: v for k, v in base.items() if k not in drop}
@@ -513,21 +521,15 @@ class TestIdentitiesVerb:
         assert ",fail," in (out / "residual_evolve_metric.csv").read_text()
 
     def test_suite_evaluates_the_geometry_of_each_state_once(self, monkeypatch):
-        """One pack, the centre's, and one fold of each other state, each
-        from the kernel evaluation that its fixed-step stream already made
-        there."""
-        times, folded, kernels = [], [], []
-        packs, components = geometry.geometry_packs, geometry.pack_components
+        """One pack, the centre's, from the kernel evaluation that its
+        fixed-step stream already made there, and no other state's."""
+        times, kernels = [], []
+        packs = geometry.geometry_packs
         kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             times.extend(s.time for s in states)
             return packs(states, kern)
-
-        def folding(kern, b, names):
-            # state k's kernel is call 4 k + 1: its step's first stage
-            folded.append((len(kernels) - 1) // 4)
-            return components(kern, b, names)
 
         def counting(grid, X):
             kernels.append(grid.resolution)
@@ -537,7 +539,6 @@ class TestIdentitiesVerb:
             raise AssertionError("compute_geometry evaluated a state again")
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
-        monkeypatch.setattr(identities, "pack_components", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         assert not hasattr(cli, "compute_geometry")  # the CLI evaluates nothing
@@ -546,8 +547,7 @@ class TestIdentitiesVerb:
         reports = identities.identity_suite(initial, 1e-5)
         assert len(reports) == 6
         assert times == [2e-5]  # the centre's
-        assert folded == [0, 1, 3, 4]
-        assert len(kernels) == 17  # 4 per step, 1 for the final state
+        assert len(kernels) == 9  # 4 per step, 1 for the final state
 
     def test_suite_evaluates_the_centre_curvature_once(self, monkeypatch):
         calls = []
@@ -568,62 +568,53 @@ class TestIdentitiesVerb:
         assert calls == [2e-5]
 
     def test_suite_keeps_one_pack_beside_the_curvature(self, monkeypatch):
-        """The evolution checks run first, on the centre's pack and the
-        folded time derivatives; no other pack is built, and the folded
-        derivatives are gone before the centre's curvature is built, so it
-        is never alive beside more than the centre's own pack."""
-        built, folded, rates, alive = [], [], [], []
-        packs, components = geometry.geometry_packs, geometry.pack_components
-        block = geometry.field_block
+        """The evolution checks run first, on the centre's pack and its
+        rates; no other pack is built, and the rates are gone before the
+        centre's curvature is built, so it is never alive beside more than
+        the centre's own pack."""
+        built, rates, alive = [], [], []
+        packs, rate = geometry.geometry_packs, geometry.kernel_rate
 
         def recording(states, kern):
             new = packs(states, kern)
             built.extend(weakref.ref(p) for p in new)
             return new
 
-        def folding(kern, b, names):
-            fields = components(kern, b, names)
-            # a field's first component, a view into its state's kernel
-            folded.extend(weakref.ref(c[0]) for _, _, c in fields)
-            return fields
-
-        def blocking(grid_shape, leads):
-            new, views = block(grid_shape, leads)
-            rates.extend(weakref.ref(a) for a in [new] + views)
-            return new, views
+        def rating(geom):
+            new = rate(geom)
+            rates.extend(weakref.ref(a) for a in new)
+            return new
 
         def curvature(geom):
-            refs = built + folded + rates
+            refs = built + rates
             alive.append(sum(ref() is not None for ref in refs))
             return geometry.curvature_gauss(geom)
 
         monkeypatch.setattr(identities, "geometry_packs", recording)
-        monkeypatch.setattr(identities, "pack_components", folding)
-        monkeypatch.setattr(identities, "field_block", blocking)
+        monkeypatch.setattr(identities, "kernel_rate", rating)
         monkeypatch.setattr(identities, "curvature_gauss", curvature)
         for N in (16, 32):
             built.clear()
-            folded.clear()
             rates.clear()
             alive.clear()
             identities.identity_suite(shapes.ellipse(GridSpec(1, N), 1.5, 1.0), 1e-5)
             assert alive == [1]
             assert len(built) == 1
-            assert len(folded) == 4 * 4  # four fields, four states
-            assert len(rates) == 1 + 4  # the block and its four fields
 
     # the suite's initial immersion and dt, and the (sup, l2) of its six
-    # reports as float.hex in THRESHOLD_COEFFS order, recorded while the
-    # suite built all five packs of its window
+    # reports as float.hex in THRESHOLD_COEFFS order: the four evolution
+    # rows with the exact rates of `geometry.kernel_rate`, the last two as
+    # recorded while the suite built all five packs of its window, since
+    # they read the same centre pack
     SUITE_PINS = {
         "m2-N32": (
             lambda: shapes.perturbed_torus(GridSpec(2, 32), 1.0, 0.5, 0.1),
             1e-4,
             [
-                ("0x1.3ae77cb002d59p-38", "0x1.7408f6498f3afp-37"),
-                ("0x1.e2add937d3e50p-4", "0x1.818139d7f3283p-2"),
-                ("0x1.a00ab75ba247bp-6", "0x1.24347f4266d24p-4"),
-                ("0x1.30f88e817de71p-3", "0x1.a6d18aedd56a5p-2"),
+                ("0x0.0p+0", "0x0.0p+0"),
+                ("0x1.e2add937b711cp-4", "0x1.818139d7f5d61p-2"),
+                ("0x1.a00ab7569e423p-6", "0x1.24347f40fb995p-4"),
+                ("0x1.30f88e813ae77p-3", "0x1.a6d18aedff88ep-2"),
                 ("0x1.13bc2852517c8p-4", "0x1.6bbd11ec386d3p-3"),
                 ("0x1.91bfaed2c04e0p-10", "0x1.ad520d79248edp-8"),
             ],
@@ -632,10 +623,10 @@ class TestIdentitiesVerb:
             lambda: shapes.ellipse(GridSpec(1, 64, 4), 1.5, 1.0),
             1e-5,
             [
-                ("0x1.c2711ab04fa2fp-34", "0x1.cd91e565a5691p-34"),
-                ("0x1.2cd0cefe15f1ap-7", "0x1.c8e7b5e9f8030p-8"),
-                ("0x1.85cc3ddf2a65cp-6", "0x1.6887b3b0931b0p-6"),
-                ("0x1.31eb5c484ef72p-4", "0x1.4e4a52199b6d0p-4"),
+                ("0x0.0p+0", "0x0.0p+0"),
+                ("0x1.2cd0cef896706p-7", "0x1.c8e7b5c23510ap-8"),
+                ("0x1.85cc3dc8bc279p-6", "0x1.6887b39b291c2p-6"),
+                ("0x1.31eb5c1879482p-4", "0x1.4e4a51c960c65p-4"),
                 ("0x1.709001fbcda37p-5", "0x1.700299dfdea4cp-5"),
                 ("0x0.0p+0", "0x0.0p+0"),
             ],
@@ -1194,8 +1185,10 @@ class TestDiffSystemVerb:
 TINY_CIRCLE = {"kind": "circle", "radius": 0.003049246231155779}  # after 4 steps
 DEGENERATE_FINAL_STATE = {
     "identities": (
-        {"grid": {"m": 1, "resolution": 8}, "geometry": TINY_CIRCLE, "dt": 1e-6},
-        "flow blew up at t=4e-06 at node (1,)",
+        {"grid": {"m": 1, "resolution": 8},
+         "geometry": {"kind": "circle", "radius": 0.002147},  # after 2 steps
+         "dt": 1e-6},
+        "flow blew up at t=2e-06 at node (0,)",
     ),
     "simulate": (
         {"grid": {"m": 1, "resolution": 8}, "geometry": TINY_CIRCLE, "T": 4e-6,
@@ -1302,7 +1295,8 @@ class TestKernelBudget:
         assert len(kernel_calls) == 4 * 21 + 1 == 85
 
     def test_torus_convergence(self, tmp_path, kernel_calls):
-        # per resolution, 4 steps at 4 calls each and 1 for the final state
+        # per resolution, 2 steps at 4 calls each and 1 for the final state,
+        # the centre, whose rates take no kernel call
         config = {
             "grid": {"m": 2},
             "geometry": {"kind": "perturbed_torus", "r1": 1.0, "r2": 0.5,
@@ -1311,7 +1305,7 @@ class TestKernelBudget:
         }
         code, _ = run_cli(tmp_path, "convergence", config)
         assert code == EXIT_OK
-        assert len(kernel_calls) == 3 * (4 * 4 + 1) == 51
+        assert len(kernel_calls) == 3 * (2 * 4 + 1) == 27
 
 
 class TestLateStart:
@@ -1638,37 +1632,65 @@ class TestConvergenceVerb:
         code, _ = run_cli(tmp_path, "convergence", config)
         assert code == EXIT_CONFIG
 
-    def test_suite_evaluates_five_geometries_per_resolution(
+    def test_suite_evaluates_three_geometries_per_resolution(
         self, tmp_path, monkeypatch
     ):
-        """One pack, four folds and 17 kernel calls per resolution: 4 per
-        step of the four-step stream, whose stored states keep their step's
-        first stage, and 1 for the final state."""
-        packed, folded, kernels = [], [], []
-        packs, components = geometry.geometry_packs, geometry.pack_components
+        """One pack and 9 kernel calls per resolution: 4 per step of the
+        two-step stream, whose stored states keep their step's first stage,
+        and 1 for the final state, the centre."""
+        packed, kernels = [], []
+        packs = geometry.geometry_packs
         kernel = geometry.geometry_kernel
 
         def packing(states, kern):
             packed.append(states[0].grid.resolution)
             return packs(states, kern)
 
-        def folding(kern, b, names):
-            folded.append(kern.det.shape[0])
-            return components(kern, b, names)
-
         def counting(grid, X):
             kernels.append(grid.resolution)
             return kernel(grid, X)
 
         monkeypatch.setattr(identities, "geometry_packs", packing)
-        monkeypatch.setattr(identities, "pack_components", folding)
         for module in (geometry, flow):
             monkeypatch.setattr(module, "geometry_kernel", counting)
         code, _ = run_cli(tmp_path, "convergence", CONVERGENCE_CONFIG)
         assert code == EXIT_OK
         assert packed == [16, 32, 64]
-        assert folded == [16] * 4 + [32] * 4 + [64] * 4
-        assert kernels == [16] * 17 + [32] * 17 + [64] * 17
+        assert kernels == [16] * 9 + [32] * 9 + [64] * 9
+
+    def test_perturbed_torus_at_16_32_64_passes(self, tmp_path):
+        """The suite's rates are exact, so `d/dt X^a_i = grad_i H^a`, which
+        holds in the semi-discrete system, reads 0.0 at every resolution and
+        is flagged exact; the other identities keep order 2."""
+        code, out = run_cli(tmp_path, "convergence", TORUS_CONVERGENCE_CONFIG)
+        assert code == EXIT_OK
+        rows = {
+            line.split(",")[0]: line.split(",")[1:]
+            for line in (out / "convergence.csv").read_text().splitlines()[1:]
+        }
+        assert rows.pop("evolve_position_gradient") == [
+            "0.000000e+00;0.000000e+00;0.000000e+00", "", "exact"
+        ]
+        assert len(rows) == 5
+        for identity, (_, order, flag) in rows.items():
+            assert flag == "ok" and float(order) >= 1.9, identity
+
+    def test_a_broken_right_hand_side_still_fails(self, tmp_path, monkeypatch):
+        """metric_rhs scaled by 1 + h^2, h the coarsest spacing: an error
+        that does not refine away fails the order gate.  (Scaled at each
+        grid's own spacing the error is O(h^2), which no refinement order
+        can tell from the truncation error.)"""
+        metric_rhs = identities.metric_rhs
+        h = 2 * np.pi / TORUS_CONVERGENCE_CONFIG["resolutions"][0]
+        monkeypatch.setattr(
+            identities, "metric_rhs", lambda geom: (1 + h**2) * metric_rhs(geom)
+        )
+        code, out = run_cli(tmp_path, "convergence", TORUS_CONVERGENCE_CONFIG)
+        assert code == EXIT_ASSERTION
+        body = (out / "convergence.csv").read_text()
+        assert ",exact\n" in body  # evolve_position_gradient is untouched
+        (row,) = [line for line in body.splitlines() if line.startswith("evolve_metric,")]
+        assert row.endswith(",below-order")
 
     def test_non_doubling_resolutions_rejected(self, tmp_path):
         config = {
@@ -2002,6 +2024,8 @@ class TestReportFiles:
         code, out = run_cli(tmp_path, verb, BASE_CONFIGS[verb])
         assert code == EXIT_OK
         assert sorted(os.listdir(out)) == REPORT_FILES[verb]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[1] == f"report_format = {cli.REPORT_FORMAT}" == "report_format = 2"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate_blow_up_leaves_only_the_checkpoints_reached(self, tmp_path):

@@ -852,7 +852,7 @@ def _symmetry_run(tmp_path):
 
 
 # each consumer of fixed_dt_stream: the module it looks the stream up in,
-# a run of it on 7 stored states, and the hand-overs that run logs
+# and a run of it on 7 stored states (the identity suite's on its 3)
 STREAM_CONSUMERS = {
     "run_fixed_dt": (
         flow, lambda tmp: run_fixed_dt(shapes.circle(GridSpec(1, 32), 1.0), 1e-4, 6)
@@ -887,7 +887,7 @@ class TestStreamHandOver:
         log = []
         monkeypatch.setattr(module, "fixed_dt_stream", watched(fixed_dt_stream, log))
         run(tmp_path)
-        states = 5 if consumer == "identities.identity_suite" else 7
+        states = 3 if consumer == "identities.identity_suite" else 7
         assert [kind for kind, _ in log].count("kern") == states
         assert [kind for kind, _ in log].count("states") == states - 1
         assert all(gone for _, gone in log), log

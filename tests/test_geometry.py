@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcflab import grid as grid_module
-from mcflab import identities, shapes
+from mcflab import shapes
 from mcflab.geometry import (
     GeometryPack,
     _check_det,
@@ -18,9 +18,9 @@ from mcflab.geometry import (
     curvature_gauss,
     curvature_intrinsic,
     divergence,
-    field_block,
     geometry_kernel,
     geometry_packs,
+    kernel_rate,
     laplacian,
     pack_components,
     stacked_kernel,
@@ -571,10 +571,10 @@ def assert_one_block(fields):
 
 
 class TestFieldBlock:
-    """Every field of a pack, and every rate that the identity suite folds,
-    lies in one block per pack or suite, in field order: the layout
-    `geometry.field_block` makes, which keeps the minor faults and the RK
-    steps beside live packs down."""
+    """Every field of a pack, and every rate of `kernel_rate`, lies in one
+    block per pack or rate, in field order: the layout `geometry.field_block`
+    makes, which keeps the minor faults and the RK steps beside live packs
+    down."""
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
@@ -588,17 +588,12 @@ class TestFieldBlock:
             assert not np.shares_memory(packs[0].metric, packs[1].metric)
 
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
-    def test_folded_rates_are_one_block(self, m, A, monkeypatch):
-        blocks = []
-
-        def recording(grid_shape, leads):
-            blocks.append(field_block(grid_shape, leads))
-            return blocks[-1]
-
-        monkeypatch.setattr(identities, "field_block", recording)
-        identities.identity_suite(LAYOUT_MAKERS[m, A](4), 1e-5)
-        ((_, rates),) = blocks
-        assert len(rates) == 4
+    def test_kernel_rates_are_one_block(self, m, A):
+        geom = compute_geometry(LAYOUT_MAKERS[m, A](4))
+        rates = kernel_rate(geom)
+        assert [r.shape for r in rates] == [
+            getattr(geom, name).shape for name in RATE_FIELDS
+        ]
         assert_one_block(rates)
 
     @pytest.mark.parametrize("batch", [1, 2])
@@ -625,6 +620,52 @@ class TestFieldBlock:
             for name, lead, components in named:
                 assert lead == by_name[name][0]
                 assert_same_bytes(np.stack(components), by_name[name][1])
+
+
+# the pack fields whose d/dt `kernel_rate` returns, in its order
+RATE_FIELDS = ("first_derivs", "metric", "christoffels", "second_form")
+
+
+class TestKernelRate:
+    """`kernel_rate` is the directional derivative of the kernel along H:
+    the central difference of `compute_geometry(X + eps H)` in eps, with one
+    Richardson step, matches every rate field to 1e-8 of the field's sup.
+    A rate below 1e-3 counts as vanishing (the Christoffel rate of a
+    product torus is 0) and is held to 1e-11 absolute."""
+
+    MAKERS = {
+        **REFERENCE_MAKERS,
+        "product-torus": lambda o: shapes.product_torus(GridSpec(2, 16, o), 1.0, 0.7),
+    }
+
+    @staticmethod
+    def central_difference(imm, eps):
+        H = compute_geometry(imm).mean_curv
+        plus, minus = (
+            compute_geometry(imm.with_positions(imm.positions + s * H))
+            for s in (eps, -eps)
+        )
+        return [
+            (getattr(plus, f) - getattr(minus, f)) / (2 * eps) for f in RATE_FIELDS
+        ]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("maker", sorted(MAKERS))
+    def test_matches_a_richardson_central_difference(self, maker, order):
+        imm = self.MAKERS[maker](order)
+        rates = kernel_rate(compute_geometry(imm))
+        coarse, fine = (self.central_difference(imm, eps) for eps in (1e-3, 5e-4))
+        for field, rate, c, f in zip(RATE_FIELDS, rates, coarse, fine):
+            want = (4 * f - c) / 3
+            scale = max(np.abs(want).max(), 1e-3)
+            assert np.abs(rate - want).max() <= 1e-8 * scale, field
+
+    @pytest.mark.parametrize("maker", sorted(REFERENCE_MAKERS))
+    def test_position_gradient_rate_is_the_gradient_of_H(self, maker):
+        geom = compute_geometry(REFERENCE_MAKERS[maker](4))
+        assert_same_bytes(
+            kernel_rate(geom)[0], covariant_derivative(geom.mean_curv, geom, "")
+        )
 
 
 class TestDetScreen:

@@ -132,6 +132,12 @@ GUARDS = [
         ["src/mcflab/*.py"],
         "class PairedWindow:",
     ),
+    Guard(
+        "The identity suite takes no time difference",
+        "five_point",
+        ["src/mcflab/identities.py"],
+        "            acc = five_point_fold(k, acc, f, dt)",
+    ),
 ]
 
 
