@@ -71,9 +71,11 @@ def _not_bool(value):
 
 
 def _real(value) -> float:
-    """float(value) of a real number; JSON's NaN and Infinity and booleans
-    are errors."""
-    x = float(_not_bool(value))
+    """float(value) of a JSON number, an int or a float; JSON's NaN and
+    Infinity, booleans and strings such as "1.0" are errors."""
+    if not isinstance(_not_bool(value), (int, float)):
+        raise ValueError("must be a number")
+    x = float(value)
     if not np.isfinite(x):
         raise ValueError("must be finite")
     return x

@@ -128,7 +128,8 @@ class KernelResult(NamedTuple):
     the entries of ``dX`` and ``h``) is the components_last view of a
     contiguous components-first array, and the per-node fields are C-order
     grid (+ batch) arrays.  At m=1 the fields keep the layout of the
-    arithmetic on X as given, C order for a C-order X.
+    arithmetic on X as given, C order for a C-order X, and ``dX[0]`` and
+    ``det`` are the middle N rows of the kernel's arrays on N + 2r nodes.
     """
 
     mean_curv: np.ndarray  # grid + batch + (A,)
@@ -167,13 +168,20 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     keeps the peak memory below that of the einsum formulation.
 
     The fixed cost per call is kept low for the many small calls of a
-    paired m=1 flow: one halo copy of X per axis gives d_iX and d_iiX
-    (`partial_and_second`), and at m=1 the index loops are written out as
-    straight-line arithmetic on the one component of each field, d_0 g_00
-    taken from g_00 itself.  It runs the loops' operations in their order,
-    so the bits are those of the loops, but for c_000 = d_0 g_00, which the
-    loops form as (d_0 g_00 + d_0 g_00) - d_0 g_00: that overflows to inf
-    where |d_0 g_00| > DBL_MAX / 2, and is d_0 g_00 to the bit elsewhere.
+    paired m=1 flow.  At m=2 one halo copy of X per axis gives d_iX and
+    d_iiX (`partial_and_second`).  At m=1 the index loops are written out
+    as straight-line arithmetic on the one component of each field, and so
+    are the stencils, in the operation order of the `grid` ones: one
+    periodic halo copy of X, 2r deep (r = order / 2), gives d_0X and g_00
+    on the N + 2r nodes -r .. N + r - 1, and d_00X on the N nodes from its
+    middle, r-deep part; c_000 = d_0 g_00 is the first stencil over g_00's
+    own r-deep halo, so no second copy is made.  Each halo value is the
+    same arithmetic on the same numbers as at its periodic image, so the
+    bits are those of the `grid` stencils.  The loops' operations run in
+    their order, so the bits are those of the loops, but for c_000, which
+    the loops form as (d_0 g_00 + d_0 g_00) - d_0 g_00: that overflows to
+    inf where |d_0 g_00| > DBL_MAX / 2, and is d_0 g_00 to the bit
+    elsewhere.
 
     Axes between the grid axes and the ambient axis (``batch``, possibly
     none) hold independent immersions on the same grid, such as the two
@@ -186,16 +194,52 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     batch index.
     """
     if grid.m == 1:
-        # the index loops below at m=1: one component of each field
-        dX0, dd = partial_and_second(grid, X, 0)
-        p = dX0 * dX0
-        det = p[..., 0] + p[..., 1]
+        # the index loops below at m=1, and the grid stencils, on one halo
+        # copy of X: pad[i + 2r] = X[i]; d and g hold nodes -r .. N + r - 1
+        n, h, r = len(X), grid.spacing, grid.derivative_order // 2
+        if r == 1:
+            pad = np.concatenate((X[-2:], X, X[:2]))
+            d = np.subtract(pad[2:], pad[:-2])
+            d /= 2 * h
+            dd = np.add(X, X)
+            np.subtract(pad[3:-1], dd, out=dd)
+            dd += pad[1:-3]
+            dd /= h**2
+        else:
+            pad = np.concatenate((X[-4:], X, X[:4]))
+            d = np.multiply(pad[3:-1], 8.0)
+            d -= pad[4:]
+            s = np.multiply(pad[1:-3], 8.0)
+            d -= s
+            d += pad[:-4]
+            d /= 12 * h
+            dd = np.multiply(pad[5:-3], 16.0)
+            dd -= pad[6:-2]
+            s = np.multiply(X, 30.0)
+            dd -= s
+            np.multiply(pad[3:-5], 16.0, out=s)
+            dd += s
+            dd -= pad[2:-6]
+            dd /= 12 * h**2
+        del pad
+        p = d * d
+        g = p[..., 0] + p[..., 1]
         for a in range(2, p.shape[-1]):
-            det += p[..., a]
+            g += p[..., a]
         del p
+        det, dX0 = g[r : r + n], d[r : r + n]
         _check_det(X, det, 1)
         ginv = 1.0 / det
-        gamma = partial(grid, det, 0)  # c_000 = d_0 g_00
+        if r == 1:  # c_000 = d_0 g_00
+            gamma = np.subtract(g[2:], g[:-2])
+            gamma /= 2 * h
+        else:
+            gamma = np.multiply(g[3:-1], 8.0)
+            gamma -= g[4:]
+            s = np.multiply(g[1:-3], 8.0)
+            gamma -= s
+            gamma += g[:-4]
+            gamma /= 12 * h
         gamma *= ginv
         gamma *= 0.5
         dd -= gamma[..., None] * dX0

@@ -13,9 +13,12 @@ cached: plain slices on axis 0, where the m=1 fields are differentiated,
 so a small call costs little beyond its arithmetic.
 One halo copy serves both stencils in `partial_and_second`, which returns
 d_i f and the compact d_ii f together, bit for bit equal to `partial` and
-the diagonal `second_partial`; the geometry kernel differentiates X with
-it.  These three are the one stencil implementation; none rolls the
-field with np.roll, which the tests keep as the reference.
+the diagonal `second_partial`; the m=2 geometry kernel differentiates X
+with it.  The m=1 kernel writes the two stencils out on one halo copy of
+X, in the operation order of `_first_from_taps` and `_second_from_taps`;
+a test ties its every field bit for bit to a reference kernel built from
+`partial_and_second` and `partial`.  None rolls the field with np.roll,
+which the tests keep as the reference of these three.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ from mcflab.differences import build_difference, five_point_derivative
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
     GeometryPack,
+    KernelResult,
+    _check_det,
     components_first,
     components_last,
     compute_geometry,
@@ -18,7 +20,13 @@ from mcflab.geometry import (
     sum_of_products,
     tensor_norm_sq,
 )
-from mcflab.grid import GridSpec, Immersion, SymmetryAction
+from mcflab.grid import (
+    GridSpec,
+    Immersion,
+    SymmetryAction,
+    partial,
+    partial_and_second,
+)
 
 
 # every GeometryPack field but the immersion, in pack order
@@ -44,6 +52,27 @@ def assert_same_bytes(got, want):
     assert got.shape == want.shape
     assert got.dtype == want.dtype
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def reference_curve_kernel(grid: GridSpec, X) -> KernelResult:
+    """The m=1 `geometry_kernel` built from the `grid` stencils, kept as the
+    bitwise reference of the kernel's written-out stencils: one halo copy
+    of X gives d_0X and d_00X (`partial_and_second`), and a second one of
+    g_00 gives c_000 = d_0 g_00 (`partial`)."""
+    dX0, dd = partial_and_second(grid, X, 0)
+    p = dX0 * dX0
+    det = p[..., 0] + p[..., 1]
+    for a in range(2, p.shape[-1]):
+        det += p[..., a]
+    del p
+    _check_det(X, det, 1)
+    ginv = 1.0 / det
+    gamma = partial(grid, det, 0)  # c_000 = d_0 g_00
+    gamma *= ginv
+    gamma *= 0.5
+    dd -= gamma[..., None] * dX0
+    H = ginv[..., None] * dd
+    return KernelResult(H, det[..., None, None], det, [dX0], [ginv], [gamma], [dd])
 
 
 def traced_peak(fn, *args, **kwargs):

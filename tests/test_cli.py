@@ -181,6 +181,11 @@ BAD_CONFIGS = {
         changed(SIMULATE_CONFIG, sample_times=[0.0, "soon"]),
         "'sample_times'",
     ),
+    "simulate-sample-times-numeric-text": (
+        "simulate",
+        changed(SIMULATE_CONFIG, sample_times=["0", "1e-3"]),
+        "'sample_times'",
+    ),
     "simulate-sample-time-nan": (
         "simulate",
         changed(SIMULATE_CONFIG, sample_times=[0.0, float("nan")]),
@@ -1826,9 +1831,9 @@ def schema_keys():
 
 SCHEMA_KEYS = schema_keys()
 
-# bad for every key: booleans, NaN, infinities, a string, and an object
-# where the key is not a section
-ANY_KEY_BAD = [True, False, float("nan"), float("inf"), -float("inf"), "x"]
+# bad for every key: booleans, NaN, infinities, a string, a numeric string,
+# and an object where the key is not a section
+ANY_KEY_BAD = [True, False, float("nan"), float("inf"), -float("inf"), "x", "1.0"]
 # a wrong length or an out-of-range value, for the keys that have them
 KEY_BAD = {
     "kind": ["klein_bottle"],
@@ -2018,14 +2023,46 @@ REPORT_FILES = {
 }
 
 
+# modes beside the base configs: verb, config, exit code, the files written
+MODE_FILES = {
+    "simulate-samples-adaptive": (
+        "simulate",
+        changed(SIMULATE_CONFIG, policy={}, sample_times=[0.0, 0.004, 0.01]),
+        EXIT_OK,
+        ["checkpoint_0000.txt", "checkpoint_0001.txt", "checkpoint_0002.txt",
+         "manifest.txt", "summary.txt", "trajectory.csv"],
+    ),
+    "symmetry-adaptive": (
+        "symmetry", changed(SYMMETRY_CONFIG, ["dt"]), EXIT_OK, REPORT_FILES["symmetry"]
+    ),
+    "convergence-below-order": (
+        "convergence",
+        changed(CONVERGENCE_CONFIG, min_order=10.0),
+        EXIT_ASSERTION,
+        REPORT_FILES["convergence"],
+    ),
+}
+
+
 class TestReportFiles:
+    def assert_files(self, out, files):
+        """out holds exactly files, and its manifest names the report format."""
+        assert sorted(os.listdir(out)) == files
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[1] == f"report_format = {cli.REPORT_FORMAT}" == "report_format = 2"
+
     @pytest.mark.parametrize("verb", sorted(BASE_CONFIGS))
     def test_base_config_writes_exactly_its_files(self, tmp_path, verb):
         code, out = run_cli(tmp_path, verb, BASE_CONFIGS[verb])
         assert code == EXIT_OK
-        assert sorted(os.listdir(out)) == REPORT_FILES[verb]
-        manifest = (out / "manifest.txt").read_text().splitlines()
-        assert manifest[1] == f"report_format = {cli.REPORT_FORMAT}" == "report_format = 2"
+        self.assert_files(out, REPORT_FILES[verb])
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FILES))
+    def test_mode_writes_exactly_its_files(self, tmp_path, mode):
+        verb, config, exit_code, files = MODE_FILES[mode]
+        code, out = run_cli(tmp_path, verb, config)
+        assert code == exit_code
+        self.assert_files(out, files)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate_blow_up_leaves_only_the_checkpoints_reached(self, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcflab import grid as grid_module
 from mcflab import shapes
 from mcflab.geometry import (
     GeometryPack,
@@ -45,6 +44,7 @@ from conftest import (
     assert_same_bytes,
     full_trace_divergence,
     permute_field,
+    reference_curve_kernel,
     space_curve,
     stencil_symbols,
     trace_identity_residual,
@@ -429,27 +429,28 @@ class TestKernelBatchAxis:
 
 
 class TestKernelHaloCopies:
-    """One halo copy of X per axis serves d_iX and d_iiX: at m=1 one copy
-    of X and one of g; at m=2 two of X, two of the stacked g and one for
-    the mixed d_0d_1X."""
+    """Each halo copy is one np.concatenate.  At m=1 one copy of X, 2r
+    deep, serves d_0X, d_00X and the r-deep halo of g_00 that c_000 reads;
+    at m=2 one copy of X per axis serves d_iX and d_iiX, one of the stacked
+    g per axis its partials, and one of d_0X the mixed d_0d_1X."""
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize(
-        "maker, copies", [("m1-codim1", 2), ("m1-codim2", 2), ("m2-codim1", 5),
+        "maker, copies", [("m1-codim1", 1), ("m1-codim2", 1), ("m2-codim1", 5),
                           ("m2-codim2", 5)]
     )
     def test_copies_per_call(self, monkeypatch, maker, copies, order, batch):
         imm = REFERENCE_MAKERS[maker](order)
         X = np.stack([imm.positions] * batch, axis=-2)
         calls = []
-        taps = grid_module._periodic_taps
+        concatenate = np.concatenate
 
-        def counting(f, axis, r):
-            calls.append(axis)
-            return taps(f, axis, r)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return concatenate(*args, **kwargs)
 
-        monkeypatch.setattr(grid_module, "_periodic_taps", counting)
+        monkeypatch.setattr(np, "concatenate", counting)
         geometry_kernel(imm.grid, X)
         assert len(calls) == copies
 
@@ -554,6 +555,68 @@ class TestKernelLayouts:
                 geometry_kernel(imm.grid, x)
             assert got.value.node == want.value.node, name
             assert str(got.value) == str(want.value), name
+
+
+# one curve per ambient dimension A, at derivative order o
+CURVE_MAKERS = {
+    2: REFERENCE_MAKERS["m1-codim1"],
+    3: LAYOUT_MAKERS[1, 3],
+    4: LAYOUT_MAKERS[1, 4],
+}
+
+
+class TestCurveKernelStencils:
+    """The m=1 kernel writes its two stencils out on one halo copy of X;
+    `reference_curve_kernel` takes them from `grid`.  Every field is the
+    same to the byte, the sign of zero included, and a bad X raises the
+    same exception at the same node."""
+
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("batch", [None, 1, 2], ids=["single", "batch1", "batch2"])
+    @pytest.mark.parametrize("A", sorted(CURVE_MAKERS))
+    def test_fields_match_the_grid_stencils(self, A, batch, order, layout):
+        imm = CURVE_MAKERS[A](order)
+        X = imm.positions
+        if batch:
+            others = [
+                shapes.low_mode_perturbation(imm, 1e-2, seed=s).positions
+                for s in range(batch - 1)
+            ]
+            X = np.stack([X, *others], axis=-2)
+        x = layouts(X)[layout]
+        got = geometry_kernel(imm.grid, x)
+        want = reference_curve_kernel(imm.grid, x)
+        for field in want._fields:
+            g, w = getattr(got, field), getattr(want, field)
+            if not isinstance(w, list):
+                g, w = [g], [w]
+            assert len(g) == len(w), field
+            for gi, wi in zip(g, w):
+                assert_same_bytes(gi, wi)
+                if layout == "C":  # as the KernelResult docstring says
+                    assert gi.flags.c_contiguous, field
+
+    @pytest.mark.parametrize(
+        "error", [NonFiniteImmersionError, DegenerateImmersionError]
+    )
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("A", sorted(CURVE_MAKERS))
+    def test_bad_x_raises_the_same_error(self, A, order, error):
+        imm = CURVE_MAKERS[A](order)
+        X = np.stack([imm.positions] * 2, axis=-2)
+        if error is NonFiniteImmersionError:
+            X[5, 1, A - 1] = np.nan
+        else:
+            X[6], X[7] = X[4], X[3]  # d_0X vanishes at node 5
+        errors = []
+        for kernel in (geometry_kernel, reference_curve_kernel):
+            with pytest.raises(error) as e:
+                kernel(imm.grid, X)
+            errors.append(e.value)
+        got, want = errors
+        assert got.node == want.node == (5,)
+        assert str(got) == str(want)
 
 
 def assert_one_block(fields):

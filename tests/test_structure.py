@@ -138,6 +138,12 @@ GUARDS = [
         ["src/mcflab/identities.py"],
         "            acc = five_point_fold(k, acc, f, dt)",
     ),
+    Guard(
+        "The curve kernel makes one halo copy",
+        r"partial\(grid, det",
+        ["src/mcflab/geometry.py"],
+        "        gamma = partial(grid, det, 0)  # c_000 = d_0 g_00",
+    ),
 ]
 
 
