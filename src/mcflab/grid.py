@@ -23,7 +23,7 @@ which the tests keep as the reference of these three.
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -338,6 +338,9 @@ def apply_symmetry(imm: Immersion, action: SymmetryAction) -> Immersion:
 
 # --- columnar text serialization -------------------------------------------
 
+# Lines of a checkpoint that read_immersion parses per np.loadtxt call.
+READ_BLOCK_ROWS = 512
+
 
 def write_immersion(imm: Immersion, path_or_stream) -> None:
     """Columnar text: header `m n N t`, then one row per node, axis 0
@@ -375,66 +378,83 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
 
     Raises CheckpointError for an unparsable header, rows of the wrong
     width, a row count other than N^m, and multi-indices that are out of
-    range or repeated, so every node is read from exactly one row.
+    range or repeated, so every node is read from exactly one row.  The
+    rows are parsed READ_BLOCK_ROWS lines at a time and scattered into the
+    positions as they come, so besides the positions the reader holds one
+    block's text and numbers and a count per node, never the file's.
     """
     own = isinstance(path_or_stream, (str, bytes, os.PathLike))
     stream = open(path_or_stream) if own else path_or_stream
     try:
         header_line = stream.readline()
-        body = stream.read()
+        header = header_line.split()
+        try:
+            if len(header) != 4:
+                raise ValueError("expected 4 fields")
+            m, n, N = int(header[0]), int(header[1]), int(header[2])
+            t = float(header[3])
+            if n < 1:
+                raise ValueError(f"codimension must be >= 1, got {n}")
+            grid = GridSpec(m, N, derivative_order)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint header {header_line.strip()!r} is not `m n N t`: {exc}"
+            ) from exc
+        pos = np.empty(grid.shape + (m + n,))
+        _read_rows(stream, grid, pos.reshape(-1, m + n))
     finally:
         if own:
             stream.close()
-    header = header_line.split()
-    try:
-        if len(header) != 4:
-            raise ValueError("expected 4 fields")
-        m, n, N = int(header[0]), int(header[1]), int(header[2])
-        t = float(header[3])
-        if n < 1:
-            raise ValueError(f"codimension must be >= 1, got {n}")
-        grid = GridSpec(m, N, derivative_order)
-    except ValueError as exc:
+    return Immersion(grid, pos, t)
+
+
+def _read_rows(stream, grid: GridSpec, flat_pos: np.ndarray) -> None:
+    """Scatter the rows of stream into flat_pos, one row per node in C
+    order.  A parse error or a block of the wrong width is raised at once;
+    once every row is read, the row count, then the first out-of-range
+    multi-index in file order, then the first node in C order that two rows
+    name."""
+    m, N = grid.m, grid.resolution
+    width = m + flat_pos.shape[1]
+    counts = np.zeros(grid.num_nodes, dtype=np.intp)
+    n_rows, bad = 0, None  # rows read; the first out-of-range multi-index
+    while block := list(itertools.islice(stream, READ_BLOCK_ROWS)):
+        if not any(map(str.strip, block)):  # blank lines only: loadtxt warns
+            continue
+        try:
+            # one C-level pass; %.17g text parses back to the same doubles
+            rows = np.loadtxt(block, ndmin=2)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint rows: {exc} (in a block of {len(block)} lines "
+                f"after {n_rows} rows)"
+            ) from exc
+        if rows.shape[1] != width:
+            raise CheckpointError(
+                f"checkpoint rows have {rows.shape[1]} columns, expected {width} "
+                f"({m} indices and {width - m} coordinates)"
+            )
+        n_rows += rows.shape[0]
+        index = rows[:, :m]
+        out = ((index < 0) | (index >= N) | (index != np.floor(index))).any(axis=1)
+        if out.any():
+            bad = bad or _index_text(index[np.argmax(out)])
+            rows = rows[~out]
+        flat = np.ravel_multi_index(rows[:, :m].astype(np.intp).T, grid.shape)
+        np.add.at(counts, flat, 1)
+        flat_pos[flat] = rows[:, m:]
+    if n_rows != grid.num_nodes:
         raise CheckpointError(
-            f"checkpoint header {header_line.strip()!r} is not `m n N t`: {exc}"
-        ) from exc
-    width = 2 * m + n
-    try:
-        # one C-level pass; %.17g text parses back to the same doubles
-        rows = (
-            np.loadtxt(io.StringIO(body), ndmin=2)
-            if body and not body.isspace()
-            else np.empty((0, width))
-        )
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint rows: {exc}") from exc
-    if rows.shape[1] != width:
-        raise CheckpointError(
-            f"checkpoint rows have {rows.shape[1]} columns, expected {width} "
-            f"({m} indices and {m + n} coordinates)"
-        )
-    if rows.shape[0] != grid.num_nodes:
-        raise CheckpointError(
-            f"checkpoint has {rows.shape[0]} rows, expected {grid.num_nodes} "
+            f"checkpoint has {n_rows} rows, expected {grid.num_nodes} "
             f"(N^m for m={m}, N={N})"
         )
-    index = rows[:, :m]
-    bad = ((index < 0) | (index >= N) | (index != np.floor(index))).any(axis=1)
-    if bad.any():
-        raise CheckpointError(
-            f"checkpoint multi-index {_index_text(index[np.argmax(bad)])} "
-            f"out of range for N={N}"
-        )
-    index = index.astype(np.intp)
-    counts = np.bincount(np.ravel_multi_index(index.T, grid.shape))
+    if bad is not None:
+        raise CheckpointError(f"checkpoint multi-index {bad} out of range for N={N}")
     if counts.max() > 1:
         node = np.unravel_index(int(np.argmax(counts > 1)), grid.shape)
         raise CheckpointError(
             f"checkpoint has duplicate multi-index {_index_text(node)}"
         )
-    pos = np.empty(grid.shape + (m + n,))
-    pos[tuple(index.T)] = rows[:, m:]
-    return Immersion(grid, pos, t)
 
 
 def _index_text(index) -> str:

@@ -1,6 +1,8 @@
 """Strict checkpoint reading: a malformed file is a CheckpointError that
 names the problem; a well-formed one round-trips bit for bit.  The writer
-gives the bytes of one row per node and holds one grid slab at a time."""
+gives the bytes of one row per node and holds one grid slab at a time; the
+reader parses one block of rows at a time, and where its blocks end changes
+neither what it reads nor what it rejects."""
 
 import io
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mcflab import shapes
+from mcflab import grid, shapes
 from mcflab.grid import (
     CheckpointError,
     GridSpec,
@@ -186,3 +188,63 @@ class TestWriter:
         _, peak = traced_peak(write_immersion, imm, path)
         assert peak < 0.25 * 2**20
         assert path.read_text() == rowwise_checkpoint_text(imm)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """read_immersion parsing 5 lines per block, so an N=8 file spans many."""
+    monkeypatch.setattr(grid, "READ_BLOCK_ROWS", 5)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlocks:
+    def test_shuffled_rows_and_blank_blocks_read_the_same(self):
+        lines = torus_lines()
+        want = read_text("".join(lines))
+        body = lines[1:]
+        np.random.default_rng(3).shuffle(body)
+        # 7 blank lines after the header: one block of them alone
+        got = read_text(lines[0] + "\n" * 7 + "\n".join(body) + "\n")
+        assert np.array_equal(got.positions, want.positions)
+        assert got.time == want.time
+
+    def test_duplicate_across_blocks_names_the_first_node(self):
+        lines = torus_lines()
+        coords = lines[1].split()[2:]
+        # (7, 7) repeated in the last block, then (2, 0) in the second block
+        lines[-1] = " ".join(["7", "7"] + coords) + "\n"
+        lines[7] = " ".join(["2", "0"] + coords) + "\n"
+        with pytest.raises(CheckpointError, match=r"duplicate multi-index \(2, 0\)"):
+            read_text("".join(lines))
+
+    def test_out_of_range_in_a_late_block_names_the_first_row(self):
+        lines = torus_lines()
+        coords = lines[1].split()[2:]
+        lines[40] = " ".join(["9", "0"] + coords) + "\n"
+        lines[60] = " ".join(["0", "-2"] + coords) + "\n"
+        with pytest.raises(CheckpointError, match=r"multi-index \(9, 0\) out of range"):
+            read_text("".join(lines))
+
+    def test_row_count_is_checked_before_the_indices(self):
+        lines = torus_lines()
+        coords = lines[1].split()[2:]
+        lines[3] = " ".join(["9", "0"] + coords) + "\n"
+        with pytest.raises(CheckpointError, match="63 rows, expected 64"):
+            read_text("".join(lines[:-1]))
+
+    def test_block_of_the_wrong_width(self):
+        lines = torus_lines()
+        # lines 31 to 35 are the seventh block, all five rows a column short
+        lines[31:36] = [" ".join(ln.split()[:-1]) + "\n" for ln in lines[31:36]]
+        with pytest.raises(CheckpointError, match="5 columns, expected 6"):
+            read_text("".join(lines))
+
+
+def test_traced_peak_is_within_twice_the_positions(tmp_path):
+    # the whole-file reader peaked at 7.68 MiB here, 15 times the positions
+    imm = shapes.product_torus(GridSpec(2, 128), 1.0, 1.0)
+    path = tmp_path / "torus.txt"
+    write_immersion(imm, path)
+    back, peak = traced_peak(read_immersion, path)
+    assert peak <= 2 * imm.positions.nbytes
+    assert np.array_equal(back.positions, imm.positions)

@@ -2,6 +2,7 @@
 determinism of report bodies, and strict config validation."""
 
 import copy
+import ctypes
 import functools
 import importlib
 import inspect
@@ -2135,3 +2136,80 @@ class TestTopLevel:
     def test_no_verb_prints_help(self, capsys):
         assert main([]) == EXIT_CONFIG
         assert "simulate" in capsys.readouterr().out
+
+
+class FakeLibc:
+    """A C library whose mallopt records its calls and returns `accepts`;
+    like a ctypes function, mallopt takes `argtypes` and `restype`."""
+
+    def __init__(self, accepts=1):
+        self.calls, self.accepts = [], accepts
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return self.accepts
+
+        self.mallopt = mallopt
+
+
+class TestHeapPolicy:
+    """`run_experiment` fixes glibc's mmap and trim thresholds once per
+    process, after the config is read; ctypes.CDLL is faked here."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        cli._fix_heap_policy.cache_clear()
+        yield
+        cli._fix_heap_policy.cache_clear()
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        lib, opened = FakeLibc(), []
+
+        def cdll(name):
+            opened.append(name)
+            return lib
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        lib.opened = opened
+        return lib
+
+    def run(self, tmp_path, verb, config):
+        out = tmp_path / verb
+        return cli.run_experiment({"kind": verb, **copy.deepcopy(config)}, str(out))
+
+    def test_mmap_threshold_then_trim_threshold(self, tmp_path, libc):
+        assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
+        assert libc.opened == [None]
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert libc.mallopt.restype is ctypes.c_int
+
+    def test_once_per_process_however_many_verbs_run(self, tmp_path, libc):
+        assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
+        assert self.run(tmp_path, "identities", IDENTITIES_CONFIG) == EXIT_OK
+        assert self.run(tmp_path, "symmetry", SYMMETRY_CONFIG) == EXIT_OK
+        assert libc.opened == [None]
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+    def test_no_trim_call_when_the_mmap_call_is_refused(self, tmp_path, libc):
+        libc.accepts = 0
+        assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
+        assert libc.calls == [(-3, 32 * 2**20)]
+
+    def test_a_bad_config_sets_nothing(self, tmp_path, libc):
+        with pytest.raises(cli.ConfigError, match="'T'"):
+            self.run(tmp_path, "simulate", changed(SIMULATE_CONFIG, T="1"))
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_library_no_call_and_no_error(self, tmp_path, monkeypatch, error):
+        def cdll(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
+
+    def test_no_mallopt_no_call_and_no_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK

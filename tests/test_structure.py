@@ -144,6 +144,16 @@ GUARDS = [
         ["src/mcflab/geometry.py"],
         "        gamma = partial(grid, det, 0)  # c_000 = d_0 g_00",
     ),
+    Guard(
+        "Only the CLI sets the allocator of the process",
+        r"\bmallopt\b|\bctypes\b",
+        [
+            f"src/mcflab/{p.name}"
+            for p in (ROOT / "src" / "mcflab").glob("*.py")
+            if p.name != "cli.py"
+        ],
+        "    ctypes.CDLL(None).mallopt(-3, 32 * 2**20)",
+    ),
 ]
 
 
