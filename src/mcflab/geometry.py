@@ -21,7 +21,9 @@ The m=2 kernel works in that order, too: it puts the ambient axis of X first
 in memory (free if X is laid out so, as the flow keeps its m=2 state), and
 the stencils, which keep their input's layout, return d_iX and d_i d_jX the
 same way, so every ambient product runs over whole contiguous grid arrays.
-Only the m=1 kernel works on X as it comes, grid first.  The covariant
+Only the m=1 kernel works on X as it comes, grid first.  Neither kernel
+writes a stencil out: both run the `grid` ones, the m=1 kernel on the tap
+windows of its one halo copy of X, which `grid` caches.  The covariant
 layer (`covariant_derivative`, `tensor_norm_sq`, `divergence`, `laplacian`)
 takes and returns grid-first fields and works components first inside; its
 one contraction, `contract_with_metric`, forms sum_b M[a, b] f[b] from whole
@@ -47,6 +49,9 @@ from .grid import (
     Immersion,
     NonFiniteImmersionError,
     ShapeError,
+    _curve_taps,
+    _first_from_taps,
+    _second_from_taps,
     first_nonfinite_node,
     partial,
     partial_and_second,
@@ -122,7 +127,7 @@ class KernelResult(NamedTuple):
     """One kernel evaluation: H, g and det g, plus the other pack fields as
     lists of grid-first components in pack index order (``dX[i]`` = d_i X,
     ``ginv`` over (i, j), ``gamma`` over (k, i, j), ``h`` over (i, j));
-    index-symmetric entries share one array; `pack_components` alone reads them.
+    index-symmetric entries share one array; `geometry_packs` alone reads them.
 
     At m=2 every field with component axes (``mean_curv``, ``metric`` and
     the entries of ``dX`` and ``h``) is the components_last view of a
@@ -170,18 +175,19 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     The fixed cost per call is kept low for the many small calls of a
     paired m=1 flow.  At m=2 one halo copy of X per axis gives d_iX and
     d_iiX (`partial_and_second`).  At m=1 the index loops are written out
-    as straight-line arithmetic on the one component of each field, and so
-    are the stencils, in the operation order of the `grid` ones: one
-    periodic halo copy of X, 2r deep (r = order / 2), gives d_0X and g_00
-    on the N + 2r nodes -r .. N + r - 1, and d_00X on the N nodes from its
-    middle, r-deep part; c_000 = d_0 g_00 is the first stencil over g_00's
-    own r-deep halo, so no second copy is made.  Each halo value is the
-    same arithmetic on the same numbers as at its periodic image, so the
-    bits are those of the `grid` stencils.  The loops' operations run in
-    their order, so the bits are those of the loops, but for c_000, which
-    the loops form as (d_0 g_00 + d_0 g_00) - d_0 g_00: that overflows to
-    inf where |d_0 g_00| > DBL_MAX / 2, and is d_0 g_00 to the bit
-    elsewhere.
+    as straight-line arithmetic on the one component of each field, and
+    the `grid` stencils run on one periodic halo copy of X, 2r deep
+    (r = order / 2), through the tap windows `grid` caches per (r, N): the
+    first stencil gives d_0X, and so g_00, on the N + 2r nodes
+    -r .. N + r - 1, the compact second one d_00X on the N nodes, and
+    c_000 = d_0 g_00 is the first stencil again over g_00's own r-deep
+    halo, so no second copy is made.  Each halo value is the same
+    arithmetic on the same numbers as at its periodic image, so the bits
+    are those of `partial` and `partial_and_second`.  The loops' operations
+    run in their order, so the bits are those of the loops, but for c_000,
+    which the loops form as (d_0 g_00 + d_0 g_00) - d_0 g_00: that
+    overflows to inf where |d_0 g_00| > DBL_MAX / 2, and is d_0 g_00 to
+    the bit elsewhere.
 
     Axes between the grid axes and the ambient axis (``batch``, possibly
     none) hold independent immersions on the same grid, such as the two
@@ -197,30 +203,10 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
         # the index loops below at m=1, and the grid stencils, on one halo
         # copy of X: pad[i + 2r] = X[i]; d and g hold nodes -r .. N + r - 1
         n, h, r = len(X), grid.spacing, grid.derivative_order // 2
-        if r == 1:
-            pad = np.concatenate((X[-2:], X, X[:2]))
-            d = np.subtract(pad[2:], pad[:-2])
-            d /= 2 * h
-            dd = np.add(X, X)
-            np.subtract(pad[3:-1], dd, out=dd)
-            dd += pad[1:-3]
-            dd /= h**2
-        else:
-            pad = np.concatenate((X[-4:], X, X[:4]))
-            d = np.multiply(pad[3:-1], 8.0)
-            d -= pad[4:]
-            s = np.multiply(pad[1:-3], 8.0)
-            d -= s
-            d += pad[:-4]
-            d /= 12 * h
-            dd = np.multiply(pad[5:-3], 16.0)
-            dd -= pad[6:-2]
-            s = np.multiply(X, 30.0)
-            dd -= s
-            np.multiply(pad[3:-5], 16.0, out=s)
-            dd += s
-            dd -= pad[2:-6]
-            dd /= 12 * h**2
+        tail, head, wide, middle, inner = _curve_taps(r, n)
+        pad = np.concatenate((X[tail], X, X[head]))
+        d = _first_from_taps(pad, wide, h)
+        dd = _second_from_taps(pad, middle, X, h)
         del pad
         p = d * d
         g = p[..., 0] + p[..., 1]
@@ -229,17 +215,8 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
         del p
         det, dX0 = g[r : r + n], d[r : r + n]
         _check_det(X, det, 1)
-        ginv = 1.0 / det
-        if r == 1:  # c_000 = d_0 g_00
-            gamma = np.subtract(g[2:], g[:-2])
-            gamma /= 2 * h
-        else:
-            gamma = np.multiply(g[3:-1], 8.0)
-            gamma -= g[4:]
-            s = np.multiply(g[1:-3], 8.0)
-            gamma -= s
-            gamma += g[:-4]
-            gamma /= 12 * h
+        ginv = np.reciprocal(det)  # 1.0 / det to the bit, without a scalar
+        gamma = _first_from_taps(g, inner, h)  # c_000 = d_0 g_00
         gamma *= ginv
         gamma *= 0.5
         dd -= gamma[..., None] * dX0
@@ -338,26 +315,6 @@ def stacked_kernel(states: list) -> KernelResult:
     return geometry_kernel(states[0].grid, batch_positions(states))
 
 
-def pack_components(k: KernelResult, b: int, names=None) -> list:
-    """(name, lead, components) of the named pack fields (all, in pack order,
-    if names is None) of batch member b of k: lead is the field's component
-    axes, components its grid arrays, views into k, in the row-major order
-    of a components-first copy, ambient axis first.  The one reader of
-    `KernelResult`; it builds the lists of the named fields only."""
-    m, A = len(k.dX), k.mean_curv.shape[-1]
-    R, RA = range(m), range(A)
-    fields = {  # each pack field's axes and the builder of its components
-        "first_derivs": ((A, m), lambda: [d[..., b, a] for a in RA for d in k.dX]),
-        "metric": ((m, m), lambda: [k.metric[..., b, i, j] for i in R for j in R]),
-        "inverse_metric": ((m, m), lambda: [g[..., b] for g in k.ginv]),
-        "det_metric": ((), lambda: [k.det[..., b]]),
-        "christoffels": ((m, m, m), lambda: [g[..., b] for g in k.gamma]),
-        "second_form": ((A, m, m), lambda: [h[..., b, a] for a in RA for h in k.h]),
-        "mean_curv": ((A,), lambda: [k.mean_curv[..., b, a] for a in RA]),
-    }
-    return [(name, fields[name][0], fields[name][1]()) for name in names or fields]
-
-
 def field_block(grid_shape: tuple, leads: list) -> tuple:
     """One fresh block ((n,) + grid) holding fields with component axes
     leads one after another, components first, and each field's
@@ -381,18 +338,31 @@ def geometry_packs(states: list, k: KernelResult | None = None) -> list:
     kernel evaluation k of them stacked on a batch axis (grid + (B,) + (A,)),
     as the fixed-step stream yields it, or from one call here if k is None.
 
-    Each pack is one `field_block` that its `pack_components` are copied
-    into, so it has the bytes, shape and strides of a single flow's whatever
-    the batch: a member's strided view would change the pairwise sums of
-    `induced_volume` and `cell_weight`.
+    The one reader of `KernelResult`: each pack is one `field_block` that
+    its member's grid arrays of k are copied into, field by field in pack
+    order, each field's in the row-major order of a components-first copy,
+    ambient axis first.  So a pack has the bytes, shape and strides of a
+    single flow's whatever the batch: a member's strided view would change
+    the pairwise sums of `induced_volume` and `cell_weight`.
     """
     if k is None:
         k = stacked_kernel(states)
+    m, A = len(k.dX), k.mean_curv.shape[-1]
+    R, RA = range(m), range(A)
+    leads = [(A, m), (m, m), (m, m), (), (m, m, m), (A, m, m), (A,)]  # pack order
     packs = []
     for b, imm in enumerate(states):
-        fields = pack_components(k, b)
-        block, views = field_block(imm.grid.shape, [lead for _, lead, _ in fields])
-        np.stack([c for _, _, parts in fields for c in parts], out=block)
+        components = [
+            *(d[..., b, a] for a in RA for d in k.dX),
+            *(k.metric[..., b, i, j] for i in R for j in R),
+            *(g[..., b] for g in k.ginv),
+            k.det[..., b],
+            *(g[..., b] for g in k.gamma),
+            *(h[..., b, a] for a in RA for h in k.h),
+            *(k.mean_curv[..., b, a] for a in RA),
+        ]
+        block, views = field_block(imm.grid.shape, leads)
+        np.stack(components, out=block)
         packs.append(GeometryPack(imm, *views))
     return packs
 

@@ -14,9 +14,9 @@ so a small call costs little beyond its arithmetic.
 One halo copy serves both stencils in `partial_and_second`, which returns
 d_i f and the compact d_ii f together, bit for bit equal to `partial` and
 the diagonal `second_partial`; the m=2 geometry kernel differentiates X
-with it.  The m=1 kernel writes the two stencils out on one halo copy of
-X, in the operation order of `_first_from_taps` and `_second_from_taps`;
-a test ties its every field bit for bit to a reference kernel built from
+with it.  The m=1 kernel runs the same stencils on the tap windows
+`_curve_taps` caches, so they are written here alone; a test ties its
+every field bit for bit to a reference kernel built from
 `partial_and_second` and `partial`.  None rolls the field with np.roll,
 which the tests keep as the reference of these three.
 """
@@ -24,6 +24,7 @@ which the tests keep as the reference of these three.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,6 +134,18 @@ def _halo_slices(axis: int, r: int, n: int) -> tuple:
     return at(slice(-r, None)), at(slice(None, r)), taps
 
 
+@lru_cache(maxsize=None)
+def _curve_taps(r: int, n: int) -> tuple:
+    """(tail, head, wide, middle, inner) of the m=1 geometry kernel's halo
+    copy of an n-node f, 2r deep (f[tail], f, f[head]): window k of wide
+    holds f[i + k - 2r] at its position i, of middle f[i + k - r]; inner
+    holds the `_halo_slices` taps that read an r-deep halo copy."""
+    _, _, inner = _halo_slices(0, r, n)
+    _, _, wide = _halo_slices(0, r, n + 2 * r)
+    middle = tuple(slice(s.start + r, s.stop + r) for s in inner)
+    return slice(-2 * r, None), slice(None, 2 * r), wide, middle, inner
+
+
 def _periodic_taps(f: np.ndarray, axis: int, r: int) -> tuple:
     """(pad, taps): the periodic halo copy of f along axis (its last r
     slices, f, its first r slices) and the `_halo_slices` indices of its tap
@@ -235,7 +248,7 @@ def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tupl
 
 @dataclass(frozen=True)
 class Immersion:
-    """Discretized closed immersion X: T^m -> R^(m+n) at one instant."""
+    """Discretized closed immersion X: T^m -> R^(m+n) at one finite time."""
 
     grid: GridSpec
     positions: np.ndarray  # shape grid.shape + (ambient_dim,)
@@ -255,6 +268,7 @@ class Immersion:
         if not np.all(np.isfinite(pos)):
             raise NonFiniteImmersionError(first_nonfinite_node(pos, self.grid.m))
         object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "time", _finite_time(self.time))
 
     @property
     def ambient_dim(self) -> int:
@@ -265,9 +279,15 @@ class Immersion:
         return self.ambient_dim - self.grid.m
 
     def with_positions(self, positions: np.ndarray, time=None) -> "Immersion":
-        return Immersion(
-            self.grid, positions, self.time if time is None else float(time)
-        )
+        return Immersion(self.grid, positions, self.time if time is None else time)
+
+
+def _finite_time(time) -> float:
+    """time as a Python float (as a header spells it); finite, or ValueError."""
+    t = float(time)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -376,9 +396,10 @@ def write_immersion(imm: Immersion, path_or_stream) -> None:
 def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
     """Read the `write_immersion` format strictly; rows may come in any order.
 
-    Raises CheckpointError for an unparsable header, rows of the wrong
-    width, a row count other than N^m, and multi-indices that are out of
-    range or repeated, so every node is read from exactly one row.  The
+    Raises CheckpointError for an unparsable header, a NaN or infinite
+    time among them, rows of the wrong width, a row count other than N^m,
+    and multi-indices that are out of range or repeated, so every node is
+    read from exactly one row.  The
     rows are parsed READ_BLOCK_ROWS lines at a time and scattered into the
     positions as they come, so besides the positions the reader holds one
     block's text and numbers and a count per node, never the file's.
@@ -392,7 +413,7 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
             if len(header) != 4:
                 raise ValueError("expected 4 fields")
             m, n, N = int(header[0]), int(header[1]), int(header[2])
-            t = float(header[3])
+            t = _finite_time(header[3])
             if n < 1:
                 raise ValueError(f"codimension must be >= 1, got {n}")
             grid = GridSpec(m, N, derivative_order)

@@ -11,7 +11,7 @@ directional derivative of the kernel along H (`geometry.kernel_rate`).
 (`flow.fixed_dt_stream`) to its center, which the stream hands over with
 its exact stamp and the kernel evaluation at it, builds that one pack and
 takes its rates, so no state's geometry is evaluated twice and no
-trajectory is stored; `geometry.pack_components` and `geometry.field_block`
+trajectory is stored; `geometry.geometry_packs` and `geometry.field_block`
 alone know the kernel's and the pack's layout.  One builder,
 `residual_report`, measures every residual tensor pointwise in the
 evolving induced metric g(t); per ambient-coordinate families contribute

@@ -79,7 +79,16 @@ class TestRejected:
             read_text("".join(lines))
 
     @pytest.mark.parametrize(
-        "header", ["", "2 1 eight 0.0\n", "2 1 8\n", "2 0 8 0.0\n", "3 1 8 0.0\n"]
+        "header",
+        [
+            "",
+            "2 1 eight 0.0\n",
+            "2 1 8\n",
+            "2 0 8 0.0\n",
+            "3 1 8 0.0\n",
+            "2 1 8 nan\n",
+            "2 1 8 inf\n",
+        ],
     )
     def test_unparsable_header(self, header):
         lines = torus_lines()
@@ -105,6 +114,19 @@ class TestAccepted:
         assert back.time == imm.time
         assert np.array_equal(back.positions, pos)
         assert np.signbit(back.positions[0, 0, 0])
+
+    def test_numpy_scalar_time_round_trips_as_a_float(self):
+        imm = Immersion(GridSpec(1, 8), np.ones((8, 2)), np.float64(0.25))
+        assert type(imm.time) is float
+        text = immersion_to_text(imm)
+        assert text.splitlines()[0] == "1 1 8 0.25"
+        back = read_text(text)
+        assert type(back.time) is float and back.time == 0.25
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_is_refused(self, time):
+        with pytest.raises(ValueError, match="time must be finite"):
+            Immersion(GridSpec(1, 8), np.ones((8, 2)), time)
 
     @pytest.mark.parametrize("time", [0.0, 0.2, 1000.0])
     @given(

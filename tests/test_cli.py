@@ -754,6 +754,24 @@ class TestSimulateVerb:
         err = capsys.readouterr().err
         assert err == "invalid configuration: non-finite position at node (5,)\n"
 
+    def test_non_finite_checkpoint_time_is_a_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "circle.txt"
+        write_immersion(shapes.circle(GridSpec(1, 16), 1.0), str(ckpt))
+        rows = ckpt.read_text().splitlines(keepends=True)
+        assert rows[0] == "1 1 16 0.0\n"
+        ckpt.write_text("".join(["1 1 16 nan\n"] + rows[1:]))
+        config = changed(
+            SIMULATE_CONFIG,
+            grid={"m": 1, "resolution": 16},
+            geometry={"kind": "checkpoint", "path": str(ckpt)},
+        )
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "checkpoint header '1 1 16 nan'" in err
+        assert "time must be finite" in err
+        assert not (out / "trajectory.csv").exists()
+
     def test_stalled_adaptive_flow_is_a_config_error(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -21,7 +21,6 @@ from mcflab.geometry import (
     geometry_packs,
     kernel_rate,
     laplacian,
-    pack_components,
     stacked_kernel,
     tensor_norm_sq,
     tensor_norm_sup,
@@ -662,27 +661,30 @@ class TestFieldBlock:
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("m, A", sorted(LAYOUT_MAKERS))
     def test_components_are_the_pack_fields_components_first(self, m, A, batch):
+        """Each pack field, components first, is its member's grid arrays of
+        the kernel in the order the `KernelResult` docstring gives, ambient
+        axis first, copied out of the kernel's memory."""
         imm = LAYOUT_MAKERS[m, A](2)
         states = [imm, shapes.low_mode_perturbation(imm, 1e-2, seed=5)][:batch]
         k = stacked_kernel(states)
         kernel_arrays = [a for f in k for a in (f if isinstance(f, list) else [f])]
+        R, RA = range(m), range(A)
         for b, pack in enumerate(geometry_packs(states, k)):
-            fields = pack_components(k, b)
-            assert [name for name, _, _ in fields] == list(PACK_FIELDS)
-            for name, lead, components in fields:
-                want = components_first(getattr(pack, name), len(lead))
-                assert want.shape == lead + imm.grid.shape
-                got = np.stack(components).reshape(want.shape)
-                assert_same_bytes(got, want)
-                for c in components:  # a view into k, not a copy
-                    assert any(np.shares_memory(c, a) for a in kernel_arrays), name
-            some = ("second_form", "metric")
-            by_name = {name: (lead, np.stack(c)) for name, lead, c in fields}
-            named = pack_components(k, b, some)
-            assert [name for name, _, _ in named] == list(some)
-            for name, lead, components in named:
-                assert lead == by_name[name][0]
-                assert_same_bytes(np.stack(components), by_name[name][1])
+            fields = {  # each pack field's component axes and components in k
+                "first_derivs": ((A, m), [d[..., b, a] for a in RA for d in k.dX]),
+                "metric": ((m, m), [k.metric[..., b, i, j] for i in R for j in R]),
+                "inverse_metric": ((m, m), [g[..., b] for g in k.ginv]),
+                "det_metric": ((), [k.det[..., b]]),
+                "christoffels": ((m, m, m), [g[..., b] for g in k.gamma]),
+                "second_form": ((A, m, m), [h[..., b, a] for a in RA for h in k.h]),
+                "mean_curv": ((A,), [k.mean_curv[..., b, a] for a in RA]),
+            }
+            assert list(fields) == list(PACK_FIELDS)
+            for name, (lead, components) in fields.items():
+                got = components_first(getattr(pack, name), len(lead))
+                assert got.shape == lead + imm.grid.shape
+                assert_same_bytes(got, np.stack(components).reshape(got.shape))
+                assert not any(np.shares_memory(got, a) for a in kernel_arrays), name
 
 
 # the pack fields whose d/dt `kernel_rate` returns, in its order

@@ -12,6 +12,7 @@ from mcflab.grid import (
     InvalidAxisError,
     ShapeError,
     SymmetryAction,
+    _curve_taps,
     apply_symmetry,
     partial,
     partial_and_second,
@@ -236,6 +237,31 @@ class TestPartialAndSecond:
     def test_invalid_axis(self):
         with pytest.raises(InvalidAxisError):
             partial_and_second(GridSpec(1, 8), np.ones(8), 1)
+
+
+class TestCurveTaps:
+    """The tap windows the m=1 geometry kernel reads off its one halo copy
+    of X, 2r deep, and off g_00's r-deep halo, checked on node indices."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("N", [8, 13, 64])
+    def test_windows_hold_the_periodic_neighbours(self, r, N):
+        tail, head, wide, middle, inner = _curve_taps(r, N)
+        f = np.arange(N)
+        pad = np.concatenate((f[tail], f, f[head]))
+        assert len(pad) == N + 4 * r
+        i = np.arange(N + 2 * r)
+        halo = np.concatenate((f[-r:], f, f[:r]))  # any r-deep halo of N nodes
+        for taps in (wide, middle, inner):
+            assert len(taps) == 2 * r + 1
+        for k in range(2 * r + 1):
+            assert np.array_equal(pad[wide[k]], (i + k - 2 * r) % N)
+            assert np.array_equal(pad[middle[k]], (i[:N] + k - r) % N)
+            assert np.array_equal(halo[inner[k]], (i[:N] + k - r) % N)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_built_once_per_radius_and_size(self, r):
+        assert _curve_taps(r, 32) is _curve_taps(r, 32)
 
 
 class TestPartialIntoOut:

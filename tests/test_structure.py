@@ -145,6 +145,15 @@ GUARDS = [
         "        gamma = partial(grid, det, 0)  # c_000 = d_0 g_00",
     ),
     Guard(
+        "Only grid holds stencil weights",
+        r"\b(8|16|30)\.0\b|12 \* h",
+        [
+            f"src/mcflab/{m}.py"
+            for m in ("geometry", "identities", "differences", "flow", "shapes")
+        ],
+        "            d = np.multiply(pad[3:-1], 8.0)",
+    ),
+    Guard(
         "Only the CLI sets the allocator of the process",
         r"\bmallopt\b|\bctypes\b",
         [
