@@ -27,10 +27,11 @@ windows of its one halo copy of X, which `grid` caches.  The covariant
 layer (`covariant_derivative`, `tensor_norm_sq`, `divergence`, `laplacian`)
 takes and returns grid-first fields and works components first inside; its
 one contraction, `contract_with_metric`, forms sum_b M[a, b] f[b] from whole
-grid arrays.  A grid-first view of a components-first array converts back
-without a copy, so chained calls copy nothing; any other input is copied
-once on entry.  No function of the package calls einsum: the einsum
-formulations are the bitwise references in tests/test_geometry.py.
+grid arrays with the one loop of `sum_of_products`.  A grid-first view of a
+components-first array converts back without a copy, so chained calls copy
+nothing; any other input is copied once on entry.  No function of the
+package calls einsum: the einsum formulations are the bitwise references in
+tests/test_geometry.py.
 """
 
 from __future__ import annotations
@@ -437,25 +438,18 @@ def contract_with_metric(
     components-first per-node matrix field (m, m) + grid.
 
     out[..., a, ...] = sum_b M[a, b] f[..., b, ...] along `axis`, counted
-    from the front; each M[a, b] is one grid array, broadcast over the other
-    component axes.  The sum over b runs in index order into a fresh
-    components-first output; the einsum "...ab,...b->...a" on the grid-first
+    from the front, is the `sum_of_products` in index order of the columns
+    M[:, b], with unit axes for the axes after `axis`, and the slabs
+    f[..., b:b+1, ...]; the einsum "...ab,...b->...a" on the grid-first
     layout, kept as the reference in tests/test_geometry.py, gives the same
     bits except for the sign of exact zeros.
     """
     lead = (slice(None),) * axis
-    out = np.empty(field_arr.shape, np.result_type(M, field_arr))
-    scratch = None
-    m = len(M)
-    for a in range(m):
-        o = out[lead + (a,)]
-        np.multiply(M[a, 0], field_arr[lead + (0,)], out=o)
-        for b in range(1, m):
-            if scratch is None:
-                scratch = np.empty(o.shape, o.dtype)
-            np.multiply(M[a, b], field_arr[lead + (b,)], out=scratch)
-            o += scratch
-    return out
+    column = (len(M),) + (1,) * (field_arr.ndim - axis - M.ndim + 1) + M.shape[2:]
+    return sum_of_products(
+        (M[:, b].reshape(column), field_arr[lead + (slice(b, b + 1),)])
+        for b in range(len(M))
+    )
 
 
 def tensor_norm_sq(
@@ -539,7 +533,8 @@ def laplacian(field_arr: np.ndarray, geom: GeometryPack, index_spec: str):
 
 
 def sum_of_products(pairs) -> np.ndarray:
-    """sum_k x_k * y_k over an iterable of (x_k, y_k) array pairs.
+    """sum_k x_k * y_k over an iterable of (x_k, y_k) array pairs: the
+    shared loop that sums products of components.
 
     Each pair broadcasts to the output's shape.  The products are added in
     the order given into one fresh output, each before the next pair is
@@ -671,9 +666,9 @@ def kernel_rate(geom: GeometryPack) -> list:
     diagonal, the first one twice off it.  The Christoffel rate is the
     derivative of g^kl c_lij / 2, whose g^-1 term (g^-1)' c / 2 = -g^-1 g'
     g^-1 c / 2 is -g^-1 g' Gamma.  The loops run over whole grid arrays,
-    components first, as the m=2 kernel's do; d_iH comes from the stencil
-    that `covariant_derivative` applies to H, so it is its gradient to the
-    bit.
+    components first, as the m=2 kernel's do; `contract_with_metric` raises
+    c'/2 - g' Gamma.  d_iH comes from the stencil that
+    `covariant_derivative` applies to H, so it is its gradient to the bit.
     """
     grid, m = geom.grid, geom.grid.m
     R = range(m)
@@ -718,24 +713,16 @@ def kernel_rate(geom: GeometryPack) -> list:
             q[l] *= 0.5
             for p in R:
                 q[l] -= np.multiply(dg[l, p], gamma[p, i, j], out=sc)
-        for k in R:
-            np.multiply(ginv[k, 0], q[0], out=dgamma[k, i, j])
-            for l in range(1, m):
-                dgamma[k, i, j] += np.multiply(ginv[k, l], q[l], out=sc)
-            if i != j:
-                dgamma[k, j, i] = dgamma[k, i, j]
+        dgamma[:, i, j] = contract_with_metric(q, ginv, 0)
+        if i != j:
+            dgamma[:, j, i] = dgamma[:, i, j]
     del dG, q
 
-    corr, tmp = np.empty((2, A) + grid.shape)
     for i, j in pairs:
         # sum_k (d/dt Gamma^k_ij) d_kX^a + Gamma^k_ij d_kH^a
-        terms = [
+        dh[:, i, j] -= sum_of_products(
             (c[k, i, j], F[:, k]) for c, F in ((dgamma, X), (gamma, dX)) for k in R
-        ]
-        np.multiply(*terms[0], out=corr)
-        for c, F in terms[1:]:
-            corr += np.multiply(c, F, out=tmp)
-        dh[:, i, j] -= corr
+        )
         if i != j:
             dh[:, j, i] = dh[:, i, j]
     return rates

@@ -396,10 +396,11 @@ def write_immersion(imm: Immersion, path_or_stream) -> None:
 def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
     """Read the `write_immersion` format strictly; rows may come in any order.
 
-    Raises CheckpointError for an unparsable header, a NaN or infinite
-    time among them, rows of the wrong width, a row count other than N^m,
-    and multi-indices that are out of range or repeated, so every node is
-    read from exactly one row.  The
+    Raises CheckpointError for text that is not UTF-8, an unparsable
+    header, a NaN or infinite time or a grid too large to allocate among
+    them, rows of the wrong width, a row count other than N^m, and
+    multi-indices that are out of range or repeated, so every node is read
+    from exactly one row.  The
     rows are parsed READ_BLOCK_ROWS lines at a time and scattered into the
     positions as they come, so besides the positions the reader holds one
     block's text and numbers and a count per node, never the file's.
@@ -407,7 +408,7 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
     own = isinstance(path_or_stream, (str, bytes, os.PathLike))
     stream = open(path_or_stream) if own else path_or_stream
     try:
-        header_line = stream.readline()
+        (header_line,) = _read_lines(stream, 1, "header") or [""]
         header = header_line.split()
         try:
             if len(header) != 4:
@@ -417,11 +418,12 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
             if n < 1:
                 raise ValueError(f"codimension must be >= 1, got {n}")
             grid = GridSpec(m, N, derivative_order)
-        except ValueError as exc:
+            pos = np.empty(grid.shape + (m + n,))  # too big to index: ValueError
+        except (ValueError, MemoryError) as exc:
             raise CheckpointError(
-                f"checkpoint header {header_line.strip()!r} is not `m n N t`: {exc}"
+                f"checkpoint header {header_line.strip()!r} is not `m n N t` "
+                f"of a grid that can be allocated: {exc}"
             ) from exc
-        pos = np.empty(grid.shape + (m + n,))
         _read_rows(stream, grid, pos.reshape(-1, m + n))
     finally:
         if own:
@@ -431,15 +433,15 @@ def read_immersion(path_or_stream, derivative_order: int = 2) -> Immersion:
 
 def _read_rows(stream, grid: GridSpec, flat_pos: np.ndarray) -> None:
     """Scatter the rows of stream into flat_pos, one row per node in C
-    order.  A parse error or a block of the wrong width is raised at once;
-    once every row is read, the row count, then the first out-of-range
-    multi-index in file order, then the first node in C order that two rows
-    name."""
+    order.  Text that is not UTF-8, a parse error or a block of the wrong
+    width is raised at once; once every row is read, the row count, then the
+    first out-of-range multi-index in file order, then the first node in C
+    order that two rows name."""
     m, N = grid.m, grid.resolution
     width = m + flat_pos.shape[1]
     counts = np.zeros(grid.num_nodes, dtype=np.intp)
     n_rows, bad = 0, None  # rows read; the first out-of-range multi-index
-    while block := list(itertools.islice(stream, READ_BLOCK_ROWS)):
+    while block := _read_lines(stream, READ_BLOCK_ROWS, f"block after {n_rows} rows"):
         if not any(map(str.strip, block)):  # blank lines only: loadtxt warns
             continue
         try:
@@ -476,6 +478,15 @@ def _read_rows(stream, grid: GridSpec, flat_pos: np.ndarray) -> None:
         raise CheckpointError(
             f"checkpoint has duplicate multi-index {_index_text(node)}"
         )
+
+
+def _read_lines(stream, n: int, what: str) -> list:
+    """The next n lines of stream, a CheckpointError naming `what` if they
+    are not UTF-8 (a text stream decodes a chunk ahead of its lines)."""
+    try:
+        return list(itertools.islice(stream, n))
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8: {exc}") from exc
 
 
 def _index_text(index) -> str:

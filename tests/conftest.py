@@ -243,6 +243,29 @@ def check_at(check, traj: FlowTrajectory, c: int = 2):
     return check(packs[2], rate, traj.sample_step)
 
 
+# headers whose grid the checkpoint reader cannot allocate: numpy refuses
+# the first shape before it allocates; a test of the second takes the
+# `refused_allocation` fixture, so that nothing that large is allocated
+UNALLOCATABLE_HEADERS = {
+    "too-big-to-index": "2 1 10000000000 0.0\n",
+    "out-of-memory": "2 1 1000000 0.0\n",
+}
+
+
+@pytest.fixture
+def refused_allocation(monkeypatch):
+    """np.empty failing with MemoryError, as numpy does, for any request
+    above 1 GiB; nothing that large is allocated."""
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) * 8 > 2**30:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+
+
 @pytest.fixture
 def circle_grid():
     return GridSpec(1, 64)

@@ -5,6 +5,7 @@ reader parses one block of rows at a time, and where its blocks end changes
 neither what it reads nor what it rejects."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mcflab.grid import (
     write_immersion,
 )
 
-from conftest import rowwise_checkpoint_text, traced_peak
+from conftest import UNALLOCATABLE_HEADERS, rowwise_checkpoint_text, traced_peak
 
 
 def immersion_to_text(imm):
@@ -37,6 +38,12 @@ def torus_lines(N=8):
 
 def read_text(text):
     return read_immersion(io.StringIO(text))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """read_immersion parsing 5 lines per block, so an N=8 file spans many."""
+    monkeypatch.setattr(grid, "READ_BLOCK_ROWS", 5)
 
 
 class TestRejected:
@@ -98,6 +105,33 @@ class TestRejected:
     def test_header_only(self):
         with pytest.raises(CheckpointError, match="0 rows, expected 64"):
             read_text(torus_lines()[0])
+
+    @pytest.mark.parametrize("case", sorted(UNALLOCATABLE_HEADERS))
+    def test_grid_that_cannot_be_allocated(self, case, request):
+        if case == "out-of-memory":
+            request.getfixturevalue("refused_allocation")
+        header = UNALLOCATABLE_HEADERS[case]
+        with pytest.raises(CheckpointError) as info:
+            read_text(header + "".join(torus_lines()[1:]))
+        assert f"checkpoint header {header.strip()!r}" in str(info.value)
+        assert "a grid that can be allocated" in str(info.value)
+
+    def test_header_that_is_not_utf8(self):
+        data = np.random.default_rng(0).bytes(3000)
+        with pytest.raises(CheckpointError, match="header is not UTF-8"):
+            read_immersion(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+    @pytest.mark.usefixtures("small_blocks")
+    def test_rows_that_are_not_utf8_name_their_block(self):
+        lines = torus_lines(32)
+        lines[600] = lines[600][:-2] + "\udcff\n"
+        data = "".join(lines).encode("utf-8", "surrogateescape")
+        with pytest.raises(CheckpointError, match="is not UTF-8") as info:
+            read_immersion(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        # the stream decodes one chunk (8 KiB, some 140 rows) ahead of the
+        # rows it hands out
+        (after,) = re.findall(r"^checkpoint block after (\d+) rows", str(info.value))
+        assert 400 < int(after) < 600
 
 
 class TestAccepted:
@@ -210,12 +244,6 @@ class TestWriter:
         _, peak = traced_peak(write_immersion, imm, path)
         assert peak < 0.25 * 2**20
         assert path.read_text() == rowwise_checkpoint_text(imm)
-
-
-@pytest.fixture
-def small_blocks(monkeypatch):
-    """read_immersion parsing 5 lines per block, so an N=8 file spans many."""
-    monkeypatch.setattr(grid, "READ_BLOCK_ROWS", 5)
 
 
 @pytest.mark.usefixtures("small_blocks")

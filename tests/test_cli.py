@@ -43,7 +43,12 @@ from mcflab.grid import (
 )
 from mcflab.identities import ANCHORS
 
-from conftest import paired_center, run_paired_fixed_dt, traced_peak
+from conftest import (
+    UNALLOCATABLE_HEADERS,
+    paired_center,
+    run_paired_fixed_dt,
+    traced_peak,
+)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -770,6 +775,30 @@ class TestSimulateVerb:
         err = capsys.readouterr().err
         assert "checkpoint header '1 1 16 nan'" in err
         assert "time must be finite" in err
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("case", sorted(UNALLOCATABLE_HEADERS) + ["not-utf8"])
+    def test_unreadable_checkpoint_header_is_a_config_error(
+        self, tmp_path, capsys, request, case
+    ):
+        """A grid too large to allocate, or bytes that are not UTF-8, exit 2
+        with an error that names the checkpoint header."""
+        if case == "out-of-memory":
+            request.getfixturevalue("refused_allocation")
+        ckpt = tmp_path / "checkpoint.txt"
+        if case == "not-utf8":
+            ckpt.write_bytes(np.random.default_rng(1).bytes(3000))
+        else:
+            ckpt.write_text(UNALLOCATABLE_HEADERS[case])
+        config = changed(
+            SIMULATE_CONFIG,
+            grid={"m": 2, "resolution": 16},
+            geometry={"kind": "checkpoint", "path": str(ckpt)},
+        )
+        code, out = run_cli(tmp_path, "simulate", config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: checkpoint header ")
         assert not (out / "trajectory.csv").exists()
 
     def test_stalled_adaptive_flow_is_a_config_error(

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -703,6 +704,74 @@ class TestKernelRate:
         "product-torus": lambda o: shapes.product_torus(GridSpec(2, 16, o), 1.0, 0.7),
     }
 
+    # sha256 of the C-order bytes of each field of `kernel_rate`, in
+    # RATE_FIELDS order, for every maker at orders 2 and 4: the bytes before
+    # its sums went through `contract_with_metric` and `sum_of_products`.
+    # Each field is elementwise arithmetic on the pack with no reduction, so
+    # its bytes do not depend on the SIMD width of that arithmetic.
+    RATE_PINS = {
+        ("m1-codim1", 2): (
+            "e335fd0a5ad33c9b5f120f796f2520f7f7bc0e95c098463e05ac06a51fd1930c",
+            "08b10aac2ac2ac9d8edcc9c7348a523fee02971439502f8b0b53fedb18cc94bb",
+            "73f3b4f20e05e6ac03691cd634e7a8441c58d47fd7cdd89fefe3b8bbdda0bcec",
+            "bbd03e526447cb7639a79470f755e1d4dc397833781b3970ad59913766a58769",
+        ),
+        ("m1-codim1", 4): (
+            "1e53ea916b51c88e4d5e48d8072de43a52d64e8c55988015c5a7c433c65a50de",
+            "3f6251fd9e8863ea9106e958832d94acf7d26f3b21969913c4bd300ada1a7c43",
+            "cd146c4e5129a909afa600273a5c535039c5e4eb9660bf4f705cc87ddb5c3949",
+            "9aea5b15a150949e6887d3c9f9af482d9ac24490fc482525ea7038add9d85ae3",
+        ),
+        ("m1-codim2", 2): (
+            "73d70ce275979b02cb584bce717fa58cbc92c899682621bf7b101a0620faf3f0",
+            "4888d0c8838ef8c6966c9e7e4330a153d097ceba04fc2332f20c242a149d767a",
+            "d58dbc5602fd0f2d7b8fe8c65e2b8dae13a0e57807572b9acb4375f321f8cf10",
+            "0075e011c2b58e4cfd21bccd8feea00d37c018b3ba2925645e57fdc89c11912d",
+        ),
+        ("m1-codim2", 4): (
+            "3cd3e5b2cfbf4daf7a97f62ac6e2b6d94b1933fbc36e85942d87f6d376dd9069",
+            "f14b9e1a19528f94885085024c6a4805740a0578ce32401b78a33ebeb4f50dbe",
+            "61441c12d8b1caba57be4d21c43f8aa2a5b11d8faa588c541895ace598f2c870",
+            "edd188122d655562fb96f0a650a3cb66e872899e04f1a62e4bac0e8e78bff950",
+        ),
+        ("m2-codim1", 2): (
+            "de1350af70d9962dcd11fb6191867d0534d28404418dff99190090bdff5ac479",
+            "119d9cbeefa4f514fb4f7259b2f9143156fcce920c71d1c6b1fd5058c684685f",
+            "c20c0be4bfd9110e3b892c4b9f04b2e0e1a35c1ecf6e57da10a7f8f0df956de6",
+            "2e15fec975767835beca1b94d60acae75b5b2bd6af06417a447a2a1fc668dcd9",
+        ),
+        ("m2-codim1", 4): (
+            "ddb81d6c5b5f85628ded39e5040d9b5e75ed87922affb6cde7697456c87b80ba",
+            "aa573fca7da0659b02387d2717b735b9424f63c4b7d8397e21c25b3a71b90740",
+            "c4cf2ea618e4e9b42ada8448224da4d535ee075cbe07a7eca5380e8d1decf046",
+            "13bc4e0d3c7e4cef7689dc35fa535cbec6d18160a3db14b6afb0f3fff193aabc",
+        ),
+        ("m2-codim2", 2): (
+            "38661adf6f0e64745c63e9fed33259b7da4e52d4dc68a9aa44247f51c04fa369",
+            "63d2d4297356542276b6baf940d6f30528b573ce71918bf216aef381b5ba611a",
+            "e6d18a1ecea6d121bbdae9e3954292330aac82683431fa086a836643fe8c0434",
+            "881fd655ec41c1c7f38299022473c447e7e37089dcafd5dfd1d102756637c68f",
+        ),
+        ("m2-codim2", 4): (
+            "b6d62c4aaa5af190a9e5534692493664fcfcb0985cd0f25a36427f474b649b1f",
+            "83403401c6d779731d65aa5c4dabe227178288e42c80a5075949835449913613",
+            "887ac48604070a2eadec4b2f5499dc1b5194d4df1a0eff852d00fafcc49b8236",
+            "49efc6faa11a78b1fb1a032a397925bd4e9e9bfcbe66008f0192e39fc580ab32",
+        ),
+        ("product-torus", 2): (
+            "d9b8c76e22bd1584042c75b07ebc318f6e11608c2a8db08b455794f126c8b6c8",
+            "c6bd87834e3008bf5d7eb038a7d22127f432c883593c2dda3cf432e4d16b4712",
+            "5fc5406fc6f334595e1d196c5cd5e4230f5107ff2dd80abb4b59be7f64fa9d0d",
+            "1e1e320f0cffb557f2c4d163b210f0146cadcaefc18070dfcdafdc6e7cfab059",
+        ),
+        ("product-torus", 4): (
+            "018b786da69c0ef7e8e7cb2af4dcf4c31061c9ee3c932c50f8d37a65460299aa",
+            "3d0730d150e66af500551ae4af9902393d260e6910869dd4b9b812bd15da9462",
+            "56a08a4317295e7d5f754df1c1e8a89e7cc8bdd5bf89c6dea18b9a61f7476158",
+            "a6b6c7beefd3ba05da57a4cd92085a09d5d29309c1d3046418a92c3479892597",
+        ),
+    }
+
     @staticmethod
     def central_difference(imm, eps):
         H = compute_geometry(imm).mean_curv
@@ -724,6 +793,15 @@ class TestKernelRate:
             want = (4 * f - c) / 3
             scale = max(np.abs(want).max(), 1e-3)
             assert np.abs(rate - want).max() <= 1e-8 * scale, field
+
+    @pytest.mark.parametrize("maker, order", sorted(RATE_PINS))
+    def test_fields_are_pinned_to_the_bit(self, maker, order):
+        rates = kernel_rate(compute_geometry(self.MAKERS[maker](order)))
+        got = [
+            hashlib.sha256(np.ascontiguousarray(r).tobytes()).hexdigest()
+            for r in rates
+        ]
+        assert got == list(self.RATE_PINS[maker, order])
 
     @pytest.mark.parametrize("maker", sorted(REFERENCE_MAKERS))
     def test_position_gradient_rate_is_the_gradient_of_H(self, maker):
@@ -988,6 +1066,46 @@ class TestCovariantLayerAgainstEinsum:
                 layer(view, geom, spec), layer(np.ascontiguousarray(view), geom, spec)
             ):
                 assert np.array_equal(got, want), name
+
+
+class TestContractionOutput:
+    """`contract_with_metric` hands back a fresh C-contiguous array of the
+    field's shape and result type, and holds no more than the two arrays of
+    `sum_of_products` (its output and one scratch) while it runs, beside
+    the buffers of np.getbufsize() elements that numpy's ufunc iterator may
+    take for each of a broadcast product's two inputs.  The grids are fine
+    enough that a third field-sized array would break the bound."""
+
+    GEOMS = {
+        1: lambda: compute_geometry(shapes.ellipse(GridSpec(1, 8192), 1.5, 1.0)),
+        2: lambda: compute_geometry(
+            shapes.perturbed_torus(GridSpec(2, 64), 1.0, 0.6, 0.2)
+        ),
+    }
+
+    @pytest.fixture(params=[1, 2], ids=["m1", "m2"])
+    def geom(self, request):
+        return self.GEOMS[request.param]()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s])
+    def test_a_fresh_contiguous_array(self, geom, spec, dtype):
+        m = geom.grid.m
+        n_comp = 1 + len(spec)
+        rng = np.random.default_rng(19)
+        f = rng.standard_normal((4,) + (m,) * len(spec) + geom.grid.shape)
+        f = f.astype(dtype)
+        gamma0 = components_first(geom.christoffels, 3)[:, 0]  # [k, p]
+        for M in (components_first(geom.metric, 2), gamma0.swapaxes(0, 1)):
+            for axis in range(1, n_comp):
+                out, peak = traced_peak(contract_with_metric, f, M, axis)
+                assert out.shape == f.shape
+                assert out.dtype == np.result_type(M, f)
+                assert out.flags.c_contiguous and out.flags.owndata
+                assert not np.shares_memory(out, f)
+                assert not np.shares_memory(out, M)
+                buffers = 2 * np.getbufsize() * out.itemsize
+                assert peak <= 2 * out.nbytes + buffers + 64 * 2**10, (axis, peak)
 
 
 class TestDivergenceOneSlab:

@@ -154,6 +154,12 @@ GUARDS = [
         "            d = np.multiply(pad[3:-1], 8.0)",
     ),
     Guard(
+        "One loop sums products of components",
+        r"np\.multiply\(M\[a,",
+        ["src/mcflab/*.py"],
+        "        np.multiply(M[a, 0], field_arr[lead + (0,)], out=o)",
+    ),
+    Guard(
         "Only the CLI sets the allocator of the process",
         r"\bmallopt\b|\bctypes\b",
         [
