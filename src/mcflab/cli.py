@@ -23,6 +23,18 @@ a `convergence` run at N = 32, 64, 128 takes about a quarter of the minor
 page faults.  No number changes.  This module is the one place that sets
 the allocator: the library layers leave it to their caller.
 
+The ufunc buffer: `run_experiment` runs each verb with numpy's ufunc buffer
+at UFUNC_BUFSIZE = 1024 elements and puts the caller's value back when the
+verb returns or raises.  numpy's ufunc iterator copies an operand through
+its buffer (8192 elements by default) whenever the operand's contiguous run
+is shorter than the buffer, and the lab's hot operands have such runs: the
+m=2 stencil tap windows, and the components of a covariant field at m=2,
+N=32 (N^2 = 1024 nodes).  With a buffer no longer than those runs the same
+operations run in the same order on the operands themselves, so no number
+changes.  (The axis-1 tap windows of the m=2 stencils, runs of N times the
+batch, still go through it.)  As with the allocator, this module is the one
+place that sets the buffer.
+
 Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
 precondition, 3 numerical blow-up.
 """
@@ -70,6 +82,10 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+# numpy's ufunc buffer, in elements, while a verb runs: no longer than the
+# contiguous runs of the hot operands, so the iterator does not copy them
+UFUNC_BUFSIZE = 1024
 
 # The version of the report files' layout and numbers, written in every
 # manifest.  Format 2: the identity suite takes its evolution rates exactly
@@ -134,6 +150,8 @@ def _positive(kind):
 
 
 _pair = _bounded(_floats, lambda v: len(v) == 2, "need 2 entries")  # centre, radii
+# tolerances; not (0).__le__, whose NotImplemented for a float reads as true
+_non_negative = _bounded(_real, lambda x: x >= 0, "must not be negative")
 _resolution = _bounded(_integer, lambda n: n >= 8, "must be at least 8")  # as GridSpec
 
 # Each table maps a key to (kind, default): kind converts the JSON value, or is
@@ -519,7 +537,9 @@ SCHEMA = ("kind", {
     "identities": (run_identities, {
         **COMMON,
         "dt": (_positive(_real), OPTIONAL),
-        "thresholds": ({name: (_real, OPTIONAL) for name in THRESHOLD_COEFFS}, {}),
+        "thresholds": (
+            {name: (_non_negative, OPTIONAL) for name in THRESHOLD_COEFFS}, {}
+        ),
     }),
     "diff-system": (run_diff_system, {
         **COMMON,
@@ -546,7 +566,7 @@ SCHEMA = ("kind", {
         }, {}),
         "steps": (_positive(_integer), 2000),
         "record_every": (_positive(_integer), 10),
-        "tolerance": (_real, 1e-10),
+        "tolerance": (_non_negative, 1e-10),
         "dt": (_positive(_real), None),
     }),
     "convergence": (run_convergence, {
@@ -587,7 +607,9 @@ def run_experiment(config: dict, out_dir: str) -> int:
     Before the first verb of the process runs, the allocator's mmap and trim
     thresholds are fixed (`_fix_heap_policy`), so a verb's grid arrays come
     from the heap and stay faulted in from its first call on, not only after
-    glibc's dynamic thresholds have risen; see the module docstring."""
+    glibc's dynamic thresholds have risen.  The verb runs with numpy's ufunc
+    buffer at UFUNC_BUFSIZE elements, and the caller's buffer size is back
+    when it returns or raises; see the module docstring."""
     # before the read, as either source of the second flow may be malformed
     if {"geometry_b", "perturbation"} <= config.keys():
         raise ConfigError(
@@ -599,7 +621,11 @@ def run_experiment(config: dict, out_dir: str) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
     _fix_heap_policy()
-    return run(out_dir)
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        return run(out_dir)
+    finally:
+        np.setbufsize(old)
 
 
 def _anchor_table() -> str:

@@ -1789,6 +1789,37 @@ class TestConfigValidation:
         assert err.startswith("invalid configuration:") and key in err
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("verb, values, key", [
+        ("symmetry", {"tolerance": -1.0}, "'tolerance'"),
+        ("identities", {"thresholds": {"gauss_cross_check": -1e-300}},
+         "'gauss_cross_check'"),
+    ])
+    def test_negative_bound_exits_2_before_any_step(
+        self, tmp_path, capsys, monkeypatch, verb, values, key
+    ):
+        """A negative bound fails every pass, so it is a config error, not
+        a verdict: no kernel is evaluated."""
+        calls = []
+        for module in (geometry, flow):
+            monkeypatch.setattr(module, "geometry_kernel", lambda *a: calls.append(a))
+        code, out = run_cli(tmp_path, verb, changed(BASE_CONFIGS[verb], **values))
+        assert code == EXIT_CONFIG and not calls
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert key in err and "must not be negative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, key, value", [
+        ("symmetry", "tolerance", 0.0),
+        ("identities", "thresholds", {"evolve_metric": 0.0}),
+    ])
+    def test_a_zero_bound_is_a_verdict(self, tmp_path, verb, key, value):
+        """0 is a valid bound: the pass runs, and its rounding-level
+        defect or residual fails it."""
+        code, out = run_cli(tmp_path, verb, changed(BASE_CONFIGS[verb], **{key: value}))
+        assert code == EXIT_ASSERTION
+        assert "FAIL" in (out / "summary.txt").read_text()
+
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "identities", [IDENTITIES_CONFIG])
         assert code == EXIT_CONFIG
@@ -1907,6 +1938,8 @@ KEY_BAD = {
     "axes": [[5], [-1]],
     "steps": [0, flow.MAX_STEPS + 1],
     "record_every": [0],
+    "tolerance": [-1.0],
+    **{name: [-1e-300] for name in cli.THRESHOLD_COEFFS},
     "resolutions": [[], [16, 32], [0, 0, 0], [-16, -32, -64], [16, 33, 64]],
 }
 
@@ -2185,6 +2218,11 @@ class TestTopLevel:
         assert "simulate" in capsys.readouterr().out
 
 
+def run_in_process(out, verb, config):
+    """The exit code of `run_experiment` on a copy of the verb's config."""
+    return cli.run_experiment({"kind": verb, **copy.deepcopy(config)}, str(out))
+
+
 class FakeLibc:
     """A C library whose mallopt records its calls and returns `accepts`;
     like a ctypes function, mallopt takes `argtypes` and `restype`."""
@@ -2222,8 +2260,7 @@ class TestHeapPolicy:
         return lib
 
     def run(self, tmp_path, verb, config):
-        out = tmp_path / verb
-        return cli.run_experiment({"kind": verb, **copy.deepcopy(config)}, str(out))
+        return run_in_process(tmp_path / verb, verb, config)
 
     def test_mmap_threshold_then_trim_threshold(self, tmp_path, libc):
         assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
@@ -2260,3 +2297,141 @@ class TestHeapPolicy:
     def test_no_mallopt_no_call_and_no_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
         assert self.run(tmp_path, "simulate", SIMULATE_CONFIG) == EXIT_OK
+
+
+class TestUfuncBufferPolicy:
+    """`run_experiment` runs the verb with numpy's ufunc buffer at
+    cli.UFUNC_BUFSIZE elements, and the caller's buffer size is back however
+    the verb ends."""
+
+    CALLER = 4096
+
+    @pytest.fixture(autouse=True)
+    def caller_buffer(self):
+        old = np.setbufsize(self.CALLER)
+        yield
+        np.setbufsize(old)
+
+    def spy(self, monkeypatch, name):
+        """The buffer sizes that cli.<name>, the verb's layer call, sees."""
+        seen, layer = [], getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return layer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, call)
+        return seen
+
+    def run(self, tmp_path, verb, config):
+        return run_in_process(tmp_path / verb, verb, config)
+
+    @pytest.mark.parametrize("verb, layer", [
+        ("simulate", "adaptive_stream"),
+        ("identities", "identity_suite"),
+        ("diff-system", "paired_pass"),
+        ("symmetry", "fixed_dt_stream"),
+        ("convergence", "identity_suite"),
+    ])
+    def test_exit_0(self, tmp_path, monkeypatch, verb, layer):
+        seen = self.spy(monkeypatch, layer)
+        assert self.run(tmp_path, verb, BASE_CONFIGS[verb]) == EXIT_OK
+        assert seen and set(seen) == {cli.UFUNC_BUFSIZE} != {self.CALLER}
+        assert np.getbufsize() == self.CALLER
+
+    def test_exit_1(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, "identity_suite")
+        config = changed(CONVERGENCE_CONFIG, min_order=10.0)
+        assert self.run(tmp_path, "convergence", config) == EXIT_ASSERTION
+        assert seen == [cli.UFUNC_BUFSIZE] * 3
+        assert np.getbufsize() == self.CALLER
+
+    def test_blow_up(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, "adaptive_stream")
+        # a circle of radius 0.1 shrinks to a point near t = 0.005 (exit 3)
+        config = changed(
+            SIMULATE_CONFIG, geometry={"kind": "circle", "radius": 0.1}, T=0.5,
+            sample_times=[0.0, 0.5],
+        )
+        with pytest.raises(flow.BlowUpError):
+            self.run(tmp_path, "simulate", config)
+        assert seen == [cli.UFUNC_BUFSIZE]
+        assert np.getbufsize() == self.CALLER
+
+    def test_config_error_before_the_verb(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, "adaptive_stream")
+        with pytest.raises(cli.ConfigError, match="'T'"):
+            self.run(tmp_path, "simulate", changed(SIMULATE_CONFIG, T="1"))
+        assert seen == []
+        assert np.getbufsize() == self.CALLER
+
+    def test_config_error_inside_the_verb(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch, "identity_suite")
+        config = changed(CONVERGENCE_CONFIG, resolutions=[16, 32, 48])
+        with pytest.raises(cli.ConfigError, match="'resolutions'"):
+            self.run(tmp_path, "convergence", config)
+        assert seen == []
+        assert np.getbufsize() == self.CALLER
+
+
+PERTURBED_TORUS = {"kind": "perturbed_torus", "r1": 1.0, "r2": 0.5, "amplitude": 0.1}
+
+# a small config of every verb: m = 1 and 2, orders 2 and 4, and one pair
+BUFFER_CONFIGS = {
+    "simulate-m2-order4": ("simulate", {
+        "grid": {"m": 2, "resolution": 16, "derivative_order": 4},
+        "geometry": PERTURBED_TORUS,
+        "T": 2e-3,
+        "sample_times": [0.0, 1e-3, 2e-3],
+    }),
+    "identities-m2": ("identities", {
+        "grid": {"m": 2, "resolution": 32}, "geometry": PERTURBED_TORUS, "dt": 1e-4,
+    }),
+    "identities-m1-order4": ("identities", changed(
+        IDENTITIES_CONFIG, grid={"m": 1, "resolution": 64, "derivative_order": 4},
+    )),
+    "diff-system-m2-pair": ("diff-system", {
+        "grid": {"m": 2, "resolution": 32},
+        "geometry": PERTURBED_TORUS,
+        "perturbation": {"amplitude": 1e-3},
+        "seed": 1,
+        "T": 2e-3,
+        "delta": 5e-4,
+        "dt": 1e-4,
+        "store_every": 2,
+    }),
+    "symmetry-m1": ("symmetry", SYMMETRY_CONFIG),
+    "convergence-m2": ("convergence", {
+        "grid": {"m": 2}, "geometry": PERTURBED_TORUS, "resolutions": [16, 32, 64],
+        "dt": 1e-5, "min_order": 0.0,
+    }),
+}
+
+
+class TestReportBytesAcrossBuffers:
+    """numpy's ufunc buffer changes no report byte: each verb's reports are
+    the same at numpy's default buffer and at 16 elements, where nearly
+    every operand runs unbuffered.  The manifest's timestamp differs."""
+
+    def reports(self, tmp_path, monkeypatch, bufsize, verb, config):
+        monkeypatch.setattr(cli, "UFUNC_BUFSIZE", bufsize)
+        seen, write = [], cli._write
+
+        def spy(*args):  # each report file is written inside the verb
+            seen.append(np.getbufsize())
+            write(*args)
+
+        monkeypatch.setattr(cli, "_write", spy)
+        out = tmp_path / str(bufsize)
+        code = run_in_process(out, verb, config)
+        assert set(seen) == {bufsize}
+        return code, {
+            p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"
+        }
+
+    @pytest.mark.parametrize("case", sorted(BUFFER_CONFIGS))
+    def test_same_bytes_at_8192_and_16(self, tmp_path, monkeypatch, case):
+        verb, config = BUFFER_CONFIGS[case]
+        code, default = self.reports(tmp_path, monkeypatch, 8192, verb, config)
+        assert code == EXIT_OK
+        assert self.reports(tmp_path, monkeypatch, 16, verb, config) == (code, default)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcflab import shapes
+from mcflab import cli, shapes
 from mcflab.geometry import (
     GeometryPack,
     _check_det,
@@ -1073,8 +1073,10 @@ class TestContractionOutput:
     field's shape and result type, and holds no more than the two arrays of
     `sum_of_products` (its output and one scratch) while it runs, beside
     the buffers of np.getbufsize() elements that numpy's ufunc iterator may
-    take for each of a broadcast product's two inputs.  The grids are fine
-    enough that a third field-sized array would break the bound."""
+    take for each of a broadcast product's two inputs.  At the CLI's buffer
+    the iterator takes none: no operand has a contiguous run shorter than
+    it.  The grids are fine enough that a third field-sized array would
+    break the bound."""
 
     GEOMS = {
         1: lambda: compute_geometry(shapes.ellipse(GridSpec(1, 8192), 1.5, 1.0)),
@@ -1090,6 +1092,23 @@ class TestContractionOutput:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("spec", [s for s in SPECS if s])
     def test_a_fresh_contiguous_array(self, geom, spec, dtype):
+        self.check(geom, spec, dtype, 2 * np.getbufsize())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("spec", [s for s in SPECS if s])
+    def test_no_iterator_buffer_at_the_cli_buffer(self, geom, spec, dtype):
+        """numpy's default buffer of 8192 elements breaks this bound at m=2,
+        where a component's contiguous run is N^2 = 4096 nodes."""
+        old = np.setbufsize(cli.UFUNC_BUFSIZE)
+        try:
+            self.check(geom, spec, dtype, 0)
+        finally:
+            np.setbufsize(old)
+
+    def check(self, geom, spec, dtype, buffered):
+        """The contraction of a random field of spec along each of its
+        tensor axes; its peak within two outputs, `buffered` elements and
+        64 KiB."""
         m = geom.grid.m
         n_comp = 1 + len(spec)
         rng = np.random.default_rng(19)
@@ -1104,7 +1123,7 @@ class TestContractionOutput:
                 assert out.flags.c_contiguous and out.flags.owndata
                 assert not np.shares_memory(out, f)
                 assert not np.shares_memory(out, M)
-                buffers = 2 * np.getbufsize() * out.itemsize
+                buffers = buffered * out.itemsize
                 assert peak <= 2 * out.nbytes + buffers + 64 * 2**10, (axis, peak)
 
 

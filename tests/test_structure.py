@@ -38,6 +38,13 @@ class Guard(NamedTuple):
         return sorted({p for glob in self.files for p in ROOT.glob(glob)})
 
 
+# the package's modules but the CLI, which alone sets process-wide state
+NOT_CLI = [
+    f"src/mcflab/{p.name}"
+    for p in (ROOT / "src" / "mcflab").glob("*.py")
+    if p.name != "cli.py"
+]
+
 GUARDS = [
     Guard(
         "No einsum in the package",
@@ -162,12 +169,14 @@ GUARDS = [
     Guard(
         "Only the CLI sets the allocator of the process",
         r"\bmallopt\b|\bctypes\b",
-        [
-            f"src/mcflab/{p.name}"
-            for p in (ROOT / "src" / "mcflab").glob("*.py")
-            if p.name != "cli.py"
-        ],
+        NOT_CLI,
         "    ctypes.CDLL(None).mallopt(-3, 32 * 2**20)",
+    ),
+    Guard(
+        "Only the CLI sets numpy's ufunc buffer",
+        r"\bsetbufsize\b",
+        NOT_CLI,
+        "    np.setbufsize(1024)",
     ),
 ]
 
