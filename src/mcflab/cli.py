@@ -35,8 +35,9 @@ changes.  (The axis-1 tap windows of the m=2 stencils, runs of N times the
 batch, still go through it.)  As with the allocator, this module is the one
 place that sets the buffer.
 
-Exit codes: 0 success, 1 assertion failure, 2 invalid config or violated
-precondition, 3 numerical blow-up.
+Exit codes: 0 success, 1 assertion failure, 2 invalid config (a grid too
+large to allocate among them) or violated precondition, 3 numerical
+blow-up.
 """
 
 from __future__ import annotations
@@ -609,7 +610,9 @@ def run_experiment(config: dict, out_dir: str) -> int:
     from the heap and stay faulted in from its first call on, not only after
     glibc's dynamic thresholds have risen.  The verb runs with numpy's ufunc
     buffer at UFUNC_BUFSIZE elements, and the caller's buffer size is back
-    when it returns or raises; see the module docstring."""
+    when it returns or raises; see the module docstring.  A MemoryError
+    while the verb runs, as from a config grid too large to allocate, is a
+    ConfigError naming the grid's m and N (exit 2)."""
     # before the read, as either source of the second flow may be malformed
     if {"geometry_b", "perturbation"} <= config.keys():
         raise ConfigError(
@@ -624,6 +627,11 @@ def run_experiment(config: dict, out_dir: str) -> int:
     old = np.setbufsize(UFUNC_BUFSIZE)
     try:
         return run(out_dir)
+    except MemoryError as exc:  # a grid too large for this host
+        kw = run.keywords
+        N = kw["grid"].get("resolution", kw.get("resolutions"))
+        msg = f"grid m={kw['grid']['m']}, N={N} cannot be allocated: {exc}"
+        raise ConfigError(msg) from exc
     finally:
         np.setbufsize(old)
 

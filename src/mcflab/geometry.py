@@ -22,16 +22,17 @@ in memory (free if X is laid out so, as the flow keeps its m=2 state), and
 the stencils, which keep their input's layout, return d_iX and d_i d_jX the
 same way, so every ambient product runs over whole contiguous grid arrays.
 Only the m=1 kernel works on X as it comes, grid first.  Neither kernel
-writes a stencil out: both run the `grid` ones, the m=1 kernel on the tap
-windows of its one halo copy of X, which `grid` caches.  The covariant
-layer (`covariant_derivative`, `tensor_norm_sq`, `divergence`, `laplacian`)
-takes and returns grid-first fields and works components first inside; its
-one contraction, `contract_with_metric`, forms sum_b M[a, b] f[b] from whole
-grid arrays with the one loop of `sum_of_products`.  A grid-first view of a
-components-first array converts back without a copy, so chained calls copy
-nothing; any other input is copied once on entry.  No function of the
-package calls einsum: the einsum formulations are the bitwise references in
-tests/test_geometry.py.
+writes a stencil out or makes a halo copy: both run the `grid` ones, the
+m=1 kernel on the tap windows of the one halo copy of X that `grid` makes
+(`_curve_halo`).  The covariant layer (`covariant_derivative`,
+`tensor_norm_sq`, `divergence`, `laplacian`) takes and returns grid-first
+fields and works components first inside; `_tensor_components` is its one
+reader of an index spec, and its one contraction, `contract_with_metric`,
+forms sum_b M[a, b] f[b] from whole grid arrays with the one loop of
+`sum_of_products`.  A grid-first view of a components-first array converts
+back without a copy, so chained calls copy nothing; any other input is
+copied once on entry.  No function of the package calls einsum: the einsum
+formulations are the bitwise references in tests/test_geometry.py.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .grid import (
     Immersion,
     NonFiniteImmersionError,
     ShapeError,
-    _curve_taps,
+    _curve_halo,
     _first_from_taps,
     _second_from_taps,
     first_nonfinite_node,
@@ -177,12 +178,12 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     paired m=1 flow.  At m=2 one halo copy of X per axis gives d_iX and
     d_iiX (`partial_and_second`).  At m=1 the index loops are written out
     as straight-line arithmetic on the one component of each field, and
-    the `grid` stencils run on one periodic halo copy of X, 2r deep
-    (r = order / 2), through the tap windows `grid` caches per (r, N): the
-    first stencil gives d_0X, and so g_00, on the N + 2r nodes
-    -r .. N + r - 1, the compact second one d_00X on the N nodes, and
-    c_000 = d_0 g_00 is the first stencil again over g_00's own r-deep
-    halo, so no second copy is made.  Each halo value is the same
+    the `grid` stencils run on the one periodic halo copy of X, 2r deep
+    (r = order / 2), that `grid._curve_halo` makes and hands over with its
+    tap windows and the slice of the N own nodes: the first stencil gives
+    d_0X, and so g_00, on the N + 2r nodes -r .. N + r - 1, the compact
+    second one d_00X on the N nodes, and c_000 = d_0 g_00 is the first
+    stencil again over g_00's own r-deep halo, so no second copy is made.  Each halo value is the same
     arithmetic on the same numbers as at its periodic image, so the bits
     are those of `partial` and `partial_and_second`.  The loops' operations
     run in their order, so the bits are those of the loops, but for c_000,
@@ -201,11 +202,10 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
     batch index.
     """
     if grid.m == 1:
-        # the index loops below at m=1, and the grid stencils, on one halo
-        # copy of X: pad[i + 2r] = X[i]; d and g hold nodes -r .. N + r - 1
-        n, h, r = len(X), grid.spacing, grid.derivative_order // 2
-        tail, head, wide, middle, inner = _curve_taps(r, n)
-        pad = np.concatenate((X[tail], X, X[head]))
+        # the index loops below at m=1, and the grid stencils, on grid's one
+        # halo copy of X: d and g hold nodes -r .. N + r - 1, own the N nodes
+        h = grid.spacing
+        pad, wide, middle, inner, own = _curve_halo(grid, X)
         d = _first_from_taps(pad, wide, h)
         dd = _second_from_taps(pad, middle, X, h)
         del pad
@@ -214,7 +214,7 @@ def geometry_kernel(grid: GridSpec, X: np.ndarray) -> KernelResult:
         for a in range(2, p.shape[-1]):
             g += p[..., a]
         del p
-        det, dX0 = g[r : r + n], d[r : r + n]
+        det, dX0 = g[own], d[own]
         _check_det(X, det, 1)
         ginv = np.reciprocal(det)  # 1.0 / det to the bit, without a scalar
         gamma = _first_from_taps(g, inner, h)  # c_000 = d_0 g_00
@@ -457,24 +457,25 @@ def tensor_norm_sq(
 ) -> np.ndarray:
     """Pointwise squared g-norm; passive (ambient) axes add in Frobenius.
 
-    The product of the field with its raised copy is written grid first in
-    C order before the sum over the tensor and passive axes, because
-    numpy's pairwise summation order follows the memory layout.
+    The field is raised on its components-first copy from
+    `_tensor_components`, as in `covariant_derivative` and `divergence`, so
+    a spec the field cannot carry raises as it does there: ShapeError for a
+    rank below the spec's length or declared tensor axes not of length m,
+    ValueError for a character other than 'l' and 'u'.  The product of the
+    field with its raised copy is written grid first in C order before the
+    sum over the tensor and passive axes, because numpy's pairwise
+    summation order follows the memory layout.
     """
     m = geom.grid.m
-    n_comp = field_arr.ndim - m
-    n_pass = n_comp - len(index_spec)
     raised = field_arr
     if index_spec:
-        raised = components_first(field_arr, n_comp)
+        raised, n_pass = _tensor_components(field_arr, geom, index_spec)
         for pos, kind in enumerate(index_spec):
             M = geom.inverse_metric if kind == "l" else geom.metric
-            raised = contract_with_metric(
-                raised, components_first(M, 2), n_pass + pos
-            )
-        raised = components_last(raised, n_comp)
+            raised = contract_with_metric(raised, components_first(M, 2), n_pass + pos)
+        raised = components_last(raised, raised.ndim - m)
     prod = np.multiply(field_arr, raised, out=np.empty(field_arr.shape))
-    return prod.sum(axis=tuple(range(m, field_arr.ndim))) if n_comp else prod
+    return prod.sum(axis=tuple(range(m, prod.ndim))) if prod.ndim > m else prod
 
 
 def tensor_norm_sup(field_arr, geom, index_spec) -> float:

@@ -11,14 +11,20 @@ in `partial` the caller's `out`); no other buffer outlives a call.  The
 slices that cut the halo and its taps are made once per (axis, r, N) and
 cached: plain slices on axis 0, where the m=1 fields are differentiated,
 so a small call costs little beyond its arithmetic.
-One halo copy serves both stencils in `partial_and_second`, which returns
-d_i f and the compact d_ii f together, bit for bit equal to `partial` and
-the diagonal `second_partial`; the m=2 geometry kernel differentiates X
-with it.  The m=1 kernel runs the same stencils on the tap windows
-`_curve_taps` caches, so they are written here alone; a test ties its
-every field bit for bit to a reference kernel built from
-`partial_and_second` and `partial`.  None rolls the field with np.roll,
-which the tests keep as the reference of these three.
+
+This module makes every periodic halo copy of the package, in two places:
+`_periodic_taps`, the one set-up of `partial` and `partial_and_second`
+(axis check, float conversion, r-deep copy), and `_curve_halo`, the 2r-deep
+copy of X that the m=1 geometry kernel reads through the tap windows
+`_curve_taps` caches.  One halo copy serves both stencils in
+`partial_and_second`, which returns d_i f and the compact d_ii f together;
+`second_partial` is its second result on the diagonal and `partial` twice
+off it.  The m=2 geometry kernel differentiates X with
+`partial_and_second`; the m=1 kernel runs the same stencils on its tap
+windows, so they are written here alone, and a test ties its every field
+bit for bit to a reference kernel built from `partial_and_second` and
+`partial`.  None rolls the field with np.roll, which the tests keep as the
+reference of these three.
 """
 
 from __future__ import annotations
@@ -146,12 +152,27 @@ def _curve_taps(r: int, n: int) -> tuple:
     return slice(-2 * r, None), slice(None, 2 * r), wide, middle, inner
 
 
-def _periodic_taps(f: np.ndarray, axis: int, r: int) -> tuple:
-    """(pad, taps): the periodic halo copy of f along axis (its last r
-    slices, f, its first r slices) and the `_halo_slices` indices of its tap
-    windows, so that pad[taps[k]][i] = f[i + k - r]."""
-    tail, head, taps = _halo_slices(axis, r, f.shape[axis])
-    return np.concatenate((f[tail], f, f[head]), axis=axis), taps
+def _periodic_taps(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tuple:
+    """(f, pad, taps): the field as a float array f, its periodic halo copy
+    along axis (its last r slices, f, its first r slices; r = order / 2)
+    and the `_halo_slices` indices of its tap windows, so that
+    pad[taps[k]][i] = f[i + k - r].  The one set-up of the r-deep stencils;
+    an axis off the grid raises InvalidAxisError."""
+    _check_axis(grid, axis)
+    f = np.asarray(field_arr, dtype=float)
+    tail, head, taps = _halo_slices(axis, grid.derivative_order // 2, f.shape[axis])
+    return f, np.concatenate((f[tail], f, f[head]), axis=axis), taps
+
+
+def _curve_halo(grid: GridSpec, X: np.ndarray) -> tuple:
+    """(pad, wide, middle, inner, own) of the m=1 geometry kernel: the
+    periodic halo copy of the n-node X, 2r deep (pad[i + 2r] = X[i]), the
+    three `_curve_taps` window sets, and the slice of the n own nodes among
+    the n + 2r nodes -r .. n + r - 1 that the wide windows give: the centre
+    tap of an r-deep halo."""
+    r = grid.derivative_order // 2
+    tail, head, wide, middle, inner = _curve_taps(r, len(X))
+    return np.concatenate((X[tail], X, X[head])), wide, middle, inner, inner[r]
 
 
 def _first_from_taps(pad: np.ndarray, taps: tuple, h: float, out=None) -> np.ndarray:
@@ -209,9 +230,7 @@ def partial(
     order into out, an array of the field's shape, or into one fresh output
     (b - a is exactly -a + b in IEEE).
     """
-    _check_axis(grid, axis)
-    f = np.asarray(field_arr, dtype=float)
-    pad, taps = _periodic_taps(f, axis, grid.derivative_order // 2)
+    _, pad, taps = _periodic_taps(grid, field_arr, axis)
     return _first_from_taps(pad, taps, grid.spacing, out)
 
 
@@ -222,15 +241,12 @@ def second_partial(
 
     Order 2: ((f[i+1] - 2f) + f[i-1]) / h^2; order 4:
     ((((-f[i+2] + 16 f[i+1]) - 30f) + 16 f[i-1]) - f[i-2]) / (12h^2).
-    Off the diagonal it is `partial` applied twice.
+    On the diagonal it is the second result of `partial_and_second`, off
+    it `partial` applied twice; it makes no halo copy of its own.
     """
-    _check_axis(grid, axis_i)
-    _check_axis(grid, axis_j)
-    f = np.asarray(field_arr, dtype=float)
     if axis_i != axis_j:
-        return partial(grid, partial(grid, f, axis_i), axis_j)
-    pad, taps = _periodic_taps(f, axis_i, grid.derivative_order // 2)
-    return _second_from_taps(pad, taps, f, grid.spacing)
+        return partial(grid, partial(grid, field_arr, axis_i), axis_j)
+    return partial_and_second(grid, field_arr, axis_i)[1]
 
 
 def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tuple:
@@ -239,9 +255,7 @@ def partial_and_second(grid: GridSpec, field_arr: np.ndarray, axis: int) -> tupl
     Both stencils read their taps from the same periodic halo copy of the
     field, so each result is bit for bit the one its own function returns.
     """
-    _check_axis(grid, axis)
-    f = np.asarray(field_arr, dtype=float)
-    pad, taps = _periodic_taps(f, axis, grid.derivative_order // 2)
+    f, pad, taps = _periodic_taps(grid, field_arr, axis)
     h = grid.spacing
     return _first_from_taps(pad, taps, h), _second_from_taps(pad, taps, f, h)
 

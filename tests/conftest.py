@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -254,16 +255,31 @@ UNALLOCATABLE_HEADERS = {
 
 @pytest.fixture
 def refused_allocation(monkeypatch):
-    """np.empty failing with MemoryError, as numpy does, for any request
-    above 1 GiB; nothing that large is allocated."""
-    empty = np.empty
+    """np.empty, np.arange and np.meshgrid failing with MemoryError, as
+    numpy does, for any array above 1 GiB (8-byte entries); nothing that
+    large is allocated."""
+    empty, arange, meshgrid = np.empty, np.arange, np.meshgrid
 
-    def refusing(shape, *args, **kwargs):
+    def refuse(shape):
         if np.prod(shape, dtype=float) * 8 > 2**30:
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    def refusing_empty(shape, *args, **kwargs):
+        refuse(shape)
         return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(np, "empty", refusing)
+    def refusing_arange(start, stop=None, step=1, **kwargs):
+        lo, hi = (0, start) if stop is None else (start, stop)
+        refuse((max(math.ceil((hi - lo) / step), 0),))
+        return arange(start, *(() if stop is None else (stop, step)), **kwargs)
+
+    def refusing_meshgrid(*xi, **kwargs):
+        refuse(tuple(np.size(x) for x in xi))
+        return meshgrid(*xi, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing_empty)
+    monkeypatch.setattr(np, "arange", refusing_arange)
+    monkeypatch.setattr(np, "meshgrid", refusing_meshgrid)
 
 
 @pytest.fixture

@@ -1092,6 +1092,27 @@ class TestDiffSystemVerb:
         assert env[0] == "t,F,G,dFdt,envelope,c_star"
         assert LIMITATION_STATEMENT in (out / "summary.txt").read_text()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_identical_flows_have_zero_differences(self, tmp_path):
+        """With neither `geometry_b` nor `perturbation` both flows start
+        from the same immersion, the only run that takes forward_gronwall's
+        F <= 0 branch: every difference, constant and envelope is 0."""
+        config = changed(
+            DIFF_CONFIG, ["geometry_b"], grid={"m": 1, "resolution": 32},
+            T=0.01, delta=0.002, dt=1e-4, store_every=5,
+        )
+        code, out = run_cli(tmp_path, "diff-system", config)
+        assert code == EXIT_OK
+        report = (out / "inequality_report.txt").read_text().splitlines()
+        assert {"C1 = 0.0", "C2 = 0.0", "flagged_nodes = 0"} <= set(report)
+        (K,) = [line for line in report if line.startswith("K = ")]
+        assert f"K_tilde = {K[4:]}" in report
+        env = (out / "gronwall_envelope.csv").read_text().splitlines()
+        assert env[0] == "t,F,G,dFdt,envelope,c_star"
+        assert len(env) == 16  # the header and t = 0.002, 0.0025, ..., 0.009
+        for row in env[1:]:
+            assert row.split(",")[1:] == ["0.0"] * 5
+
     def test_perturbation_branch_is_seeded(self, tmp_path):
         config = {
             "grid": {"m": 1, "resolution": 48},
@@ -1866,6 +1887,47 @@ class TestConfigValidation:
         code, _ = run_cli(tmp_path, "identities", cfg)
         assert code == EXIT_CONFIG
         assert "61 rows, expected 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, config, named", [
+        ("identities",
+         {"grid": {"m": 2, "resolution": 10**6}, "geometry": {"kind": "product_torus"}},
+         "grid m=2, N=1000000"),
+        ("symmetry", changed(SYMMETRY_CONFIG, grid={"m": 1, "resolution": 10**11}),
+         "grid m=1, N=100000000000"),
+        ("convergence",
+         changed(TORUS_CONVERGENCE_CONFIG, resolutions=[2**20, 2**21, 2**22]),
+         "grid m=2, N=[1048576, 2097152, 4194304]"),
+    ])
+    def test_grid_too_large_to_allocate_is_a_config_error(
+        self, tmp_path, capsys, refused_allocation, verb, config, named
+    ):
+        """A config grid that cannot be allocated exits 2 with one line that
+        names its m and N, not a traceback.  The fixture's refusal (its
+        message, not numpy's) stops the allocation: at m=2 in np.meshgrid,
+        at m=1 in np.arange."""
+        code, out = run_cli(tmp_path, verb, config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {named} cannot be allocated: ")
+        assert "Unable to allocate an array with shape" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("kind, m", [
+        ("circle", 2), ("ellipse", 2), ("product_torus", 1), ("perturbed_torus", 1),
+    ])
+    def test_shape_on_the_wrong_dimension_is_a_config_error(
+        self, tmp_path, capsys, kind, m
+    ):
+        cfg = changed(
+            IDENTITIES_CONFIG, grid={"m": m, "resolution": 16}, geometry={"kind": kind}
+        )
+        code, out = run_cli(tmp_path, "identities", cfg)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:")
+        assert f"requires m={3 - m}" in err
+        assert not (out / "summary.txt").exists()
 
 
 BASE_CONFIGS = {

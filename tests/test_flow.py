@@ -7,6 +7,7 @@ radius law sqrt(r0^2 - 2 c t) is exact up to RK4 time error.
 
 import re
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ class TestStep:
         with pytest.raises(BlowUpError, match=re.escape("at node (0, 1)")):
             step_rk4(flat_torus, 1e-3, k1)
 
+
+    def test_non_finite_new_positions_blow_up_at_the_step_end(self, monkeypatch):
+        # finite stage velocities whose RK4 sum overflows: only the check
+        # of the new positions sees it, and it names time + dt
+        imm = shapes.circle(GridSpec(1, 16), 1.0)
+        H = np.full(imm.positions.shape, 1e308)
+        kern = SimpleNamespace(mean_curv=H)
+        monkeypatch.setattr(flow, "_flow_kernel", lambda *a: kern)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as err:
+                flow._rk4_positions(imm.grid, imm.positions, 1.0, H, 0.25)
+        assert err.value.time == 1.25
+        assert str(err.value) == "flow blew up at t=1.25 at node (0,)"
 
     def test_degenerate_stage_is_a_blow_up(self):
         # all nodes coincide: the metric degenerates at the step's own state

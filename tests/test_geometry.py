@@ -31,6 +31,7 @@ from mcflab.grid import (
     GridSpec,
     Immersion,
     NonFiniteImmersionError,
+    ShapeError,
     SymmetryAction,
     apply_symmetry,
     partial,
@@ -198,6 +199,38 @@ class TestCovariantDerivative:
         gradH = covariant_derivative(geom.mean_curv, geom, "")
         norms = tensor_norm_sq(gradH, geom, "l")
         assert norms.max() - norms.min() < 1e-11
+
+
+# a field and a spec it cannot carry, on the m=2 pack of `spec_pack`, and
+# the error `_tensor_components` raises for it
+BAD_SPECS = {
+    "rank-too-small": ("det_metric", "l", ShapeError, "cannot carry spec 'l'"),
+    "axes-not-of-length-m": (
+        "first_derivs", "ll", ShapeError, "declared tensor axes must have length m"
+    ),
+    "bad-character": ("metric", "lx", ValueError, "bad index spec character 'x'"),
+    # tensor_norm_sq used to read any character but 'l' as 'u' here
+    "bad-character-beside-a-passive-axis": (
+        "first_derivs", "x", ValueError, "bad index spec character 'x'"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def spec_pack():
+    return compute_geometry(shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2))
+
+
+class TestIndexSpecErrors:
+    """`_tensor_components` is the one reader of an index spec: each layer
+    function that takes one raises its errors, with its message."""
+
+    @pytest.mark.parametrize("fn", [covariant_derivative, divergence, tensor_norm_sq])
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_bad_spec_raises(self, spec_pack, fn, case):
+        field, spec, error, message = BAD_SPECS[case]
+        with pytest.raises(error, match=re.escape(message)):
+            fn(getattr(spec_pack, field), spec_pack, spec)
 
 
 class TestCurvature:

@@ -317,6 +317,12 @@ class TestImmersion:
         with pytest.raises(ShapeError):
             Immersion(circle_grid, np.ones((5, 2)))
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rejects_ambient_dimension_not_above_m(self, m):
+        grid = GridSpec(m, 8)
+        with pytest.raises(ShapeError, match=f"ambient dimension {m} must exceed m={m}"):
+            Immersion(grid, np.ones(grid.shape + (m,)))
+
     def test_roundtrip_serialization(self, unit_circle):
         buf = io.StringIO()
         write_immersion(unit_circle, buf)
@@ -390,6 +396,18 @@ class TestSymmetry:
         s = identity_symmetry(unit_circle.grid, 3)
         with pytest.raises(ShapeError):
             apply_symmetry(unit_circle, s)
+
+    def test_permutation_of_another_grid_is_rejected(self, unit_circle):
+        # 64 nodes either way, so only the shape check can tell
+        s = identity_symmetry(GridSpec(2, 8), 2)
+        with pytest.raises(ShapeError, match="permutation shape does not match grid"):
+            apply_symmetry(unit_circle, s)
+
+    def test_source_index_must_be_a_permutation(self, circle_grid):
+        src = np.arange(circle_grid.num_nodes)
+        src[1] = 0  # node 0 twice, node 1 never
+        with pytest.raises(ValueError, match="not a permutation"):
+            SymmetryAction(np.eye(2), np.zeros(2), src)
 
     def test_non_orthogonal_matrix_rejected(self, circle_grid):
         with pytest.raises(ValueError):

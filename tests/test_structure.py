@@ -161,6 +161,15 @@ GUARDS = [
         "            d = np.multiply(pad[3:-1], 8.0)",
     ),
     Guard(
+        "Only grid makes periodic halo copies",
+        r"np\.concatenate\(|derivative_order",
+        [
+            f"src/mcflab/{m}.py"
+            for m in ("geometry", "identities", "differences", "flow", "shapes")
+        ],
+        "        pad = np.concatenate((X[tail], X, X[head]))",
+    ),
+    Guard(
         "One loop sums products of components",
         r"np\.multiply\(M\[a,",
         ["src/mcflab/*.py"],
