@@ -13,6 +13,19 @@ another geometry kind or permutation type, and keys the verb would ignore
 table's keys.  Given the same config, report bodies are byte-identical;
 wall-clock timestamps appear only in the manifest.
 
+The report files: this module is the one writer of their bytes, and their
+layouts stand here beside REPORT_FORMAT; the library layers return numbers
+only.  One cell rule serves every table, every `key = value` line of the
+inequality report's head and every manifest entry: text is written as it
+is, and a number by repr (`_cell`).  `_table` writes all seven tables: each
+`residual_<identity>.csv`, `difference_identities.csv`, `trajectory.csv`,
+`symmetry_defect.csv`, `gronwall_envelope.csv`, `convergence.csv` and the
+energy table of `inequality_report.txt`.  A numeric cell must be a Python
+float or int, as numpy 2 writes repr(np.float64(0.5)) as
+`np.float64(0.5)`: an array's entries go in through `.tolist()`.  The
+summaries are prose for the reader.  A change to any report byte raises
+REPORT_FORMAT.
+
 The allocator: once per process, before its first verb runs,
 `run_experiment` fixes glibc's mmap threshold at 32 MiB and its trim
 threshold at 64 MiB, the values glibc's own dynamic rule ends in on a
@@ -38,6 +51,7 @@ place that sets the buffer.
 Exit codes: 0 success, 1 assertion failure, 2 invalid config (a grid too
 large to allocate among them) or violated precondition, 3 numerical
 blow-up.
+
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ import sys
 import numpy as np
 
 from . import shapes
-from .differences import LIMITATION_STATEMENT, forward_gronwall, paired_pass
+from .differences import forward_gronwall, paired_pass
 from .flow import MAX_STEPS, BlowUpError, StepPolicy, adaptive_stream, fixed_dt_stream
 from .geometry import induced_volume, stacked_kernel
 from .grid import (
@@ -65,7 +79,7 @@ from .grid import (
     shift_permutation,
     write_immersion,
 )
-from .identities import ANCHORS, ResidualReport, identity_suite
+from .identities import ANCHORS, identity_suite
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -92,6 +106,20 @@ UFUNC_BUFSIZE = 1024
 # manifest.  Format 2: the identity suite takes its evolution rates exactly
 # (`geometry.kernel_rate`), not by a five-point time difference.
 REPORT_FORMAT = 2
+
+# The layouts of the report files.  The statement is written in the
+# manifest, the inequality report and the diff-system summary.
+LIMITATION_STATEMENT = (
+    "note: backwards-in-time mean curvature flow integration is ill-posed "
+    "and is not attempted; uniqueness is exercised only through the "
+    "forward-in-time difference-tensor inequality measurements."
+)
+# a ResidualReport's columns; orders are fitted by the convergence verb, so
+# order_estimate stays empty
+RESIDUAL_HEADER = ("identity", "N", "dt", "t", "sup_residual", "l2_residual",
+                   "order_estimate")
+# the keys of an InequalityReport row
+ENERGY_HEADER = ("t", "E_Y", "E_gradY", "E_Z", "sup_lhs1", "sup_lhs2")
 
 
 class ConfigError(ValueError):
@@ -253,20 +281,54 @@ def _build_symmetry(grid, ambient, matrix, translation, permutation):
 
 
 def _write(out_dir: str, name: str, body: str):
-    os.makedirs(out_dir, exist_ok=True)
+    # into the directory that run_experiment made
     with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(body)
 
 
+def _cell(value) -> str:
+    """The cell rule: text as it is, a number (a Python float or int) by repr."""
+    return value if isinstance(value, str) else repr(value)
+
+
+def _text(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _table(header, rows) -> str:
+    """The body of a table: the header, then one line per row, cells by _cell."""
+    return _text(",".join(map(_cell, row)) for row in [header, *rows])
+
+
+def _entries(entries: dict) -> list:
+    """The `key = value` lines of entries, values by _cell."""
+    return [f"{key} = {_cell(value)}" for key, value in entries.items()]
+
+
 def _manifest(out_dir: str, entries: dict):
-    lines = [
-        f"generated = {datetime.datetime.now().isoformat()}",
-        f"report_format = {REPORT_FORMAT}",
-    ]
-    for k, v in entries.items():
-        lines.append(f"{k} = {v}")
-    lines.append(LIMITATION_STATEMENT)
-    _write(out_dir, "manifest.txt", "\n".join(lines) + "\n")
+    lines = [f"generated = {datetime.datetime.now().isoformat()}",
+             *_entries({"report_format": REPORT_FORMAT, **entries}),
+             LIMITATION_STATEMENT]
+    _write(out_dir, "manifest.txt", _text(lines))
+
+
+def _residual_cells(rep) -> tuple:
+    """A ResidualReport's cells under RESIDUAL_HEADER."""
+    return (rep.identity, rep.resolution, rep.dt, rep.t_center, rep.sup_residual,
+            rep.l2_residual, "")
+
+
+def _inequality_report(report) -> str:
+    """inequality_report.txt of an InequalityReport: its numbers as
+    `key = value` lines, the limitation statement and the energy table."""
+    head = _entries({
+        "N": report.resolution, "dt": report.dt, "delta": report.delta,
+        "T": report.T, "K": report.K, "K_tilde": report.K_tilde,
+        "C1": report.C1, "C2": report.C2, "flagged_nodes": report.flagged_nodes,
+    })
+    rows = [[r[key] for key in ENERGY_HEADER] for r in report.rows]
+    return (_text(["inequality report", *head, LIMITATION_STATEMENT, ""])
+            + _table(ENERGY_HEADER, rows))
 
 
 # The suite's identities, each with its default threshold coeff * h^2 + 1e-7:
@@ -292,21 +354,21 @@ def run_identities(out_dir, grid, geometry, dt, thresholds) -> int:
         for name, coeff in THRESHOLD_COEFFS.items()
     }
     reports = identity_suite(initial, dt)
+    header = (*RESIDUAL_HEADER, "threshold", "status", "anchor")
     failures = []
     for rep in reports:
         thr = thresholds[rep.identity]
         status = "pass" if rep.sup_residual <= thr else "fail"
         if status == "fail":
             failures.append(rep.identity)
-        body = rep.CSV_HEADER + ",threshold,status,anchor\n"
-        body += f"{rep.csv_row()},{thr!r},{status},{rep.anchor}\n"
-        _write(out_dir, f"residual_{rep.identity}.csv", body)
+        row = (*_residual_cells(rep), thr, status, ANCHORS[rep.identity])
+        _write(out_dir, f"residual_{rep.identity}.csv", _table(header, [row]))
     _manifest(
         out_dir,
         {
             "experiment": "identities",
             "N": grid.resolution,
-            "dt": repr(dt),
+            "dt": dt,
             "failures": ",".join(failures) or "none",
         },
     )
@@ -345,11 +407,11 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> int:
         name = f"checkpoint_{len(rows):04d}.txt"
         with open(os.path.join(out_dir, name), "w") as fh:
             write_immersion(state, fh)
-        rows.append(f"{state.time!r},{name},{vol[-1]!r}\n")
-    _write(out_dir, "trajectory.csv", "t,file,volume\n" + "".join(rows))
+        rows.append((state.time, name, vol[-1]))
+    _write(out_dir, "trajectory.csv", _table(("t", "file", "volume"), rows))
     _manifest(
         out_dir,
-        {"experiment": "simulate", "N": grid.resolution, "T": repr(T),
+        {"experiment": "simulate", "N": grid.resolution, "T": T,
          "steps": steps, "states": len(rows)},
     )
     monotone = all(b <= a + 1e-10 for a, b in zip(vol, vol[1:]))
@@ -399,12 +461,11 @@ def run_symmetry(
             rows.append((state.time, defect(state)))
         k += 1
     worst = max(d for _, d in rows)
-    body = "t,defect\n" + "\n".join(f"{t!r},{d!r}" for t, d in rows) + "\n"
-    _write(out_dir, "symmetry_defect.csv", body)
+    _write(out_dir, "symmetry_defect.csv", _table(("t", "defect"), rows))
     _manifest(
         out_dir,
         {"experiment": "symmetry", "N": grid.resolution, "steps": steps,
-         "dt": repr(dt), "max_defect": repr(worst), "tolerance": repr(tolerance)},
+         "dt": dt, "max_defect": worst, "tolerance": tolerance},
     )
     ok = worst <= tolerance
     _write(
@@ -437,28 +498,25 @@ def run_diff_system(
     dt = grid.spacing**2 / 20.0 if dt is None else dt
     store_every = max(1, round(T / dt / 60)) if store_every is None else store_every
     report = paired_pass(initA, initB, T, delta, dt, store_every)
-    env = forward_gronwall(report)
-    _write(out_dir, "inequality_report.txt", report.serialize())
-    body = ResidualReport.CSV_HEADER + ",anchor\n"
-    for rep in (report.dd, report.dw):
-        body += f"{rep.csv_row()},{rep.anchor}\n"
-    _write(out_dir, "difference_identities.csv", body)
-    env_body = "t,F,G,dFdt,envelope,c_star\n" + "\n".join(
-        f"{r['t']!r},{r['F']!r},{r['G']!r},{r['dFdt']!r},{r['envelope']!r},"
-        f"{r['c_star']!r}"
-        for r in env
-    ) + "\n"
-    _write(out_dir, "gronwall_envelope.csv", env_body)
+    t, F, G, dFdt, envelope, c_star = forward_gronwall(report)
+    _write(out_dir, "inequality_report.txt", _inequality_report(report))
+    rows = [(*_residual_cells(rep), ANCHORS[rep.identity])
+            for rep in (report.dd, report.dw)]
+    _write(out_dir, "difference_identities.csv",
+           _table((*RESIDUAL_HEADER, "anchor"), rows))
+    columns = (t, F, G, dFdt, envelope, np.full_like(t, c_star))
+    header = ("t", "F", "G", "dFdt", "envelope", "c_star")
+    _write(out_dir, "gronwall_envelope.csv",
+           _table(header, zip(*(c.tolist() for c in columns))))
     _manifest(
         out_dir,
-        {"experiment": "diff-system", "N": grid.resolution, "dt": repr(dt),
-         "T": repr(T), "delta": repr(delta), "C1": repr(report.C1),
-         "C2": repr(report.C2)},
+        {"experiment": "diff-system", "N": grid.resolution, "dt": dt,
+         "T": T, "delta": delta, "C1": report.C1, "C2": report.C2},
     )
     ok = report.flagged_nodes == 0 and np.isfinite(report.C1) and np.isfinite(
         report.C2
     )
-    envelope_ok = all(r["F"] <= r["envelope"] * (1 + 1e-9) + 1e-300 for r in env)
+    envelope_ok = bool(np.all(F <= envelope * (1 + 1e-9) + 1e-300))
     _write(
         out_dir,
         "summary.txt",
@@ -483,8 +541,7 @@ def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> int:
         initial = geometry(GridSpec(resolution=N, **grid))
         for rep in identity_suite(initial, dt):
             results.setdefault(rep.identity, []).append(rep.sup_residual)
-    lines = ["identity,residuals,order,flag"]
-    failures = []
+    rows, failures = [], []
     for identity, residuals in results.items():
         res = np.array(residuals)
         if np.all(res < EXACT_FLOOR):
@@ -499,19 +556,17 @@ def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> int:
             if slope < min_order:
                 failures.append(identity)
         res_str = ";".join(format(r, ".6e") for r in residuals)
-        lines.append(f"{identity},{res_str},{order},{flag}")
-    _write(out_dir, "convergence.csv", "\n".join(lines) + "\n")
+        rows.append((identity, res_str, order, flag))
+    table = _table(("identity", "residuals", "order", "flag"), rows)
+    _write(out_dir, "convergence.csv", table)
     _manifest(
         out_dir,
         {"experiment": "convergence",
          "resolutions": ",".join(map(str, resolutions)),
-         "dt": repr(dt), "failures": ",".join(failures) or "none"},
+         "dt": dt, "failures": ",".join(failures) or "none"},
     )
-    _write(
-        out_dir,
-        "summary.txt",
-        "\n".join(lines) + f"\nresult: {'FAIL' if failures else 'PASS'}\n",
-    )
+    result = "FAIL" if failures else "PASS"
+    _write(out_dir, "summary.txt", table + f"result: {result}\n")
     if failures:
         print(f"order below {min_order}: {failures}", file=sys.stderr)
         return EXIT_ASSERTION

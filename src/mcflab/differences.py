@@ -26,6 +26,10 @@ difference evolutions, whose right-hand sides are differences of the
 single-flow ones.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
+
+The layer returns numbers only: the pass's `InequalityReport` and the
+columns of `forward_gronwall`'s envelope.  The CLI lays them out as report
+files and writes the statement of this limitation in them.
 """
 
 from __future__ import annotations
@@ -48,12 +52,6 @@ from .identities import ResidualReport, grad_H, metric_rhs, residual_report
 
 # Squared-norm floor below which a node is excluded from the C fit.
 EPS_CORE = 1e-24
-
-LIMITATION_STATEMENT = (
-    "note: backwards-in-time mean curvature flow integration is ill-posed "
-    "and is not attempted; uniqueness is exercised only through the "
-    "forward-in-time difference-tensor inequality measurements."
-)
 
 # The summands of Y and Z: a DifferencePack field and its index spec.
 # Every sum over them adds its terms in this order.
@@ -200,7 +198,8 @@ def time_derivative_Z_sq(p: DifferencePack, rate) -> np.ndarray:
 
 @dataclass
 class InequalityReport:
-    """Fitted constants and energy table for the coupled inequalities."""
+    """Fitted constants and energy rows of the coupled inequalities: numbers
+    only, which the CLI lays out as inequality_report.txt."""
 
     delta: float
     T: float
@@ -214,29 +213,6 @@ class InequalityReport:
     rows: list  # per-time dicts: t, E_Y, E_gradY, E_Z, sup LHS1, sup LHS2
     dd: ResidualReport  # worst center of check_dd, over every center
     dw: ResidualReport  # worst center of check_dw
-
-    def serialize(self) -> str:
-        lines = [
-            "inequality report",
-            f"N = {self.resolution}",
-            f"dt = {self.dt!r}",
-            f"delta = {self.delta!r}",
-            f"T = {self.T!r}",
-            f"K = {self.K!r}",
-            f"K_tilde = {self.K_tilde!r}",
-            f"C1 = {self.C1!r}",
-            f"C2 = {self.C2!r}",
-            f"flagged_nodes = {self.flagged_nodes}",
-            LIMITATION_STATEMENT,
-            "",
-            "t,E_Y,E_gradY,E_Z,sup_lhs1,sup_lhs2",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r['t']!r},{r['E_Y']!r},{r['E_gradY']!r},{r['E_Z']!r},"
-                f"{r['sup_lhs1']!r},{r['sup_lhs2']!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _fitted_row(p: DifferencePack, rate):
@@ -366,39 +342,26 @@ def paired_pass(
         )
 
 
-def forward_gronwall(report: InequalityReport):
-    """Exponential-envelope table for F = E_Y + E_Z over the report's rows.
+def forward_gronwall(report: InequalityReport) -> tuple:
+    """The exponential envelope of F = E_Y + E_Z over the report's rows:
+    the columns t, F, G, dFdt and envelope, one entry per row, and C*.
 
     Checks dF/dt <= C* G with G = E_Y + E_gradY + E_Z, C* fitted as the
-    smallest constant over the energy rows of `report` (its sample times
-    past delta), and emits the induced envelope F(t0) * exp(lam (t - t0))
-    from the first row's time t0, with lam = C* sup(G/F).
+    smallest non-negative constant over the energy rows of `report` (its
+    sample times past delta), and gives the induced envelope
+    F(t0) * exp(lam (t - t0)) from the first row's time t0, with
+    lam = C* sup(G/F) over the rows where F > 0.  Where F vanishes on every
+    row, Y does, so do grad Y and G, and C*, lam and the envelope are 0.
     """
     rows = report.rows
     t = np.array([r["t"] for r in rows])
     F = np.array([r["E_Y"] + r["E_Z"] for r in rows])
     G = np.array([r["E_Y"] + r["E_gradY"] + r["E_Z"] for r in rows])
     dFdt = np.gradient(F, t)
-    if np.all(F <= 0):
-        c_star = 0.0
-        lam = 0.0
-    else:
-        pos = G > 0
-        c_star = float(np.max(dFdt[pos] / G[pos])) if np.any(pos) else 0.0
-        c_star = max(c_star, 0.0)
-        posF = F > 0
-        lam = c_star * float(np.max(G[posF] / F[posF])) if np.any(posF) else 0.0
+    pos = G > 0
+    c_star = float(np.max(dFdt[pos] / G[pos])) if np.any(pos) else 0.0
+    c_star = max(c_star, 0.0)
+    posF = F > 0
+    lam = c_star * float(np.max(G[posF] / F[posF])) if np.any(posF) else 0.0
     envelope = F[0] * np.exp(lam * (t - t[0]))
-    out = []
-    for k in range(len(rows)):
-        out.append(
-            {
-                "t": float(t[k]),
-                "F": float(F[k]),
-                "G": float(G[k]),
-                "dFdt": float(dFdt[k]),
-                "envelope": float(envelope[k]),
-                "c_star": c_star,
-            }
-        )
-    return out
+    return t, F, G, dFdt, envelope, c_star

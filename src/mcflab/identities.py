@@ -15,7 +15,9 @@ trajectory is stored; `geometry.geometry_packs` and `geometry.field_block`
 alone know the kernel's and the pack's layout.  One builder,
 `residual_report`, measures every residual tensor pointwise in the
 evolving induced metric g(t); per ambient-coordinate families contribute
-in Frobenius over the ambient label.
+in Frobenius over the ambient label.  A `ResidualReport` holds a check's
+numbers only: the CLI lays them out as report rows, and takes each
+identity's formula from ANCHORS.
 
 The right-hand sides and the commutation residual are component arithmetic
 in index order, as in the geometry layer: each contraction loops over its
@@ -82,25 +84,14 @@ ANCHORS = {
 
 @dataclass
 class ResidualReport:
+    """The numbers of one residual check."""
+
     identity: str
     resolution: int
     dt: float
     t_center: float
     sup_residual: float
     l2_residual: float
-
-    @property
-    def anchor(self) -> str:
-        return ANCHORS.get(self.identity, "")
-
-    # orders are fitted by the convergence verb: order_estimate stays empty
-    CSV_HEADER = "identity,N,dt,t,sup_residual,l2_residual,order_estimate"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.identity},{self.resolution},{self.dt!r},{self.t_center!r},"
-            f"{self.sup_residual!r},{self.l2_residual!r},"
-        )
 
 
 def _report(identity, geom, sq, sup, dt) -> ResidualReport:

@@ -12,9 +12,8 @@ import numpy as np
 
 from mcflab import GridSpec, StepPolicy, compute_geometry, run_flow
 from mcflab import shapes
-from mcflab.cli import EXACT_FLOOR
+from mcflab.cli import EXACT_FLOOR, LIMITATION_STATEMENT
 from mcflab.differences import (
-    LIMITATION_STATEMENT,
     heat_operator_Y,
     time_derivative_Z_sq,
     verify_inequalities,

@@ -3,9 +3,12 @@ determinism of report bodies, and strict config validation."""
 
 import copy
 import ctypes
+import dataclasses
 import functools
+import hashlib
 import importlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -28,9 +31,9 @@ from mcflab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    LIMITATION_STATEMENT,
     main,
 )
-from mcflab.differences import LIMITATION_STATEMENT
 from mcflab.flow import step_rk4
 from mcflab.geometry import divergence, tensor_norm_sq
 from mcflab.grid import (
@@ -136,6 +139,13 @@ def changed(base, drop=(), **values):
     cfg = {k: v for k, v in base.items() if k not in drop}
     cfg.update(values)
     return cfg
+
+
+# neither `geometry_b` nor `perturbation`: both flows start from one immersion
+IDENTICAL_DIFF_CONFIG = changed(
+    DIFF_CONFIG, ["geometry_b"], grid={"m": 1, "resolution": 32},
+    T=0.01, delta=0.002, dt=1e-4, store_every=5,
+)
 
 
 # verb, config, the key the error message must name
@@ -684,6 +694,13 @@ class TestSimulateVerb:
         assert lines[0] == "t,file,volume"
         assert len(lines) == 4
 
+    def test_growing_volume_exits_1(self, tmp_path, monkeypatch):
+        volumes = itertools.count(1.0)  # 1.0, 2.0, ...: each state's larger
+        monkeypatch.setattr(cli, "induced_volume", lambda det, grid: next(volumes))
+        code, out = run_cli(tmp_path, "simulate", SIMULATE_CONFIG)
+        assert code == EXIT_ASSERTION
+        assert "volume monotone: False\n" in (out / "summary.txt").read_text()
+
     @pytest.mark.parametrize("samples", ["absent", None])
     def test_no_sample_times_store_initial_and_final_states(self, tmp_path, samples):
         config = dict(SIMULATE_CONFIG)
@@ -1095,13 +1112,9 @@ class TestDiffSystemVerb:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_identical_flows_have_zero_differences(self, tmp_path):
         """With neither `geometry_b` nor `perturbation` both flows start
-        from the same immersion, the only run that takes forward_gronwall's
-        F <= 0 branch: every difference, constant and envelope is 0."""
-        config = changed(
-            DIFF_CONFIG, ["geometry_b"], grid={"m": 1, "resolution": 32},
-            T=0.01, delta=0.002, dt=1e-4, store_every=5,
-        )
-        code, out = run_cli(tmp_path, "diff-system", config)
+        from the same immersion, so F = 0 on every row: every difference,
+        constant and envelope is 0."""
+        code, out = run_cli(tmp_path, "diff-system", IDENTICAL_DIFF_CONFIG)
         assert code == EXIT_OK
         report = (out / "inequality_report.txt").read_text().splitlines()
         assert {"C1 = 0.0", "C2 = 0.0", "flagged_nodes = 0"} <= set(report)
@@ -1112,6 +1125,42 @@ class TestDiffSystemVerb:
         assert len(env) == 16  # the header and t = 0.002, 0.0025, ..., 0.009
         for row in env[1:]:
             assert row.split(",")[1:] == ["0.0"] * 5
+
+    @pytest.mark.parametrize(
+        "values, line",
+        [
+            ({"flagged_nodes": 1}, "flagged nodes: 1"),
+            ({"C1": float("nan")}, "C1=nan"),
+            ({"C2": float("inf")}, "C2=inf"),
+        ],
+        ids=["flagged-node", "C1-nan", "C2-inf"],
+    )
+    def test_failed_pass_verdict_exits_1(self, tmp_path, monkeypatch, values, line):
+        """A flagged node or a non-finite constant fails the run, though the
+        envelope holds."""
+        pass_ = cli.paired_pass
+        monkeypatch.setattr(
+            cli, "paired_pass", lambda *a: dataclasses.replace(pass_(*a), **values)
+        )
+        code, out = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
+        assert code == EXIT_ASSERTION
+        summary = (out / "summary.txt").read_text()
+        assert line in summary
+        assert "envelope holds: True\n" in summary
+
+    def test_failed_envelope_exits_1(self, tmp_path, monkeypatch):
+        gronwall = cli.forward_gronwall
+
+        def halved(report):  # every envelope value below its F
+            t, F, G, dFdt, _, c_star = gronwall(report)
+            return t, F, G, dFdt, F / 2, c_star
+
+        monkeypatch.setattr(cli, "forward_gronwall", halved)
+        code, out = run_cli(tmp_path, "diff-system", DIFF_CONFIG)
+        assert code == EXIT_ASSERTION
+        summary = (out / "summary.txt").read_text()
+        assert "envelope holds: False\n" in summary
+        assert "flagged nodes: 0\n" in summary
 
     def test_perturbation_branch_is_seeded(self, tmp_path):
         config = {
@@ -1674,11 +1723,12 @@ class TestParabolicScaling:
                                               "sup_lhs1", "sup_lhs2"))
                 for r in rows
             ], lam
-            env = differences.forward_gronwall(types.SimpleNamespace(rows=rows))
+            *columns, c_star = differences.forward_gronwall(
+                types.SimpleNamespace(rows=rows)
+            )
             assert envelope2[1:] == [
-                ",".join(repr(r[k]) for k in ("t", "F", "G", "dFdt", "envelope",
-                                              "c_star"))
-                for r in env
+                ",".join(repr(x) for x in (*row, c_star))
+                for row in zip(*(c.tolist() for c in columns))
             ], lam
             assert envelope2[0] == envelope[0]
 
@@ -2217,6 +2267,133 @@ class TestReportFiles:
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_BLOWUP
         assert sorted(os.listdir(out)) == ["checkpoint_0000.txt", "checkpoint_0001.txt"]
+
+
+def report_digests(out) -> dict:
+    """{file name: sha256} of every file in out; the manifest is hashed
+    without its `generated` line, the one line that differs between runs."""
+    digests = {}
+    for path in sorted(out.iterdir()):
+        lines = path.read_bytes().splitlines(keepends=True)
+        if path.name == "manifest.txt":
+            lines = [line for line in lines if not line.startswith(b"generated = ")]
+        digests[path.name] = hashlib.sha256(b"".join(lines)).hexdigest()
+    return digests
+
+
+class TestReportBytePins:
+    """Every byte of each verb's reports, pinned by sha256: the base
+    configs, the identical-flow `diff-system` run and an `identities` run
+    that fails `evolve_metric` (exit 1).  A change of REPORT_FORMAT records
+    these again together with it."""
+
+    CASES = {
+        **{verb: (verb, config, EXIT_OK) for verb, config in BASE_CONFIGS.items()},
+        "diff-system-identical": ("diff-system", IDENTICAL_DIFF_CONFIG, EXIT_OK),
+        "identities-fails": (
+            "identities",
+            changed(IDENTITIES_CONFIG, thresholds={"evolve_metric": 0.0}),
+            EXIT_ASSERTION,
+        ),
+    }
+
+    PINS = {
+        "convergence": {
+            "convergence.csv":
+                "60f2478c4803e141410d122e1179ac3487efd34761c2bfcc1e48fbe3ba57b120",
+            "manifest.txt":
+                "4a9af0d59ee6d2ea9cf3c109ad5d4369d30f47e77b828e0b5cd7917c5436c3cb",
+            "summary.txt":
+                "0242fcf720422c0ec4bedbc82c1c8a1e83bf8dcd4d282cdb66d7f0d641ff3cc9",
+        },
+        "diff-system": {
+            "difference_identities.csv":
+                "05382f5e73c3ccc7163c176057b876aa5b000f92fb07c358308269bbaf2f1f81",
+            "gronwall_envelope.csv":
+                "41bd4adc5aa629b37394f8b5b16943de17b837144b98a6bc7ea39dda0e56a85c",
+            "inequality_report.txt":
+                "b1b585e1488f71b35f5cb3cb773f15d125704b07943c98a1292818255009eac1",
+            "manifest.txt":
+                "cfbad4e425ab60e2efe830a075b7fa07b0cd753aed051e6952fa0b037aca3f5c",
+            "summary.txt":
+                "146b9d5278f2454f62f11a917a1bd658cf7532ef5d5b0170d772fba835e67355",
+        },
+        "diff-system-identical": {
+            "difference_identities.csv":
+                "a3ac0a66e1202666a4b91e9a87cd2fb180ea2c1f9dd27d345d5be06b5ea28c11",
+            "gronwall_envelope.csv":
+                "28951799bb0366afa0ad775fe40debe970a1ee553316e7f5d54386e6bcf0f875",
+            "inequality_report.txt":
+                "bc6880efcbb312892c031118cc14fcba83c25035551c485ec0ea5aa78b4c2a67",
+            "manifest.txt":
+                "436dff7ebb667fd5c08875bf782c4ce18754cf9e9d63c49d1abf8679c9639c65",
+            "summary.txt":
+                "dac8e008f67298b6ee71cf6d13ab90e77c68d41fd05e1372bc3e0fe30afc79be",
+        },
+        "identities": {
+            "manifest.txt":
+                "91486b2d5ba27a939b2a43bdb4da603009d5278cccb5052d6a882112b9aa8a00",
+            "residual_evolve_connection.csv":
+                "d03416fd2d85dcfa1be5a728a5ce2aa8767b7fec3086775dc915c07ddbdc1455",
+            "residual_evolve_metric.csv":
+                "c46d8da1f097975fd2fd3656ec3ebbbcecbb944335221db0959e9914d91d8df5",
+            "residual_evolve_position_gradient.csv":
+                "8d1d7dbca422a0db1fec8b8c76c66b6ecb41a725c1648e80d4616e4a2804187d",
+            "residual_evolve_second_form.csv":
+                "c8bf862514f7c5b9f4f27b430f01d42118cfc57fdad38a09e9377e50c84366c6",
+            "residual_gauss_cross_check.csv":
+                "7d665b787877fcdd8f2075cc6416f3754ae12b5b6e39a5099e42567da6929ea0",
+            "residual_second_form_commutation.csv":
+                "408f2e2b5df11d4dd43c392a97005f6d44a139cf2d9cd2f1c30a3a20f28430ae",
+            "summary.txt":
+                "3b77a346f55b4f482d8523983ba100ea52ccd5fc6f8e0a5cfb53e2c964e46f4e",
+        },
+        "identities-fails": {
+            "manifest.txt":
+                "d6464050ebfd8df6bbb49b856a9a6bf11da2282efc611845b4beecbc92c7322a",
+            "residual_evolve_connection.csv":
+                "d03416fd2d85dcfa1be5a728a5ce2aa8767b7fec3086775dc915c07ddbdc1455",
+            "residual_evolve_metric.csv":
+                "6361c1cea292901cedf60ad4e80d94525d77be52dce1f9d23208d930f79bea50",
+            "residual_evolve_position_gradient.csv":
+                "8d1d7dbca422a0db1fec8b8c76c66b6ecb41a725c1648e80d4616e4a2804187d",
+            "residual_evolve_second_form.csv":
+                "c8bf862514f7c5b9f4f27b430f01d42118cfc57fdad38a09e9377e50c84366c6",
+            "residual_gauss_cross_check.csv":
+                "7d665b787877fcdd8f2075cc6416f3754ae12b5b6e39a5099e42567da6929ea0",
+            "residual_second_form_commutation.csv":
+                "408f2e2b5df11d4dd43c392a97005f6d44a139cf2d9cd2f1c30a3a20f28430ae",
+            "summary.txt":
+                "d53ad87b9b74ba92079783b3e52161c15c14e9fdf3d24e2b1e27acf191eff2ec",
+        },
+        "simulate": {
+            "checkpoint_0000.txt":
+                "082ebf4d4b0de52d44bb14dde5ef0b17c7f5fba38856b142602ed4f9b824e9c9",
+            "checkpoint_0001.txt":
+                "af8354ee45e1394c6edada247c94629d2c9cb24b7414f914867baa66a0339acb",
+            "manifest.txt":
+                "aebfcf3a6ffaa0e5640a0ec41b8dac18d8def541fe4ea8b883879018f82a58be",
+            "summary.txt":
+                "ba39fa4bedbc71121cb712e6a4e92357d840b69eb344add8b90922e04a303b27",
+            "trajectory.csv":
+                "08ccd7bf23fcc769616f58ab5c8b8cce99a6bd916566bcd6580ad6321e81561e",
+        },
+        "symmetry": {
+            "manifest.txt":
+                "28f32d7fd8cc544773d2193dea73ba74fb80408bb5443961629a0f07434093bc",
+            "summary.txt":
+                "68637f82ca6ce0471d10e4e6f4e077f7fdd2bff9d81280b25dd3f223d969e91c",
+            "symmetry_defect.csv":
+                "0929c01a928656c91d9cbf5fce37141dede1c5c57f7cbff676e307fa7a64f0c2",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_bytes_are_pinned(self, tmp_path, case):
+        verb, config, exit_code = self.CASES[case]
+        assert cli.REPORT_FORMAT == 2
+        assert run_in_process(tmp_path, verb, config) == exit_code
+        assert report_digests(tmp_path) == self.PINS[case]
 
 
 class TestReadme:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mcflab import GridSpec, compute_geometry
-from mcflab import differences, identities, shapes
+from mcflab import cli, differences, identities, shapes
 from mcflab.differences import (
     build_difference,
     five_point_derivative,
@@ -255,7 +255,7 @@ class TestEvolutionChecks:
     def test_report_carries_anchor_and_metadata(self):
         traj = short_run(shapes.circle(GridSpec(1, 32), 1.0))
         rep = check_at(check_dg, traj)
-        assert rep.anchor == ANCHORS["evolve_metric"]
+        assert ANCHORS[rep.identity] == ANCHORS["evolve_metric"]
         assert rep.resolution == 32
         assert rep.dt == 1e-5
         assert rep.l2_residual <= rep.sup_residual * np.sqrt(2 * np.pi) * 1.5
@@ -453,8 +453,10 @@ class TestReportSerialization:
             sup_residual=0.123456789012345,
             l2_residual=0.25,
         )
-        row = rep.csv_row()
+        header, row = cli._table(
+            cli.RESIDUAL_HEADER, [cli._residual_cells(rep)]
+        ).splitlines()
         parts = row.split(",")
         assert parts[0] == "evolve_metric"
         assert float(parts[4]) == 0.123456789012345
-        assert ResidualReport.CSV_HEADER.count(",") == row.count(",")
+        assert header.count(",") == row.count(",")

@@ -127,7 +127,7 @@ def test_the_scan_sees_the_package():
     # guards the guard: an empty scan would pass the checks above vacuously
     names = public_names()
     assert {"paired_pass", "identity_suite", "main"} <= names.keys()
-    assert names["csv_row"] == "identities.ResidualReport.csv_row"
+    assert names["norm_sq_Y"] == "differences.DifferencePack.norm_sq_Y"
     assert {"paired_pass", "identity_suite", "main"} <= referenced_names()
 
 

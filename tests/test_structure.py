@@ -182,6 +182,15 @@ GUARDS = [
         "    ctypes.CDLL(None).mallopt(-3, 32 * 2**20)",
     ),
     Guard(
+        "Only the CLI formats report text",
+        "def serialize|csv_row|CSV_HEADER|LIMITATION_STATEMENT",
+        [
+            f"src/mcflab/{m}.py"
+            for m in ("identities", "differences", "flow", "geometry", "grid", "shapes")
+        ],
+        "    def serialize(self) -> str:",
+    ),
+    Guard(
         "Only the CLI sets numpy's ufunc buffer",
         r"\bsetbufsize\b",
         NOT_CLI,
