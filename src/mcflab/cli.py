@@ -1,11 +1,16 @@
 """Configuration-driven experiment runner.
 
 Verbs: simulate, identities, diff-system, symmetry, convergence; each takes
---config <json> and --out <dir>.  A verb reads its config, runs one layer's
-pass (the identity suite, the paired pass or a flow stream) and writes the
-reports; its own checks are verdicts (exit 1) on the pass's numbers: the
-identity thresholds, monotone volume, the symmetry tolerance, the refinement
-order, and the paired pass's flagged nodes and envelope.  Configs are read
+--config <json> and --out <dir>.  A verb's runner (`run_<verb>`) takes its
+config's values, runs one layer's pass (the identity suite, the paired pass
+or a flow stream), writes its report tables and checkpoints, and returns
+(entries, summary, failure): its manifest entries, its summary text, and
+its failed verdict as one line, or None.  The verdicts are its own checks
+on the pass's numbers: the identity thresholds, monotone volume, the
+symmetry tolerance, the refinement order, and the paired pass's flagged
+nodes, finite C1 and C2, and envelope.  `run_experiment` alone does the
+rest: it writes manifest.txt (with `experiment = <verb>`) and summary.txt,
+prints a failed verdict on stderr and picks the exit code.  Configs are read
 through one table per verb, SCHEMA, and are strict: unknown keys, keys of
 another geometry kind or permutation type, and keys the verb would ignore
 (a `seed` without a `perturbation`, a `cfl_safety` or `dt_max` beside a
@@ -48,9 +53,10 @@ changes.  (The axis-1 tap windows of the m=2 stencils, runs of N times the
 batch, still go through it.)  As with the allocator, this module is the one
 place that sets the buffer.
 
-Exit codes: 0 success, 1 assertion failure, 2 invalid config (a grid too
-large to allocate among them) or violated precondition, 3 numerical
-blow-up.
+Exit codes: 0 success, 1 a failed verdict, named in one line on stderr, 2
+invalid config (a grid too large to allocate among them) or violated
+precondition, 3 numerical blow-up.  A run that exits 2 or 3 raises before
+its runner returns, so it writes no manifest or summary.
 
 """
 
@@ -344,7 +350,7 @@ THRESHOLD_COEFFS = {
 }
 
 
-def run_identities(out_dir, grid, geometry, dt, thresholds) -> int:
+def run_identities(out_dir, grid, geometry, dt, thresholds) -> tuple:
     grid = GridSpec(**grid)
     initial = geometry(grid)
     h2 = grid.spacing**2
@@ -363,29 +369,18 @@ def run_identities(out_dir, grid, geometry, dt, thresholds) -> int:
             failures.append(rep.identity)
         row = (*_residual_cells(rep), thr, status, ANCHORS[rep.identity])
         _write(out_dir, f"residual_{rep.identity}.csv", _table(header, [row]))
-    _manifest(
-        out_dir,
-        {
-            "experiment": "identities",
-            "N": grid.resolution,
-            "dt": dt,
-            "failures": ",".join(failures) or "none",
-        },
-    )
     summary = [f"identity suite on N={grid.resolution}"]
     for rep in reports:
         summary.append(
             f"  {rep.identity}: sup={rep.sup_residual:.3e} l2={rep.l2_residual:.3e}"
         )
     summary.append(f"result: {'FAIL ' + str(failures) if failures else 'PASS'}")
-    _write(out_dir, "summary.txt", "\n".join(summary) + "\n")
-    if failures:
-        print(f"identity assertion failed: {failures}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+    entries = {"N": grid.resolution, "dt": dt, "failures": ",".join(failures) or "none"}
+    failure = f"identity assertion failed: {failures}" if failures else None
+    return entries, _text(summary), failure
 
 
-def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> int:
+def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> tuple:
     """The adaptive flow to T, with a checkpoint and a volume row per
     sample time (by default the initial and final states; an empty list
     exits 2).  Each state's volume comes from the kernel handed over with
@@ -399,34 +394,28 @@ def run_simulate(out_dir, grid, geometry, T, policy, sample_times) -> int:
     grid = GridSpec(**grid)
     initial = geometry(grid)
     stream = adaptive_stream(initial, T, StepPolicy(**policy), sample_times)
-    rows, vol, steps = [], [], 0  # each stored state's trajectory.csv row, volume
+    rows, steps = [], 0  # each stored state's trajectory.csv row
     for state, kern, dts in stream:
-        vol.append(induced_volume(kern.det, grid))
+        volume = induced_volume(kern.det, grid)
         del kern  # neither beside the checkpoint writer nor through the next steps
         steps += len(dts)
         name = f"checkpoint_{len(rows):04d}.txt"
         with open(os.path.join(out_dir, name), "w") as fh:
             write_immersion(state, fh)
-        rows.append((state.time, name, vol[-1]))
+        rows.append((state.time, name, volume))
     _write(out_dir, "trajectory.csv", _table(("t", "file", "volume"), rows))
-    _manifest(
-        out_dir,
-        {"experiment": "simulate", "N": grid.resolution, "T": T,
-         "steps": steps, "states": len(rows)},
-    )
-    monotone = all(b <= a + 1e-10 for a, b in zip(vol, vol[1:]))
-    _write(
-        out_dir,
-        "summary.txt",
-        f"simulate: {steps} steps to T={T}\n"
-        f"volume monotone: {monotone}\n",
-    )
-    return EXIT_OK if monotone else EXIT_ASSERTION
+    # the times of the stored states with more volume than the state before
+    grown = [t for (_, _, a), (t, _, b) in zip(rows, rows[1:]) if not b <= a + 1e-10]
+    summary = f"simulate: {steps} steps to T={T}\nvolume monotone: {not grown}\n"
+    entries = {"N": grid.resolution, "T": T, "steps": steps, "states": len(rows)}
+    failure = (f"volume not monotone: the state at t={grown[0]!r} has more "
+               "than the one before") if grown else None
+    return entries, summary, failure
 
 
 def run_symmetry(
     out_dir, grid, geometry, symmetry, steps, record_every, tolerance, dt
-) -> int:
+) -> tuple:
     """The defect of the symmetry action along a fixed-step flow of at most
     MAX_STEPS steps.  The action must fix the initial immersion to 1e-13
     (else exit 2).  The defect times are the stream's exact stamps
@@ -434,10 +423,6 @@ def run_symmetry(
     grid = GridSpec(**grid)
     initial = geometry(grid)
     action = _build_symmetry(grid, initial.ambient_dim, **symmetry)
-    if steps > MAX_STEPS:
-        raise ConfigError(
-            f"invalid 'steps' in config: {steps!r} is more than {MAX_STEPS}"
-        )
     # one kernel call gives the default dt and the first step's velocity;
     # degeneracy of the initial immersion is bad input, later a blow-up
     kern = stacked_kernel([initial])
@@ -462,27 +447,18 @@ def run_symmetry(
         k += 1
     worst = max(d for _, d in rows)
     _write(out_dir, "symmetry_defect.csv", _table(("t", "defect"), rows))
-    _manifest(
-        out_dir,
-        {"experiment": "symmetry", "N": grid.resolution, "steps": steps,
-         "dt": dt, "max_defect": worst, "tolerance": tolerance},
-    )
     ok = worst <= tolerance
-    _write(
-        out_dir,
-        "summary.txt",
-        f"symmetry persistence over {steps} steps: max defect {worst:.3e} "
-        f"(tolerance {tolerance:.1e}) -> {'PASS' if ok else 'FAIL'}\n",
-    )
-    if not ok:
-        print(f"symmetry defect {worst:.3e} exceeds {tolerance:.1e}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+    summary = (f"symmetry persistence over {steps} steps: max defect {worst:.3e} "
+               f"(tolerance {tolerance:.1e}) -> {'PASS' if ok else 'FAIL'}\n")
+    entries = {"N": grid.resolution, "steps": steps, "dt": dt, "max_defect": worst,
+               "tolerance": tolerance}
+    failure = None if ok else f"symmetry defect {worst:.3e} exceeds {tolerance:.1e}"
+    return entries, summary, failure
 
 
 def run_diff_system(
     out_dir, grid, geometry, geometry_b, perturbation, seed, T, delta, dt, store_every
-) -> int:
+) -> tuple:
     """`differences.paired_pass` on [delta, T] of the flows from geometry
     and from geometry_b or its perturbation (seed 0 if absent), which
     checks its plan before it integrates (else exit 2).  The verdict: no
@@ -508,28 +484,27 @@ def run_diff_system(
     header = ("t", "F", "G", "dFdt", "envelope", "c_star")
     _write(out_dir, "gronwall_envelope.csv",
            _table(header, zip(*(c.tolist() for c in columns))))
-    _manifest(
-        out_dir,
-        {"experiment": "diff-system", "N": grid.resolution, "dt": dt,
-         "T": T, "delta": delta, "C1": report.C1, "C2": report.C2},
-    )
-    ok = report.flagged_nodes == 0 and np.isfinite(report.C1) and np.isfinite(
-        report.C2
-    )
     envelope_ok = bool(np.all(F <= envelope * (1 + 1e-9) + 1e-300))
-    _write(
-        out_dir,
-        "summary.txt",
+    summary = (
         f"diff-system on [{delta}, {T}]: C1={report.C1:.6g} C2={report.C2:.6g}\n"
         f"K={report.K:.6g} K_tilde={report.K_tilde:.6g}\n"
         f"flagged nodes: {report.flagged_nodes}\n"
         f"envelope holds: {envelope_ok}\n"
-        f"{LIMITATION_STATEMENT}\n",
+        f"{LIMITATION_STATEMENT}\n"
     )
-    return EXIT_OK if ok and envelope_ok else EXIT_ASSERTION
+    failed = [verdict for verdict, holds in [
+        (f"{report.flagged_nodes} flagged node(s)", report.flagged_nodes == 0),
+        (f"C1={report.C1:.6g}", np.isfinite(report.C1)),
+        (f"C2={report.C2:.6g}", np.isfinite(report.C2)),
+        ("envelope does not hold", envelope_ok),
+    ] if not holds]
+    entries = {"N": grid.resolution, "dt": dt, "T": T, "delta": delta,
+               "C1": report.C1, "C2": report.C2}
+    failure = f"paired pass failed: {', '.join(failed)}" if failed else None
+    return entries, summary, failure
 
 
-def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> int:
+def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> tuple:
     """The identity suite at each resolution, each double the last (else
     exit 2), and each identity's refinement order."""
     for a, b in zip(resolutions, resolutions[1:]):
@@ -559,18 +534,10 @@ def run_convergence(out_dir, grid, geometry, resolutions, dt, min_order) -> int:
         rows.append((identity, res_str, order, flag))
     table = _table(("identity", "residuals", "order", "flag"), rows)
     _write(out_dir, "convergence.csv", table)
-    _manifest(
-        out_dir,
-        {"experiment": "convergence",
-         "resolutions": ",".join(map(str, resolutions)),
-         "dt": dt, "failures": ",".join(failures) or "none"},
-    )
-    result = "FAIL" if failures else "PASS"
-    _write(out_dir, "summary.txt", table + f"result: {result}\n")
-    if failures:
-        print(f"order below {min_order}: {failures}", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+    entries = {"resolutions": ",".join(map(str, resolutions)), "dt": dt,
+               "failures": ",".join(failures) or "none"}
+    failure = f"order below {min_order}: {failures}" if failures else None
+    return entries, table + f"result: {'FAIL' if failures else 'PASS'}\n", failure
 
 
 # every verb's keys besides its kind
@@ -620,7 +587,8 @@ SCHEMA = ("kind", {
                 "reflection": (reflection_permutation, {"axes": (_integers, [0])}),
             }), {}),
         }, {}),
-        "steps": (_positive(_integer), 2000),
+        "steps": (_bounded(_integer, lambda n: 1 <= n <= MAX_STEPS,
+                           f"must be from 1 to {MAX_STEPS}"), 2000),
         "record_every": (_positive(_integer), 10),
         "tolerance": (_non_negative, 1e-10),
         "dt": (_positive(_real), None),
@@ -656,18 +624,22 @@ def _fix_heap_policy() -> None:
 
 
 def run_experiment(config: dict, out_dir: str) -> int:
-    """Read config through SCHEMA and run its verb into out_dir.  A bad
-    config, or an out_dir that cannot be made a directory (such as an
-    existing file), is a ConfigError naming the key or the path.
+    """Read config through SCHEMA and run its verb into out_dir; the one
+    place that writes the manifest and the summary, prints a failed verdict
+    as one line on stderr and picks the exit code: EXIT_OK, or
+    EXIT_ASSERTION after a failed verdict.  A bad config, or an out_dir that
+    cannot be made a directory (such as an existing file), is a ConfigError
+    naming the key or the path.
 
     Before the first verb of the process runs, the allocator's mmap and trim
     thresholds are fixed (`_fix_heap_policy`), so a verb's grid arrays come
     from the heap and stay faulted in from its first call on, not only after
-    glibc's dynamic thresholds have risen.  The verb runs with numpy's ufunc
-    buffer at UFUNC_BUFSIZE elements, and the caller's buffer size is back
-    when it returns or raises; see the module docstring.  A MemoryError
-    while the verb runs, as from a config grid too large to allocate, is a
-    ConfigError naming the grid's m and N (exit 2)."""
+    glibc's dynamic thresholds have risen.  The verb, and the writing of its
+    manifest and summary, run with numpy's ufunc buffer at UFUNC_BUFSIZE
+    elements, and the caller's buffer size is back when the verb returns or
+    raises; see the module docstring.  A MemoryError while the verb runs, as
+    from a config grid too large to allocate, is a ConfigError naming the
+    grid's m and N (exit 2)."""
     # before the read, as either source of the second flow may be malformed
     if {"geometry_b", "perturbation"} <= config.keys():
         raise ConfigError(
@@ -681,7 +653,9 @@ def run_experiment(config: dict, out_dir: str) -> int:
     _fix_heap_policy()
     old = np.setbufsize(UFUNC_BUFSIZE)
     try:
-        return run(out_dir)
+        entries, summary, failure = run(out_dir)
+        _manifest(out_dir, {"experiment": config["kind"], **entries})
+        _write(out_dir, "summary.txt", summary)
     except MemoryError as exc:  # a grid too large for this host
         kw = run.keywords
         N = kw["grid"].get("resolution", kw.get("resolutions"))
@@ -689,6 +663,10 @@ def run_experiment(config: dict, out_dir: str) -> int:
         raise ConfigError(msg) from exc
     finally:
         np.setbufsize(old)
+    if failure is None:
+        return EXIT_OK
+    print(failure, file=sys.stderr)
+    return EXIT_ASSERTION
 
 
 def _anchor_table() -> str:

@@ -71,6 +71,13 @@ def run_cli(tmp_path, verb, config, subdir="out"):
     return code, out_dir
 
 
+def verdict_line(capsys) -> str:
+    """The one line that an exit-1 run prints on stderr, its failed verdict."""
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1, repr(err)
+    return err
+
+
 IDENTITIES_CONFIG = {
     "grid": {"m": 1, "resolution": 64},
     "geometry": {"kind": "ellipse", "a": 1.5, "b": 1.0},
@@ -694,12 +701,13 @@ class TestSimulateVerb:
         assert lines[0] == "t,file,volume"
         assert len(lines) == 4
 
-    def test_growing_volume_exits_1(self, tmp_path, monkeypatch):
+    def test_growing_volume_exits_1(self, tmp_path, monkeypatch, capsys):
         volumes = itertools.count(1.0)  # 1.0, 2.0, ...: each state's larger
         monkeypatch.setattr(cli, "induced_volume", lambda det, grid: next(volumes))
         code, out = run_cli(tmp_path, "simulate", SIMULATE_CONFIG)
         assert code == EXIT_ASSERTION
         assert "volume monotone: False\n" in (out / "summary.txt").read_text()
+        assert verdict_line(capsys).startswith("volume not monotone")
 
     @pytest.mark.parametrize("samples", ["absent", None])
     def test_no_sample_times_store_initial_and_final_states(self, tmp_path, samples):
@@ -1127,17 +1135,19 @@ class TestDiffSystemVerb:
             assert row.split(",")[1:] == ["0.0"] * 5
 
     @pytest.mark.parametrize(
-        "values, line",
+        "values, line, verdict",
         [
-            ({"flagged_nodes": 1}, "flagged nodes: 1"),
-            ({"C1": float("nan")}, "C1=nan"),
-            ({"C2": float("inf")}, "C2=inf"),
+            ({"flagged_nodes": 1}, "flagged nodes: 1", "1 flagged node(s)"),
+            ({"C1": float("nan")}, "C1=nan", "C1=nan"),
+            ({"C2": float("inf")}, "C2=inf", "C2=inf"),
         ],
         ids=["flagged-node", "C1-nan", "C2-inf"],
     )
-    def test_failed_pass_verdict_exits_1(self, tmp_path, monkeypatch, values, line):
+    def test_failed_pass_verdict_exits_1(
+        self, tmp_path, monkeypatch, capsys, values, line, verdict
+    ):
         """A flagged node or a non-finite constant fails the run, though the
-        envelope holds."""
+        envelope holds; stderr names that verdict alone."""
         pass_ = cli.paired_pass
         monkeypatch.setattr(
             cli, "paired_pass", lambda *a: dataclasses.replace(pass_(*a), **values)
@@ -1147,8 +1157,9 @@ class TestDiffSystemVerb:
         summary = (out / "summary.txt").read_text()
         assert line in summary
         assert "envelope holds: True\n" in summary
+        assert verdict_line(capsys) == f"paired pass failed: {verdict}\n"
 
-    def test_failed_envelope_exits_1(self, tmp_path, monkeypatch):
+    def test_failed_envelope_exits_1(self, tmp_path, monkeypatch, capsys):
         gronwall = cli.forward_gronwall
 
         def halved(report):  # every envelope value below its F
@@ -1161,6 +1172,7 @@ class TestDiffSystemVerb:
         summary = (out / "summary.txt").read_text()
         assert "envelope holds: False\n" in summary
         assert "flagged nodes: 0\n" in summary
+        assert verdict_line(capsys) == "paired pass failed: envelope does not hold\n"
 
     def test_perturbation_branch_is_seeded(self, tmp_path):
         config = {
@@ -1799,7 +1811,7 @@ class TestConvergenceVerb:
         for identity, (_, order, flag) in rows.items():
             assert flag == "ok" and float(order) >= 1.9, identity
 
-    def test_a_broken_right_hand_side_still_fails(self, tmp_path, monkeypatch):
+    def test_a_broken_right_hand_side_still_fails(self, tmp_path, monkeypatch, capsys):
         """metric_rhs scaled by 1 + h^2, h the coarsest spacing: an error
         that does not refine away fails the order gate.  (Scaled at each
         grid's own spacing the error is O(h^2), which no refinement order
@@ -1815,6 +1827,7 @@ class TestConvergenceVerb:
         assert ",exact\n" in body  # evolve_position_gradient is untouched
         (row,) = [line for line in body.splitlines() if line.startswith("evolve_metric,")]
         assert row.endswith(",below-order")
+        assert verdict_line(capsys).startswith("order below 1.9: [")
 
     def test_non_doubling_resolutions_rejected(self, tmp_path):
         config = {
@@ -1884,12 +1897,15 @@ class TestConfigValidation:
         ("symmetry", "tolerance", 0.0),
         ("identities", "thresholds", {"evolve_metric": 0.0}),
     ])
-    def test_a_zero_bound_is_a_verdict(self, tmp_path, verb, key, value):
+    def test_a_zero_bound_is_a_verdict(self, tmp_path, capsys, verb, key, value):
         """0 is a valid bound: the pass runs, and its rounding-level
         defect or residual fails it."""
         code, out = run_cli(tmp_path, verb, changed(BASE_CONFIGS[verb], **{key: value}))
         assert code == EXIT_ASSERTION
         assert "FAIL" in (out / "summary.txt").read_text()
+        assert verdict_line(capsys).startswith(
+            {"symmetry": "symmetry defect", "identities": "identity assertion failed"}[verb]
+        )
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "identities", [IDENTITIES_CONFIG])
@@ -2267,6 +2283,25 @@ class TestReportFiles:
         code, out = run_cli(tmp_path, "simulate", config)
         assert code == EXIT_BLOWUP
         assert sorted(os.listdir(out)) == ["checkpoint_0000.txt", "checkpoint_0001.txt"]
+
+
+class TestVerdictPath:
+    """A runner returns its manifest entries, its summary and its failed
+    verdict; `run_experiment` alone writes the manifest and the summary,
+    prints a failed verdict on stderr and picks the exit code."""
+
+    @pytest.mark.parametrize("verb", sorted(BASE_CONFIGS))
+    def test_exit_0_prints_nothing_on_stderr(self, tmp_path, capsys, verb):
+        code, _ = run_cli(tmp_path, verb, BASE_CONFIGS[verb])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("verb", sorted(cli.SCHEMA[1]))
+    def test_no_runner_writes_the_manifest_or_summary_or_exits(self, verb):
+        runner, _ = cli.SCHEMA[1][verb]
+        source = inspect.getsource(runner)
+        found = re.findall(r'\b_manifest\(|"summary\.txt"|\bprint\(|\bEXIT_\w+', source)
+        assert not found, f"{runner.__name__}: {found}"
 
 
 def report_digests(out) -> dict:
