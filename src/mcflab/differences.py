@@ -23,7 +23,9 @@ take the center's pack and rate(name), the five-point d/dt of the held
 packs, as the single-flow checks take a pack and a rate: `check_dd` and
 `check_dw` are the `identities.residual_report` of the displayed
 difference evolutions, whose right-hand sides are differences of the
-single-flow ones.
+single-flow ones.  rate(name) is a fresh array at each call, and
+`check_dd`, `check_dw` and `heat_operator_Y` consume it, as the single-flow
+checks consume theirs: each forms its residual in the rate's memory.
 Backwards-in-time integration is never attempted; the uniqueness mechanism
 is exercised only through these forward-in-time inequality measurements.
 
@@ -164,17 +166,20 @@ def fitted_centers(n_states: int, dt: float, delta: float):
 
 def check_dd(p: DifferencePack, rate, dt: float) -> ResidualReport:
     """Exactly displayed evolution of the metric difference d = g - gt at the
-    center pack p, with rate(name) the d/dt of p's field name there and dt
-    the run's sample step."""
-    return residual_report("difference_metric", p.geomA, rate("d") - p.d_rhs, "ll", dt)
+    center pack p, with rate(name) the d/dt of p's field name there, a
+    fresh array that the check consumes: the residual is written into it,
+    as in the single-flow checks.  dt is the run's sample step."""
+    resid = rate("d")
+    resid -= p.d_rhs
+    return residual_report("difference_metric", p.geomA, resid, "ll", dt)
 
 
 def check_dw(p: DifferencePack, rate, dt: float) -> ResidualReport:
     """Evolution of the position-gradient difference w^a, taken as
     `check_dd` takes it."""
-    return residual_report(
-        "difference_position_gradient", p.geomA, rate("w") - p.w_rhs, "l", dt
-    )
+    resid = rate("w")
+    resid -= p.w_rhs
+    return residual_report("difference_position_gradient", p.geomA, resid, "l", dt)
 
 
 def heat_operator_Y(p: DifferencePack, rate, grad_Y: dict) -> np.ndarray:
@@ -185,7 +190,9 @@ def heat_operator_Y(p: DifferencePack, rate, grad_Y: dict) -> np.ndarray:
 
     def term(f, s):
         lap = divergence(grad_Y[f], g, "l" + s)
-        return tensor_norm_sq(rate(f) - lap, g, s)
+        heat = rate(f)
+        heat -= lap
+        return tensor_norm_sq(heat, g, s)
 
     return _sum_over(Y_SUMMANDS, term)
 

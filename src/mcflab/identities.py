@@ -24,7 +24,12 @@ in index order, as in the geometry layer: each contraction loops over its
 summed indices in index order (`sum_of_products`) and broadcasts over the
 free ones.  They run on `components_first` arrays, where every component is
 one contiguous grid array; for pack fields and covariant-layer results that
-conversion copies nothing.
+conversion copies nothing.  A right-hand side with an ambient axis is built
+one ambient component at a time into one preallocated output, as
+`geometry.laplacian` is, so no family-wide temporary is alive.  A check
+consumes its rate: it writes the residual into the rate's memory, so the
+right-hand side is freed before `residual_report` raises the residual's
+indices, and no caller reads a rate after handing it over.
 """
 
 from __future__ import annotations
@@ -115,10 +120,11 @@ def grad_H(geom: GeometryPack) -> np.ndarray:
 
 
 def check_dX(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
-    """d/dt of the position gradient, rate, against the gradient of H."""
-    return residual_report(
-        "evolve_position_gradient", geom, rate - grad_H(geom), "l", dt
-    )
+    """d/dt of the position gradient, rate, against the gradient of H.  The
+    check consumes its rate: the residual is written into it, as in every
+    evolution check."""
+    resid = np.subtract(rate, grad_H(geom), out=rate)
+    return residual_report("evolve_position_gradient", geom, resid, "l", dt)
 
 
 def _H_dot_h(geom: GeometryPack) -> np.ndarray:
@@ -134,7 +140,8 @@ def metric_rhs(geom: GeometryPack) -> np.ndarray:
 
 
 def check_dg(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
-    return residual_report("evolve_metric", geom, rate - metric_rhs(geom), "ll", dt)
+    resid = np.subtract(rate, metric_rhs(geom), out=rate)
+    return residual_report("evolve_metric", geom, resid, "ll", dt)
 
 
 def _index_combination(D: np.ndarray) -> np.ndarray:
@@ -161,9 +168,8 @@ def _connection_rhs(geom: GeometryPack) -> np.ndarray:
 
 
 def check_dGamma(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
-    return residual_report(
-        "evolve_connection", geom, rate - _connection_rhs(geom), "ull", dt
-    )
+    resid = np.subtract(rate, _connection_rhs(geom), out=rate)
+    return residual_report("evolve_connection", geom, resid, "ull", dt)
 
 
 def grad_grad_H(geom: GeometryPack) -> np.ndarray:
@@ -172,22 +178,21 @@ def grad_grad_H(geom: GeometryPack) -> np.ndarray:
 
 
 def _second_form_rhs(geom: GeometryPack) -> np.ndarray:
+    """grad_i grad_j H^a - (d/dt Gamma^k_ij) X^a_k, the correction
+    subtracted one ambient component a at a time."""
     # grad grad H first, so its temporaries are gone before the contraction's
     out = grad_grad_H(geom)
     dtGamma = _connection_rate(geom)
     X = components_first(geom.first_derivs, 2)
-    corr = sum_of_products(
-        (dtGamma[None, k], X[:, k, None, None]) for k in range(geom.grid.m)
-    )  # [a, i, j] = (d/dt Gamma^k_ij) X^a_k
-    out -= components_last(corr, 3)
+    for o, Xa in zip(components_first(out, 3), X):  # out's own memory
+        o -= sum_of_products((dtGamma[k], Xa[k]) for k in range(geom.grid.m))
     return out
 
 
 def check_dh(geom: GeometryPack, rate: np.ndarray, dt: float) -> ResidualReport:
     """Evolution of the second form; the connection rate enters analytically."""
-    return residual_report(
-        "evolve_second_form", geom, rate - _second_form_rhs(geom), "ll", dt
-    )
+    resid = np.subtract(rate, _second_form_rhs(geom), out=rate)
+    return residual_report("evolve_second_form", geom, resid, "ll", dt)
 
 
 def _commutation_curvature_terms(
@@ -199,7 +204,11 @@ def _commutation_curvature_terms(
 
     The inverse metrics are applied before the contractions: X, h and the
     Ricci tensor are raised once (g^pq X^a_q, g^kp g^lq h^a_pq, g^pq R_ip),
-    so each term is one sum over an index or an index pair.
+    so each term is one sum over an index or an index pair.  B and the
+    raised Ricci tensor are built once; then each ambient component a is
+    raised and its four terms written into one components-first output, as
+    `geometry.laplacian` does.  Every operation is elementwise per
+    component, so the bits are those of the whole family at once.
     """
     M = range(geom.grid.m)
     ginv = components_first(geom.inverse_metric, 2)
@@ -210,17 +219,17 @@ def _commutation_curvature_terms(
     B = _index_combination(
         components_first(covariant_derivative(curv.ricci, geom, "ll"), 3)
     )
-    Xu = sum_of_products((ginv[:, q], X[:, None, q]) for q in M)  # [a, p]
-    hu = sum_of_products((ginv[:, p, None], h[:, None, p]) for p in M)
-    hu = sum_of_products((ginv[:, q], hu[:, :, None, q]) for q in M)  # [a, k, l]
     ricu = sum_of_products((ginv[:, p], ric[:, None, p]) for p in M)  # [i, q]
-    out = sum_of_products(
-        (riem[None, :, k, :, l], hu[:, k, l, None, None]) for k in M for l in M
-    )
-    out *= 2.0
-    out -= sum_of_products((B[None, :, :, p], Xu[:, p, None, None]) for p in M)
-    out -= sum_of_products((ricu[None, :, q, None], h[:, None, :, q]) for q in M)
-    out -= sum_of_products((ricu[None, None, :, q], h[:, :, None, q]) for q in M)
+    out = np.empty(h.shape)
+    for o, Xa, ha in zip(out, X, h):
+        Xu = sum_of_products((ginv[:, q], Xa[q]) for q in M)  # [p]
+        hu = sum_of_products((ginv[:, p, None], ha[None, p]) for p in M)
+        hu = sum_of_products((ginv[:, q], hu[:, None, q]) for q in M)  # [k, l]
+        o[...] = sum_of_products((riem[:, k, :, l], hu[k, l]) for k in M for l in M)
+        o *= 2.0
+        o -= sum_of_products((B[:, :, p], Xu[p]) for p in M)
+        o -= sum_of_products((ricu[:, q, None], ha[None, :, q]) for q in M)
+        o -= sum_of_products((ricu[None, :, q], ha[:, None, q]) for q in M)
     return components_last(out, 3)
 
 
@@ -261,8 +270,9 @@ def identity_suite(initial: Immersion, dt: float) -> list:
     The center gets its pack, from the kernel evaluation that the stream
     hands over with it; states 0 and 1 are dropped as they arrive.  The
     evolution checks run first, on the center's pack and its exact rates
-    (`geometry.kernel_rate`); then the rates go, so the center's curvature
-    is never alive beside them."""
+    (`geometry.kernel_rate`); each check consumes its rate, writing its
+    residual there, and no rate is read after its check.  Then the rates
+    go, so the center's curvature is never alive beside them."""
     # The center stays at t0 + 2 dt, where the five-point suite had it: at t0
     # the evolution sups of the benchmark's torus move by 0.6-1 %, past the
     # tolerance of its recorded reference, so that move waits for a re-record.

@@ -9,6 +9,7 @@ from mcflab import shapes
 from mcflab.differences import build_difference, five_point_derivative
 from mcflab.flow import FlowTrajectory, ProtocolError, fixed_dt_stream, require_pair
 from mcflab.geometry import (
+    CurvaturePack,
     GeometryPack,
     KernelResult,
     _check_det,
@@ -28,6 +29,7 @@ from mcflab.grid import (
     partial,
     partial_and_second,
 )
+from mcflab.identities import _connection_rate, _index_combination, grad_grad_H
 
 
 # every GeometryPack field but the immersion, in pack order
@@ -179,6 +181,47 @@ def full_trace_divergence(field_arr, geom: GeometryPack, index_spec: str):
     R = range(geom.grid.m)
     out = sum_of_products((ginv[p, q], d[lead + (p, q)]) for p in R for q in R)
     return components_last(out, n_comp - 2)
+
+
+def whole_family_commutation_terms(geom: GeometryPack, curv: CurvaturePack):
+    """`identities._commutation_curvature_terms` with every ambient component
+    at once, kept as the bitwise reference of the one-component loop: X, h
+    and the Ricci tensor raised for all a, then the four terms of all a."""
+    M = range(geom.grid.m)
+    ginv = components_first(geom.inverse_metric, 2)
+    h = components_first(geom.second_form, 3)
+    X = components_first(geom.first_derivs, 2)
+    riem = components_first(curv.riemann, 4)
+    ric = components_first(curv.ricci, 2)
+    B = _index_combination(
+        components_first(covariant_derivative(curv.ricci, geom, "ll"), 3)
+    )
+    Xu = sum_of_products((ginv[:, q], X[:, None, q]) for q in M)  # [a, p]
+    hu = sum_of_products((ginv[:, p, None], h[:, None, p]) for p in M)
+    hu = sum_of_products((ginv[:, q], hu[:, :, None, q]) for q in M)  # [a, k, l]
+    ricu = sum_of_products((ginv[:, p], ric[:, None, p]) for p in M)  # [i, q]
+    out = sum_of_products(
+        (riem[None, :, k, :, l], hu[:, k, l, None, None]) for k in M for l in M
+    )
+    out *= 2.0
+    out -= sum_of_products((B[None, :, :, p], Xu[:, p, None, None]) for p in M)
+    out -= sum_of_products((ricu[None, :, q, None], h[:, None, :, q]) for q in M)
+    out -= sum_of_products((ricu[None, None, :, q], h[:, :, None, q]) for q in M)
+    return components_last(out, 3)
+
+
+def whole_family_second_form_rhs(geom: GeometryPack):
+    """`identities._second_form_rhs` with the correction (d/dt Gamma^k_ij)
+    X^a_k built for every a at once and subtracted whole, kept as the
+    bitwise reference of the one-component loop."""
+    out = grad_grad_H(geom)
+    dtGamma = _connection_rate(geom)
+    X = components_first(geom.first_derivs, 2)
+    corr = sum_of_products(
+        (dtGamma[None, k], X[:, k, None, None]) for k in range(geom.grid.m)
+    )  # [a, i, j] = (d/dt Gamma^k_ij) X^a_k
+    out -= components_last(corr, 3)
+    return out
 
 
 def run_paired_fixed_dt(initA, initB, dt, n_steps, store_every=1) -> list:

@@ -36,6 +36,7 @@ from mcflab.grid import (
 from mcflab.identities import (
     ANCHORS,
     ResidualReport,
+    _commutation_curvature_terms,
     _connection_rhs,
     _second_form_rhs,
     check_dGamma,
@@ -56,10 +57,13 @@ from conftest import (
     REFERENCE_MAKERS,
     assert_same_bytes,
     check_at,
+    paired_center,
     paired_stream,
     run_paired_fixed_dt,
     stencil_symbols,
     traced_peak,
+    whole_family_commutation_terms,
+    whole_family_second_form_rhs,
 )
 
 
@@ -277,6 +281,69 @@ class TestEvolutionChecks:
             # the 1/dt factor in the time difference amplifies the rounding
             # introduced by the rotation, so the match is relative, not exact
             assert abs(a - b) < 1e-7 * a
+
+
+class TestChecksConsumeTheirRates:
+    """An evolution check writes its residual into the rate it is handed, so
+    the right-hand side is gone before the residual's indices are raised:
+    its report is the one of a copy of the rate, and the array handed in
+    holds the rate less the right-hand side afterwards."""
+
+    RIGHT_HAND_SIDES = {
+        check_dX: grad_H,
+        check_dg: metric_rhs,
+        check_dGamma: _connection_rhs,
+        check_dh: _second_form_rhs,
+    }
+
+    @pytest.mark.parametrize("check", list(RIGHT_HAND_SIDES), ids=lambda c: c.__name__)
+    def test_single_flow_check(self, check):
+        geom = compute_geometry(REFERENCE_MAKERS["m2-codim2"](2))
+        field = list(CHECKED_FIELDS).index(check.__name__)
+        rate = kernel_rate(geom)[field]  # a view of the block, as the suite hands it
+        want = check(geom, rate.copy(), 1e-4)
+        residual = rate - self.RIGHT_HAND_SIDES[check](geom)
+        assert check(geom, rate, 1e-4) == want
+        assert_same_bytes(rate, residual)
+
+    @pytest.mark.parametrize(
+        "check,name,rhs",
+        [(differences.check_dd, "d", "d_rhs"), (differences.check_dw, "w", "w_rhs")],
+        ids=["check_dd", "check_dw"],
+    )
+    def test_paired_check(self, check, name, rhs):
+        a = shapes.perturbed_torus(GridSpec(2, 12), 1.0, 0.6, 0.1)
+        b = shapes.low_mode_perturbation(a, 1e-2, 3, 3)
+        p, rate = paired_center(*run_paired_fixed_dt(a, b, 1e-3, 4))
+        handed = rate(name)
+        residual = handed - getattr(p, rhs)
+        want = check(p, lambda f: handed.copy(), 1e-3)
+        assert check(p, lambda f: handed, 1e-3) == want
+        assert_same_bytes(handed, residual)
+
+
+class TestOneAmbientComponentAtATime:
+    """The right-hand sides with an ambient axis are built one component a
+    at a time with the bits of the whole family at once (conftest's
+    references), on a curved normal bundle too."""
+
+    SHAPES = {
+        "perturbed-torus": lambda: shapes.perturbed_torus(GridSpec(2, 16), 1.0, 0.6, 0.2),
+        "perturbed-product-torus": lambda: shapes.low_mode_perturbation(
+            shapes.product_torus(GridSpec(2, 16), 1.0, 0.6), 0.05, 11
+        ),
+        "m1-order4-ellipse": lambda: shapes.ellipse(GridSpec(1, 64, 4), 1.5, 1.0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_bits_of_the_whole_family(self, shape):
+        geom = compute_geometry(self.SHAPES[shape]())
+        curv = curvature_gauss(geom)
+        assert_same_bytes(
+            _commutation_curvature_terms(geom, curv),
+            whole_family_commutation_terms(geom, curv),
+        )
+        assert_same_bytes(_second_form_rhs(geom), whole_family_second_form_rhs(geom))
 
 
 class TestCommutationIdentity:

@@ -191,6 +191,12 @@ GUARDS = [
         "    def serialize(self) -> str:",
     ),
     Guard(
+        "Evolution residuals are formed in their rate's memory",
+        r"\brate\b(\([^)]*\))? - ",
+        ["src/mcflab/identities.py", "src/mcflab/differences.py"],
+        '        "evolve_metric", geom, rate - metric_rhs(geom), "ll", dt',
+    ),
+    Guard(
         "Only the CLI sets numpy's ufunc buffer",
         r"\bsetbufsize\b",
         NOT_CLI,
